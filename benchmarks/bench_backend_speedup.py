@@ -1,8 +1,8 @@
 """Engine-backend speedup benchmark: reference vs fast round kernel.
 
-Times identical simulations on both engine backends -- the unsized
-round kernel (:mod:`repro.sim.backends`) *and* the sized-job kernel
-(:mod:`repro.sim.sizedbackends`) -- over a grid of system sizes and
+Times identical simulations on both engine backends
+(:mod:`repro.sim.backends`) -- with unit jobs *and* with sized jobs
+(``Simulation(sizes=...)``) -- over a grid of system sizes and
 policies, prints a comparison table, and writes a machine-readable perf
 record (``BENCH_engine.json``) so the repo's performance trajectory is
 tracked run over run.
@@ -236,20 +236,18 @@ def _build_sized_sim(
     seed: int,
     backend: str,
     mean_size: float,
-) -> repro.SizedSimulation:
+) -> repro.Simulation:
     system = repro.SystemSpec(num_servers=n, num_dispatchers=m)
     rates = system.rates()
     sizes = repro.GeometricSize(mean_size)
     jobs_per_round = rho * rates.sum() / sizes.mean
-    return repro.SizedSimulation(
+    return repro.Simulation(
         rates=rates,
         policy=repro.make_policy(policy),
         arrivals=repro.PoissonArrivals(np.full(m, jobs_per_round / m)),
         service=repro.GeometricService(rates),
+        config=repro.SimulationConfig(rounds=rounds, seed=seed, backend=backend),
         sizes=sizes,
-        rounds=rounds,
-        seed=seed,
-        backend=backend,
     )
 
 

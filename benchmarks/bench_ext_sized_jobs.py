@@ -33,16 +33,18 @@ LOADS = (0.9, 0.97)
 def run_sized(policy, rho: float):
     rates = SYSTEM.rates()
     jobs_per_round = rho * rates.sum() / SIZES.mean
-    sim = repro.SizedSimulation(
+    sim = repro.Simulation(
         rates=rates,
         policy=policy,
         arrivals=repro.PoissonArrivals(
             np.full(SYSTEM.num_dispatchers, jobs_per_round / SYSTEM.num_dispatchers)
         ),
         service=repro.GeometricService(rates),
+        config=repro.SimulationConfig(
+            rounds=max(1500, BENCH_ROUNDS),
+            seed=repro.derive_seed(BENCH_SEED, SYSTEM.name, round(rho * 1e4), "sized"),
+        ),
         sizes=SIZES,
-        rounds=max(1500, BENCH_ROUNDS),
-        seed=repro.derive_seed(BENCH_SEED, SYSTEM.name, round(rho * 1e4), "sized"),
     )
     return sim.run()
 
@@ -67,10 +69,7 @@ def test_sized_cell(benchmark, figure_table, label, rho):
         rho, label, hist.mean(), hist.percentile(0.99), hist.percentile(0.999)
     )
     benchmark.extra_info["mean"] = round(hist.mean(), 3)
-    assert (
-        result.total_units_arrived
-        == result.total_units_departed + result.final_units_queued
-    )
+    assert result.total_arrived == result.total_departed + result.final_queued
 
 
 def test_size_awareness_pays_at_high_load(benchmark):

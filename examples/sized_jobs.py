@@ -29,17 +29,15 @@ import repro
 def run(policy, sizes, system, rho, rounds, seed, backend="reference"):
     rates = system.rates()
     jobs_per_round = rho * rates.sum() / sizes.mean
-    sim = repro.SizedSimulation(
+    sim = repro.Simulation(
         rates=rates,
         policy=policy,
         arrivals=repro.PoissonArrivals(
             np.full(system.num_dispatchers, jobs_per_round / system.num_dispatchers)
         ),
         service=repro.GeometricService(rates),
+        config=repro.SimulationConfig(rounds=rounds, seed=seed, backend=backend),
         sizes=sizes,
-        rounds=rounds,
-        seed=seed,
-        backend=backend,
     )
     return sim.run()
 
@@ -52,9 +50,9 @@ def main() -> None:
     parser.add_argument(
         "--backend",
         default="fast",
-        choices=repro.available_sized_backends(),
-        help="sized engine round kernel (fast is bit-identical here: "
-        "all three contenders run through the dispatch fallback)",
+        help="engine round kernel, see `repro backends` (fast is "
+        "bit-identical here: all three contenders run through the "
+        "dispatch fallback)",
     )
     args = parser.parse_args()
 

@@ -122,6 +122,7 @@ from .sim.backends import (
     EngineBackend,
     FastBackend,
     ReferenceBackend,
+    SizedServerQueue,
     available_backends,
     backend_descriptions,
     make_backend,
@@ -150,25 +151,12 @@ from .sim.probes import (
     register_probe,
 )
 from .sim.seeding import derive_seed, spawn_streams
-from .sim.server import ServerQueue
-from .sim.sharding import ShardedBackend, ShardPlan, SizedShardedBackend
+from .sim.sharding import ShardedBackend, ShardPlan
 from .sim.sized import (
     BimodalSize,
     DeterministicSize,
     GeometricSize,
     JobSizeDistribution,
-    SizedServerQueue,
-    SizedSimulation,
-    SizedSimulationResult,
-)
-from .sim.sizedbackends import (
-    SizedEngineBackend,
-    SizedFastBackend,
-    SizedReferenceBackend,
-    available_sized_backends,
-    make_sized_backend,
-    register_sized_backend,
-    sized_backend_descriptions,
 )
 from .sim.service import (
     DeterministicService,
@@ -252,19 +240,10 @@ __all__ = [
     "make_backend",
     "available_backends",
     "backend_descriptions",
-    "SizedEngineBackend",
-    "SizedReferenceBackend",
-    "SizedFastBackend",
-    "register_sized_backend",
-    "make_sized_backend",
-    "available_sized_backends",
-    "sized_backend_descriptions",
     "ShardPlan",
     "ShardedBackend",
-    "SizedShardedBackend",
     "BatchQueueStore",
     "SizedBatchQueueStore",
-    "ServerQueue",
     # observability probes
     "Probe",
     "ProbeSpec",
@@ -289,8 +268,6 @@ __all__ = [
     "GeometricSize",
     "BimodalSize",
     "SizedServerQueue",
-    "SizedSimulation",
-    "SizedSimulationResult",
     "QueueLengthSeries",
     "ArrivalProcess",
     "PoissonArrivals",

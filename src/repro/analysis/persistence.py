@@ -25,7 +25,6 @@ from repro.experiments.workload import (
 )
 from repro.sim.engine import SimulationConfig, SimulationResult
 from repro.sim.metrics import QueueLengthSeries, ResponseTimeHistogram
-from repro.sim.sized import SizedSimulationResult
 from repro.sim.probes import (
     DEFAULT_PROBE_LABELS,
     ProbeSpec,
@@ -40,8 +39,6 @@ __all__ = [
     "result_from_dict",
     "save_result",
     "load_result",
-    "sized_result_to_dict",
-    "sized_result_from_dict",
     "sweep_to_dict",
     "sweep_from_dict",
     "save_sweep",
@@ -64,7 +61,7 @@ def result_to_dict(result: SimulationResult) -> dict:
     ``histogram`` and ``queue_series`` keys), so probe-free results are
     byte-identical to the pre-probe format; extra probes add their
     ``state_dict`` under a ``probes`` key and the config records their
-    specs.
+    specs.  Sized runs add ``total_jobs`` (their totals count units).
     """
     config_payload = {
         "rounds": result.config.rounds,
@@ -90,6 +87,8 @@ def result_to_dict(result: SimulationResult) -> dict:
         "final_queued": result.final_queued,
         "final_queues": result.final_queues.tolist(),
     }
+    if result.total_jobs is not None:
+        payload["total_jobs"] = result.total_jobs
     if result.queue_series is not None:
         payload["queue_series"] = result.queue_series.values.tolist()
     extras = {
@@ -103,7 +102,11 @@ def result_to_dict(result: SimulationResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> SimulationResult:
-    """Inverse of :func:`result_to_dict`."""
+    """Inverse of :func:`result_to_dict`.
+
+    Also loads the retired ``sized_result`` format, which recorded no
+    config and no per-server arrays: those fields come back ``None``.
+    """
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported result format version: {version!r}")
@@ -112,8 +115,27 @@ def result_from_dict(payload: dict) -> SimulationResult:
     series = None
     if "queue_series" in payload:
         series = QueueLengthSeries(rounds_hint=len(payload["queue_series"]))
-        for value in payload["queue_series"]:
-            series.record(int(value))
+        series.record_many(np.asarray(payload["queue_series"], dtype=np.int64))
+    # Re-home the collectors as the default probe set (legacy files
+    # carry no "probes" key and load with exactly these two).
+    probes = {"responses": ResponseTimeProbe(histogram=hist)}
+    if series is not None:
+        probes["queue_series"] = QueueSeriesProbe(series=series)
+    for label, state in payload.get("probes", {}).items():
+        probes[label] = probe_from_state(state)
+    if payload.get("kind") == "sized_result":
+        return SimulationResult(
+            policy_name=payload["policy_name"],
+            config=None,
+            histogram=hist,
+            queue_series=series,
+            total_arrived=int(payload["total_units_arrived"]),
+            total_departed=int(payload["total_units_departed"]),
+            final_queued=int(payload["final_units_queued"]),
+            final_queues=None,
+            total_jobs=int(payload["total_jobs"]),
+            probes=probes,
+        )
     config_payload = dict(payload["config"])
     # Files written before the engine-backend registry carry no key.
     config_payload.setdefault("backend", "reference")
@@ -122,13 +144,7 @@ def result_from_dict(payload: dict) -> SimulationResult:
         ProbeSpec(p["name"], p.get("kwargs", {}))
         for p in config_payload.get("probes", ())
     )
-    # Re-home the collectors as the default probe set (legacy files
-    # carry no "probes" key and load with exactly these two).
-    probes = {"responses": ResponseTimeProbe(histogram=hist)}
-    if series is not None:
-        probes["queue_series"] = QueueSeriesProbe(series=series)
-    for label, state in payload.get("probes", {}).items():
-        probes[label] = probe_from_state(state)
+    total_jobs = payload.get("total_jobs")
     return SimulationResult(
         policy_name=payload["policy_name"],
         config=SimulationConfig(**config_payload),
@@ -138,64 +154,7 @@ def result_from_dict(payload: dict) -> SimulationResult:
         total_departed=int(payload["total_departed"]),
         final_queued=int(payload["final_queued"]),
         final_queues=np.asarray(payload["final_queues"], dtype=np.int64),
-        probes=probes,
-    )
-
-
-def sized_result_to_dict(result: SizedSimulationResult) -> dict:
-    """Lossless dict form of a sized-engine result (JSON-serializable).
-
-    The sized analog of :func:`result_to_dict` (the run-lifecycle
-    orchestrator uses it for ``result.json``); the ``kind`` key
-    disambiguates the two formats.
-    """
-    payload = {
-        "format_version": _FORMAT_VERSION,
-        "kind": "sized_result",
-        "policy_name": result.policy_name,
-        "histogram": result.histogram.state_dict(),
-        "queue_series": result.queue_series.values.tolist(),
-        "total_jobs": result.total_jobs,
-        "total_units_arrived": result.total_units_arrived,
-        "total_units_departed": result.total_units_departed,
-        "final_units_queued": result.final_units_queued,
-    }
-    extras = {
-        label: probe.state_dict()
-        for label, probe in result.probes.items()
-        if label not in DEFAULT_PROBE_LABELS
-    }
-    if extras:
-        payload["probes"] = extras
-    return payload
-
-
-def sized_result_from_dict(payload: dict) -> SizedSimulationResult:
-    """Inverse of :func:`sized_result_to_dict`."""
-    version = payload.get("format_version")
-    if payload.get("kind") != "sized_result" or version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sized-result format: kind={payload.get('kind')!r} "
-            f"version={version!r}"
-        )
-    hist = ResponseTimeHistogram()
-    hist.load_state(payload["histogram"])
-    series = QueueLengthSeries(rounds_hint=max(16, len(payload["queue_series"])))
-    series.record_many(np.asarray(payload["queue_series"], dtype=np.int64))
-    probes = {
-        "responses": ResponseTimeProbe(histogram=hist),
-        "queue_series": QueueSeriesProbe(series=series),
-    }
-    for label, state in payload.get("probes", {}).items():
-        probes[label] = probe_from_state(state)
-    return SizedSimulationResult(
-        policy_name=payload["policy_name"],
-        histogram=hist,
-        queue_series=series,
-        total_jobs=int(payload["total_jobs"]),
-        total_units_arrived=int(payload["total_units_arrived"]),
-        total_units_departed=int(payload["total_units_departed"]),
-        final_units_queued=int(payload["final_units_queued"]),
+        total_jobs=int(total_jobs) if total_jobs is not None else None,
         probes=probes,
     )
 
@@ -351,7 +310,7 @@ def experiment_result_to_dict(
 
     Per-cell metrics always serialize; full simulation payloads
     (histograms, queue series) are included when ``include_results`` and
-    the record kept them.  Sized-engine results serialize metrics-only.
+    the record kept them.
     """
     experiment = result.experiment.describe()
     records = [_record_to_dict(r) for r in result.records]

@@ -5,9 +5,9 @@ Installed as the ``repro`` console script (also ``python -m repro``).
 Subcommands
 -----------
 ``policies``    list the registered dispatching policies
-``backends``    list the registered engine backends (round kernels),
-                both the unsized and the sized-engine registries, with a
-                capability column (checkpoint/probe/analytic support)
+``backends``    list the registered engine backends (round kernels)
+                with a capability column (checkpoint/probe/sized/analytic
+                support)
 ``compare``     run one (policy, system, load) cell on several backends
                 side by side -- e.g. the finite-n ``fast`` kernel vs the
                 analytical ``meanfield`` fluid limit -- with wall-clock
@@ -109,10 +109,6 @@ from repro.sim.backends import (
 )
 from repro.sim.probes import DEFAULT_PROBE_LABELS, ProbeSpec, probe_descriptions
 from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
-from repro.sim.sizedbackends import (
-    sized_backend_capabilities,
-    sized_backend_descriptions,
-)
 from repro.workloads.scenarios import SystemSpec
 
 __all__ = ["main", "build_parser"]
@@ -161,25 +157,13 @@ def cmd_policies(args: argparse.Namespace) -> int:
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
-    registries = (
-        ("engine backends (unsized jobs)", backend_descriptions(), backend_capabilities),
-        (
-            "sized engine backends (unit-denominated queues)",
-            sized_backend_descriptions(),
-            sized_backend_capabilities,
-        ),
-    )
-    width = max(len(name) for _, d, _ in registries for name in d)
-    cap_width = max(
-        len(caps(name).describe()) for _, d, caps in registries for name in d
-    )
-    for index, (title, descriptions, caps) in enumerate(registries):
-        if index:
-            print()
-        print(f"{title}:")
-        for name, description in descriptions.items():
-            column = caps(name).describe()
-            print(f"  {name:<{width}}  {column:<{cap_width}}  {description}")
+    descriptions = backend_descriptions()
+    columns = {name: backend_capabilities(name).describe() for name in descriptions}
+    width = max(len(name) for name in descriptions)
+    cap_width = max(len(column) for column in columns.values())
+    print("engine backends (unit or sized jobs):")
+    for name, description in descriptions.items():
+        print(f"  {name:<{width}}  {columns[name]:<{cap_width}}  {description}")
     return 0
 
 
@@ -1082,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help="paper (default), skew:FACTOR, bursty:SURGE[:SWITCH_PROB], or "
         "sized[:geom:MEAN|det:SIZE|bimodal:SMALL:LARGE[:PROB]] (jobs carry "
-        "work-unit sizes and cells run the sized engine)",
+        "work-unit sizes and queues count units)",
     )
     p.add_argument(
         "--scenario",
@@ -1106,7 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'fast' (vectorized; bit-identical for deterministic policies, "
         "statistically equivalent for stochastic ones), or "
         "'sharded[:N[:serial|process]]' (server-partitioned fast kernel); "
-        "sized workloads resolve the name in the sized-engine registry; "
         "see `repro backends`",
     )
     p.add_argument(

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 from repro.policies.base import Policy
 from repro.sim.engine import Simulation, SimulationConfig, SimulationResult
-from repro.sim.sized import SizedSimulation, SizedSimulationResult
 from repro.workloads.scenarios import SystemSpec
 
 from .grid import Cell, Experiment, PolicySpec
@@ -53,13 +52,13 @@ def build_cell_simulation(
     warmup: int = 0,
     backend: str = "reference",
     probes: tuple = (),
-) -> Simulation | SizedSimulation:
+) -> Simulation:
     """Build (but do not run) the simulation at resolved coordinates.
 
     The construction half of :func:`simulate_cell`: builds the
     workload's processes, binds a fresh policy, and returns the
-    appropriate engine object (sized when the workload carries a
-    job-size distribution) ready for ``.run()``.  The run-lifecycle
+    simulation (with the workload's job-size distribution, if any)
+    ready for ``.run()``.  The run-lifecycle
     orchestrator (:mod:`repro.runs`) uses this seam to drive the
     simulation under a checkpointing controller instead of a plain run.
     """
@@ -67,20 +66,6 @@ def build_cell_simulation(
     policy_obj = policy if isinstance(policy, Policy) else PolicySpec.of(policy).build()
     arrivals = workload.build_arrivals(system, rho)
     service = workload.build_service(system)
-    if workload.job_sizes is not None:
-        return SizedSimulation(
-            rates=rates,
-            policy=policy_obj,
-            arrivals=arrivals,
-            service=service,
-            sizes=workload.job_sizes,
-            rounds=rounds,
-            seed=seed,
-            backend=backend,
-            warmup=warmup,
-            probes=probes,
-            scenario=workload.scenario,
-        )
     return Simulation(
         rates=rates,
         policy=policy_obj,
@@ -94,6 +79,7 @@ def build_cell_simulation(
             probes=probes,
             scenario=workload.scenario,
         ),
+        sizes=workload.job_sizes,
     )
 
 
@@ -107,17 +93,15 @@ def simulate_cell(
     warmup: int = 0,
     backend: str = "reference",
     probes: tuple = (),
-) -> SimulationResult | SizedSimulationResult:
+) -> SimulationResult:
     """Run one simulation at fully resolved coordinates.
 
     The shared low-level path of both executors and the legacy
     ``run_simulation`` wrapper: :func:`build_cell_simulation` plus the
-    run.  ``backend`` names the round kernel in the engine's own
-    registry -- :mod:`repro.sim.backends` for unsized workloads,
-    :mod:`repro.sim.sizedbackends` for sized ones; unknown names fail
-    with that registry's error message.  ``probes`` are extra
-    observability probes (names or ``ProbeSpec``) appended to the
-    default collectors in either engine.
+    run.  ``backend`` names the round kernel in the
+    :mod:`repro.sim.backends` registry; unknown names fail with the
+    registry's error message.  ``probes`` are extra observability probes
+    (names or ``ProbeSpec``) appended to the default collectors.
     """
     return build_cell_simulation(
         policy, system, rho, workload, seed, rounds, warmup, backend, probes

@@ -137,11 +137,10 @@ class Experiment:
     rounds: int = 10_000
     warmup: int = 0
     base_seed: int = 0
-    #: Engine-backend registry name every cell runs on.  Unsized cells
-    #: resolve it in :mod:`repro.sim.backends`, sized cells in
-    #: :mod:`repro.sim.sizedbackends`; ``"reference"`` is the bit-exact
+    #: Engine-backend registry name every cell runs on (see
+    #: :mod:`repro.sim.backends`): ``"reference"`` is the bit-exact
     #: default, ``"fast"`` the vectorized kernel and ``"sharded:N"``
-    #: the server-partitioned kernel in both registries.
+    #: the server-partitioned kernel.
     backend: str = "reference"
     #: Extra observability probes run in every cell (registry names or
     #: :class:`~repro.sim.probes.ProbeSpec`); their summaries land in
@@ -188,32 +187,30 @@ class Experiment:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.warmup < self.rounds:
             raise ValueError("warmup must be in [0, rounds)")
-        # Validate the backend against exactly the registries the grid
-        # will use -- unsized cells resolve through the base engine
-        # registry, sized cells through the sized engine registry -- so
-        # unknown names fail at construction with the registry's own
-        # error message instead of mid-grid on a worker.
+        # Validate the backend and its capabilities at construction, so
+        # unknown names and unsupported probes or sized workloads fail
+        # with the registry's own error message instead of mid-grid on
+        # a worker.
         from repro.sim.backends import backend_capabilities, make_backend
-        from repro.sim.sizedbackends import make_sized_backend
+        from repro.sim.sized import is_unit_size
 
-        if any(w.job_sizes is None for w in workloads):
-            make_backend(self.backend)
-            # Capability gate: a backend that cannot feed arbitrary
-            # probes (the analytical mean-field engine) must reject
-            # unsupported metrics here, not mid-grid on a worker.
-            caps = backend_capabilities(self.backend)
-            unsupported = [
-                s.label for s in metrics if not caps.allows_probe(s.name)
-            ]
-            if unsupported:
-                allowed = ", ".join(sorted(caps.probe_allowlist)) or "none"
-                raise ValueError(
-                    f"backend {self.backend!r} cannot feed probes "
-                    f"{unsupported} (capabilities: {caps.describe()}; "
-                    f"synthesizable probes: {allowed})"
-                )
-        if any(w.job_sizes is not None for w in workloads):
-            make_sized_backend(self.backend)
+        make_backend(self.backend)
+        caps = backend_capabilities(self.backend)
+        unsupported = [s.label for s in metrics if not caps.allows_probe(s.name)]
+        if unsupported:
+            allowed = ", ".join(sorted(caps.probe_allowlist)) or "none"
+            raise ValueError(
+                f"backend {self.backend!r} cannot feed probes "
+                f"{unsupported} (capabilities: {caps.describe()}; "
+                f"synthesizable probes: {allowed})"
+            )
+        if not caps.supports_sized and not all(
+            is_unit_size(w.job_sizes) for w in workloads
+        ):
+            raise ValueError(
+                f"backend {self.backend!r} cannot run sized workloads "
+                f"(capabilities: {caps.describe()})"
+            )
 
     # -- grid enumeration --------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.sim.engine import SimulationResult
 from repro.sim.probes import DEFAULT_PROBE_LABELS
-from repro.sim.sized import SizedSimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
@@ -35,15 +34,15 @@ __all__ = ["CellRecord", "ExperimentResult", "metrics_from_result"]
 _PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
-def metrics_from_result(
-    result: SimulationResult | SizedSimulationResult,
-) -> dict[str, float]:
-    """Flat metrics mapping for either engine's result.
+def metrics_from_result(result: SimulationResult) -> dict[str, float]:
+    """Flat metrics mapping for a simulation result.
 
     The legacy keys (mean/percentiles/accounting) come from the default
-    collectors exactly as they always did; every *extra* probe the run
-    carried contributes its summary under namespaced ``<label>.<key>``
-    keys, which is what makes record metrics an open dict.
+    collectors exactly as they always did; sized runs add the job count
+    under ``jobs`` (their accounting keys count work units).  Every
+    *extra* probe the run carried contributes its summary under
+    namespaced ``<label>.<key>`` keys, which is what makes record
+    metrics an open dict.
     """
     hist = result.histogram
     metrics = {"mean": hist.mean()}
@@ -51,15 +50,11 @@ def metrics_from_result(
         {label: float(hist.percentile(q)) for label, q in _PERCENTILES}
     )
     metrics["max"] = float(hist.max_response_time)
-    if isinstance(result, SimulationResult):
-        metrics["arrived"] = float(result.total_arrived)
-        metrics["departed"] = float(result.total_departed)
-        metrics["queued"] = float(result.final_queued)
-    else:
+    if result.total_jobs is not None:
         metrics["jobs"] = float(result.total_jobs)
-        metrics["arrived"] = float(result.total_units_arrived)
-        metrics["departed"] = float(result.total_units_departed)
-        metrics["queued"] = float(result.final_units_queued)
+    metrics["arrived"] = float(result.total_arrived)
+    metrics["departed"] = float(result.total_departed)
+    metrics["queued"] = float(result.final_queued)
     for label, probe in result.probes.items():
         if label in DEFAULT_PROBE_LABELS:
             continue
@@ -84,7 +79,7 @@ class CellRecord:
     workload: str
     seed: int
     metrics: Mapping[str, float]
-    result: SimulationResult | SizedSimulationResult | None = field(
+    result: SimulationResult | None = field(
         default=None, compare=False, repr=False
     )
 

@@ -248,9 +248,9 @@ class WorkloadSpec:
         Explicit traffic-split weights, one per dispatcher; mutually
         exclusive with ``skew`` and checked against each system.
     job_sizes:
-        Optional job-size distribution.  When set, cells run the
-        sized-job engine (:class:`repro.sim.sized.SizedSimulation`)
-        with unit-denominated queues.
+        Optional job-size distribution.  When set, cells pass it to
+        :class:`repro.sim.engine.Simulation` as ``sizes`` and queues
+        count work units; ``None`` (the default) means unit jobs.
     scenario:
         Optional scenario spec string ``NAME[:k=v,...]`` (see
         :mod:`repro.scenarios`): nonstationary arrival modulation
@@ -339,7 +339,7 @@ class WorkloadSpec:
 
     @classmethod
     def sized(cls, job_sizes: JobSizeDistribution, name: str | None = None) -> "WorkloadSpec":
-        """Jobs carry work-unit sizes; cells run the sized engine."""
+        """Jobs carry work-unit sizes drawn from ``job_sizes``."""
         return cls(name=name or "sized", job_sizes=job_sizes)
 
     # -- builders ----------------------------------------------------------

@@ -20,6 +20,7 @@ What it honestly supports (and what it refuses):
 * probes ``windowed_mean`` / ``windowed_stability`` / ``server_stats``,
   whose summaries it synthesizes from the fluid state; probes needing
   discrete events are rejected;
+* unit jobs only: sized workloads are refused;
 * no checkpoint/resume: there is no kernel state to export, and the
   whole run costs less than one checkpoint write.  Capability flags
   (:meth:`capabilities`) make every one of these limits visible to
@@ -43,9 +44,9 @@ from ..sim.arrivals import PoissonArrivals
 from ..sim.backends import (
     BackendCapabilities,
     EngineBackend,
-    _make_result,
     register_backend,
 )
+from ..sim.engine import SimulationResult
 from ..sim.lifecycle import RunController
 from ..sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from ..sim.probes import (
@@ -148,12 +149,19 @@ class MeanFieldBackend(EngineBackend):
             supports_probes=False,
             probe_allowlist=PROBE_ALLOWLIST,
             analytic=True,
+            supports_sized=False,
         )
 
     # ------------------------------------------------------------------
     def _validate(self, sim) -> tuple[np.ndarray, object, int | None]:
         """Check the bound simulation is inside the fluid model's reach."""
         policy = sim.policy
+        if sim.sizes is not None:
+            raise ValueError(
+                "meanfield backend models unit jobs only (its fluid state "
+                "counts jobs, not work units); use a simulation backend "
+                "for sized workloads"
+            )
         if isinstance(policy, ChurnPolicyAdapter):
             raise ValueError(
                 "meanfield backend cannot model churn scenarios (the fluid "
@@ -381,8 +389,9 @@ class MeanFieldBackend(EngineBackend):
         received = np.rint(classes.expand(recv_class)).astype(np.int64)
         departed = np.rint(classes.expand(done_class)).astype(np.int64)
         final_queues = np.rint(classes.expand(S.sum(axis=1))).astype(np.int64)
-        return _make_result(
-            sim,
+        return SimulationResult(
+            policy_name=sim.policy.name,
+            config=config,
             histogram=histogram,
             queue_series=series,
             total_arrived=int(round(float(n_class @ recv_class))),

@@ -34,7 +34,13 @@ from pathlib import Path
 
 __all__ = ["CheckpointError", "CheckpointStore", "retained_rounds"]
 
-_FORMAT_VERSION = 1
+#: Version of the pickled payload layout.  Bumped whenever the classes a
+#: payload pickles change shape, so older snapshots are refused by
+#: :meth:`CheckpointStore.load_latest` (and never unpickled) instead of
+#: restoring into code that no longer matches them.  Version 2: unit and
+#: sized jobs share one engine, one kernel state layout and four RNG
+#: streams.
+_FORMAT_VERSION = 2
 
 
 def retained_rounds(

@@ -1,7 +1,7 @@
 """The run orchestrator: checkpointed, telemetered simulation legs.
 
-A :class:`Run` wraps one simulation (either engine, any registered
-backend) in an on-disk run directory::
+A :class:`Run` wraps one simulation (unit or sized jobs, any
+checkpointing backend) in an on-disk run directory::
 
     <dir>/run.json            run manifest (engine, policy, geometry)
     <dir>/spec.pkl            the pristine simulation, streams at round 0
@@ -26,16 +26,11 @@ import json
 import pickle
 from pathlib import Path
 
-from repro.analysis.persistence import (
-    result_from_dict,
-    result_to_dict,
-    sized_result_from_dict,
-    sized_result_to_dict,
-)
-from repro.sim.backends import _CHUNK_ROUNDS
+from repro.analysis.persistence import result_from_dict, result_to_dict
+from repro.sim.backends import backend_capabilities
+from repro.sim.blockdriver import BLOCK_ROUNDS
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.lifecycle import RunController
-from repro.sim.sized import SizedSimulation, SizedSimulationResult
 
 from .checkpoint import CheckpointStore
 from .telemetry import TelemetryWriter
@@ -48,8 +43,6 @@ __all__ = [
     "probe_summaries_from_state",
 ]
 
-#: Rounds per kernel block == the checkpoint alignment grain.
-BLOCK_ROUNDS = _CHUNK_ROUNDS
 
 _RUN_FORMAT_VERSION = 1
 
@@ -64,31 +57,15 @@ class LegLimitReached(Exception):
     """
 
 
-def _backend_capabilities(engine: str, backend: str):
-    """Capability flags from the registry matching the sim's engine."""
-    if engine == "sized":
-        from repro.sim.sizedbackends import sized_backend_capabilities
+def _describe_sim(sim: Simulation) -> dict:
+    """Manifest-facing description of a simulation.
 
-        return sized_backend_capabilities(backend)
-    from repro.sim.backends import backend_capabilities
-
-    return backend_capabilities(backend)
-
-
-def _describe_sim(sim) -> dict:
-    """Manifest-facing description of either engine's simulation."""
-    if isinstance(sim, SizedSimulation):
-        return {
-            "engine": "sized",
-            "backend": sim.backend,
-            "policy": sim.policy.name,
-            "rounds": sim.rounds,
-            "warmup": sim.warmup,
-            "seed": sim.seed,
-        }
+    ``engine`` names the workload kind (``"sized"`` when jobs carry
+    sizes, ``"unsized"`` for unit jobs) for inventories and telemetry.
+    """
     config = sim.config
     return {
-        "engine": "unsized",
+        "engine": "unsized" if sim.sizes is None else "sized",
         "backend": config.backend,
         "policy": sim.policy.name,
         "rounds": config.rounds,
@@ -237,7 +214,7 @@ class Run:
     @classmethod
     def create(
         cls,
-        sim: "Simulation | SizedSimulation",
+        sim: Simulation,
         directory: str | Path,
         checkpoint_every: int = 1,
         telemetry: str | Path | None = None,
@@ -259,7 +236,7 @@ class Run:
         if keep is not None and int(keep) < 1:
             raise ValueError("keep must be >= 1")
         described = _describe_sim(sim)
-        caps = _backend_capabilities(described["engine"], described["backend"])
+        caps = backend_capabilities(described["backend"])
         if not caps.supports_checkpoint:
             raise ValueError(
                 f"backend {described['backend']!r} does not support "
@@ -310,14 +287,11 @@ class Run:
 
     # -- results ----------------------------------------------------------
 
-    def result(self) -> "SimulationResult | SizedSimulationResult | None":
+    def result(self) -> SimulationResult | None:
         """The finished result, or ``None`` while the run is in flight."""
         if not self.result_path.exists():
             return None
-        payload = json.loads(self.result_path.read_text())
-        if payload.get("kind") == "sized_result":
-            return sized_result_from_dict(payload)
-        return result_from_dict(payload)
+        return result_from_dict(json.loads(self.result_path.read_text()))
 
     # -- execution --------------------------------------------------------
 
@@ -325,7 +299,7 @@ class Run:
         self,
         max_legs: int | None = None,
         on_checkpoint: "callable | None" = None,
-    ) -> "SimulationResult | SizedSimulationResult | None":
+    ) -> SimulationResult | None:
         """Run to completion (or ``max_legs`` checkpoints), resumably.
 
         Picks up from the newest valid checkpoint when one exists,
@@ -385,11 +359,7 @@ class Run:
                     checkpoints=self.store.rounds(),
                 )
                 return None
-            if isinstance(result, SizedSimulationResult):
-                payload = sized_result_to_dict(result)
-            else:
-                payload = result_to_dict(result)
-            self.result_path.write_text(json.dumps(payload) + "\n")
+            self.result_path.write_text(json.dumps(result_to_dict(result)) + "\n")
             telemetry.emit(
                 "run-finished",
                 rounds=manifest["rounds"],

@@ -111,7 +111,8 @@ class FederationCoordinator:
         self._leases: dict[str, _Lease] = {}
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        self._running = False
+        self._channels: list[MessageChannel] = []
+        self._stopped = threading.Event()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -122,7 +123,7 @@ class FederationCoordinator:
         listener.listen(64)
         self._listener = listener
         self._port = listener.getsockname()[1]
-        self._running = True
+        self._stopped.clear()
         for target, name in (
             (self._accept_loop, "federation-accept"),
             (self._monitor_loop, "federation-monitor"),
@@ -136,30 +137,45 @@ class FederationCoordinator:
         return (self._host, self._port)
 
     def stop(self) -> None:
-        self._running = False
+        """Stop accepting, drop every connection and join every thread.
+
+        ``shutdown`` wakes the accept thread blocked in ``accept()``
+        (closing the listener alone does not), closing each accepted
+        channel wakes its connection thread, and the monitor sleeps on
+        an event that is set here.  Raises ``RuntimeError`` naming any
+        service thread still alive after the join.
+        """
+        self._stopped.set()
         if self._listener is not None:
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # not listening any more
                 pass
+            self._listener.close()
         with self._lock:
-            workers = list(self._workers.values())
-        for worker in workers:
-            worker.channel.close()
+            channels = list(self._channels)
+        for channel in channels:
+            channel.close()
         for thread in list(self._threads):
             thread.join(timeout=5)
+        alive = [thread.name for thread in self._threads if thread.is_alive()]
+        if alive:
+            raise RuntimeError(f"coordinator threads did not stop: {alive}")
 
     # -- accept / per-connection service ----------------------------------
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while not self._stopped.is_set():
             try:
                 sock, _peer = self._listener.accept()
             except OSError:
-                return  # listener closed by stop()
+                return  # listener shut down by stop()
+            channel = MessageChannel(sock)
+            with self._lock:
+                self._channels.append(channel)
             thread = threading.Thread(
                 target=self._serve_connection,
-                args=(MessageChannel(sock),),
+                args=(channel,),
                 name="federation-conn",
                 daemon=True,
             )
@@ -204,6 +220,8 @@ class FederationCoordinator:
             if worker is not None:
                 self._worker_lost(worker)
             channel.close()
+            with self._lock:
+                self._channels.remove(channel)
 
     # -- message handlers --------------------------------------------------
 
@@ -323,8 +341,7 @@ class FederationCoordinator:
 
     def _monitor_loop(self) -> None:
         deadline = self.heartbeat_interval * self.heartbeat_misses
-        while self._running:
-            time.sleep(self.heartbeat_interval / 2)
+        while not self._stopped.wait(self.heartbeat_interval / 2):
             now = time.monotonic()
             with self._lock:
                 silent = [

@@ -70,15 +70,10 @@ def validate_submittable(experiment: Experiment) -> None:
                 )
     # Federated cells execute under checkpointing runs (leases hand work
     # between workers mid-cell), so a backend outside the checkpoint
-    # path cannot be scheduled by the service at all.  Resolve against
-    # the registry the experiment's workloads actually use.
+    # path cannot be scheduled by the service at all.
     from repro.sim.backends import backend_capabilities
-    from repro.sim.sizedbackends import sized_backend_capabilities
 
-    if any(w.job_sizes is None for w in experiment.workloads):
-        caps = backend_capabilities(experiment.backend)
-    else:
-        caps = sized_backend_capabilities(experiment.backend)
+    caps = backend_capabilities(experiment.backend)
     if not caps.supports_checkpoint:
         raise ValueError(
             f"backend {experiment.backend!r} does not support "

@@ -1,13 +1,12 @@
 """Shared machinery for the engine-backend and probe registries.
 
-:mod:`repro.sim.backends` (unsized round kernels),
-:mod:`repro.sim.sizedbackends` (sized round kernels) and
+:mod:`repro.sim.backends` (round kernels) and
 :mod:`repro.sim.probes` (observability probes) expose the same
 name -> factory surface: a class decorator to register, a ``make``
 resolver accepting names or instances, and sorted name/description
 listings for the CLI.  Keeping that behavior in one place means the
 registries cannot drift (case handling, duplicate detection, error
-shapes) and a fourth registry costs one instantiation.
+shapes) and another registry costs one instantiation.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ __all__ = ["BackendCapabilities", "BackendRegistry"]
 class BackendCapabilities:
     """What one engine backend can honestly promise.
 
-    The simulation kernels (reference/fast/compiled/sharded, both
-    engines) checkpoint at block boundaries and feed every registered
-    probe, so the default flags are all-True and nothing changes for
-    them.  Analytical backends (the mean-field fluid engine) have no
-    RNG streams, no block-aligned kernel state and no discrete events,
-    so they declare themselves out of the checkpoint path and restrict
-    probes to the summaries they can synthesize from their own state.
+    The simulation kernels (reference/fast/compiled/sharded) checkpoint
+    at block boundaries, feed every registered probe and run sized
+    workloads, so the default flags are all-True and nothing changes
+    for them.  Analytical backends (the mean-field fluid engine) have no
+    RNG streams, no block-aligned kernel state, no discrete events and
+    no work units, so they declare themselves out of the checkpoint
+    path and the sized workloads and restrict probes to the summaries
+    they can synthesize from their own state.
     ``Experiment`` construction, ``Run.create`` and the service's
     submission validator consult these flags to fail fast instead of
     mid-run.
@@ -49,6 +49,8 @@ class BackendCapabilities:
     #: change the result (``repro compare`` runs one rep instead of an
     #: ensemble).
     analytic: bool = False
+    #: The kernel runs sized workloads (``Simulation(sizes=...)``).
+    supports_sized: bool = True
 
     def allows_probe(self, name: str) -> bool:
         """True when the backend can feed (or synthesize) probe ``name``."""
@@ -63,6 +65,7 @@ class BackendCapabilities:
                 if self.probe_allowlist
                 else "no-probes"
             ),
+            "sized" if self.supports_sized else "unit-only",
         ]
         if self.analytic:
             parts.append("analytic")
@@ -75,8 +78,7 @@ class BackendRegistry(Generic[T]):
     Parameters
     ----------
     kind:
-        Human label used in error messages, e.g. ``"engine backend"``
-        or ``"sized engine backend"``.
+        Human label used in error messages, e.g. ``"engine backend"``.
     plural:
         Label for the known-names listing in errors, e.g. ``"backends"``.
     base:

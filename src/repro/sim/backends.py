@@ -2,24 +2,28 @@
 
 The three-phase round model (arrivals, dispatching, departures) admits
 more than one execution strategy, and this module is the seam between
-the model and its implementations:
+the model and its implementations.  Every backend runs unit-job and
+sized workloads alike (``Simulation(sizes=...)``); queues count work
+units, which are jobs when jobs have unit size.
 
 ``reference``
     The original per-object loop -- one ``policy.dispatch`` call per
-    dispatcher, one :class:`~repro.sim.server.ServerQueue` per server.
-    Simple, obviously correct, and the bit-exact default.
+    dispatcher, one :class:`SizedServerQueue` per server.  Simple,
+    obviously correct, and the bit-exact default.
 
 ``fast``
     The vectorized kernel: a whole round's dispatching goes through the
     batch protocol :meth:`repro.policies.base.Policy.dispatch_round`,
-    arrivals land in an array-backed
-    :class:`~repro.sim.batchstore.BatchQueueStore`, and the departure
+    arrivals land in an array-backed batch store, and the departure
     phase drains *all* busy servers in lock-step with
     :meth:`~repro.sim.metrics.ResponseTimeHistogram.record_many` bulk
-    recording.  Bit-identical to ``reference`` for deterministic
-    policies and for any policy using the base-class ``dispatch_round``
-    fallback; statistically equivalent for policies with native batched
-    sampling (they consume their RNG stream in different-sized gulps).
+    recording.  Unit jobs use the ``(round, count)``
+    :class:`~repro.sim.batchstore.BatchQueueStore`, sized jobs the
+    per-job :class:`~repro.sim.batchstore.SizedBatchQueueStore`.
+    Bit-identical to ``reference`` for deterministic policies and for
+    any policy using the base-class ``dispatch_round`` fallback;
+    statistically equivalent for policies with native batched sampling
+    (they consume their RNG stream in different-sized gulps).
 
 ``sharded``
     The server-partitioned kernel (:mod:`repro.sim.sharding`): the fast
@@ -28,28 +32,34 @@ the model and its implementations:
     the name (``sharded:4``, ``sharded:4:process``); bit-identical to
     ``fast`` for deterministic policies at every shard count.
 
+``compiled`` / ``meanfield``
+    The numba-jitted kernel (:mod:`repro.sim.compiled`) and the
+    analytical fluid-limit engine (:mod:`repro.meanfield`).
+
 Backends are registered by name (mirroring the policy registry) so
-experiments and the CLI can select them as plain strings; future scaling
-work (async round pipelines, compiled kernels) plugs in as additional
-registrations without touching the engine.
+experiments and the CLI can select them as plain strings;
+:class:`BackendCapabilities` records what each one honestly supports.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._registry import BackendCapabilities, BackendRegistry
-from .batchstore import BatchQueueStore
+from .batchstore import BatchQueueStore, SizedBatchQueueStore
 from .blockdriver import (
     BLOCK_ROUNDS,
-    UnsizedBlock,
-    UnsizedRunState,
-    drive_unsized,
+    Block,
+    RunState,
+    drive_blocks,
+    resolve_block,
 )
 from .lifecycle import RunController, validate_start_round
+from .metrics import ResponseTimeHistogram
 from .probes import (
     BlockRecorder,
     ProbeContext,
@@ -57,7 +67,6 @@ from .probes import (
     ResponseTee,
     build_probe_set,
 )
-from .server import ServerQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine resolves us)
     from .engine import Simulation, SimulationResult
@@ -67,6 +76,7 @@ __all__ = [
     "EngineBackend",
     "ReferenceBackend",
     "FastBackend",
+    "SizedServerQueue",
     "register_backend",
     "make_backend",
     "available_backends",
@@ -126,28 +136,150 @@ backend_descriptions = _REGISTRY.descriptions
 backend_capabilities = _REGISTRY.capabilities
 
 
-def _make_result(sim: "Simulation", **kwargs) -> "SimulationResult":
-    """Assemble a SimulationResult from a finished backend's state."""
+class SizedServerQueue:
+    """One server's FIFO queue of jobs, accounted in work units.
+
+    The queue is a deque of ``[arrival_round, size, count]`` cells: runs
+    of jobs that arrived in the same round with the same size.  All
+    jobs of a round are interchangeable for response-time purposes
+    (same arrival round, FIFO service, arbitrary intra-round order per
+    the model's footnote 3), so unit jobs admitted together occupy one
+    cell and draining them touches one cell per arrival round.  Only
+    the head job can be partly served; ``_head_done`` counts its
+    completed units.
+
+    Attributes
+    ----------
+    units:
+        Current queued work units (kept consistent by the methods).
+    """
+
+    __slots__ = ("_cells", "_head_done", "units")
+
+    def __init__(self) -> None:
+        self._cells: deque[list[int]] = deque()
+        self._head_done = 0
+        self.units = 0
+
+    def admit(
+        self, round_index: int, count: int, sizes: np.ndarray | None = None
+    ) -> None:
+        """Append ``count`` jobs that arrived in round ``round_index``.
+
+        ``sizes`` gives the jobs' work units in FIFO order; ``None``
+        means unit jobs.  Non-positive counts are a no-op.
+        """
+        if count <= 0:
+            return
+        cells = self._cells
+        if sizes is None:
+            cells.append([round_index, 1, int(count)])
+            self.units += int(count)
+            return
+        for size in sizes.tolist():
+            last = cells[-1] if cells else None
+            if last is not None and last[0] == round_index and last[1] == size:
+                last[2] += 1
+            else:
+                cells.append([round_index, size, 1])
+            self.units += size
+
+    def complete(
+        self,
+        capacity: int,
+        now: int,
+        histogram: ResponseTimeHistogram | None,
+    ) -> int:
+        """Serve up to ``capacity`` work units FIFO; returns units served.
+
+        A job's response time is recorded when its last unit completes:
+        a job arriving in round ``t`` and finishing in round ``now``
+        spent ``now - t + 1`` rounds in the system (the minimum is one
+        round: arrive, get dispatched, get served).  ``histogram`` may
+        be ``None`` to discard the samples (used during warm-up).
+        """
+        if capacity <= 0 or self.units == 0:
+            return 0
+        budget = min(int(capacity), self.units)
+        served = budget
+        cells = self._cells
+        while budget > 0:
+            head = cells[0]
+            arrived, size, count = head
+            left = size - self._head_done
+            if left > budget:
+                self._head_done += budget
+                break
+            # The head job finishes, then as many whole jobs as fit.
+            finished = 1 + min(count - 1, (budget - left) // size)
+            budget -= left + (finished - 1) * size
+            self._head_done = 0
+            if histogram is not None:
+                histogram.record(now - arrived + 1, finished)
+            if finished == count:
+                cells.popleft()
+            else:
+                head[2] -= finished
+        self.units -= served
+        return served
+
+    def __len__(self) -> int:
+        return self.units
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<SizedServerQueue units={self.units} cells={len(self._cells)}>"
+
+
+def _make_result(sim: "Simulation", state: RunState, probes: dict) -> "SimulationResult":
+    """Assemble a SimulationResult from a finished kernel's accumulators."""
     from .engine import SimulationResult
 
-    return SimulationResult(policy_name=sim.policy.name, config=sim.config, **kwargs)
+    queue_series = probes.get("queue_series")
+    return SimulationResult(
+        policy_name=sim.policy.name,
+        config=sim.config,
+        histogram=probes["responses"].histogram,
+        queue_series=queue_series.series if queue_series is not None else None,
+        total_arrived=state.total_arrived,
+        total_departed=int(state.server_departed.sum()),
+        final_queued=int(state.queues.sum()),
+        final_queues=state.queues,
+        server_received=state.server_received,
+        server_departed=state.server_departed,
+        total_jobs=state.total_jobs if sim.sizes is not None else None,
+        probes=probes,
+    )
+
+
+def _probe_context(sim: "Simulation") -> ProbeContext:
+    """The run coordinates every probe of ``sim`` binds to."""
+    return ProbeContext(
+        num_servers=sim.rates.size,
+        num_dispatchers=sim.arrivals.num_dispatchers,
+        rates=sim.rates,
+        rounds=sim.config.rounds,
+        warmup=sim.config.warmup,
+        sized=sim.sizes is not None,
+    )
 
 
 def _probe_set_for(sim: "Simulation") -> ProbeSet:
     """Default collectors plus the config's extra probes, bound to the run."""
-    config = sim.config
     return build_probe_set(
-        ProbeContext(
-            num_servers=sim.rates.size,
-            num_dispatchers=sim.arrivals.num_dispatchers,
-            rates=sim.rates,
-            rounds=config.rounds,
-            warmup=config.warmup,
-            sized=False,
-        ),
-        config.probes,
-        track_queue_series=config.track_queue_series,
+        _probe_context(sim),
+        sim.config.probes,
+        track_queue_series=sim.config.track_queue_series,
     )
+
+
+def _start(sim: "Simulation", controller: RunController | None) -> tuple[int, dict | None]:
+    """``(start_round, resumed kernel state or None)`` for a kernel run."""
+    if controller is None:
+        return 0, None
+    start_round = validate_start_round(
+        controller.start_round, sim.config.rounds, BLOCK_ROUNDS
+    )
+    return start_round, controller.initial_state()
 
 
 @register_backend("reference")
@@ -167,66 +299,63 @@ class ReferenceBackend(EngineBackend):
         policy = sim.policy
         arrivals = sim.arrivals
         service = sim.service
-        arrival_rng = sim._streams.arrivals
-        departure_rng = sim._streams.departures
+        sizes = sim.sizes
+        streams = sim._streams
 
         n = sim.rates.size
         m = arrivals.num_dispatchers
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        start_round, state = _start(sim, controller)
         if state is not None:
             servers = state["servers"]
-            queues = state["queues"]
             probes = state["probes"]
-            total_arrived = state["total_arrived"]
-            total_departed = state["total_departed"]
-            server_received = state["server_received"]
-            server_departed = state["server_departed"]
+            run = state["run"]
         else:
-            servers = [ServerQueue() for _ in range(n)]
-            queues = np.zeros(n, dtype=np.int64)
+            servers = [SizedServerQueue() for _ in range(n)]
             probes = _probe_set_for(sim)
-            total_arrived = 0
-            total_departed = 0
-            server_received = np.zeros(n, dtype=np.int64)
-            server_departed = np.zeros(n, dtype=np.int64)
+            run = RunState(n)
+        queues = run.queues
         histogram = probes.histogram
         series = probes.queue_series
         # A fresh recorder is correct on resume: its buffer is empty at
         # every block boundary (it auto-flushes exactly there).
-        recorder = BlockRecorder(probes, _CHUNK_ROUNDS)
+        recorder = BlockRecorder(probes, BLOCK_ROUNDS)
         tee = ResponseTee(probes, histogram) if probes.wants_responses else None
 
         for t in range(start_round, config.rounds):
             # Phase 1: arrivals.
-            batch = arrivals.sample(arrival_rng, t)
+            batch = arrivals.sample(streams.arrivals, t)
             round_total = int(batch.sum())
-            total_arrived += round_total
+            run.total_jobs += round_total
 
             # Phase 2: dispatching (independent decisions, shared snapshot).
             policy.begin_round(t, queues)
             received = None
             if round_total:
                 policy.observe_total_arrivals(round_total)
-                received = np.zeros(n, dtype=np.int64)
+                jobs = np.zeros(n, dtype=np.int64)
                 for d in range(m):
                     k = int(batch[d])
                     if k == 0:
                         continue
-                    counts = policy.dispatch(d, k)
-                    received += counts
-                for s in np.flatnonzero(received):
-                    servers[s].admit(t, int(received[s]))
+                    jobs += policy.dispatch(d, k)
+                # Sizes are workload randomness, drawn after placement
+                # from their own stream server by server, so the
+                # realized sizes do not depend on the policy.
+                received = jobs if sizes is None else np.zeros(n, dtype=np.int64)
+                for s in np.flatnonzero(jobs):
+                    k = int(jobs[s])
+                    if sizes is None:
+                        servers[s].admit(t, k)
+                    else:
+                        drawn = sizes.sample(streams.sizes, k)
+                        servers[s].admit(t, k, drawn)
+                        received[s] = int(drawn.sum())
                 queues += received
-                server_received += received
+                run.server_received += received
+                run.total_arrived += int(received.sum())
 
             # Phase 3: departures.
-            capacities = service.sample(departure_rng, t)
+            capacities = service.sample(streams.departures, t)
             sink = histogram if t >= config.warmup else None
             if tee is not None and sink is not None:
                 sink = tee
@@ -239,8 +368,7 @@ class ReferenceBackend(EngineBackend):
                     tee.server = int(s)
                 done = servers[s].complete(int(capacities[s]), t, sink)
                 queues[s] -= done
-                total_departed += done
-                server_departed[s] += done
+                run.server_departed[s] += done
                 if done_row is not None:
                     done_row[s] = done
 
@@ -250,53 +378,27 @@ class ReferenceBackend(EngineBackend):
             recorder.record(t, batch, received, done_row, queues)
             if tee is not None and sink is tee:
                 tee.flush(t)
-            if controller is not None and (t + 1) % _CHUNK_ROUNDS == 0:
+            if controller is not None and (t + 1) % BLOCK_ROUNDS == 0:
                 controller.after_block(
                     t + 1,
-                    lambda: {
-                        "servers": servers,
-                        "queues": queues,
-                        "probes": probes,
-                        "total_arrived": total_arrived,
-                        "total_departed": total_departed,
-                        "server_received": server_received,
-                        "server_departed": server_departed,
-                    },
+                    lambda: {"servers": servers, "probes": probes, "run": run},
                 )
         recorder.flush()
-
-        return _make_result(
-            sim,
-            histogram=histogram,
-            queue_series=probes.queue_series,
-            total_arrived=total_arrived,
-            total_departed=total_departed,
-            final_queued=int(queues.sum()),
-            final_queues=queues,
-            server_received=server_received,
-            server_departed=server_departed,
-            probes=probes.as_dict(),
-        )
-
-
-#: Rounds pre-sampled per block by the block-structured backends.  The
-#: loop itself lives in :mod:`repro.sim.blockdriver`; this alias is the
-#: name the rest of the codebase (orchestrator, tests) imports.
-_CHUNK_ROUNDS = BLOCK_ROUNDS
+        return _make_result(sim, run, probes.as_dict())
 
 
 @register_backend("fast")
 class FastBackend(EngineBackend):
     """Vectorized round kernel: batch dispatching, block-resolved departures.
 
-    Workload randomness is pre-sampled in blocks of :data:`_CHUNK_ROUNDS`
-    rounds (numpy block draws consume the RNG streams exactly like
+    Workload randomness is pre-sampled in blocks of
+    :data:`~repro.sim.blockdriver.BLOCK_ROUNDS` rounds (numpy block draws consume the RNG streams exactly like
     per-round draws, so the realization is the one the reference backend
     sees).  Within a block, each round makes one ``dispatch_round`` call
     -- which native policies answer with a single numpy operation -- and
     updates only the per-server queue totals; the FIFO bookkeeping
     (which job departed when) is deferred and resolved for the whole
-    block at once by :meth:`BatchQueueStore.process_block`, including
+    block at once by the batch store's ``process_block``, including
     bulk histogram recording.  Policies that do not override the batch
     protocol are driven through the same per-dispatcher loop as the
     reference backend (and still gain the block-resolved departures).
@@ -308,9 +410,9 @@ class FastBackend(EngineBackend):
         "block-resolved departures (bit-exact for deterministic policies)"
     )
 
-    def _make_store(self, num_servers: int) -> BatchQueueStore:
+    def _make_store(self, num_servers: int, sized: bool):
         """Subclass seam: which departure resolver backs a fresh run."""
-        return BatchQueueStore(num_servers)
+        return SizedBatchQueueStore(num_servers) if sized else BatchQueueStore(num_servers)
 
     def _round_kernel(self, sim: "Simulation"):
         """Subclass seam: an optional whole-block native round loop."""
@@ -320,32 +422,15 @@ class FastBackend(EngineBackend):
         self, sim: "Simulation", controller: RunController | None = None
     ) -> "SimulationResult":
         config = sim.config
-        n = sim.rates.size
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        start_round, state = _start(sim, controller)
         if state is not None:
             store = state["store"]
             probes = state["probes"]
-            run_state = UnsizedRunState(
-                queues=state["queues"],
-                total_arrived=state["total_arrived"],
-                server_received=state["server_received"],
-                server_departed=state["server_departed"],
-            )
+            run = state["run"]
         else:
-            store = self._make_store(n)
+            store = self._make_store(sim.rates.size, sim.sizes is not None)
             probes = _probe_set_for(sim)
-            run_state = UnsizedRunState(
-                queues=np.zeros(n, dtype=np.int64),
-                total_arrived=0,
-                server_received=np.zeros(n, dtype=np.int64),
-                server_departed=np.zeros(n, dtype=np.int64),
-            )
+            run = RunState(sim.rates.size)
         histogram = probes.histogram
         response_sink = (
             probes.observe_responses if probes.wants_responses else None
@@ -356,63 +441,42 @@ class FastBackend(EngineBackend):
         # then carry the mask with the store).
         mask_source = getattr(sim.policy, "capacity_mask", None)
 
-        def consume(block: UnsizedBlock) -> None:
+        def consume(block: Block) -> None:
             if mask_source is not None:
                 store.set_capacity_mask(mask_source())
-            store.process_block(
+            resolve_block(
+                store,
                 block.start_round,
                 block.received,
                 block.done,
+                block.jobs,
                 histogram,
                 config.warmup,
-                response_sink=response_sink,
+                response_sink,
             )
 
-        def export_state() -> dict:
-            return {
-                "store": store,
-                "queues": run_state.queues,
-                "probes": probes,
-                "total_arrived": run_state.total_arrived,
-                "server_received": run_state.server_received,
-                "server_departed": run_state.server_departed,
-            }
-
-        drive_unsized(
+        drive_blocks(
             policy=sim.policy,
             arrivals=sim.arrivals,
             service=sim.service,
-            arrival_rng=sim._streams.arrivals,
-            departure_rng=sim._streams.departures,
+            sizes=sim.sizes,
+            streams=sim._streams,
             rounds=config.rounds,
-            warmup=config.warmup,
             start_round=start_round,
-            state=run_state,
+            state=run,
             block_probes=probes,
             series=probes.queue_series,
             consume=consume,
             controller=controller,
-            export_state=export_state,
+            export_state=lambda: {"store": store, "probes": probes, "run": run},
             round_kernel=self._round_kernel(sim),
         )
-
-        return _make_result(
-            sim,
-            histogram=histogram,
-            queue_series=probes.queue_series,
-            total_arrived=run_state.total_arrived,
-            total_departed=int(run_state.server_departed.sum()),
-            final_queued=int(run_state.queues.sum()),
-            final_queues=run_state.queues,
-            server_received=run_state.server_received,
-            server_departed=run_state.server_departed,
-            probes=probes.as_dict(),
-        )
+        return _make_result(sim, run, probes.as_dict())
 
 
-# The sharded kernel registers itself in this registry (and the sized
-# one) on import; keep this at the bottom so the registry machinery
-# above exists when it does.
+# The sharded, compiled and meanfield kernels register themselves on
+# import; keep this at the bottom so the registry machinery above exists
+# when they do.
 from . import sharding  # noqa: E402,F401  (registration side effect)
 from . import compiled  # noqa: E402,F401  (registration side effect)
 from ..meanfield import backend as _meanfield  # noqa: E402,F401  (registration side effect)

@@ -1,8 +1,8 @@
 """Array-backed FIFO batch storage, resolved one round-block at a time.
 
-The reference engine keeps one :class:`repro.sim.server.ServerQueue`
-(a deque of ``[arrival_round, count]`` cells) per server and drains them
-one Python call per server per round.  :class:`BatchQueueStore` holds
+The reference kernel keeps one :class:`repro.sim.backends.SizedServerQueue`
+(a deque of ``[arrival_round, size, count]`` cells) per server and drains
+them one Python call per server per round.  :class:`BatchQueueStore` holds
 the same information for the whole pool as flat server-major arrays --
 a structure of ``(arrival_round, count)`` pairs -- and exploits that a
 round's *queue dynamics* need only the per-server totals: the engine can
@@ -31,8 +31,8 @@ The result is bit-identical to draining the reference queues: both
 produce the same multiset of (response time, count) records and the
 same leftover batches.
 
-:class:`SizedBatchQueueStore` is the unit-denominated analog for the
-sized-job engine (:mod:`repro.sim.sized`): the FIFO position axis counts
+:class:`SizedBatchQueueStore` is the unit-denominated analog for sized
+jobs (``Simulation(sizes=...)``): the FIFO position axis counts
 *work units* instead of jobs, each pending entry is one job ``(arrival
 round, remaining units)``, and a job's response time is attributed to
 the round its *last* unit drains -- one ``searchsorted`` of the jobs'
@@ -285,7 +285,7 @@ class BatchQueueStore:
 class SizedBatchQueueStore:
     """Pending sized jobs for ``n`` servers, on a work-unit position axis.
 
-    The sized engine's analog of :class:`BatchQueueStore`: each pending
+    The sized-job analog of :class:`BatchQueueStore`: each pending
     entry is one job ``(arrival_round, remaining_units)``, kept
     server-major in FIFO order, and the per-server position axis is
     denominated in work units.  :meth:`process_block` advances the store
@@ -293,7 +293,7 @@ class SizedBatchQueueStore:
     ``(rounds, servers)`` matrix of per-round unit completions, recording
     each job's response time at the round its *last* unit drains --
     exactly the semantics of
-    :meth:`repro.sim.sized.SizedServerQueue.complete`, including partial
+    :meth:`repro.sim.backends.SizedServerQueue.complete`, including partial
     service of the head job across block boundaries.
     """
 
@@ -368,7 +368,7 @@ class SizedBatchQueueStore:
             The block's admitted jobs as parallel flat arrays, sorted
             server-major and, within a server, in admission order
             (arrival round ascending, then dispatcher order -- the order
-            :meth:`repro.sim.sized.SizedServerQueue.admit` sees them).
+            :meth:`repro.sim.backends.SizedServerQueue.admit` sees them).
         done_block:
             ``(L, n)`` work units completed per round per server.  The
             engine guarantees per-round feasibility ``done <= queued``;

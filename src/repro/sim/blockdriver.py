@@ -1,27 +1,34 @@
 """The shared 256-round block driver behind every engine kernel.
 
-All block-structured kernels -- ``fast``, ``sharded`` and ``compiled``,
-in both the unsized and the sized engine -- execute the *same* round
-loop: pre-sample a block of workload randomness, run each round's
-dispatch against the live queue totals, defer FIFO departure resolution
-to block end, feed the block to the probe set, and hand the lifecycle
-controller an exportable state at the block boundary.  What differs
-between kernels is only **where a finished block goes** (a local batch
-store, per-shard workers over pipes) and **which store implementation
-resolves it** -- so this module owns the loop once and parameterizes
-the destination:
+All block-structured kernels -- ``fast``, ``sharded`` and ``compiled``
+-- execute the *same* round loop: pre-sample a block of workload
+randomness, run each round's dispatch against the live queue totals,
+defer FIFO departure resolution to block end, feed the block to the
+probe set, and hand the lifecycle controller an exportable state at the
+block boundary.  What differs between kernels is only **where a
+finished block goes** (a local batch store, per-shard workers over
+pipes) and **which store implementation resolves it** -- so this module
+owns the loop once and parameterizes the destination:
 
 ``consume``
-    A callable receiving the finished :class:`UnsizedBlock` /
-    :class:`SizedBlock`.  The fast kernels resolve it against a local
-    :class:`~repro.sim.batchstore.BatchQueueStore`; the sharded kernels
-    slice it across shard workers.
+    A callable receiving the finished :class:`Block`.  The fast kernels
+    resolve it against a local batch store (:func:`resolve_block`); the
+    sharded kernel slices it across shard workers.
 
 ``export_state``
-    A zero-argument callable building the kernel's checkpoint dict;
-    the driver invokes the :class:`~repro.sim.lifecycle.RunController`
-    seam with it at every block boundary, exactly as the kernels used
-    to inline.
+    A zero-argument callable building the kernel's checkpoint dict; the
+    driver invokes the :class:`~repro.sim.lifecycle.RunController` seam
+    with it at every block boundary.
+
+**Job sizes.**  Policies never see realized sizes, so a sized run
+dispatches exactly like a unit run and every dispatch path below is
+shared.  The block's sizes are drawn from the ``sizes`` stream in one
+call, as many as the block has arrivals, and assigned to each round's
+admissions in server-index order after dispatch -- the order the
+reference kernel draws them in, one server at a time (split numpy draws
+equal one whole draw).  A prefix sum over the block's sizes turns the
+per-server job counts into admitted work units; that segment sum is the
+only extra work a sized round does.
 
 The driver also owns the two cross-round accelerations the kernels
 share:
@@ -33,18 +40,18 @@ share:
   degenerates to the pure queue/departure recurrence -- bit-identical
   by that method's contract, with none of the per-round Python
   overhead.
-* **A compiled round-kernel seam.**  The unsized driver accepts an
-  optional ``round_kernel`` object (see :mod:`repro.sim.compiled`)
-  that runs the *entire* block -- dispatch state, queue recurrence and
-  completion matrix -- in one native call; the driver reconstructs the
-  queue trajectory and series totals from the admission/completion
-  matrices afterwards (integer prefix sums, so the values are the ones
-  the per-round loop would have recorded).
+* **A compiled round-kernel seam.**  Unit-job runs accept an optional
+  ``round_kernel`` object (see :mod:`repro.sim.compiled`) that runs the
+  *entire* block -- dispatch state, queue recurrence and completion
+  matrix -- in one native call; the driver reconstructs the queue
+  trajectory and series totals from the admission/completion matrices
+  afterwards (integer prefix sums, so the values are the ones the
+  per-round loop would have recorded).
 
 Bit-identity is the invariant throughout: for a given policy and seed,
 every path through this driver produces the same admission matrix,
 completion matrix, queue trajectory and checkpoint state as the
-original per-round loop it replaced.
+per-round reference loop.
 """
 
 from __future__ import annotations
@@ -65,87 +72,58 @@ from .probes import ProbeBlock, ProbeSet
 
 __all__ = [
     "BLOCK_ROUNDS",
-    "UnsizedBlock",
-    "SizedBlock",
-    "UnsizedRunState",
-    "SizedRunState",
+    "Block",
+    "RunState",
     "RoundKernel",
-    "drive_unsized",
-    "drive_sized",
+    "drive_blocks",
+    "resolve_block",
 ]
 
 #: Rounds pre-sampled per block (bounds the memory of the ``(chunk, m)``
 #: / ``(chunk, n)`` workload blocks and sets the checkpoint granularity).
 BLOCK_ROUNDS = 256
 
-_EMPTY_JOBS = np.empty(0, dtype=np.int64)
+_NO_SIZES = np.empty(0, dtype=np.int64)
 
 
 @dataclass
-class UnsizedBlock:
-    """One finished block of the unsized round loop, ready to resolve."""
+class Block:
+    """One finished block of the round loop, ready to resolve."""
 
     start_round: int
     length: int
-    batch: np.ndarray  # (length, m) per-dispatcher arrivals
-    received: np.ndarray  # (length, n) per-server admissions
-    done: np.ndarray  # (length, n) per-server completions
+    batch: np.ndarray  # (length, m) per-dispatcher job arrivals
+    received: np.ndarray  # (length, n) per-server admitted work units
+    done: np.ndarray  # (length, n) per-server completed work units
     queues: np.ndarray | None  # (length, n) post-round queues, if requested
+    #: Sized runs only: the block's admitted jobs as parallel
+    #: ``(servers, rounds, sizes)`` arrays, server-major and in admission
+    #: order within a server.  ``None`` for unit jobs.
+    jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-@dataclass
-class SizedBlock:
-    """One finished block of the sized round loop, jobs sorted server-major."""
-
-    start_round: int
-    length: int
-    batch: np.ndarray  # (length, m) per-dispatcher arrivals
-    received: np.ndarray | None  # (length, n) admitted units, if requested
-    done: np.ndarray  # (length, n) drained units
-    queues: np.ndarray | None  # (length, n) post-round unit queues
-    job_servers: np.ndarray  # per-job server, sorted (stable) server-major
-    job_rounds: np.ndarray  # per-job admission round, same order
-    job_sizes: np.ndarray  # per-job unit size, same order
-
-
-class UnsizedRunState:
-    """The unsized kernels' mutable run accumulators (checkpointed keys).
+class RunState:
+    """The kernels' mutable run accumulators, in work units.
 
     ``queues`` is the live array the checkpoint dicts reference -- the
-    driver mutates it in place and never rebinds it.
+    driver mutates it in place and never rebinds it.  The state object
+    itself is checkpointed, so every kernel resumes from the same shape.
     """
 
-    __slots__ = ("queues", "total_arrived", "server_received", "server_departed")
+    __slots__ = (
+        "queues",
+        "total_arrived",
+        "total_jobs",
+        "server_received",
+        "server_departed",
+    )
 
-    def __init__(
-        self,
-        queues: np.ndarray,
-        total_arrived: int,
-        server_received: np.ndarray,
-        server_departed: np.ndarray,
-    ) -> None:
-        self.queues = queues
-        self.total_arrived = total_arrived
-        self.server_received = server_received
-        self.server_departed = server_departed
-
-
-class SizedRunState:
-    """The sized kernels' mutable run accumulators (checkpointed keys)."""
-
-    __slots__ = ("unit_queues", "total_jobs", "units_in", "units_out")
-
-    def __init__(
-        self,
-        unit_queues: np.ndarray,
-        total_jobs: int,
-        units_in: int,
-        units_out: int,
-    ) -> None:
-        self.unit_queues = unit_queues
-        self.total_jobs = total_jobs
-        self.units_in = units_in
-        self.units_out = units_out
+    def __init__(self, num_servers: int) -> None:
+        self.queues = np.zeros(num_servers, dtype=np.int64)
+        self.total_arrived = 0
+        self.total_jobs = 0
+        self.server_received = np.zeros(num_servers, dtype=np.int64)
+        self.server_departed = np.zeros(num_servers, dtype=np.int64)
 
 
 class RoundKernel(Protocol):
@@ -168,6 +146,34 @@ class RoundKernel(Protocol):
     ) -> None: ...
 
 
+def resolve_block(
+    store,
+    start_round: int,
+    received: np.ndarray,
+    done: np.ndarray,
+    jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    histogram,
+    warmup: int,
+    response_sink=None,
+) -> None:
+    """Resolve one block's FIFO departures in a unit or sized batch store.
+
+    ``jobs`` is a sized block's ``(servers, rounds, sizes)`` (see
+    :attr:`Block.jobs`); ``None`` for unit jobs, whose ``received``
+    matrix is the store's whole input.
+    """
+    if jobs is None:
+        store.process_block(
+            start_round, received, done, histogram, warmup,
+            response_sink=response_sink,
+        )
+    else:
+        store.process_block(
+            start_round, *jobs, done, histogram, warmup,
+            response_sink=response_sink,
+        )
+
+
 def _check_received_block(
     policy: Policy, received: np.ndarray, batch: np.ndarray, n: int
 ) -> None:
@@ -187,31 +193,55 @@ def _check_received_block(
         )
 
 
-def drive_unsized(
+def _job_layout(
+    start_round: int, job_block: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Server-major ``(servers, rounds, sizes)`` of a block's admissions.
+
+    ``sizes`` lists the block's jobs round-major, in server-index order
+    within a round -- the C order of the ``(length, n)`` job matrix.
+    Walking the transposed matrix instead gives every server's jobs in
+    admission order.
+    """
+    length, n = job_block.shape
+    counts = job_block.ravel()
+    starts = np.cumsum(counts) - counts
+    by_server = job_block.T.ravel()
+    first = starts.reshape(length, n).T.ravel()
+    total = by_server.sum()
+    offsets = np.cumsum(by_server) - by_server
+    index = np.repeat(first - offsets, by_server) + np.arange(total)
+    servers = np.repeat(np.arange(n), job_block.sum(axis=0))
+    rounds = start_round + np.repeat(np.tile(np.arange(length), n), by_server)
+    return servers, rounds, sizes[index]
+
+
+def drive_blocks(
     *,
     policy: Policy,
     arrivals,
     service,
-    arrival_rng: np.random.Generator,
-    departure_rng: np.random.Generator,
+    sizes,
+    streams,
     rounds: int,
-    warmup: int,  # noqa: ARG001 - kept for signature symmetry with consumers
     start_round: int,
-    state: UnsizedRunState,
+    state: RunState,
     block_probes: ProbeSet,
     series,
-    consume: Callable[[UnsizedBlock], None],
+    consume: Callable[[Block], None],
     controller: RunController | None = None,
     export_state: Callable[[], dict] | None = None,
     round_kernel: RoundKernel | None = None,
 ) -> None:
-    """Run the unsized round loop from ``start_round`` to ``rounds``.
+    """Run the round loop from ``start_round`` to ``rounds``.
 
+    ``sizes`` is the simulation's job-size distribution (``None`` for
+    unit jobs) and ``streams`` its :class:`~repro.sim.seeding.SimulationStreams`.
     ``block_probes`` is the probe set fed whole blocks (the fast
     kernel's full set; the sharded coordinator's non-partitionable
     subset); ``series`` is the queue-length series recorded per round,
     or ``None`` when the consumer's side owns it (shard workers record
-    their own slices).
+    their own slices).  ``round_kernel`` is honored for unit jobs only.
     """
     queues = state.queues
     n = queues.size
@@ -222,14 +252,31 @@ def drive_unsized(
     need_queues = "queues" in fields
     wants_blocks = block_probes.wants_blocks
     track = need_queues or series is not None
+    sized = sizes is not None
+    if sized:
+        round_kernel = None
 
     for chunk_start in range(start_round, rounds, BLOCK_ROUNDS):
         chunk = min(BLOCK_ROUNDS, rounds - chunk_start)
-        arrival_block = arrivals.sample_many(arrival_rng, chunk_start, chunk)
-        capacity_block = service.sample_many(departure_rng, chunk_start, chunk)
+        arrival_block = arrivals.sample_many(streams.arrivals, chunk_start, chunk)
+        capacity_block = service.sample_many(streams.departures, chunk_start, chunk)
         received_block = np.zeros((chunk, n), dtype=np.int64)
         done_block = np.zeros((chunk, n), dtype=np.int64)
         queue_block = np.zeros((chunk, n), dtype=np.int64) if need_queues else None
+        block_jobs = int(arrival_block.sum())
+        state.total_jobs += block_jobs
+        if sized:
+            # The block's sizes, in admission order; work(a, b) is the
+            # total size of jobs a..b-1 of the block.
+            job_block = np.zeros((chunk, n), dtype=np.int64)
+            block_sizes = (
+                sizes.sample(streams.sizes, block_jobs) if block_jobs else _NO_SIZES
+            )
+            work = np.concatenate(([0], np.cumsum(block_sizes)))
+            round_jobs = arrival_block.sum(axis=1)
+            round_offsets = np.cumsum(round_jobs) - round_jobs
+        else:
+            job_block = received_block
 
         if round_kernel is not None:
             start_total = int(queues.sum()) if track else 0
@@ -237,8 +284,6 @@ def drive_unsized(
             round_kernel.run_block(
                 arrival_block, capacity_block, queues, received_block, done_block
             )
-            state.total_arrived += int(arrival_block.sum())
-            state.server_received += received_block.sum(axis=0)
             if queue_block is not None:
                 np.cumsum(received_block - done_block, axis=0, out=queue_block)
                 queue_block += start_queues
@@ -253,7 +298,12 @@ def drive_unsized(
                 batched = policy.dispatch_rounds(arrival_block)
             if batched is not None:
                 _check_received_block(policy, batched, arrival_block, n)
-                received_block[:] = batched
+                job_block[:] = batched
+                if sized:
+                    ends = np.cumsum(batched.ravel())
+                    received_block[:] = (
+                        work[ends] - work[ends - batched.ravel()]
+                    ).reshape(chunk, n)
                 # The policy is out of the loop; only the queue /
                 # departure recurrence remains, round by round.
                 for i in range(chunk):
@@ -265,8 +315,6 @@ def drive_unsized(
                         series.record(int(queues.sum()))
                     if queue_block is not None:
                         queue_block[i] = queues
-                state.total_arrived += int(arrival_block.sum())
-                state.server_received += received_block.sum(axis=0)
             else:
                 for i in range(chunk):
                     t = chunk_start + i
@@ -274,7 +322,6 @@ def drive_unsized(
                     # Phase 1: arrivals (pre-sampled).
                     batch = arrival_block[i]
                     round_total = int(batch.sum())
-                    state.total_arrived += round_total
 
                     # Phase 2: one batched dispatch for the whole round.
                     policy.begin_round(t, queues)
@@ -287,22 +334,27 @@ def drive_unsized(
                                     f"{policy.name}.dispatch_round returned shape "
                                     f"{rows.shape}, expected ({m}, {n})"
                                 )
-                            received = rows.sum(axis=0)
+                            jobs = rows.sum(axis=0)
                         else:
-                            received = np.zeros(n, dtype=np.int64)
+                            jobs = np.zeros(n, dtype=np.int64)
                             for d in range(m):
                                 k = int(batch[d])
                                 if k == 0:
                                     continue
-                                received += policy.dispatch(d, k)
-                        if int(received.sum()) != round_total:
+                                jobs += policy.dispatch(d, k)
+                        if int(jobs.sum()) != round_total:
                             raise ValueError(
-                                f"{policy.name} assigned {int(received.sum())} "
+                                f"{policy.name} assigned {int(jobs.sum())} "
                                 f"jobs for a round of {round_total}"
                             )
+                        if sized:
+                            job_block[i] = jobs
+                            ends = round_offsets[i] + np.cumsum(jobs)
+                            received = work[ends] - work[ends - jobs]
+                        else:
+                            received = jobs
                         received_block[i] = received
                         queues += received
-                        state.server_received += received
 
                     # Phase 3: departures -- totals now, FIFO resolution
                     # at block end.
@@ -316,15 +368,23 @@ def drive_unsized(
                     if queue_block is not None:
                         queue_block[i] = queues
 
+        block_received = received_block.sum(axis=0)
+        state.server_received += block_received
+        state.total_arrived += int(block_received.sum())
         state.server_departed += done_block.sum(axis=0)
         consume(
-            UnsizedBlock(
+            Block(
                 start_round=chunk_start,
                 length=chunk,
                 batch=arrival_block,
                 received=received_block,
                 done=done_block,
                 queues=queue_block,
+                jobs=(
+                    _job_layout(chunk_start, job_block, block_sizes)
+                    if sized
+                    else None
+                ),
             )
         )
         if wants_blocks:
@@ -334,164 +394,6 @@ def drive_unsized(
                     length=chunk,
                     batch=arrival_block if "batch" in fields else None,
                     received=received_block if "received" in fields else None,
-                    done=done_block if "done" in fields else None,
-                    queues=queue_block,
-                )
-            )
-        if controller is not None:
-            assert export_state is not None
-            controller.after_block(chunk_start + chunk, export_state)
-
-
-def drive_sized(
-    *,
-    policy: Policy,
-    arrivals,
-    service,
-    sizes,
-    arrival_rng: np.random.Generator,
-    departure_rng: np.random.Generator,
-    rounds: int,
-    start_round: int,
-    state: SizedRunState,
-    block_probes: ProbeSet,
-    series,
-    collect_received: bool,
-    consume: Callable[[SizedBlock], None],
-    controller: RunController | None = None,
-    export_state: Callable[[], dict] | None = None,
-) -> None:
-    """Run the sized round loop from ``start_round`` to ``rounds``.
-
-    Sizes are workload randomness interleaved with batches on the
-    arrival stream, so the pre-sampling loop repeats the reference's
-    per-round call sequence exactly.  ``collect_received`` forces the
-    admitted-units matrix even when no probe reads it (the sharded
-    consumer feeds shard slices from it).
-
-    No cross-round batching here: the sized loop needs every round's
-    per-``(dispatcher, server)`` cell counts to lay job sizes out, and
-    ``dispatch_rounds`` only returns dispatcher-summed rows.
-    """
-    unit_queues = state.unit_queues
-    n = unit_queues.size
-    m = arrivals.num_dispatchers
-    fields = block_probes.fields
-    need_queues = "queues" in fields
-    need_received = collect_received or "received" in fields
-    wants_blocks = block_probes.wants_blocks
-    # Flat (dispatcher-major) cell index -> server, matching both the
-    # C-order ravel of a dispatch_round matrix and the order in which
-    # the reference assigns a dispatcher's sizes to servers.
-    cell_server = np.tile(np.arange(n), m)
-
-    for chunk_start in range(start_round, rounds, BLOCK_ROUNDS):
-        chunk = min(BLOCK_ROUNDS, rounds - chunk_start)
-
-        # Phase 1 (pre-sampled): arrivals and sizes, interleaved per
-        # round exactly as the reference consumes them.
-        batch_block = np.empty((chunk, m), dtype=np.int64)
-        size_rows: list[np.ndarray] = []
-        for i in range(chunk):
-            batch = arrivals.sample(arrival_rng, chunk_start + i)
-            batch_block[i] = batch
-            k = int(batch.sum())
-            size_rows.append(sizes.sample(arrival_rng, k) if k else _EMPTY_JOBS)
-        capacity_block = service.sample_many(departure_rng, chunk_start, chunk)
-        done_block = np.zeros((chunk, n), dtype=np.int64)
-        received_block = (
-            np.zeros((chunk, n), dtype=np.int64) if need_received else None
-        )
-        queue_block = np.zeros((chunk, n), dtype=np.int64) if need_queues else None
-        job_servers: list[np.ndarray] = []
-        job_rounds: list[np.ndarray] = []
-        job_sizes: list[np.ndarray] = []
-
-        for i in range(chunk):
-            t = chunk_start + i
-            batch = batch_block[i]
-            round_total = int(batch.sum())
-            state.total_jobs += round_total
-
-            # Phase 2: one batched dispatch for the whole round.
-            policy.begin_round(t, unit_queues)
-            if round_total:
-                policy.observe_total_arrivals(round_total)
-                rows = policy.dispatch_round(batch, unit_queues)
-                if rows.shape != (m, n):
-                    raise ValueError(
-                        f"{policy.name}.dispatch_round returned shape "
-                        f"{rows.shape}, expected ({m}, {n})"
-                    )
-                flat = rows.ravel()
-                if int(flat.sum()) != round_total:
-                    raise ValueError(
-                        f"{policy.name} assigned {int(flat.sum())} "
-                        f"jobs for a round of {round_total}"
-                    )
-                # The round's sizes are consumed dispatcher-major, within
-                # a dispatcher in server-index order -- the C-order of
-                # `rows`.  A prefix-sum over the flat size vector yields
-                # every cell's unit total.
-                round_sizes = size_rows[i]
-                bounds = np.concatenate(([0], np.cumsum(round_sizes)))
-                cell_ends = np.cumsum(flat)
-                cell_units = bounds[cell_ends] - bounds[cell_ends - flat]
-                received_units = cell_units.reshape(m, n).sum(axis=0)
-                unit_queues += received_units
-                state.units_in += int(received_units.sum())
-                if received_block is not None:
-                    received_block[i] = received_units
-                job_servers.append(np.repeat(cell_server, flat))
-                job_rounds.append(np.full(round_total, t, dtype=np.int64))
-                job_sizes.append(round_sizes)
-
-            # Phase 3: departures -- unit totals now, per-job FIFO
-            # resolution at block end (by the consumer).
-            done = np.minimum(unit_queues, capacity_block[i])
-            done_block[i] = done
-            unit_queues -= done
-            state.units_out += int(done.sum())
-
-            policy.end_round(t, unit_queues)
-            if series is not None:
-                series.record(int(unit_queues.sum()))
-            if queue_block is not None:
-                queue_block[i] = unit_queues
-
-        # Jobs are concatenated in (round, dispatcher) admission order; a
-        # stable sort by server turns that into the server-major FIFO
-        # order every consumer requires.
-        if job_servers:
-            srv = np.concatenate(job_servers)
-            order = np.argsort(srv, kind="stable")
-            srv = srv[order]
-            rounds_sorted = np.concatenate(job_rounds)[order]
-            sizes_sorted = np.concatenate(job_sizes)[order]
-        else:
-            srv = rounds_sorted = sizes_sorted = _EMPTY_JOBS
-        consume(
-            SizedBlock(
-                start_round=chunk_start,
-                length=chunk,
-                batch=batch_block,
-                received=received_block,
-                done=done_block,
-                queues=queue_block,
-                job_servers=srv,
-                job_rounds=rounds_sorted,
-                job_sizes=sizes_sorted,
-            )
-        )
-        if wants_blocks:
-            block_probes.observe_block(
-                ProbeBlock(
-                    start_round=chunk_start,
-                    length=chunk,
-                    batch=batch_block if "batch" in fields else None,
-                    received=(
-                        received_block if "received" in fields else None
-                    ),
                     done=done_block if "done" in fields else None,
                     queues=queue_block,
                 )

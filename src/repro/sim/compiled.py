@@ -24,17 +24,18 @@ overhead.  This module compiles both:
 
 **Detection and fallback.**  numba is probed once at import; when it is
 missing (or tests force it off via :data:`_FORCE_DISABLED`) every jitted
-function is a plain-Python function, the ``compiled`` backends run the
+function is a plain-Python function, the ``compiled`` backend runs the
 fast kernels' numpy stores, and no warning is emitted -- the backend
 stays registered, works, and reports ``jit_active = False``.  The
 plain-Python bodies are themselves numba-compatible, so the test suite
 exercises the exact compiled control flow even on hosts without numba
 (via the stores' ``force`` flag).
 
-Both backends register as ``"compiled"``; the sharded kernels reuse the
+The backend registers as ``"compiled"``; the sharded kernel reuses the
 pieces through the ``sharded:N[:strategy][:compiled]`` resolver
 parameter (compiled shard-side stores plus a compiled coordinator round
-kernel where the policy permits).
+kernel where the policy permits).  The round kernels serve unit jobs
+only; sized runs get the compiled per-job store.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 
 from .backends import FastBackend, register_backend
 from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .sizedbackends import SizedFastBackend, register_sized_backend
 
 __all__ = [
     "HAVE_NUMBA",
@@ -53,7 +53,6 @@ __all__ = [
     "compiled_round_kernel_for",
     "make_shard_store",
     "CompiledBackend",
-    "SizedCompiledBackend",
 ]
 
 try:  # pragma: no cover - exercised as a whole, not per-branch
@@ -602,7 +601,8 @@ class CompiledBackend(FastBackend):
 
     Identical round loop (it *is* the shared block driver), so results
     are bit-identical to ``"fast"`` for every deterministic policy and
-    every policy on the base-class dispatch fallback.  When numba is
+    every policy on the base-class dispatch fallback.  Sized runs use
+    the compiled per-job store and the shared driver.  When numba is
     missing the backend still registers and runs -- the store delegates
     to the numpy resolver and no round kernel is installed, making it
     the fast kernel under another name (``jit_active`` says which).
@@ -627,38 +627,12 @@ class CompiledBackend(FastBackend):
     def _active(self) -> bool:
         return self.force or numba_enabled()
 
-    def _make_store(self, num_servers: int) -> CompiledBatchQueueStore:
+    def _make_store(self, num_servers: int, sized: bool):
+        if sized:
+            return CompiledSizedBatchQueueStore(num_servers, force=self.force)
         return CompiledBatchQueueStore(num_servers, force=self.force)
 
     def _round_kernel(self, sim):
         if not self._active():
             return None
         return compiled_round_kernel_for(sim.policy)
-
-
-@register_sized_backend("compiled")
-class SizedCompiledBackend(SizedFastBackend):
-    """The sized fast kernel with jitted per-job departure resolution.
-
-    The sized round loop cannot batch dispatch across rounds (job sizes
-    bind to per-``(dispatcher, server)`` cells), so the compiled win is
-    the store; everything else is the shared driver, bit-identical to
-    the sized ``"fast"`` kernel.
-    """
-
-    name = "compiled"
-    description = (
-        "numba-jitted sized kernel: compiled per-job FIFO departure "
-        "resolution on the unit axis; bit-exact vs fast, warning-free "
-        "fallback to the fast kernel when numba is missing"
-    )
-
-    force = False
-
-    @property
-    def jit_active(self) -> bool:
-        """True when this backend's hot paths are actually jitted."""
-        return numba_enabled()
-
-    def _make_store(self, num_servers: int) -> CompiledSizedBatchQueueStore:
-        return CompiledSizedBatchQueueStore(num_servers, force=self.force)

@@ -9,15 +9,24 @@ Each round has three phases, executed for ``config.rounds`` rounds:
 3. **Departures** -- the service process produces each server's capacity;
    servers complete jobs FIFO and response times are recorded.
 
-The engine maintains exact job accounting (arrived = departed + queued,
+The engine maintains exact accounting (arrived = departed + queued,
 asserted in tests) and draws workload randomness from streams that are
 independent of the policy stream, so runs with the same ``seed`` but
 different policies experience identical workloads.
 
+Jobs are unit jobs unless ``Simulation(sizes=...)`` gives a
+:class:`~repro.sim.sized.JobSizeDistribution` (open problem 1).  Then
+each job carries an integer size in work units, servers complete units
+per round, and queues and totals count units; a job's response time is
+the round its *last* unit completes, minus its arrival round, plus one.
+Policies never see realized sizes: they see the unit-denominated queue
+vector and return per-server job counts, so sized runs dispatch exactly
+like unit runs.  ``DeterministicSize(1)`` is normalised to ``None``.
+
 The round loop itself is pluggable: :class:`SimulationConfig.backend`
 names a round kernel from the :mod:`repro.sim.backends` registry
-(``"reference"`` -- the bit-exact per-object loop, the default -- or
-``"fast"`` -- the vectorized batch kernel).
+(``"reference"`` -- the bit-exact per-object loop, the default --
+``"fast"`` -- the vectorized batch kernel -- and more).
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .metrics import QueueLengthSeries, ResponseTimeHistogram
 from .probes import Probe, ProbeSpec
 from .seeding import spawn_streams
 from .service import ServiceProcess
+from .sized import JobSizeDistribution, is_unit_size
 
 __all__ = ["SimulationConfig", "SimulationResult", "Simulation", "simulate"]
 
@@ -102,19 +112,28 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Everything measured in one run."""
+    """Everything measured in one run.
+
+    Queues and totals count work units, which are jobs for unit-job
+    runs.  ``config`` and ``final_queues`` are ``None`` only for sized
+    results loaded from the pre-unification ``sized_result`` JSON
+    format, which recorded neither.
+    """
 
     policy_name: str
-    config: SimulationConfig
+    config: SimulationConfig | None
     histogram: ResponseTimeHistogram
     queue_series: QueueLengthSeries | None
     total_arrived: int
     total_departed: int
     final_queued: int
-    final_queues: np.ndarray = field(repr=False)
-    #: Jobs each server received / completed over the whole run.
+    final_queues: np.ndarray | None = field(repr=False)
+    #: Work each server received / completed over the whole run.
     server_received: np.ndarray | None = field(default=None, repr=False)
     server_departed: np.ndarray | None = field(default=None, repr=False)
+    #: Jobs that arrived, for sized runs (whose totals count units);
+    #: ``None`` for unit jobs, where it equals ``total_arrived``.
+    total_jobs: int | None = None
     #: Label -> probe, every probe of the run (defaults + extras).
     probes: dict[str, Probe] = field(default_factory=dict, repr=False, compare=False)
 
@@ -154,7 +173,12 @@ class SimulationResult:
 
 
 class Simulation:
-    """Binds a policy to workload processes and runs the round loop."""
+    """Binds a policy to workload processes and runs the round loop.
+
+    ``sizes`` is the optional job-size distribution (``None``: unit
+    jobs); ``rates`` and the service capacities are then in work units
+    per round.
+    """
 
     def __init__(
         self,
@@ -163,9 +187,11 @@ class Simulation:
         arrivals: ArrivalProcess,
         service: ServiceProcess,
         config: SimulationConfig | None = None,
+        sizes: JobSizeDistribution | None = None,
     ) -> None:
         self.rates = np.asarray(rates, dtype=np.float64)
         self.config = config or SimulationConfig()
+        self.sizes = None if is_unit_size(sizes) else sizes
         if service.num_servers != self.rates.size:
             raise ValueError(
                 f"service process drives {service.num_servers} servers "
@@ -213,6 +239,7 @@ def simulate(
     arrivals: ArrivalProcess,
     service: ServiceProcess,
     config: SimulationConfig | None = None,
+    sizes: JobSizeDistribution | None = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulation`."""
-    return Simulation(rates, policy, arrivals, service, config).run()
+    return Simulation(rates, policy, arrivals, service, config, sizes).run()

@@ -1,7 +1,7 @@
 """Run-lifecycle seam: block-aligned pause/export for checkpointing.
 
-Every kernel in both backend registries advances the simulation in
-blocks of :data:`~repro.sim.backends._CHUNK_ROUNDS` (256) rounds -- the
+Every simulation kernel advances the simulation in
+blocks of :data:`~repro.sim.blockdriver.BLOCK_ROUNDS` (256) rounds -- the
 fast kernels because they pre-sample workload randomness per block, the
 reference kernels because the probe :class:`~repro.sim.probes.BlockRecorder`
 buffers exactly that many rounds.  Block boundaries are therefore the
@@ -11,8 +11,7 @@ streams sit at a position that depends only on the number of completed
 rounds.  That makes them natural checkpoint points.
 
 A :class:`RunController` rides along a kernel invocation through the
-optional ``controller`` argument of ``EngineBackend.run`` /
-``SizedEngineBackend.run``:
+optional ``controller`` argument of ``EngineBackend.run``:
 
 * ``start_round`` tells the kernel to *skip* rounds ``[0, start_round)``
   entirely -- the caller guarantees the simulation object (policy, RNG

@@ -7,8 +7,8 @@ meant engine surgery.  This module makes observability a first-class,
 registry-backed axis instead:
 
 * A :class:`Probe` accumulates one family of statistics.  Every round
-  kernel -- unsized/sized x reference/fast -- feeds probes through the
-  same *block-shaped* interface: a :class:`ProbeBlock` of per-round
+  kernel -- reference/fast/sharded/compiled, unit or sized jobs -- feeds
+  probes through the same *block-shaped* interface: a :class:`ProbeBlock` of per-round
   arrival counts, per-server admissions, completions and end-of-round
   queue snapshots, plus (for probes that ask) the recorded response
   times stamped with their departure rounds.  Probes are mergeable
@@ -92,7 +92,7 @@ DEFAULT_PROBE_LABELS = ("responses", "queue_series")
 class ProbeContext:
     """Immutable run coordinates handed to every probe at bind time.
 
-    ``sized`` flags the unit-denominated engine: there ``received``,
+    ``sized`` flags a run whose jobs carry sizes: there ``received``,
     ``done`` and ``queues`` count work units while ``batch`` still
     counts jobs, and ``rates`` are unit capacities -- so utilization
     and queue statistics keep their meaning unchanged.
@@ -566,7 +566,7 @@ class BlockRecorder:
 class ResponseTee:
     """Round-scoped response sink for the reference kernels.
 
-    Drop-in for the histogram in ``ServerQueue.complete``: records into
+    Drop-in for the histogram in ``SizedServerQueue.complete``: records into
     the real histogram *and* buffers ``(time, count)`` pairs, which
     :meth:`flush` stamps with the departure round and forwards to the
     probes.  The reference loops set :attr:`server` to the server being
@@ -1370,8 +1370,8 @@ class HerdingSignalProbe(Probe):
     placement (``mean_imbalance``), exactly the statistics of
     :class:`repro.analysis.herding.HerdingStats` (the wrapper-based
     ``HerdingProbe``), now engine-fed and so available on the fast
-    kernels too.  On the sized engine the pile-up is measured in
-    admitted work units.
+    kernels too.  With sized jobs the pile-up is measured in admitted
+    work units.
 
     The probe is *partitionable*: instead of needing the global
     ``received`` matrix, it keeps per-round sufficient statistics that

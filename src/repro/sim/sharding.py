@@ -1,8 +1,8 @@
-"""Sharded round kernels: one simulation across server-partitioned stores.
+"""The sharded round kernel: one simulation across server-partitioned stores.
 
-The fast kernels (:mod:`repro.sim.backends`, :mod:`repro.sim.sizedbackends`)
-already split each round into a *dispatch* phase that needs only the
-per-server queue totals and a *departure-resolution* phase
+The fast kernel (:mod:`repro.sim.backends`) already splits each round
+into a *dispatch* phase that needs only the per-server queue totals and
+a *departure-resolution* phase
 (``BatchQueueStore.process_block``) that is embarrassingly parallel
 across servers.  This module exploits that split: the server axis is
 partitioned into contiguous **shards**, each owning an independent batch
@@ -18,7 +18,7 @@ states fold back into global statistics via
 concatenate, event multisets add).
 
 Because all randomness and all policy decisions live in the coordinator,
-the sharded kernels are **bit-identical to "fast"** for deterministic
+the sharded kernel is **bit-identical to "fast"** for deterministic
 policies at every shard count -- the partition changes where work is
 resolved, never what happens.
 
@@ -52,15 +52,15 @@ behind a length-prefixed TCP channel, from
 :mod:`repro.service.shardsocket`) loads lazily so ``repro.sim`` never
 imports the service layer.
 
-Both kernels register as ``"sharded"`` in their engine's registry and
-parameterize through the name itself: ``sharded`` (2 shards, serial),
+The kernel registers as ``"sharded"`` and parameterizes through the
+name itself: ``sharded`` (2 shards, serial),
 ``sharded:4``, ``sharded:4:process``, ``sharded:4:socket``.  A
 trailing ``:compiled`` token
 (``sharded:4:compiled``, ``sharded:4:process:compiled``) swaps each
 worker's departure resolver for the jitted two-pointer store from
 :mod:`repro.sim.compiled` (numpy fallback per worker when numba is
-missing) and, unsized, runs the compiled whole-block round loop in the
-coordinator for the policies that have one.
+missing) and, for unit jobs, runs the compiled whole-block round loop
+in the coordinator for the policies that have one.
 """
 
 from __future__ import annotations
@@ -74,15 +74,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .backends import _CHUNK_ROUNDS, EngineBackend, register_backend
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .blockdriver import (
-    SizedRunState,
-    UnsizedRunState,
-    drive_sized,
-    drive_unsized,
+from .backends import (
+    EngineBackend,
+    _make_result,
+    _probe_context,
+    _start,
+    register_backend,
 )
-from .lifecycle import RunController, validate_start_round
+from .batchstore import BatchQueueStore, SizedBatchQueueStore
+from .blockdriver import Block, RunState, drive_blocks, resolve_block
+from .lifecycle import RunController
 from .probes import (
     Probe,
     ProbeBlock,
@@ -93,11 +94,9 @@ from .probes import (
     ResponseTimeProbe,
     probe_from_state,
 )
-from .sizedbackends import SizedEngineBackend, register_sized_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Simulation, SimulationResult
-    from .sized import SizedSimulation, SizedSimulationResult
 
 __all__ = [
     "ShardPlan",
@@ -107,7 +106,6 @@ __all__ = [
     "SerialShardStrategy",
     "MultiprocessShardStrategy",
     "ShardedBackend",
-    "SizedShardedBackend",
     "register_shard_strategy",
     "resolve_shard_strategy",
     "split_probe_specs",
@@ -197,8 +195,8 @@ class ShardWorker:
     The same object serves both strategies -- the serial strategy calls
     it in-process, the process strategy hosts it in a child process.
     Workers see only shard-local arrays: ``received``/``done`` slices of
-    the coordinator's block matrices (and, sized, the shard's jobs in
-    local server coordinates).  Queue slices are reconstructed here from
+    the coordinator's block matrices (and, for sized jobs, the shard's
+    jobs in local server coordinates).  Queue slices are reconstructed here from
     those deltas, so the per-block exchange stays minimal.
     """
 
@@ -217,7 +215,6 @@ class ShardWorker:
             pairs.append(("queue_series", QueueSeriesProbe()))
         for spec in init.probe_specs:
             pairs.append((spec.label, spec.build()))
-        self.sized = init.sized
         self.warmup = init.warmup
         self.probes = ProbeSet(pairs, ctx)
         if init.resolver == "compiled":
@@ -246,40 +243,27 @@ class ShardWorker:
         return queue_block
 
     def process_block(
-        self, start_round: int, received: np.ndarray, done: np.ndarray
-    ) -> None:
-        """Unsized: resolve one block of this shard's FIFO departures."""
-        queue_block = self._advance_queues(received, done)
-        self.store.process_block(
-            start_round,
-            received,
-            done,
-            self.probes.histogram,
-            self.warmup,
-            response_sink=self._sink,
-        )
-        self._observe(start_round, received, done, queue_block)
-
-    def process_sized_block(
         self,
         start_round: int,
         received: np.ndarray,
         done: np.ndarray,
-        job_servers: np.ndarray,
-        job_rounds: np.ndarray,
-        job_sizes: np.ndarray,
+        jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """Sized: jobs arrive server-major in shard-local coordinates."""
+        """Resolve one block of this shard's FIFO departures.
+
+        ``jobs`` carries a sized block's ``(servers, rounds, sizes)`` in
+        shard-local server coordinates; ``None`` for unit jobs.
+        """
         queue_block = self._advance_queues(received, done)
-        self.store.process_block(
+        resolve_block(
+            self.store,
             start_round,
-            job_servers,
-            job_rounds,
-            job_sizes,
+            received,
             done,
+            jobs,
             self.probes.histogram,
             self.warmup,
-            response_sink=self._sink,
+            self._sink,
         )
         self._observe(start_round, received, done, queue_block)
 
@@ -398,8 +382,7 @@ class ShardStrategy(ABC):
         """Hand one block's shard-local arrays to a worker.
 
         ``payload`` is the positional argument tuple of
-        :meth:`ShardWorker.process_block` (unsized) or
-        :meth:`ShardWorker.process_sized_block` (sized).
+        :meth:`ShardWorker.process_block`.
         """
 
     @abstractmethod
@@ -441,11 +424,7 @@ class SerialShardStrategy(ShardStrategy):
                 worker.restore_state(state)
 
     def feed(self, shard: int, payload: tuple) -> None:
-        worker = self._workers[shard]
-        if worker.sized:
-            worker.process_sized_block(*payload)
-        else:
-            worker.process_block(*payload)
+        self._workers[shard].process_block(*payload)
 
     def snapshot(self) -> list[dict]:
         return [worker.snapshot_state() for worker in self._workers]
@@ -462,10 +441,7 @@ def _shard_worker_main(conn, init: ShardInit) -> None:
             message = conn.recv()
             kind = message[0]
             if kind == "block":
-                if worker.sized:
-                    worker.process_sized_block(*message[1:])
-                else:
-                    worker.process_block(*message[1:])
+                worker.process_block(*message[1:])
             elif kind == "restore":
                 worker.restore_state(message[1])
             elif kind == "snapshot":
@@ -714,12 +690,12 @@ def _fold_shards(shard_maps: list[dict[str, Probe]]) -> dict[str, Probe]:
 
 
 # ---------------------------------------------------------------------------
-# The sharded kernels.
+# The sharded kernel.
 # ---------------------------------------------------------------------------
 
 
 class _ShardedParams:
-    """Shared constructor / registry-parameter parsing of both kernels."""
+    """Constructor and registry-parameter parsing of the sharded kernel."""
 
     def __init__(
         self,
@@ -746,7 +722,7 @@ class _ShardedParams:
         ``"4:socket"``, ``"4:compiled"``, ``"4:process:compiled"``.
 
         A trailing ``compiled`` token selects the compiled departure
-        resolver (and, unsized, the compiled coordinator round loop);
+        resolver (and, for unit jobs, the compiled coordinator round loop);
         any other token in strategy position is validated as a strategy,
         so ``sharded:2:quantum`` still reports an unknown strategy.
         """
@@ -837,7 +813,9 @@ class ShardedBackend(_ShardedParams, EngineBackend):
     The round loop is the fast kernel's, verbatim: identical RNG
     consumption, identical dispatch calls, identical queue arithmetic
     -- only the block resolution and the partitionable probes are
-    pushed into the shards.  Bit-identical to ``"fast"`` for
+    pushed into the shards.  Sized blocks reach each shard with their
+    jobs -- already sorted server-major -- cut at the shard bounds, in
+    shard-local server coordinates.  Bit-identical to ``"fast"`` for
     deterministic policies at every shard count and under either
     strategy.
     """
@@ -853,74 +831,52 @@ class ShardedBackend(_ShardedParams, EngineBackend):
     def run(
         self, sim: "Simulation", controller: RunController | None = None
     ) -> "SimulationResult":
-        from .engine import SimulationResult
-
         config = sim.config
-        policy = sim.policy
-
         n = sim.rates.size
-        m = sim.arrivals.num_dispatchers
         plan = ShardPlan.balanced(n, self.shards)
         ranges = plan.ranges()
+        bounds = np.asarray(plan.bounds, dtype=np.int64)
         shard_specs, coordinator_specs = split_probe_specs(config.probes)
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, config.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
+        start_round, state = _start(sim, controller)
         if state is not None:
             coordinator_probes = state["coordinator_probes"]
-            run_state = UnsizedRunState(
-                queues=state["queues"],
-                total_arrived=state["total_arrived"],
-                server_received=state["server_received"],
-                server_departed=state["server_departed"],
-            )
+            run = state["run"]
             shard_states = state["shards"]
         else:
             coordinator_probes = ProbeSet(
                 [(spec.label, spec.build()) for spec in coordinator_specs],
-                ProbeContext(
-                    num_servers=n,
-                    num_dispatchers=m,
-                    rates=sim.rates,
-                    rounds=config.rounds,
-                    warmup=config.warmup,
-                    sized=False,
-                ),
+                _probe_context(sim),
             )
-            run_state = UnsizedRunState(
-                queues=np.zeros(n, dtype=np.int64),
-                total_arrived=0,
-                server_received=np.zeros(n, dtype=np.int64),
-                server_departed=np.zeros(n, dtype=np.int64),
-            )
+            run = RunState(n)
             shard_states = None
         strategy = resolve_shard_strategy(self.strategy)()
 
-        def consume(block) -> None:
+        def consume(block: Block) -> None:
             # The per-block exchange: each shard gets its slice of the
             # admission/completion matrices (its queue slice and series
-            # follow from those deltas worker-side).
+            # follow from those deltas worker-side) and, sized, its jobs.
+            if block.jobs is not None:
+                servers, rounds, sizes = block.jobs
+                cuts = np.searchsorted(servers, bounds)
             for index, (lo, hi) in enumerate(ranges):
+                jobs = None
+                if block.jobs is not None:
+                    a, b = int(cuts[index]), int(cuts[index + 1])
+                    jobs = (servers[a:b] - lo, rounds[a:b], sizes[a:b])
                 strategy.feed(
                     index,
                     (
                         block.start_round,
                         block.received[:, lo:hi],
                         block.done[:, lo:hi],
+                        jobs,
                     ),
                 )
 
         def export_state() -> dict:
             return {
                 "coordinator_probes": coordinator_probes,
-                "queues": run_state.queues,
-                "total_arrived": run_state.total_arrived,
-                "server_received": run_state.server_received,
-                "server_departed": run_state.server_departed,
+                "run": run,
                 "shards": strategy.snapshot(),
             }
 
@@ -929,25 +885,24 @@ class ShardedBackend(_ShardedParams, EngineBackend):
                 self._shard_inits(
                     plan,
                     sim.rates,
-                    m,
+                    sim.arrivals.num_dispatchers,
                     config.rounds,
                     config.warmup,
-                    sized=False,
+                    sized=sim.sizes is not None,
                     track_queue_series=config.track_queue_series,
                     probe_specs=shard_specs,
                 ),
                 states=shard_states,
             )
-            drive_unsized(
-                policy=policy,
+            drive_blocks(
+                policy=sim.policy,
                 arrivals=sim.arrivals,
                 service=sim.service,
-                arrival_rng=sim._streams.arrivals,
-                departure_rng=sim._streams.departures,
+                sizes=sim.sizes,
+                streams=sim._streams,
                 rounds=config.rounds,
-                warmup=config.warmup,
                 start_round=start_round,
-                state=run_state,
+                state=run,
                 block_probes=coordinator_probes,
                 series=None,  # shard workers record their own slices
                 consume=consume,
@@ -962,171 +917,4 @@ class ShardedBackend(_ShardedParams, EngineBackend):
         probes = self._assemble_probes(
             config.probes, folded, coordinator_probes.as_dict()
         )
-        queue_series_probe = probes.get("queue_series")
-        return SimulationResult(
-            policy_name=policy.name,
-            config=config,
-            histogram=probes["responses"].histogram,
-            queue_series=(
-                queue_series_probe.series if queue_series_probe is not None else None
-            ),
-            total_arrived=run_state.total_arrived,
-            total_departed=int(run_state.server_departed.sum()),
-            final_queued=int(run_state.queues.sum()),
-            final_queues=run_state.queues,
-            server_received=run_state.server_received,
-            server_departed=run_state.server_departed,
-            probes=probes,
-        )
-
-
-_EMPTY_JOBS = np.empty(0, dtype=np.int64)
-
-
-@register_sized_backend("sharded")
-class SizedShardedBackend(_ShardedParams, SizedEngineBackend):
-    """Server-partitioned sized fast kernel.
-
-    Mirrors :class:`ShardedBackend` for the unit-denominated engine:
-    the coordinator repeats the sized fast kernel's pre-sampling
-    (arrival/size interleaving and all) and dispatching exactly, then
-    routes each block's jobs -- already sorted server-major -- to the
-    owning shard in shard-local server coordinates.  Bit-identical to
-    the sized ``"fast"`` kernel for deterministic policies at every
-    shard count.
-    """
-
-    name = "sharded"
-    description = (
-        "server-partitioned sized fast kernel: per-shard unit stores and "
-        "probe sets, folded via Probe.merge_partition; parameterize as "
-        "sharded:N[:serial|process|socket] (bit-exact vs fast for deterministic "
-        "policies)"
-    )
-
-    def run(
-        self, sim: "SizedSimulation", controller: RunController | None = None
-    ) -> "SizedSimulationResult":
-        from .sized import SizedSimulationResult
-
-        policy = sim.policy
-
-        n = sim.rates.size
-        m = sim.arrivals.num_dispatchers
-        plan = ShardPlan.balanced(n, self.shards)
-        ranges = plan.ranges()
-        bounds = np.asarray(plan.bounds, dtype=np.int64)
-        shard_specs, coordinator_specs = split_probe_specs(sim.probes)
-        start_round = 0
-        state = None
-        if controller is not None:
-            start_round = validate_start_round(
-                controller.start_round, sim.rounds, _CHUNK_ROUNDS
-            )
-            state = controller.initial_state()
-        if state is not None:
-            coordinator_probes = state["coordinator_probes"]
-            run_state = SizedRunState(
-                unit_queues=state["unit_queues"],
-                total_jobs=state["total_jobs"],
-                units_in=state["units_in"],
-                units_out=state["units_out"],
-            )
-            shard_states = state["shards"]
-        else:
-            coordinator_probes = ProbeSet(
-                [(spec.label, spec.build()) for spec in coordinator_specs],
-                ProbeContext(
-                    num_servers=n,
-                    num_dispatchers=m,
-                    rates=sim.rates,
-                    rounds=sim.rounds,
-                    warmup=sim.warmup,
-                    sized=True,
-                ),
-            )
-            run_state = SizedRunState(
-                unit_queues=np.zeros(n, dtype=np.int64),
-                total_jobs=0,
-                units_in=0,
-                units_out=0,
-            )
-            shard_states = None
-        strategy = resolve_shard_strategy(self.strategy)()
-
-        def consume(block) -> None:
-            # Cut the server-major job arrays at the shard bounds; each
-            # shard gets its jobs in shard-local server coordinates.
-            cuts = np.searchsorted(block.job_servers, bounds)
-            for index, (lo, hi) in enumerate(ranges):
-                a, b = int(cuts[index]), int(cuts[index + 1])
-                strategy.feed(
-                    index,
-                    (
-                        block.start_round,
-                        block.received[:, lo:hi],
-                        block.done[:, lo:hi],
-                        block.job_servers[a:b] - lo,
-                        block.job_rounds[a:b],
-                        block.job_sizes[a:b],
-                    ),
-                )
-
-        def export_state() -> dict:
-            return {
-                "coordinator_probes": coordinator_probes,
-                "unit_queues": run_state.unit_queues,
-                "total_jobs": run_state.total_jobs,
-                "units_in": run_state.units_in,
-                "units_out": run_state.units_out,
-                "shards": strategy.snapshot(),
-            }
-
-        try:
-            strategy.start(
-                self._shard_inits(
-                    plan,
-                    sim.rates,
-                    m,
-                    sim.rounds,
-                    sim.warmup,
-                    sized=True,
-                    track_queue_series=True,
-                    probe_specs=shard_specs,
-                ),
-                states=shard_states,
-            )
-            drive_sized(
-                policy=policy,
-                arrivals=sim.arrivals,
-                service=sim.service,
-                sizes=sim.sizes,
-                arrival_rng=sim._streams.arrivals,
-                departure_rng=sim._streams.departures,
-                rounds=sim.rounds,
-                start_round=start_round,
-                state=run_state,
-                block_probes=coordinator_probes,
-                series=None,  # shard workers record their own slices
-                collect_received=True,
-                consume=consume,
-                controller=controller,
-                export_state=export_state,
-            )
-            folded = _fold_shards(strategy.finish())
-        finally:
-            strategy.close()
-
-        probes = self._assemble_probes(
-            sim.probes, folded, coordinator_probes.as_dict()
-        )
-        return SizedSimulationResult(
-            policy_name=policy.name,
-            histogram=probes["responses"].histogram,
-            queue_series=probes["queue_series"].series,
-            total_jobs=run_state.total_jobs,
-            total_units_arrived=run_state.units_in,
-            total_units_departed=run_state.units_out,
-            final_units_queued=int(run_state.unit_queues.sum()),
-            probes=probes,
-        )
+        return _make_result(sim, run, probes)

@@ -1,49 +1,25 @@
-"""Sized-job simulation: work-unit queues for the open-problem-1 study.
+"""Job-size distributions: the work each job brings, in integer units.
 
-The base model (Section 2) counts jobs; here each job carries an integer
-*size* in work units, servers complete work units per round, and queues
-are measured in units.  Everything else -- synchronous 3-phase rounds,
-independent dispatchers, FIFO service, common random numbers -- matches
-the base engine.  A job's response time is the round its *last* unit
-completes, minus its arrival round, plus one.
-
-Policies plug in unchanged: they see the unit-denominated queue vector
-(so JSQ ranks by least work left, SED by least expected drain time) and
-return per-server *job* counts; the engine draws each job's size from a
-:class:`JobSizeDistribution` whose stream lives with the arrival streams
-(sizes are workload, not policy, randomness).
-
-The round loop itself is pluggable: ``backend`` names a sized round
-kernel from the :mod:`repro.sim.sizedbackends` registry (``"reference"``
--- the bit-exact per-object loop, the default -- ``"fast"`` -- the
-vectorized unit-denominated kernel -- or ``"sharded:N"`` -- the
-server-partitioned kernel of :mod:`repro.sim.sharding`).
+The base model (Section 2) counts unit jobs; open problem 1 gives every
+job an integer *size* in work units, served FIFO at the server's
+per-round unit capacity.  :class:`repro.sim.engine.Simulation` takes
+one of these distributions as its optional ``sizes`` argument and draws
+from it on its own ``sizes`` stream (see :mod:`repro.sim.seeding`).
+``DeterministicSize(1)`` is the base model and runs as unit jobs.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.policies.base import Policy, SystemContext
-
-from .arrivals import ArrivalProcess
-from .metrics import QueueLengthSeries, ResponseTimeHistogram
-from .probes import Probe, ProbeSpec
-from .seeding import spawn_streams
-from .service import ServiceProcess
 
 __all__ = [
     "JobSizeDistribution",
     "DeterministicSize",
     "GeometricSize",
     "BimodalSize",
-    "SizedServerQueue",
-    "SizedSimulation",
-    "SizedSimulationResult",
+    "is_unit_size",
 ]
 
 
@@ -137,145 +113,6 @@ class BimodalSize(JobSizeDistribution):
         )
 
 
-class SizedServerQueue:
-    """FIFO queue of sized jobs; tracks remaining units of the head job."""
-
-    __slots__ = ("_jobs", "units")
-
-    def __init__(self) -> None:
-        self._jobs: deque[list[int]] = deque()  # [arrival_round, remaining]
-        self.units = 0
-
-    def admit(self, round_index: int, sizes: np.ndarray) -> None:
-        """Append jobs with the given sizes, arrived this round."""
-        for size in sizes:
-            self._jobs.append([round_index, int(size)])
-            self.units += int(size)
-
-    def complete(
-        self,
-        capacity: int,
-        now: int,
-        histogram: ResponseTimeHistogram | None,
-    ) -> int:
-        """Serve up to ``capacity`` work units FIFO; returns units served.
-
-        A job's response time is recorded when its final unit completes.
-        """
-        if capacity <= 0 or self.units == 0:
-            return 0
-        budget = min(int(capacity), self.units)
-        served = budget
-        jobs = self._jobs
-        while budget > 0:
-            head = jobs[0]
-            if head[1] <= budget:
-                budget -= head[1]
-                if histogram is not None:
-                    histogram.record(now - head[0] + 1)
-                jobs.popleft()
-            else:
-                head[1] -= budget
-                budget = 0
-        self.units -= served
-        return served
-
-    def __len__(self) -> int:
-        return self.units
-
-
-@dataclass
-class SizedSimulationResult:
-    """Metrics of one sized-job run (work accounted in units)."""
-
-    policy_name: str
-    histogram: ResponseTimeHistogram
-    queue_series: QueueLengthSeries
-    total_jobs: int
-    total_units_arrived: int
-    total_units_departed: int
-    final_units_queued: int
-    #: Label -> probe, every probe of the run (defaults + extras).
-    probes: dict[str, Probe] = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def mean_response_time(self) -> float:
-        """Average per-job response time (rounds)."""
-        return self.histogram.mean()
-
-    def probe_summaries(self) -> dict[str, dict[str, float]]:
-        """Label -> summary for every probe carried by this run."""
-        return {label: probe.summary() for label, probe in self.probes.items()}
-
-
-class SizedSimulation:
-    """Round engine over work-unit queues (drop-in analog of Simulation).
-
-    ``warmup`` discards response times of jobs *completing* during the
-    first ``warmup`` rounds (unit accounting still includes them), and
-    ``probes`` appends extra observability probes to the default
-    collectors, both exactly as in :class:`repro.sim.engine.SimulationConfig`.
-    """
-
-    def __init__(
-        self,
-        rates: np.ndarray,
-        policy: Policy,
-        arrivals: ArrivalProcess,
-        service: ServiceProcess,
-        sizes: JobSizeDistribution,
-        rounds: int = 10_000,
-        seed: int = 0,
-        backend: str = "reference",
-        warmup: int = 0,
-        probes: tuple = (),
-        scenario: str | None = None,
-    ) -> None:
-        self.rates = np.asarray(rates, dtype=np.float64)
-        if service.num_servers != self.rates.size:
-            raise ValueError("service process size mismatch")
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not 0 <= warmup < rounds:
-            raise ValueError("warmup must be in [0, rounds)")
-        if not backend:
-            raise ValueError("backend must be a non-empty registry name")
-        if scenario is not None:
-            # Same single application point as the unsized engine: wrap
-            # before bind so checkpoints carry the reshaped objects.
-            from repro.scenarios import apply_scenario
-
-            policy, arrivals = apply_scenario(
-                scenario, policy, arrivals, self.rates.size
-            )
-        self.policy = policy
-        self.arrivals = arrivals
-        self.service = service
-        self.sizes = sizes
-        self.rounds = int(rounds)
-        self.warmup = int(warmup)
-        self.seed = int(seed)
-        self.backend = backend
-        self.scenario = scenario
-        self.probes = tuple(ProbeSpec.of(p) for p in probes)
-        self._streams = spawn_streams(seed)
-        policy.bind(
-            SystemContext(
-                rates=self.rates,
-                num_dispatchers=arrivals.num_dispatchers,
-                rng=self._streams.policy,
-            )
-        )
-        arrivals.reset()
-        service.reset()
-
-    def run(self, controller=None) -> SizedSimulationResult:
-        """Execute all rounds via the configured backend (see ``sizedbackends``).
-
-        ``controller`` is the optional run-lifecycle seam
-        (:class:`repro.sim.lifecycle.RunController`), exactly as in
-        :meth:`repro.sim.engine.Simulation.run`.
-        """
-        from .sizedbackends import make_sized_backend
-
-        return make_sized_backend(self.backend).run(self, controller)
+def is_unit_size(sizes: JobSizeDistribution | None) -> bool:
+    """True for the base model's unit jobs: ``None`` or ``DeterministicSize(1)``."""
+    return sizes is None or (isinstance(sizes, DeterministicSize) and sizes.size == 1)

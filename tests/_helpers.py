@@ -1,24 +1,51 @@
-"""Shared hypothesis strategies and statistical assertions for the suite.
+"""Shared hypothesis settings, strategies and statistical assertions.
 
 A plain helper module (not a conftest) so test files can ``from _helpers
 import ...`` without depending on pytest's conftest import machinery --
 importing from ``conftest`` breaks when another rootdir directory (e.g.
 ``benchmarks/``) registers its own ``conftest`` module first.
+
+Hypothesis profiles set the suite-wide example budget: ``dev`` (the
+default) keeps local iteration fast, ``ci`` runs thoroughly; select one
+with ``HYPOTHESIS_PROFILE=ci``.  On top of the profile, tests pick a
+named tier scaled from its budget:
+
+``DETERMINISM_SETTINGS``
+    Twice the profile's examples, for the bit-identity suites where
+    determinism is the claim under test.
+``QUICK_SETTINGS``
+    A fifth of them (at least five), for I/O-bound tests such as the
+    service's, where each example touches disk or sockets.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 __all__ = [
+    "DETERMINISM_SETTINGS",
+    "QUICK_SETTINGS",
     "server_instances",
     "dispatch_instances",
     "ensemble_tolerance",
     "assert_ensemble_close",
 ]
+
+settings.register_profile("ci", max_examples=200, deadline=None)
+settings.register_profile("dev", max_examples=25, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+_PROFILE_EXAMPLES = settings().max_examples
+
+#: Bit-identity suites: twice the profile's example budget.
+DETERMINISM_SETTINGS = settings(max_examples=2 * _PROFILE_EXAMPLES, deadline=None)
+#: I/O-bound tests: a fifth of the profile's budget, at least five.
+QUICK_SETTINGS = settings(max_examples=max(5, _PROFILE_EXAMPLES // 5), deadline=None)
 
 
 def ensemble_tolerance(n: int, base: float = 1.0, floor: float = 0.01) -> float:

@@ -4,25 +4,16 @@ Hypothesis settings profiles (per the standard idiom): the ``dev``
 profile keeps property tests fast during local iteration, ``ci`` runs
 them thoroughly.  CI selects its profile via ``HYPOTHESIS_PROFILE=ci``
 (the workflow sets it); explicit ``--hypothesis-profile`` still wins.
+The profiles and the per-test settings tiers live in ``_helpers``,
+which registers and loads them on import.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from _helpers import dispatch_instances, server_instances  # noqa: F401 (re-export)
-
-# ---------------------------------------------------------------------------
-# Hypothesis profiles: thorough in CI, fast for local development.
-# ---------------------------------------------------------------------------
-
-settings.register_profile("ci", max_examples=200, deadline=None)
-settings.register_profile("dev", max_examples=25, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 # ---------------------------------------------------------------------------

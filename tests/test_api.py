@@ -41,7 +41,7 @@ class TestDocumentation:
             "TWFPolicy",
             "Simulation",
             "ResponseTimeHistogram",
-            "ServerQueue",
+            "SizedServerQueue",
         ],
     )
     def test_public_methods_documented(self, cls_name):
@@ -80,7 +80,7 @@ class TestSubmodules:
             "repro.sim.engine",
             "repro.sim.arrivals",
             "repro.sim.service",
-            "repro.sim.server",
+            "repro.sim.backends",
             "repro.sim.metrics",
             "repro.sim.seeding",
             "repro.sim.sized",

@@ -10,7 +10,7 @@ The contract under test (ISSUE 2 acceptance):
 * stochastic policies with native batch paths preserve exact job
   accounting and are statistically equivalent;
 * the block-resolved :class:`BatchQueueStore` reproduces the reference
-  :class:`ServerQueue` drain exactly, batch by batch;
+  :class:`SizedServerQueue` drain of unit jobs exactly, batch by batch;
 * ``ResponseTimeHistogram.record_many`` equals the equivalent sequence
   of ``record`` calls.
 """
@@ -32,7 +32,7 @@ from repro.sim.backends import (
 from repro.sim.batchstore import BatchQueueStore
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
-from repro.sim.server import ServerQueue
+from repro.sim.backends import SizedServerQueue
 from repro.sim.service import GeometricService
 
 #: Policies whose decisions involve no randomness: identical runs on both
@@ -156,9 +156,10 @@ class TestRegistry:
                 wrapper(ExperimentConfig(rounds=150, backend="bogus"))
 
     def test_experiment_validates_backend_per_registry(self):
-        """Sized cells resolve the backend in the sized registry: known
-        names (fast included) construct, unknown names fail at
-        construction with the sized registry's own error message."""
+        """Sized and unit cells resolve the backend in the one registry:
+        known names (fast included) construct, unknown names fail at
+        construction with the registry's own error message, and a
+        unit-only backend refuses sized workloads."""
         from repro.experiments import Experiment, WorkloadSpec
         from repro.sim.sized import GeometricSize
         from repro.workloads.scenarios import SystemSpec
@@ -171,8 +172,10 @@ class TestRegistry:
             workloads=(WorkloadSpec.sized(GeometricSize(2.0)),),
         )
         assert Experiment(**sized, backend="fast").backend == "fast"
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             Experiment(**sized, backend="warp-drive")
+        with pytest.raises(ValueError, match="cannot run sized workloads"):
+            Experiment(**sized, backend="meanfield")
         with pytest.raises(ValueError, match="unknown engine backend"):
             Experiment(
                 policies=["jsq"],
@@ -363,8 +366,8 @@ class TestBatchQueueStore:
     """The block resolver against the reference per-server deques."""
 
     def reference_drain(self, n, received_blocks, done_blocks, warmup):
-        """Replay the same admissions/completions through ServerQueues."""
-        servers = [ServerQueue() for _ in range(n)]
+        """Replay the same admissions/completions through SizedServerQueues."""
+        servers = [SizedServerQueue() for _ in range(n)]
         histogram = ResponseTimeHistogram()
         t = 0
         for received_block, done_block in zip(received_blocks, done_blocks):
@@ -376,7 +379,7 @@ class TestBatchQueueStore:
                     completed = servers[s].complete(int(done_block[i, s]), t, sink)
                     assert completed == int(done_block[i, s])
                 t += 1
-        return histogram, np.array([q.length for q in servers], dtype=np.int64)
+        return histogram, np.array([q.units for q in servers], dtype=np.int64)
 
     @given(
         seed=st.integers(0, 2**20),

@@ -32,14 +32,16 @@ class TestPolicies:
 
 
 class TestBackends:
-    def test_lists_both_registries(self, capsys):
+    def test_lists_one_registry(self, capsys):
         code, out = run_cli(capsys, "backends")
         assert code == 0
-        assert "engine backends (unsized jobs):" in out
-        assert "sized engine backends (unit-denominated queues):" in out
-        # Both registries carry reference and fast.
-        assert out.count("reference") == 2
-        assert out.count("fast") >= 2
+        assert out.startswith("engine backends (unit or sized jobs):")
+        assert "sized engine backends" not in out
+        # One table: every backend once, with its capability column.
+        rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+        assert {"reference", "fast", "compiled", "sharded", "meanfield"} <= set(rows)
+        assert "checkpoint,probes,sized" in rows["fast"]
+        assert "unit-only" in rows["meanfield"]
 
 
 class TestExperiment:

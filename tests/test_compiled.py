@@ -35,12 +35,10 @@ from repro.sim.compiled import (
     CompiledBackend,
     CompiledBatchQueueStore,
     CompiledSizedBatchQueueStore,
-    SizedCompiledBackend,
     compiled_round_kernel_for,
     make_shard_store,
 )
 from repro.sim.metrics import ResponseTimeHistogram
-from repro.sim.sizedbackends import available_sized_backends, make_sized_backend
 
 
 class Recorder:
@@ -215,11 +213,9 @@ class TestFallback:
         assert backend.name == "compiled"
         assert backend.jit_active is False
         assert "fallback" in backend.description
-        sized = make_sized_backend("compiled")
-        assert isinstance(sized, SizedCompiledBackend)
-        assert sized.jit_active is False
+        assert isinstance(backend._make_store(3, True), CompiledSizedBatchQueueStore)
         # The store delegates to the numpy resolver...
-        store = backend._make_store(3)
+        store = backend._make_store(3, False)
         assert isinstance(store, CompiledBatchQueueStore)
         histogram = ResponseTimeHistogram()
         block = np.ones((2, 3), dtype=np.int64)
@@ -229,8 +225,11 @@ class TestFallback:
         assert backend._round_kernel(_FakeSim(make_policy("rr"))) is None
 
     def test_registered_in_both_registries(self):
+        """One registry now serves unit and sized jobs alike."""
+        from repro.sim.backends import backend_capabilities
+
         assert "compiled" in available_backends()
-        assert "compiled" in available_sized_backends()
+        assert backend_capabilities("compiled").supports_sized
 
     def test_compiled_takes_no_parameters(self):
         with pytest.raises(ValueError, match="takes no ':' parameters"):

@@ -73,6 +73,50 @@ class TestResultRoundTrip:
         assert restored.queue_series is None
 
 
+class TestSizedResults:
+    def test_sized_round_trip_keeps_job_count(self):
+        import repro
+
+        rates = np.full(3, 4.0)
+        run = repro.Simulation(
+            rates=rates,
+            policy=repro.make_policy("jsq"),
+            arrivals=repro.PoissonArrivals(np.ones(2)),
+            service=repro.GeometricService(rates),
+            config=repro.SimulationConfig(rounds=60),
+            sizes=repro.GeometricSize(2.0),
+        ).run()
+        payload = result_to_dict(run)
+        assert payload["total_jobs"] == run.total_jobs
+        restored = result_from_dict(json.loads(json.dumps(payload)))
+        assert restored.total_jobs == run.total_jobs
+        assert restored.total_arrived == run.total_arrived
+        np.testing.assert_array_equal(restored.final_queues, run.final_queues)
+
+    def test_unit_payload_has_no_job_count(self, result):
+        assert "total_jobs" not in result_to_dict(result)
+        assert result_from_dict(result_to_dict(result)).total_jobs is None
+
+    def test_pinned_legacy_sized_result_loads(self):
+        """A ``sized_result`` file written before sized and unit jobs
+        shared one result type loads with units as the totals."""
+        from pathlib import Path
+
+        path = Path(__file__).parent / "data" / "sized_result_v1.json"
+        loaded = result_from_dict(json.loads(path.read_text()))
+        assert loaded.policy_name == "jsq"
+        assert loaded.config is None
+        assert loaded.final_queues is None
+        assert loaded.server_received is None and loaded.server_departed is None
+        assert loaded.total_jobs == 262
+        assert (loaded.total_arrived, loaded.total_departed, loaded.final_queued) == (
+            507, 505, 2
+        )
+        assert loaded.histogram.total == 261
+        assert len(loaded.queue_series.values) == 40
+        assert loaded.mean_response_time == pytest.approx(1.632183908045977)
+
+
 class TestSweepRoundTrip:
     def test_round_trip(self, tmp_path):
         sweep = mean_response_sweep(["scd", "wr"], SYSTEM, (0.6, 0.9), CONFIG)

@@ -46,7 +46,7 @@ from repro.sim.probes import (
     register_probe,
 )
 from repro.sim.service import GeometricService
-from repro.sim.sized import GeometricSize, SizedSimulation
+from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec
 
 ALL_EXTRAS = (
@@ -94,17 +94,16 @@ def run_sized(policy, backend, *, n=8, m=3, rho=0.85, rounds=400,
               warmup=0, seed=0, probes=ALL_EXTRAS, mean_size=3.0):
     rates = _rates(n)
     jobs_per_round = rho * rates.sum() / mean_size
-    return SizedSimulation(
+    return Simulation(
         rates=rates,
         policy=make_policy(policy),
         arrivals=PoissonArrivals(np.full(m, jobs_per_round / m)),
         service=GeometricService(rates),
+        config=SimulationConfig(
+            rounds=rounds, seed=seed, backend=backend, warmup=warmup,
+            probes=probes,
+        ),
         sizes=GeometricSize(mean_size),
-        rounds=rounds,
-        seed=seed,
-        backend=backend,
-        warmup=warmup,
-        probes=probes,
     ).run()
 
 
@@ -595,7 +594,7 @@ class TestBuiltinSemantics:
 
 
 class TestSizedWarmup:
-    """Satellite: the sized engine now supports warmup on both backends."""
+    """Sized runs honor warmup on both backends."""
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_warmup_discards_early_completions(self, backend):
@@ -603,8 +602,8 @@ class TestSizedWarmup:
         gated = run_sized("jsq", backend, warmup=200, probes=())
         assert gated.histogram.total < full.histogram.total
         # Queue accounting is unaffected by the warmup gate.
-        assert gated.total_units_arrived == full.total_units_arrived
-        assert gated.total_units_departed == full.total_units_departed
+        assert gated.total_arrived == full.total_arrived
+        assert gated.total_departed == full.total_departed
         np.testing.assert_array_equal(
             gated.queue_series.values, full.queue_series.values
         )
@@ -618,14 +617,13 @@ class TestSizedWarmup:
     def test_warmup_validation(self):
         rates = _rates(4)
         with pytest.raises(ValueError, match="warmup"):
-            SizedSimulation(
+            Simulation(
                 rates=rates,
                 policy=make_policy("jsq"),
                 arrivals=PoissonArrivals(np.full(2, 1.0)),
                 service=GeometricService(rates),
+                config=SimulationConfig(rounds=10, warmup=10),
                 sizes=GeometricSize(2.0),
-                rounds=10,
-                warmup=10,
             )
 
     def test_sized_cell_accepts_warmup(self):

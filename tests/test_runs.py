@@ -94,6 +94,23 @@ class TestCheckpointStore:
     def test_empty_store_is_fresh_start(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() is None
 
+    def test_resume_refuses_version_one_run_dir(self, tmp_path):
+        """Version-1 snapshots pickle classes that no longer exist; the
+        resume refuses them loudly instead of unpickling."""
+        directory = tmp_path / "run"
+        Run.create(build_sim("fast", sized=True), directory).execute(max_legs=1)
+        manifests = sorted((directory / "checkpoints").glob("ckpt-*.json"))
+        assert manifests
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            manifest["format_version"] = 1
+            path.write_text(json.dumps(manifest))
+        with pytest.warns(RuntimeWarning, match="unsupported format version 1"):
+            with pytest.raises(
+                CheckpointError, match="unsupported format version 1"
+            ):
+                main(["resume", str(directory)])
+
     def test_newest_wins(self, tmp_path):
         store = CheckpointStore(tmp_path)
         for round_index in (256, 512, 1024):

@@ -42,8 +42,9 @@ from repro.scenarios import (
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.batchstore import BatchQueueStore
 from repro.sim.blockdriver import BLOCK_ROUNDS
+from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.probes import ProbeSpec, WindowedStabilityProbe, probe_from_state
-from repro.sim.sized import GeometricSize, SizedSimulation
+from repro.sim.sized import GeometricSize
 from repro.sim.service import GeometricService
 from repro.workloads.scenarios import SystemSpec
 
@@ -149,16 +150,15 @@ def sized_run(scenario, policy, seed, backend):
     rates = rng.uniform(2.0, 10.0, size=8)
     sizes = GeometricSize(2.5)
     jobs_per_round = 0.85 * rates.sum() / sizes.mean
-    return SizedSimulation(
+    return Simulation(
         rates=rates,
         policy=make_policy(policy),
         arrivals=PoissonArrivals(np.full(2, jobs_per_round / 2)),
         service=GeometricService(rates),
+        config=SimulationConfig(
+            rounds=512, seed=seed, backend=backend, scenario=scenario
+        ),
         sizes=sizes,
-        rounds=512,
-        seed=seed,
-        backend=backend,
-        scenario=scenario,
     ).run()
 
 
@@ -177,7 +177,7 @@ class TestSizedBitIdentity:
             np.testing.assert_array_equal(
                 reference.queue_series.values, other.queue_series.values
             )
-            assert reference.total_units_departed == other.total_units_departed
+            assert reference.total_departed == other.total_departed
 
 
 class TestStationaryDefault:

@@ -1,39 +1,44 @@
-"""Tests for the batch-compressed FIFO server queue."""
+"""Tests for the reference kernel's FIFO server queue with unit jobs.
+
+Unit jobs admitted in one round share one cell of the queue, so these
+are the batch-compression semantics; sized jobs are covered in
+``test_sized``.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.metrics import ResponseTimeHistogram
-from repro.sim.server import ServerQueue
+from repro.sim.backends import SizedServerQueue
 
 
 class TestBasics:
     def test_starts_empty(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         assert len(q) == 0
         assert q.complete(5, now=0, histogram=None) == 0
 
     def test_admit_accumulates(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         q.admit(0, 3)
         q.admit(1, 2)
         assert len(q) == 5
 
     def test_admit_nonpositive_is_noop(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         q.admit(0, 0)
         q.admit(0, -2)
         assert len(q) == 0
 
     def test_complete_caps_at_queue_length(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         q.admit(0, 2)
         assert q.complete(10, now=0, histogram=None) == 2
         assert len(q) == 0
 
     def test_complete_caps_at_capacity(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         q.admit(0, 10)
         assert q.complete(4, now=0, histogram=None) == 4
         assert len(q) == 6
@@ -41,14 +46,14 @@ class TestBasics:
 
 class TestFIFOAndResponseTimes:
     def test_same_round_completion_takes_one_round(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         hist = ResponseTimeHistogram()
         q.admit(5, 1)
         q.complete(1, now=5, histogram=hist)
         assert hist.counts[1] == 1  # arrived round 5, done round 5 -> 1 round
 
     def test_fifo_order_across_batches(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         hist = ResponseTimeHistogram()
         q.admit(0, 2)  # two old jobs
         q.admit(3, 2)  # two newer jobs
@@ -59,7 +64,7 @@ class TestFIFOAndResponseTimes:
         assert len(q) == 1
 
     def test_partial_batch_consumption(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         hist = ResponseTimeHistogram()
         q.admit(0, 5)
         q.complete(2, now=1, histogram=hist)
@@ -71,7 +76,7 @@ class TestFIFOAndResponseTimes:
         assert len(q) == 0
 
     def test_none_histogram_discards_but_still_serves(self):
-        q = ServerQueue()
+        q = SizedServerQueue()
         q.admit(0, 3)
         assert q.complete(3, now=0, histogram=None) == 3
         assert len(q) == 0
@@ -90,7 +95,7 @@ class TestPropertyConservation:
     )
     @settings(max_examples=150)
     def test_jobs_conserved_and_lengths_consistent(self, rounds):
-        q = ServerQueue()
+        q = SizedServerQueue()
         hist = ResponseTimeHistogram()
         admitted = 0
         completed = 0
@@ -118,7 +123,7 @@ class TestPropertyConservation:
     def test_response_times_nondecreasing_within_run(self, rounds):
         """FIFO means a later departure never belongs to a later arrival
         than an earlier departure -- response times per round are valid."""
-        q = ServerQueue()
+        q = SizedServerQueue()
         for t, (arrivals, capacity) in enumerate(rounds):
             hist = ResponseTimeHistogram()
             q.admit(t, arrivals)

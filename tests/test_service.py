@@ -18,10 +18,14 @@ import pickle
 import signal
 import socket
 import struct
+import tempfile
 import threading
 import time
 
 import pytest
+from _helpers import QUICK_SETTINGS
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.persistence import (
     experiment_from_descriptor,
@@ -61,6 +65,26 @@ def small_experiment(rounds: int = 400, loads=(0.8, 0.95)) -> Experiment:
         loads=list(loads),
         rounds=rounds,
     )
+
+
+def assert_no_leaked_threads() -> None:
+    """Every coordinator and API thread joined (teardown check)."""
+    leaked = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("federation-", "service-api"))
+    ]
+    assert not leaked, f"service threads leaked: {leaked}"
+
+
+def plant_checkpoint(store, round_index: int, version) -> None:
+    """Commit a checkpoint stamped with format ``version`` whose payload
+    raises if anything ever unpickles it."""
+    store.write(round_index, b"not a pickle")
+    path = store.manifest_paths()[0]
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = version
+    path.write_text(json.dumps(manifest))
 
 
 def wait_until(predicate, timeout: float = 30.0, interval: float = 0.02):
@@ -225,6 +249,25 @@ class TestJobManager:
         assert indices == list(range(experiment.size))
         manager.close()
 
+    @given(
+        version=st.one_of(
+            st.integers(-3, 1), st.integers(3, 50), st.none(), st.text(max_size=3)
+        )
+    )
+    @QUICK_SETTINGS
+    def test_foreign_format_checkpoint_is_not_adopted(self, version):
+        """A stored checkpoint of another format version is absent to
+        adoption: the cell restarts from round 0."""
+        with tempfile.TemporaryDirectory() as root:
+            manager = JobManager(root)
+            job = manager.submit(small_experiment(rounds=300, loads=(0.8,)))
+            plant_checkpoint(manager.job(job).cell_store(0), 256, version)
+            with pytest.warns(RuntimeWarning, match="unsupported format version"):
+                _, cell, _, adoption = manager.next_cell()
+            assert cell.index == 0
+            assert adoption is None
+            manager.close()
+
     def test_requeued_cell_comes_back_first(self, tmp_path):
         manager = JobManager(tmp_path)
         job = manager.submit(small_experiment())
@@ -345,6 +388,7 @@ def service(tmp_path):
     api.stop()
     coordinator.stop()
     manager.close()
+    assert_no_leaked_threads()
 
 
 def start_worker_thread(coordinator, **kwargs) -> threading.Thread:
@@ -382,6 +426,43 @@ class TestFederation:
         assert kinds[-1] == "job-finished"
         assert kinds.count("cell-leased") == experiment.size
         assert kinds.count("cell-finished") == experiment.size
+
+    def test_old_format_checkpoint_reruns_cell_from_round_zero(self, service):
+        """A version-1 snapshot left in the adoption cache is never
+        unpickled (its payload would raise): the cell is leased without
+        adoption and reruns from round 0 to the serial result."""
+        manager, coordinator, _api = service
+        experiment = Experiment(
+            policies=["jsq"], systems=SYSTEM, loads=[0.8], rounds=600,
+            backend="fast",
+        )
+        baseline = SerialExecutor().run(experiment)
+        job = manager.submit(experiment)
+        plant_checkpoint(manager.job(job).cell_store(0), 256, 1)
+        with pytest.warns(RuntimeWarning, match="unsupported format version 1"):
+            start_worker_thread(coordinator, name="solo").join(timeout=120)
+        assert manager.job_state(job) == "finished"
+        events = list(iter_events(manager.telemetry_path(job)))
+        leases = [e for e in events if e["event"] == "cell-leased"]
+        assert [e["adopted_round"] for e in leases] == [None]
+        stored = load_experiment(manager.result_path(job))
+        assert tuple(stored.records) == tuple(baseline)
+
+    def test_stop_wakes_accept_and_joins_every_thread(self, tmp_path):
+        """stop() returns promptly even with an idle connection open and
+        leaves no coordinator thread behind."""
+        manager = JobManager(tmp_path / "data")
+        coordinator = FederationCoordinator(manager, heartbeat_interval=5.0)
+        coordinator.start()
+        idle = connect_channel(coordinator.address)
+        wait_until(lambda: len(coordinator._threads) == 3)
+        start = time.monotonic()
+        coordinator.stop()
+        assert time.monotonic() - start < 2.0
+        assert all(not thread.is_alive() for thread in coordinator._threads)
+        idle.close()
+        manager.close()
+        assert_no_leaked_threads()
 
     def test_worker_exception_requeues_then_fails_job(self, service):
         manager, coordinator, _api = service
@@ -457,6 +538,7 @@ class TestFailover:
         finally:
             coordinator.stop()
             manager.close()
+        assert_no_leaked_threads()
 
     def test_silent_worker_loses_lease_and_stale_messages_bounce(self, service):
         """A wedged worker (socket open, no heartbeats) is declared
@@ -795,6 +877,7 @@ def token_service(tmp_path):
     yield manager, coordinator
     coordinator.stop()
     manager.close()
+    assert_no_leaked_threads()
 
 
 class TestWorkerAuth:

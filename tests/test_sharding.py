@@ -2,11 +2,12 @@
 
 The contract under test:
 
-* ``"sharded"`` is registered in *both* engine-backend registries and
-  parameterizes through the name (``sharded:4``, ``sharded:4:process``);
+* ``"sharded"`` is registered in the engine-backend registry, runs unit
+  and sized jobs, and parameterizes through the name (``sharded:4``,
+  ``sharded:4:process``);
 * ``sharded:{1,2,4}`` is **bit-identical** to ``"fast"`` for
-  deterministic (and fallback, and LSQ-native) policies on both the
-  unsized and the sized engine -- including warmup, non-default probe
+  deterministic (and fallback, and LSQ-native) policies with unit and
+  sized jobs -- including warmup, non-default probe
   sets, and probe summaries (``server_stats`` via the new partition
   merge);
 * stochastic native policies keep exact accounting and the identical
@@ -15,8 +16,8 @@ The contract under test:
   (workers hold no RNG -- scheduling cannot perturb results);
 * ``Probe.merge_partition`` concatenates per-server state across shards
   and falls back to ``merge`` everywhere that is already correct;
-* the backend name travels end-to-end: ``SimulationConfig`` /
-  ``SizedSimulation`` -> ``simulate_cell`` -> ``Experiment`` ->
+* the backend name travels end-to-end: ``SimulationConfig`` ->
+  ``simulate_cell`` -> ``Experiment`` ->
   persistence JSON round-trip -> CLI ``--backend sharded:N``.
 """
 
@@ -46,11 +47,9 @@ from repro.sim.sharding import (
     SerialShardStrategy,
     ShardedBackend,
     ShardPlan,
-    SizedShardedBackend,
     split_probe_specs,
 )
-from repro.sim.sized import GeometricSize, SizedSimulation
-from repro.sim.sizedbackends import available_sized_backends, make_sized_backend
+from repro.sim.sized import GeometricSize
 
 #: Each parity family must stay bit-identical to "fast" under sharding.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
@@ -91,17 +90,16 @@ def run_sized_once(policy, backend, seed=0, n=9, m=3, rho=0.85, rounds=400,
     rates = rng.uniform(2.0, 10.0, size=n)
     sizes = GeometricSize(mean_size)
     jobs_per_round = rho * rates.sum() / sizes.mean
-    return SizedSimulation(
+    return Simulation(
         rates=rates,
         policy=make_policy(policy),
         arrivals=PoissonArrivals(np.full(m, jobs_per_round / m)),
         service=GeometricService(rates),
+        config=SimulationConfig(
+            rounds=rounds, seed=seed, warmup=warmup, backend=backend,
+            probes=probes,
+        ),
         sizes=sizes,
-        rounds=rounds,
-        seed=seed,
-        warmup=warmup,
-        backend=backend,
-        probes=probes,
     ).run()
 
 
@@ -122,14 +120,9 @@ def assert_identical(a, b):
 
 
 def assert_sized_identical(a, b):
-    """Both SizedSimulationResults describe the exact same run."""
+    """Both sized results describe the exact same run, job count included."""
     assert a.total_jobs == b.total_jobs
-    assert a.total_units_arrived == b.total_units_arrived
-    assert a.total_units_departed == b.total_units_departed
-    assert a.final_units_queued == b.final_units_queued
-    np.testing.assert_array_equal(a.histogram.counts, b.histogram.counts)
-    np.testing.assert_array_equal(a.queue_series.values, b.queue_series.values)
-    assert_same_probe_summaries(a, b)
+    assert_identical(a, b)
 
 
 def assert_same_probe_summaries(a, b):
@@ -180,16 +173,19 @@ class TestShardPlan:
 
 class TestRegistry:
     def test_registered_in_both_registries(self):
+        """One registry now serves unit and sized jobs alike."""
+        from repro.sim.backends import backend_capabilities
+
         assert "sharded" in available_backends()
-        assert "sharded" in available_sized_backends()
+        assert backend_capabilities("sharded:2").supports_sized
 
     def test_parameterized_names_resolve(self):
         backend = make_backend("sharded:4")
         assert isinstance(backend, ShardedBackend)
         assert backend.shards == 4 and backend.strategy == "serial"
-        sized = make_sized_backend("SHARDED:2:process")
-        assert isinstance(sized, SizedShardedBackend)
-        assert sized.shards == 2 and sized.strategy == "process"
+        process = make_backend("SHARDED:2:process")
+        assert isinstance(process, ShardedBackend)
+        assert process.shards == 2 and process.strategy == "process"
         bare = make_backend("sharded")
         assert bare.shards == 2 and bare.strategy == "serial"
 
@@ -214,7 +210,7 @@ class TestRegistry:
         assert backend.shards == 4
         assert backend.strategy == "serial"
         assert backend.resolver == "compiled"
-        both = make_sized_backend("sharded:2:process:compiled")
+        both = make_backend("sharded:2:process:compiled")
         assert both.strategy == "process" and both.resolver == "compiled"
         assert make_backend("sharded:2").resolver == "numpy"
         with pytest.raises(ValueError, match="unknown shard strategy"):
@@ -435,20 +431,15 @@ class TestShardingPropertyBased:
         jobs_per_round = rho * rates.sum() / sizes.mean
         results = []
         for backend in ("fast", f"sharded:{shards}"):
-            result = SizedSimulation(
+            result = Simulation(
                 rates=rates,
                 policy=make_policy(policy),
                 arrivals=PoissonArrivals(np.full(m, jobs_per_round / m)),
                 service=GeometricService(rates),
+                config=SimulationConfig(rounds=rounds, seed=seed, backend=backend),
                 sizes=sizes,
-                rounds=rounds,
-                seed=seed,
-                backend=backend,
             ).run()
-            assert (
-                result.total_units_arrived
-                == result.total_units_departed + result.final_units_queued
-            )
+            assert result.total_arrived == result.total_departed + result.final_queued
             results.append(result)
         assert_sized_identical(*results)
 

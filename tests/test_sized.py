@@ -16,15 +16,11 @@ from repro.core.sized import (
 from repro.core.sized_policy import SizedSCDPolicy
 from repro.policies.base import SystemContext, make_policy
 from repro.sim.arrivals import PoissonArrivals
+from repro.sim.backends import SizedServerQueue
+from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.service import GeometricService
-from repro.sim.sized import (
-    BimodalSize,
-    DeterministicSize,
-    GeometricSize,
-    SizedServerQueue,
-    SizedSimulation,
-)
+from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 
 
 class TestGeneralizedSolver:
@@ -168,7 +164,7 @@ class TestSizeDistributions:
 class TestSizedServerQueue:
     def test_units_accounting(self):
         q = SizedServerQueue()
-        q.admit(0, np.array([3, 2]))
+        q.admit(0, 2, np.array([3, 2]))
         assert len(q) == 5
         assert q.complete(4, now=1, histogram=None) == 4
         assert len(q) == 1
@@ -176,7 +172,7 @@ class TestSizedServerQueue:
     def test_job_completes_when_last_unit_done(self):
         q = SizedServerQueue()
         hist = ResponseTimeHistogram()
-        q.admit(0, np.array([3]))
+        q.admit(0, 1, np.array([3]))
         q.complete(2, now=0, histogram=hist)  # partial: no completion yet
         assert hist.total == 0
         q.complete(2, now=2, histogram=hist)  # finishes at round 2
@@ -186,7 +182,7 @@ class TestSizedServerQueue:
     def test_fifo_across_jobs(self):
         q = SizedServerQueue()
         hist = ResponseTimeHistogram()
-        q.admit(0, np.array([2, 1]))
+        q.admit(0, 2, np.array([2, 1]))
         q.complete(3, now=1, histogram=hist)
         assert hist.total == 2
         assert hist.counts[2] == 2
@@ -198,34 +194,32 @@ class TestSizedSimulation:
         rates = rng.uniform(2.0, 12.0, size=20)  # units per round
         jobs_per_round = rho * rates.sum() / sizes.mean
         arrivals = PoissonArrivals(np.full(m, jobs_per_round / m))
-        sim = SizedSimulation(
+        sim = Simulation(
             rates=rates,
             policy=policy,
             arrivals=arrivals,
             service=GeometricService(rates),
+            config=SimulationConfig(rounds=rounds, seed=seed),
             sizes=sizes,
-            rounds=rounds,
-            seed=seed,
         )
         return sim.run()
 
     def test_unit_accounting(self):
         result = self.run_sized(make_policy("sed"), GeometricSize(3.0))
-        assert (
-            result.total_units_arrived
-            == result.total_units_departed + result.final_units_queued
-        )
+        assert result.total_arrived == result.total_departed + result.final_queued
         assert result.histogram.total <= result.total_jobs
 
     def test_unit_sizes_match_base_engine_statistically(self):
         result = self.run_sized(make_policy("jsq"), DeterministicSize(1))
-        assert result.total_units_arrived == result.total_jobs
+        # Unit sizes run as unit jobs: the job count is the unit count.
+        assert result.total_jobs is None
+        assert result.histogram.total <= result.total_arrived
 
     def test_workload_identical_across_policies(self):
         a = self.run_sized(make_policy("scd"), GeometricSize(2.5), seed=9)
         b = self.run_sized(make_policy("jsq"), GeometricSize(2.5), seed=9)
         assert a.total_jobs == b.total_jobs
-        assert a.total_units_arrived == b.total_units_arrived
+        assert a.total_arrived == b.total_arrived
 
     def test_size_aware_scd_beats_size_oblivious_scd(self):
         """The open-problem-1 payoff: knowing E[W], E[W^2] helps.

@@ -1,54 +1,58 @@
-"""Tests for the sized-engine backend registry and the vectorized sized kernel.
+"""One parity suite for every backend, parametrized over job sizes.
 
-The contract under test (ISSUE 3 acceptance):
+Every simulation kernel runs unit jobs (``sizes=None``) and sized jobs
+through the same engine, so the parity contract is stated once over the
+size distributions ``None``, ``DeterministicSize(3)``, ``GeometricSize``
+and ``BimodalSize``:
 
-* the sized backend registry mirrors the base engine registry
-  (names, errors, descriptions);
-* the ``"fast"`` sized backend is *bit-identical* to ``"reference"`` --
-  same seeds give the same :class:`SizedSimulationResult` including
-  histograms, queue series, and unit accounting -- for deterministic
-  policies (native batch paths included) and for every policy on the
-  base-class ``dispatch_round`` fallback, across all three job-size
-  distributions;
-* stochastic policies with native batch paths keep exact unit
-  accounting and see the identical workload realization;
+* the one backend registry carries every kernel, names its errors, and
+  marks which backends run sized workloads;
+* ``"fast"`` and ``"compiled"`` are *bit-identical* to ``"reference"``
+  -- same seeds give the same :class:`SimulationResult`, including
+  histograms, queue series, per-server arrays and unit accounting --
+  for deterministic policies (native batch paths included) and for
+  every policy on the base-class ``dispatch_round`` fallback;
+* ``DeterministicSize(1)`` is the unit workload, field for field, on
+  every kernel;
+* stochastic policies with native batch paths keep exact accounting and
+  see the identical workload realization;
 * the unit-denominated :class:`SizedBatchQueueStore` reproduces the
   reference :class:`SizedServerQueue` drain exactly, job by job,
   including partial service of the head job across block boundaries;
 * ``wrr``'s native smooth-credit batch path is bit-identical to the
   per-dispatcher fallback loop (counts *and* carried credit state);
-* the backend choice is plumbed end-to-end: ``SizedSimulation``,
-  ``simulate_cell``, ``Experiment`` grids, JSON persistence, and the
-  CLI all accept sized + ``"fast"``.
+* sizes are plumbed end-to-end: ``Simulation(sizes=...)``,
+  ``simulate_cell``, ``Experiment`` grids and JSON persistence.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _helpers import DETERMINISM_SETTINGS
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.policies.base import Policy, SystemContext, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
+from repro.sim.backends import (
+    FastBackend,
+    ReferenceBackend,
+    SizedServerQueue,
+    available_backends,
+    backend_capabilities,
+    backend_descriptions,
+    make_backend,
+)
 from repro.sim.batchstore import SizedBatchQueueStore
+from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.service import GeometricService
-from repro.sim.sized import (
-    BimodalSize,
-    DeterministicSize,
-    GeometricSize,
-    SizedServerQueue,
-    SizedSimulation,
-)
-from repro.sim.sizedbackends import (
-    SizedFastBackend,
-    SizedReferenceBackend,
-    available_sized_backends,
-    make_sized_backend,
-    sized_backend_descriptions,
-)
+from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 
 #: Policies whose decisions involve no randomness (native batch paths
-#: included): identical runs on both backends are required bit-for-bit.
+#: included): identical runs on every backend are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stateful / stochastic policies without a native batch path: they run
 #: through the fallback, so they must also be bit-identical.
@@ -63,85 +67,106 @@ NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
 NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
 
 SIZE_DISTRIBUTIONS = {
+    "unit": None,
     "det3": DeterministicSize(3),
     "geom2.5": GeometricSize(2.5),
     "bimodal": BimodalSize(small=1, large=20, large_prob=0.05),
 }
 
 
-def run_once(policy, sizes, backend, seed=0, n=8, m=3, rho=0.85, rounds=400):
-    rng = np.random.default_rng(123)
-    rates = rng.uniform(2.0, 10.0, size=n)
-    jobs_per_round = rho * rates.sum() / sizes.mean
-    return SizedSimulation(
+def mean_size(sizes) -> float:
+    return 1.0 if sizes is None else sizes.mean
+
+
+def run_once(policy, sizes, backend, seed=0, rates=None, m=3, rho=0.85, rounds=400, n=8):
+    """One run; ``backend`` is a registry name or a backend instance."""
+    if rates is None:
+        rates = np.random.default_rng(123).uniform(2.0, 10.0, size=n)
+    jobs_per_round = rho * rates.sum() / mean_size(sizes)
+    name = backend if isinstance(backend, str) else backend.name
+    sim = Simulation(
         rates=rates,
         policy=make_policy(policy),
         arrivals=PoissonArrivals(np.full(m, jobs_per_round / m)),
         service=GeometricService(rates),
+        config=SimulationConfig(rounds=rounds, seed=seed, backend=name),
         sizes=sizes,
-        rounds=rounds,
-        seed=seed,
-        backend=backend,
-    ).run()
+    )
+    return sim.run() if isinstance(backend, str) else backend.run(sim)
 
 
-def forced_sized_compiled():
-    """A sized ``compiled`` backend running the compiled control flow
-    even without numba (the plain-Python twins of the jitted code)."""
-    backend = make_sized_backend("compiled")
+def forced_compiled():
+    """A ``compiled`` backend running the compiled control flow even
+    without numba (the plain-Python twins of the jitted code)."""
+    backend = make_backend("compiled")
     backend.force = True
     return backend
 
 
+def summaries(result) -> str:
+    """Every probe summary, NaN-safe comparable (NaN != NaN as floats)."""
+    return json.dumps(result.probe_summaries(), sort_keys=True)
+
+
+def assert_conserved(result):
+    assert result.total_arrived == result.total_departed + result.final_queued
+    if result.total_jobs is not None:
+        assert result.histogram.total <= result.total_jobs
+
+
 def assert_identical(a, b):
-    """Both SizedSimulationResults describe the exact same run."""
+    """Both results describe the exact same run, field by field."""
     assert a.total_jobs == b.total_jobs
-    assert a.total_units_arrived == b.total_units_arrived
-    assert a.total_units_departed == b.total_units_departed
-    assert a.final_units_queued == b.final_units_queued
+    assert a.total_arrived == b.total_arrived
+    assert a.total_departed == b.total_departed
+    assert a.final_queued == b.final_queued
+    for name in ("final_queues", "server_received", "server_departed"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     np.testing.assert_array_equal(a.histogram.counts, b.histogram.counts)
     assert a.histogram.max_response_time == b.histogram.max_response_time
     np.testing.assert_array_equal(a.queue_series.values, b.queue_series.values)
+    assert summaries(a) == summaries(b)
 
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert {"reference", "fast"} <= set(available_sized_backends())
+        assert {"reference", "fast"} <= set(available_backends())
 
-    def test_mirrors_base_registry_names(self):
-        from repro.sim.backends import available_backends, backend_capabilities
-
-        base = set(available_backends())
-        sized = set(available_sized_backends())
-        # Analytic backends integrate a fluid limit that has no
-        # job-size dimension, so they live only in the unsized registry;
-        # every simulation kernel must exist in both.
-        analytic = {name for name in base if backend_capabilities(name).analytic}
-        assert "meanfield" in analytic
-        assert base - analytic == sized
+    def test_sized_capability_marks_simulation_kernels(self):
+        """Every simulation kernel runs sized jobs; analytic backends
+        integrate a fluid limit with no job-size dimension and say so."""
+        for name in available_backends():
+            caps = backend_capabilities(name)
+            assert caps.supports_sized == (not caps.analytic), name
+            assert ("unit-only" in caps.describe()) == caps.analytic
+        assert not backend_capabilities("meanfield").supports_sized
 
     def test_descriptions_cover_all(self):
-        descriptions = sized_backend_descriptions()
-        assert set(descriptions) == set(available_sized_backends())
+        descriptions = backend_descriptions()
+        assert set(descriptions) == set(available_backends())
         assert all(descriptions.values())
 
     def test_make_backend_by_name_and_passthrough(self):
-        assert isinstance(make_sized_backend("reference"), SizedReferenceBackend)
-        assert isinstance(make_sized_backend("FAST"), SizedFastBackend)
-        instance = SizedFastBackend()
-        assert make_sized_backend(instance) is instance
+        assert isinstance(make_backend("reference"), ReferenceBackend)
+        assert isinstance(make_backend("FAST"), FastBackend)
+        instance = FastBackend()
+        assert make_backend(instance) is instance
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
-            make_sized_backend("warp-drive")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            make_backend("warp-drive")
 
     def test_simulation_rejects_empty_backend(self):
         with pytest.raises(ValueError, match="non-empty"):
-            run_once("jsq", DeterministicSize(1), backend="", rounds=10)
+            run_once("jsq", GeometricSize(2.0), backend="", rounds=10)
 
     def test_unknown_backend_fails_at_run(self):
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
-            run_once("jsq", DeterministicSize(1), backend="warp-drive", rounds=10)
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            run_once("jsq", GeometricSize(2.0), backend="warp-drive", rounds=10)
+
+    def test_meanfield_refuses_sized_workloads(self):
+        with pytest.raises(ValueError, match="unit jobs only"):
+            run_once("jsq", GeometricSize(2.0), backend="meanfield", rounds=10)
 
 
 class TestBitExactness:
@@ -165,7 +190,7 @@ class TestBitExactness:
     @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)
     def test_native_bit_identical_policies(self, policy):
         """LSQ's native path draws the identical refresh stream, so it
-        stays bit-identical on the sized engine too."""
+        stays bit-identical with sized jobs too."""
         assert has_native_dispatch_round(make_policy(policy))
         sizes = GeometricSize(2.5)
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
@@ -188,19 +213,60 @@ class TestBitExactness:
         assert_identical(a, b)
 
     def test_unit_sizes_match_base_model(self):
-        """DeterministicSize(1) recovers the base model's job counting."""
+        """DeterministicSize(1) is normalised to the unit workload."""
         a = run_once("jsq", DeterministicSize(1), "fast", seed=2)
-        assert a.total_units_arrived == a.total_jobs
+        b = run_once("jsq", None, "fast", seed=2)
+        assert a.total_jobs is None
+        assert_identical(a, b)
+
+
+class TestUnitSizeProperty:
+    """``DeterministicSize(1)`` equals the unit workload field for field."""
+
+    @given(
+        backend=st.sampled_from(
+            ["reference", "fast", "compiled", "sharded:2", "sharded:2:process"]
+        ),
+        policy=st.sampled_from(DETERMINISTIC_POLICIES + ["scd", "jsq(2)"]),
+        seed=st.integers(0, 2**20),
+        n=st.integers(2, 7),
+        m=st.integers(1, 4),
+        rho=st.floats(0.3, 1.05),
+        rounds=st.integers(1, 300),
+    )
+    @DETERMINISM_SETTINGS
+    def test_unit_size_equals_unit_workload(
+        self, backend, policy, seed, n, m, rho, rounds
+    ):
+        rates = np.random.default_rng(seed % 1000).uniform(0.5, 12.0, size=n)
+        results = [
+            run_once(policy, sizes, backend, seed=seed, rates=rates, m=m,
+                     rho=rho, rounds=rounds)
+            for sizes in (DeterministicSize(1), None)
+        ]
+        for field in dataclasses.fields(results[0]):
+            if field.name == "probes":
+                continue
+            a, b = (getattr(r, field.name) for r in results)
+            if isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            elif field.name == "histogram":
+                np.testing.assert_array_equal(a.counts, b.counts)
+            elif field.name == "queue_series":
+                np.testing.assert_array_equal(a.values, b.values)
+            else:
+                assert a == b, field.name
+        assert summaries(results[0]) == summaries(results[1])
 
 
 class TestCompiledBitExactness:
-    """The sized ``compiled`` kernel against ``fast``, compiled control
-    flow forced on so numba-less hosts cover the jitted per-job resolver's
-    exact (plain-Python) body."""
+    """The ``compiled`` kernel against ``fast``, compiled control flow
+    forced on so numba-less hosts cover the jitted resolvers' exact
+    (plain-Python) bodies."""
 
     def test_registered_with_description(self):
-        assert "compiled" in available_sized_backends()
-        assert sized_backend_descriptions()["compiled"]
+        assert "compiled" in available_backends()
+        assert backend_descriptions()["compiled"]
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
     @pytest.mark.parametrize(
@@ -209,7 +275,7 @@ class TestCompiledBitExactness:
     def test_bit_identical_to_fast(self, policy, dist):
         sizes = SIZE_DISTRIBUTIONS[dist]
         a = run_once(policy, sizes, "fast", seed=5, rounds=300)
-        b = run_once(policy, sizes, forced_sized_compiled(), seed=5, rounds=300)
+        b = run_once(policy, sizes, forced_compiled(), seed=5, rounds=300)
         assert_identical(a, b)
 
     def test_multi_block_partial_head_carry(self):
@@ -217,9 +283,7 @@ class TestCompiledBitExactness:
         their remaining units identically."""
         sizes = BimodalSize(small=2, large=40, large_prob=0.1)
         a = run_once("jsq", sizes, "fast", seed=17, rounds=600, rho=1.02)
-        b = run_once(
-            "jsq", sizes, forced_sized_compiled(), seed=17, rounds=600, rho=1.02
-        )
+        b = run_once("jsq", sizes, forced_compiled(), seed=17, rounds=600, rho=1.02)
         assert_identical(a, b)
 
     @given(
@@ -231,31 +295,17 @@ class TestCompiledBitExactness:
         rho=st.floats(0.3, 1.05),
         rounds=st.integers(1, 120),
     )
-    @settings(max_examples=25, deadline=None)
+    @DETERMINISM_SETTINGS
     def test_compiled_agrees_with_fast(
         self, policy, dist, seed, n, m, rho, rounds
     ):
         sizes = SIZE_DISTRIBUTIONS[dist]
-        rng = np.random.default_rng(seed % 1000)
-        rates = rng.uniform(0.5, 12.0, size=n)
-        jobs_per_round = rho * rates.sum() / sizes.mean
-        lambdas = np.full(m, jobs_per_round / m)
+        rates = np.random.default_rng(seed % 1000).uniform(0.5, 12.0, size=n)
         results = []
-        for backend in ("fast", forced_sized_compiled()):
-            result = SizedSimulation(
-                rates=rates,
-                policy=make_policy(policy),
-                arrivals=PoissonArrivals(lambdas),
-                service=GeometricService(rates),
-                sizes=sizes,
-                rounds=rounds,
-                seed=seed,
-                backend=backend,
-            ).run()
-            assert (
-                result.total_units_arrived
-                == result.total_units_departed + result.final_units_queued
-            )
+        for backend in ("fast", forced_compiled()):
+            result = run_once(policy, sizes, backend, seed=seed, rates=rates,
+                              m=m, rho=rho, rounds=rounds)
+            assert_conserved(result)
             results.append(result)
         assert_identical(*results)
 
@@ -268,11 +318,7 @@ class TestStochasticNativePaths:
     @pytest.mark.parametrize("policy", NATIVE_STOCHASTIC_POLICIES)
     def test_exact_unit_accounting(self, policy):
         result = run_once(policy, GeometricSize(2.5), "fast", seed=7, rounds=500)
-        assert (
-            result.total_units_arrived
-            == result.total_units_departed + result.final_units_queued
-        )
-        assert result.histogram.total <= result.total_jobs
+        assert_conserved(result)
 
     @pytest.mark.parametrize("policy", NATIVE_STOCHASTIC_POLICIES)
     def test_identical_workload_realization(self, policy):
@@ -280,7 +326,7 @@ class TestStochasticNativePaths:
         a = run_once(policy, GeometricSize(2.5), "reference", seed=9)
         b = run_once(policy, GeometricSize(2.5), "fast", seed=9)
         assert a.total_jobs == b.total_jobs
-        assert a.total_units_arrived == b.total_units_arrived
+        assert a.total_arrived == b.total_arrived
 
 
 class TestSizedBackendPropertyBased:
@@ -293,7 +339,7 @@ class TestSizedBackendPropertyBased:
         rho=st.floats(0.3, 1.05),
         rounds=st.integers(1, 120),
     )
-    @settings(max_examples=25, deadline=None)
+    @DETERMINISM_SETTINGS
     def test_backends_agree_and_conserve_units(
         self, policy, dist, seed, n, m, rho, rounds
     ):
@@ -301,27 +347,12 @@ class TestSizedBackendPropertyBased:
         random sizes, loads (including slightly inadmissible ones), and
         heterogeneous rate draws."""
         sizes = SIZE_DISTRIBUTIONS[dist]
-        rng = np.random.default_rng(seed % 1000)
-        rates = rng.uniform(0.5, 12.0, size=n)
-        jobs_per_round = rho * rates.sum() / sizes.mean
-        lambdas = np.full(m, jobs_per_round / m)
+        rates = np.random.default_rng(seed % 1000).uniform(0.5, 12.0, size=n)
         results = []
         for backend in ("reference", "fast"):
-            result = SizedSimulation(
-                rates=rates,
-                policy=make_policy(policy),
-                arrivals=PoissonArrivals(lambdas),
-                service=GeometricService(rates),
-                sizes=sizes,
-                rounds=rounds,
-                seed=seed,
-                backend=backend,
-            ).run()
-            assert (
-                result.total_units_arrived
-                == result.total_units_departed + result.final_units_queued
-            )
-            assert result.histogram.total <= result.total_jobs
+            result = run_once(policy, sizes, backend, seed=seed, rates=rates,
+                              m=m, rho=rho, rounds=rounds)
+            assert_conserved(result)
             results.append(result)
         assert_identical(*results)
 
@@ -351,7 +382,7 @@ class TestWRRNativeBatchPath:
         n=st.integers(1, 8),
         m=st.integers(1, 5),
     )
-    @settings(max_examples=40, deadline=None)
+    @DETERMINISM_SETTINGS
     def test_counts_and_credit_state_bit_identical(self, seed, n, m):
         native, fallback = self._bound_pair(n, m, seed)
         rng = np.random.default_rng(seed + 1)
@@ -384,7 +415,7 @@ class TestSizedBatchQueueStore:
         for per_round, done_block in zip(admissions, done_blocks):
             for jobs_by_server, done in zip(per_round, done_block):
                 for s, sizes in jobs_by_server.items():
-                    servers[s].admit(t, np.asarray(sizes, dtype=np.int64))
+                    servers[s].admit(t, len(sizes), np.asarray(sizes, dtype=np.int64))
                 for s in np.flatnonzero(done):
                     sink = gated if t >= warmup else None
                     completed = servers[s].complete(int(done[s]), t, sink)
@@ -401,7 +432,7 @@ class TestSizedBatchQueueStore:
         warmup=st.integers(0, 6),
         max_size=st.integers(1, 9),
     )
-    @settings(max_examples=40, deadline=None)
+    @DETERMINISM_SETTINGS
     def test_matches_sized_server_queue_semantics(
         self, seed, n, blocks, block_len, warmup, max_size
     ):
@@ -556,7 +587,7 @@ class TestEndToEndPlumbing:
         from repro.experiments.workload import WorkloadSpec
         from repro.workloads.scenarios import SystemSpec
 
-        with pytest.raises(ValueError, match="unknown sized engine backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             simulate_cell(
                 "jsq",
                 SystemSpec(4, 1),
@@ -597,8 +628,10 @@ class TestEndToEndPlumbing:
             rounds=120,
             workloads=(WorkloadSpec.sized(GeometricSize(2.0)),),
             backend="fast",
-        ).run(keep_results=False)
+        ).run()
         path = save_experiment(result, tmp_path / "sized.json")
         loaded = load_experiment(path)
         assert loaded.experiment.backend == "fast"
         assert loaded.records == result.records
+        # Sized results now serialize in full, job count included.
+        assert loaded.records[0].result.total_jobs == result.records[0].result.total_jobs
