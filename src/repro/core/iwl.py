@@ -44,7 +44,9 @@ def load_vector(queues: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return queues / rates
 
 
-def _validate(queues: np.ndarray, rates: np.ndarray, arrivals: float) -> None:
+def _validate(
+    queues: np.ndarray, rates: np.ndarray, arrivals: float | np.ndarray
+) -> None:
     if queues.shape != rates.shape:
         raise ValueError(
             f"queues and rates must have the same shape, "
@@ -52,11 +54,11 @@ def _validate(queues: np.ndarray, rates: np.ndarray, arrivals: float) -> None:
         )
     if queues.ndim != 1 or queues.size == 0:
         raise ValueError("queues must be a non-empty 1-D array")
-    if np.any(rates <= 0):
+    if (rates <= 0).any():
         raise ValueError("all service rates must be strictly positive")
-    if np.any(queues < 0):
+    if (queues < 0).any():
         raise ValueError("queue lengths must be non-negative")
-    if arrivals < 0:
+    if (np.asarray(arrivals) < 0).any():
         raise ValueError("arrivals must be non-negative")
 
 
@@ -119,10 +121,10 @@ def compute_iwl_reference(
 def compute_iwl(
     queues: np.ndarray,
     rates: np.ndarray,
-    arrivals: float,
+    arrivals: float | np.ndarray,
     *,
     order: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Compute the IWL with a vectorized prefix-sum water fill.
 
     Equivalent to :func:`compute_iwl_reference` but uses cumulative sums,
@@ -130,8 +132,14 @@ def compute_iwl(
 
     Parameters
     ----------
-    queues, rates, arrivals:
+    queues, rates:
         As in :func:`compute_iwl_reference`.
+    arrivals:
+        The incoming work ``a``, a scalar or a 1-D array of values.  An
+        array solves every value against the same snapshot with one sort,
+        one pair of prefix sums and one ``searchsorted``; entry ``i`` of
+        the result is bit-identical to the scalar call with
+        ``arrivals[i]``.
     order:
         Optional precomputed ``argsort`` of ``q_s / mu_s``.  The SCD
         dispatching procedure (Algorithm 2) sorts once per round and reuses
@@ -139,11 +147,15 @@ def compute_iwl(
 
     Returns
     -------
-    float
-        The ideal workload level.
+    float or numpy.ndarray
+        The ideal workload level; an array (one level per entry) when
+        ``arrivals`` is an array.
     """
     queues = np.asarray(queues, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
+    many = np.ndim(arrivals) > 0
+    if many:
+        arrivals = np.asarray(arrivals, dtype=np.float64)
     _validate(queues, rates, arrivals)
 
     loads = queues / rates
@@ -153,7 +165,7 @@ def compute_iwl(
     mu_sorted = rates[order]
     q_sorted = queues[order]
 
-    if arrivals == 0.0:
+    if not many and arrivals == 0.0:
         return float(loads_sorted[0])
 
     # With the k+1 least-loaded servers active (k = 0..n-1), the work needed
@@ -164,9 +176,13 @@ def compute_iwl(
     mu_cum = np.cumsum(mu_sorted)
     q_cum = np.cumsum(q_sorted)
     need = mu_cum[:-1] * loads_sorted[1:] - q_cum[:-1]
-    k = int(np.searchsorted(need, arrivals, side="left"))
+    k = np.searchsorted(need, arrivals, side="left")
     # k servers-boundaries fully crossed => k + 1 active servers.
-    return float((arrivals + q_cum[k]) / mu_cum[k])
+    level = (arrivals + q_cum[k]) / mu_cum[k]
+    if not many:
+        return float(level)
+    level[arrivals == 0.0] = loads_sorted[0]
+    return level
 
 
 def compute_iba(

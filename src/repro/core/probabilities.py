@@ -93,15 +93,15 @@ def scd_objective(
 
 
 def _check_inputs(
-    queues: np.ndarray, rates: np.ndarray, arrivals: float
+    queues: np.ndarray, rates: np.ndarray, arrivals: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     queues = np.asarray(queues, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
     if queues.shape != rates.shape or queues.ndim != 1 or queues.size == 0:
         raise ValueError("queues and rates must be equal-shape non-empty 1-D arrays")
-    if np.any(rates <= 0):
+    if (rates <= 0).any():
         raise ValueError("all service rates must be strictly positive")
-    if arrivals < 1:
+    if (np.asarray(arrivals) < 1).any():
         raise ValueError(f"arrivals must be >= 1, got {arrivals}")
     return queues, rates
 
@@ -220,8 +220,8 @@ def scd_probabilities_loop(
 def scd_probabilities(
     queues: np.ndarray,
     rates: np.ndarray,
-    arrivals: float,
-    iwl: float,
+    arrivals: float | np.ndarray,
+    iwl: float | np.ndarray,
     *,
     order: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -233,27 +233,44 @@ def scd_probabilities(
 
     Parameters
     ----------
-    queues, rates, arrivals, iwl:
+    queues, rates:
         As in :func:`scd_probabilities_quadratic`.
+    arrivals, iwl:
+        Scalars as in :func:`scd_probabilities_quadratic`, or two
+        equal-length 1-D arrays of ``(a, iwl)`` pairs.  Arrays are solved
+        together against the same snapshot and give a ``(k, n)`` matrix
+        whose row ``i`` is bit-identical to the scalar call with
+        ``(arrivals[i], iwl[i])``.
     order:
         Optional precomputed ``argsort`` of ``(2q_s+1)/mu_s`` (shared
         across dispatchers within a round by Algorithm 2).
     """
     queues, rates = _check_inputs(queues, rates, arrivals)
-    if arrivals == 1:
+    many = np.ndim(arrivals) > 0
+    if many:
+        # One row per pair: a and iwl become columns, the servers run along
+        # the rows.  Rows with a == 1 are solved with a stand-in a = 2 (the
+        # general formula divides by a - 1), then replaced by Eq. (9).
+        single = np.asarray(arrivals) == 1
+        a = np.where(single, 2.0, arrivals)[:, None]
+        iwl = np.asarray(iwl, dtype=np.float64).reshape(-1, 1)
+    elif arrivals == 1:
         return single_job_probabilities(queues, rates)
+    else:
+        a = float(arrivals)
 
     key = priority_key(queues, rates)
     if order is None:
         order = np.argsort(key, kind="stable")
-    a = float(arrivals)
 
     mu_o = rates[order]
     q_o = queues[order]
     key_o = key[order]
 
     gain = mu_o * iwl - q_o  # mu_s*iwl - q_s per server, in key order
-    lam0_num = 2.0 * np.cumsum(gain) - np.arange(1, key_o.size + 1) - 2.0 * (a - 1.0)
+    lam0_num = (
+        2.0 * np.cumsum(gain, axis=-1) - np.arange(1, key_o.size + 1) - 2.0 * (a - 1.0)
+    )
     lam0_den = np.cumsum(mu_o)
     lam0 = lam0_num / lam0_den
 
@@ -262,13 +279,16 @@ def scd_probabilities(
     four_a1 = 4.0 * (a - 1.0)
     numer = -2.0 * gain + 1.0  # == 2(q_s - mu_s*iwl) + 1
     v1 = lam0_den / four_a1
-    v2 = np.cumsum(numer * numer / mu_o) / four_a1
+    v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_a1
     val = v1 * lam0 * lam0 - v2
     val = np.where(feasible, val, np.inf)
-    best = int(np.argmin(val))
+    best = np.argmin(val, axis=-1, keepdims=True)
+    lam0_best = np.take_along_axis(lam0, best, axis=-1)
 
-    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0[best]) / (2.0 * (a - 1.0))
+    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0_best) / (2.0 * (a - 1.0))
     np.maximum(p, 0.0, out=p)
+    if many and single.any():
+        p[single] = single_job_probabilities(queues, rates)
     return p
 
 

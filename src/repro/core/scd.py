@@ -9,9 +9,15 @@ Per round, a dispatcher that received ``a_d`` jobs:
 
 Step 4 over a whole batch is a multinomial draw.  Steps 2-3 depend only on
 the shared snapshot and on ``a_est``; the two server orderings (by ``q/mu``
-and by ``(2q+1)/mu``) are computed once per round and shared, and the
-``(iwl, P)`` pair is cached per distinct ``a_est`` within a round
-(dispatchers with equal batch sizes produce identical estimates).
+and by ``(2q+1)/mu``) are computed once per round and shared.  The
+per-dispatcher :meth:`SCDPolicy.dispatch` caches the ``(iwl, P)`` pair per
+distinct ``a_est`` within a round (dispatchers with equal batch sizes
+produce identical estimates).  The batch protocol,
+:meth:`SCDPolicy.dispatch_round`, solves all of the round's distinct
+estimates in one broadcast IWL call and one broadcast probability call,
+and step 4 over the whole round is one multinomial draw with a row per
+dispatcher -- bit-identical, rows and RNG stream, to the per-dispatcher
+loop.
 
 The module also exposes :func:`scd_decision`, the *from-scratch* single
 dispatcher computation (sorts included) used by the run-time figures, and
@@ -181,6 +187,35 @@ class SCDPolicy(Policy):
         else:
             probs = self._masked_probabilities(dispatcher, a_est)
         return self.rng.multinomial(int(num_jobs), probs).astype(np.int64)
+
+    def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
+        """The whole round in one IWL solve, one probability solve and one draw.
+
+        Estimates are taken in dispatcher order over the non-empty
+        batches, exactly as the per-dispatcher loop takes them (stateful
+        estimators such as EWMA see the same call sequence).  A broadcast
+        multinomial over per-dispatcher rows consumes the stream like
+        sequential per-row draws, so the result and the RNG state after it
+        equal :meth:`Policy.dispatch_round`'s.  A connectivity mask or a
+        non-vectorized solver takes that base loop instead.
+        """
+        if self.connectivity is not None or self.algorithm != "vectorized":
+            return super().dispatch_round(batch, queues)
+        m = self.ctx.num_dispatchers
+        rows = np.zeros((m, self.ctx.num_servers), dtype=np.int64)
+        active = np.flatnonzero(batch)
+        if active.size == 0:
+            return rows
+        jobs = np.asarray(batch, dtype=np.int64)[active]
+        estimate = self.estimator.estimate
+        a_est = np.array([estimate(k, m) for k in jobs.tolist()], dtype=np.float64)
+        values, inverse = np.unique(a_est, return_inverse=True)
+        snapshot, rates = self._queues, self.rates
+        iwl = compute_iwl(snapshot, rates, values, order=self._load_order)
+        probs = scd_probabilities(snapshot, rates, values, iwl, order=self._key_order)
+        probs /= probs.sum(axis=1, keepdims=True)
+        rows[active] = self.rng.multinomial(jobs, probs[inverse])
+        return rows
 
 
 @register_policy("scd-alg1")

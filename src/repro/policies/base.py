@@ -158,9 +158,14 @@ class Policy(ABC):
         any policy.  Policies whose decisions depend only on the shared
         snapshot (and not on per-dispatcher sequential state fed by
         earlier rounds' RNG draws) override this with a native
-        vectorized path; deterministic overrides must reproduce the
-        fallback exactly, stochastic overrides may restructure their RNG
-        consumption (statistically equivalent, not bit-equal).
+        vectorized path.  Deterministic overrides must reproduce the
+        fallback exactly.  Stochastic overrides either draw the
+        identical stream -- SCD's one broadcast multinomial per round,
+        LSQ/LED's vectorized refreshes -- and are then bit-identical
+        too, or restructure their RNG consumption (statistically
+        equivalent, not bit-equal).  An override may call this base loop
+        for the configurations it has no native path for (SCD with a
+        connectivity mask or a non-vectorized solver).
         """
         assert self.ctx is not None, "policy used before bind()"
         rows = np.zeros((self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64)
@@ -267,8 +272,11 @@ def has_native_dispatch_round(policy: Policy) -> bool:
 
     Policies using the base-class fallback are bit-identical between the
     reference and fast engine backends; native stochastic overrides are
-    only statistically equivalent (they reshape RNG consumption), which
-    tests and benchmarks need to know.
+    bit-identical only when they draw the identical stream (SCD, LSQ,
+    LED, JIQ) and otherwise only statistically equivalent (they reshape
+    RNG consumption), which tests and benchmarks need to know.  An
+    override that defers some configurations to the base loop still
+    counts as native here.
     """
     return type(policy).dispatch_round is not Policy.dispatch_round
 

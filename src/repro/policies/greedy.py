@@ -98,10 +98,23 @@ def greedy_batch_assign(
     if num_jobs <= 0:
         return np.zeros(n, dtype=np.int64)
     k = int(num_jobs)
+    return _assign_from_level(queues, rates, k, compute_iwl(queues, rates, float(k)))
 
+
+def _assign_from_level(
+    queues: np.ndarray,
+    rates: np.ndarray,
+    k: int,
+    level: float,
+) -> np.ndarray:
+    """Finish a ``k``-job greedy assignment from its water level ``level``.
+
+    ``level`` is ``compute_iwl(queues, rates, k)``; ``queues`` and
+    ``rates`` are float64 arrays.
+    """
+    n = queues.size
     # Continuous water level: every integer marginal strictly below L* is
     # among the k smallest (the selection threshold T* is >= L*).
-    level = compute_iwl(queues, rates, float(k))
     base = np.ceil(rates * level - queues - 1e-9).astype(np.int64) - 1
     np.maximum(base, 0, out=base)
     remaining = k - int(base.sum())
@@ -133,16 +146,22 @@ def greedy_rows_for_batches(
     Every dispatcher decides against the *same* snapshot, so dispatchers
     with equal batch sizes produce identical (deterministic) assignments
     -- the greedy runs once per *distinct* batch size instead of once per
-    dispatcher.  Bit-identical to calling :func:`greedy_batch_assign`
-    per dispatcher; this is the native batch-protocol path of JSQ/SED.
+    dispatcher, and the water levels of all distinct sizes come from one
+    broadcast :func:`~repro.core.iwl.compute_iwl` call (one sort).
+    Bit-identical to calling :func:`greedy_batch_assign` per dispatcher;
+    this is the native batch-protocol path of JSQ/SED.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    queues = np.asarray(queues)
+    queues = np.asarray(queues, dtype=np.float64)
+    rates = np.asarray(rates, dtype=np.float64)
     rows = np.zeros((batch.size, queues.size), dtype=np.int64)
-    for k in np.unique(batch):
-        if k == 0:
-            continue
-        rows[batch == k] = greedy_batch_assign(queues, rates, int(k))
+    sizes = np.unique(batch)
+    sizes = sizes[sizes > 0]
+    if sizes.size == 0:
+        return rows
+    levels = compute_iwl(queues, rates, sizes.astype(np.float64))
+    for k, level in zip(sizes.tolist(), levels.tolist()):
+        rows[batch == k] = _assign_from_level(queues, rates, k, level)
     return rows
 
 

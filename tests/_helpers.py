@@ -31,6 +31,7 @@ __all__ = [
     "DETERMINISM_SETTINGS",
     "QUICK_SETTINGS",
     "server_instances",
+    "edge_case_snapshots",
     "dispatch_instances",
     "ensemble_tolerance",
     "assert_ensemble_close",
@@ -116,6 +117,29 @@ def server_instances(draw, max_servers: int = 24, max_queue: int = 60):
             )
         )
     )
+    return queues, rates
+
+
+@st.composite
+def edge_case_snapshots(draw, max_servers: int = 24):
+    """A (queues, rates) snapshot biased toward the solvers' edge cases.
+
+    Small queues over rates drawn mostly from ``{1, 2, 4}`` give tied
+    loads and tied ``(2q+1)/mu`` keys; one draw in a few has all-zero
+    queues; ``n == 1`` is in range; other rates are heterogeneous floats.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_servers))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        queues = np.zeros(n, dtype=np.int64)
+    else:
+        queues = np.array(
+            draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)), dtype=np.int64
+        )
+    rate = st.one_of(
+        st.sampled_from([1.0, 2.0, 4.0]),
+        st.floats(min_value=0.25, max_value=64.0, allow_nan=False),
+    )
+    rates = np.array(draw(st.lists(rate, min_size=n, max_size=n)))
     return queues, rates
 
 

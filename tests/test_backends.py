@@ -40,12 +40,12 @@ from repro.sim.service import GeometricService
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stateful / stochastic policies without a native batch path: they run
 #: through the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["scd", "twf"]
-#: Native batch paths that restructure no RNG consumption (LSQ/LED's
-#: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
-#: the identical stream): these must also stay bit-identical across
-#: backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
+FALLBACK_POLICIES = ["twf"]
+#: Native batch paths that restructure no RNG consumption (SCD's one
+#: broadcast multinomial per round, LSQ/LED's vectorized sampled refreshes
+#: and JIQ's fused empty-idle fallback draw the identical stream): these
+#: must also stay bit-identical across backends.
+NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
 #: Stochastic policies with native batch paths: exact accounting plus
 #: statistical equivalence only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]

@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import dispatch_instances
+from _helpers import DETERMINISM_SETTINGS, dispatch_instances, edge_case_snapshots
 from repro.policies.greedy import (
     greedy_batch_assign,
     greedy_batch_assign_heap,
     greedy_certificate_ok,
+    greedy_rows_for_batches,
 )
 
 
@@ -118,3 +119,25 @@ class TestVectorizedAssign:
 
     def test_certificate_rejects_negative_counts(self):
         assert not greedy_certificate_ok(np.zeros(2), np.ones(2), np.array([-1, 2]))
+
+
+class TestRowsForBatches:
+    """The whole-round path shares one water fill across batch sizes; each
+    row must be exactly the per-dispatcher assignment."""
+
+    @given(
+        edge_case_snapshots(),
+        st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=12),
+    )
+    @DETERMINISM_SETTINGS
+    def test_equals_per_dispatcher_assign(self, snapshot, batch):
+        queues, rates = snapshot
+        rows = greedy_rows_for_batches(queues, rates, np.array(batch))
+        assert rows.shape == (len(batch), queues.size)
+        for row, k in zip(rows, batch):
+            np.testing.assert_array_equal(row, greedy_batch_assign(queues, rates, k))
+
+    def test_all_zero_batches(self):
+        batch = np.zeros(3, dtype=np.int64)
+        rows = greedy_rows_for_batches(np.array([2, 0]), np.ones(2), batch)
+        np.testing.assert_array_equal(rows, np.zeros((3, 2), dtype=np.int64))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import dispatch_instances
+from _helpers import DETERMINISM_SETTINGS, dispatch_instances, edge_case_snapshots
 from repro.core.iwl import (
     compute_iba,
     compute_iwl,
@@ -100,6 +100,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             compute_iwl([], [], 3)
 
+    def test_rejects_any_negative_arrival_in_an_array(self):
+        with pytest.raises(ValueError):
+            compute_iwl([1, 2], [1.0, 1.0], np.array([3.0, -1.0]))
+
 
 class TestProperties:
     """Invariants that must hold on arbitrary instances."""
@@ -167,3 +171,36 @@ class TestProperties:
         assert compute_iwl(queues[perm], rates[perm], arrivals) == pytest.approx(
             compute_iwl(queues, rates, arrivals), rel=1e-12, abs=1e-12
         )
+
+
+class TestBroadcast:
+    """An array of arrivals solves every value against one snapshot; each
+    entry must be exactly the scalar call's level."""
+
+    @given(
+        edge_case_snapshots(),
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(1.0),
+                st.integers(1, 400).map(float),
+                st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @DETERMINISM_SETTINGS
+    def test_rows_equal_scalar_calls(self, snapshot, arrivals):
+        queues, rates = snapshot
+        arrivals = np.array(arrivals)
+        order = np.argsort(queues / rates, kind="stable")
+        for shared in (None, order):
+            levels = compute_iwl(queues, rates, arrivals, order=shared)
+            assert isinstance(levels, np.ndarray) and levels.shape == arrivals.shape
+            expected = [compute_iwl(queues, rates, a, order=shared) for a in arrivals]
+            np.testing.assert_array_equal(levels, expected)
+
+    def test_scalar_keeps_float_return(self):
+        assert type(compute_iwl([3, 1], [1.0, 2.0], 4)) is float
+        assert type(compute_iwl([3, 1], [1.0, 2.0], 0)) is float

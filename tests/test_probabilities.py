@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import dispatch_instances
+from _helpers import DETERMINISM_SETTINGS, dispatch_instances, edge_case_snapshots
 from repro.core.iwl import compute_iwl
 from repro.core.probabilities import (
     kkt_residuals,
@@ -238,6 +239,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             scd_probabilities([1, 2, 3], [1.0, 1.0], 5, 1.0)
 
+    def test_rejects_any_arrival_below_one_in_an_array(self):
+        with pytest.raises(ValueError):
+            scd_probabilities([1, 2], [1.0, 1.0], np.array([5.0, 0.5]), np.ones(2))
+
 
 class TestLargeArrivals:
     """As a_est grows, P approaches the IBA proportions (weighted-random
@@ -253,3 +258,39 @@ class TestLargeArrivals:
 
         iba = compute_iba(queues, rates, iwl)
         np.testing.assert_allclose(p, iba / iba.sum(), atol=1e-3)
+
+
+class TestBroadcast:
+    """Arrays of ``(a, iwl)`` pairs give one row per pair; each row must be
+    exactly the scalar call's vector (``a == 1`` rows included)."""
+
+    @given(
+        edge_case_snapshots(),
+        st.lists(
+            st.one_of(
+                st.just(1.0),
+                st.integers(1, 400).map(float),
+                st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @DETERMINISM_SETTINGS
+    def test_rows_equal_scalar_calls(self, snapshot, arrivals):
+        queues, rates = snapshot
+        arrivals = np.array(arrivals)
+        levels = compute_iwl(queues, rates, arrivals)
+        key_order = np.argsort(priority_key(queues, rates), kind="stable")
+        for shared in (None, key_order):
+            rows = scd_probabilities(queues, rates, arrivals, levels, order=shared)
+            assert rows.shape == (arrivals.size, queues.size)
+            for row, a, iwl in zip(rows, arrivals, levels):
+                np.testing.assert_array_equal(
+                    row, scd_probabilities(queues, rates, a, iwl, order=shared)
+                )
+
+    def test_all_single_job_rows(self):
+        queues, rates = np.array([3, 0, 0]), np.array([1.0, 1.0, 2.0])
+        rows = scd_probabilities(queues, rates, np.ones(2), np.zeros(2))
+        np.testing.assert_array_equal(rows, [single_job_probabilities(queues, rates)] * 2)

@@ -8,7 +8,8 @@ from repro.core.iwl import compute_iwl
 from repro.core.probabilities import scd_probabilities
 from repro.core.scd import SCDPolicy, scd_decision
 from repro.core.twf import TWFPolicy, twf_probabilities
-from repro.policies.base import SystemContext, make_policy
+from repro.policies.base import Policy, SystemContext, make_policy
+from repro.scenarios import UNAVAILABLE_QUEUE
 
 
 def bind(policy, rates, m=4, seed=0):
@@ -98,6 +99,88 @@ class TestSCDPolicy:
         policy = make_policy("scd-alg1")
         assert policy.algorithm == "quadratic"
         assert policy.name == "scd-alg1"
+
+
+class TestNativeDispatchRound:
+    """``SCDPolicy.dispatch_round`` (one broadcast solve and one multinomial
+    per round) against the base per-dispatcher loop on a twin policy."""
+
+    RATES = np.array([1.0, 4.0, 2.0, 8.0, 3.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("estimator", ["scaled", "oracle", "ewma", 23.0])
+    def test_rows_and_stream_equal_base_loop(self, estimator, m):
+        n = self.RATES.size
+        native = bind(SCDPolicy(estimator=estimator), self.RATES, m=m, seed=3)
+        looped = bind(SCDPolicy(estimator=estimator), self.RATES, m=m, seed=3)
+        rng = np.random.default_rng(9)
+        for t in range(12):
+            queues = rng.integers(0, 25, size=n)
+            if t % 3 == 2:
+                # A churn-masked snapshot: offline servers carry the sentinel.
+                queues[rng.permutation(n)[: n // 2]] = UNAVAILABLE_QUEUE
+            batch = rng.integers(0, 6, size=m)
+            batch[rng.random(m) < 0.3] = 0  # zero batches draw nothing
+            for policy in (native, looped):
+                policy.begin_round(t, queues)
+                policy.observe_total_arrivals(int(batch.sum()))
+            rows = native.dispatch_round(batch, queues)
+            np.testing.assert_array_equal(rows, Policy.dispatch_round(looped, batch, queues))
+            assert native.rng.bit_generator.state == looped.rng.bit_generator.state
+
+    def test_all_zero_round_draws_nothing(self):
+        policy = bind(SCDPolicy(), self.RATES, m=3, seed=1)
+        before = policy.rng.bit_generator.state
+        policy.begin_round(0, np.zeros(self.RATES.size, dtype=np.int64))
+        rows = policy.dispatch_round(np.zeros(3, dtype=np.int64), None)
+        np.testing.assert_array_equal(rows, np.zeros((3, self.RATES.size)))
+        assert policy.rng.bit_generator.state == before
+
+    def test_solves_once_per_round(self, monkeypatch):
+        """All distinct estimates share one IWL and one probability solve;
+        the per-dispatcher dispatch is never used."""
+        import repro.core.scd as scd_module
+
+        calls = []
+        for name in ("compute_iwl", "scd_probabilities"):
+            solver = getattr(scd_module, name)
+            monkeypatch.setattr(
+                scd_module,
+                name,
+                lambda *a, _name=name, _solver=solver, **k: calls.append(_name)
+                or _solver(*a, **k),
+            )
+        policy = bind(SCDPolicy(), self.RATES, m=4, seed=1)
+        monkeypatch.setattr(policy, "dispatch", lambda d, k: pytest.fail("fallback used"))
+        policy.begin_round(0, np.arange(self.RATES.size))
+        rows = policy.dispatch_round(np.array([3, 1, 3, 7]), None)
+        np.testing.assert_array_equal(rows.sum(axis=1), [3, 1, 3, 7])
+        assert calls == ["compute_iwl", "scd_probabilities"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_policy("scd-alg1"),
+            lambda: SCDPolicy(algorithm="loop"),
+            lambda: SCDPolicy(connectivity=np.ones((3, 7), dtype=bool)),
+        ],
+        ids=["scd-alg1", "loop", "connectivity"],
+    )
+    def test_other_configurations_take_base_loop(self, build, monkeypatch):
+        policy = bind(build(), self.RATES, m=3, seed=2)
+        twin = bind(build(), self.RATES, m=3, seed=2)
+        calls = []
+        dispatch = policy.dispatch
+        monkeypatch.setattr(
+            policy, "dispatch", lambda d, k: calls.append(d) or dispatch(d, k)
+        )
+        queues = np.arange(self.RATES.size)
+        batch = np.array([4, 0, 9])
+        policy.begin_round(0, queues)
+        twin.begin_round(0, queues)
+        rows = policy.dispatch_round(batch, queues)
+        assert calls == [0, 2]
+        np.testing.assert_array_equal(rows, Policy.dispatch_round(twin, batch, queues))
 
 
 class TestSCDConnectivity:

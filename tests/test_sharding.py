@@ -53,8 +53,8 @@ from repro.sim.sized import GeometricSize
 
 #: Each parity family must stay bit-identical to "fast" under sharding.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
-FALLBACK_POLICIES = ["scd"]
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
+FALLBACK_POLICIES = ["twf"]
+NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
 #: Native stochastic batch paths: exact accounting + same workload only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "jsq(2)"]
 
@@ -336,7 +336,8 @@ class TestCompiledResolver:
     loop where the policy has one."""
 
     @pytest.mark.parametrize(
-        "policy", DETERMINISTIC_POLICIES + FALLBACK_POLICIES
+        "policy",
+        DETERMINISTIC_POLICIES + FALLBACK_POLICIES + NATIVE_BIT_IDENTICAL_POLICIES,
     )
     def test_fallback_matches_fast(self, policy):
         """Without numba the compiled resolver degrades to the numpy

@@ -54,9 +54,13 @@ from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 #: Policies whose decisions involve no randomness (native batch paths
 #: included): identical runs on every backend are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
-#: Stateful / stochastic policies without a native batch path: they run
-#: through the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["scd", "twf", "scd-sized"]
+#: Stateful / stochastic policies, bit-identical across backends on every
+#: size distribution. SCD's native batch path draws one broadcast
+#: multinomial per round, the identical stream; the rest run through the
+#: fallback.
+STATEFUL_POLICIES = ["scd", "twf", "scd-sized"]
+#: The stateful policies without a native batch path.
+FALLBACK_POLICIES = ["twf", "scd-sized"]
 #: Native batch paths that restructure no RNG consumption (LSQ/LED's
 #: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
 #: the identical stream): these must also stay bit-identical across
@@ -179,9 +183,10 @@ class TestBitExactness:
         assert_identical(a, b)
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
-    @pytest.mark.parametrize("policy", FALLBACK_POLICIES)
+    @pytest.mark.parametrize("policy", STATEFUL_POLICIES)
     def test_fallback_policies_identical(self, policy, dist):
-        assert not has_native_dispatch_round(make_policy(policy))
+        native = has_native_dispatch_round(make_policy(policy))
+        assert native == (policy not in FALLBACK_POLICIES)
         sizes = SIZE_DISTRIBUTIONS[dist]
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
         b = run_once(policy, sizes, "fast", seed=11, rounds=300)
@@ -270,7 +275,8 @@ class TestCompiledBitExactness:
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
     @pytest.mark.parametrize(
-        "policy", DETERMINISTIC_POLICIES + FALLBACK_POLICIES
+        "policy",
+        DETERMINISTIC_POLICIES + STATEFUL_POLICIES + NATIVE_BIT_IDENTICAL_POLICIES,
     )
     def test_bit_identical_to_fast(self, policy, dist):
         sizes = SIZE_DISTRIBUTIONS[dist]
