@@ -97,7 +97,7 @@ import repro
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 DEFAULT_SIZES = ("20x10", "50x20", "100x50", "200x100")
-DEFAULT_POLICIES = ("jsq", "rr", "wr", "scd", "sed")
+DEFAULT_POLICIES = ("jsq", "rr", "wr", "scd", "sed", "jsq(2)")
 DEFAULT_SIZED_SIZES = ("20x10", "100x50")
 DEFAULT_SIZED_POLICIES = ("jsq", "rr", "wrr")
 DEFAULT_PROBE_SIZES = ("100x50",)

@@ -29,8 +29,9 @@ class JSQPolicy(Policy):
 
     A dispatcher assigns its batch one job at a time, each to the currently
     shortest queue *in its own local view* (snapshot plus its own
-    assignments this round); the batch computation is the exact sequential
-    greedy (see :mod:`repro.policies.greedy`).
+    assignments this round), ties to the lowest server index.  The batch
+    computation is the exact sequential greedy; one stable sort per round
+    gives every dispatcher's row (see :mod:`repro.policies.greedy`).
     """
 
     name = "jsq"

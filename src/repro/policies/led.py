@@ -18,10 +18,10 @@ The heterogeneity-aware variant (``hled``) ranks by estimated expected
 delay and samples rate-proportionally, mirroring the paper's footnote 6
 adaptations of the other baselines.
 
-The batch-protocol path mirrors :mod:`repro.policies.lsq`: the greedy
-itself stays a per-dispatcher loop (each dispatcher ranks against its own
-sequential local array), while :meth:`LEDPolicy.end_round` fuses every
-dispatcher's sampling budget into one RNG draw and one fancy assignment.
+The batch-protocol path mirrors :mod:`repro.policies.lsq`: one greedy
+call ranks every dispatcher against its own local array (one row each),
+while :meth:`LEDPolicy.end_round` fuses every dispatcher's sampling budget
+into one RNG draw and one fancy assignment.
 numpy fills random output element by element, so the fused draw realizes
 exactly the per-dispatcher draws it replaces -- bit-identical stream
 consumption on every engine backend.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Policy, register_policy
-from .greedy import greedy_batch_assign
+from .greedy import greedy_batch_assign, greedy_rows_for_batches
 
 __all__ = ["LEDPolicy"]
 
@@ -78,18 +78,24 @@ class LEDPolicy(Policy):
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
         """Native batch protocol, bit-identical to the fallback.
 
-        As in LSQ, each dispatcher greedily ranks against its *own*
-        drift-corrected estimate array, so the greedy cannot fuse across
-        dispatchers; going native pairs it with the vectorized
-        :meth:`end_round` refresh while skipping empty batches up front.
+        As in LSQ, each dispatcher ranks against its *own* drift-corrected
+        estimate array and only its own row changes, so one greedy call
+        over the active dispatchers' arrays gives every row the
+        per-dispatcher :meth:`dispatch` would; it pairs with the
+        vectorized :meth:`end_round` refresh.
         """
         assert self.ctx is not None, "policy used before bind()"
         rows = np.zeros(
             (self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64
         )
         batch = np.asarray(batch, dtype=np.int64)
-        for d in np.flatnonzero(batch):
-            rows[d] = self.dispatch(int(d), int(batch[d]))
+        active = np.flatnonzero(batch)
+        if active.size:
+            rows[active] = greedy_rows_for_batches(
+                self._local[active], self._rank_rates, batch[active]
+            )
+            self._local[active] += rows[active]
+            self._batch_sizes[active] = batch[active]
         return rows
 
     def _sample_servers(self, count: int) -> np.ndarray:

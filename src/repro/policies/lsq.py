@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Policy, register_policy
-from .greedy import greedy_batch_assign
+from .greedy import greedy_batch_assign, greedy_rows_for_batches
 
 __all__ = ["LSQPolicy"]
 
@@ -81,20 +81,24 @@ class LSQPolicy(Policy):
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
         """Native batch protocol, bit-identical to the fallback.
 
-        Each dispatcher ranks against its *own* local estimate array --
-        sequential per-dispatcher state -- so the greedy itself cannot
-        fuse across dispatchers; the win of going native is pairing
-        with the vectorized :meth:`end_round` refresh (one RNG draw per
-        round instead of one per dispatcher) while skipping the empty
-        batches up front.
+        Each dispatcher ranks against its *own* local estimate array, and
+        only its own row changes, so one greedy call over the active
+        dispatchers' arrays (one sort for all of them) gives every row the
+        per-dispatcher :meth:`dispatch` would; it pairs with the
+        vectorized :meth:`end_round` refresh.
         """
         assert self.ctx is not None, "policy used before bind()"
         rows = np.zeros(
             (self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64
         )
         batch = np.asarray(batch, dtype=np.int64)
-        for d in np.flatnonzero(batch):
-            rows[d] = self.dispatch(int(d), int(batch[d]))
+        active = np.flatnonzero(batch)
+        if active.size:
+            rows[active] = greedy_rows_for_batches(
+                self._local[active], self._rank_rates, batch[active]
+            )
+            self._local[active] += rows[active]
+            self._batch_sizes[active] = batch[active]
         return rows
 
     def _sample_servers(self, count: int) -> np.ndarray:
