@@ -6,6 +6,11 @@ independent workload realizations.  These helpers run R replications
 (seeded so that replication r is common across policies -- paired
 comparisons stay paired) and summarize means with Student-t confidence
 intervals.
+
+scipy is imported inside :meth:`ReplicatedResult.confidence_interval`
+and :func:`paired_comparison`, the only two places that use it, so that
+``import repro`` and every simulation load numpy only: ``scipy.stats``
+alone costs about a second of interpreter start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.runner import ExperimentConfig
 from repro.experiments.grid import Experiment, PolicySpec
@@ -56,6 +60,8 @@ class ReplicatedResult:
             raise ValueError(f"level must be in (0, 1), got {level}")
         if self.replications < 2:
             return (self.mean, self.mean)
+        from scipy import stats
+
         halfwidth = self.std_error * stats.t.ppf(
             0.5 + level / 2.0, df=self.replications - 1
         )
@@ -135,6 +141,8 @@ def paired_comparison(
     diffs = np.asarray(baseline.replication_means) - np.asarray(
         candidate.replication_means
     )
+    from scipy import stats
+
     t_stat, p_two_sided = stats.ttest_rel(
         baseline.replication_means, candidate.replication_means
     )

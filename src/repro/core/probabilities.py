@@ -267,10 +267,9 @@ def scd_probabilities(
     q_o = queues[order]
     key_o = key[order]
 
+    two_a1 = 2.0 * (a - 1.0)
     gain = mu_o * iwl - q_o  # mu_s*iwl - q_s per server, in key order
-    lam0_num = (
-        2.0 * np.cumsum(gain, axis=-1) - np.arange(1, key_o.size + 1) - 2.0 * (a - 1.0)
-    )
+    lam0_num = 2.0 * np.cumsum(gain, axis=-1) - np.arange(1, key_o.size + 1) - two_a1
     lam0_den = np.cumsum(mu_o)
     lam0 = lam0_num / lam0_den
 
@@ -281,11 +280,14 @@ def scd_probabilities(
     v1 = lam0_den / four_a1
     v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_a1
     val = v1 * lam0 * lam0 - v2
-    val = np.where(feasible, val, np.inf)
-    best = np.argmin(val, axis=-1, keepdims=True)
-    lam0_best = np.take_along_axis(lam0, best, axis=-1)
+    val[~feasible] = np.inf
+    best = np.argmin(val, axis=-1)
+    if many:
+        lam0_best = lam0[np.arange(best.size), best][:, None]
+    else:
+        lam0_best = lam0[best]
 
-    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0_best) / (2.0 * (a - 1.0))
+    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0_best) / two_a1
     np.maximum(p, 0.0, out=p)
     if many and single.any():
         p[single] = single_job_probabilities(queues, rates)

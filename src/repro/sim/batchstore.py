@@ -36,7 +36,8 @@ jobs (``Simulation(sizes=...)``): the FIFO position axis counts
 *work units* instead of jobs, each pending entry is one job ``(arrival
 round, remaining units)``, and a job's response time is attributed to
 the round its *last* unit drains -- one ``searchsorted`` of the jobs'
-cumulative unit boundaries into the block's merged departure boundaries
+cumulative unit boundaries into the block's ``(servers, rounds + 1)``
+matrix of cumulative departures (one sentinel column per server)
 recovers every completion at once.
 """
 
@@ -445,44 +446,29 @@ class SizedBatchQueueStore:
         server_base = np.cumsum(server_units) - server_units
         job_ends = np.cumsum(units_merged)
 
-        # Departure boundaries on the same axis, plus one sentinel per
-        # server with units left over, so every job's last unit maps to
-        # either a departure round or "still queued".
-        done_by_server = done_block.T
-        dep_srv, dep_col = np.nonzero(done_by_server)
-        dep_counts = done_by_server[dep_srv, dep_col]
-        dep_base = np.cumsum(dep_totals) - dep_totals
-        dep_ends = (
-            server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
-        )
+        # Departure boundaries on the same axis: row s holds server s's
+        # cumulative completions after each round of the block, then one
+        # sentinel column ending at its total units.  Flattened, the rows
+        # are one nondecreasing sequence, and the first boundary at or
+        # past a position of server s lies in row s: a round with
+        # completions (a round without any repeats the previous boundary,
+        # so it is never first) or the sentinel, "still queued".
+        length = done_block.shape[0]
         leftover_units = server_units - dep_totals
-        sentinel_srv = np.flatnonzero(leftover_units)
-        sentinel_ends = server_base[sentinel_srv] + server_units[sentinel_srv]
-        all_dep_ends = np.concatenate([dep_ends, sentinel_ends])
-        all_dep_rounds = np.concatenate(
-            [
-                start_round + dep_col,
-                np.zeros(sentinel_srv.size, dtype=np.int64),
-            ]
-        )
-        still_queued = np.concatenate(
-            [
-                np.zeros(dep_ends.size, dtype=bool),
-                np.ones(sentinel_srv.size, dtype=bool),
-            ]
-        )
-        order = np.argsort(all_dep_ends, kind="stable")
-        all_dep_ends = all_dep_ends[order]
-        all_dep_rounds = all_dep_rounds[order]
-        still_queued = still_queued[order]
+        dep_ends = np.empty((n, length + 1), dtype=np.int64)
+        dep_ends[:, :length] = done_block.T
+        dep_ends[:, length] = leftover_units
+        np.cumsum(dep_ends, axis=1, out=dep_ends)
+        dep_ends += server_base[:, None]
 
         # A job finishes in the departure interval containing its last
         # unit: the first boundary >= its cumulative end position.
-        interval = np.searchsorted(all_dep_ends, job_ends, side="left")
-        completed = ~still_queued[interval]
+        column = np.searchsorted(dep_ends.ravel(), job_ends, side="left")
+        column %= length + 1
+        completed = column < length
 
         if histogram is not None or response_sink is not None:
-            dep_round = all_dep_rounds[interval]
+            dep_round = start_round + column
             record = completed & (dep_round >= warmup)
             times = dep_round[record] - rounds_merged[record] + 1
             counts = np.ones(int(record.sum()), dtype=np.int64)
