@@ -43,13 +43,15 @@ MAIN_POLICIES = ("scd", "twf", "jsq", "sed", "hjsq(2)", "hjiq", "hlsq")
 #: Policies in the appendix figures (6 and 7).
 EXTRA_POLICIES = ("scd", "jsq(2)", "jiq", "lsq", "wr")
 
-CONFIG = repro.ExperimentConfig(rounds=BENCH_ROUNDS, base_seed=BENCH_SEED)
-
 
 def grid_experiment(
     policies, system: repro.SystemSpec, loads=None
 ) -> repro.Experiment:
-    """The benchmark suite's standard declarative grid for one system."""
+    """The benchmark suite's standard declarative grid for one system.
+
+    Scalar ``policies``/``loads`` declare one cell, whose bare result is
+    ``grid_experiment(policy, system, rho).run().only().result``.
+    """
     return repro.Experiment(
         policies=policies,
         systems=system,
@@ -60,12 +62,7 @@ def grid_experiment(
 
 
 def run_policy_over_loads(policy: str, system: repro.SystemSpec) -> dict[float, dict]:
-    """Simulate one policy over the load grid; returns per-load summaries.
-
-    Declared as a one-policy :class:`repro.Experiment`; the default
-    workload keeps results bit-identical to the historical per-cell
-    ``run_simulation`` loop.
-    """
+    """Simulate one policy over the load grid; returns per-load summaries."""
     result = grid_experiment(policy, system).run(workers=BENCH_WORKERS)
     out: dict[float, dict] = {}
     for record in result.records:

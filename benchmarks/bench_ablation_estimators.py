@@ -14,7 +14,7 @@ of them (Appendix D).
 import pytest
 
 import repro
-from _common import BENCH_LOADS, CONFIG
+from _common import BENCH_LOADS, grid_experiment
 
 TABLE_SPEC = (
     "ablation_estimators",
@@ -38,14 +38,11 @@ def estimator_cases():
 @pytest.mark.parametrize("label", sorted(estimator_cases()))
 @pytest.mark.parametrize("rho", BENCH_LOADS)
 def test_estimator_cell(benchmark, figure_table, label, rho):
-    estimator = estimator_cases()[label]
+    policy = repro.PolicySpec.of("scd", estimator=estimator_cases()[label])
+    experiment = grid_experiment(policy, SYSTEM, rho)
 
     result = benchmark.pedantic(
-        repro.run_simulation,
-        args=("scd", SYSTEM, rho),
-        kwargs={"config": CONFIG, "estimator": estimator},
-        rounds=1,
-        iterations=1,
+        lambda: experiment.run().only().result, rounds=1, iterations=1
     )
     summary = result.summary()
     figure_table.add(label, rho, summary["mean"], summary["p99"])
@@ -58,13 +55,12 @@ def test_scaled_close_to_oracle(benchmark):
     rho = max(BENCH_LOADS)
 
     def both():
+        scaled, oracle = grid_experiment(
+            ["scd", repro.PolicySpec.of("scd", estimator="oracle")], SYSTEM, rho
+        ).run(keep_results=False)
         return {
-            "scaled": repro.run_simulation(
-                "scd", SYSTEM, rho, CONFIG
-            ).mean_response_time,
-            "oracle": repro.run_simulation(
-                "scd", SYSTEM, rho, CONFIG, estimator="oracle"
-            ).mean_response_time,
+            "scaled": scaled.mean_response_time,
+            "oracle": oracle.mean_response_time,
         }
 
     means = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro
-from _common import BENCH_SEED, CONFIG
+from _common import BENCH_SEED, grid_experiment
 
 TABLE_SPEC = (
     "ext_connectivity",
@@ -45,20 +45,24 @@ def mask_for(fraction: float) -> np.ndarray | None:
     return mask
 
 
+def run_scd(mask: np.ndarray | None) -> repro.SimulationResult:
+    """SCD under ``mask`` on the seed of the grid's (scd, RHO) cell.
+
+    An array kwarg cannot be declared on a grid, so the policy object
+    runs through ``simulate_cell`` on the cell it stands in for.
+    """
+    cell = next(grid_experiment("scd", SYSTEM, RHO).cells())
+    policy = "scd" if mask is None else repro.make_policy("scd", connectivity=mask)
+    return repro.simulate_cell(
+        policy, SYSTEM, RHO, cell.workload, cell.seed, cell.rounds
+    )
+
+
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_connectivity_cell(benchmark, figure_table, fraction):
-    kwargs = {"config": CONFIG}
     mask = mask_for(fraction)
-    if mask is not None:
-        kwargs["connectivity"] = mask
 
-    result = benchmark.pedantic(
-        repro.run_simulation,
-        args=("scd", SYSTEM, RHO),
-        kwargs=kwargs,
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(run_scd, args=(mask,), rounds=1, iterations=1)
     summary = result.summary()
     figure_table.add(fraction, summary["mean"], summary["p99"])
     benchmark.extra_info["mean"] = round(summary["mean"], 3)
@@ -69,10 +73,8 @@ def test_degradation_is_graceful(benchmark):
     """Moderate masking costs little relative to full visibility."""
 
     def pair():
-        full = repro.run_simulation("scd", SYSTEM, RHO, CONFIG)
-        masked = repro.run_simulation(
-            "scd", SYSTEM, RHO, CONFIG, connectivity=mask_for(0.6)
-        )
+        full = run_scd(None)
+        masked = run_scd(mask_for(0.6))
         return {
             "full": full.mean_response_time,
             "f=0.6": masked.mean_response_time,

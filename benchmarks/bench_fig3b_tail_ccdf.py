@@ -9,7 +9,7 @@ at rho=0.99 SCD beats the runner-up by over 2x at the 1e-4 level.
 import pytest
 
 import repro
-from _common import CONFIG, MAIN_POLICIES
+from _common import MAIN_POLICIES, grid_experiment
 
 TABLE_SPEC = (
     "fig3b_tail_ccdf",
@@ -24,12 +24,9 @@ LEVELS = (1e-2, 1e-3, 1e-4)
 @pytest.mark.parametrize("rho", repro.TAIL_LOADS)
 @pytest.mark.parametrize("policy", MAIN_POLICIES)
 def test_fig3b_tail(benchmark, figure_table, policy, rho):
+    experiment = grid_experiment(policy, SYSTEM, rho)
     result = benchmark.pedantic(
-        repro.run_simulation,
-        args=(policy, SYSTEM, rho),
-        kwargs={"config": CONFIG},
-        rounds=1,
-        iterations=1,
+        lambda: experiment.run().only().result, rounds=1, iterations=1
     )
     hist = result.histogram
     quantiles = repro.tail_quantiles(hist, LEVELS)
@@ -50,12 +47,10 @@ def test_fig3b_scd_tail_dominates_at_099(benchmark):
     """SCD's deep tail beats the field at rho = 0.99 (paper: >2.1x)."""
 
     def tails():
-        results = repro.tail_experiment(
-            ["scd", "sed", "hlsq", "twf"], SYSTEM, 0.99, CONFIG
-        )
+        records = grid_experiment(["scd", "sed", "hlsq", "twf"], SYSTEM, 0.99).run()
         return {
-            p: repro.tail_quantiles(r.histogram, (1e-3,))[1e-3]
-            for p, r in results.items()
+            r.policy: repro.tail_quantiles(r.result.histogram, (1e-3,))[1e-3]
+            for r in records
         }
 
     quantiles = benchmark.pedantic(tails, rounds=1, iterations=1)

@@ -10,8 +10,8 @@ import pytest
 import repro
 from _common import (
     BENCH_LOADS,
-    CONFIG,
     MAIN_POLICIES,
+    grid_experiment,
     mean_response_rows,
     run_policy_over_loads,
 )
@@ -43,10 +43,8 @@ def test_fig4a_heterogeneity_obliviousness_punished(benchmark, system):
     rho = max(BENCH_LOADS)
 
     def head_to_head():
-        return {
-            policy: repro.run_simulation(policy, system, rho, CONFIG).mean_response_time
-            for policy in ("scd", "twf")
-        }
+        records = grid_experiment(["scd", "twf"], system, rho).run(keep_results=False)
+        return {r.policy: r.mean_response_time for r in records}
 
     means = benchmark.pedantic(head_to_head, rounds=1, iterations=1)
     benchmark.extra_info.update({p: round(v, 3) for p, v in means.items()})

@@ -11,8 +11,8 @@ import pytest
 import repro
 from _common import (
     BENCH_LOADS,
-    CONFIG,
     EXTRA_POLICIES,
+    grid_experiment,
     mean_response_rows,
     run_policy_over_loads,
 )
@@ -42,10 +42,10 @@ def test_fig6_cell(benchmark, figure_table, system, policy):
 @pytest.mark.parametrize("rho", repro.TAIL_LOADS)
 def test_fig6_scd_dominates_tails(benchmark, figure_table, rho):
     def tails():
-        results = repro.tail_experiment(list(EXTRA_POLICIES), TAIL_SYSTEM, rho, CONFIG)
+        records = grid_experiment(EXTRA_POLICIES, TAIL_SYSTEM, rho).run()
         return {
-            p: repro.tail_quantiles(r.histogram, (1e-3,))[1e-3]
-            for p, r in results.items()
+            r.policy: repro.tail_quantiles(r.result.histogram, (1e-3,))[1e-3]
+            for r in records
         }
 
     quantiles = benchmark.pedantic(tails, rounds=1, iterations=1)

@@ -9,8 +9,8 @@ import pytest
 
 import repro
 from _common import (
-    CONFIG,
     EXTRA_POLICIES,
+    grid_experiment,
     mean_response_rows,
     run_policy_over_loads,
 )
@@ -40,8 +40,10 @@ def test_fig7_cell(benchmark, figure_table, system, policy):
 @pytest.mark.parametrize("rho", repro.TAIL_LOADS)
 def test_fig7_scd_beats_all(benchmark, figure_table, rho):
     def means():
-        results = repro.tail_experiment(list(EXTRA_POLICIES), TAIL_SYSTEM, rho, CONFIG)
-        return {p: r.mean_response_time for p, r in results.items()}
+        records = grid_experiment(EXTRA_POLICIES, TAIL_SYSTEM, rho).run(
+            keep_results=False
+        )
+        return {r.policy: r.mean_response_time for r in records}
 
     values = benchmark.pedantic(means, rounds=1, iterations=1)
     benchmark.extra_info.update({p: round(v, 3) for p, v in values.items()})

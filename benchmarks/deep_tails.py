@@ -25,10 +25,14 @@ def main() -> None:
     lines = []
     for profile in ("u1_10", "u1_100"):
         system = repro.paper_system(100, 10, profile)
-        config = repro.ExperimentConfig(rounds=args.rounds, base_seed=0)
-        results = repro.tail_experiment(
-            ["scd", "twf", "sed", "hjsq(2)", "hlsq"], system, args.rho, config
+        experiment = repro.Experiment(
+            ["scd", "twf", "sed", "hjsq(2)", "hlsq"],
+            system,
+            args.rho,
+            rounds=args.rounds,
+            base_seed=0,
         )
+        results = {r.policy: r.result for r in experiment.run()}
         rows = []
         for policy, result in results.items():
             quantiles = repro.tail_quantiles(result.histogram, (1e-2, 1e-3, 1e-4))

@@ -72,13 +72,18 @@ def main() -> None:
     args = parser.parse_args()
 
     system = repro.SystemSpec(num_servers=60, num_dispatchers=10, profile="u1_10")
-    config = repro.ExperimentConfig(rounds=args.rounds, base_seed=21)
+    experiment = repro.Experiment(
+        ["scd", "memsed", "hjsq(2)", "sed"],
+        system,
+        0.95,
+        rounds=args.rounds,
+        base_seed=21,
+    )
     print("Racing a custom policy against the built-ins (rho = 0.95):\n")
     rows = []
-    for policy in ["scd", "memsed", "hjsq(2)", "sed"]:
-        result = repro.run_simulation(policy, system, rho=0.95, config=config)
-        s = result.summary()
-        rows.append([result.policy_name, s["mean"], s["p99"]])
+    for record in experiment.run():
+        s = record.result.summary()
+        rows.append([record.result.policy_name, s["mean"], s["p99"]])
     print(repro.format_table(["policy", "mean", "p99"], rows))
     print(
         "\nThe heuristic improves on plain SED but stochastic coordination\n"

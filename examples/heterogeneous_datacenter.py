@@ -54,10 +54,11 @@ def run_grid(
 
 def report_sweep(result: repro.ExperimentResult, loads: list[float]) -> None:
     print("\nMean response time by offered load")
-    sweep = result.to_sweep()
     print(
         repro.format_series_table(
-            "rho", list(loads), {p: sweep.row(p) for p in POLICIES}
+            "rho",
+            list(loads),
+            {p: [result.metric(policy=p, rho=rho) for rho in loads] for p in POLICIES},
         )
     )
     for rho in loads:

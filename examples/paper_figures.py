@@ -32,16 +32,18 @@ EXTRA_POLICIES = ["scd", "jsq(2)", "jiq", "lsq", "wr"]
 
 def mean_response_figure(profile: str, policies: list[str], args) -> None:
     """Figures 3a / 4a / 6a / 7a: mean response vs offered load, 4 systems."""
-    config = repro.ExperimentConfig(rounds=args.rounds, base_seed=args.seed)
     for system in repro.PAPER_SYSTEMS[profile]:
-        sweep = repro.mean_response_sweep(
-            policies, system, tuple(args.loads), config
-        )
+        sweep = repro.Experiment(
+            policies, system, args.loads, rounds=args.rounds, base_seed=args.seed
+        ).run(keep_results=False)
         print(
             repro.format_series_table(
                 "rho",
                 args.loads,
-                {p: sweep.row(p) for p in policies},
+                {
+                    p: [sweep.metric(policy=p, rho=rho) for rho in args.loads]
+                    for p in policies
+                },
                 title=(
                     f"\nn={system.num_servers}, m={system.num_dispatchers}, "
                     f"mu ~ {profile}: mean response time"
@@ -52,10 +54,12 @@ def mean_response_figure(profile: str, policies: list[str], args) -> None:
 
 def tail_figure(profile: str, policies: list[str], args) -> None:
     """Figures 3b / 4b / 6b / 7b: response-time CCDF at three loads."""
-    config = repro.ExperimentConfig(rounds=args.rounds, base_seed=args.seed)
     system = repro.paper_system(100, 10, profile)
     for rho in repro.TAIL_LOADS:
-        results = repro.tail_experiment(policies, system, rho, config)
+        experiment = repro.Experiment(
+            policies, system, rho, rounds=args.rounds, base_seed=args.seed
+        )
+        results = {r.policy: r.result for r in experiment.run()}
         max_tau = max(r.histogram.max_response_time for r in results.values())
         taus = np.unique(np.linspace(1, max(2, max_tau), 12).astype(int))
         series = {p: r.histogram.ccdf(taus) for p, r in results.items()}

@@ -56,14 +56,17 @@ def run_comparison(rounds: int) -> None:
     print("Simulation - 50 heterogeneous servers, 5 dispatchers, rho = 0.9")
     print("=" * 64)
     system = repro.SystemSpec(num_servers=50, num_dispatchers=5, profile="u1_10")
-    config = repro.ExperimentConfig(rounds=rounds, base_seed=1)
+    experiment = repro.Experiment(
+        ["scd", "twf", "jsq", "sed", "hjsq(2)", "wr"],
+        system,
+        0.9,
+        rounds=rounds,
+        base_seed=1,
+    )
     rows = []
-    for policy in ["scd", "twf", "jsq", "sed", "hjsq(2)", "wr"]:
-        result = repro.run_simulation(policy, system, rho=0.9, config=config)
-        summary = result.summary()
-        rows.append(
-            [policy, summary["mean"], summary["p95"], summary["p99"], summary["max"]]
-        )
+    for record in experiment.run(keep_results=False):
+        m = record.metrics
+        rows.append([record.policy, m["mean"], m["p95"], m["p99"], m["max"]])
     print(
         repro.format_table(
             ["policy", "mean", "p95", "p99", "max"],

@@ -24,12 +24,15 @@ Declare the evaluation grid -- policies x systems x loads x replications
 
 Workloads are pluggable (``repro.WorkloadSpec.skewed(3.0)``,
 ``.bursty()``, ``.sized(...)``, or arbitrary arrival/service factories);
-the default is the paper's Poisson+geometric workload, and single runs
-through the legacy helper reproduce it bit-for-bit:
+the default is the paper's Poisson+geometric workload.  A cell's seed
+depends only on its workload coordinates --
+``derive_seed(base_seed + 1_000_003 * replication, system.name,
+round(rho * 10_000))`` for the default workload -- so every policy at
+the same coordinates sees the same arrivals and departures.  Scalar
+axes declare one cell, whose bare result is one call away:
 
 >>> system = repro.SystemSpec(num_servers=50, num_dispatchers=5, profile="u1_10")
->>> single = repro.run_simulation("scd", system, rho=0.9,
-...                               config=repro.ExperimentConfig(rounds=2000))
+>>> single = repro.Experiment("scd", system, 0.9, rounds=2000).run().only().result
 >>> single.mean_response_time  # doctest: +SKIP
 2.1...
 
@@ -42,26 +45,13 @@ The core math is importable directly:
 """
 
 from .analysis.ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
-from .analysis.replication import (
-    ReplicatedResult,
-    paired_comparison,
-    replicated_runs,
-)
+from .analysis.replication import ReplicatedResult, paired_comparison
 from .analysis.herding import HerdingProbe, HerdingStats
 from .analysis.persistence import (
     load_experiment,
     load_result,
-    load_sweep,
     save_experiment,
     save_result,
-    save_sweep,
-)
-from .analysis.runner import (
-    ExperimentConfig,
-    SweepResult,
-    mean_response_sweep,
-    run_simulation,
-    tail_experiment,
 )
 from .analysis.stability import StabilityVerdict, assess_stability
 from .analysis.tables import format_series_table, format_table
@@ -292,13 +282,7 @@ __all__ = [
     "constant_rates",
     "make_rates",
     # analysis
-    "ExperimentConfig",
-    "run_simulation",
-    "mean_response_sweep",
-    "tail_experiment",
-    "SweepResult",
     "ReplicatedResult",
-    "replicated_runs",
     "paired_comparison",
     "ccdf_series",
     "tail_quantiles",
@@ -309,8 +293,6 @@ __all__ = [
     "HerdingStats",
     "save_result",
     "load_result",
-    "save_sweep",
-    "load_sweep",
     "StabilityBound",
     "strong_stability_bound",
     "poisson_second_moment",

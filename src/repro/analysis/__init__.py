@@ -1,23 +1,9 @@
-"""Evaluation protocol: runner, tails, run-time and stability analysis."""
+"""Evaluation analysis: tails, replication statistics, run-time and stability."""
 
 from .ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
 from .herding import HerdingProbe, HerdingStats
-from .persistence import (
-    load_experiment,
-    load_result,
-    load_sweep,
-    save_experiment,
-    save_result,
-    save_sweep,
-)
-from .replication import ReplicatedResult, paired_comparison, replicated_runs
-from .runner import (
-    ExperimentConfig,
-    SweepResult,
-    mean_response_sweep,
-    run_simulation,
-    tail_experiment,
-)
+from .persistence import load_experiment, load_result, save_experiment, save_result
+from .replication import ReplicatedResult, paired_comparison
 from .runtime import (
     RUNTIME_TECHNIQUES,
     DecisionSnapshot,
@@ -29,11 +15,6 @@ from .stability import StabilityVerdict, assess_stability
 from .tables import format_series_table, format_table
 
 __all__ = [
-    "ExperimentConfig",
-    "run_simulation",
-    "mean_response_sweep",
-    "tail_experiment",
-    "SweepResult",
     "ccdf_series",
     "tail_quantiles",
     "tail_improvement_factor",
@@ -46,12 +27,9 @@ __all__ = [
     "HerdingStats",
     "save_result",
     "load_result",
-    "save_sweep",
-    "load_sweep",
     "save_experiment",
     "load_experiment",
     "ReplicatedResult",
-    "replicated_runs",
     "paired_comparison",
     "assess_stability",
     "StabilityVerdict",

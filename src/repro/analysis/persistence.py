@@ -2,10 +2,10 @@
 
 Long sweeps are expensive; these helpers serialize
 :class:`repro.sim.engine.SimulationResult` (including the full
-response-time histogram, losslessly -- it is just integer counts),
-:class:`repro.analysis.runner.SweepResult`, and the declarative
-:class:`repro.experiments.ExperimentResult` so that figure regeneration,
-EXPERIMENTS.md tables and notebook analysis can reuse completed runs.
+response-time histogram, losslessly -- it is just integer counts) and
+the declarative :class:`repro.experiments.ExperimentResult` so that
+figure regeneration, EXPERIMENTS.md tables and notebook analysis can
+reuse completed runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.runner import SweepResult
 from repro.experiments.grid import Experiment, PolicySpec
 from repro.experiments.results import CellRecord, ExperimentResult
 from repro.experiments.workload import (
@@ -39,10 +38,6 @@ __all__ = [
     "result_from_dict",
     "save_result",
     "load_result",
-    "sweep_to_dict",
-    "sweep_from_dict",
-    "save_sweep",
-    "load_sweep",
     "experiment_from_descriptor",
     "experiment_result_to_dict",
     "experiment_result_from_dict",
@@ -170,54 +165,6 @@ def save_result(result: SimulationResult, path: str | Path) -> Path:
 def load_result(path: str | Path) -> SimulationResult:
     """Read a result previously written by :func:`save_result`."""
     return result_from_dict(json.loads(Path(path).read_text()))
-
-
-def sweep_to_dict(sweep: SweepResult) -> dict:
-    """JSON-serializable form of a mean-response sweep."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "system": {
-            "num_servers": sweep.system.num_servers,
-            "num_dispatchers": sweep.system.num_dispatchers,
-            "profile": sweep.system.profile,
-            "rate_seed": sweep.system.rate_seed,
-        },
-        "loads": list(sweep.loads),
-        "policies": list(sweep.policies),
-        "means": {
-            policy: {str(rho): value for rho, value in by_load.items()}
-            for policy, by_load in sweep.means.items()
-        },
-    }
-
-
-def sweep_from_dict(payload: dict) -> SweepResult:
-    """Inverse of :func:`sweep_to_dict`."""
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported sweep format version: {version!r}")
-    return SweepResult(
-        system=SystemSpec(**payload["system"]),
-        loads=tuple(payload["loads"]),
-        policies=tuple(payload["policies"]),
-        means={
-            policy: {float(rho): value for rho, value in by_load.items()}
-            for policy, by_load in payload["means"].items()
-        },
-    )
-
-
-def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
-    """Write a sweep to a JSON file; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(sweep_to_dict(sweep)))
-    return path
-
-
-def load_sweep(path: str | Path) -> SweepResult:
-    """Read a sweep previously written by :func:`save_sweep`."""
-    return sweep_from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

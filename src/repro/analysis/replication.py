@@ -1,11 +1,21 @@
-"""Replicated experiments with confidence intervals.
+"""Confidence intervals and paired tests over replicated experiments.
 
 A single simulation is one realization of the arrival/departure processes;
 for publication-grade comparisons the evaluation should be replicated over
-independent workload realizations.  These helpers run R replications
-(seeded so that replication r is common across policies -- paired
-comparisons stay paired) and summarize means with Student-t confidence
-intervals.
+independent workload realizations.  ``Experiment(..., replications=R)``
+runs them, seeding replication ``r`` the same for every policy, so
+comparisons stay paired.  A :class:`ReplicatedResult` summarizes one
+policy's per-replication means with a Student-t confidence interval:
+
+>>> from repro.experiments import Experiment
+>>> from repro.workloads.scenarios import SystemSpec
+>>> system = SystemSpec(12, 3)
+>>> records = Experiment("scd", system, 0.9, replications=3, rounds=200).run()
+>>> scd = ReplicatedResult(
+...     "scd", system, 0.9, tuple(r.metrics["mean"] for r in records)
+... )
+>>> scd.replications
+3
 
 scipy is imported inside :meth:`ReplicatedResult.confidence_interval`
 and :func:`paired_comparison`, the only two places that use it, so that
@@ -19,11 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.runner import ExperimentConfig
-from repro.experiments.grid import Experiment, PolicySpec
 from repro.workloads.scenarios import SystemSpec
 
-__all__ = ["ReplicatedResult", "replicated_runs", "paired_comparison"]
+__all__ = ["ReplicatedResult", "paired_comparison"]
 
 
 @dataclass(frozen=True)
@@ -73,45 +81,6 @@ class ReplicatedResult:
             f"{self.policy}: {self.mean:.3f} "
             f"[{lo:.3f}, {hi:.3f}] over {self.replications} reps"
         )
-
-
-def replicated_runs(
-    policy: str,
-    system: SystemSpec,
-    rho: float,
-    config: ExperimentConfig | None = None,
-    replications: int = 5,
-    **policy_kwargs,
-) -> ReplicatedResult:
-    """Run ``replications`` independent workload realizations.
-
-    A thin wrapper over a one-policy :class:`repro.experiments.Experiment`
-    with ``replications`` along the replication axis.  Replication ``r``
-    shifts the experiment's base seed by ``r``; two policies replicated
-    with the same arguments therefore see *matching* workloads per
-    replication (paired design).
-    """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    config = config or ExperimentConfig()
-    experiment = Experiment(
-        policies=(PolicySpec(name=policy, kwargs=tuple(sorted(policy_kwargs.items()))),),
-        systems=(system,),
-        loads=(rho,),
-        replications=replications,
-        rounds=config.rounds,
-        warmup=config.warmup,
-        base_seed=config.base_seed,
-        backend=config.backend,
-    )
-    records = experiment.run(keep_results=False).records
-    means = [r.metrics["mean"] for r in sorted(records, key=lambda r: r.replication)]
-    return ReplicatedResult(
-        policy=policy,
-        system=system,
-        rho=rho,
-        replication_means=tuple(means),
-    )
 
 
 def paired_comparison(

@@ -85,12 +85,7 @@ from pathlib import Path
 
 
 from repro.analysis.ccdf import tail_quantiles
-from repro.analysis.persistence import save_experiment, save_result, save_sweep
-from repro.analysis.runner import (
-    ExperimentConfig,
-    mean_response_sweep,
-    run_simulation,
-)
+from repro.analysis.persistence import save_experiment, save_result
 from repro.experiments import Experiment, WorkloadSpec
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
@@ -140,14 +135,21 @@ def _system_from(args: argparse.Namespace) -> SystemSpec:
     )
 
 
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        rounds=args.rounds,
-        warmup=args.warmup,
-        base_seed=args.seed,
-        backend=getattr(args, "backend", "reference"),
-        metrics=_parse_metrics(getattr(args, "metrics", None)),
-    )
+def _experiment_from(args: argparse.Namespace, policies, loads) -> Experiment:
+    """The one-system grid a run subcommand declares (validated now)."""
+    try:
+        return Experiment(
+            policies=policies,
+            systems=_system_from(args),
+            loads=loads,
+            rounds=args.rounds,
+            warmup=args.warmup,
+            base_seed=args.seed,
+            backend=getattr(args, "backend", "reference"),
+            metrics=_parse_metrics(getattr(args, "metrics", None)),
+        )
+    except ValueError as error:
+        raise SystemExit(f"invalid experiment: {error}")
 
 
 def cmd_policies(args: argparse.Namespace) -> int:
@@ -390,7 +392,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         make_backend(args.backend)
     except ValueError as error:
         raise SystemExit(f"invalid backend: {error}")
-    result = run_simulation(args.policy, system, args.rho, _config_from(args))
+    result = _experiment_from(args, args.policy, args.rho).run().only().result
     summary = result.summary()
     print(
         format_table(
@@ -421,43 +423,46 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    system = _system_from(args)
-    sweep = mean_response_sweep(
-        args.policies, system, tuple(args.loads), _config_from(args)
-    )
+    experiment = _experiment_from(args, args.policies, args.loads)
+    result = experiment.run(keep_results=False)
     print(
         format_series_table(
             "rho",
-            list(args.loads),
-            {policy: sweep.row(policy) for policy in args.policies},
-            title=f"Mean response time on {system.name} ({args.rounds} rounds/cell)",
+            list(experiment.loads),
+            {
+                policy.label: [
+                    result.metric(policy=policy.label, rho=rho)
+                    for rho in experiment.loads
+                ]
+                for policy in experiment.policies
+            },
+            title=f"Mean response time on {experiment.systems[0].name} "
+            f"({args.rounds} rounds/cell)",
         )
     )
-    for rho in args.loads:
-        print(f"  best at rho={rho}: {sweep.best_policy_at(rho)}")
+    for rho in experiment.loads:
+        print(f"  best at rho={rho}: {result.best_policy_at(rho)}")
     if args.save:
-        path = save_sweep(sweep, args.save)
+        path = save_experiment(result, args.save)
         print(f"sweep written to {path}")
     return 0
 
 
 def cmd_tails(args: argparse.Namespace) -> int:
-    system = _system_from(args)
-    config = _config_from(args)
+    experiment = _experiment_from(args, args.policies, args.rho)
     levels = (1e-1, 1e-2, 1e-3, 1e-4)
     rows = []
-    for policy in args.policies:
-        result = run_simulation(policy, system, args.rho, config)
-        quantiles = tail_quantiles(result.histogram, levels)
+    for record in experiment.run():
+        quantiles = tail_quantiles(record.result.histogram, levels)
         rows.append(
-            [policy, result.mean_response_time]
+            [record.policy, record.result.mean_response_time]
             + [quantiles[level] for level in levels]
         )
     print(
         format_table(
             ["policy", "mean", "p90", "p99", "p99.9", "p99.99"],
             rows,
-            title=f"Tails on {system.name} at rho={args.rho}",
+            title=f"Tails on {experiment.systems[0].name} at rho={args.rho}",
         )
     )
     return 0
@@ -492,7 +497,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     system = _system_from(args)
     rates = system.rates()
-    result = run_simulation(args.policy, system, args.rho, _config_from(args))
+    result = _experiment_from(args, args.policy, args.rho).run().only().result
     verdict = assess_stability(result, float(rates.sum()))
     print(f"{args.policy} on {system.name} at rho={args.rho}: {verdict}")
     if args.rho < 1.0:
@@ -1137,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="mean response over a load grid")
     p.add_argument("--policies", nargs="+", default=["scd", "jsq", "sed"])
     p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
-    p.add_argument("--save", help="write the sweep as JSON")
+    p.add_argument("--save", help="write the sweep's records as experiment JSON")
     _add_system_args(p)
     _add_run_args(p)
     p.set_defaults(func=cmd_sweep)

@@ -18,7 +18,10 @@ it as exactly that:
 True
 
 The default :class:`WorkloadSpec` is the paper's Poisson+geometric
-workload and reproduces the legacy runner bit-for-bit; alternative
+workload.  Each cell's seed depends only on its workload coordinates:
+``derive_seed(base_seed + 1_000_003 * replication, system.name,
+round(rho * 10_000))`` for the default workload, so every policy at the
+same coordinates sees the same arrivals and departures.  Alternative
 workloads (skewed dispatcher traffic, correlated bursts, sized jobs,
 arbitrary arrival/service factories) plug into the same grid.
 """

@@ -96,9 +96,11 @@ def simulate_cell(
 ) -> SimulationResult:
     """Run one simulation at fully resolved coordinates.
 
-    The shared low-level path of both executors and the legacy
-    ``run_simulation`` wrapper: :func:`build_cell_simulation` plus the
-    run.  ``backend`` names the round kernel in the
+    The shared low-level path of every executor:
+    :func:`build_cell_simulation` plus the run.  It also runs policies
+    a grid cannot declare (a pre-built :class:`Policy`, or array
+    kwargs); pass the ``seed`` of the matching
+    :meth:`Experiment.cells` cell to reproduce that cell exactly.  ``backend`` names the round kernel in the
     :mod:`repro.sim.backends` registry; unknown names fail with the
     registry's error message.  ``probes`` are extra observability probes
     (names or ``ProbeSpec``) appended to the default collectors.

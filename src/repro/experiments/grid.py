@@ -10,14 +10,14 @@ identical arrival/departure realizations (the paper's common-seed
 methodology), and the seed of a cell never depends on which executor
 runs it or in what order (seed-stable scheduling).
 
-Seed scheme (bit-compatible with the legacy runner):
+Seed scheme (a fixed contract; every published result depends on it):
 
-    base   = base_seed + 1_000_003 * replication          # as replicated_runs
+    base   = base_seed + 1_000_003 * replication
     seed   = derive_seed(base, *workload.seed_components(),
                          system.name, round(rho * 10_000))
 
-The paper-default workload contributes no components, so replication 0
-reproduces ``run_simulation``'s historical seeds exactly.
+The paper-default workload contributes no components, so its cells are
+seeded ``derive_seed(base, system.name, round(rho * 10_000))``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports gri
 
 __all__ = ["PolicySpec", "Cell", "Experiment", "REPLICATION_SEED_STRIDE"]
 
-#: Base-seed stride between replications (matches the legacy
-#: ``replicated_runs`` so paired replication designs are preserved).
+#: Base-seed stride between replications: replication ``r`` runs on
+#: base seed ``base_seed + 1_000_003 * r``, the same for every policy,
+#: so replicated comparisons stay paired.
 REPLICATION_SEED_STRIDE = 1_000_003
 
 
@@ -114,7 +115,8 @@ class Experiment:
     """Immutable declarative description of a full evaluation grid.
 
     Scalar axis values are accepted and normalized to 1-tuples, so
-    ``Experiment("scd", system, 0.9)`` describes a single cell.
+    ``Experiment("scd", system, 0.9)`` describes a single cell, and
+    ``.run().only().result`` is that cell's bare simulation result.
 
     Examples
     --------
@@ -290,30 +292,6 @@ class Experiment:
         backend = resolve_executor(executor, workers)
         records = backend.run(self, keep_results=keep_results, progress=progress)
         return ExperimentResult(experiment=self, records=tuple(records))
-
-    # -- convenience constructors -----------------------------------------
-
-    @classmethod
-    def single(
-        cls,
-        policy: "str | PolicySpec",
-        system: SystemSpec,
-        rho: float,
-        rounds: int = 10_000,
-        warmup: int = 0,
-        base_seed: int = 0,
-        workload: WorkloadSpec | None = None,
-    ) -> "Experiment":
-        """A one-cell experiment (the legacy ``run_simulation`` shape)."""
-        return cls(
-            policies=(PolicySpec.of(policy),),
-            systems=(system,),
-            loads=(rho,),
-            rounds=rounds,
-            warmup=warmup,
-            base_seed=base_seed,
-            workloads=(workload or WorkloadSpec(),),
-        )
 
     def describe(self) -> dict:
         """JSON-able descriptor of the grid (used by persistence).

@@ -8,8 +8,10 @@ Records compare by coordinates and metrics only, which is what makes
 directly assertable property.
 
 :class:`ExperimentResult` is the container: filter by any coordinate,
-aggregate over replications, convert to legacy ``SweepResult`` panels,
-or round-trip through JSON via :mod:`repro.analysis.persistence`.
+aggregate over replications, or round-trip through JSON via
+:mod:`repro.analysis.persistence`.  Records carry the seed their cell
+ran under (see :mod:`repro.experiments.grid` for the seed scheme), so a
+saved result names the exact realization behind every number.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from repro.sim.probes import DEFAULT_PROBE_LABELS
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
 
-    from repro.analysis.runner import SweepResult
-
     from .grid import Experiment
 
 __all__ = ["CellRecord", "ExperimentResult", "metrics_from_result"]
@@ -37,8 +37,8 @@ _PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 def metrics_from_result(result: SimulationResult) -> dict[str, float]:
     """Flat metrics mapping for a simulation result.
 
-    The legacy keys (mean/percentiles/accounting) come from the default
-    collectors exactly as they always did; sized runs add the job count
+    The headline keys (mean/percentiles/accounting) come from the
+    default collectors; sized runs add the job count
     under ``jobs`` (their accounting keys count work units).  Every
     *extra* probe the run carried contributes its summary under
     namespaced ``<label>.<key>`` keys, which is what makes record
@@ -207,41 +207,6 @@ class ExperimentResult:
     def as_rows(self) -> list[dict]:
         """Tidy long-form rows (ready for csv/pandas)."""
         return [record.as_row() for record in self.records]
-
-    # -- legacy bridges ----------------------------------------------------
-
-    def to_sweep(
-        self, system: str | None = None, workload: str | None = None
-    ) -> "SweepResult":
-        """One legacy :class:`SweepResult` panel (means over replications).
-
-        ``system``/``workload`` select the panel when the grid has more
-        than one; with a single system and workload they may be omitted.
-        """
-        from repro.analysis.runner import SweepResult
-
-        systems = {s.name: s for s in self.experiment.systems}
-        if system is None:
-            if len(systems) != 1:
-                raise ValueError("grid has several systems; pass system=...")
-            system = next(iter(systems))
-        if workload is None:
-            names = [w.name for w in self.experiment.workloads]
-            if len(names) != 1:
-                raise ValueError("grid has several workloads; pass workload=...")
-            workload = names[0]
-        view = self.filter(system=system, workload=workload)
-        aggregated = view.aggregate("mean")
-        policies = tuple(p.label for p in self.experiment.policies)
-        means: dict[str, dict[float, float]] = {p: {} for p in policies}
-        for (policy, _system, rho, _workload), stats in aggregated.items():
-            means[policy][rho] = stats["mean"]
-        return SweepResult(
-            system=systems[system],
-            loads=self.experiment.loads,
-            policies=policies,
-            means=means,
-        )
 
     # -- persistence -------------------------------------------------------
 

@@ -5,11 +5,10 @@ is *workload* rather than *policy or system*: the arrival process, the
 service process, how traffic splits over dispatchers, and (optionally) a
 job-size distribution.  The default spec is exactly the paper's
 evaluation workload -- symmetric Poisson arrivals and geometric service
--- and experiments run with it reproduce the legacy
-:func:`repro.analysis.runner.run_simulation` results bit-for-bit: the
-workload seed components it contributes are empty, so the derived seed
-matches the historical ``derive_seed(base, system.name, round(rho*1e4))``
-scheme.
+-- and it contributes no workload seed components, so a cell's seed is
+``derive_seed(base, system.name, round(rho * 10_000))`` with ``base``
+as defined in :mod:`repro.experiments.grid`.  That is the seed scheme
+every published result of this repository was produced under.
 
 Custom workloads contribute their ``name`` to the seed derivation, which
 keeps realizations (a) reproducible, (b) common across policies at the
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 #: Name of the paper's default workload; the only name that contributes
-#: no seed components (legacy seed compatibility).
+#: no seed components (see :meth:`WorkloadSpec.seed_components`).
 PAPER_WORKLOAD_NAME = "paper"
 
 #: Builds an arrival process for a (system, offered load) coordinate.
@@ -231,7 +230,7 @@ class WorkloadSpec:
         Workload identity.  Enters the seed derivation for every name
         except :data:`PAPER_WORKLOAD_NAME`, so distinct workloads see
         distinct (but reproducible) realizations, while the default
-        remains bit-compatible with the legacy runner.
+        keeps the seed ``derive_seed(base, system.name, round(rho * 10_000))``.
     arrivals:
         Optional arrival-process factory ``(system, rho) -> process``;
         overrides the default symmetric Poisson arrivals.  Must be
@@ -303,7 +302,8 @@ class WorkloadSpec:
     def seed_components(self) -> tuple[str, ...]:
         """Extra coordinates this workload contributes to seed derivation.
 
-        Empty for the paper default so legacy seeds are reproduced.
+        Empty for the paper default, whose cell seed is therefore
+        ``derive_seed(base, system.name, round(rho * 10_000))``.
         """
         components: tuple[str, ...] = ()
         if self.name != PAPER_WORKLOAD_NAME:

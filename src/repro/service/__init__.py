@@ -1,4 +1,4 @@
-"""Coordination service: job API, federated workers, socket shards.
+"""Coordination service: job API and federated workers.
 
 This package turns the single-process reproduction into a small
 distributed system while preserving the repo's bit-identity guarantees:
@@ -22,9 +22,6 @@ distributed system while preserving the repo's bit-identity guarantees:
 :mod:`~repro.service.client`
     Stdlib-only HTTP client helpers (``repro submit`` / ``repro
     status`` use these).
-:mod:`~repro.service.shardsocket`
-    ``sharded:N:socket`` -- the shard-kernel transport strategy over
-    TCP, registered lazily into :mod:`repro.sim.sharding`.
 
 Everything is standard library only (sockets, ``http.server``,
 ``urllib``); results produced through any of these paths are

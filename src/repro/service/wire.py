@@ -5,8 +5,6 @@ The service layer speaks exactly one wire format: each message is an
 :class:`MessageChannel` wraps a connected stream socket in the same
 ``send`` / ``recv`` / ``poll`` / ``close`` surface as
 :class:`multiprocessing.connection.Connection`, which is what lets the
-sharded kernel's process strategy (:mod:`repro.sim.sharding`) run
-unchanged over TCP (:mod:`repro.service.shardsocket`) and the
 federation worker protocol reuse the orchestrator's pipe idioms.
 
 A closed peer surfaces as :class:`ChannelClosed`, a subclass of

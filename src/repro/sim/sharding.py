@@ -46,15 +46,9 @@ global block stream by the coordinator, unchanged from the fast kernel.
 Response-event probes must be partitionable (the events exist only
 inside the shards).
 
-Additional transport strategies register through
-:func:`register_shard_strategy`; ``socket`` (one worker per shard
-behind a length-prefixed TCP channel, from
-:mod:`repro.service.shardsocket`) loads lazily so ``repro.sim`` never
-imports the service layer.
-
 The kernel registers as ``"sharded"`` and parameterizes through the
 name itself: ``sharded`` (2 shards, serial),
-``sharded:4``, ``sharded:4:process``, ``sharded:4:socket``.  A
+``sharded:4``, ``sharded:4:process``.  A
 trailing ``:compiled`` token
 (``sharded:4:compiled``, ``sharded:4:process:compiled``) swaps each
 worker's departure resolver for the jitted two-pointer store from
@@ -106,7 +100,6 @@ __all__ = [
     "SerialShardStrategy",
     "MultiprocessShardStrategy",
     "ShardedBackend",
-    "register_shard_strategy",
     "resolve_shard_strategy",
     "split_probe_specs",
 ]
@@ -514,18 +507,6 @@ class MultiprocessShardStrategy(ShardStrategy):
             child_conn.close()
             self._conns.append(parent_conn)
             self._processes.append(process)
-        self._start_pipeline(states)
-
-    def _start_pipeline(self, states: Sequence[dict] | None) -> None:
-        """Restore workers, then stand up the per-shard feeder pipeline.
-
-        Factored out of :meth:`start` so transport subclasses (the
-        socket strategy in :mod:`repro.service.shardsocket`) can
-        populate ``self._conns``/``self._processes`` their own way and
-        inherit the async pipeline, snapshot protocol, and teardown
-        unchanged -- the only transport contract is the
-        ``send``/``recv``/``poll``/``close`` connection surface.
-        """
         if states is not None:
             for shard, state in enumerate(states):
                 try:
@@ -650,31 +631,12 @@ _STRATEGIES = {
     MultiprocessShardStrategy.name: MultiprocessShardStrategy,
 }
 
-#: Strategies that live outside this module and register on import.
-#: Keeping them lazy preserves the dependency direction (``repro.sim``
-#: never hard-imports ``repro.service``) while still letting
-#: ``sharded:N:socket`` resolve through the ordinary registry grammar.
-_LAZY_STRATEGY_MODULES = {
-    "socket": "repro.service.shardsocket",
-}
-
-
-def register_shard_strategy(cls: type[ShardStrategy]) -> type[ShardStrategy]:
-    """Register a :class:`ShardStrategy` under ``cls.name`` (decorator-safe)."""
-    _STRATEGIES[cls.name] = cls
-    return cls
-
-
 def resolve_shard_strategy(name: str) -> type[ShardStrategy]:
-    """Strategy class for a registry-grammar token, loading lazy entries."""
-    if name not in _STRATEGIES and name in _LAZY_STRATEGY_MODULES:
-        import importlib
-
-        importlib.import_module(_LAZY_STRATEGY_MODULES[name])
+    """Strategy class for a registry-grammar token."""
     try:
         return _STRATEGIES[name]
     except KeyError:
-        known = ", ".join(sorted(set(_STRATEGIES) | set(_LAZY_STRATEGY_MODULES)))
+        known = ", ".join(sorted(_STRATEGIES))
         raise ValueError(
             f"unknown shard strategy {name!r}; known strategies: {known}"
         ) from None
@@ -719,7 +681,7 @@ class _ShardedParams:
     @classmethod
     def from_param(cls, param: str):
         """Registry-name parameters: ``"4"``, ``"4:process"``,
-        ``"4:socket"``, ``"4:compiled"``, ``"4:process:compiled"``.
+        ``"4:compiled"``, ``"4:process:compiled"``.
 
         A trailing ``compiled`` token selects the compiled departure
         resolver (and, for unit jobs, the compiled coordinator round loop);
@@ -732,7 +694,7 @@ class _ShardedParams:
         except ValueError:
             raise ValueError(
                 f"invalid shard count {parts[0]!r}; parameterize as "
-                f"'sharded:N' or 'sharded:N:serial|process|socket'"
+                f"'sharded:N' or 'sharded:N:serial|process'"
             ) from None
         rest = [token for token in parts[1:] if token]
         resolver = "numpy"
@@ -742,7 +704,7 @@ class _ShardedParams:
         if len(rest) > 1:
             raise ValueError(
                 f"too many shard parameters in {param!r}; parameterize as "
-                f"'sharded:N[:serial|process|socket][:compiled]'"
+                f"'sharded:N[:serial|process][:compiled]'"
             )
         strategy = rest[0] if rest else "serial"
         return cls(shards=shards, strategy=strategy, resolver=resolver)
@@ -824,7 +786,7 @@ class ShardedBackend(_ShardedParams, EngineBackend):
     description = (
         "server-partitioned fast kernel: per-shard batch stores and probe "
         "sets, folded via Probe.merge_partition; parameterize as "
-        "sharded:N[:serial|process|socket] (bit-exact vs fast for deterministic "
+        "sharded:N[:serial|process] (bit-exact vs fast for deterministic "
         "policies)"
     )
 

@@ -1,15 +1,9 @@
-"""Tests for the analysis layer: runner, CCDF helpers, tables, run-time."""
+"""Tests for the analysis layer: experiment runs, CCDF helpers, tables, run-time."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
-from repro.analysis.runner import (
-    ExperimentConfig,
-    mean_response_sweep,
-    run_simulation,
-    tail_experiment,
-)
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
     collect_snapshots,
@@ -17,49 +11,48 @@ from repro.analysis.runtime import (
     runtime_cdf_summary,
 )
 from repro.analysis.tables import format_series_table, format_table
+from repro.experiments import Experiment, PolicySpec
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.workloads.scenarios import SystemSpec
 
 SMALL = SystemSpec(num_servers=12, num_dispatchers=3, profile="u1_10")
-QUICK = ExperimentConfig(rounds=250, base_seed=0)
+
+
+def quick(policies, loads) -> Experiment:
+    return Experiment(policies, SMALL, loads, rounds=250, base_seed=0)
 
 
 class TestRunner:
-    def test_run_simulation_smoke(self):
-        result = run_simulation("scd", SMALL, rho=0.8, config=QUICK)
+    def test_single_cell_smoke(self):
+        result = quick("scd", 0.8).run().only().result
         assert result.policy_name == "scd"
         assert result.total_arrived > 0
         assert result.mean_response_time >= 1.0
 
     def test_common_random_numbers(self):
-        a = run_simulation("scd", SMALL, rho=0.8, config=QUICK)
-        b = run_simulation("jsq", SMALL, rho=0.8, config=QUICK)
-        assert a.total_arrived == b.total_arrived
+        a, b = quick(["scd", "jsq"], 0.8).run()
+        assert a.result.total_arrived == b.result.total_arrived
 
     def test_policy_kwargs_forwarded(self):
-        result = run_simulation("jsq(d)", SMALL, rho=0.5, config=QUICK, d=3)
+        result = quick(PolicySpec.of("jsq(d)", d=3), 0.5).run().only().result
         assert result.policy_name == "jsq(3)"
 
     def test_sweep_structure(self):
-        sweep = mean_response_sweep(
-            ["scd", "wr"], SMALL, loads=(0.5, 0.8), config=QUICK
-        )
-        assert sweep.policies == ("scd", "wr")
-        assert sweep.loads == (0.5, 0.8)
-        assert len(sweep.row("scd")) == 2
-        assert all(v >= 1.0 for v in sweep.row("wr"))
+        sweep = quick(["scd", "wr"], (0.5, 0.8)).run(keep_results=False)
+        assert [r.policy for r in sweep.filter(rho=0.5)] == ["scd", "wr"]
+        assert sweep.experiment.loads == (0.5, 0.8)
+        assert len(sweep.filter(policy="scd")) == 2
+        assert all(r.mean_response_time >= 1.0 for r in sweep.filter(policy="wr"))
 
     def test_sweep_best_policy(self):
-        sweep = mean_response_sweep(
-            ["scd", "random"], SMALL, loads=(0.9,), config=QUICK
-        )
+        sweep = quick(["scd", "random"], 0.9).run(keep_results=False)
         assert sweep.best_policy_at(0.9) == "scd"
 
-    def test_tail_experiment(self):
-        results = tail_experiment(["scd", "wr"], SMALL, rho=0.9, config=QUICK)
-        assert set(results) == {"scd", "wr"}
-        for result in results.values():
-            assert result.histogram.total > 0
+    def test_full_results_at_one_load(self):
+        records = quick(["scd", "wr"], 0.9).run()
+        assert {r.policy for r in records} == {"scd", "wr"}
+        for record in records:
+            assert record.result.histogram.total > 0
 
 
 class TestCCDFHelpers:

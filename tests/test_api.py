@@ -88,7 +88,6 @@ class TestSubmodules:
             "repro.workloads.heterogeneity",
             "repro.workloads.scenarios",
             "repro.analysis",
-            "repro.analysis.runner",
             "repro.analysis.ccdf",
             "repro.analysis.tables",
             "repro.analysis.runtime",

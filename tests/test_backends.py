@@ -114,47 +114,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown engine backend"):
             run_once("jsq", backend="warp-drive", rounds=10)
 
-    def test_legacy_wrappers_honor_backend(self):
-        """Every ExperimentConfig consumer forwards config.backend."""
-        from repro.analysis.replication import replicated_runs
-        from repro.analysis.runner import (
-            ExperimentConfig,
-            mean_response_sweep,
-            run_simulation,
-            tail_experiment,
-        )
-        from repro.workloads.scenarios import SystemSpec
-
-        system = SystemSpec(6, 2)
-        config = ExperimentConfig(rounds=150, backend="fast")
-        reference = ExperimentConfig(rounds=150, backend="reference")
-        fast = run_simulation("jsq", system, 0.8, config)
-        assert fast.config.backend == "fast"
-        assert (
-            fast.mean_response_time
-            == run_simulation("jsq", system, 0.8, reference).mean_response_time
-        )
-        sweep = mean_response_sweep(["jsq"], system, (0.8,), config)
-        assert sweep.row("jsq") == mean_response_sweep(
-            ["jsq"], system, (0.8,), reference
-        ).row("jsq")
-        tails = tail_experiment(["jsq"], system, 0.8, config)
-        assert tails["jsq"].config.backend == "fast"
-        reps = replicated_runs("jsq", system, 0.8, config, replications=2)
-        assert reps.replication_means == replicated_runs(
-            "jsq", system, 0.8, reference, replications=2
-        ).replication_means
-        # Forwarding is observable via validation: a bogus backend in the
-        # config must reach the Experiment and be rejected there.
-        for wrapper in (
-            lambda c: run_simulation("jsq", system, 0.8, c),
-            lambda c: mean_response_sweep(["jsq"], system, (0.8,), c),
-            lambda c: tail_experiment(["jsq"], system, 0.8, c),
-            lambda c: replicated_runs("jsq", system, 0.8, c, replications=2),
-        ):
-            with pytest.raises(ValueError, match="unknown engine backend"):
-                wrapper(ExperimentConfig(rounds=150, backend="bogus"))
-
     def test_experiment_validates_backend_per_registry(self):
         """Sized and unit cells resolve the backend in the one registry:
         known names (fast included) construct, unknown names fail at

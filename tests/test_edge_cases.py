@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.ccdf import ccdf_series
-from repro.analysis.runner import ExperimentConfig, run_simulation
+from repro.experiments import Experiment, ExperimentResult, PolicySpec
 from repro.policies.base import SystemContext, make_policy
 from repro.sim.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.sim.engine import Simulation, SimulationConfig
@@ -59,24 +59,18 @@ class TestSingleServer:
 class TestManyDispatchersFewServers:
     def test_m_greater_than_n(self):
         system = SystemSpec(num_servers=3, num_dispatchers=12, profile="u1_10")
-        result = run_simulation(
-            "scd", system, rho=0.8, config=ExperimentConfig(rounds=300)
-        )
+        result = Experiment("scd", system, 0.8, rounds=300).run().only().result
         assert result.total_arrived == result.total_departed + result.final_queued
 
     def test_single_dispatcher_scd_estimate_is_exact(self):
         """With m = 1, Eq. 18 gives the true total: SCD sees perfect info."""
         system = SystemSpec(num_servers=10, num_dispatchers=1, profile="u1_10")
-        scaled = run_simulation(
-            "scd", system, rho=0.9, config=ExperimentConfig(rounds=500)
-        )
-        oracle = run_simulation(
-            "scd",
+        scaled, oracle = Experiment(
+            ["scd", PolicySpec.of("scd", estimator="oracle")],
             system,
-            rho=0.9,
-            config=ExperimentConfig(rounds=500),
-            estimator="oracle",
-        )
+            0.9,
+            rounds=500,
+        ).run()
         assert scaled.mean_response_time == pytest.approx(
             oracle.mean_response_time, rel=1e-12
         )
@@ -184,7 +178,8 @@ class TestCLIEdges:
             ]
         )
         assert code == 0
-        assert path.exists()
+        loaded = ExperimentResult.load(path)
+        assert loaded.only(policy="wr", rho=0.5).mean_response_time >= 1.0
 
     def test_stability_overload_skips_bound(self, capsys):
         from repro.cli import main

@@ -2,9 +2,11 @@
 
 The two load-bearing guarantees:
 
-1. **Legacy equivalence** -- an ``Experiment`` with the default
-   :class:`WorkloadSpec` reproduces ``run_simulation``'s results
-   bit-identically at the same (policy, system, rho, seed) coordinates.
+1. **Seed contract** -- an ``Experiment`` with the default
+   :class:`WorkloadSpec` seeds each cell with the historical
+   ``derive_seed(base_seed + 1_000_003 * r, system.name,
+   round(rho * 10_000))`` scheme, and a pinned cell keeps its recorded
+   mean.
 2. **Executor equivalence** -- the process-pool executor returns records
    identical to the serial executor (seed-stable scheduling).
 """
@@ -17,8 +19,6 @@ from repro.analysis.persistence import (
     experiment_result_from_dict,
     experiment_result_to_dict,
 )
-from repro.analysis.replication import replicated_runs
-from repro.analysis.runner import ExperimentConfig, mean_response_sweep, run_simulation
 from repro.experiments import (
     Cell,
     Experiment,
@@ -28,6 +28,7 @@ from repro.experiments import (
     WorkloadSpec,
     resolve_executor,
 )
+from repro.sim.seeding import derive_seed
 from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec
 
@@ -90,51 +91,29 @@ class TestGrid:
 
 
 class TestLegacyEquivalence:
-    def test_default_workload_bit_identical_to_run_simulation(self):
-        """Acceptance criterion: same metrics, same seed, same histogram."""
-        exp = Experiment(
-            policies=["scd", "jsq"], systems=SMALL, loads=[0.7, 0.9], rounds=ROUNDS
-        )
-        result = exp.run()
-        config = ExperimentConfig(rounds=ROUNDS)
-        for policy in ("scd", "jsq"):
-            for rho in (0.7, 0.9):
-                legacy = run_simulation(policy, SMALL, rho, config)
-                record = result.only(policy=policy, rho=rho)
-                assert record.seed == legacy.config.seed
-                assert record.metrics["mean"] == legacy.mean_response_time
-                assert record.metrics["arrived"] == legacy.total_arrived
-                np.testing.assert_array_equal(
-                    record.result.histogram.counts, legacy.histogram.counts
-                )
-                np.testing.assert_array_equal(
-                    record.result.final_queues, legacy.final_queues
-                )
+    """The historical seed scheme, pinned directly."""
 
-    def test_sweep_wrapper_bit_identical(self):
-        config = ExperimentConfig(rounds=ROUNDS)
-        sweep = mean_response_sweep(["scd", "wr"], SMALL, (0.5, 0.8), config)
-        for policy in ("scd", "wr"):
-            for rho in (0.5, 0.8):
-                direct = run_simulation(policy, SMALL, rho, config)
-                assert sweep.means[policy][rho] == direct.mean_response_time
-
-    def test_replication_axis_matches_replicated_runs(self):
-        config = ExperimentConfig(rounds=ROUNDS, base_seed=1)
-        legacy = replicated_runs("scd", SMALL, 0.9, config, replications=3)
+    def test_historical_seed_scheme_and_golden_mean(self):
         exp = Experiment(
-            policies="scd",
+            policies=["scd", "jsq"],
             systems=SMALL,
-            loads=0.9,
-            replications=3,
+            loads=[0.7, 0.9],
+            replications=2,
             rounds=ROUNDS,
-            base_seed=1,
+            base_seed=5,
         )
-        grid_means = tuple(
-            r.metrics["mean"]
-            for r in sorted(exp.run().records, key=lambda r: r.replication)
-        )
-        assert grid_means == legacy.replication_means
+        for cell in exp.cells():
+            assert cell.seed == derive_seed(
+                5 + 1_000_003 * cell.replication,
+                SMALL.name,
+                round(cell.rho * 10_000),
+            )
+        # Golden values of one small cell: a change here means every
+        # published result moved.
+        record = Experiment("scd", SMALL, 0.9, rounds=ROUNDS).run().only()
+        assert record.seed == 411329600224239353
+        assert record.metrics["mean"] == 3.2444646860986546
+        assert record.metrics["arrived"] == 14313
 
     def test_common_random_numbers_across_policies(self):
         exp = Experiment(
@@ -296,17 +275,6 @@ class TestResults:
         assert {"policy", "system", "rho", "replication", "workload", "seed", "mean"} <= set(
             rows[0]
         )
-
-    def test_to_sweep_matches_legacy(self):
-        exp = Experiment(
-            policies=["scd", "wr"], systems=SMALL, loads=[0.5, 0.8], rounds=ROUNDS
-        )
-        sweep = exp.run().to_sweep()
-        legacy = mean_response_sweep(
-            ["scd", "wr"], SMALL, (0.5, 0.8), ExperimentConfig(rounds=ROUNDS)
-        )
-        assert sweep.policies == legacy.policies
-        assert sweep.means == legacy.means
 
 
 class TestPersistence:

@@ -9,24 +9,33 @@ in the benchmark suite and EXPERIMENTS.md.
 import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentConfig, run_simulation, tail_experiment
+from repro.experiments import Experiment, PolicySpec, simulate_cell
+from repro.policies.base import make_policy
 from repro.workloads.scenarios import SystemSpec
 
-CONFIG = ExperimentConfig(rounds=2500, base_seed=11)
 MODERATE = SystemSpec(num_servers=40, num_dispatchers=5, profile="u1_10")
 EXTREME = SystemSpec(num_servers=40, num_dispatchers=5, profile="u1_100")
+
+
+def experiment(policies, systems, rho) -> Experiment:
+    return Experiment(policies, systems, rho, rounds=2500, base_seed=11)
+
+
+def results(policies, systems, rho) -> list:
+    """Full simulation results in grid order (systems outer, policies inner)."""
+    return [record.result for record in experiment(policies, systems, rho).run()]
 
 
 @pytest.fixture(scope="module")
 def moderate_results():
     policies = ["scd", "twf", "jsq", "sed", "hjsq(2)", "hjiq", "hlsq", "wr"]
-    return tail_experiment(policies, MODERATE, rho=0.9, config=CONFIG)
+    return dict(zip(policies, results(policies, MODERATE, 0.9)))
 
 
 @pytest.fixture(scope="module")
 def extreme_results():
     policies = ["scd", "twf", "sed", "hlsq"]
-    return tail_experiment(policies, EXTREME, rho=0.9, config=CONFIG)
+    return dict(zip(policies, results(policies, EXTREME, 0.9)))
 
 
 class TestSCDWins:
@@ -66,33 +75,25 @@ class TestHerding:
     """More dispatchers hurt deterministic policies but not SCD."""
 
     def test_jsq_degrades_with_more_dispatchers(self):
-        single = run_simulation(
-            "jsq", SystemSpec(40, 1, "u1_10"), rho=0.9, config=CONFIG
-        )
-        many = run_simulation(
-            "jsq", SystemSpec(40, 10, "u1_10"), rho=0.9, config=CONFIG
+        single, many = results(
+            "jsq", [SystemSpec(40, 1, "u1_10"), SystemSpec(40, 10, "u1_10")], 0.9
         )
         assert many.mean_response_time > 1.15 * single.mean_response_time
 
     def test_scd_robust_to_more_dispatchers(self):
-        single = run_simulation(
-            "scd", SystemSpec(40, 1, "u1_10"), rho=0.9, config=CONFIG
-        )
-        many = run_simulation(
-            "scd", SystemSpec(40, 10, "u1_10"), rho=0.9, config=CONFIG
+        single, many = results(
+            "scd", [SystemSpec(40, 1, "u1_10"), SystemSpec(40, 10, "u1_10")], 0.9
         )
         assert many.mean_response_time < 1.25 * single.mean_response_time
 
 
 class TestHeterogeneityAwareVariantsHelp:
     def test_hjsq2_beats_jsq2(self):
-        jsq2 = run_simulation("jsq(2)", MODERATE, rho=0.9, config=CONFIG)
-        hjsq2 = run_simulation("hjsq(2)", MODERATE, rho=0.9, config=CONFIG)
+        jsq2, hjsq2 = results(["jsq(2)", "hjsq(2)"], MODERATE, 0.9)
         assert hjsq2.mean_response_time < jsq2.mean_response_time
 
     def test_hjiq_beats_jiq_at_high_load(self):
-        jiq = run_simulation("jiq", MODERATE, rho=0.95, config=CONFIG)
-        hjiq = run_simulation("hjiq", MODERATE, rho=0.95, config=CONFIG)
+        jiq, hjiq = results(["jiq", "hjiq"], MODERATE, 0.95)
         assert hjiq.mean_response_time < jiq.mean_response_time
 
 
@@ -100,17 +101,15 @@ class TestEstimatorAblation:
     def test_oracle_close_to_scaled(self):
         """Eq. 18's simple estimator should be near the oracle's quality
         (the deviations compensate, Section 5.1)."""
-        scaled = run_simulation("scd", MODERATE, rho=0.9, config=CONFIG)
-        oracle = run_simulation(
-            "scd", MODERATE, rho=0.9, config=CONFIG, estimator="oracle"
+        scaled, oracle = results(
+            ["scd", PolicySpec.of("scd", estimator="oracle")], MODERATE, 0.9
         )
         assert scaled.mean_response_time < 1.3 * oracle.mean_response_time
 
     def test_wild_constant_estimate_hurts(self):
         """An absurdly large a_est degenerates toward weighted-random."""
-        scaled = run_simulation("scd", MODERATE, rho=0.9, config=CONFIG)
-        huge = run_simulation(
-            "scd", MODERATE, rho=0.9, config=CONFIG, estimator=100_000.0
+        scaled, huge = results(
+            ["scd", PolicySpec.of("scd", estimator=100_000.0)], MODERATE, 0.9
         )
         assert huge.mean_response_time > scaled.mean_response_time
 
@@ -122,8 +121,16 @@ class TestConnectivityExtension:
         # Each dispatcher sees a random 60% of servers.
         mask = rng.random((m, n)) < 0.6
         mask[:, 0] = True  # guarantee non-empty rows
-        result = run_simulation(
-            "scd", MODERATE, rho=0.8, config=CONFIG, connectivity=mask
+        # An array kwarg cannot be declared on a grid: run the policy
+        # object on the seed of the cell it replaces.
+        cell = next(experiment("scd", MODERATE, 0.8).cells())
+        result = simulate_cell(
+            make_policy("scd", connectivity=mask),
+            MODERATE,
+            0.8,
+            cell.workload,
+            cell.seed,
+            cell.rounds,
         )
         assert result.total_arrived == result.total_departed + result.final_queued
         assert result.mean_response_time < 15.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentConfig, run_simulation
+from repro.experiments import Experiment
 from repro.policies.base import SystemContext, make_policy
 from repro.workloads.scenarios import SystemSpec
 
@@ -74,9 +74,8 @@ class TestLED:
 
     def test_end_to_end_and_competitive(self):
         system = SystemSpec(num_servers=30, num_dispatchers=4, profile="u1_10")
-        config = ExperimentConfig(rounds=1200, base_seed=2)
-        led = run_simulation("hled", system, rho=0.9, config=config)
-        lsq = run_simulation("hlsq", system, rho=0.9, config=config)
+        experiment = Experiment(["hled", "hlsq"], system, 0.9, rounds=1200, base_seed=2)
+        led, lsq = (record.result for record in experiment.run())
         assert led.total_arrived == led.total_departed + led.final_queued
         # LED's fresher views should not be (much) worse than LSQ's.
         assert led.mean_response_time < 1.5 * lsq.mean_response_time

@@ -1,4 +1,4 @@
-"""Tests for JSON result/sweep persistence."""
+"""Tests for JSON simulation-result persistence."""
 
 import json
 
@@ -7,24 +7,19 @@ import pytest
 
 from repro.analysis.persistence import (
     load_result,
-    load_sweep,
     result_from_dict,
     result_to_dict,
     save_result,
-    save_sweep,
-    sweep_from_dict,
-    sweep_to_dict,
 )
-from repro.analysis.runner import ExperimentConfig, mean_response_sweep, run_simulation
+from repro.experiments import Experiment
 from repro.workloads.scenarios import SystemSpec
 
 SYSTEM = SystemSpec(num_servers=10, num_dispatchers=2, profile="u1_10")
-CONFIG = ExperimentConfig(rounds=200, base_seed=0)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_simulation("scd", SYSTEM, rho=0.8, config=CONFIG)
+    return Experiment("scd", SYSTEM, 0.8, rounds=200, base_seed=0).run().only().result
 
 
 class TestResultRoundTrip:
@@ -115,21 +110,3 @@ class TestSizedResults:
         assert loaded.histogram.total == 261
         assert len(loaded.queue_series.values) == 40
         assert loaded.mean_response_time == pytest.approx(1.632183908045977)
-
-
-class TestSweepRoundTrip:
-    def test_round_trip(self, tmp_path):
-        sweep = mean_response_sweep(["scd", "wr"], SYSTEM, (0.6, 0.9), CONFIG)
-        restored = load_sweep(save_sweep(sweep, tmp_path / "sweep.json"))
-        assert restored.policies == sweep.policies
-        assert restored.loads == sweep.loads
-        assert restored.system == sweep.system
-        for policy in sweep.policies:
-            assert restored.row(policy) == sweep.row(policy)
-
-    def test_version_check(self):
-        sweep = mean_response_sweep(["wr"], SYSTEM, (0.5,), CONFIG)
-        payload = sweep_to_dict(sweep)
-        payload["format_version"] = 0
-        with pytest.raises(ValueError, match="version"):
-            sweep_from_dict(payload)

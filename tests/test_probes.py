@@ -702,13 +702,11 @@ class TestExperimentPlumbing:
         pooled = experiment.run(executor="process", workers=2, keep_results=False)
         assert serial.records == pooled.records
 
-    def test_legacy_runner_metrics_passthrough(self):
-        result = repro.run_simulation(
-            "jsq",
-            SystemSpec(8, 2),
-            rho=0.8,
-            config=repro.ExperimentConfig(rounds=100, metrics=("herding",)),
+    def test_single_cell_result_carries_probes(self):
+        experiment = repro.Experiment(
+            "jsq", SystemSpec(8, 2), 0.8, rounds=100, metrics=("herding",)
         )
+        result = experiment.run().only().result
         assert result.probes["herding"].summary()["rounds"] > 0
 
 

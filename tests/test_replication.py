@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.analysis.replication import (
-    ReplicatedResult,
-    paired_comparison,
-    replicated_runs,
-)
-from repro.analysis.runner import ExperimentConfig
+from repro.analysis.replication import ReplicatedResult, paired_comparison
+from repro.experiments import Experiment, PolicySpec
 from repro.workloads.scenarios import SystemSpec
 
 SYSTEM = SystemSpec(num_servers=15, num_dispatchers=3, profile="u1_10")
-CONFIG = ExperimentConfig(rounds=300, base_seed=1)
+
+
+def replicated(policy, replications) -> ReplicatedResult:
+    """One policy's per-replication means at rho = 0.9."""
+    records = Experiment(
+        policy, SYSTEM, 0.9, replications=replications, rounds=300, base_seed=1
+    ).run(keep_results=False)
+    means = tuple(record.metrics["mean"] for record in records)
+    return ReplicatedResult(records.records[0].policy, SYSTEM, 0.9, means)
 
 
 class TestReplicatedResult:
@@ -45,37 +49,36 @@ class TestReplicatedResult:
 
 class TestReplicatedRuns:
     def test_replication_count_and_variation(self):
-        result = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=3)
+        result = replicated("scd", 3)
         assert result.replications == 3
         # Independent workloads: replication means differ.
         assert len(set(result.replication_means)) > 1
 
     def test_deterministic(self):
-        a = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=2)
-        b = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=2)
+        a = replicated("scd", 2)
+        b = replicated("scd", 2)
         assert a.replication_means == b.replication_means
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=0)
+            replicated("scd", 0)
 
     def test_policy_kwargs_forwarded(self):
-        result = replicated_runs(
-            "scd", SYSTEM, 0.9, CONFIG, replications=1, estimator="oracle"
-        )
+        result = replicated(PolicySpec.of("scd", estimator="oracle"), 1)
         assert result.replications == 1
+        assert result.policy == "scd[estimator=oracle]"
 
 
 class TestPairedComparison:
     def test_scd_significantly_beats_random(self):
-        scd = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=4)
-        rnd = replicated_runs("random", SYSTEM, 0.9, CONFIG, replications=4)
+        scd = replicated("scd", 4)
+        rnd = replicated("random", 4)
         outcome = paired_comparison(scd, rnd)
         assert outcome["mean_improvement"] > 0
         assert outcome["significant"]
 
     def test_self_comparison_not_significant(self):
-        a = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=4)
+        a = replicated("scd", 4)
         with pytest.raises(ValueError):
             # identical tuples make ttest degenerate; guard via design check
             paired_comparison(
@@ -84,13 +87,13 @@ class TestPairedComparison:
             )
 
     def test_mismatched_designs_rejected(self):
-        a = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=2)
-        b = replicated_runs("jsq", SYSTEM, 0.9, CONFIG, replications=3)
+        a = replicated("scd", 2)
+        b = replicated("jsq", 3)
         with pytest.raises(ValueError):
             paired_comparison(a, b)
 
     def test_needs_two_replications(self):
-        a = replicated_runs("scd", SYSTEM, 0.9, CONFIG, replications=1)
-        b = replicated_runs("jsq", SYSTEM, 0.9, CONFIG, replications=1)
+        a = replicated("scd", 1)
+        b = replicated("jsq", 1)
         with pytest.raises(ValueError):
             paired_comparison(a, b)

@@ -5,8 +5,8 @@ workers -- through every failure the protocol claims to survive
 (SIGKILL mid-cell, wedged workers that miss heartbeats, stale messages
 from presumed-dead lease holders) -- produces records bit-identical to
 a plain SerialExecutor run.  Around that sit the framed wire transport,
-the ``sharded:N:socket`` kernel strategy, job bookkeeping, and the HTTP
-job API with its streaming telemetry endpoint.
+job bookkeeping, and the HTTP job API with its streaming telemetry
+endpoint.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from repro.analysis.persistence import (
     experiment_from_descriptor,
     load_experiment,
 )
-from repro.experiments.executor import SerialExecutor, simulate_cell
+from repro.experiments.executor import SerialExecutor
 from repro.experiments.grid import Experiment
 from repro.experiments.workload import BurstyArrivalFactory, WorkloadSpec
-from repro.runs import Run, iter_events
+from repro.runs import iter_events
 from repro.service import (
     ChannelClosed,
     FederationCoordinator,
@@ -170,63 +170,6 @@ class TestMessageChannel:
             assert sequence == sorted(sequence)  # per-sender FIFO
         left.close()
         right.close()
-
-
-# ---------------------------------------------------------------------------
-# The socket shard strategy.
-# ---------------------------------------------------------------------------
-
-
-class TestSocketShardStrategy:
-    def test_bit_identical_to_fast(self):
-        kwargs = dict(rounds=600, warmup=0)
-        fast = simulate_cell(
-            "jsq", SYSTEM, 0.9, WorkloadSpec.paper(), 123, backend="fast", **kwargs
-        )
-        over_sockets = simulate_cell(
-            "jsq",
-            SYSTEM,
-            0.9,
-            WorkloadSpec.paper(),
-            123,
-            backend="sharded:2:socket",
-            **kwargs,
-        )
-        assert fast.histogram.state_dict() == over_sockets.histogram.state_dict()
-        assert fast.queue_series.values.tolist() == over_sockets.queue_series.values.tolist()
-
-    def test_pause_resume_over_sockets_is_bit_identical(self, tmp_path):
-        from repro.experiments.executor import build_cell_simulation
-
-        def build():
-            return build_cell_simulation(
-                "scd",
-                SYSTEM,
-                0.85,
-                WorkloadSpec.paper(),
-                7,
-                800,
-                warmup=256,
-                backend="sharded:2:socket",
-            )
-
-        baseline = build().run()
-        run = Run.create(build(), tmp_path / "run")
-        assert run.execute(max_legs=1) is None  # paused at a checkpoint
-        resumed = run.execute()
-        assert resumed.histogram.state_dict() == baseline.histogram.state_dict()
-
-    def test_registry_grammar_accepts_socket(self):
-        from repro.sim.sharding import _ShardedParams
-
-        params = _ShardedParams.from_param("4:socket")
-        assert (params.shards, params.strategy) == (4, "socket")
-
-    def test_unknown_strategy_names_socket_in_error(self):
-        from repro.sim.sharding import resolve_shard_strategy
-
-        with pytest.raises(ValueError, match="socket"):
-            resolve_shard_strategy("quantum")
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown engine backend"):
             make_backend("warp:3")
 
+    def test_removed_socket_strategy_rejected(self):
+        """The TCP shard transport is gone; naming it lists what is left."""
+        strategy = "socket"
+        with pytest.raises(
+            ValueError, match="known strategies: process, serial$"
+        ):
+            make_backend(f"sharded:4:{strategy}")
+
     def test_compiled_resolver_parses(self):
         """A trailing ``compiled`` token selects the resolver; any other
         token in that position is still validated as a strategy."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from _helpers import assert_ensemble_close
 
-from repro.analysis.runner import ExperimentConfig, run_simulation
+from repro.experiments import Experiment
 from repro.core.theory import (
     geometric_second_moment,
     poisson_second_moment,
@@ -122,9 +122,8 @@ class TestBoundCoversMeasurement:
         """The theorem: SCD's time-averaged total queue respects Eq. 37."""
         system = SystemSpec(num_servers=10, num_dispatchers=3, profile="u1_10")
         rho = 0.9
-        result = run_simulation(
-            "scd", system, rho, ExperimentConfig(rounds=2000, base_seed=4)
-        )
+        experiment = Experiment("scd", system, rho, rounds=2000, base_seed=4)
+        result = experiment.run().only().result
         bound = strong_stability_bound(system.lambdas(rho), system.rates())
         measured = result.queue_series.mean()
         assert measured < bound.bound
