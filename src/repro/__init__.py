@@ -118,7 +118,7 @@ from .sim.backends import (
     make_backend,
     register_backend,
 )
-from .sim.batchstore import BatchQueueStore, SizedBatchQueueStore
+from .sim.batchstore import BatchQueueStore
 from .sim.engine import Simulation, SimulationConfig, SimulationResult, simulate
 from .sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from .sim.probes import (
@@ -233,7 +233,6 @@ __all__ = [
     "ShardPlan",
     "ShardedBackend",
     "BatchQueueStore",
-    "SizedBatchQueueStore",
     # observability probes
     "Probe",
     "ProbeSpec",

@@ -99,9 +99,14 @@ def result_to_dict(result: SimulationResult) -> dict:
 def result_from_dict(payload: dict) -> SimulationResult:
     """Inverse of :func:`result_to_dict`.
 
-    Also loads the retired ``sized_result`` format, which recorded no
-    config and no per-server arrays: those fields come back ``None``.
+    The retired ``sized_result`` format recorded no config and no
+    per-server arrays; it is refused with a ``ValueError`` naming it.
     """
+    if payload.get("kind") == "sized_result":
+        raise ValueError(
+            "the 'sized_result' format is retired: sized and unit results "
+            "share one result format; rerun to regenerate the file"
+        )
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported result format version: {version!r}")
@@ -118,19 +123,6 @@ def result_from_dict(payload: dict) -> SimulationResult:
         probes["queue_series"] = QueueSeriesProbe(series=series)
     for label, state in payload.get("probes", {}).items():
         probes[label] = probe_from_state(state)
-    if payload.get("kind") == "sized_result":
-        return SimulationResult(
-            policy_name=payload["policy_name"],
-            config=None,
-            histogram=hist,
-            queue_series=series,
-            total_arrived=int(payload["total_units_arrived"]),
-            total_departed=int(payload["total_units_departed"]),
-            final_queued=int(payload["final_units_queued"]),
-            final_queues=None,
-            total_jobs=int(payload["total_jobs"]),
-            probes=probes,
-        )
     config_payload = dict(payload["config"])
     # Files written before the engine-backend registry carry no key.
     config_payload.setdefault("backend", "reference")

@@ -39,8 +39,9 @@ __all__ = ["CheckpointError", "CheckpointStore", "retained_rounds"]
 #: :meth:`CheckpointStore.load_latest` (and never unpickled) instead of
 #: restoring into code that no longer matches them.  Version 2: unit and
 #: sized jobs share one engine, one kernel state layout and four RNG
-#: streams.
-_FORMAT_VERSION = 2
+#: streams.  Version 3: unit and sized jobs share one batch store of
+#: ``(round, size, count)`` runs.
+_FORMAT_VERSION = 3
 
 
 def retained_rounds(

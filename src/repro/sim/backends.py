@@ -17,9 +17,9 @@ units, which are jobs when jobs have unit size.
     arrivals land in an array-backed batch store, and the departure
     phase drains *all* busy servers in lock-step with
     :meth:`~repro.sim.metrics.ResponseTimeHistogram.record_many` bulk
-    recording.  Unit jobs use the ``(round, count)``
-    :class:`~repro.sim.batchstore.BatchQueueStore`, sized jobs the
-    per-job :class:`~repro.sim.batchstore.SizedBatchQueueStore`.
+    recording.  Unit and sized jobs share one
+    :class:`~repro.sim.batchstore.BatchQueueStore` of the reference
+    queue's ``(round, size, count)`` runs.
     Bit-identical to ``reference`` for deterministic policies and for
     any policy using the base-class ``dispatch_round`` fallback;
     statistically equivalent for policies with native batched sampling
@@ -50,14 +50,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._registry import BackendCapabilities, BackendRegistry
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .blockdriver import (
-    BLOCK_ROUNDS,
-    Block,
-    RunState,
-    drive_blocks,
-    resolve_block,
-)
+from .batchstore import BatchQueueStore
+from .blockdriver import BLOCK_ROUNDS, Block, RunState, drive_blocks
 from .lifecycle import RunController, validate_start_round
 from .metrics import ResponseTimeHistogram
 from .probes import (
@@ -410,9 +404,9 @@ class FastBackend(EngineBackend):
         "block-resolved departures (bit-exact for deterministic policies)"
     )
 
-    def _make_store(self, num_servers: int, sized: bool):
+    def _make_store(self, num_servers: int):
         """Subclass seam: which departure resolver backs a fresh run."""
-        return SizedBatchQueueStore(num_servers) if sized else BatchQueueStore(num_servers)
+        return BatchQueueStore(num_servers)
 
     def _round_kernel(self, sim: "Simulation"):
         """Subclass seam: an optional whole-block native round loop."""
@@ -428,7 +422,7 @@ class FastBackend(EngineBackend):
             probes = state["probes"]
             run = state["run"]
         else:
-            store = self._make_store(sim.rates.size, sim.sizes is not None)
+            store = self._make_store(sim.rates.size)
             probes = _probe_set_for(sim)
             run = RunState(sim.rates.size)
         histogram = probes.histogram
@@ -444,12 +438,11 @@ class FastBackend(EngineBackend):
         def consume(block: Block) -> None:
             if mask_source is not None:
                 store.set_capacity_mask(mask_source())
-            resolve_block(
-                store,
+            store.process_block(
                 block.start_round,
-                block.received,
+                block.jobs_block,
+                block.sizes,
                 block.done,
-                block.jobs,
                 histogram,
                 config.warmup,
                 response_sink,

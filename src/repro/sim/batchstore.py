@@ -1,44 +1,45 @@
-"""Array-backed FIFO batch storage, resolved one round-block at a time.
+"""Array-backed FIFO job storage, resolved one round-block at a time.
 
 The reference kernel keeps one :class:`repro.sim.backends.SizedServerQueue`
-(a deque of ``[arrival_round, size, count]`` cells) per server and drains
-them one Python call per server per round.  :class:`BatchQueueStore` holds
-the same information for the whole pool as flat server-major arrays --
-a structure of ``(arrival_round, count)`` pairs -- and exploits that a
-round's *queue dynamics* need only the per-server totals: the engine can
-run a whole block of rounds updating ``queues += received - done`` and
-hand the store the block's ``(rounds, servers)`` admission and
-completion matrices afterwards.  FIFO response times are then recovered
-for every server at once by a prefix-sum argument:
+per server: a deque of ``[arrival_round, size, count]`` cells, runs of
+``count`` jobs of ``size`` work units that arrived in one round, drained
+one Python call per server per round.  :class:`BatchQueueStore` holds the
+same cells for the whole pool as flat server-major arrays, FIFO within a
+server, and exploits that a round's *queue dynamics* need only the
+per-server totals: the engine runs a whole block of rounds updating
+``queues += received - done`` and hands the store the block's admitted
+jobs and ``(rounds, servers)`` completion matrix afterwards.  FIFO
+response times are then recovered for every server at once by a
+prefix-sum argument:
 
-* Within one server, jobs occupy FIFO *positions* ``1..N``; batch ``j``
-  covers the position interval ``(B_{j-1}, B_j]`` of the cumulative
-  batch counts, and the departures of round ``u`` cover
-  ``(D_{u-1}, D_u]`` of the cumulative completion counts.
-* Laying the servers' position axes end-to-end turns both families into
-  global sorted boundary sequences; merging them decomposes the block's
-  completions into segments, each belonging to exactly one batch and
-  one departure round -- precisely the ``(response_time, count)`` pairs
-  the reference engine records one at a time.
-* Segments not covered by any departure (guarded by per-server sentinel
-  boundaries) are the carry: batches still queued when the block ends,
-  re-stored in server-major FIFO order for the next block.
+* Within one server, work units occupy FIFO *positions* ``1..N``; a run
+  covers the interval ``(start, start + size * count]`` and its ``i``-th
+  job ends at ``start + i * size``.  The departures of round ``u`` cover
+  ``(D_{u-1}, D_u]`` of the cumulative completions.
+* Laying the servers' position axes end-to-end, the boundaries form one
+  ``(servers, rounds + 1)`` matrix whose last column is a per-server
+  sentinel ending at the server's total ("still queued").  Flattened it
+  is one nondecreasing sequence, and the first boundary at or past a
+  position of server ``s`` lies in row ``s``.
+* A job finishes in the round whose boundary is the first at or past its
+  last unit: one ``searchsorted`` of each run's last-job end, and a
+  second one of its first-job end for runs of more than one job, bound
+  the departure rounds a run spans.  Each ``(run, round)`` piece of that
+  span completes ``floor((min(D_u, end) - start) / size) -
+  floor((max(D_{u-1}, start) - start) / size)`` jobs -- the
+  ``(response_time, count)`` records the reference engine records one at
+  a time.
+* Pieces in the sentinel column are the carry, re-stored in server-major
+  FIFO order for the next block.  A partly served head job is carried as
+  a ``(round, remaining, 1)`` run.
 
-Total work per block is a handful of numpy operations of size
-O(batches + completions) -- the same asymptotic count as the pairs the
-reference records -- with none of the per-round small-array overhead.
-The result is bit-identical to draining the reference queues: both
-produce the same multiset of (response time, count) records and the
-same leftover batches.
-
-:class:`SizedBatchQueueStore` is the unit-denominated analog for sized
-jobs (``Simulation(sizes=...)``): the FIFO position axis counts
-*work units* instead of jobs, each pending entry is one job ``(arrival
-round, remaining units)``, and a job's response time is attributed to
-the round its *last* unit drains -- one ``searchsorted`` of the jobs'
-cumulative unit boundaries into the block's ``(servers, rounds + 1)``
-matrix of cumulative departures (one sentinel column per server)
-recovers every completion at once.
+Unit jobs arrive as one ``(round, 1, count)`` run per nonzero admission
+cell and sized jobs as ``(round, size, 1)`` runs, so a run of more than
+one job always has unit size and a carried run never needs splitting.
+Total work per block is a handful of numpy operations of size O(runs +
+records).  The result is bit-identical to draining the reference
+queues: both produce the same multiset of (response time, count)
+records and the same leftover work.
 """
 
 from __future__ import annotations
@@ -47,27 +48,55 @@ import numpy as np
 
 from .metrics import ResponseTimeHistogram
 
-__all__ = ["BatchQueueStore", "SizedBatchQueueStore"]
+__all__ = ["BatchQueueStore"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of ``values`` with the given lengths."""
+    ends = np.cumsum(lengths)
+    totals = np.concatenate(([0], np.cumsum(values)))
+    return totals[ends] - totals[ends - lengths]
+
+
+def _merge_slots(old_lengths: np.ndarray, new_lengths: np.ndarray):
+    """Destination slots that put each server's old runs before its new ones.
+
+    Returns ``(old_slots, new_slots)`` into the server-major merged
+    sequence of ``old_lengths + new_lengths`` runs per server.
+    """
+    total_lengths = old_lengths + new_lengths
+    dest_base = np.cumsum(total_lengths) - total_lengths
+    slots = []
+    for lengths, offset in (
+        (old_lengths, dest_base),
+        (new_lengths, dest_base + old_lengths),
+    ):
+        base = np.cumsum(lengths) - lengths
+        slots.append(np.repeat(offset - base, lengths) + np.arange(lengths.sum()))
+    return slots
 
 
 class BatchQueueStore:
-    """Pending ``(arrival_round, count)`` batches for ``n`` servers.
+    """Pending ``(arrival_round, size, count)`` runs for ``n`` servers.
 
-    State between blocks is three flat arrays: per-server batch counts
-    and arrival rounds (server-major, FIFO within server) plus the
-    per-server batch- and job-totals.  :meth:`process_block` advances
-    the store over a block of rounds given the block's admission and
-    completion matrices.
+    State between blocks is three flat server-major arrays (arrival
+    rounds, job sizes and job counts of the pending runs, FIFO within a
+    server) plus the per-server run counts and queued work units.
+    :meth:`process_block` advances the store over a block of rounds given
+    the block's admitted jobs and completion matrix.
     """
 
     def __init__(self, num_servers: int) -> None:
         if num_servers < 1:
             raise ValueError("need at least one server")
         self._n = int(num_servers)
-        self._rounds = np.empty(0, dtype=np.int64)
-        self._counts = np.empty(0, dtype=np.int64)
+        self._rounds = _EMPTY
+        self._sizes = _EMPTY
+        self._counts = _EMPTY
         self._lengths = np.zeros(self._n, dtype=np.int64)
-        self._jobs = np.zeros(self._n, dtype=np.int64)
+        self._units = np.zeros(self._n, dtype=np.int64)
         self._capacity_mask: np.ndarray | None = None
 
     # -- state inspection (tests, debugging) -------------------------------
@@ -76,20 +105,23 @@ class BatchQueueStore:
     def num_servers(self) -> int:
         return self._n
 
-    def batch_counts(self) -> np.ndarray:
-        """Number of pending batches per server."""
+    def run_counts(self) -> np.ndarray:
+        """Number of pending runs per server."""
         return self._lengths.copy()
 
     def queued_jobs(self) -> np.ndarray:
-        """Total queued jobs per server (sum of pending batch counts)."""
-        return self._jobs.copy()
+        """Queued jobs per server (a partly served head job counts)."""
+        return _segment_sums(self._counts, self._lengths)
+
+    def queued_units(self) -> np.ndarray:
+        """Queued work units per server."""
+        return self._units.copy()
 
     # -- capacity mask (server churn) --------------------------------------
 
     def capacity_mask(self) -> np.ndarray | None:
         """The availability mask in force, or ``None`` (full fleet)."""
-        # getattr: checkpoints written before churn existed lack the slot.
-        return getattr(self, "_capacity_mask", None)
+        return self._capacity_mask
 
     def set_capacity_mask(self, mask: np.ndarray | None) -> None:
         """Stamp the block's churn mask (``True`` = accepts dispatches).
@@ -110,20 +142,13 @@ class BatchQueueStore:
             )
         self._capacity_mask = mask
 
-    def _check_capacity_mask(self, received_totals: np.ndarray) -> None:
-        mask = self.capacity_mask()
-        if mask is not None and np.any(received_totals[~mask]):
-            raise RuntimeError(
-                "batch store admitted jobs to churn-masked servers; "
-                "the churn adapter failed to redirect them"
-            )
-
     # -- block resolution --------------------------------------------------
 
     def process_block(
         self,
         start_round: int,
-        received_block: np.ndarray,
+        jobs_block: np.ndarray,
+        sizes: np.ndarray | None,
         done_block: np.ndarray,
         histogram: ResponseTimeHistogram | None,
         warmup: int = 0,
@@ -133,18 +158,23 @@ class BatchQueueStore:
 
         Parameters
         ----------
-        received_block:
+        jobs_block:
             ``(L, n)`` jobs admitted per round per server (round ``t``'s
             arrivals are FIFO-behind everything queued before it).
+        sizes:
+            The block's job sizes in work units, server-major and in
+            admission order within a server (the order
+            :meth:`repro.sim.backends.SizedServerQueue.admit` sees them);
+            ``None`` for unit jobs.
         done_block:
-            ``(L, n)`` jobs completed per round per server.  The engine
-            guarantees the per-round feasibility ``done <= queued``;
+            ``(L, n)`` work units completed per round per server.  The
+            engine guarantees the per-round feasibility ``done <= queued``;
             block totals are re-checked here as a corruption guard.
         histogram:
-            Destination for the response times ``depart - arrive + 1``
-            of every completion in the block; ``None`` discards them.
+            Destination for each completed job's response time
+            ``last_unit_round - arrival_round + 1``; ``None`` discards.
         warmup:
-            Completions in rounds ``< warmup`` are not recorded (queue
+            Jobs finishing in rounds ``< warmup`` are not recorded (unit
             accounting still includes them), matching the reference
             engine's per-round sink gating.
         response_sink:
@@ -153,348 +183,180 @@ class BatchQueueStore:
             histogram gets, stamped with the serving server of each
             record (the probe feed; see :mod:`repro.sim.probes`).
         """
-        n = self._n
-        new_totals = received_block.sum(axis=0)
-        self._check_capacity_mask(new_totals)
-        server_totals = self._jobs + new_totals
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_totals):
+        new_jobs = jobs_block.sum(axis=0)
+        mask = self._capacity_mask
+        if mask is not None and np.any(new_jobs[~mask]):
             raise RuntimeError(
-                "batch store drained past its contents; "
-                "engine accounting is corrupt"
-            )
-        if not server_totals.any():
-            return
-
-        # Batch sequence per server: carried batches first, then the
-        # block's admissions in round order (server-major throughout).
-        received_by_server = received_block.T
-        new_srv, new_col = np.nonzero(received_by_server)
-        new_counts = received_by_server[new_srv, new_col]
-        new_rounds = start_round + new_col
-        new_lengths = np.bincount(new_srv, minlength=n)
-        old_lengths = self._lengths
-        total_lengths = old_lengths + new_lengths
-        num_batches = int(total_lengths.sum())
-        batch_rounds = np.empty(num_batches, dtype=np.int64)
-        batch_counts = np.empty(num_batches, dtype=np.int64)
-        dest_base = np.cumsum(total_lengths) - total_lengths
-        old_total = self._rounds.size
-        if old_total:
-            old_base = np.cumsum(old_lengths) - old_lengths
-            old_dest = (
-                np.repeat(dest_base, old_lengths)
-                + np.arange(old_total)
-                - np.repeat(old_base, old_lengths)
-            )
-            batch_rounds[old_dest] = self._rounds
-            batch_counts[old_dest] = self._counts
-        if new_counts.size:
-            new_base = np.cumsum(new_lengths) - new_lengths
-            new_dest = (
-                np.repeat(dest_base + old_lengths, new_lengths)
-                + np.arange(new_counts.size)
-                - np.repeat(new_base, new_lengths)
-            )
-            batch_rounds[new_dest] = new_rounds
-            batch_counts[new_dest] = new_counts
-        batch_server = np.repeat(np.arange(n), total_lengths)
-
-        # Global position axis: server s occupies the half-open interval
-        # (server_base[s], server_base[s] + server_totals[s]].
-        server_base = np.cumsum(server_totals) - server_totals
-        batch_ends = np.cumsum(batch_counts)
-
-        # Departure boundaries on the same axis, plus one sentinel per
-        # server with jobs left over so every position maps to either a
-        # departure round or "still queued".
-        done_by_server = done_block.T
-        dep_srv, dep_col = np.nonzero(done_by_server)
-        dep_counts = done_by_server[dep_srv, dep_col]
-        dep_base = np.cumsum(dep_totals) - dep_totals
-        dep_ends = (
-            server_base[dep_srv] + np.cumsum(dep_counts) - dep_base[dep_srv]
-        )
-        leftover_jobs = server_totals - dep_totals
-        sentinel_srv = np.flatnonzero(leftover_jobs)
-        sentinel_ends = server_base[sentinel_srv] + server_totals[sentinel_srv]
-        num_deps = dep_ends.size
-        all_dep_ends = np.concatenate([dep_ends, sentinel_ends])
-        all_dep_rounds = np.concatenate(
-            [
-                start_round + dep_col,
-                np.zeros(sentinel_srv.size, dtype=np.int64),
-            ]
-        )
-        still_queued = np.concatenate(
-            [
-                np.zeros(num_deps, dtype=bool),
-                np.ones(sentinel_srv.size, dtype=bool),
-            ]
-        )
-        order = np.argsort(all_dep_ends, kind="stable")
-        all_dep_ends = all_dep_ends[order]
-        all_dep_rounds = all_dep_rounds[order]
-        still_queued = still_queued[order]
-
-        # Merge both boundary families into elementary segments; each
-        # non-empty segment lies in exactly one batch and one departure
-        # interval (duplicate boundaries yield empty segments, dropped).
-        ends = np.sort(np.concatenate([batch_ends, all_dep_ends]))
-        starts = np.concatenate([[0], ends[:-1]])
-        seg_len = ends - starts
-        nonempty = seg_len > 0
-        starts = starts[nonempty]
-        seg_len = seg_len[nonempty]
-        seg_batch = np.searchsorted(batch_ends, starts, side="right")
-        seg_dep = np.searchsorted(all_dep_ends, starts, side="right")
-
-        if histogram is not None or response_sink is not None:
-            dep_round = all_dep_rounds[seg_dep]
-            record = ~still_queued[seg_dep] & (dep_round >= warmup)
-            times = dep_round[record] - batch_rounds[seg_batch[record]] + 1
-            counts = seg_len[record]
-            if histogram is not None:
-                histogram.record_many(times, counts)
-            if response_sink is not None:
-                response_sink(
-                    dep_round[record],
-                    times,
-                    counts,
-                    batch_server[seg_batch[record]],
-                )
-
-        # Segments mapped to a sentinel are the carry; global segment
-        # order is server-major FIFO, and each pending batch contributes
-        # at most one segment (no departure boundary splits it), so the
-        # carry stays batch-granular.
-        left = still_queued[seg_dep]
-        left_batches = seg_batch[left]
-        self._rounds = batch_rounds[left_batches]
-        self._counts = seg_len[left]
-        self._lengths = np.bincount(batch_server[left_batches], minlength=n)
-        self._jobs = leftover_jobs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<BatchQueueStore servers={self._n} "
-            f"batches={int(self._lengths.sum())} "
-            f"jobs={int(self._jobs.sum())}>"
-        )
-
-
-class SizedBatchQueueStore:
-    """Pending sized jobs for ``n`` servers, on a work-unit position axis.
-
-    The sized-job analog of :class:`BatchQueueStore`: each pending
-    entry is one job ``(arrival_round, remaining_units)``, kept
-    server-major in FIFO order, and the per-server position axis is
-    denominated in work units.  :meth:`process_block` advances the store
-    over a block of rounds given the block's admitted jobs and the
-    ``(rounds, servers)`` matrix of per-round unit completions, recording
-    each job's response time at the round its *last* unit drains --
-    exactly the semantics of
-    :meth:`repro.sim.backends.SizedServerQueue.complete`, including partial
-    service of the head job across block boundaries.
-    """
-
-    def __init__(self, num_servers: int) -> None:
-        if num_servers < 1:
-            raise ValueError("need at least one server")
-        self._n = int(num_servers)
-        self._rounds = np.empty(0, dtype=np.int64)
-        self._remaining = np.empty(0, dtype=np.int64)
-        self._lengths = np.zeros(self._n, dtype=np.int64)
-        self._units = np.zeros(self._n, dtype=np.int64)
-        self._capacity_mask: np.ndarray | None = None
-
-    # -- state inspection (tests, debugging) -------------------------------
-
-    @property
-    def num_servers(self) -> int:
-        return self._n
-
-    def job_counts(self) -> np.ndarray:
-        """Number of pending jobs per server."""
-        return self._lengths.copy()
-
-    def queued_units(self) -> np.ndarray:
-        """Total queued work units per server (head jobs may be partial)."""
-        return self._units.copy()
-
-    # -- capacity mask (server churn) --------------------------------------
-
-    def capacity_mask(self) -> np.ndarray | None:
-        """The availability mask in force, or ``None`` (full fleet)."""
-        return getattr(self, "_capacity_mask", None)
-
-    def set_capacity_mask(self, mask: np.ndarray | None) -> None:
-        """Stamp the block's churn mask, as in :class:`BatchQueueStore`."""
-        if mask is None:
-            self._capacity_mask = None
-            return
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self._n,):
-            raise ValueError(
-                f"capacity mask has shape {mask.shape}, expected ({self._n},)"
-            )
-        self._capacity_mask = mask
-
-    def _check_capacity_mask(self, job_servers: np.ndarray) -> None:
-        mask = self.capacity_mask()
-        if mask is not None and job_servers.size and np.any(~mask[job_servers]):
-            raise RuntimeError(
-                "sized batch store admitted jobs to churn-masked servers; "
+                "batch store admitted jobs to churn-masked servers; "
                 "the churn adapter failed to redirect them"
             )
-
-    # -- block resolution --------------------------------------------------
-
-    def process_block(
-        self,
-        start_round: int,
-        job_servers: np.ndarray,
-        job_rounds: np.ndarray,
-        job_sizes: np.ndarray,
-        done_block: np.ndarray,
-        histogram: ResponseTimeHistogram | None,
-        warmup: int = 0,
-        response_sink=None,
-    ) -> None:
-        """Advance the store over rounds ``start_round .. start_round+L-1``.
-
-        Parameters
-        ----------
-        job_servers, job_rounds, job_sizes:
-            The block's admitted jobs as parallel flat arrays, sorted
-            server-major and, within a server, in admission order
-            (arrival round ascending, then dispatcher order -- the order
-            :meth:`repro.sim.backends.SizedServerQueue.admit` sees them).
-        done_block:
-            ``(L, n)`` work units completed per round per server.  The
-            engine guarantees per-round feasibility ``done <= queued``;
-            block totals are re-checked here as a corruption guard.
-        histogram:
-            Destination for each completed job's response time
-            ``last_unit_round - arrival_round + 1``; ``None`` discards.
-        warmup:
-            Jobs finishing in rounds ``< warmup`` are not recorded
-            (unit accounting still includes them).
-        response_sink:
-            Optional callable ``(departure_rounds, times, counts,
-            servers)`` receiving the same post-warmup records the
-            histogram gets, stamped with the serving server of each
-            record (the probe feed; see :mod:`repro.sim.probes`).
-        """
-        n = self._n
-        job_servers = np.asarray(job_servers, dtype=np.int64)
-        job_rounds = np.asarray(job_rounds, dtype=np.int64)
-        job_sizes = np.asarray(job_sizes, dtype=np.int64)
-        if not (job_servers.shape == job_rounds.shape == job_sizes.shape):
-            raise ValueError("job arrays must be parallel 1-D arrays")
-        if job_sizes.size and int(job_sizes.min()) < 1:
-            raise ValueError("job sizes must be >= 1")
-        if job_servers.size and np.any(np.diff(job_servers) < 0):
-            raise ValueError("jobs must be sorted server-major")
-        self._check_capacity_mask(job_servers)
-        new_units = np.zeros(n, dtype=np.int64)
-        if job_sizes.size:
-            np.add.at(new_units, job_servers, job_sizes)
+        if sizes is None:
+            new_units = new_jobs
+        else:
+            sizes = np.asarray(sizes, dtype=np.int64)
+            if sizes.shape != (int(new_jobs.sum()),):
+                raise ValueError(
+                    f"sizes has shape {sizes.shape}, expected one size per "
+                    f"admitted job ({int(new_jobs.sum())},)"
+                )
+            if sizes.size and int(sizes.min()) < 1:
+                raise ValueError("job sizes must be >= 1")
+            new_units = _segment_sums(sizes, new_jobs)
         server_units = self._units + new_units
         dep_totals = done_block.sum(axis=0)
         if np.any(dep_totals > server_units):
             raise RuntimeError(
-                "sized batch store drained past its contents; "
+                "batch store drained past its contents; "
                 "engine accounting is corrupt"
             )
         if not server_units.any():
             return
+        leftover_units = server_units - dep_totals
+        records = self._resolve(
+            start_round,
+            jobs_block,
+            sizes,
+            done_block,
+            leftover_units,
+            warmup,
+            histogram is not None or response_sink is not None,
+        )
+        self._units = leftover_units
+        if records is None:
+            return
+        dep_rounds, times, counts, servers = records
+        if histogram is not None:
+            histogram.record_many(times, counts)
+        if response_sink is not None:
+            response_sink(dep_rounds, times, counts, servers)
 
-        # Job sequence per server: carried jobs first (the head may be
-        # partially served), then the block's admissions (server-major).
-        new_lengths = np.bincount(job_servers, minlength=n)
-        old_lengths = self._lengths
-        total_lengths = old_lengths + new_lengths
-        num_jobs = int(total_lengths.sum())
-        rounds_merged = np.empty(num_jobs, dtype=np.int64)
-        units_merged = np.empty(num_jobs, dtype=np.int64)
-        dest_base = np.cumsum(total_lengths) - total_lengths
-        old_total = self._rounds.size
-        if old_total:
-            old_base = np.cumsum(old_lengths) - old_lengths
-            old_dest = (
-                np.repeat(dest_base, old_lengths)
-                + np.arange(old_total)
-                - np.repeat(old_base, old_lengths)
-            )
-            rounds_merged[old_dest] = self._rounds
-            units_merged[old_dest] = self._remaining
-        if job_sizes.size:
-            new_base = np.cumsum(new_lengths) - new_lengths
-            new_dest = (
-                np.repeat(dest_base + old_lengths, new_lengths)
-                + np.arange(job_sizes.size)
-                - np.repeat(new_base, new_lengths)
-            )
-            rounds_merged[new_dest] = job_rounds
-            units_merged[new_dest] = job_sizes
-        job_server = np.repeat(np.arange(n), total_lengths)
+    def _resolve(
+        self,
+        start_round: int,
+        jobs_block: np.ndarray,
+        sizes: np.ndarray | None,
+        done_block: np.ndarray,
+        leftover_units: np.ndarray,
+        warmup: int,
+        want_records: bool,
+    ):
+        """Drain one validated block; returns its records (or ``None``).
+
+        Updates the pending runs; the caller updates the unit totals.
+        Subclasses swap in another resolver with the same contract.
+        """
+        n = self._n
+        length = done_block.shape[0]
+
+        # The block's runs, server-major: one (round, 1, count) run per
+        # nonzero admission cell, or one (round, size, 1) run per job.
+        per_cell = jobs_block.T.ravel()
+        if sizes is None:
+            cells = np.flatnonzero(per_cell)
+            new_srv = cells // length
+            new_col = cells - new_srv * length
+            new_sizes, new_counts = 1, per_cell[cells]
+            new_lengths = np.bincount(new_srv, minlength=n)
+        else:
+            new_col = np.repeat(np.tile(np.arange(length), n), per_cell)
+            new_sizes, new_counts = sizes, 1
+            new_lengths = jobs_block.sum(axis=0)
+        old_slots, new_slots = _merge_slots(self._lengths, new_lengths)
+        num_runs = old_slots.size + new_slots.size
+        merged = []
+        for old, new in (
+            (self._rounds, start_round + new_col),
+            (self._sizes, new_sizes),
+            (self._counts, new_counts),
+        ):
+            values = np.empty(num_runs, dtype=np.int64)
+            values[old_slots] = old
+            values[new_slots] = new
+            merged.append(values)
+        run_rounds, run_sizes, run_counts = merged
 
         # Global unit-position axis: server s occupies the half-open
-        # interval (server_base[s], server_base[s] + server_units[s]];
-        # job j ends at the cumulative unit count through j.
-        server_base = np.cumsum(server_units) - server_units
-        job_ends = np.cumsum(units_merged)
+        # interval (base_s, base_s + units_s] and runs follow each other
+        # in server-major FIFO order.
+        multi = np.flatnonzero(run_counts > 1)
+        run_units = run_sizes * run_counts if multi.size else run_sizes
+        run_ends = np.cumsum(run_units)
+        run_starts = run_ends - run_units
+        run_server = np.repeat(np.arange(n), self._lengths + new_lengths)
 
-        # Departure boundaries on the same axis: row s holds server s's
-        # cumulative completions after each round of the block, then one
-        # sentinel column ending at its total units.  Flattened, the rows
-        # are one nondecreasing sequence, and the first boundary at or
-        # past a position of server s lies in row s: a round with
-        # completions (a round without any repeats the previous boundary,
-        # so it is never first) or the sentinel, "still queued".
-        length = done_block.shape[0]
-        leftover_units = server_units - dep_totals
-        dep_ends = np.empty((n, length + 1), dtype=np.int64)
-        dep_ends[:, :length] = done_block.T
-        dep_ends[:, length] = leftover_units
-        np.cumsum(dep_ends, axis=1, out=dep_ends)
-        dep_ends += server_base[:, None]
+        # Departure boundaries, flattened from the (n, L+1) matrix of
+        # cumulative completions with a sentinel column per server, after
+        # a leading 0: boundary k closes the interval (bounds[k-1],
+        # bounds[k]] of column k - 1 - s * (L + 1) of server s's row, and
+        # the last column is the sentinel, "still queued".  A round without
+        # completions repeats the previous boundary, so it is never the
+        # first one at or past a position.
+        width = length + 1
+        bounds = np.empty(n * width + 1, dtype=np.int64)
+        bounds[0] = 0
+        matrix = bounds[1:].reshape(n, width)
+        matrix[:, :length] = done_block.T
+        matrix[:, length] = leftover_units
+        np.cumsum(bounds, out=bounds)
 
-        # A job finishes in the departure interval containing its last
-        # unit: the first boundary >= its cumulative end position.
-        column = np.searchsorted(dep_ends.ravel(), job_ends, side="left")
-        column %= length + 1
+        # A job finishes in the interval of the first boundary at or past
+        # its last unit.  A run of one job is one piece.  A run of several
+        # spans the intervals from its first job's to its last job's, one
+        # (run, interval) piece per interval; its jobs have unit size (see
+        # the module docstring), so the floored job counts at a piece's
+        # two ends differ by the run's units inside the interval.  In a
+        # block mixing both, a single-job run's one piece completes 1.
+        last = np.searchsorted(bounds, run_ends, side="left")
+        if multi.size:
+            first = last.copy()
+            first[multi] = np.searchsorted(
+                bounds, run_starts[multi] + run_sizes[multi], side="left"
+            )
+            span = last - first + 1
+            piece_run = np.repeat(np.arange(span.size), span)
+            piece = np.arange(piece_run.size) + np.repeat(
+                first - (np.cumsum(span) - span), span
+            )
+            starts = run_starts[piece_run]
+            ends = run_ends[piece_run]
+            piece_rounds = run_rounds[piece_run]
+            piece_sizes = run_sizes[piece_run]
+            piece_server = run_server[piece_run]
+            piece_counts = np.minimum(bounds[piece], ends) - np.maximum(
+                bounds[piece - 1], starts
+            )
+            piece_counts[piece_sizes > 1] = 1
+            nonempty = piece_counts > 0
+        else:
+            piece, starts, ends = last, run_starts, run_ends
+            piece_rounds, piece_sizes = run_rounds, run_sizes
+            piece_server, piece_counts = run_server, run_counts
+            nonempty = True
+        column = piece - 1 - piece_server * width
         completed = column < length
 
-        if histogram is not None or response_sink is not None:
-            dep_round = start_round + column
-            record = completed & (dep_round >= warmup)
-            times = dep_round[record] - rounds_merged[record] + 1
-            counts = np.ones(int(record.sum()), dtype=np.int64)
-            if histogram is not None:
-                histogram.record_many(times, counts)
-            if response_sink is not None:
-                response_sink(
-                    dep_round[record], times, counts, job_server[record]
-                )
+        # Sentinel pieces are the carry, still server-major FIFO: the
+        # jobs left of the run, the first of them possibly partly served.
+        carry = np.flatnonzero(~completed)
+        carried = piece_counts[carry]
+        remaining = ends[carry] - np.maximum(bounds[piece[carry] - 1], starts[carry])
+        self._rounds = piece_rounds[carry]
+        self._counts = carried
+        self._sizes = remaining - (carried - 1) * piece_sizes[carry]
+        self._lengths = np.bincount(piece_server[carry], minlength=n)
 
-        # Carry: jobs whose last unit outlives the block's completions;
-        # the head job of each leftover server may be partially served.
-        carried = ~completed
-        drained_end = server_base + dep_totals
-        job_starts = job_ends - units_merged
-        carried_srv = job_server[carried]
-        self._rounds = rounds_merged[carried]
-        self._remaining = job_ends[carried] - np.maximum(
-            job_starts[carried], drained_end[carried_srv]
-        )
-        self._lengths = np.bincount(carried_srv, minlength=n)
-        self._units = leftover_units
+        if not want_records:
+            return None
+        dep_round = start_round + column
+        record = np.flatnonzero(completed & (dep_round >= warmup) & nonempty)
+        dep_round = dep_round[record]
+        times = dep_round - piece_rounds[record]
+        times += 1
+        return dep_round, times, piece_counts[record], piece_server[record]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SizedBatchQueueStore servers={self._n} "
-            f"jobs={int(self._lengths.sum())} "
+            f"<BatchQueueStore servers={self._n} "
+            f"runs={int(self._lengths.sum())} "
             f"units={int(self._units.sum())}>"
         )

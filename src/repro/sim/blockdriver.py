@@ -12,8 +12,8 @@ owns the loop once and parameterizes the destination:
 
 ``consume``
     A callable receiving the finished :class:`Block`.  The fast kernels
-    resolve it against a local batch store (:func:`resolve_block`); the
-    sharded kernel slices it across shard workers.
+    resolve it against a local batch store; the sharded kernel slices it
+    across shard workers.
 
 ``export_state``
     A zero-argument callable building the kernel's checkpoint dict; the
@@ -28,7 +28,8 @@ admissions in server-index order after dispatch -- the order the
 reference kernel draws them in, one server at a time (split numpy draws
 equal one whole draw).  A prefix sum over the block's sizes turns the
 per-server job counts into admitted work units; that segment sum is the
-only extra work a sized round does.
+only extra work a sized round does.  At block end the sizes are permuted
+into server-major order, the order the one batch store admits them in.
 
 The driver also owns the two cross-round accelerations the kernels
 share:
@@ -76,7 +77,6 @@ __all__ = [
     "RunState",
     "RoundKernel",
     "drive_blocks",
-    "resolve_block",
 ]
 
 #: Rounds pre-sampled per block (bounds the memory of the ``(chunk, m)``
@@ -96,10 +96,12 @@ class Block:
     received: np.ndarray  # (length, n) per-server admitted work units
     done: np.ndarray  # (length, n) per-server completed work units
     queues: np.ndarray | None  # (length, n) post-round queues, if requested
-    #: Sized runs only: the block's admitted jobs as parallel
-    #: ``(servers, rounds, sizes)`` arrays, server-major and in admission
-    #: order within a server.  ``None`` for unit jobs.
-    jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    #: ``(length, n)`` per-server admitted jobs; ``received`` itself for
+    #: unit jobs.
+    jobs_block: np.ndarray
+    #: Sized runs only: the block's job sizes, server-major and in
+    #: admission order within a server.  ``None`` for unit jobs.
+    sizes: np.ndarray | None = None
 
 
 class RunState:
@@ -146,34 +148,6 @@ class RoundKernel(Protocol):
     ) -> None: ...
 
 
-def resolve_block(
-    store,
-    start_round: int,
-    received: np.ndarray,
-    done: np.ndarray,
-    jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    histogram,
-    warmup: int,
-    response_sink=None,
-) -> None:
-    """Resolve one block's FIFO departures in a unit or sized batch store.
-
-    ``jobs`` is a sized block's ``(servers, rounds, sizes)`` (see
-    :attr:`Block.jobs`); ``None`` for unit jobs, whose ``received``
-    matrix is the store's whole input.
-    """
-    if jobs is None:
-        store.process_block(
-            start_round, received, done, histogram, warmup,
-            response_sink=response_sink,
-        )
-    else:
-        store.process_block(
-            start_round, *jobs, done, histogram, warmup,
-            response_sink=response_sink,
-        )
-
-
 def _check_received_block(
     policy: Policy, received: np.ndarray, batch: np.ndarray, n: int
 ) -> None:
@@ -193,10 +167,8 @@ def _check_received_block(
         )
 
 
-def _job_layout(
-    start_round: int, job_block: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Server-major ``(servers, rounds, sizes)`` of a block's admissions.
+def _server_major_sizes(job_block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """A block's job sizes permuted from admission into server-major order.
 
     ``sizes`` lists the block's jobs round-major, in server-index order
     within a round -- the C order of the ``(length, n)`` job matrix.
@@ -208,12 +180,9 @@ def _job_layout(
     starts = np.cumsum(counts) - counts
     by_server = job_block.T.ravel()
     first = starts.reshape(length, n).T.ravel()
-    total = by_server.sum()
     offsets = np.cumsum(by_server) - by_server
-    index = np.repeat(first - offsets, by_server) + np.arange(total)
-    servers = np.repeat(np.arange(n), job_block.sum(axis=0))
-    rounds = start_round + np.repeat(np.tile(np.arange(length), n), by_server)
-    return servers, rounds, sizes[index]
+    index = np.repeat(first - offsets, by_server) + np.arange(sizes.size)
+    return sizes[index]
 
 
 def drive_blocks(
@@ -380,11 +349,8 @@ def drive_blocks(
                 received=received_block,
                 done=done_block,
                 queues=queue_block,
-                jobs=(
-                    _job_layout(chunk_start, job_block, block_sizes)
-                    if sized
-                    else None
-                ),
+                jobs_block=job_block,
+                sizes=_server_major_sizes(job_block, block_sizes) if sized else None,
             )
         )
         if wants_blocks:

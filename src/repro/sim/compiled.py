@@ -2,18 +2,19 @@
 
 ROADMAP item 1.  The fast kernels spend their time in two places: the
 per-block FIFO departure resolution (:mod:`repro.sim.batchstore` -- a
-dozen numpy passes building merged boundary arrays) and, for cheap
-deterministic policies, the per-round ``dispatch_round`` Python
-overhead.  This module compiles both:
+dozen numpy passes over the block's runs and departure boundaries) and,
+for cheap deterministic policies, the per-round ``dispatch_round``
+Python overhead.  This module compiles both:
 
-* :class:`CompiledBatchQueueStore` / :class:`CompiledSizedBatchQueueStore`
-  subclass the numpy stores and resolve each block with a single jitted
-  two-pointer walk per server (:func:`_resolve_unsized` /
-  :func:`_resolve_sized`).  The walk emits the **same multiset of
-  response records in the same server-major, position-ascending order**
-  as the prefix-sum implementation, and leaves the identical carry
-  arrays, so the stores are drop-in bit-identical -- checkpoints
-  round-trip between them and the numpy stores.
+* :class:`CompiledBatchQueueStore` subclasses the numpy store and
+  resolves each block, unit or sized, with one jitted walk per server
+  over the reference queue's ``(round, size, count)`` runs
+  (:func:`_resolve_runs`, the arithmetic of
+  ``SizedServerQueue.complete``).  The walk emits the **same response
+  records in the same server-major, position-ascending order** as the
+  prefix-sum implementation, and leaves the identical carry arrays, so
+  the stores are drop-in bit-identical -- checkpoints round-trip
+  between them.
 * :func:`compiled_round_kernel_for` provides whole-block native round
   loops for the two queue-oblivious deterministic policies (``rr``,
   ``wrr``): one jitted call advances dispatch state, the queue
@@ -25,7 +26,7 @@ overhead.  This module compiles both:
 **Detection and fallback.**  numba is probed once at import; when it is
 missing (or tests force it off via :data:`_FORCE_DISABLED`) every jitted
 function is a plain-Python function, the ``compiled`` backend runs the
-fast kernels' numpy stores, and no warning is emitted -- the backend
+fast kernels' numpy store, and no warning is emitted -- the backend
 stays registered, works, and reports ``jit_active = False``.  The
 plain-Python bodies are themselves numba-compatible, so the test suite
 exercises the exact compiled control flow even on hosts without numba
@@ -35,7 +36,7 @@ The backend registers as ``"compiled"``; the sharded kernel reuses the
 pieces through the ``sharded:N[:strategy][:compiled]`` resolver
 parameter (compiled shard-side stores plus a compiled coordinator round
 kernel where the policy permits).  The round kernels serve unit jobs
-only; sized runs get the compiled per-job store.
+only; sized runs get the compiled store and the shared driver.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ from __future__ import annotations
 import numpy as np
 
 from .backends import FastBackend, register_backend
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
+from .batchstore import BatchQueueStore
 
 __all__ = [
     "HAVE_NUMBA",
     "numba_enabled",
     "CompiledBatchQueueStore",
-    "CompiledSizedBatchQueueStore",
     "compiled_round_kernel_for",
     "make_shard_store",
     "CompiledBackend",
@@ -96,96 +96,124 @@ def _maybe_jit(function):
 
 
 @_maybe_jit
-def _resolve_unsized(
-    old_rounds,  # carried batch arrival rounds, server-major FIFO
-    old_counts,  # carried batch job counts, parallel
-    old_lengths,  # (n,) carried batches per server
-    received_block,  # (L, n) admissions
-    done_block,  # (L, n) completions
+def _resolve_runs(
+    old_rounds,  # carried run arrival rounds, server-major FIFO
+    old_sizes,  # carried run job sizes, parallel
+    old_counts,  # carried run job counts, parallel
+    old_lengths,  # (n,) carried runs per server
+    jobs_block,  # (L, n) admitted jobs
+    sizes,  # the block's job sizes, server-major (unused for unit jobs)
+    sized,
+    done_block,  # (L, n) completed work units
     start_round,
     warmup,
 ):
-    """Two-pointer FIFO drain of one block, per server.
+    """FIFO drain of one block, per server, in the reference queue's cells.
 
-    Walking batches (carried first, then admissions in round order)
-    against the completion stream visits exactly the elementary segments
-    the numpy store's merged-boundary construction enumerates, in the
-    same global position order; each segment becomes one response record
-    or one carried batch.
+    Each server walks its runs (carried first, then the block's
+    admissions in round order) against its completion stream with the
+    arithmetic of ``SizedServerQueue.complete``: the head job finishes,
+    then as many whole jobs as the round's remaining budget holds.  The
+    walk emits one record per (run, departure round) in the order the
+    numpy resolver does, and leaves the identical carry.
     """
-    length, n = received_block.shape
+    length, n = done_block.shape
     old_total = old_rounds.shape[0]
     num_new = 0
     num_deps = 0
     for i in range(length):
         for s in range(n):
-            if received_block[i, s] > 0:
+            if sized:
+                num_new += jobs_block[i, s]
+            elif jobs_block[i, s] > 0:
                 num_new += 1
             if done_block[i, s] > 0:
                 num_deps += 1
 
-    # Merged per-server batch sequences (carried, then new), server-major.
-    total_batches = old_total + num_new
-    batch_rounds = np.empty(total_batches, np.int64)
-    batch_counts = np.empty(total_batches, np.int64)
-    batch_start = np.empty(n + 1, np.int64)
+    # Merged per-server run sequences (carried, then new), server-major.
+    total_runs = old_total + num_new
+    run_rounds = np.empty(total_runs, np.int64)
+    run_sizes = np.empty(total_runs, np.int64)
+    run_counts = np.empty(total_runs, np.int64)
+    run_start = np.empty(n + 1, np.int64)
     pos = 0
-    old_base = 0
+    old = 0
+    new = 0
     for s in range(n):
-        batch_start[s] = pos
+        run_start[s] = pos
         for _ in range(old_lengths[s]):
-            batch_rounds[pos] = old_rounds[old_base]
-            batch_counts[pos] = old_counts[old_base]
+            run_rounds[pos] = old_rounds[old]
+            run_sizes[pos] = old_sizes[old]
+            run_counts[pos] = old_counts[old]
             pos += 1
-            old_base += 1
+            old += 1
         for i in range(length):
-            count = received_block[i, s]
-            if count > 0:
-                batch_rounds[pos] = start_round + i
-                batch_counts[pos] = count
+            count = jobs_block[i, s]
+            if sized:
+                for _ in range(count):
+                    run_rounds[pos] = start_round + i
+                    run_sizes[pos] = sizes[new]
+                    run_counts[pos] = 1
+                    pos += 1
+                    new += 1
+            elif count > 0:
+                run_rounds[pos] = start_round + i
+                run_sizes[pos] = 1
+                run_counts[pos] = count
                 pos += 1
-    batch_start[n] = pos
+    run_start[n] = pos
 
-    # Each emitted record ends at a batch boundary or exhausts one
-    # departure round, so their total bounds the record count.
-    max_records = total_batches + num_deps
+    # Each record ends a run or exhausts one departure round, so their
+    # total bounds the record count.
+    max_records = total_runs + num_deps
     rec_dep = np.empty(max_records, np.int64)
     rec_time = np.empty(max_records, np.int64)
     rec_count = np.empty(max_records, np.int64)
     rec_server = np.empty(max_records, np.int64)
-    carry_rounds = np.empty(total_batches, np.int64)
-    carry_counts = np.empty(total_batches, np.int64)
+    carry_rounds = np.empty(total_runs, np.int64)
+    carry_sizes = np.empty(total_runs, np.int64)
+    carry_counts = np.empty(total_runs, np.int64)
     carry_lengths = np.zeros(n, np.int64)
     r = 0
     c = 0
     for s in range(n):
         dep_i = 0
-        dep_left = 0
+        budget = 0
         dep_round = -1
-        for bi in range(batch_start[s], batch_start[s + 1]):
-            remaining = batch_counts[bi]
-            b_round = batch_rounds[bi]
-            while remaining > 0:
-                if dep_left == 0:
+        for ri in range(run_start[s], run_start[s + 1]):
+            arrived = run_rounds[ri]
+            size = run_sizes[ri]
+            count = run_counts[ri]
+            head_left = size
+            while count > 0:
+                if budget == 0:
                     while dep_i < length and done_block[dep_i, s] == 0:
                         dep_i += 1
                     if dep_i == length:
                         break
-                    dep_left = done_block[dep_i, s]
+                    budget = done_block[dep_i, s]
                     dep_round = start_round + dep_i
                     dep_i += 1
-                take = remaining if remaining < dep_left else dep_left
-                remaining -= take
-                dep_left -= take
+                if head_left > budget:
+                    head_left -= budget
+                    budget = 0
+                    continue
+                # The head job finishes, then as many whole jobs as fit.
+                fit = (budget - head_left) // size
+                finished = 1 + (count - 1 if count - 1 < fit else fit)
+                budget -= head_left + (finished - 1) * size
+                count -= finished
+                head_left = size
                 if dep_round >= warmup:
                     rec_dep[r] = dep_round
-                    rec_time[r] = dep_round - b_round + 1
-                    rec_count[r] = take
+                    rec_time[r] = dep_round - arrived + 1
+                    rec_count[r] = finished
                     rec_server[r] = s
                     r += 1
-            if remaining > 0:
-                carry_rounds[c] = b_round
-                carry_counts[c] = remaining
+            if count > 0:
+                carry_rounds[c] = arrived
+                carry_sizes[c] = head_left
+                carry_counts[c] = count
                 carry_lengths[s] += 1
                 c += 1
     return (
@@ -194,93 +222,8 @@ def _resolve_unsized(
         rec_count[:r],
         rec_server[:r],
         carry_rounds[:c],
+        carry_sizes[:c],
         carry_counts[:c],
-        carry_lengths,
-    )
-
-
-@_maybe_jit
-def _resolve_sized(
-    old_rounds,  # carried job arrival rounds, server-major FIFO
-    old_remaining,  # carried job remaining units, parallel
-    old_lengths,  # (n,) carried jobs per server
-    job_servers,  # block admissions, sorted server-major
-    job_rounds,
-    job_sizes,
-    done_block,  # (L, n) unit completions
-    start_round,
-    warmup,
-):
-    """Unit-denominated drain: a job completes when its last unit drains."""
-    length, n = done_block.shape
-    old_total = old_rounds.shape[0]
-    new_total = job_servers.shape[0]
-    total_jobs = old_total + new_total
-
-    rounds_merged = np.empty(total_jobs, np.int64)
-    units_merged = np.empty(total_jobs, np.int64)
-    job_start = np.empty(n + 1, np.int64)
-    pos = 0
-    old_base = 0
-    new_base = 0
-    for s in range(n):
-        job_start[s] = pos
-        for _ in range(old_lengths[s]):
-            rounds_merged[pos] = old_rounds[old_base]
-            units_merged[pos] = old_remaining[old_base]
-            pos += 1
-            old_base += 1
-        while new_base < new_total and job_servers[new_base] == s:
-            rounds_merged[pos] = job_rounds[new_base]
-            units_merged[pos] = job_sizes[new_base]
-            pos += 1
-            new_base += 1
-    job_start[n] = pos
-
-    rec_dep = np.empty(total_jobs, np.int64)
-    rec_time = np.empty(total_jobs, np.int64)
-    rec_server = np.empty(total_jobs, np.int64)
-    carry_rounds = np.empty(total_jobs, np.int64)
-    carry_units = np.empty(total_jobs, np.int64)
-    carry_lengths = np.zeros(n, np.int64)
-    r = 0
-    c = 0
-    for s in range(n):
-        dep_i = 0
-        dep_left = 0
-        dep_round = -1
-        for ji in range(job_start[s], job_start[s + 1]):
-            need = units_merged[ji]
-            b_round = rounds_merged[ji]
-            while need > 0:
-                if dep_left == 0:
-                    while dep_i < length and done_block[dep_i, s] == 0:
-                        dep_i += 1
-                    if dep_i == length:
-                        break
-                    dep_left = done_block[dep_i, s]
-                    dep_round = start_round + dep_i
-                    dep_i += 1
-                take = need if need < dep_left else dep_left
-                need -= take
-                dep_left -= take
-            if need == 0:
-                if dep_round >= warmup:
-                    rec_dep[r] = dep_round
-                    rec_time[r] = dep_round - b_round + 1
-                    rec_server[r] = s
-                    r += 1
-            else:
-                carry_rounds[c] = b_round
-                carry_units[c] = need
-                carry_lengths[s] += 1
-                c += 1
-    return (
-        rec_dep[:r],
-        rec_time[:r],
-        rec_server[:r],
-        carry_rounds[:c],
-        carry_units[:c],
         carry_lengths,
     )
 
@@ -290,8 +233,11 @@ def _as_block(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
+_NO_SIZES = np.empty(0, dtype=np.int64)
+
+
 class CompiledBatchQueueStore(BatchQueueStore):
-    """A :class:`BatchQueueStore` resolved by the jitted two-pointer walk.
+    """A :class:`BatchQueueStore` resolved by the jitted walk.
 
     Same state arrays, same records, same carry -- checkpoints pickle
     and restore interchangeably with the numpy store.  When numba is
@@ -304,160 +250,59 @@ class CompiledBatchQueueStore(BatchQueueStore):
         super().__init__(num_servers)
         self.force = bool(force)
 
-    def process_block(
+    def _resolve(
         self,
-        start_round: int,
-        received_block: np.ndarray,
-        done_block: np.ndarray,
-        histogram,
-        warmup: int = 0,
-        response_sink=None,
-    ) -> None:
+        start_round,
+        jobs_block,
+        sizes,
+        done_block,
+        leftover_units,
+        warmup,
+        want_records,
+    ):
         if not (self.force or numba_enabled()):
-            return super().process_block(
+            return super()._resolve(
                 start_round,
-                received_block,
+                jobs_block,
+                sizes,
                 done_block,
-                histogram,
+                leftover_units,
                 warmup,
-                response_sink=response_sink,
+                want_records,
             )
-        received_block = _as_block(received_block)
-        done_block = _as_block(done_block)
-        new_totals = received_block.sum(axis=0)
-        self._check_capacity_mask(new_totals)
-        server_totals = self._jobs + new_totals
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_totals):
-            raise RuntimeError(
-                "batch store drained past its contents; "
-                "engine accounting is corrupt"
-            )
-        if not server_totals.any():
-            return
         (
             rec_dep,
             rec_time,
             rec_count,
             rec_server,
-            carry_rounds,
-            carry_counts,
-            carry_lengths,
-        ) = _resolve_unsized(
             self._rounds,
+            self._sizes,
             self._counts,
             self._lengths,
-            received_block,
-            done_block,
-            start_round,
-            warmup,
-        )
-        if histogram is not None:
-            histogram.record_many(rec_time, rec_count)
-        if response_sink is not None:
-            response_sink(rec_dep, rec_time, rec_count, rec_server)
-        self._rounds = carry_rounds
-        self._counts = carry_counts
-        self._lengths = carry_lengths
-        self._jobs = server_totals - dep_totals
-
-
-class CompiledSizedBatchQueueStore(SizedBatchQueueStore):
-    """A :class:`SizedBatchQueueStore` resolved by the jitted unit walk."""
-
-    def __init__(self, num_servers: int, force: bool = False) -> None:
-        super().__init__(num_servers)
-        self.force = bool(force)
-
-    def process_block(
-        self,
-        start_round: int,
-        job_servers: np.ndarray,
-        job_rounds: np.ndarray,
-        job_sizes: np.ndarray,
-        done_block: np.ndarray,
-        histogram,
-        warmup: int = 0,
-        response_sink=None,
-    ) -> None:
-        if not (self.force or numba_enabled()):
-            return super().process_block(
-                start_round,
-                job_servers,
-                job_rounds,
-                job_sizes,
-                done_block,
-                histogram,
-                warmup,
-                response_sink=response_sink,
-            )
-        n = self._n
-        job_servers = np.ascontiguousarray(job_servers, dtype=np.int64)
-        job_rounds = np.ascontiguousarray(job_rounds, dtype=np.int64)
-        job_sizes = np.ascontiguousarray(job_sizes, dtype=np.int64)
-        if not (job_servers.shape == job_rounds.shape == job_sizes.shape):
-            raise ValueError("job arrays must be parallel 1-D arrays")
-        if job_sizes.size and int(job_sizes.min()) < 1:
-            raise ValueError("job sizes must be >= 1")
-        if job_servers.size and np.any(np.diff(job_servers) < 0):
-            raise ValueError("jobs must be sorted server-major")
-        self._check_capacity_mask(job_servers)
-        done_block = _as_block(done_block)
-        new_units = np.zeros(n, dtype=np.int64)
-        if job_sizes.size:
-            np.add.at(new_units, job_servers, job_sizes)
-        server_units = self._units + new_units
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_units):
-            raise RuntimeError(
-                "sized batch store drained past its contents; "
-                "engine accounting is corrupt"
-            )
-        if not server_units.any():
-            return
-        (
-            rec_dep,
-            rec_time,
-            rec_server,
-            carry_rounds,
-            carry_units,
-            carry_lengths,
-        ) = _resolve_sized(
+        ) = _resolve_runs(
             self._rounds,
-            self._remaining,
+            self._sizes,
+            self._counts,
             self._lengths,
-            job_servers,
-            job_rounds,
-            job_sizes,
-            done_block,
+            _as_block(jobs_block),
+            _NO_SIZES if sizes is None else sizes,
+            sizes is not None,
+            _as_block(done_block),
             start_round,
             warmup,
         )
-        counts = np.ones(rec_time.size, dtype=np.int64)
-        if histogram is not None:
-            histogram.record_many(rec_time, counts)
-        if response_sink is not None:
-            response_sink(rec_dep, rec_time, counts, rec_server)
-        self._rounds = carry_rounds
-        self._remaining = carry_units
-        self._lengths = carry_lengths
-        self._units = server_units - dep_totals
+        return rec_dep, rec_time, rec_count, rec_server
 
 
-def make_shard_store(num_servers: int, sized: bool):
+def make_shard_store(num_servers: int):
     """The store a ``:compiled``-resolver shard worker should use.
 
-    Compiled stores when the jitted paths are live (or tests force the
-    compiled control flow), the plain numpy stores otherwise -- the
+    The compiled store when the jitted paths are live (or tests force
+    the compiled control flow), the plain numpy store otherwise -- the
     graceful-fallback rule, applied per worker at construction.
     """
     if numba_enabled() or _FORCE_STORES:
-        force = _FORCE_STORES
-        if sized:
-            return CompiledSizedBatchQueueStore(num_servers, force=force)
-        return CompiledBatchQueueStore(num_servers, force=force)
-    if sized:
-        return SizedBatchQueueStore(num_servers)
+        return CompiledBatchQueueStore(num_servers, force=_FORCE_STORES)
     return BatchQueueStore(num_servers)
 
 
@@ -602,7 +447,7 @@ class CompiledBackend(FastBackend):
     Identical round loop (it *is* the shared block driver), so results
     are bit-identical to ``"fast"`` for every deterministic policy and
     every policy on the base-class dispatch fallback.  Sized runs use
-    the compiled per-job store and the shared driver.  When numba is
+    the same compiled store and the shared driver.  When numba is
     missing the backend still registers and runs -- the store delegates
     to the numpy resolver and no round kernel is installed, making it
     the fast kernel under another name (``jit_active`` says which).
@@ -627,9 +472,7 @@ class CompiledBackend(FastBackend):
     def _active(self) -> bool:
         return self.force or numba_enabled()
 
-    def _make_store(self, num_servers: int, sized: bool):
-        if sized:
-            return CompiledSizedBatchQueueStore(num_servers, force=self.force)
+    def _make_store(self, num_servers: int):
         return CompiledBatchQueueStore(num_servers, force=self.force)
 
     def _round_kernel(self, sim):

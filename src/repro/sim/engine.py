@@ -115,19 +115,17 @@ class SimulationResult:
     """Everything measured in one run.
 
     Queues and totals count work units, which are jobs for unit-job
-    runs.  ``config`` and ``final_queues`` are ``None`` only for sized
-    results loaded from the pre-unification ``sized_result`` JSON
-    format, which recorded neither.
+    runs.
     """
 
     policy_name: str
-    config: SimulationConfig | None
+    config: SimulationConfig
     histogram: ResponseTimeHistogram
     queue_series: QueueLengthSeries | None
     total_arrived: int
     total_departed: int
     final_queued: int
-    final_queues: np.ndarray | None = field(repr=False)
+    final_queues: np.ndarray = field(repr=False)
     #: Work each server received / completed over the whole run.
     server_received: np.ndarray | None = field(default=None, repr=False)
     server_departed: np.ndarray | None = field(default=None, repr=False)

@@ -51,10 +51,15 @@ name itself: ``sharded`` (2 shards, serial),
 ``sharded:4``, ``sharded:4:process``.  A
 trailing ``:compiled`` token
 (``sharded:4:compiled``, ``sharded:4:process:compiled``) swaps each
-worker's departure resolver for the jitted two-pointer store from
+worker's departure resolver for the jitted walk of
 :mod:`repro.sim.compiled` (numpy fallback per worker when numba is
 missing) and, for unit jobs, runs the compiled whole-block round loop
 in the coordinator for the policies that have one.
+
+Every worker holds the one :class:`~repro.sim.batchstore.BatchQueueStore`,
+for unit and sized jobs alike.  A sized block reaches each shard as its
+columns of the job matrix plus its cut of the server-major sizes; the
+cuts fall at the cumulative per-server job counts.
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ from .backends import (
     _start,
     register_backend,
 )
-from .batchstore import BatchQueueStore, SizedBatchQueueStore
-from .blockdriver import Block, RunState, drive_blocks, resolve_block
+from .batchstore import BatchQueueStore
+from .blockdriver import Block, RunState, drive_blocks
 from .lifecycle import RunController
 from .probes import (
     Probe,
@@ -156,10 +161,11 @@ class ShardInit:
 
     ``rates`` is the shard's own slice of the rate vector;  ``start`` is
     the global index of its first server (diagnostics only -- workers
-    operate entirely in shard-local server coordinates).  ``resolver``
+    operate entirely in shard-local server coordinates).  ``sized``
+    tells the shard's probes that work units are not jobs.  ``resolver``
     selects the departure-resolution implementation: ``"numpy"`` (the
-    prefix-sum store) or ``"compiled"`` (the jitted two-pointer store,
-    falling back to numpy per worker when numba is unavailable).
+    prefix-sum store) or ``"compiled"`` (the jitted walk, falling back to
+    numpy per worker when numba is unavailable).
     """
 
     index: int
@@ -187,10 +193,11 @@ class ShardWorker:
 
     The same object serves both strategies -- the serial strategy calls
     it in-process, the process strategy hosts it in a child process.
-    Workers see only shard-local arrays: ``received``/``done`` slices of
-    the coordinator's block matrices (and, for sized jobs, the shard's
-    jobs in local server coordinates).  Queue slices are reconstructed here from
-    those deltas, so the per-block exchange stays minimal.
+    Workers see only shard-local arrays: ``received``/``done``/``jobs``
+    slices of the coordinator's block matrices and, for sized jobs, the
+    shard's cut of the server-major sizes.  Queue slices are
+    reconstructed here from those deltas, so the per-block exchange
+    stays minimal.
     """
 
     def __init__(self, init: ShardInit) -> None:
@@ -215,11 +222,9 @@ class ShardWorker:
             # must not be pulled in while the registries are mid-import.
             from .compiled import make_shard_store
 
-            self.store = make_shard_store(n, init.sized)
+            self.store = make_shard_store(n)
         else:
-            self.store = (
-                SizedBatchQueueStore(n) if init.sized else BatchQueueStore(n)
-            )
+            self.store = BatchQueueStore(n)
         self.queues = np.zeros(n, dtype=np.int64)
         self._sink = (
             self.probes.observe_responses if self.probes.wants_responses else None
@@ -240,20 +245,21 @@ class ShardWorker:
         start_round: int,
         received: np.ndarray,
         done: np.ndarray,
-        jobs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        jobs: np.ndarray,
+        sizes: np.ndarray | None,
     ) -> None:
         """Resolve one block of this shard's FIFO departures.
 
-        ``jobs`` carries a sized block's ``(servers, rounds, sizes)`` in
-        shard-local server coordinates; ``None`` for unit jobs.
+        ``jobs`` is the shard's ``(length, n)`` admitted jobs (``received``
+        itself for unit jobs) and ``sizes`` their sizes, server-major, or
+        ``None`` for unit jobs.
         """
         queue_block = self._advance_queues(received, done)
-        resolve_block(
-            self.store,
+        self.store.process_block(
             start_round,
-            received,
-            done,
             jobs,
+            sizes,
+            done,
             self.probes.histogram,
             self.warmup,
             self._sink,
@@ -776,10 +782,9 @@ class ShardedBackend(_ShardedParams, EngineBackend):
     consumption, identical dispatch calls, identical queue arithmetic
     -- only the block resolution and the partitionable probes are
     pushed into the shards.  Sized blocks reach each shard with their
-    jobs -- already sorted server-major -- cut at the shard bounds, in
-    shard-local server coordinates.  Bit-identical to ``"fast"`` for
-    deterministic policies at every shard count and under either
-    strategy.
+    server-major sizes cut at the shard bounds.  Bit-identical to
+    ``"fast"`` for deterministic policies at every shard count and under
+    either strategy.
     """
 
     name = "sharded"
@@ -816,22 +821,26 @@ class ShardedBackend(_ShardedParams, EngineBackend):
         def consume(block: Block) -> None:
             # The per-block exchange: each shard gets its slice of the
             # admission/completion matrices (its queue slice and series
-            # follow from those deltas worker-side) and, sized, its jobs.
-            if block.jobs is not None:
-                servers, rounds, sizes = block.jobs
-                cuts = np.searchsorted(servers, bounds)
+            # follow from those deltas worker-side) and, sized, its jobs
+            # and their sizes, cut at the cumulative per-server job counts.
+            sizes = block.sizes
+            if sizes is not None:
+                server_jobs = np.cumsum(block.jobs_block.sum(axis=0))
+                cuts = np.concatenate(([0], server_jobs))[bounds]
             for index, (lo, hi) in enumerate(ranges):
-                jobs = None
-                if block.jobs is not None:
-                    a, b = int(cuts[index]), int(cuts[index + 1])
-                    jobs = (servers[a:b] - lo, rounds[a:b], sizes[a:b])
+                received = block.received[:, lo:hi]
+                jobs, shard_sizes = received, None
+                if sizes is not None:
+                    jobs = block.jobs_block[:, lo:hi]
+                    shard_sizes = sizes[cuts[index] : cuts[index + 1]]
                 strategy.feed(
                     index,
                     (
                         block.start_round,
-                        block.received[:, lo:hi],
+                        received,
                         block.done[:, lo:hi],
                         jobs,
+                        shard_sizes,
                     ),
                 )
 

@@ -33,6 +33,8 @@ __all__ = [
     "server_instances",
     "edge_case_snapshots",
     "dispatch_instances",
+    "random_store_blocks",
+    "assert_store_matches_reference",
     "ensemble_tolerance",
     "assert_ensemble_close",
 ]
@@ -149,3 +151,116 @@ def dispatch_instances(draw, max_servers: int = 24, max_arrivals: int = 200):
     queues, rates = draw(server_instances(max_servers=max_servers))
     arrivals = draw(st.integers(min_value=1, max_value=max_arrivals))
     return queues, rates, arrivals
+
+
+def random_store_blocks(rng, n, block_len, max_sizes, max_jobs=4):
+    """A random admission/completion stream for a batch store.
+
+    One block per entry of ``max_sizes``: ``None`` makes a unit block,
+    an integer a sized block with job sizes in ``[1, max_size]``.
+    Returns ``[(start_round, jobs_block, sizes, done_block)]`` with
+    ``sizes`` server-major (``None`` for unit blocks).  Each round
+    completes a random share of the work queued after its admissions,
+    so head jobs are often partly served across rounds and blocks.
+    """
+    queued = np.zeros(n, dtype=np.int64)
+    blocks = []
+    for index, max_size in enumerate(max_sizes):
+        jobs = rng.integers(0, max_jobs, size=(block_len, n))
+        if max_size is None:
+            sizes, units = None, jobs
+        else:
+            sizes = rng.integers(1, max_size + 1, size=int(jobs.sum()))
+            per_cell = jobs.T.ravel()
+            totals = np.concatenate(([0], np.cumsum(sizes)))
+            ends = np.cumsum(per_cell)
+            units = (totals[ends] - totals[ends - per_cell]).reshape(n, block_len).T
+        done = np.zeros((block_len, n), dtype=np.int64)
+        for i in range(block_len):
+            queued += units[i]
+            done[i] = rng.integers(0, queued + 1)
+            queued -= done[i]
+        blocks.append((index * block_len, jobs, sizes, done))
+    return blocks
+
+
+def _reference_drain(n, blocks, warmup):
+    """Replay a block stream through one ``SizedServerQueue`` per server.
+
+    Returns the ``(server, departure_round, time, count)`` records, the
+    leftover units and the leftover jobs per server.
+    """
+    from repro.sim.backends import SizedServerQueue
+
+    servers = [SizedServerQueue() for _ in range(n)]
+    records = []
+
+    class Sink:
+        def record(self, time, count):
+            records.append((server, t, time, count))
+
+    for start, jobs, sizes, done in blocks:
+        server_jobs = jobs.sum(axis=0)
+        taken = np.cumsum(server_jobs) - server_jobs
+        for i in range(jobs.shape[0]):
+            t = start + i
+            for s in np.flatnonzero(jobs[i]):
+                k = int(jobs[i, s])
+                if sizes is None:
+                    servers[s].admit(t, k)
+                else:
+                    servers[s].admit(t, k, sizes[taken[s] : taken[s] + k])
+                    taken[s] += k
+            for server in np.flatnonzero(done[i]):
+                sink = Sink() if t >= warmup else None
+                served = servers[server].complete(int(done[i, server]), t, sink)
+                assert served == int(done[i, server])
+    units = np.array([q.units for q in servers], dtype=np.int64)
+    left = np.array(
+        [sum(cell[2] for cell in q._cells) for q in servers], dtype=np.int64
+    )
+    return records, units, left
+
+
+def _merged(records):
+    """Adjacent records of one (server, round, time) key, summed."""
+    out = []
+    for server, round_index, time, count in records:
+        key = (int(server), int(round_index), int(time))
+        if out and out[-1][0] == key:
+            out[-1][1] += int(count)
+        else:
+            out.append([key, int(count)])
+    return out
+
+
+def assert_store_matches_reference(n, block_len, blocks, warmup):
+    """Run ``blocks`` through a ``BatchQueueStore`` and check it against
+    the reference queues: the same ``response_sink`` records in FIFO
+    order, the same histogram and the same leftover units and jobs."""
+    from repro.sim.batchstore import BatchQueueStore
+    from repro.sim.metrics import ResponseTimeHistogram
+
+    store = BatchQueueStore(n)
+    histogram = ResponseTimeHistogram()
+    records = []
+
+    def sink(rounds, times, counts, servers):
+        records.extend(zip(servers, rounds, times, counts))
+
+    for start, jobs, sizes, done in blocks:
+        store.process_block(
+            start, jobs, sizes, done, histogram, warmup, response_sink=sink
+        )
+    expected, units, left = _reference_drain(n, blocks, warmup)
+    # Block by block, the store emits records server-major in FIFO
+    # position order: departure round ascending, then arrival round
+    # ascending.
+    expected.sort(key=lambda r: (r[1] // block_len, r[0], r[1], -r[2]))
+    assert _merged(records) == _merged(expected)
+    expected_histogram = ResponseTimeHistogram()
+    for _, _, time, count in expected:
+        expected_histogram.record(time, count)
+    np.testing.assert_array_equal(histogram.counts, expected_histogram.counts)
+    np.testing.assert_array_equal(store.queued_units(), units)
+    np.testing.assert_array_equal(store.queued_jobs(), left)

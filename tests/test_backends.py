@@ -10,13 +10,20 @@ The contract under test (ISSUE 2 acceptance):
 * stochastic policies with native batch paths preserve exact job
   accounting and are statistically equivalent;
 * the block-resolved :class:`BatchQueueStore` reproduces the reference
-  :class:`SizedServerQueue` drain of unit jobs exactly, batch by batch;
+  :class:`SizedServerQueue` drain of unit and sized jobs exactly, record
+  by record and in FIFO order, including partly served head jobs carried
+  across blocks;
 * ``ResponseTimeHistogram.record_many`` equals the equivalent sequence
   of ``record`` calls.
 """
 
 import numpy as np
 import pytest
+from _helpers import (
+    DETERMINISM_SETTINGS,
+    assert_store_matches_reference,
+    random_store_blocks,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +39,6 @@ from repro.sim.backends import (
 from repro.sim.batchstore import BatchQueueStore
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
-from repro.sim.backends import SizedServerQueue
 from repro.sim.service import GeometricService
 
 #: Policies whose decisions involve no randomness: identical runs on both
@@ -322,91 +328,96 @@ class TestBackendPropertyBased:
 
 
 class TestBatchQueueStore:
-    """The block resolver against the reference per-server deques."""
-
-    def reference_drain(self, n, received_blocks, done_blocks, warmup):
-        """Replay the same admissions/completions through SizedServerQueues."""
-        servers = [SizedServerQueue() for _ in range(n)]
-        histogram = ResponseTimeHistogram()
-        t = 0
-        for received_block, done_block in zip(received_blocks, done_blocks):
-            for i in range(received_block.shape[0]):
-                for s in np.flatnonzero(received_block[i]):
-                    servers[s].admit(t, int(received_block[i, s]))
-                sink = histogram if t >= warmup else None
-                for s in np.flatnonzero(done_block[i]):
-                    completed = servers[s].complete(int(done_block[i, s]), t, sink)
-                    assert completed == int(done_block[i, s])
-                t += 1
-        return histogram, np.array([q.units for q in servers], dtype=np.int64)
+    """The one block resolver against the reference per-server deques."""
 
     @given(
         seed=st.integers(0, 2**20),
         n=st.integers(1, 6),
-        blocks=st.integers(1, 3),
         block_len=st.integers(1, 12),
         warmup=st.integers(0, 8),
+        max_sizes=st.lists(
+            st.one_of(st.none(), st.integers(1, 9)), min_size=1, max_size=3
+        ),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_server_queue_semantics(self, seed, n, blocks, block_len, warmup):
-        rng = np.random.default_rng(seed)
-        store = BatchQueueStore(n)
-        histogram = ResponseTimeHistogram()
-        queued = np.zeros(n, dtype=np.int64)
-        received_blocks, done_blocks = [], []
-        start = 0
-        for _ in range(blocks):
-            received = rng.integers(0, 5, size=(block_len, n))
-            done = np.zeros_like(received)
-            for i in range(block_len):
-                queued += received[i]
-                # Any feasible completion vector (<= queued) is legal.
-                done[i] = rng.integers(0, queued + 1)
-                queued -= done[i]
-            store.process_block(start, received, done, histogram, warmup)
-            received_blocks.append(received)
-            done_blocks.append(done)
-            start += block_len
-        expected_hist, expected_queued = self.reference_drain(
-            n, received_blocks, done_blocks, warmup
+    @DETERMINISM_SETTINGS
+    def test_matches_server_queue_semantics(
+        self, seed, n, block_len, warmup, max_sizes
+    ):
+        """Unit blocks (max size None), sized blocks and streams mixing
+        both: the same records in FIFO order, the same histogram and the
+        same leftover work."""
+        blocks = random_store_blocks(
+            np.random.default_rng(seed), n, block_len, max_sizes
         )
-        np.testing.assert_array_equal(histogram.counts, expected_hist.counts)
-        np.testing.assert_array_equal(store.queued_jobs(), expected_queued)
-        assert int(store.queued_jobs().sum()) == int(queued.sum())
+        assert_store_matches_reference(n, block_len, blocks, warmup)
 
     def test_overdrain_detected(self):
         store = BatchQueueStore(2)
         received = np.array([[3, 0]], dtype=np.int64)
         done = np.array([[4, 0]], dtype=np.int64)
         with pytest.raises(RuntimeError, match="drained past"):
-            store.process_block(0, received, done, ResponseTimeHistogram(), 0)
+            store.process_block(0, received, None, done, ResponseTimeHistogram(), 0)
 
     def test_empty_block_is_noop(self):
         store = BatchQueueStore(3)
         zero = np.zeros((4, 3), dtype=np.int64)
-        store.process_block(0, zero, zero, ResponseTimeHistogram(), 0)
-        np.testing.assert_array_equal(store.queued_jobs(), np.zeros(3, np.int64))
-        np.testing.assert_array_equal(store.batch_counts(), np.zeros(3, np.int64))
+        store.process_block(0, zero, None, zero, ResponseTimeHistogram(), 0)
+        np.testing.assert_array_equal(store.queued_units(), np.zeros(3, np.int64))
+        np.testing.assert_array_equal(store.run_counts(), np.zeros(3, np.int64))
 
     def test_carry_preserves_fifo_order(self):
         """Jobs left over at a block boundary keep their arrival rounds."""
         store = BatchQueueStore(1)
         received = np.array([[2], [3]], dtype=np.int64)
         done = np.zeros_like(received)
-        store.process_block(0, received, done, None, 0)
-        assert store.batch_counts()[0] == 2
-        # Next block: drain 4 of the 5 -- the round-0 batch (2 jobs at
-        # response 3) and part of the round-1 batch (2 jobs at response 2).
+        store.process_block(0, received, None, done, None, 0)
+        assert store.run_counts()[0] == 2
+        # Next block: drain 4 of the 5 -- the round-0 run (2 jobs at
+        # response 3) and part of the round-1 run (2 jobs at response 2).
         histogram = ResponseTimeHistogram()
         store.process_block(
             2,
             np.zeros((1, 1), dtype=np.int64),
+            None,
             np.array([[4]], dtype=np.int64),
             histogram,
             0,
         )
         np.testing.assert_array_equal(histogram.counts, [0, 0, 2, 2])
         assert store.queued_jobs()[0] == 1
+
+    def test_partial_head_job_carries_across_blocks(self):
+        """A job half-served at a block boundary finishes with the
+        response time of its *last* unit's round."""
+        store = BatchQueueStore(1)
+        histogram = ResponseTimeHistogram()
+        # Round 0: one job of 5 units; rounds 0-1 drain 2+2 units.
+        store.process_block(
+            0,
+            np.array([[1], [0]]),
+            np.array([5]),
+            np.array([[2], [2]], dtype=np.int64),
+            histogram,
+        )
+        assert histogram.total == 0
+        assert store.queued_units()[0] == 1
+        assert store.queued_jobs()[0] == 1
+        # Round 2: the final unit drains -> response 2 - 0 + 1 = 3.
+        store.process_block(
+            2, np.zeros((1, 1), dtype=np.int64), None, np.array([[1]]), histogram
+        )
+        np.testing.assert_array_equal(histogram.counts, [0, 0, 0, 1])
+        assert store.queued_units()[0] == 0
+        assert store.run_counts()[0] == 0
+
+    def test_sizes_checked(self):
+        store = BatchQueueStore(2)
+        jobs = np.array([[1, 1]])
+        done = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="one size per admitted job"):
+            store.process_block(0, jobs, np.array([1, 2, 3]), done, None)
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            store.process_block(0, jobs, np.array([1, 0]), done, None)
 
 
 class TestRecordMany:

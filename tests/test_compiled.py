@@ -4,14 +4,14 @@ The backend-level bit-identity lives in the three parity suites
 (``test_backends``, ``test_sized_backends``, ``test_sharding``); this
 file covers the pieces those run through indirectly:
 
-* the jitted two-pointer resolvers against the numpy stores directly,
-  over randomized block streams (records, order, carry, and state);
+* the jitted walk against the numpy store directly, over randomized
+  unit and sized block streams (records, order, carry, and state);
 * import-time fallback: with numba absent the ``compiled`` name still
   resolves to a working, correctly-labeled backend that runs the numpy
   paths and reports ``jit_active = False``;
-* checkpoint round-trips between compiled and numpy stores (pickled
+* checkpoint round-trips between the compiled and numpy stores (pickled
   state is interchangeable, so kill/resume may switch kernels);
-* the store-level error contract (overdrain, sized validation) is
+* the store-level error contract (overdrain, size validation) is
   preserved verbatim on the compiled path;
 * ``make_shard_store`` / ``compiled_round_kernel_for`` selection rules.
 
@@ -24,17 +24,17 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _helpers import DETERMINISM_SETTINGS, random_store_blocks
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.policies.base import make_policy
 from repro.sim import compiled
 from repro.sim.backends import available_backends, make_backend
-from repro.sim.batchstore import BatchQueueStore, SizedBatchQueueStore
+from repro.sim.batchstore import BatchQueueStore
 from repro.sim.compiled import (
     CompiledBackend,
     CompiledBatchQueueStore,
-    CompiledSizedBatchQueueStore,
     compiled_round_kernel_for,
     make_shard_store,
 )
@@ -53,153 +53,83 @@ class Recorder:
         )
 
 
-def random_blocks(rng, n, num_blocks, block_len, load=2.0):
-    """A plausible admission/completion stream: completions never exceed
-    what is present (tracked per server), arrivals are bursty."""
-    queued = np.zeros(n, dtype=np.int64)
-    blocks = []
-    for _ in range(num_blocks):
-        received = rng.poisson(load, size=(block_len, n)).astype(np.int64)
-        done = np.zeros((block_len, n), dtype=np.int64)
-        for i in range(block_len):
-            queued += received[i]
-            drain = np.minimum(queued, rng.integers(0, 4, size=n))
-            done[i] = drain
-            queued -= drain
-        blocks.append((received, done))
-    return blocks
-
-
 def assert_store_states_equal(a, b):
-    np.testing.assert_array_equal(a._rounds, b._rounds)
-    np.testing.assert_array_equal(a._counts, b._counts)
-    np.testing.assert_array_equal(a._lengths, b._lengths)
-    np.testing.assert_array_equal(a._jobs, b._jobs)
+    for name in ("_rounds", "_sizes", "_counts", "_lengths", "_units"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-class TestUnsizedResolverParity:
+def parity_property(max_size):
+    """The jitted walk against the numpy store as a Hypothesis test;
+    ``max_size`` is ``None`` for unit blocks, else the largest job size
+    of sized blocks."""
+
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 6),
            num_blocks=st.integers(1, 4), block_len=st.integers(1, 40),
            warmup=st.integers(0, 60))
-    @settings(max_examples=40, deadline=None)
+    @DETERMINISM_SETTINGS
     def test_matches_numpy_store(self, seed, n, num_blocks, block_len, warmup):
         """Identical records (values AND order), histogram, and carry."""
-        rng = np.random.default_rng(seed)
-        blocks = random_blocks(rng, n, num_blocks, block_len)
+        blocks = random_store_blocks(
+            np.random.default_rng(seed), n, block_len, [max_size] * num_blocks
+        )
         numpy_store, numpy_hist, numpy_rec = (
             BatchQueueStore(n), ResponseTimeHistogram(), Recorder())
         comp_store, comp_hist, comp_rec = (
             CompiledBatchQueueStore(n, force=True),
             ResponseTimeHistogram(), Recorder())
-        start = 0
-        for received, done in blocks:
+        for start, jobs, sizes, done in blocks:
             numpy_store.process_block(
-                start, received, done, numpy_hist, warmup,
+                start, jobs, sizes, done, numpy_hist, warmup,
                 response_sink=numpy_rec)
             comp_store.process_block(
-                start, received, done, comp_hist, warmup,
+                start, jobs, sizes, done, comp_hist, warmup,
                 response_sink=comp_rec)
-            start += block_len
         np.testing.assert_array_equal(numpy_hist.counts, comp_hist.counts)
         assert len(numpy_rec.calls) == len(comp_rec.calls)
         for call_a, call_b in zip(numpy_rec.calls, comp_rec.calls):
             for array_a, array_b in zip(call_a, call_b):
                 np.testing.assert_array_equal(array_a, array_b)
+                assert array_a.dtype == array_b.dtype
         assert_store_states_equal(numpy_store, comp_store)
+
+    return test_matches_numpy_store
+
+
+class TestUnsizedResolverParity:
+    test_matches_numpy_store = parity_property(None)
 
     def test_overdrain_error_preserved(self):
         store = CompiledBatchQueueStore(2, force=True)
         received = np.zeros((1, 2), dtype=np.int64)
         done = np.ones((1, 2), dtype=np.int64)
         with pytest.raises(RuntimeError, match="drained past its contents"):
-            store.process_block(0, received, done, ResponseTimeHistogram())
+            store.process_block(0, received, None, done, ResponseTimeHistogram())
 
     def test_empty_block_leaves_state_untouched(self):
         store = CompiledBatchQueueStore(2, force=True)
         zeros = np.zeros((3, 2), dtype=np.int64)
         before = pickle.dumps(store)
-        store.process_block(0, zeros, zeros, ResponseTimeHistogram())
+        store.process_block(0, zeros, None, zeros, ResponseTimeHistogram())
+        store.process_block(
+            0, zeros, np.empty(0, dtype=np.int64), zeros, ResponseTimeHistogram())
         assert pickle.dumps(store) == before
 
 
 class TestSizedResolverParity:
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 5),
-           num_blocks=st.integers(1, 3), block_len=st.integers(1, 30),
-           warmup=st.integers(0, 40))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_numpy_store(self, seed, n, num_blocks, block_len, warmup):
-        rng = np.random.default_rng(seed)
-        numpy_store, numpy_hist, numpy_rec = (
-            SizedBatchQueueStore(n), ResponseTimeHistogram(), Recorder())
-        comp_store, comp_hist, comp_rec = (
-            CompiledSizedBatchQueueStore(n, force=True),
-            ResponseTimeHistogram(), Recorder())
-        unit_queues = np.zeros(n, dtype=np.int64)
-        start = 0
-        for _ in range(num_blocks):
-            jobs_per_round = [
-                np.sort(rng.integers(0, n, size=rng.integers(0, 5)))
-                for _ in range(block_len)
-            ]
-            servers, rounds_arr, sizes = [], [], []
-            for i, row in enumerate(jobs_per_round):
-                for server in row:
-                    servers.append(server)
-                    rounds_arr.append(start + i)
-                    sizes.append(int(rng.integers(1, 7)))
-            order = np.lexsort(
-                (np.arange(len(servers)), np.asarray(servers, dtype=np.int64))
-            ) if servers else np.empty(0, dtype=np.int64)
-            job_servers = np.asarray(servers, dtype=np.int64)[order]
-            job_rounds = np.asarray(rounds_arr, dtype=np.int64)[order]
-            job_sizes = np.asarray(sizes, dtype=np.int64)[order]
-            done = np.zeros((block_len, n), dtype=np.int64)
-            # conservative completion stream: never drain more than present
-            arrived_by_round = np.zeros((block_len, n), dtype=np.int64)
-            for server, round_index, size in zip(
-                job_servers, job_rounds, job_sizes
-            ):
-                arrived_by_round[round_index - start, server] += size
-            for i in range(block_len):
-                unit_queues += arrived_by_round[i]
-                drain = np.minimum(unit_queues, rng.integers(0, 6, size=n))
-                done[i] = drain
-                unit_queues -= drain
-            numpy_store.process_block(
-                start, job_servers, job_rounds, job_sizes, done,
-                numpy_hist, warmup, response_sink=numpy_rec)
-            comp_store.process_block(
-                start, job_servers, job_rounds, job_sizes, done,
-                comp_hist, warmup, response_sink=comp_rec)
-            start += block_len
-        np.testing.assert_array_equal(numpy_hist.counts, comp_hist.counts)
-        assert len(numpy_rec.calls) == len(comp_rec.calls)
-        for call_a, call_b in zip(numpy_rec.calls, comp_rec.calls):
-            for array_a, array_b in zip(call_a, call_b):
-                np.testing.assert_array_equal(array_a, array_b)
-        np.testing.assert_array_equal(numpy_store._rounds, comp_store._rounds)
-        np.testing.assert_array_equal(
-            numpy_store._remaining, comp_store._remaining)
-        np.testing.assert_array_equal(
-            numpy_store._lengths, comp_store._lengths)
-        np.testing.assert_array_equal(numpy_store._units, comp_store._units)
+    test_matches_numpy_store = parity_property(6)
 
     def test_validation_errors_preserved(self):
-        store = CompiledSizedBatchQueueStore(2, force=True)
+        store = CompiledBatchQueueStore(2, force=True)
         histogram = ResponseTimeHistogram()
-        ok = np.asarray([0, 1], dtype=np.int64)
+        jobs = np.ones((1, 2), dtype=np.int64)
         done = np.zeros((1, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match="parallel 1-D"):
-            store.process_block(0, ok, ok[:1], ok, done, histogram)
+        with pytest.raises(ValueError, match="one size per admitted job"):
+            store.process_block(0, jobs, np.asarray([1]), done, histogram)
         with pytest.raises(ValueError, match="sizes must be >= 1"):
-            store.process_block(0, ok, ok, np.asarray([0, 1]), done, histogram)
-        with pytest.raises(ValueError, match="sorted server-major"):
-            store.process_block(
-                0, ok[::-1].copy(), ok, np.asarray([1, 1]), done, histogram)
+            store.process_block(0, jobs, np.asarray([0, 1]), done, histogram)
         with pytest.raises(RuntimeError, match="drained past its contents"):
             store.process_block(
-                0, ok[:0], ok[:0], ok[:0], np.ones((1, 2), dtype=np.int64),
-                histogram)
+                0, jobs, np.asarray([1, 2]), np.asarray([[1, 3]]), histogram)
 
 
 class TestFallback:
@@ -213,13 +143,12 @@ class TestFallback:
         assert backend.name == "compiled"
         assert backend.jit_active is False
         assert "fallback" in backend.description
-        assert isinstance(backend._make_store(3, True), CompiledSizedBatchQueueStore)
         # The store delegates to the numpy resolver...
-        store = backend._make_store(3, False)
+        store = backend._make_store(3)
         assert isinstance(store, CompiledBatchQueueStore)
         histogram = ResponseTimeHistogram()
         block = np.ones((2, 3), dtype=np.int64)
-        store.process_block(0, block, block, histogram)
+        store.process_block(0, block, None, block, histogram)
         assert histogram.total == 6
         # ...and no round kernel is installed.
         assert backend._round_kernel(_FakeSim(make_policy("rr"))) is None
@@ -284,15 +213,12 @@ class TestShardStoreSelection:
     def test_fallback_uses_numpy_stores(self, monkeypatch):
         monkeypatch.setattr(compiled, "_FORCE_DISABLED", True)
         monkeypatch.setattr(compiled, "_FORCE_STORES", False)
-        assert type(make_shard_store(3, sized=False)) is BatchQueueStore
-        assert type(make_shard_store(3, sized=True)) is SizedBatchQueueStore
+        assert type(make_shard_store(3)) is BatchQueueStore
 
     def test_forced_uses_compiled_stores(self, monkeypatch):
         monkeypatch.setattr(compiled, "_FORCE_STORES", True)
-        store = make_shard_store(3, sized=False)
+        store = make_shard_store(3)
         assert isinstance(store, CompiledBatchQueueStore) and store.force
-        sized = make_shard_store(3, sized=True)
-        assert isinstance(sized, CompiledSizedBatchQueueStore) and sized.force
 
 
 class TestCheckpointInterchange:
@@ -305,11 +231,9 @@ class TestCheckpointInterchange:
         comp_store = CompiledBatchQueueStore(3, force=True)
         histogram_a, histogram_b = (
             ResponseTimeHistogram(), ResponseTimeHistogram())
-        for start, (received, done) in enumerate(
-            random_blocks(rng, 3, 4, 32)
-        ):
-            numpy_store.process_block(start * 32, received, done, histogram_a)
-            comp_store.process_block(start * 32, received, done, histogram_b)
+        for start, jobs, sizes, done in random_store_blocks(rng, 3, 32, [5] * 4):
+            numpy_store.process_block(start, jobs, sizes, done, histogram_a)
+            comp_store.process_block(start, jobs, sizes, done, histogram_b)
         revived = pickle.loads(pickle.dumps(comp_store))
         assert isinstance(revived, CompiledBatchQueueStore)
         assert revived.force  # instance attr survives pickling
@@ -318,8 +242,8 @@ class TestCheckpointInterchange:
         # resolver (and vice versa) without translation.
         received = np.ones((8, 3), dtype=np.int64)
         done = np.ones((8, 3), dtype=np.int64)
-        numpy_store.process_block(200, received, done, histogram_a)
-        revived.process_block(200, received, done, histogram_b)
+        numpy_store.process_block(200, received, None, done, histogram_a)
+        revived.process_block(200, received, None, done, histogram_b)
         np.testing.assert_array_equal(histogram_a.counts, histogram_b.counts)
         assert_store_states_equal(numpy_store, revived)
 

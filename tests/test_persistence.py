@@ -92,21 +92,18 @@ class TestSizedResults:
         assert "total_jobs" not in result_to_dict(result)
         assert result_from_dict(result_to_dict(result)).total_jobs is None
 
-    def test_pinned_legacy_sized_result_loads(self):
-        """A ``sized_result`` file written before sized and unit jobs
-        shared one result type loads with units as the totals."""
-        from pathlib import Path
-
-        path = Path(__file__).parent / "data" / "sized_result_v1.json"
-        loaded = result_from_dict(json.loads(path.read_text()))
-        assert loaded.policy_name == "jsq"
-        assert loaded.config is None
-        assert loaded.final_queues is None
-        assert loaded.server_received is None and loaded.server_departed is None
-        assert loaded.total_jobs == 262
-        assert (loaded.total_arrived, loaded.total_departed, loaded.final_queued) == (
-            507, 505, 2
-        )
-        assert loaded.histogram.total == 261
-        assert len(loaded.queue_series.values) == 40
-        assert loaded.mean_response_time == pytest.approx(1.632183908045977)
+    def test_retired_sized_result_refused(self):
+        """The ``sized_result`` format, written before sized and unit jobs
+        shared one result type, is refused by name."""
+        payload = {
+            "format_version": 1,
+            "kind": "sized_result",
+            "policy_name": "jsq",
+            "histogram": {},
+            "total_jobs": 262,
+            "total_units_arrived": 507,
+            "total_units_departed": 505,
+            "final_units_queued": 2,
+        }
+        with pytest.raises(ValueError, match="'sized_result' format is retired"):
+            result_from_dict(payload)

@@ -94,21 +94,22 @@ class TestCheckpointStore:
     def test_empty_store_is_fresh_start(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() is None
 
-    def test_resume_refuses_version_one_run_dir(self, tmp_path):
-        """Version-1 snapshots pickle classes that no longer exist; the
-        resume refuses them loudly instead of unpickling."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_resume_refuses_retired_format_run_dir(self, tmp_path, version):
+        """Version-1 and version-2 snapshots pickle classes and layouts
+        that no longer exist; the resume refuses them loudly instead of
+        unpickling."""
         directory = tmp_path / "run"
         Run.create(build_sim("fast", sized=True), directory).execute(max_legs=1)
         manifests = sorted((directory / "checkpoints").glob("ckpt-*.json"))
         assert manifests
         for path in manifests:
             manifest = json.loads(path.read_text())
-            manifest["format_version"] = 1
+            manifest["format_version"] = version
             path.write_text(json.dumps(manifest))
-        with pytest.warns(RuntimeWarning, match="unsupported format version 1"):
-            with pytest.raises(
-                CheckpointError, match="unsupported format version 1"
-            ):
+        message = f"unsupported format version {version}"
+        with pytest.warns(RuntimeWarning, match=message):
+            with pytest.raises(CheckpointError, match=message):
                 main(["resume", str(directory)])
 
     def test_newest_wins(self, tmp_path):

@@ -292,14 +292,14 @@ class TestStoreAdmissionGuard:
         received[0, 3] = 1  # a job on a masked server: adapter bug
         done = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(RuntimeError, match="churn-masked"):
-            store.process_block(0, received, done, histogram=None)
+            store.process_block(0, received, None, done, histogram=None)
 
     def test_unmasked_admission_passes(self):
         store = BatchQueueStore(4)
         store.set_capacity_mask(np.array([True, True, False, False]))
         received = np.zeros((1, 4), dtype=np.int64)
         received[0, 0] = 2
-        store.process_block(0, received, np.zeros((1, 4), np.int64), None)
+        store.process_block(0, received, None, np.zeros((1, 4), np.int64), None)
         assert store.queued_jobs()[0] == 2
 
     def test_mask_shape_checked(self):

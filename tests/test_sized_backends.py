@@ -16,11 +16,10 @@ and ``BimodalSize``:
   every kernel;
 * stochastic policies with native batch paths keep exact accounting and
   see the identical workload realization;
-* the unit-denominated :class:`SizedBatchQueueStore` reproduces the
-  reference :class:`SizedServerQueue` drain exactly, job by job,
-  including partial service of the head job across block boundaries;
 * ``wrr``'s native smooth-credit batch path is bit-identical to the
   per-dispatcher fallback loop (counts *and* carried credit state);
+* the one block store resolves sized blocks like the reference queues:
+  records in FIFO order, partly served heads, overdrain, empty blocks;
 * sizes are plumbed end-to-end: ``Simulation(sizes=...)``,
   ``simulate_cell``, ``Experiment`` grids and JSON persistence.
 """
@@ -30,7 +29,11 @@ import json
 
 import numpy as np
 import pytest
-from _helpers import DETERMINISM_SETTINGS
+from _helpers import (
+    DETERMINISM_SETTINGS,
+    assert_store_matches_reference,
+    random_store_blocks,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,13 +42,12 @@ from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (
     FastBackend,
     ReferenceBackend,
-    SizedServerQueue,
     available_backends,
     backend_capabilities,
     backend_descriptions,
     make_backend,
 )
-from repro.sim.batchstore import SizedBatchQueueStore
+from repro.sim.batchstore import BatchQueueStore
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import ResponseTimeHistogram
 from repro.sim.service import GeometricService
@@ -409,26 +411,8 @@ class TestWRRNativeBatchPath:
 
 
 class TestSizedBatchQueueStore:
-    """The unit-denominated block resolver against the reference deques."""
-
-    def reference_drain(self, n, admissions, done_blocks, warmup):
-        """Replay the same sized admissions/completions through
-        SizedServerQueues (warmup gated like the store's contract)."""
-        servers = [SizedServerQueue() for _ in range(n)]
-        histogram = ResponseTimeHistogram()
-        gated = ResponseTimeHistogram()
-        t = 0
-        for per_round, done_block in zip(admissions, done_blocks):
-            for jobs_by_server, done in zip(per_round, done_block):
-                for s, sizes in jobs_by_server.items():
-                    servers[s].admit(t, len(sizes), np.asarray(sizes, dtype=np.int64))
-                for s in np.flatnonzero(done):
-                    sink = gated if t >= warmup else None
-                    completed = servers[s].complete(int(done[s]), t, sink)
-                    assert completed == int(done[s])
-                t += 1
-        del histogram
-        return gated, np.array([q.units for q in servers], dtype=np.int64)
+    """The one block resolver on sized blocks: jobs of several units,
+    partly served heads carried across rounds and blocks."""
 
     @given(
         seed=st.integers(0, 2**20),
@@ -442,134 +426,54 @@ class TestSizedBatchQueueStore:
     def test_matches_sized_server_queue_semantics(
         self, seed, n, blocks, block_len, warmup, max_size
     ):
-        rng = np.random.default_rng(seed)
-        store = SizedBatchQueueStore(n)
-        histogram = ResponseTimeHistogram()
-        queued_units = np.zeros(n, dtype=np.int64)
-        admissions, done_blocks = [], []
-        start = 0
-        for _ in range(blocks):
-            per_round = []
-            done_block = np.zeros((block_len, n), dtype=np.int64)
-            job_servers, job_rounds, job_sizes = [], [], []
-            for i in range(block_len):
-                jobs_by_server = {}
-                for s in range(n):
-                    count = int(rng.integers(0, 4))
-                    if count:
-                        sizes = rng.integers(1, max_size + 1, size=count)
-                        jobs_by_server[s] = sizes
-                        queued_units[s] += int(sizes.sum())
-                        job_servers.append(np.full(count, s, dtype=np.int64))
-                        job_rounds.append(np.full(count, start + i, dtype=np.int64))
-                        job_sizes.append(sizes.astype(np.int64))
-                per_round.append(jobs_by_server)
-                # Any feasible unit-completion vector (<= queued) is legal.
-                done_block[i] = rng.integers(0, queued_units + 1)
-                queued_units -= done_block[i]
-            flat = lambda parts: (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            # Jobs were generated round-major; server-major stable sort
-            # is the order the store requires.
-            srv = flat(job_servers)
-            order = np.argsort(srv, kind="stable")
-            store.process_block(
-                start,
-                srv[order],
-                flat(job_rounds)[order],
-                flat(job_sizes)[order],
-                done_block,
-                histogram,
-                warmup,
-            )
-            admissions.append(per_round)
-            done_blocks.append(done_block)
-            start += block_len
-        expected_hist, expected_units = self.reference_drain(
-            n, admissions, done_blocks, warmup
+        stream = random_store_blocks(
+            np.random.default_rng(seed), n, block_len, [max_size] * blocks
         )
-        np.testing.assert_array_equal(histogram.counts, expected_hist.counts)
-        np.testing.assert_array_equal(store.queued_units(), expected_units)
-        assert int(store.queued_units().sum()) == int(queued_units.sum())
-
-    def test_partial_head_job_carries_across_blocks(self):
-        """A job half-served at a block boundary finishes with the
-        response time of its *last* unit's round."""
-        store = SizedBatchQueueStore(1)
-        histogram = ResponseTimeHistogram()
-        # Round 0: one job of 5 units; rounds 0-1 drain 2+2 units.
-        store.process_block(
-            0,
-            np.array([0]),
-            np.array([0]),
-            np.array([5]),
-            np.array([[2], [2]], dtype=np.int64),
-            histogram,
-        )
-        assert histogram.total == 0
-        assert store.queued_units()[0] == 1
-        assert store.job_counts()[0] == 1
-        # Round 2: the final unit drains -> response 2 - 0 + 1 = 3.
-        store.process_block(
-            2,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.array([[1]], dtype=np.int64),
-            histogram,
-        )
-        np.testing.assert_array_equal(histogram.counts, [0, 0, 0, 1])
-        assert store.queued_units()[0] == 0
-        assert store.job_counts()[0] == 0
+        assert_store_matches_reference(n, block_len, stream, warmup)
 
     def test_fifo_across_jobs_and_servers(self):
-        store = SizedBatchQueueStore(2)
+        store = BatchQueueStore(2)
         histogram = ResponseTimeHistogram()
+        records = []
+
+        def sink(rounds, times, counts, servers):
+            records.extend(zip(servers, rounds, times, counts))
+
         # Server 0: jobs of 2 and 1 units (round 0); server 1: 3 units.
         store.process_block(
             0,
-            np.array([0, 0, 1]),
-            np.array([0, 0, 0]),
+            np.array([[2, 1]]),
             np.array([2, 1, 3]),
             np.array([[3, 3]], dtype=np.int64),
             histogram,
+            response_sink=sink,
         )
-        # All three jobs complete in round 0 -> response 1 each.
+        # All three jobs complete in round 0 -> response 1 each, one
+        # (server, round, time, count) record per job, server-major.
         np.testing.assert_array_equal(histogram.counts, [0, 3])
+        assert [tuple(map(int, r)) for r in records] == [
+            (0, 0, 1, 1),
+            (0, 0, 1, 1),
+            (1, 0, 1, 1),
+        ]
 
     def test_overdrain_detected(self):
-        store = SizedBatchQueueStore(2)
+        store = BatchQueueStore(2)
         with pytest.raises(RuntimeError, match="drained past"):
             store.process_block(
                 0,
-                np.array([0]),
-                np.array([0]),
+                np.array([[1, 0]]),
                 np.array([3]),
                 np.array([[4, 0]], dtype=np.int64),
                 ResponseTimeHistogram(),
             )
 
-    def test_unsorted_jobs_rejected(self):
-        store = SizedBatchQueueStore(2)
-        with pytest.raises(ValueError, match="server-major"):
-            store.process_block(
-                0,
-                np.array([1, 0]),
-                np.array([0, 0]),
-                np.array([1, 1]),
-                np.zeros((1, 2), dtype=np.int64),
-                None,
-            )
-
     def test_empty_block_is_noop(self):
-        store = SizedBatchQueueStore(3)
-        empty = np.empty(0, dtype=np.int64)
-        store.process_block(
-            0, empty, empty, empty, np.zeros((4, 3), dtype=np.int64), None
-        )
+        store = BatchQueueStore(3)
+        zero = np.zeros((4, 3), dtype=np.int64)
+        store.process_block(0, zero, np.empty(0, dtype=np.int64), zero, None)
         np.testing.assert_array_equal(store.queued_units(), np.zeros(3, np.int64))
-        np.testing.assert_array_equal(store.job_counts(), np.zeros(3, np.int64))
+        np.testing.assert_array_equal(store.queued_jobs(), np.zeros(3, np.int64))
 
 
 class TestEndToEndPlumbing:
