@@ -6,9 +6,9 @@ evaluation uses steady Poisson traffic.  Real entry points see correlated
 surges -- a marketing event or a retry storm hits *all* dispatchers at
 once.  This example declares ONE experiment grid with TWO workloads --
 the paper's steady Poisson workload and ``WorkloadSpec.bursty`` (a
-two-state modulated Poisson whose calm/surge phase is shared by all
-dispatchers) at equal *average* load -- and compares policies across
-both.
+``regime`` scenario: the Poisson rates switch between a calm and a surge
+level, with the phase shared by all dispatchers) at equal *average*
+load -- and compares policies across both.
 
 Surges are where herding bites hardest: a burst arrives exactly when
 every dispatcher is staring at the same few short queues.  SCD's

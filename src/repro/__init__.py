@@ -56,7 +56,6 @@ from .analysis.persistence import (
 from .analysis.stability import StabilityVerdict, assess_stability
 from .analysis.tables import format_series_table, format_table
 from .experiments import (
-    BurstyArrivalFactory,
     Cell,
     CellRecord,
     Executor,
@@ -104,7 +103,6 @@ from .policies.greedy import greedy_batch_assign, greedy_batch_assign_heap
 from .sim.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
-    ModulatedPoissonArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
@@ -182,7 +180,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "BurstyArrivalFactory",
     "simulate_cell",
     "save_experiment",
     "load_experiment",
@@ -262,7 +259,6 @@ __all__ = [
     "PoissonArrivals",
     "DeterministicArrivals",
     "TraceArrivals",
-    "ModulatedPoissonArrivals",
     "ServiceProcess",
     "GeometricService",
     "DeterministicService",

@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.experiments.grid import Experiment, PolicySpec
 from repro.experiments.results import CellRecord, ExperimentResult
-from repro.experiments.workload import (
-    UnreconstructedFactory,
-    WorkloadSpec,
-    workload_factory_from_descriptor,
-)
+from repro.experiments.workload import UnreconstructedFactory, WorkloadSpec
 from repro.sim.engine import SimulationConfig, SimulationResult
 from repro.sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from repro.sim.probes import (
@@ -168,45 +164,25 @@ def _workload_from_descriptor(payload: dict) -> WorkloadSpec:
     """Best-effort workload reconstruction from its JSON descriptor.
 
     Name, skew, scenario, and explicit dispatcher weights round-trip
-    exactly, and so do arrival/service factories registered via
-    :func:`repro.experiments.workload.register_workload_factory` (they
-    serialize as ``{"factory": ..., "kwargs": ...}`` descriptors).
-    Unregistered factories and job-size distributions only serialize as
-    a repr; a workload that had any gets an
-    :class:`UnreconstructedFactory` placeholder, so the loaded result's
-    records stay fully usable but re-*running* the loaded experiment
-    raises instead of silently simulating the default workload under
-    the old name.
+    exactly.  Custom arrival/service factories and job-size
+    distributions only serialize as a repr (so does the
+    ``{"factory": ...}`` descriptor of older files); a workload that had
+    any gets an :class:`UnreconstructedFactory` placeholder, so the
+    loaded result's records stay fully usable but re-*running* the
+    loaded experiment raises instead of silently simulating the default
+    workload under the old name.
     """
     weights = payload.get("dispatcher_weights")
-    lossy = "job_sizes" in payload
-
-    def component(key):
-        nonlocal lossy
-        value = payload.get(key)
-        if value is None:
-            return None
-        if isinstance(value, dict):
-            try:
-                return workload_factory_from_descriptor(value)
-            except ValueError:
-                pass  # unknown/newer factory: degrade to the placeholder
-        lossy = True
-        return None
-
-    arrivals = component("arrivals")
-    service = component("service")
-    if lossy:
-        # One loud placeholder is enough: executing any cell of the
-        # rebuilt workload must raise, whichever component was lost.
-        arrivals = UnreconstructedFactory(payload["name"])
-        service = None
+    lossy = any(
+        payload.get(key) is not None for key in ("arrivals", "service", "job_sizes")
+    )
     return WorkloadSpec(
         name=payload["name"],
         skew=payload.get("skew"),
         dispatcher_weights=tuple(weights) if weights is not None else None,
-        arrivals=arrivals,
-        service=service,
+        # One loud placeholder is enough: executing any cell of the
+        # rebuilt workload must raise, whichever component was lost.
+        arrivals=UnreconstructedFactory(payload["name"]) if lossy else None,
         scenario=payload.get("scenario"),
     )
 
@@ -269,10 +245,9 @@ def experiment_from_descriptor(spec: dict) -> Experiment:
 
     The inverse of :meth:`Experiment.describe`, shared by result loading
     and the service job API (``POST /jobs`` bodies are exactly these
-    descriptors).  Workload names, skew, dispatcher weights, and
-    *registered* arrival/service factories (``bursty``, trace replay)
-    round-trip exactly; workloads that carried unregistered factories or
-    job-size distributions come back with
+    descriptors).  Workload names, skew, dispatcher weights and
+    scenarios (``bursty`` is one) round-trip exactly; workloads that
+    carried custom factories or job-size distributions come back with
     :class:`UnreconstructedFactory` placeholders, so the rebuilt grid
     raises if *executed* under the old name instead of silently
     simulating the default workload.

@@ -126,6 +126,27 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workload",
+        default="paper",
+        help="paper (default), skew:FACTOR, bursty:SURGE[:SWITCH_PROB] "
+        "(correlated calm/surge arrivals at equal average load, a regime "
+        "scenario), or sized[:geom:MEAN|det:SIZE|bimodal:SMALL:LARGE[:PROB]] "
+        "(jobs carry work-unit sizes and queues count units; sized "
+        "workloads do not travel as descriptors)",
+    )
+    parser.add_argument(
+        "--scenario",
+        metavar="NAME[:k=v,...]",
+        help="nonstationary workload scenario: rate curves (diurnal, flash, "
+        "regime) and/or server churn (churn, elastic); see `repro "
+        "scenarios`. Travels in descriptors and checkpoints; the mean-field "
+        "backend follows rate curves. Not combinable with bursty, which "
+        "already is a regime scenario",
+    )
+
+
 def _system_from(args: argparse.Namespace) -> SystemSpec:
     return SystemSpec(
         num_servers=args.servers,
@@ -271,9 +292,12 @@ def _parse_workload(token: str) -> WorkloadSpec:
         return WorkloadSpec.skewed(float(params or 2.0))
     if kind == "bursty":
         parts = params.split(":") if params else []
-        surge = float(parts[0]) if parts else 3.0
-        switch = float(parts[1]) if len(parts) > 1 else 0.05
-        return WorkloadSpec.bursty(surge, switch)
+        try:
+            surge = float(parts[0]) if parts else 3.0
+            switch = float(parts[1]) if len(parts) > 1 else 0.05
+            return WorkloadSpec.bursty(surge, switch)
+        except ValueError as error:
+            raise SystemExit(f"invalid workload {token!r}: {error}")
     if kind == "sized":
         distribution, name = _parse_job_sizes(params)
         return WorkloadSpec.sized(distribution, name=name)
@@ -286,8 +310,13 @@ def _parse_workload(token: str) -> WorkloadSpec:
 def _workload_from(args: argparse.Namespace) -> WorkloadSpec:
     """The --workload spec with any --scenario applied (validated now)."""
     workload = _parse_workload(args.workload)
-    scenario = getattr(args, "scenario", None)
+    scenario = args.scenario
     if scenario:
+        if workload.scenario is not None:
+            raise SystemExit(
+                f"--workload {args.workload} already is the scenario "
+                f"{workload.scenario!r}; it cannot take --scenario {scenario!r}"
+            )
         try:
             workload = dataclasses.replace(workload, scenario=scenario)
         except ValueError as error:
@@ -306,13 +335,14 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
+def _grid_from(args: argparse.Namespace) -> Experiment:
+    """The multi-system grid of ``experiment``/``submit`` (validated now)."""
     systems = tuple(
         _parse_system_token(token, args.profile, args.rate_seed)
         for token in args.systems
     )
     try:
-        experiment = Experiment(
+        return Experiment(
             policies=tuple(args.policies),
             systems=systems,
             loads=tuple(args.loads),
@@ -326,6 +356,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"invalid experiment: {error}")
+
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    experiment = _grid_from(args)
+    systems = experiment.systems
     workload = experiment.workloads[0]
     scenario_note = (
         f", scenario: {workload.scenario}" if workload.scenario else ""
@@ -918,26 +953,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         body = json.loads(Path(args.descriptor).read_text())
         descriptor = body.get("experiment", body)
     else:
-        systems = tuple(
-            _parse_system_token(token, args.profile, args.rate_seed)
-            for token in args.systems
-        )
-        try:
-            experiment = Experiment(
-                policies=tuple(args.policies),
-                systems=systems,
-                loads=tuple(args.loads),
-                replications=args.replications,
-                workloads=(_workload_from(args),),
-                rounds=args.rounds,
-                warmup=args.warmup,
-                base_seed=args.seed,
-                backend=args.backend,
-                metrics=_parse_metrics(args.metrics),
-            )
-        except ValueError as error:
-            raise SystemExit(f"invalid experiment: {error}")
-        descriptor = experiment.describe()
+        descriptor = _grid_from(args).describe()
     url = _service_url(args)
     try:
         status = submit_job(
@@ -1066,20 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
     p.add_argument("--replications", "-r", type=int, default=1)
-    p.add_argument(
-        "--workload",
-        default="paper",
-        help="paper (default), skew:FACTOR, bursty:SURGE[:SWITCH_PROB], or "
-        "sized[:geom:MEAN|det:SIZE|bimodal:SMALL:LARGE[:PROB]] (jobs carry "
-        "work-unit sizes and queues count units)",
-    )
-    p.add_argument(
-        "--scenario",
-        metavar="NAME[:k=v,...]",
-        help="nonstationary workload scenario applied to every cell: "
-        "rate curves (diurnal, flash, regime) and/or server churn "
-        "(churn, elastic); see `repro scenarios`",
-    )
+    _add_workload_args(p)
     p.add_argument(
         "--workers",
         "-j",
@@ -1171,18 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--policy", default="scd")
     p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument(
-        "--workload",
-        default="paper",
-        help="paper (default), skew:F, bursty:F[:P] or "
-        "sized[:geom:MEAN|det:SIZE|bimodal:SMALL:LARGE[:PROB]]",
-    )
-    p.add_argument(
-        "--scenario",
-        metavar="NAME[:k=v,...]",
-        help="nonstationary workload scenario (see `repro scenarios`); "
-        "checkpoints carry the scenario state, so resume is bit-identical",
-    )
+    _add_workload_args(p)
     p.add_argument(
         "--backend",
         default="reference",
@@ -1378,19 +1370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", nargs="+", default=["100x10"], metavar="NxM")
     p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
     p.add_argument("--replications", "-r", type=int, default=1)
-    p.add_argument(
-        "--workload",
-        default="paper",
-        help="paper (default), skew:FACTOR or bursty:SURGE[:SWITCH_PROB] "
-        "(bursty travels as a registered factory descriptor); sized "
-        "workloads cannot travel as descriptors -- submit those in-process",
-    )
-    p.add_argument(
-        "--scenario",
-        metavar="NAME[:k=v,...]",
-        help="nonstationary workload scenario applied to every cell "
-        "(see `repro scenarios`); travels in the descriptor",
-    )
+    _add_workload_args(p)
     p.add_argument(
         "--priority",
         type=int,
@@ -1464,18 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replications per stochastic backend (analytic backends are "
         "deterministic and always run once)",
     )
-    p.add_argument(
-        "--workload",
-        default="paper",
-        help="paper (default), skew:FACTOR or bursty:SURGE[:SWITCH_PROB]",
-    )
-    p.add_argument(
-        "--scenario",
-        metavar="NAME[:k=v,...]",
-        help="nonstationary workload scenario applied to every backend "
-        "(see `repro scenarios`); the mean-field backend follows rate "
-        "curves analytically",
-    )
+    _add_workload_args(p)
     p.add_argument("--save", help="write the comparison table as JSON")
     _add_system_args(p)
     _add_run_args(p)

@@ -36,13 +36,7 @@ from .executor import (
 )
 from .grid import Cell, Experiment, PolicySpec, REPLICATION_SEED_STRIDE
 from .results import CellRecord, ExperimentResult, metrics_from_result
-from .workload import (
-    PAPER_WORKLOAD_NAME,
-    BurstyArrivalFactory,
-    TraceArrivalFactory,
-    TraceServiceFactory,
-    WorkloadSpec,
-)
+from .workload import PAPER_WORKLOAD_NAME, WorkloadSpec
 
 __all__ = [
     "Experiment",
@@ -50,9 +44,6 @@ __all__ = [
     "Cell",
     "WorkloadSpec",
     "PAPER_WORKLOAD_NAME",
-    "BurstyArrivalFactory",
-    "TraceArrivalFactory",
-    "TraceServiceFactory",
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",

@@ -14,39 +14,33 @@ Custom workloads contribute their ``name`` to the seed derivation, which
 keeps realizations (a) reproducible, (b) common across policies at the
 same coordinates, and (c) distinct between workloads.
 
-Everything here must be picklable so the process-pool executor can ship
-cells to workers: factories are small frozen dataclasses with
-``__call__``, never lambdas.
+A workload has one serialisable form: its name, skew, dispatcher
+weights and scenario string (:meth:`WorkloadSpec.describe`).  Shaped
+arrivals are scenarios: :meth:`WorkloadSpec.bursty` is a ``regime``
+rate curve over the default Poisson arrivals.  Custom arrival/service
+factories and job-size distributions are in-process extension points:
+they must be picklable so the process-pool executor can ship cells to
+workers (small classes with ``__call__``, never lambdas), and a JSON
+round-trip keeps only their repr, reloading as
+:class:`UnreconstructedFactory`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.sim.arrivals import (
-    ArrivalProcess,
-    ModulatedPoissonArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-)
-from repro.sim.service import GeometricService, ServiceProcess, TraceService
+from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
+from repro.sim.service import GeometricService, ServiceProcess
 from repro.sim.sized import JobSizeDistribution
 from repro.workloads.scenarios import SystemSpec
 
 __all__ = [
     "WorkloadSpec",
     "PAPER_WORKLOAD_NAME",
-    "BurstyArrivalFactory",
-    "TraceArrivalFactory",
-    "TraceServiceFactory",
     "UnreconstructedFactory",
-    "register_workload_factory",
-    "registered_workload_factories",
-    "workload_factory_from_descriptor",
 ]
 
 #: Name of the paper's default workload; the only name that contributes
@@ -57,90 +51,6 @@ PAPER_WORKLOAD_NAME = "paper"
 ArrivalFactory = Callable[[SystemSpec, float], ArrivalProcess]
 #: Builds a service process for a system.
 ServiceFactory = Callable[[SystemSpec], ServiceProcess]
-
-
-#: Wire-name -> factory class; populated by :func:`register_workload_factory`.
-_WORKLOAD_FACTORIES: dict[str, type] = {}
-#: Factory class -> wire name (the inverse map, used by ``describe``).
-_FACTORY_NAMES: dict[type, str] = {}
-
-
-def register_workload_factory(name: str):
-    """Class decorator giving a workload component factory a wire name.
-
-    Registered factories serialize in experiment descriptors as
-    ``{"factory": NAME, "kwargs": {...}}`` (their dataclass fields are
-    the kwargs) instead of a lossy ``repr``, and reconstruct exactly via
-    :func:`workload_factory_from_descriptor` -- so custom workloads
-    survive the JSON round-trip through ``--save`` files and the service
-    job API (``repro submit --workload bursty:3``).
-    """
-
-    def decorate(cls: type) -> type:
-        key = name.lower()
-        if not dataclasses.is_dataclass(cls):
-            raise TypeError(
-                f"workload factory {cls.__name__} must be a dataclass "
-                f"(its fields are the wire kwargs)"
-            )
-        if key in _WORKLOAD_FACTORIES:
-            raise ValueError(f"duplicate workload factory name {name!r}")
-        _WORKLOAD_FACTORIES[key] = cls
-        _FACTORY_NAMES[cls] = key
-        return cls
-
-    return decorate
-
-
-def registered_workload_factories() -> tuple[str, ...]:
-    """Sorted wire names of every registered workload factory."""
-    return tuple(sorted(_WORKLOAD_FACTORIES))
-
-
-def _freeze(value):
-    """JSON arrays -> tuples, recursively (frozen-dataclass fields)."""
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-def workload_factory_from_descriptor(descriptor: dict):
-    """Rebuild a registered factory from its wire descriptor.
-
-    The inverse of the registry branch of :meth:`WorkloadSpec.describe`;
-    raises ``ValueError`` for unknown names or mismatched kwargs.
-    """
-    name = str(descriptor.get("factory", "")).lower()
-    cls = _WORKLOAD_FACTORIES.get(name)
-    if cls is None:
-        known = ", ".join(registered_workload_factories()) or "none"
-        raise ValueError(
-            f"unknown workload factory {descriptor.get('factory')!r} "
-            f"(registered: {known})"
-        )
-    kwargs = {
-        key: _freeze(value)
-        for key, value in dict(descriptor.get("kwargs", {})).items()
-    }
-    try:
-        return cls(**kwargs)
-    except TypeError as error:
-        raise ValueError(
-            f"bad parameters for workload factory {name!r}: {error}"
-        )
-
-
-def _describe_component(factory) -> "dict | str":
-    """Wire form of an arrival/service factory.
-
-    A registry descriptor when its class is registered (round-trips
-    exactly), otherwise its ``repr`` (lossy; reloads as
-    :class:`UnreconstructedFactory`).
-    """
-    name = _FACTORY_NAMES.get(type(factory))
-    if name is None:
-        return repr(factory)
-    return {"factory": name, "kwargs": dataclasses.asdict(factory)}
 
 
 @dataclass(frozen=True)
@@ -161,63 +71,6 @@ class UnreconstructedFactory:
             f"not preserve custom factories/job sizes; re-running it "
             f"requires the original WorkloadSpec object"
         )
-
-
-@register_workload_factory("bursty")
-@dataclass(frozen=True)
-class BurstyArrivalFactory:
-    """Markov-modulated Poisson arrivals at equal *average* load.
-
-    The calm/surge rates are chosen so their 50/50 stationary mixture
-    matches the symmetric Poisson rates at the cell's offered load:
-    ``calm = 2 * lambda / (1 + surge_factor)``, ``surge = surge_factor *
-    calm``.  The phase is shared by all dispatchers (correlated surges,
-    the hard case for herding).
-    """
-
-    surge_factor: float = 3.0
-    switch_prob: float = 0.05
-
-    def __call__(self, system: SystemSpec, rho: float) -> ArrivalProcess:
-        mean_lambdas = system.lambdas(rho)
-        calm = 2.0 * mean_lambdas / (1.0 + self.surge_factor)
-        return ModulatedPoissonArrivals(
-            calm, self.surge_factor * calm, switch_prob=self.switch_prob
-        )
-
-
-@register_workload_factory("trace_arrivals")
-@dataclass(frozen=True)
-class TraceArrivalFactory:
-    """Replays a fixed ``(rounds, dispatchers)`` batch trace."""
-
-    trace: tuple[tuple[int, ...], ...]
-
-    def __call__(self, system: SystemSpec, rho: float) -> ArrivalProcess:
-        trace = np.asarray(self.trace, dtype=np.int64)
-        if trace.shape[1] != system.num_dispatchers:
-            raise ValueError(
-                f"trace has {trace.shape[1]} dispatcher columns but the "
-                f"system has {system.num_dispatchers} dispatchers"
-            )
-        return TraceArrivals(trace)
-
-
-@register_workload_factory("trace_service")
-@dataclass(frozen=True)
-class TraceServiceFactory:
-    """Replays a fixed ``(rounds, servers)`` capacity trace."""
-
-    trace: tuple[tuple[int, ...], ...]
-
-    def __call__(self, system: SystemSpec) -> ServiceProcess:
-        trace = np.asarray(self.trace, dtype=np.int64)
-        if trace.shape[1] != system.num_servers:
-            raise ValueError(
-                f"trace has {trace.shape[1]} server columns but the "
-                f"system has {system.num_servers} servers"
-            )
-        return TraceService(trace)
 
 
 @dataclass(frozen=True)
@@ -331,10 +184,30 @@ class WorkloadSpec:
         switch_prob: float = 0.05,
         name: str | None = None,
     ) -> "WorkloadSpec":
-        """Correlated calm/surge arrivals at equal average load."""
+        """Correlated calm/surge arrivals at equal average load.
+
+        A ``regime`` scenario over the default Poisson arrivals: the
+        rate factor alternates between ``calm = 2 / (1 + surge_factor)``
+        and ``surge = 2 * surge_factor / (1 + surge_factor)``, so the
+        50/50 mixture keeps the cell's offered load, with a mean dwell
+        of ``1 / switch_prob`` rounds per phase.  The phase is shared by
+        all dispatchers (correlated surges, the hard case for herding).
+        The floats are written with ``repr``, so the scenario string
+        (which seeds the cell) round-trips exactly.
+        """
+        if surge_factor <= 0:
+            raise ValueError("surge_factor must be positive")
+        if not 0.0 < switch_prob <= 1.0:
+            raise ValueError("switch_prob must be in (0, 1]")
+        surge_factor, switch_prob = float(surge_factor), float(switch_prob)
+        calm = 2.0 / (1.0 + surge_factor)
+        surge = 2.0 * surge_factor / (1.0 + surge_factor)
         return cls(
             name=name or f"bursty{surge_factor:g}",
-            arrivals=BurstyArrivalFactory(surge_factor, switch_prob),
+            scenario=(
+                f"regime:calm={calm!r},surge={surge!r},"
+                f"mean_dwell={1.0 / switch_prob!r}"
+            ),
         )
 
     @classmethod
@@ -374,10 +247,9 @@ class WorkloadSpec:
     def describe(self) -> dict:
         """JSON-able descriptor.
 
-        Registered arrival/service factories (see
-        :func:`register_workload_factory`) serialize as exact
-        ``{"factory": ..., "kwargs": ...}`` descriptors; unregistered
-        ones and job-size distributions reduce to their (lossy) repr.
+        Name, skew, dispatcher weights and scenario round-trip exactly;
+        custom arrival/service factories and job-size distributions
+        reduce to their (lossy) repr.
         """
         out: dict = {"name": self.name}
         if self.skew is not None:
@@ -385,9 +257,9 @@ class WorkloadSpec:
         if self.dispatcher_weights is not None:
             out["dispatcher_weights"] = list(self.dispatcher_weights)
         if self.arrivals is not None:
-            out["arrivals"] = _describe_component(self.arrivals)
+            out["arrivals"] = repr(self.arrivals)
         if self.service is not None:
-            out["service"] = _describe_component(self.service)
+            out["service"] = repr(self.service)
         if self.job_sizes is not None:
             out["job_sizes"] = repr(self.job_sizes)
         if self.scenario is not None:

@@ -40,8 +40,10 @@ __all__ = ["CheckpointError", "CheckpointStore", "retained_rounds"]
 #: restoring into code that no longer matches them.  Version 2: unit and
 #: sized jobs share one engine, one kernel state layout and four RNG
 #: streams.  Version 3: unit and sized jobs share one batch store of
-#: ``(round, size, count)`` runs.
-_FORMAT_VERSION = 3
+#: ``(round, size, count)`` runs.  Version 4: bursty arrivals are a
+#: ``regime`` rate curve; the two-state modulated arrival class and the
+#: workload-factory classes are gone.
+_FORMAT_VERSION = 4
 
 
 def retained_rounds(

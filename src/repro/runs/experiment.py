@@ -30,7 +30,7 @@ from repro.experiments.executor import build_cell_simulation
 from repro.experiments.grid import Experiment
 from repro.experiments.results import CellRecord, ExperimentResult, metrics_from_result
 
-from .orchestrator import _RUN_FORMAT_VERSION, Run
+from .orchestrator import _RUN_FORMAT_VERSION, Run, _check_run_format
 from .telemetry import TelemetryWriter
 
 __all__ = ["ExperimentRun"]
@@ -96,6 +96,7 @@ class ExperimentRun:
         return json.loads(self.manifest_path.read_text())
 
     def experiment(self) -> Experiment:
+        _check_run_format(self.manifest(), self.manifest_path)
         return pickle.loads(self.experiment_path.read_bytes())
 
     def cell_directory(self, index: int) -> Path:

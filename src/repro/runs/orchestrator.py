@@ -32,7 +32,7 @@ from repro.sim.blockdriver import BLOCK_ROUNDS
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.lifecycle import RunController
 
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointError, CheckpointStore
 from .telemetry import TelemetryWriter
 
 __all__ = [
@@ -44,7 +44,23 @@ __all__ = [
 ]
 
 
-_RUN_FORMAT_VERSION = 1
+#: Version of a run directory's pickled grid/simulation (``spec.pkl``,
+#: ``experiment.pkl``), written into ``run.json``.  Bumped whenever the
+#: classes those pickles reference change, so an older directory is
+#: refused by :func:`_check_run_format` before anything is unpickled.
+#: Version 2: bursty workloads are ``regime`` scenarios and the
+#: workload-factory classes are gone.
+_RUN_FORMAT_VERSION = 2
+
+
+def _check_run_format(manifest: dict, manifest_path: Path) -> None:
+    """Refuse a run directory written under another run format."""
+    version = manifest.get("format_version")
+    if version != _RUN_FORMAT_VERSION:
+        raise CheckpointError(
+            f"{manifest_path}: unsupported format version {version!r} "
+            f"(this code reads version {_RUN_FORMAT_VERSION})"
+        )
 
 
 class LegLimitReached(Exception):
@@ -314,6 +330,7 @@ class Run:
         if finished is not None:
             return finished
         manifest = self.manifest()
+        _check_run_format(manifest, self.manifest_path)
 
         latest = self.store.load_latest()
         if latest is not None:

@@ -28,7 +28,8 @@ Built-ins:
     exponential dwell distribution by a dedicated deterministic stream
     (``phase_seed``) -- the phase path is workload *shape*, not
     workload randomness, so it is identical across kernels, seeds and
-    resume boundaries.
+    resume boundaries.  ``WorkloadSpec.bursty`` is this scenario with
+    levels that keep the mean factor at 1.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 The paper's evaluation draws each dispatcher's round batch from a Poisson
 distribution, ``a_d(t) ~ Pois(lambda_d)`` (Section 6.1); the model itself
 only requires stochastic, independent, unknown processes (Section 2).  The
-extra processes here support tests (deterministic, trace) and burstiness
-experiments (a two-state modulated Poisson whose phase is *shared* by all
-dispatchers -- correlated arrival surges are the hard case for herding).
+extra processes here support tests (deterministic, trace).  Time-varying
+rates -- diurnal cycles, flash crowds, correlated calm/surge bursts --
+are rate curves over the Poisson base, applied by the scenarios in
+:mod:`repro.scenarios.arrivals`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "PoissonArrivals",
     "DeterministicArrivals",
     "TraceArrivals",
-    "ModulatedPoissonArrivals",
 ]
 
 
@@ -145,46 +145,3 @@ class TraceArrivals(ArrivalProcess):
     ) -> np.ndarray:
         rows = (start_round + np.arange(count)) % self.trace.shape[0]
         return self.trace[rows]
-
-
-class ModulatedPoissonArrivals(ArrivalProcess):
-    """Two-state Markov-modulated Poisson arrivals (bursty extension).
-
-    A global phase alternates between *calm* and *surge*; all dispatchers
-    share the phase, so surges are correlated across entry points.  With
-    ``switch_prob = 1`` the phase resamples every round; with small values
-    bursts persist.  Mean rate is the stationary mixture (phases are
-    symmetric, so the stationary distribution is 50/50).
-    """
-
-    def __init__(
-        self,
-        calm_lambdas: np.ndarray,
-        surge_lambdas: np.ndarray,
-        switch_prob: float = 0.05,
-    ) -> None:
-        self.calm = np.asarray(calm_lambdas, dtype=np.float64)
-        self.surge = np.asarray(surge_lambdas, dtype=np.float64)
-        if self.calm.shape != self.surge.shape or self.calm.ndim != 1:
-            raise ValueError("calm and surge rate vectors must match")
-        if not 0.0 < switch_prob <= 1.0:
-            raise ValueError("switch_prob must be in (0, 1]")
-        self.switch_prob = float(switch_prob)
-        self._in_surge = False
-
-    @property
-    def num_dispatchers(self) -> int:
-        return int(self.calm.size)
-
-    @property
-    def mean_rate(self) -> float:
-        return float(0.5 * (self.calm.sum() + self.surge.sum()))
-
-    def reset(self) -> None:
-        self._in_surge = False
-
-    def sample(self, rng: np.random.Generator, round_index: int) -> np.ndarray:
-        if rng.random() < self.switch_prob:
-            self._in_surge = not self._in_surge
-        lambdas = self.surge if self._in_surge else self.calm
-        return rng.poisson(lambdas).astype(np.int64)

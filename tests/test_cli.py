@@ -109,6 +109,30 @@ class TestExperiment:
                 "--workload", "sized:zipf:2",
             ])
 
+    def test_bursty_workload_is_a_regime_scenario(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "experiment", "--policies", "jsq", "--systems", "10x2",
+            "--loads", "0.8", "--rounds", "120", "--workload", "bursty:3:0.1",
+        )
+        assert code == 0
+        assert "workload: bursty3" in out
+        assert "scenario: regime:calm=0.5,surge=1.5,mean_dwell=10.0" in out
+
+    @pytest.mark.parametrize("command", ["experiment", "run", "submit", "compare"])
+    def test_bursty_refuses_a_second_scenario(self, command, tmp_path):
+        """bursty already is a regime scenario; replacing it with
+        --scenario would silently drop the bursts under the bursty name."""
+        extra = ["--checkpoint-dir", str(tmp_path / "r")] if command == "run" else []
+        with pytest.raises(SystemExit, match="cannot take --scenario"):
+            main([command, "--workload", "bursty:3", "--scenario", "diurnal", *extra])
+        assert not (tmp_path / "r").exists()
+
+    def test_bad_bursty_parameters(self):
+        for token in ("bursty:x", "bursty:3:0", "bursty:3:1.5"):
+            with pytest.raises(SystemExit, match="invalid workload"):
+                main(["experiment", "--systems", "10x2", "--workload", token])
+
     def test_bad_system_token(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "--systems", "hundred"])
@@ -274,3 +298,18 @@ class TestStability:
         assert code == 0
         assert "STABLE" in out
         assert "Appendix D" in out
+
+
+class TestCompare:
+    def test_bursty_cell_on_fast_and_meanfield(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "compare", "--workload", "bursty:1.5", "--backends", "fast,meanfield",
+            "--servers", "1000", "--dispatchers", "20", "--profile", "homogeneous",
+            "--rho", "0.7", "--rounds", "1000", "--replications", "1",
+        )
+        assert code == 0
+        assert "scenario regime:calm=0.8,surge=1.2,mean_dwell=20.0" in out
+        rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+        fast, fluid = float(rows["fast"][3]), float(rows["meanfield"][3])
+        assert fluid == pytest.approx(fast, rel=0.1)

@@ -28,6 +28,7 @@ from repro.experiments import (
     WorkloadSpec,
     resolve_executor,
 )
+from repro.scenarios import make_scenario
 from repro.sim.seeding import derive_seed
 from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec
@@ -200,12 +201,57 @@ class TestWorkloads:
 
     def test_bursty_workload_runs_at_equal_average_load(self):
         spec = WorkloadSpec.bursty(surge_factor=3.0)
-        arrivals = spec.build_arrivals(SMALL, 0.9)
-        np.testing.assert_allclose(arrivals.mean_rate, SMALL.lambdas(0.9).sum())
+        assert make_scenario(spec.scenario).curve.mean_factor == 1.0
         exp = Experiment(
             policies="scd", systems=SMALL, loads=0.9, rounds=200, workloads=spec
         )
         assert exp.run().records[0].metrics["mean"] >= 1.0
+
+    def test_bursty_is_a_regime_scenario(self):
+        spec = WorkloadSpec.bursty(1.5, 0.1)
+        assert spec.name == "bursty1.5"
+        assert spec.arrivals is None
+        assert spec.scenario == "regime:calm=0.8,surge=1.2,mean_dwell=10.0"
+        curve = make_scenario(spec.scenario).curve
+        assert (curve.calm, curve.surge, curve.mean_dwell) == (0.8, 1.2, 10.0)
+        with pytest.raises(ValueError, match="switch_prob"):
+            WorkloadSpec.bursty(3.0, 0.0)
+        with pytest.raises(ValueError, match="surge_factor"):
+            WorkloadSpec.bursty(-1.0)
+
+    def test_bursty_records_equal_across_kernels(self):
+        def records(backend):
+            return Experiment(
+                policies=["jsq", "rr"],
+                systems=SMALL,
+                loads=0.85,
+                replications=2,
+                rounds=600,
+                workloads=WorkloadSpec.bursty(3.0),
+                backend=backend,
+            ).run(keep_results=False).records
+
+        reference = records("reference")
+        for backend in ("fast", "compiled", "sharded:2"):
+            assert records(backend) == reference, backend
+
+    def test_mild_bursty_cell_runs_on_meanfield(self):
+        system = SystemSpec(
+            num_servers=1000, num_dispatchers=20, profile="homogeneous"
+        )
+
+        def mean(backend):
+            return Experiment(
+                policies="jsq(2)",
+                systems=system,
+                loads=0.7,
+                rounds=1000,
+                workloads=WorkloadSpec.bursty(1.5),
+                backend=backend,
+            ).run().records[0].metrics["mean"]
+
+        fluid, sampled = mean("meanfield"), mean("fast")
+        assert fluid == pytest.approx(sampled, rel=0.1)
 
     def test_sized_workload_uses_sized_engine(self):
         exp = Experiment(
@@ -310,8 +356,9 @@ class TestPersistence:
             experiment_result_from_dict({"kind": "nope", "format_version": 1})
 
     def test_loaded_registered_factory_workload_reruns(self):
-        """Registered factories survive JSON: a loaded bursty experiment
-        re-runs and reproduces the original records exactly."""
+        """Bursty workloads are scenario strings and survive JSON: a
+        loaded bursty experiment re-runs and reproduces the original
+        records exactly."""
         result = Experiment(
             policies="scd",
             systems=SMALL,
@@ -325,10 +372,31 @@ class TestPersistence:
         rerun = loaded.experiment.run(keep_results=False)
         assert rerun.records == result.records
 
+    def test_legacy_factory_descriptor_reloads_as_placeholder(self):
+        """Older files wrote bursty as a ``{"factory": ...}`` descriptor;
+        they load, but re-running them raises."""
+        result = Experiment(
+            policies="scd", systems=SMALL, loads=0.8, rounds=100
+        ).run(keep_results=False)
+        payload = experiment_result_to_dict(result)
+        payload["experiment"]["workloads"] = [
+            {
+                "name": "bursty3",
+                "arrivals": {
+                    "factory": "bursty",
+                    "kwargs": {"surge_factor": 3.0, "switch_prob": 0.05},
+                },
+            }
+        ]
+        loaded = experiment_result_from_dict(payload)
+        assert loaded.records == result.records
+        with pytest.raises(ValueError, match="loaded from JSON"):
+            loaded.experiment.run()
+
     def test_loaded_unregistered_workload_rerun_fails_loudly(self):
-        """Components without a registry entry (job-size distributions)
-        do not survive JSON; re-running must raise, not silently
-        simulate the default workload under the old name."""
+        """Custom components (here a job-size distribution) do not
+        survive JSON; re-running must raise, not silently simulate the
+        default workload under the old name."""
         result = Experiment(
             policies="scd",
             systems=SMALL,

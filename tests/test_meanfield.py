@@ -35,7 +35,7 @@ from repro.meanfield import (
     rk4_step,
 )
 from repro.policies.base import make_policy
-from repro.sim.arrivals import ModulatedPoissonArrivals, PoissonArrivals
+from repro.sim.arrivals import PoissonArrivals, TraceArrivals
 from repro.sim.backends import backend_capabilities, make_backend
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.probes import ProbeSpec
@@ -372,11 +372,10 @@ class TestBackendRefusals:
 
     def test_rejects_non_poisson_arrivals(self):
         rates = np.full(20, 2.0)
-        lam = np.full(4, 0.5 * rates.sum() / 4)
         sim = Simulation(
             rates=rates,
             policy=make_policy("random"),
-            arrivals=ModulatedPoissonArrivals(lam, 3.0 * lam),
+            arrivals=TraceArrivals(np.tile([[1, 2, 3, 4]], (10, 1))),
             service=GeometricService(rates),
             config=SimulationConfig(rounds=10, backend="meanfield"),
         )

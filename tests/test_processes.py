@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.arrivals import (
     DeterministicArrivals,
-    ModulatedPoissonArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
@@ -85,27 +84,6 @@ class TestTraceProcesses:
             TraceArrivals(np.array([[1, -2]]))
         with pytest.raises(ValueError):
             TraceService(np.zeros((0, 3), dtype=int))
-
-
-class TestModulatedPoisson:
-    def test_phases_change_rates(self):
-        proc = ModulatedPoissonArrivals(
-            calm_lambdas=np.array([1.0]),
-            surge_lambdas=np.array([50.0]),
-            switch_prob=0.5,
-        )
-        rng = np.random.default_rng(3)
-        draws = np.array([proc.sample(rng, t)[0] for t in range(2000)])
-        # Bimodal: plenty of near-zero draws and plenty of large ones.
-        assert (draws < 5).sum() > 300
-        assert (draws > 25).sum() > 300
-        assert proc.mean_rate == pytest.approx(25.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModulatedPoissonArrivals(np.ones(2), np.ones(3))
-        with pytest.raises(ValueError):
-            ModulatedPoissonArrivals(np.ones(2), np.ones(2), switch_prob=0.0)
 
 
 class TestGeometricService:

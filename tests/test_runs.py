@@ -94,10 +94,10 @@ class TestCheckpointStore:
     def test_empty_store_is_fresh_start(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() is None
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_resume_refuses_retired_format_run_dir(self, tmp_path, version):
-        """Version-1 and version-2 snapshots pickle classes and layouts
-        that no longer exist; the resume refuses them loudly instead of
+        """Snapshots of versions 1-3 pickle classes and layouts that no
+        longer exist; the resume refuses them loudly instead of
         unpickling."""
         directory = tmp_path / "run"
         Run.create(build_sim("fast", sized=True), directory).execute(max_legs=1)
@@ -111,6 +111,26 @@ class TestCheckpointStore:
         with pytest.warns(RuntimeWarning, match=message):
             with pytest.raises(CheckpointError, match=message):
                 main(["resume", str(directory)])
+
+    @pytest.mark.parametrize("kind", ["simulation", "experiment"])
+    def test_resume_refuses_retired_run_format(self, tmp_path, kind):
+        """A version-1 run directory's pickle may reference deleted
+        classes; the resume reads run.json first and never unpickles."""
+        directory = tmp_path / "run"
+        if kind == "simulation":
+            Run.create(build_sim("fast", sized=False), directory)
+            pickled = directory / "spec.pkl"
+        else:
+            experiment = Experiment("jsq", SYSTEM, 0.8, rounds=300, backend="fast")
+            ExperimentRun.create(experiment, directory)
+            pickled = directory / "experiment.pkl"
+        pickled.write_bytes(b"garbage, not a pickle")
+        manifest_path = directory / "run.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            main(["resume", str(directory)])
 
     def test_newest_wins(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -548,3 +548,23 @@ class TestModulatedRateArrivals:
         rng = np.random.default_rng(seed)
         singles = np.stack([arrivals.sample(rng, t) for t in range(64)])
         np.testing.assert_array_equal(block, singles)
+
+
+class TestRegimeCurve:
+    def test_two_levels_alternate_with_the_mean_dwell(self):
+        curve = make_scenario("regime:calm=0.5,surge=1.5,mean_dwell=20").curve
+        factors = curve.factors(0, 20_000)
+        assert set(np.unique(factors)) == {0.5, 1.5}
+        assert factors[0] == 0.5  # every path starts calm
+        switches = np.flatnonzero(np.diff(factors)) + 1
+        dwells = np.diff(np.concatenate([[0], switches]))
+        assert dwells.mean() == pytest.approx(20.0, rel=0.1)
+        assert curve.mean_factor == 1.0
+
+    def test_surge_phases_raise_the_draws(self):
+        scenario = make_scenario("regime:calm=0.1,surge=1.9,mean_dwell=50")
+        arrivals = scenario.wrap_arrivals(PoissonArrivals(np.array([20.0])))
+        draws = arrivals.sample_many(np.random.default_rng(3), 0, 4000)[:, 0]
+        factors = scenario.curve.factors(0, 4000)
+        assert draws[factors == 0.1].mean() == pytest.approx(2.0, rel=0.15)
+        assert draws[factors == 1.9].mean() == pytest.approx(38.0, rel=0.05)
