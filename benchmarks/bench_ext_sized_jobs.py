@@ -1,8 +1,9 @@
 """Extension: size-aware stochastic coordination (Section 7, problem 1).
 
 Jobs carry i.i.d. work sizes; dispatchers know the size distribution's
-first two moments.  The generalized SCD (see ``repro.core.sized``: same
-KKT structure with ``A = wbar*(a-1)``, ``c = E[W^2]/wbar``) is compared
+first two moments.  The size-aware SCD (``SizedSCDPolicy``: SCD's solver
+with the quadratic weight ``wbar*(a-1)`` and offset ``c = E[W^2]/wbar``,
+derived in ``repro.core.probabilities``) is compared
 against size-*oblivious* SCD (treats each job as one unit, so its water
 level is ~wbar too low) and SED, at equal offered work.
 

@@ -4,8 +4,10 @@
 The paper closes by asking whether information about the jobs themselves
 can improve stochastic coordination.  Here jobs carry i.i.d. work sizes
 and dispatchers know the size distribution's first two moments; the
-generalized SCD solver (see docs/MATH.md, section 6) folds them into the
-per-round optimization.
+size-aware SCD (``repro.SizedSCDPolicy``, the ``scd-sized`` policy) folds
+them into the per-round optimization -- Eq. (10) with ``(a-1, 1)``
+replaced by ``(E[W](a-1), E[W^2]/E[W])``, solved by the same
+``repro.scd_probabilities`` (derivation in ``repro.core.probabilities``).
 
 The demo races three dispatchers' worth of knowledge at equal offered
 work:

@@ -46,7 +46,6 @@ The core math is importable directly:
 
 from .analysis.ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
 from .analysis.replication import ReplicatedResult, paired_comparison
-from .analysis.herding import HerdingProbe, HerdingStats
 from .analysis.persistence import (
     load_experiment,
     load_result,
@@ -84,13 +83,7 @@ from .core.probabilities import (
     scd_probabilities_quadratic,
     single_job_probabilities,
 )
-from .core.scd import SCDPolicy, scd_decision
-from .core.sized import (
-    generalized_probabilities,
-    sized_objective,
-    sized_scd_probabilities,
-)
-from .core.sized_policy import SizedSCDPolicy
+from .core.scd import SCDPolicy, SizedSCDPolicy, scd_decision
 from .core.theory import (
     StabilityBound,
     geometric_second_moment,
@@ -195,9 +188,6 @@ __all__ = [
     "kkt_residuals",
     "scd_decision",
     "twf_probabilities",
-    "generalized_probabilities",
-    "sized_scd_probabilities",
-    "sized_objective",
     "SizedSCDPolicy",
     # estimators
     "ArrivalEstimator",
@@ -284,8 +274,6 @@ __all__ = [
     "tail_improvement_factor",
     "assess_stability",
     "StabilityVerdict",
-    "HerdingProbe",
-    "HerdingStats",
     "save_result",
     "load_result",
     "StabilityBound",

@@ -1,7 +1,6 @@
 """Evaluation analysis: tails, replication statistics, run-time and stability."""
 
 from .ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
-from .herding import HerdingProbe, HerdingStats
 from .persistence import load_experiment, load_result, save_experiment, save_result
 from .replication import ReplicatedResult, paired_comparison
 from .runtime import (
@@ -23,8 +22,6 @@ __all__ = [
     "measure_decision_times",
     "runtime_cdf_summary",
     "RUNTIME_TECHNIQUES",
-    "HerdingProbe",
-    "HerdingStats",
     "save_result",
     "load_result",
     "save_experiment",

@@ -681,18 +681,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{directory / 'run.json'} already exists; "
             f"continue it with `repro resume {directory}`"
         )
-    sim = build_cell_simulation(
-        args.policy,
-        _system_from(args),
-        args.rho,
-        _workload_from(args),
-        args.seed,
-        args.rounds,
-        args.warmup,
-        args.backend,
-        _parse_metrics(args.metrics),
-    )
+    system, workload = _system_from(args), _workload_from(args)
+    metrics = _parse_metrics(args.metrics)
     try:
+        # The grid validator checks the coordinates (policy, load,
+        # backend, probes) before anything is built or written.
+        Experiment(
+            policies=args.policy,
+            systems=system,
+            loads=args.rho,
+            workloads=workload,
+            rounds=args.rounds,
+            warmup=args.warmup,
+            backend=args.backend,
+            metrics=metrics,
+        )
+        sim = build_cell_simulation(
+            args.policy,
+            system,
+            args.rho,
+            workload,
+            args.seed,
+            args.rounds,
+            args.warmup,
+            args.backend,
+            metrics,
+        )
         run = Run.create(
             sim,
             directory,

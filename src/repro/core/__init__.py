@@ -18,13 +18,7 @@ from .probabilities import (
     scd_probabilities_quadratic,
     single_job_probabilities,
 )
-from .scd import PROBABILITY_ALGORITHMS, SCDPolicy, scd_decision
-from .sized import (
-    generalized_probabilities,
-    sized_objective,
-    sized_scd_probabilities,
-)
-from .sized_policy import SizedSCDPolicy
+from .scd import PROBABILITY_ALGORITHMS, SCDPolicy, SizedSCDPolicy, scd_decision
 from .theory import (
     StabilityBound,
     geometric_second_moment,
@@ -48,9 +42,6 @@ __all__ = [
     "SCDPolicy",
     "scd_decision",
     "PROBABILITY_ALGORITHMS",
-    "generalized_probabilities",
-    "sized_scd_probabilities",
-    "sized_objective",
     "SizedSCDPolicy",
     "TWFPolicy",
     "twf_probabilities",

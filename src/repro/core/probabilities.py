@@ -30,6 +30,42 @@ exact brute-force / SLSQP reference solvers in
 Note on Eq. (17): the paper's displayed inequality drops a factor of two;
 the correct feasibility test, used by Algorithm 4 line 12 and implemented
 here, is ``2*iwl - (2q_r+1)/mu_r >= Lambda0``.
+
+Job sizes (the paper's Section 7 open problem 1)
+------------------------------------------------
+When jobs carry i.i.d. integer work sizes ``w ~ W`` (distribution known
+to dispatchers), server ``s`` completes ``c_s(t)`` *work units* per round
+and queues are measured in units.  Redoing the derivation of Eqs. (5)-(8)
+with ``abar_s = sum_j w_j X_j`` (``X_j ~ Bern(p_s)``, sizes independent
+of placements):
+
+    E[abar_s]   = a * wbar * p_s
+    E[abar_s^2] = a * E[W^2] * p_s - a * wbar^2 * p_s^2 + a^2 * wbar^2 * p_s^2
+
+and dropping constants and dividing by ``a * wbar``, the per-round
+problem becomes
+
+    minimize  wbar*(a-1) * sum_s p_s^2 / mu_s
+              + sum_s [(2(q_s - mu_s*iwl) + c) / mu_s] * p_s,   c = E[W^2]/wbar,
+
+the *same form* as Eq. (10) with ``(a-1, 1)`` replaced by
+``(wbar*(a-1), c)``; unit sizes give ``wbar = E[W^2] = 1`` and Eq. (10)
+itself.  The whole KKT analysis goes through verbatim with ``1 -> c``
+and ``a-1 -> wbar*(a-1)``: the probable set is a prefix of the
+``(2q_s + c)/mu_s`` order, ``Lambda0`` and the probabilities are
+closed-form, and the Lemma 2 decomposition holds.  The vectorized solver
+therefore takes the two size constants as keyword-only ``mean_size``
+(``wbar``) and ``offset`` (``c``), as do :func:`priority_key`,
+:func:`single_job_probabilities` and :func:`scd_objective`; the defaults
+``1.0`` reproduce Eq. (10) bit for bit.  The IWL is then computed on the
+estimated total *work* ``a * wbar``
+(:class:`repro.core.scd.SizedSCDPolicy`).
+
+Intuition for the constants: a heavier mean size raises the variance
+penalty of piling probability on one server (the quadratic weight
+grows), and size dispersion (``E[W^2]/wbar = wbar * (1 + cv^2)``) grows
+the discreteness correction ``c`` -- with very lumpy jobs even a single
+placement is a big commitment, pushing the optimum toward faster servers.
 """
 
 from __future__ import annotations
@@ -52,25 +88,32 @@ __all__ = [
 _FEAS_EPS = 1e-12
 
 
-def priority_key(queues: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def priority_key(
+    queues: np.ndarray, rates: np.ndarray, *, offset: float = 1.0
+) -> np.ndarray:
     """Return the probable-set ordering key ``(2 q_s + 1) / mu_s``.
 
     Lemma 1: if server ``r`` is probable and ``key_u <= key_r`` then ``u``
-    is probable too, hence ``S+`` is a prefix in this order.
+    is probable too, hence ``S+`` is a prefix in this order.  ``offset``
+    replaces the ``1`` by the size-aware discreteness correction
+    ``E[W^2]/wbar`` (see the module docstring).
     """
     queues = np.asarray(queues, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    return (2.0 * queues + 1.0) / rates
+    return (2.0 * queues + offset) / rates
 
 
-def single_job_probabilities(queues: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def single_job_probabilities(
+    queues: np.ndarray, rates: np.ndarray, *, offset: float = 1.0
+) -> np.ndarray:
     """Optimal probabilities for ``a == 1`` (Eq. 9).
 
     With a single arriving job the quadratic term vanishes and any
-    distribution supported on the argmin of ``(2q_s+1)/mu_s`` is optimal;
-    we return the uniform distribution over that argmin set.
+    distribution supported on the argmin of ``(2q_s+1)/mu_s`` (the
+    :func:`priority_key` with ``offset``) is optimal; we return the
+    uniform distribution over that argmin set.
     """
-    key = priority_key(queues, rates)
+    key = priority_key(queues, rates, offset=offset)
     winners = key <= key.min() + _FEAS_EPS
     p = np.zeros(key.size, dtype=np.float64)
     p[winners] = 1.0 / winners.sum()
@@ -83,13 +126,21 @@ def scd_objective(
     rates: np.ndarray,
     arrivals: float,
     iwl: float,
+    *,
+    mean_size: float = 1.0,
+    offset: float = 1.0,
 ) -> float:
-    """Evaluate the objective ``f(P)`` of Eq. (10) at ``p``."""
+    """Evaluate the objective ``f(P)`` of Eq. (10) at ``p``.
+
+    ``mean_size`` and ``offset`` give the size-aware form (quadratic
+    weight ``mean_size * (a - 1)``, linear offset ``offset``).
+    """
     p = np.asarray(p, dtype=np.float64)
     queues = np.asarray(queues, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    linear = (2.0 * (queues - rates * iwl) + 1.0) / rates
-    return float((arrivals - 1.0) * np.sum(p * p / rates) + np.sum(linear * p))
+    linear = (2.0 * (queues - rates * iwl) + offset) / rates
+    quad = mean_size * (arrivals - 1.0)
+    return float(quad * np.sum(p * p / rates) + np.sum(linear * p))
 
 
 def _check_inputs(
@@ -224,6 +275,8 @@ def scd_probabilities(
     iwl: float | np.ndarray,
     *,
     order: np.ndarray | None = None,
+    mean_size: float = 1.0,
+    offset: float = 1.0,
 ) -> np.ndarray:
     """Vectorized Algorithm 4 (the simulator's hot path).
 
@@ -242,10 +295,20 @@ def scd_probabilities(
         whose row ``i`` is bit-identical to the scalar call with
         ``(arrivals[i], iwl[i])``.
     order:
-        Optional precomputed ``argsort`` of ``(2q_s+1)/mu_s`` (shared
-        across dispatchers within a round by Algorithm 2).
+        Optional precomputed ``argsort`` of :func:`priority_key` with the
+        same ``offset`` (shared across dispatchers within a round by
+        Algorithm 2).
+    mean_size, offset:
+        The job-size constants ``wbar`` and ``c = E[W^2]/wbar`` of the
+        size-aware problem (module docstring): the quadratic weight is
+        ``mean_size * (a - 1)`` and ``offset`` replaces the ``1`` of the
+        linear term.  The defaults give Eq. (10) exactly.
     """
     queues, rates = _check_inputs(queues, rates, arrivals)
+    if not (mean_size > 0 and offset > 0):
+        raise ValueError(
+            f"mean_size and offset must be positive, got {mean_size}, {offset}"
+        )
     many = np.ndim(arrivals) > 0
     if many:
         # One row per pair: a and iwl become columns, the servers run along
@@ -255,11 +318,11 @@ def scd_probabilities(
         a = np.where(single, 2.0, arrivals)[:, None]
         iwl = np.asarray(iwl, dtype=np.float64).reshape(-1, 1)
     elif arrivals == 1:
-        return single_job_probabilities(queues, rates)
+        return single_job_probabilities(queues, rates, offset=offset)
     else:
         a = float(arrivals)
 
-    key = priority_key(queues, rates)
+    key = priority_key(queues, rates, offset=offset)
     if order is None:
         order = np.argsort(key, kind="stable")
 
@@ -267,18 +330,23 @@ def scd_probabilities(
     q_o = queues[order]
     key_o = key[order]
 
-    two_a1 = 2.0 * (a - 1.0)
+    quad = mean_size * (a - 1.0)  # the quadratic weight (a - 1 for unit jobs)
+    two_quad = 2.0 * quad
     gain = mu_o * iwl - q_o  # mu_s*iwl - q_s per server, in key order
-    lam0_num = 2.0 * np.cumsum(gain, axis=-1) - np.arange(1, key_o.size + 1) - two_a1
+    lam0_num = (
+        2.0 * np.cumsum(gain, axis=-1)
+        - offset * np.arange(1, key_o.size + 1)
+        - two_quad
+    )
     lam0_den = np.cumsum(mu_o)
     lam0 = lam0_num / lam0_den
 
     feasible = 2.0 * iwl - key_o >= lam0 - _FEAS_EPS
 
-    four_a1 = 4.0 * (a - 1.0)
-    numer = -2.0 * gain + 1.0  # == 2(q_s - mu_s*iwl) + 1
-    v1 = lam0_den / four_a1
-    v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_a1
+    four_quad = 4.0 * quad
+    numer = -2.0 * gain + offset  # == 2(q_s - mu_s*iwl) + offset
+    v1 = lam0_den / four_quad
+    v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_quad
     val = v1 * lam0 * lam0 - v2
     val[~feasible] = np.inf
     best = np.argmin(val, axis=-1)
@@ -287,10 +355,10 @@ def scd_probabilities(
     else:
         lam0_best = lam0[best]
 
-    p = (2.0 * (rates * iwl - queues) - 1.0 - rates * lam0_best) / two_a1
+    p = (2.0 * (rates * iwl - queues) - offset - rates * lam0_best) / two_quad
     np.maximum(p, 0.0, out=p)
     if many and single.any():
-        p[single] = single_job_probabilities(queues, rates)
+        p[single] = single_job_probabilities(queues, rates, offset=offset)
     return p
 
 

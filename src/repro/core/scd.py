@@ -24,6 +24,20 @@ dispatcher computation (sorts included) used by the run-time figures, and
 the :class:`SCDPolicy` supports an optional per-dispatcher connectivity
 mask -- the paper's Section 7 open problem (2) -- restricting each
 dispatcher to the servers it can reach.
+
+Every stochastic-coordination policy is an :class:`SCDPolicy`: the
+policy solves with three knobs, the rate vector (``_rates``) and the
+two job-size constants of :func:`~repro.core.probabilities.scd_probabilities`
+(``mean_size``, ``offset``).  Subclasses only set them:
+
+* :class:`repro.core.twf.TWFPolicy` (``"twf"``) solves on unit rates --
+  the homogeneous policy of Goren et al. [22];
+* :class:`SizedSCDPolicy` (``"scd-sized"``) solves over work units with
+  the job-size moments folded in -- the paper's Section 7 open problem
+  (1), derived in :mod:`repro.core.probabilities`.
+
+All of them therefore share the per-estimate cache, the one-solve-per-
+round :meth:`SCDPolicy.dispatch_round` and its RNG contract.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from .probabilities import (
     scd_probabilities_quadratic,
 )
 
-__all__ = ["SCDPolicy", "scd_decision", "PROBABILITY_ALGORITHMS"]
+__all__ = ["SCDPolicy", "SizedSCDPolicy", "scd_decision", "PROBABILITY_ALGORITHMS"]
 
 #: Selectable probability solvers (all produce the same vector).
 PROBABILITY_ALGORITHMS = {
@@ -102,9 +116,18 @@ class SCDPolicy(Policy):
         means full connectivity.  With a mask, each dispatcher solves the
         optimization restricted to its reachable servers (the Section 7
         extension); per-round caching is disabled since views differ.
+
+    Subclasses change what the solves see, not how they run: the rate
+    vector ``_rates`` (bound to ``ctx.rates``), and the job-size
+    constants :attr:`mean_size` and :attr:`offset` (the IWL is solved
+    for the estimated work ``a_est * mean_size``).
     """
 
     name = "scd"
+    #: Mean job size ``wbar`` the solves assume (1 for unit jobs).
+    mean_size: float = 1.0
+    #: Discreteness correction ``E[W^2]/wbar`` (1 for unit jobs).
+    offset: float = 1.0
 
     def __init__(
         self,
@@ -120,7 +143,6 @@ class SCDPolicy(Policy):
             )
         self.estimator = make_estimator(estimator)
         self.algorithm = algorithm
-        self._solver = PROBABILITY_ALGORITHMS[algorithm]
         self.connectivity = (
             None if connectivity is None else np.asarray(connectivity, dtype=bool)
         )
@@ -139,6 +161,7 @@ class SCDPolicy(Policy):
             if not self.connectivity.any(axis=1).all():
                 raise ValueError("every dispatcher must reach at least one server")
         self.estimator.reset()
+        self._rates = self.ctx.rates
         self._queues: np.ndarray | None = None
         self._load_order: np.ndarray | None = None
         self._key_order: np.ndarray | None = None
@@ -149,23 +172,42 @@ class SCDPolicy(Policy):
         self._round_cache.clear()
         if self.connectivity is None:
             # Algorithm 2 lines 2-4: the two sorted orders for the round.
-            rates = self.rates
+            rates = self._rates
             self._load_order = np.argsort(queues / rates, kind="stable")
-            self._key_order = np.argsort((2.0 * queues + 1.0) / rates, kind="stable")
+            self._key_order = np.argsort(
+                (2.0 * queues + self.offset) / rates, kind="stable"
+            )
 
     def observe_total_arrivals(self, total: int) -> None:
         self.estimator.observe_total(total)
+
+    def _solve(
+        self,
+        queues: np.ndarray,
+        rates: np.ndarray,
+        a_est: float,
+        iwl: float,
+        order: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The selected probability solver for one estimate."""
+        if self.algorithm == "quadratic":
+            return scd_probabilities_quadratic(queues, rates, a_est, iwl)
+        if self.algorithm == "loop":
+            return scd_probabilities_loop(queues, rates, a_est, iwl, order=order)
+        return scd_probabilities(
+            queues, rates, a_est, iwl, order=order,
+            mean_size=self.mean_size, offset=self.offset,
+        )
 
     def _probabilities(self, a_est: float) -> np.ndarray:
         probs = self._round_cache.get(a_est)
         if probs is None:
             queues = self._queues
-            rates = self.rates
-            iwl = compute_iwl(queues, rates, a_est, order=self._load_order)
-            if self.algorithm == "quadratic":
-                probs = self._solver(queues, rates, a_est, iwl)
-            else:
-                probs = self._solver(queues, rates, a_est, iwl, order=self._key_order)
+            rates = self._rates
+            iwl = compute_iwl(
+                queues, rates, a_est * self.mean_size, order=self._load_order
+            )
+            probs = self._solve(queues, rates, a_est, iwl, order=self._key_order)
             probs = probs / probs.sum()
             self._round_cache[a_est] = probs
         return probs
@@ -173,9 +215,9 @@ class SCDPolicy(Policy):
     def _masked_probabilities(self, dispatcher: int, a_est: float) -> np.ndarray:
         mask = self.connectivity[dispatcher]
         queues = np.asarray(self._queues, dtype=np.float64)[mask]
-        rates = self.rates[mask]
-        iwl = compute_iwl(queues, rates, a_est)
-        sub = self._solver(queues, rates, a_est, iwl)
+        rates = self._rates[mask]
+        iwl = compute_iwl(queues, rates, a_est * self.mean_size)
+        sub = self._solve(queues, rates, a_est, iwl)
         probs = np.zeros(self.ctx.num_servers, dtype=np.float64)
         probs[mask] = sub / sub.sum()
         return probs
@@ -210,9 +252,14 @@ class SCDPolicy(Policy):
         estimate = self.estimator.estimate
         a_est = np.array([estimate(k, m) for k in jobs.tolist()], dtype=np.float64)
         values, inverse = np.unique(a_est, return_inverse=True)
-        snapshot, rates = self._queues, self.rates
-        iwl = compute_iwl(snapshot, rates, values, order=self._load_order)
-        probs = scd_probabilities(snapshot, rates, values, iwl, order=self._key_order)
+        snapshot, rates = self._queues, self._rates
+        iwl = compute_iwl(
+            snapshot, rates, values * self.mean_size, order=self._load_order
+        )
+        probs = scd_probabilities(
+            snapshot, rates, values, iwl, order=self._key_order,
+            mean_size=self.mean_size, offset=self.offset,
+        )
         probs /= probs.sum(axis=1, keepdims=True)
         rows[active] = self.rng.multinomial(jobs, probs[inverse])
         return rows
@@ -223,3 +270,48 @@ def _make_scd_alg1(**kwargs) -> SCDPolicy:
     """SCD with the O(n^2) Algorithm 1 solver (run-time comparator)."""
     kwargs.setdefault("algorithm", "quadratic")
     return SCDPolicy(**kwargs)
+
+
+@register_policy("scd-sized")
+class SizedSCDPolicy(SCDPolicy):
+    """Size-aware SCD: stochastic coordination over work units.
+
+    Algorithm 2 run over work units: queues arrive in units, the arrival
+    estimate counts *jobs* (Eq. 18 unchanged), the IWL is solved for the
+    estimated work ``a_est * E[W]`` and the probabilities for the
+    size-aware constants ``(E[W], E[W^2]/E[W])`` (derivation in
+    :mod:`repro.core.probabilities`).  Plain SCD on the same unit queues
+    treats each job as one unit of work, so it underestimates incoming
+    work by the mean size and uses the wrong discreteness correction; the
+    gap between the two is the value of size information, quantified in
+    ``benchmarks/bench_ext_sized_jobs.py``.
+
+    Parameters
+    ----------
+    mean_size, second_moment_size:
+        The job-size moments the dispatchers know (``E[W]``, ``E[W^2]``);
+        defaults describe unit jobs, where this policy coincides with SCD.
+    estimator:
+        Total-*job* estimator, as in :class:`SCDPolicy`.
+    """
+
+    name = "scd-sized"
+
+    def __init__(
+        self,
+        mean_size: float = 1.0,
+        second_moment_size: float | None = None,
+        estimator: ArrivalEstimator | str | float = "scaled",
+    ) -> None:
+        if mean_size <= 0:
+            raise ValueError("mean job size must be positive")
+        super().__init__(estimator=estimator)
+        self.mean_size = float(mean_size)
+        self.second_moment_size = (
+            float(second_moment_size)
+            if second_moment_size is not None
+            else self.mean_size**2
+        )
+        if self.second_moment_size < self.mean_size**2:
+            raise ValueError("E[W^2] cannot be below E[W]^2")
+        self.offset = self.second_moment_size / self.mean_size

@@ -9,24 +9,26 @@ ones.  The paper uses it to show that a mild adaptation of [22] is not
 enough (Figures 3-4: TWF's tail degrades by an order of magnitude under
 high heterogeneity).
 
-Implementation: we reuse the general heterogeneous solver with an all-ones
-rate vector.  This is mathematically exactly [22]'s policy -- in the
-homogeneous case the probable set is the analytically known
-``{s : q_s < water-level}``, which our prefix search returns -- and it
-exercises the same code paths, so TWF doubles as a regression check of the
-general algorithm against the known homogeneous closed form (see
-``tests/test_twf.py``).
+Implementation: :class:`TWFPolicy` is :class:`~repro.core.scd.SCDPolicy`
+with an all-ones rate vector, so it shares SCD's solver, per-estimate
+cache and native one-solve-per-round batch path.  This is mathematically
+exactly [22]'s policy -- in the homogeneous case the probable set is the
+analytically known ``{s : q_s < water-level}``, which our prefix search
+returns -- and it exercises the same code paths, so TWF doubles as a
+regression check of the general algorithm against the known homogeneous
+closed form (see ``tests/test_scd_policy.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.policies.base import Policy, register_policy
+from repro.policies.base import register_policy
 
-from .estimation import ArrivalEstimator, make_estimator
+from .estimation import ArrivalEstimator
 from .iwl import compute_iwl
 from .probabilities import scd_probabilities
+from .scd import SCDPolicy
 
 __all__ = ["TWFPolicy", "twf_probabilities"]
 
@@ -53,8 +55,12 @@ def twf_probabilities(
 
 
 @register_policy("twf")
-class TWFPolicy(Policy):
+class TWFPolicy(SCDPolicy):
     """TWF: stochastic coordination on job counts (rate-oblivious).
+
+    :class:`~repro.core.scd.SCDPolicy` with its solves bound to unit
+    rates; everything else -- the per-estimate cache, the one-solve-per-
+    round batch path and the RNG stream -- is SCD's.
 
     Parameters
     ----------
@@ -65,34 +71,8 @@ class TWFPolicy(Policy):
     name = "twf"
 
     def __init__(self, estimator: ArrivalEstimator | str | float = "scaled") -> None:
-        super().__init__()
-        self.estimator = make_estimator(estimator)
+        super().__init__(estimator=estimator)
 
     def _on_bind(self) -> None:
-        self.estimator.reset()
-        self._ones = np.ones(self.ctx.num_servers, dtype=np.float64)
-        self._queues: np.ndarray | None = None
-        self._order: np.ndarray | None = None
-        self._round_cache: dict[float, np.ndarray] = {}
-
-    def begin_round(self, round_index: int, queues: np.ndarray) -> None:
-        self._queues = queues
-        self._round_cache.clear()
-        # With unit rates both of Algorithm 2's sort keys are monotone in q,
-        # so a single order serves the IWL and the probability computation.
-        self._order = np.argsort(queues, kind="stable")
-
-    def observe_total_arrivals(self, total: int) -> None:
-        self.estimator.observe_total(total)
-
-    def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        a_est = self.estimator.estimate(int(num_jobs), self.ctx.num_dispatchers)
-        probs = self._round_cache.get(a_est)
-        if probs is None:
-            level = compute_iwl(self._queues, self._ones, a_est, order=self._order)
-            probs = scd_probabilities(
-                self._queues, self._ones, a_est, level, order=self._order
-            )
-            probs = probs / probs.sum()
-            self._round_cache[a_est] = probs
-        return self.rng.multinomial(int(num_jobs), probs).astype(np.int64)
+        super()._on_bind()
+        self._rates = np.ones(self.ctx.num_servers, dtype=np.float64)

@@ -26,7 +26,7 @@ from repro.sim.engine import Simulation, SimulationConfig, SimulationResult
 from repro.workloads.scenarios import SystemSpec
 
 from .grid import Cell, Experiment, PolicySpec
-from .results import CellRecord, metrics_from_result
+from .results import CellRecord
 from .workload import WorkloadSpec
 
 __all__ = [
@@ -123,16 +123,7 @@ def execute_cell(cell: Cell, keep_results: bool = True) -> CellRecord:
         cell.backend,
         cell.metrics,
     )
-    return CellRecord(
-        policy=cell.policy.label,
-        system=cell.system.name,
-        rho=cell.rho,
-        replication=cell.replication,
-        workload=cell.workload.name,
-        seed=cell.seed,
-        metrics=metrics_from_result(result),
-        result=result if keep_results else None,
-    )
+    return CellRecord.of(cell, result, keep_result=keep_results)
 
 
 class Executor(ABC):

@@ -23,6 +23,7 @@ seeded ``derive_seed(base, system.name, round(rho * 10_000))``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -173,10 +174,18 @@ class Experiment:
                 f"probes {sorted(defaults)} are always-on default collectors; "
                 f"do not list them in metrics"
             )
-        # Fail fast on unknown probe names / bad kwargs (the registry's
-        # own error) instead of mid-grid on a worker.
+        # Fail fast on unknown probe / policy names, bad kwargs and bad
+        # loads (the registry's own error) instead of mid-grid on a worker.
         for spec in metrics:
             spec.build()
+        for policy in policies:
+            try:
+                policy.build()
+            except TypeError as error:
+                raise ValueError(f"policy {policy.label!r}: {error}") from None
+        bad_loads = [rho for rho in loads if not (math.isfinite(rho) and rho >= 0)]
+        if bad_loads:
+            raise ValueError(f"loads must be finite and >= 0, got {bad_loads}")
         if not policies or not systems or not loads or not workloads:
             raise ValueError("every experiment axis needs at least one value")
         if len({p.label for p in policies}) != len(policies):

@@ -26,7 +26,7 @@ from repro.sim.probes import DEFAULT_PROBE_LABELS
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
 
-    from .grid import Experiment
+    from .grid import Cell, Experiment
 
 __all__ = ["CellRecord", "ExperimentResult", "metrics_from_result"]
 
@@ -82,6 +82,23 @@ class CellRecord:
     result: SimulationResult | None = field(
         default=None, compare=False, repr=False
     )
+
+    @classmethod
+    def of(
+        cls, cell: "Cell", result: SimulationResult, keep_result: bool = True
+    ) -> "CellRecord":
+        """The record of ``cell``'s run: its coordinates plus the metrics of
+        ``result`` (kept as the payload unless ``keep_result`` is false)."""
+        return cls(
+            policy=cell.policy.label,
+            system=cell.system.name,
+            rho=cell.rho,
+            replication=cell.replication,
+            workload=cell.workload.name,
+            seed=cell.seed,
+            metrics=metrics_from_result(result),
+            result=result if keep_result else None,
+        )
 
     @property
     def mean_response_time(self) -> float:

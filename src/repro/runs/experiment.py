@@ -28,7 +28,7 @@ from pathlib import Path
 from repro.analysis.persistence import save_experiment
 from repro.experiments.executor import build_cell_simulation
 from repro.experiments.grid import Experiment
-from repro.experiments.results import CellRecord, ExperimentResult, metrics_from_result
+from repro.experiments.results import CellRecord, ExperimentResult
 
 from .orchestrator import _RUN_FORMAT_VERSION, Run, _check_run_format
 from .telemetry import TelemetryWriter
@@ -155,18 +155,7 @@ class ExperimentRun:
                         policy=cell.policy.label,
                         mean=result.histogram.mean(),
                     )
-                records.append(
-                    CellRecord(
-                        policy=cell.policy.label,
-                        system=cell.system.name,
-                        rho=cell.rho,
-                        replication=cell.replication,
-                        workload=cell.workload.name,
-                        seed=cell.seed,
-                        metrics=metrics_from_result(result),
-                        result=result,
-                    )
-                )
+                records.append(CellRecord.of(cell, result))
             final = ExperimentResult(experiment=experiment, records=tuple(records))
             save_experiment(final, self.result_path)
             telemetry.emit("experiment-finished", cells=len(records))

@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.executor import build_cell_simulation
-from repro.experiments.results import CellRecord, metrics_from_result
+from repro.experiments.results import CellRecord
 from repro.runs.orchestrator import Run
 
 from .wire import ChannelClosed, MessageChannel, connect_channel
@@ -171,16 +171,7 @@ class FederationWorker:
                     meta={"engine": manifest.get("engine")},
                 )
             result = run.execute(on_checkpoint=ship_checkpoint)
-            record = CellRecord(
-                policy=cell.policy.label,
-                system=cell.system.name,
-                rho=cell.rho,
-                replication=cell.replication,
-                workload=cell.workload.name,
-                seed=cell.seed,
-                metrics=metrics_from_result(result),
-                result=result,
-            )
+            record = CellRecord.of(cell, result)
             channel.send(("cell-done", token, record))
             channel.recv()  # ack; accepted either way, nothing to do locally
         except (ChannelClosed, BrokenPipeError):

@@ -1367,11 +1367,10 @@ class HerdingSignalProbe(Probe):
     Measures how hard dispatchers pile onto the same servers within a
     round -- the largest single-server pile-up (``max_spike``), its
     per-round average, and the RMS deviation from rate-proportional
-    placement (``mean_imbalance``), exactly the statistics of
-    :class:`repro.analysis.herding.HerdingStats` (the wrapper-based
-    ``HerdingProbe``), now engine-fed and so available on the fast
-    kernels too.  With sized jobs the pile-up is measured in admitted
-    work units.
+    placement (``mean_imbalance``: the per-round RMS deviation of the
+    admissions from ``T * mu_s``, divided by the round total ``T`` and
+    averaged over rounds with arrivals).  Every kernel feeds it.  With
+    sized jobs the pile-up is measured in admitted work units.
 
     The probe is *partitionable*: instead of needing the global
     ``received`` matrix, it keeps per-round sufficient statistics that
@@ -1386,12 +1385,12 @@ class HerdingSignalProbe(Probe):
             = sum(r^2) - 2*(T/R)*sum(rates*r) + (T/R)^2 * sum(rates^2)
 
     with ``R`` the global rate sum and ``mu_s = rates_s / R`` -- the
-    same quantity ``HerdingStats`` computes element-wise.
+    same quantity as the element-wise ``sum_s (r_s - T*mu_s)^2``.
     """
 
     description = (
         "per-round co-targeting spikes and placement imbalance "
-        "(herding mechanism, cf. analysis.herding)"
+        "(the herding mechanism)"
     )
     fields = frozenset({"received"})
     #: Per-round sufficient statistics accumulate per server shard and

@@ -64,8 +64,6 @@ class TestSubmodules:
             "repro.core.scd",
             "repro.core.twf",
             "repro.core.theory",
-            "repro.core.sized",
-            "repro.core.sized_policy",
             "repro.policies",
             "repro.policies.base",
             "repro.policies.greedy",
@@ -94,7 +92,6 @@ class TestSubmodules:
             "repro.analysis.stability",
             "repro.analysis.persistence",
             "repro.analysis.replication",
-            "repro.analysis.herding",
             "repro.cli",
         ],
     )

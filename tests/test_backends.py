@@ -27,7 +27,7 @@ from _helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.policies.base import has_native_dispatch_round, make_policy
+from repro.policies.base import Policy, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (
     FastBackend,
@@ -44,14 +44,18 @@ from repro.sim.service import GeometricService
 #: Policies whose decisions involve no randomness: identical runs on both
 #: backends are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
-#: Stateful / stochastic policies without a native batch path: they run
-#: through the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["twf"]
+#: Stochastic configurations whose batch path defers to the base
+#: per-dispatcher loop (SCD with the Algorithm 1 solver): they run through
+#: the fallback, so they must also be bit-identical.
+FALLBACK_POLICIES = ["scd-alg1"]
 #: Native batch paths that restructure no RNG consumption (SCD's one
-#: broadcast multinomial per round, LSQ/LED's vectorized sampled refreshes
-#: and JIQ's fused empty-idle fallback draw the identical stream): these
-#: must also stay bit-identical across backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
+#: broadcast multinomial per round -- shared by its rate-oblivious TWF and
+#: size-aware subclasses --, LSQ/LED's vectorized sampled refreshes and
+#: JIQ's fused empty-idle fallback draw the identical stream): these must
+#: also stay bit-identical across backends.
+NATIVE_BIT_IDENTICAL_POLICIES = [
+    "scd", "twf", "scd-sized", "lsq", "hlsq", "led", "jiq",
+]
 #: Stochastic policies with native batch paths: exact accounting plus
 #: statistical equivalence only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
@@ -159,10 +163,18 @@ class TestBitExactness:
         assert_identical(a, b)
 
     @pytest.mark.parametrize("policy", FALLBACK_POLICIES)
-    def test_fallback_policies_identical(self, policy):
-        assert not has_native_dispatch_round(make_policy(policy))
+    def test_fallback_policies_identical(self, policy, monkeypatch):
+        calls = []
+        base_loop = Policy.dispatch_round
+
+        def spy(self, batch, queues):
+            calls.append(1)
+            return base_loop(self, batch, queues)
+
+        monkeypatch.setattr(Policy, "dispatch_round", spy)
         a = run_once(policy, "reference", seed=11)
         b = run_once(policy, "fast", seed=11)
+        assert calls, "the fast run never took the base per-dispatcher loop"
         assert_identical(a, b)
 
     @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*argv):
+    """Run ``python -m repro ARGV`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
 
 
 class TestParser:
@@ -313,3 +335,33 @@ class TestCompare:
         rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
         fast, fluid = float(rows["fast"][3]), float(rows["meanfield"][3])
         assert fluid == pytest.approx(fast, rel=0.1)
+
+
+class TestBadCoordinates:
+    """Unknown policies and bad loads end every run subcommand with a
+    one-line error, before any cell runs."""
+
+    SMALL = ("--servers", "6", "--dispatchers", "2", "--rounds", "100")
+    GRID = ("--systems", "6x2", "--rounds", "100")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--policy", "nope", *SMALL),
+            ("simulate", "--rho", "-1", *SMALL),
+            ("sweep", "--policies", "scd", "nope", *SMALL),
+            ("tails", "--policies", "nope", *SMALL),
+            ("stability", "--policy", "nope", *SMALL),
+            ("experiment", "--policies", "scd", "nope", *GRID),
+            ("experiment", "--loads", "nan", *GRID),
+            ("run", "--policy", "nope", *SMALL),
+            ("run", "--rho", "-1", *SMALL),
+        ],
+    )
+    def test_one_line_error_no_traceback(self, argv, tmp_path):
+        extra = ("--checkpoint-dir", str(tmp_path / "run")) if argv[0] == "run" else ()
+        proc = run_cli_process(*argv, *extra)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "run").exists()

@@ -85,6 +85,23 @@ class TestGrid:
         with pytest.raises(ValueError):
             Experiment(policies=["scd", "scd"], systems=SMALL, loads=0.8)
 
+    @pytest.mark.parametrize(
+        "policies, loads",
+        [
+            (["scd", "nope"], 0.8),
+            ([PolicySpec.of("scd-sized", mean_size=0)], 0.8),
+            ([PolicySpec.of("scd", bogus=1)], 0.8),
+            ("scd", -0.1),
+            ("scd", float("nan")),
+            ("scd", float("inf")),
+        ],
+    )
+    def test_bad_policy_or_load_rejected_at_construction(self, policies, loads):
+        """Unknown policies, bad policy kwargs and bad loads fail when the
+        grid is declared, not after the valid cells have run."""
+        with pytest.raises(ValueError):
+            Experiment(policies=policies, systems=SMALL, loads=loads, rounds=3000)
+
     def test_policy_kwargs_label_and_build(self):
         spec = PolicySpec.of("jsq(d)", d=3)
         assert spec.label == "jsq(d)[d=3]"

@@ -1,99 +1,85 @@
-"""Tests for the herding diagnostics."""
+"""Tests for the herding diagnostics (the engine-fed ``herding`` probe)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.herding import HerdingProbe, HerdingStats
 from repro.policies.base import make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.engine import Simulation, SimulationConfig
+from repro.sim.probes import ProbeBlock, ProbeContext, make_probe
 from repro.sim.service import GeometricService
 
 
-class TestHerdingStats:
+def observed(rates, *rounds):
+    """Summary of a ``herding`` probe fed ``rounds`` of per-server admissions."""
+    rates = np.asarray(rates, dtype=np.float64)
+    probe = make_probe("herding")
+    probe.bind(
+        ProbeContext(
+            num_servers=rates.size,
+            num_dispatchers=1,
+            rates=rates,
+            rounds=max(len(rounds), 1),
+        )
+    )
+    if rounds:
+        received = np.asarray(rounds, dtype=np.int64)
+        probe.observe_block(
+            ProbeBlock(start_round=0, length=len(rounds), received=received)
+        )
+    return probe.summary()
+
+
+class TestHerdingSummary:
     def test_empty(self):
-        stats = HerdingStats()
-        assert stats.mean_spike == 0.0
-        assert stats.mean_imbalance == 0.0
-        assert stats.max_spike == 0
+        stats = observed([1.0, 1.0])
+        assert stats["mean_spike"] == 0.0
+        assert stats["mean_imbalance"] == 0.0
+        assert stats["max_spike"] == 0
 
     def test_observe_tracks_spike(self):
-        stats = HerdingStats()
-        fair = np.array([2.5, 2.5])
-        stats.observe(np.array([5, 0]), fair)
-        stats.observe(np.array([3, 2]), fair)
-        assert stats.max_spike == 5
-        assert stats.mean_spike == 4.0
-        assert stats.rounds_observed == 2
+        stats = observed([1.0, 1.0], [5, 0], [3, 2])
+        assert stats["max_spike"] == 5
+        assert stats["mean_spike"] == 4.0
+        assert stats["rounds"] == 2
 
     def test_proportional_placement_has_zero_imbalance(self):
-        stats = HerdingStats()
-        received = np.array([6, 3, 1])
-        stats.observe(received, received.astype(float))
-        assert stats.mean_imbalance == pytest.approx(0.0)
+        # Admissions exactly proportional to the rates.
+        stats = observed([6.0, 3.0, 1.0], [6, 3, 1])
+        assert stats["mean_imbalance"] == pytest.approx(0.0)
 
     def test_concentrated_placement_has_high_imbalance(self):
-        balanced = HerdingStats()
-        piled = HerdingStats()
-        fair = np.full(4, 2.5)
-        balanced.observe(np.array([3, 2, 3, 2]), fair)
-        piled.observe(np.array([10, 0, 0, 0]), fair)
-        assert piled.mean_imbalance > 3 * balanced.mean_imbalance
+        balanced = observed(np.ones(4), [3, 2, 3, 2])
+        piled = observed(np.ones(4), [10, 0, 0, 0])
+        assert piled["mean_imbalance"] > 3 * balanced["mean_imbalance"]
 
     def test_empty_round_ignored(self):
-        stats = HerdingStats()
-        stats.observe(np.zeros(3, dtype=np.int64), np.zeros(3))
-        assert stats.rounds_observed == 0
+        stats = observed(np.ones(3), [0, 0, 0])
+        assert stats["rounds"] == 0
 
 
-class TestHerdingProbe:
+class TestHerdingMechanism:
     def run_probe(self, policy_name, m=8, rounds=400):
         rng = np.random.default_rng(5)
         rates = rng.uniform(1.0, 10.0, size=40)
-        probe = HerdingProbe(make_policy(policy_name))
-        sim = Simulation(
+        result = Simulation(
             rates=rates,
-            policy=probe,
+            policy=make_policy(policy_name),
             arrivals=PoissonArrivals(np.full(m, 0.9 * rates.sum() / m)),
             service=GeometricService(rates),
-            config=SimulationConfig(rounds=rounds, seed=17),
-        )
-        result = sim.run()
-        return result, probe.finalize()
-
-    def test_transparent_delegation(self):
-        """Wrapping must not change the simulation outcome."""
-        rng = np.random.default_rng(5)
-        rates = rng.uniform(1.0, 10.0, size=20)
-
-        def run(policy):
-            sim = Simulation(
-                rates=rates,
-                policy=policy,
-                arrivals=PoissonArrivals(np.full(4, 0.85 * rates.sum() / 4)),
-                service=GeometricService(rates),
-                config=SimulationConfig(rounds=200, seed=3),
-            )
-            return sim.run()
-
-        plain = run(make_policy("scd"))
-        probed = run(HerdingProbe(make_policy("scd")))
-        assert plain.mean_response_time == probed.mean_response_time
-        np.testing.assert_array_equal(plain.final_queues, probed.final_queues)
-
-    def test_probe_keeps_policy_name(self):
-        probe = HerdingProbe(make_policy("sed"))
-        assert probe.name == "sed"
+            config=SimulationConfig(rounds=rounds, seed=17, probes=("herding",)),
+        ).run()
+        return result, result.probes["herding"].summary()
 
     def test_jsq_herds_more_than_scd(self):
         """The mechanism claim: deterministic policies spike, SCD does not."""
         _, jsq_stats = self.run_probe("jsq")
         _, scd_stats = self.run_probe("scd")
-        assert jsq_stats.mean_spike > 1.5 * scd_stats.mean_spike
-        assert jsq_stats.max_spike > scd_stats.max_spike
-        assert jsq_stats.mean_imbalance > scd_stats.mean_imbalance
+        assert jsq_stats["mean_spike"] > 1.5 * scd_stats["mean_spike"]
+        assert jsq_stats["max_spike"] > scd_stats["max_spike"]
+        assert jsq_stats["mean_imbalance"] > scd_stats["mean_imbalance"]
 
     def test_stats_cover_all_rounds_with_arrivals(self):
-        result, stats = self.run_probe("wr", rounds=300)
-        assert stats.rounds_observed <= 300
-        assert stats.rounds_observed > 250  # Poisson(44)-ish: rarely zero
+        _, stats = self.run_probe("wr", rounds=300)
+        assert stats["rounds"] <= 300
+        assert stats["rounds"] > 250  # Poisson(44)-ish: rarely zero

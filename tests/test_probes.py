@@ -459,29 +459,6 @@ class TestBuiltinSemantics:
             result.histogram.mean()
         )
 
-    def test_herding_probe_matches_wrapper_probe(self):
-        """Engine-fed herding equals the legacy policy-wrapper probe."""
-        from repro.analysis.herding import HerdingProbe
-
-        rates = _rates(8)
-        lambdas = np.full(3, 0.85 * rates.sum() / 3)
-        wrapper = HerdingProbe(make_policy("jsq"))
-        Simulation(
-            rates=rates,
-            policy=wrapper,
-            arrivals=PoissonArrivals(lambdas),
-            service=GeometricService(rates),
-            config=SimulationConfig(rounds=400, seed=0),
-        ).run()
-        stats = wrapper.finalize()
-
-        result = run_unsized("jsq", "reference", probes=("herding",))
-        summary = result.probes["herding"].summary()
-        assert summary["rounds"] == stats.rounds_observed
-        assert summary["max_spike"] == stats.max_spike
-        assert summary["mean_spike"] == pytest.approx(stats.mean_spike)
-        assert summary["mean_imbalance"] == pytest.approx(stats.mean_imbalance)
-
     def test_empty_fields_probe_with_hook_still_gets_blocks(self):
         @register_probe("test_round_total")
         class RoundTotal(Probe):

@@ -570,6 +570,23 @@ class TestServiceAPI:
             submit_job(api.url, {"policies": []})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "policy, loads",
+        [
+            ({"name": "nope", "kwargs": {}}, [0.9]),
+            ({"name": "scd-sized", "kwargs": {"mean_size": 0}}, [0.9]),
+            ({"name": "jsq", "kwargs": {}}, [-1.0]),
+        ],
+    )
+    def test_unbuildable_grid_is_a_400(self, service, policy, loads):
+        _manager, _coordinator, api = service
+        descriptor = small_experiment(rounds=300, loads=(0.9,)).describe()
+        descriptor["policies"] = [policy]
+        descriptor["loads"] = loads
+        with pytest.raises(ServiceError) as excinfo:
+            submit_job(api.url, descriptor)
+        assert excinfo.value.code == 400
+
     def test_lossy_descriptor_is_a_400(self, service):
         from repro.sim.sized import GeometricSize
 

@@ -53,8 +53,10 @@ from repro.sim.sized import GeometricSize
 
 #: Each parity family must stay bit-identical to "fast" under sharding.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
-FALLBACK_POLICIES = ["twf"]
-NATIVE_BIT_IDENTICAL_POLICIES = ["scd", "lsq", "hlsq", "led", "jiq"]
+FALLBACK_POLICIES = ["scd-alg1"]
+NATIVE_BIT_IDENTICAL_POLICIES = [
+    "scd", "twf", "scd-sized", "lsq", "hlsq", "led", "jiq",
+]
 #: Native stochastic batch paths: exact accounting + same workload only.
 NATIVE_STOCHASTIC_POLICIES = ["wr", "jsq(2)"]
 

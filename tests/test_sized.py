@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from _helpers import dispatch_instances
 from repro.core.iwl import compute_iwl
-from repro.core.probabilities import scd_probabilities
-from repro.core.sized import (
-    generalized_probabilities,
-    sized_objective,
-    sized_scd_probabilities,
-)
-from repro.core.sized_policy import SizedSCDPolicy
+from repro.core.probabilities import scd_objective, scd_probabilities
+from repro.core.scd import SCDPolicy, SizedSCDPolicy
 from repro.policies.base import SystemContext, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import SizedServerQueue
@@ -23,21 +18,22 @@ from repro.sim.service import GeometricService
 from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 
 
+def _bound(policy, rates, queues):
+    """Bind ``policy`` to ``rates`` and open a round on ``queues``."""
+    policy.bind(
+        SystemContext(
+            rates=np.asarray(rates, dtype=np.float64),
+            num_dispatchers=1,
+            rng=np.random.default_rng(0),
+        )
+    )
+    policy.begin_round(0, np.asarray(queues, dtype=np.int64))
+    return policy
+
+
 class TestGeneralizedSolver:
-    @given(dispatch_instances())
-    @settings(max_examples=120, deadline=None)
-    def test_reduces_to_standard_scd(self, instance):
-        """(A, c) = (a-1, 1) must reproduce the paper's solver exactly."""
-        queues, rates, arrivals = instance
-        if arrivals == 1:
-            return
-        iwl = compute_iwl(queues, rates, arrivals)
-        general = generalized_probabilities(
-            queues, rates, quad_weight=arrivals - 1.0, offset=1.0, iwl=iwl
-        )
-        np.testing.assert_allclose(
-            general, scd_probabilities(queues, rates, arrivals, iwl), atol=1e-9
-        )
+    """The size-aware form of Eq. (10): ``scd_probabilities`` with the
+    ``(mean_size, offset)`` constants."""
 
     @given(
         dispatch_instances(),
@@ -45,10 +41,12 @@ class TestGeneralizedSolver:
         st.floats(min_value=0.5, max_value=20.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_valid_distribution_for_any_parameters(self, instance, quad, offset):
+    def test_valid_distribution_for_any_parameters(self, instance, mean_size, offset):
         queues, rates, arrivals = instance
-        iwl = compute_iwl(queues, rates, float(arrivals))
-        p = generalized_probabilities(queues, rates, quad, offset, iwl)
+        iwl = compute_iwl(queues, rates, float(arrivals) * mean_size)
+        p = scd_probabilities(
+            queues, rates, arrivals, iwl, mean_size=mean_size, offset=offset
+        )
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -56,41 +54,51 @@ class TestGeneralizedSolver:
     @settings(max_examples=60, deadline=None)
     def test_beats_random_feasible_points(self, instance):
         queues, rates, arrivals = instance
-        quad, offset = 3.0, 2.5
         iwl = compute_iwl(queues, rates, float(arrivals))
-        p = generalized_probabilities(queues, rates, quad, offset, iwl)
-        opt = sized_objective(p, queues, rates, quad, offset, iwl)
+        kwargs = dict(mean_size=3.0, offset=2.5)
+        p = scd_probabilities(queues, rates, arrivals, iwl, **kwargs)
+        opt = scd_objective(p, queues, rates, arrivals, iwl, **kwargs)
         rng = np.random.default_rng(7)
         for _ in range(10):
             candidate = rng.dirichlet(np.ones(queues.size))
-            val = sized_objective(candidate, queues, rates, quad, offset, iwl)
+            val = scd_objective(candidate, queues, rates, arrivals, iwl, **kwargs)
             assert opt <= val + 1e-9 * max(1.0, abs(val))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            generalized_probabilities([1], [1.0], 0.0, 1.0, 1.0)
+            scd_probabilities([1], [1.0], 2, 1.0, mean_size=0.0)
         with pytest.raises(ValueError):
-            generalized_probabilities([1], [1.0], 1.0, -1.0, 1.0)
+            scd_probabilities([1], [1.0], 2, 1.0, offset=-1.0)
 
 
 class TestSizedProbabilities:
     def test_unit_sizes_recover_scd(self):
         queues = np.array([4, 0, 7])
         rates = np.array([2.0, 1.0, 5.0])
-        a = 12
-        iwl_sized, p_sized = sized_scd_probabilities(queues, rates, a, 1.0, 1.0)
-        iwl = compute_iwl(queues, rates, a)
-        assert iwl_sized == pytest.approx(iwl)
-        np.testing.assert_allclose(
-            p_sized, scd_probabilities(queues, rates, a, iwl), atol=1e-9
+        sized = _bound(SizedSCDPolicy(), rates, queues)
+        plain = _bound(SCDPolicy(), rates, queues)
+        np.testing.assert_array_equal(
+            sized._probabilities(12.0), plain._probabilities(12.0)
         )
 
-    def test_iwl_uses_total_work(self):
-        queues = np.zeros(2, dtype=np.int64)
-        rates = np.array([1.0, 1.0])
-        iwl, _ = sized_scd_probabilities(queues, rates, 4, mean_size=5.0,
-                                         second_moment_size=25.0)
-        assert iwl == pytest.approx(10.0)  # 4 jobs x 5 units over 2 servers
+    def test_iwl_uses_total_work(self, monkeypatch):
+        import repro.core.scd as scd_module
+
+        levels = []
+
+        def spy(queues, rates, arrivals, **kwargs):
+            level = compute_iwl(queues, rates, arrivals, **kwargs)
+            levels.append(level)
+            return level
+
+        monkeypatch.setattr(scd_module, "compute_iwl", spy)
+        policy = _bound(
+            SizedSCDPolicy(mean_size=5.0, second_moment_size=25.0),
+            [1.0, 1.0],
+            [0, 0],
+        )
+        policy._probabilities(4.0)
+        assert levels == [pytest.approx(10.0)]  # 4 jobs x 5 units over 2 servers
 
     def test_size_dispersion_shifts_mass_to_fast_servers(self):
         """Higher E[W^2] at the same mean raises the discreteness term,
@@ -100,8 +108,9 @@ class TestSizedProbabilities:
         queues = np.array([0, 0])
         rates = np.array([3.0, 1.0])
         a = 4
-        _, p_tight = sized_scd_probabilities(queues, rates, a, 2.0, 4.0)
-        _, p_lumpy = sized_scd_probabilities(queues, rates, a, 2.0, 40.0)
+        iwl = compute_iwl(queues, rates, a * 2.0)
+        p_tight = scd_probabilities(queues, rates, a, iwl, mean_size=2.0, offset=2.0)
+        p_lumpy = scd_probabilities(queues, rates, a, iwl, mean_size=2.0, offset=20.0)
         # c = 2: interior split [5/6, 1/6]; c = 20: all mass on the fast one.
         np.testing.assert_allclose(p_tight, [5.0 / 6.0, 1.0 / 6.0], atol=1e-9)
         np.testing.assert_allclose(p_lumpy, [1.0, 0.0], atol=1e-9)
@@ -109,21 +118,16 @@ class TestSizedProbabilities:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sized_scd_probabilities([1], [1.0], 2, 0.0, 1.0)
+            scd_probabilities([1], [1.0], 2, 1.0, mean_size=0.0)
         with pytest.raises(ValueError):
-            sized_scd_probabilities([1], [1.0], 2, 2.0, 1.0)  # E[W^2] < E[W]^2
-        with pytest.raises(ValueError):
-            sized_scd_probabilities([1], [1.0], 0.5, 1.0, 1.0)
+            scd_probabilities([1], [1.0], 0.5, 1.0)
 
     def test_single_job_uses_adjusted_key(self):
-        # With offset c = E[W^2]/wbar = 9: keys (2*3+9)/10 = 1.5 vs
-        # (2*0+9)/1 = 9 -> the busy fast server wins; with c = 1 the keys
-        # are 0.7 vs 1.0 and it *still* wins, so pick queues that flip:
         queues = np.array([5, 0])
         rates = np.array([10.0, 1.0])
         # c=1: (11)/10 = 1.1 vs 1.0 -> slow server. c=9: 19/10=1.9 vs 9 -> fast.
-        _, p_unit = sized_scd_probabilities(queues, rates, 1, 1.0, 1.0)
-        _, p_lumpy = sized_scd_probabilities(queues, rates, 1, 3.0, 27.0)
+        p_unit = scd_probabilities(queues, rates, 1, 0.0)
+        p_lumpy = scd_probabilities(queues, rates, 1, 0.0, mean_size=3.0, offset=9.0)
         np.testing.assert_allclose(p_unit, [0.0, 1.0])
         np.testing.assert_allclose(p_lumpy, [1.0, 0.0])
 

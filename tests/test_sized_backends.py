@@ -57,12 +57,13 @@ from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 #: included): identical runs on every backend are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stateful / stochastic policies, bit-identical across backends on every
-#: size distribution. SCD's native batch path draws one broadcast
-#: multinomial per round, the identical stream; the rest run through the
-#: fallback.
+#: size distribution. SCD's native batch path -- shared by its TWF and
+#: size-aware subclasses -- draws one broadcast multinomial per round,
+#: the identical stream.
 STATEFUL_POLICIES = ["scd", "twf", "scd-sized"]
-#: The stateful policies without a native batch path.
-FALLBACK_POLICIES = ["twf", "scd-sized"]
+#: An SCD configuration whose batch path defers to the base
+#: per-dispatcher loop (the Algorithm 1 solver).
+FALLBACK_POLICIES = ["scd-alg1"]
 #: Native batch paths that restructure no RNG consumption (LSQ/LED's
 #: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
 #: the identical stream): these must also stay bit-identical across
@@ -185,10 +186,11 @@ class TestBitExactness:
         assert_identical(a, b)
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
-    @pytest.mark.parametrize("policy", STATEFUL_POLICIES)
+    @pytest.mark.parametrize("policy", STATEFUL_POLICIES + FALLBACK_POLICIES)
     def test_fallback_policies_identical(self, policy, dist):
-        native = has_native_dispatch_round(make_policy(policy))
-        assert native == (policy not in FALLBACK_POLICIES)
+        # Every SCD variant overrides the batch protocol; scd-alg1's
+        # override takes the base loop.
+        assert has_native_dispatch_round(make_policy(policy))
         sizes = SIZE_DISTRIBUTIONS[dist]
         a = run_once(policy, sizes, "reference", seed=11, rounds=300)
         b = run_once(policy, sizes, "fast", seed=11, rounds=300)
