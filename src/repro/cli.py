@@ -13,9 +13,11 @@ Subcommands
                 analytical ``meanfield`` fluid limit -- with wall-clock
                 and relative-error columns
 ``probes``      list the registered observability probes (``--metrics``
-                accepts them on ``experiment`` and ``simulate``)
+                accepts them on ``experiment``, ``simulate``, ``run`` and
+                ``submit``)
 ``scenarios``   list the registered workload scenarios (``--scenario``
-                accepts them on ``experiment``, ``run`` and ``submit``)
+                accepts them on ``experiment``, ``run``, ``submit`` and
+                ``compare``)
 ``experiment``  declarative grid: policies x systems x loads x reps x
                 workload, optionally on a process pool (``--workers``),
                 the vectorized engine (``--backend fast``), extra
@@ -40,6 +42,20 @@ Subcommands
                 (``--priority`` jumps the cell queue)
 ``status``      show a service's workers, leases and job progress
 ``cancel``      stop a running job; its queued cells are dropped
+
+Layout
+------
+This module only parses flags and prints results.  Flags shared by
+several subcommands are defined once, in the ``_add_*_args`` groups.
+Every run subcommand turns its coordinate flags into one
+:class:`~repro.experiments.Experiment` through ``_experiment_from``, and
+``Experiment`` is the only validator: a bad policy, load, backend or
+probe ends the command with one ``invalid experiment: ...`` line before
+any cell runs.  ``--metrics`` tokens use the ``key=value`` grammar of
+scenario specs (:func:`repro.sim._registry.parse_params`).  ``resume``
+and ``tail`` read ``run.json`` through the run inventory's reader, and
+the service verbs read ``service.json`` through ``_service_endpoint``;
+damaged manifests end the command with one line.
 
 Examples
 --------
@@ -83,10 +99,8 @@ import sys
 import time
 from pathlib import Path
 
-
 from repro.analysis.ccdf import tail_quantiles
 from repro.analysis.persistence import save_experiment, save_result
-from repro.experiments import Experiment, WorkloadSpec
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
     collect_snapshots,
@@ -96,12 +110,10 @@ from repro.analysis.runtime import (
 from repro.analysis.stability import assess_stability
 from repro.analysis.tables import format_series_table, format_table
 from repro.core.theory import strong_stability_bound
+from repro.experiments import Experiment, WorkloadSpec
 from repro.policies.base import available_policies
-from repro.sim.backends import (
-    backend_capabilities,
-    backend_descriptions,
-    make_backend,
-)
+from repro.sim._registry import parse_params
+from repro.sim.backends import backend_capabilities, backend_descriptions
 from repro.sim.probes import DEFAULT_PROBE_LABELS, ProbeSpec, probe_descriptions
 from repro.sim.sized import BimodalSize, DeterministicSize, GeometricSize
 from repro.workloads.scenarios import SystemSpec
@@ -109,9 +121,10 @@ from repro.workloads.scenarios import SystemSpec
 __all__ = ["main", "build_parser"]
 
 
-def _add_system_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--servers", "-n", type=int, default=100)
-    parser.add_argument("--dispatchers", "-m", type=int, default=10)
+# -- shared flag groups -------------------------------------------------------
+
+
+def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         default="u1_10",
@@ -124,6 +137,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rounds", type=int, default=5000)
     parser.add_argument("--warmup", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_system_args(parser: argparse.ArgumentParser) -> None:
+    """One system (``--servers``/``--dispatchers``) plus the run length."""
+    parser.add_argument("--servers", "-n", type=int, default=100)
+    parser.add_argument("--dispatchers", "-m", type=int, default=10)
+    _add_profile_args(parser)
+    _add_run_args(parser)
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -147,93 +168,60 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _system_from(args: argparse.Namespace) -> SystemSpec:
-    return SystemSpec(
-        num_servers=args.servers,
-        num_dispatchers=args.dispatchers,
-        profile=args.profile,
-        rate_seed=args.rate_seed,
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backend",
+        default="reference",
+        metavar="BACKEND",
+        help="engine round kernel: 'reference' (bit-exact default), "
+        "'fast' (vectorized; bit-identical for deterministic policies, "
+        "statistically equivalent for stochastic ones), "
+        "'sharded[:N[:serial|process]]' (server-partitioned fast kernel), "
+        "'compiled' or 'meanfield'; see `repro backends`",
+    )
+    parser.add_argument(
+        "--metrics",
+        nargs="*",
+        default=[],
+        metavar="PROBE",
+        help="extra observability probes, as NAME or "
+        "NAME:key=value[,key=value]; their summaries print after the run "
+        "and land in saved results (grids: as NAME.key columns); see "
+        "`repro probes`",
     )
 
 
-def _experiment_from(args: argparse.Namespace, policies, loads) -> Experiment:
-    """The one-system grid a run subcommand declares (validated now)."""
-    try:
-        return Experiment(
-            policies=policies,
-            systems=_system_from(args),
-            loads=loads,
-            rounds=args.rounds,
-            warmup=args.warmup,
-            base_seed=args.seed,
-            backend=getattr(args, "backend", "reference"),
-            metrics=_parse_metrics(getattr(args, "metrics", None)),
-        )
-    except ValueError as error:
-        raise SystemExit(f"invalid experiment: {error}")
+def _add_grid_args(parser: argparse.ArgumentParser) -> None:
+    """The multi-system grid of ``experiment`` and ``submit``."""
+    parser.add_argument("--policies", nargs="+", default=["scd", "jsq", "sed"])
+    parser.add_argument(
+        "--systems",
+        nargs="+",
+        default=["100x10"],
+        metavar="NxM",
+        help="systems as SERVERSxDISPATCHERS tokens, e.g. 100x10 200x20",
+    )
+    parser.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
+    parser.add_argument("--replications", "-r", type=int, default=1)
+    _add_workload_args(parser)
+    _add_engine_args(parser)
+    _add_profile_args(parser)
+    _add_run_args(parser)
 
 
-def cmd_policies(args: argparse.Namespace) -> int:
-    for name in available_policies():
-        print(name)
-    return 0
+def _add_locator_args(
+    parser: argparse.ArgumentParser, flag: str, metavar: str, help: str
+) -> None:
+    """``--url``/``--connect`` plus the ``--data-dir`` service.json fallback."""
+    parser.add_argument(flag, metavar=metavar, help=help)
+    parser.add_argument(
+        "--data-dir",
+        metavar="DIR",
+        help="discover the service from DIR/service.json instead",
+    )
 
 
-def cmd_backends(args: argparse.Namespace) -> int:
-    descriptions = backend_descriptions()
-    columns = {name: backend_capabilities(name).describe() for name in descriptions}
-    width = max(len(name) for name in descriptions)
-    cap_width = max(len(column) for column in columns.values())
-    print("engine backends (unit or sized jobs):")
-    for name, description in descriptions.items():
-        print(f"  {name:<{width}}  {columns[name]:<{cap_width}}  {description}")
-    return 0
-
-
-def _coerce_param(text: str):
-    """Best-effort int -> float -> str coercion for key=value params."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_probe_token(token: str) -> ProbeSpec:
-    """``name`` or ``name:key=value[,key=value...]`` -> validated spec."""
-    name, _, params = token.partition(":")
-    kwargs = {}
-    if params:
-        for pair in params.split(","):
-            key, eq, value = pair.partition("=")
-            if not eq or not key:
-                raise SystemExit(
-                    f"invalid probe parameter {pair!r} in {token!r}; "
-                    f"expected key=value"
-                )
-            kwargs[key] = _coerce_param(value)
-    spec = ProbeSpec.of(name, **kwargs)
-    try:
-        spec.build()  # fail now with the registry's error, not mid-run
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"invalid probe {token!r}: {error}")
-    return spec
-
-
-def _parse_metrics(tokens) -> tuple[ProbeSpec, ...]:
-    specs = tuple(_parse_probe_token(token) for token in tokens or ())
-    seen = set()
-    for spec in specs:
-        if spec.name in DEFAULT_PROBE_LABELS:
-            raise SystemExit(
-                f"probe {spec.name!r} is an always-on default collector; "
-                f"do not pass it to --metrics"
-            )
-        if spec.label in seen:
-            raise SystemExit(f"duplicate probe {spec.label!r} in --metrics")
-        seen.add(spec.label)
-    return specs
+# -- flag parsing and the one Experiment builder ------------------------------
 
 
 def _parse_system_token(token: str, profile: str, rate_seed: int) -> SystemSpec:
@@ -269,17 +257,6 @@ def _parse_job_sizes(params: str):
     raise SystemExit(
         f"unknown job-size family {family!r}; expected geom, det or bimodal"
     )
-
-
-def cmd_probes(args: argparse.Namespace) -> int:
-    descriptions = probe_descriptions()
-    width = max(len(name) for name in descriptions)
-    print("observability probes (pass extras via --metrics):")
-    for name, description in descriptions.items():
-        marker = "*" if name in DEFAULT_PROBE_LABELS else " "
-        print(f" {marker} {name:<{width}}  {description}")
-    print("\n(* = always-on default collector)")
-    return 0
 
 
 def _parse_workload(token: str) -> WorkloadSpec:
@@ -324,42 +301,127 @@ def _workload_from(args: argparse.Namespace) -> WorkloadSpec:
     return workload
 
 
-def cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.scenarios import scenario_descriptions
-
-    descriptions = scenario_descriptions()
-    width = max(len(name) for name in descriptions)
-    print("workload scenarios (pass one via --scenario NAME[:key=value,...]):")
-    for name, description in descriptions.items():
-        print(f"  {name:<{width}}  {description}")
-    return 0
+def _parse_probe_token(token: str) -> ProbeSpec:
+    """``NAME`` or ``NAME:key=value[,key=value...]`` -> spec."""
+    name, _, params = token.partition(":")
+    return ProbeSpec.of(name, **(parse_params(params, "probe") if params else {}))
 
 
-def _grid_from(args: argparse.Namespace) -> Experiment:
-    """The multi-system grid of ``experiment``/``submit`` (validated now)."""
-    systems = tuple(
-        _parse_system_token(token, args.profile, args.rate_seed)
-        for token in args.systems
-    )
+def _experiment_from(args: argparse.Namespace, **overrides) -> Experiment:
+    """The one ``Experiment`` a subcommand's flags declare (validated now).
+
+    Reads whichever coordinate flags the subcommand defines:
+    ``--policy``/``--policies``, ``--rho``/``--loads``, ``--systems`` or
+    ``--servers``/``--dispatchers``, and the optional workload, engine
+    and replication groups.  ``Experiment`` does every check, so a bad
+    coordinate ends the command with one ``invalid experiment:`` line
+    before anything runs.  ``overrides`` replace single fields.
+    """
+    flags = vars(args)
+    if "systems" in flags:
+        systems = tuple(
+            _parse_system_token(token, args.profile, args.rate_seed)
+            for token in args.systems
+        )
+    else:
+        systems = SystemSpec(
+            args.servers, args.dispatchers, args.profile, args.rate_seed
+        )
+    workload = _workload_from(args) if "workload" in flags else WorkloadSpec()
     try:
-        return Experiment(
-            policies=tuple(args.policies),
+        fields = dict(
+            policies=args.policies if "policies" in flags else args.policy,
             systems=systems,
-            loads=tuple(args.loads),
-            replications=args.replications,
-            workloads=(_workload_from(args),),
+            loads=args.loads if "loads" in flags else args.rho,
+            replications=flags.get("replications", 1),
+            workloads=workload,
             rounds=args.rounds,
             warmup=args.warmup,
             base_seed=args.seed,
-            backend=args.backend,
-            metrics=_parse_metrics(args.metrics),
+            backend=flags.get("backend", "reference"),
+            metrics=tuple(_parse_probe_token(t) for t in flags.get("metrics", ())),
         )
+        return Experiment(**{**fields, **overrides})
     except ValueError as error:
         raise SystemExit(f"invalid experiment: {error}")
 
 
+# -- shared printers ----------------------------------------------------------
+
+
+def _print_listing(title, rows, indent: str = "  ", footer: str = "") -> None:
+    """A registry listing: title, rows of left-aligned columns, footer."""
+    if title:
+        print(title)
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
+    for row in rows:
+        cells = [cell.ljust(width) for cell, width in zip(row, widths)]
+        print(indent + "  ".join(cells + [row[-1]]))
+    if footer:
+        print(footer)
+
+
+def _print_summary(title: str, summary: dict) -> None:
+    print(
+        format_table(
+            ["metric", "value"],
+            [[key, value] for key, value in summary.items()],
+            title=title,
+        )
+    )
+
+
+def _print_probe_summaries(result) -> None:
+    """One summary table per extra probe (the defaults are the headline)."""
+    for label, summary in result.probe_summaries().items():
+        if label not in DEFAULT_PROBE_LABELS:
+            _print_summary(f"probe {label}", summary)
+
+
+# -- subcommands --------------------------------------------------------------
+
+
+def cmd_policies(args: argparse.Namespace) -> int:
+    _print_listing(None, [[name] for name in available_policies()], indent="")
+    return 0
+
+
+def cmd_backends(args: argparse.Namespace) -> int:
+    _print_listing(
+        "engine backends (unit or sized jobs):",
+        [
+            [name, backend_capabilities(name).describe(), description]
+            for name, description in backend_descriptions().items()
+        ],
+    )
+    return 0
+
+
+def cmd_probes(args: argparse.Namespace) -> int:
+    _print_listing(
+        "observability probes (pass extras via --metrics):",
+        [
+            [f"{'*' if name in DEFAULT_PROBE_LABELS else ' '} {name}", description]
+            for name, description in probe_descriptions().items()
+        ],
+        indent=" ",
+        footer="\n(* = always-on default collector)",
+    )
+    return 0
+
+
+def cmd_scenarios(args: argparse.Namespace) -> int:
+    from repro.scenarios import scenario_descriptions
+
+    _print_listing(
+        "workload scenarios (pass one via --scenario NAME[:key=value,...]):",
+        [list(item) for item in scenario_descriptions().items()],
+    )
+    return 0
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    experiment = _grid_from(args)
+    experiment = _experiment_from(args)
     systems = experiment.systems
     workload = experiment.workloads[0]
     scenario_note = (
@@ -420,37 +482,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    system = _system_from(args)
-    try:
-        # Fail now with the registry's own error (unknown names, bad
-        # shard parameters), not mid-run.
-        make_backend(args.backend)
-    except ValueError as error:
-        raise SystemExit(f"invalid backend: {error}")
-    result = _experiment_from(args, args.policy, args.rho).run().only().result
-    summary = result.summary()
-    print(
-        format_table(
-            ["metric", "value"],
-            [[key, value] for key, value in summary.items()],
-            title=f"{args.policy} on {system.name} at rho={args.rho} "
-            f"({args.rounds} rounds)",
-        )
+    experiment = _experiment_from(args)
+    result = experiment.run().only().result
+    _print_summary(
+        f"{args.policy} on {experiment.systems[0].name} at rho={args.rho} "
+        f"({args.rounds} rounds)",
+        result.summary(),
     )
     print(
         f"\njobs: arrived={result.total_arrived} "
         f"departed={result.total_departed} queued={result.final_queued}"
     )
-    for label, probe in result.probes.items():
-        if label in DEFAULT_PROBE_LABELS:
-            continue
-        print(
-            format_table(
-                ["metric", "value"],
-                [[key, value] for key, value in probe.summary().items()],
-                title=f"probe {label}",
-            )
-        )
+    _print_probe_summaries(result)
     if args.save:
         path = save_result(result, args.save)
         print(f"result written to {path}")
@@ -458,7 +501,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    experiment = _experiment_from(args, args.policies, args.loads)
+    experiment = _experiment_from(args)
     result = experiment.run(keep_results=False)
     print(
         format_series_table(
@@ -484,7 +527,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tails(args: argparse.Namespace) -> int:
-    experiment = _experiment_from(args, args.policies, args.rho)
+    experiment = _experiment_from(args)
     levels = (1e-1, 1e-2, 1e-3, 1e-4)
     rows = []
     for record in experiment.run():
@@ -530,9 +573,10 @@ def cmd_runtime(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    system = _system_from(args)
+    experiment = _experiment_from(args)
+    system = experiment.systems[0]
     rates = system.rates()
-    result = _experiment_from(args, args.policy, args.rho).run().only().result
+    result = experiment.run().only().result
     verdict = assess_stability(result, float(rates.sum()))
     print(f"{args.policy} on {system.name} at rho={args.rho}: {verdict}")
     if args.rho < 1.0:
@@ -553,39 +597,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "pass at least two backends to compare, "
             "e.g. --backends fast meanfield"
         )
-    system = _system_from(args)
-    workload = _workload_from(args)
-    resolved = []
-    reference = None
+    # Build (and so validate) every backend's cell before any of them runs.
+    plan = []
     for backend in backends:
-        try:
-            caps = backend_capabilities(backend)
-        except ValueError as error:
-            raise SystemExit(f"invalid backend {backend!r}: {error}")
-        # Analytic backends are deterministic: one evaluation is exact,
-        # so replications would only repeat the same number.
-        reps = 1 if caps.analytic else args.replications
-        resolved.append((backend, caps, reps))
-        if caps.analytic and reference is None:
-            reference = backend
-    if reference is None:
-        reference = backends[0]
+        experiment = _experiment_from(args, backend=backend)
+        analytic = backend_capabilities(backend).analytic
+        if analytic:
+            # Analytic backends are deterministic: one evaluation is
+            # exact, so replications would only repeat the same number.
+            experiment = dataclasses.replace(experiment, replications=1)
+        plan.append((backend, analytic, experiment))
+    reference = next(
+        (backend for backend, analytic, _ in plan if analytic), backends[0]
+    )
+    cell = plan[0][2]
+    system, workload = cell.systems[0], cell.workloads[0]
     records = []
-    for backend, caps, reps in resolved:
-        try:
-            experiment = Experiment(
-                policies=(args.policy,),
-                systems=(system,),
-                loads=(args.rho,),
-                replications=reps,
-                workloads=(workload,),
-                rounds=args.rounds,
-                warmup=args.warmup,
-                base_seed=args.seed,
-                backend=backend,
-            )
-        except ValueError as error:
-            raise SystemExit(f"backend {backend!r} cannot run this cell: {error}")
+    for backend, analytic, experiment in plan:
         started = time.perf_counter()
         try:
             result = experiment.run(keep_results=False)
@@ -596,7 +624,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         records.append(
             {
                 "backend": backend,
-                "kind": "analytic" if caps.analytic else "stochastic",
+                "kind": "analytic" if analytic else "stochastic",
                 "replications": int(stats["n"]),
                 "mean_response_time": stats["mean"],
                 "stderr": stats["stderr"],
@@ -611,18 +639,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if baseline
             else 0.0
         )
-    rows = [
-        [
-            record["backend"],
-            record["kind"],
-            record["replications"],
-            record["mean_response_time"],
-            record["stderr"],
-            record["relative_error"],
-            record["wall_seconds"],
-        ]
-        for record in records
-    ]
+    columns = (
+        "backend", "kind", "replications", "mean_response_time", "stderr",
+        "relative_error", "wall_seconds",
+    )
+    rows = [[record[key] for key in columns] for record in records]
     scenario_note = f", scenario {workload.scenario}" if workload.scenario else ""
     print(
         format_table(
@@ -636,12 +657,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.save:
         payload = {
             "policy": args.policy,
-            "system": {
-                "num_servers": system.num_servers,
-                "num_dispatchers": system.num_dispatchers,
-                "profile": system.profile,
-                "rate_seed": system.rate_seed,
-            },
+            "system": cell.describe()["systems"][0],
             "rho": args.rho,
             "rounds": args.rounds,
             "warmup": args.warmup,
@@ -656,19 +672,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_run_result(result) -> None:
-    rows = [["mean_response_time", result.mean_response_time]]
-    print(format_table(["metric", "value"], rows, title="run result"))
-    for label, summary in result.probe_summaries().items():
-        if label in DEFAULT_PROBE_LABELS:
-            continue
-        print(
-            format_table(
-                ["metric", "value"],
-                [[key, value] for key, value in summary.items()],
-                title=f"probe {label}",
-            )
-        )
+def _print_run_result(run, result) -> None:
+    _print_summary("run result", {"mean_response_time": result.mean_response_time})
+    _print_probe_summaries(result)
+    print(f"result written to {run.result_path}")
+
+
+def _run_manifest(directory: Path) -> dict:
+    """``DIR/run.json``; a missing or damaged one ends the command."""
+    from repro.runs.inventory import read_manifest
+
+    manifest = read_manifest(directory)
+    path = directory / "run.json"
+    if manifest is None:
+        raise SystemExit(f"no run manifest at {path}")
+    if manifest.get("kind", "damaged") == "damaged":
+        raise SystemExit(f"damaged run manifest at {path}; it is not a JSON run record")
+    return manifest
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -681,31 +701,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{directory / 'run.json'} already exists; "
             f"continue it with `repro resume {directory}`"
         )
-    system, workload = _system_from(args), _workload_from(args)
-    metrics = _parse_metrics(args.metrics)
+    # The grid validator checks the coordinates (policy, load, backend,
+    # probes) before anything is built or written; the run keeps the
+    # bare --seed rather than a derived cell seed.
+    experiment = _experiment_from(args)
     try:
-        # The grid validator checks the coordinates (policy, load,
-        # backend, probes) before anything is built or written.
-        Experiment(
-            policies=args.policy,
-            systems=system,
-            loads=args.rho,
-            workloads=workload,
-            rounds=args.rounds,
-            warmup=args.warmup,
-            backend=args.backend,
-            metrics=metrics,
-        )
         sim = build_cell_simulation(
-            args.policy,
-            system,
+            experiment.policies[0],
+            experiment.systems[0],
             args.rho,
-            workload,
+            experiment.workloads[0],
             args.seed,
             args.rounds,
             args.warmup,
             args.backend,
-            metrics,
+            experiment.metrics,
         )
         run = Run.create(
             sim,
@@ -725,8 +735,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{run.store.rounds()}; continue with `repro resume {directory}`"
         )
         return 0
-    _print_run_result(result)
-    print(f"result written to {run.result_path}")
+    _print_run_result(run, result)
     return 0
 
 
@@ -734,10 +743,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.runs import ExperimentRun, Run
 
     directory = Path(args.directory)
-    manifest_path = directory / "run.json"
-    if not manifest_path.exists():
-        raise SystemExit(f"no run manifest at {manifest_path}")
-    kind = json.loads(manifest_path.read_text()).get("kind")
+    kind = _run_manifest(directory)["kind"]
     if kind == "experiment_run":
         result = ExperimentRun.open(directory).execute(max_legs=args.max_legs)
         if result is None:
@@ -746,7 +752,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print(f"experiment finished: {len(result.records)} cells")
         return 0
     if kind != "simulation_run":
-        raise SystemExit(f"unrecognized run kind {kind!r} in {manifest_path}")
+        raise SystemExit(f"unrecognized run kind {kind!r} in {directory / 'run.json'}")
     run = Run.open(directory)
     resumable = run.store.rounds()
     if resumable and not run.result_path.exists():
@@ -758,8 +764,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             f"continue with `repro resume {directory}`"
         )
         return 0
-    _print_run_result(result)
-    print(f"result written to {run.result_path}")
+    _print_run_result(run, result)
     return 0
 
 
@@ -780,13 +785,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     target = Path(args.directory)
     stop = None
     if target.is_dir():
-        manifest_path = target / "run.json"
-        if not manifest_path.exists():
-            raise SystemExit(f"no run manifest at {manifest_path}")
-        telemetry = json.loads(manifest_path.read_text()).get(
-            "telemetry", "telemetry.jsonl"
-        )
-        path = Path(telemetry)
+        path = Path(_run_manifest(target).get("telemetry", "telemetry.jsonl"))
         if not path.is_absolute():
             path = target / path
         # Following a run directory ends when the run does -- the same
@@ -850,40 +849,30 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_url(args: argparse.Namespace) -> str:
-    """The API base URL from --url or a data dir's service.json."""
-    if getattr(args, "url", None):
-        return args.url.rstrip("/")
-    data_dir = getattr(args, "data_dir", None)
-    if data_dir:
-        path = Path(data_dir) / "service.json"
-        if not path.exists():
-            raise SystemExit(
-                f"no service manifest at {path}; is `repro serve` running?"
-            )
-        return str(json.loads(path.read_text())["api"]).rstrip("/")
-    raise SystemExit("pass --url or --data-dir to locate the service")
+def _service_endpoint(args: argparse.Namespace, key: str) -> str:
+    """The service's ``"api"`` base URL or ``"coordinator"`` HOST:PORT.
 
-
-def _coordinator_address(args: argparse.Namespace) -> tuple[str, int]:
-    """The worker socket address from --connect or service.json."""
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        try:
-            return (host or "127.0.0.1", int(port))
-        except ValueError:
-            raise SystemExit(
-                f"invalid --connect {args.connect!r}; expected HOST:PORT"
-            )
-    if args.data_dir:
-        path = Path(args.data_dir) / "service.json"
-        if not path.exists():
-            raise SystemExit(
-                f"no service manifest at {path}; is `repro serve` running?"
-            )
-        host, port = json.loads(path.read_text())["coordinator"]
-        return (str(host), int(port))
-    raise SystemExit("pass --connect or --data-dir to locate the coordinator")
+    Taken from ``--url``/``--connect`` when given, else from the
+    ``service.json`` manifest ``repro serve`` writes into ``--data-dir``.
+    """
+    flag = {"api": "url", "coordinator": "connect"}[key]
+    if getattr(args, flag):
+        return getattr(args, flag).rstrip("/")
+    if not args.data_dir:
+        raise SystemExit(f"pass --{flag} or --data-dir to locate the service")
+    path = Path(args.data_dir) / "service.json"
+    if not path.exists():
+        raise SystemExit(f"no service manifest at {path}; is `repro serve` running?")
+    try:
+        manifest = json.loads(path.read_text())
+        host, port = manifest["coordinator"]
+        endpoints = {"api": str(manifest["api"]), "coordinator": f"{host}:{int(port)}"}
+    except (OSError, ValueError, KeyError, TypeError):
+        raise SystemExit(
+            f"damaged service manifest at {path}; expected the 'api' and "
+            f"'coordinator' entries `repro serve` writes"
+        )
+    return endpoints[key].rstrip("/")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -940,7 +929,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from repro.service import run_worker
 
-    address = _coordinator_address(args)
+    connect = _service_endpoint(args, "coordinator")
+    host, _, port = connect.rpartition(":")
+    try:
+        address = (host or "127.0.0.1", int(port))
+    except ValueError:
+        raise SystemExit(f"invalid --connect {connect!r}; expected HOST:PORT")
     print(f"worker connecting to {address[0]}:{address[1]}")
     try:
         done = run_worker(
@@ -967,8 +961,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         body = json.loads(Path(args.descriptor).read_text())
         descriptor = body.get("experiment", body)
     else:
-        descriptor = _grid_from(args).describe()
-    url = _service_url(args)
+        descriptor = _experiment_from(args).describe()
+    url = _service_endpoint(args, "api")
     try:
         status = submit_job(
             url,
@@ -997,7 +991,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError, job_status, service_status
 
-    url = _service_url(args)
+    url = _service_endpoint(args, "api")
     try:
         if args.job:
             payload = job_status(url, args.job)
@@ -1044,7 +1038,7 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_cancel(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError, cancel_job
 
-    url = _service_url(args)
+    url = _service_endpoint(args, "api")
     try:
         status = cancel_job(url, args.job)
     except ServiceError as error:
@@ -1086,17 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="declarative grid: policies x systems x loads x replications",
     )
-    p.add_argument("--policies", nargs="+", default=["scd", "jsq", "sed"])
-    p.add_argument(
-        "--systems",
-        nargs="+",
-        default=["100x10"],
-        metavar="NxM",
-        help="systems as SERVERSxDISPATCHERS tokens, e.g. 100x10 200x20",
-    )
-    p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
-    p.add_argument("--replications", "-r", type=int, default=1)
-    _add_workload_args(p)
+    _add_grid_args(p)
     p.add_argument(
         "--workers",
         "-j",
@@ -1104,56 +1088,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process-pool workers (1 = serial; results are identical)",
     )
-    p.add_argument(
-        "--backend",
-        default="reference",
-        metavar="BACKEND",
-        help="engine round kernel: 'reference' (bit-exact default), "
-        "'fast' (vectorized; bit-identical for deterministic policies, "
-        "statistically equivalent for stochastic ones), or "
-        "'sharded[:N[:serial|process]]' (server-partitioned fast kernel); "
-        "see `repro backends`",
-    )
-    p.add_argument(
-        "--metrics",
-        nargs="*",
-        default=[],
-        metavar="PROBE",
-        help="extra observability probes per cell, as NAME or "
-        "NAME:key=value[,key=value]; summaries land in each record's "
-        "metrics as NAME.key columns; see `repro probes`",
-    )
-    p.add_argument(
-        "--profile",
-        default="u1_10",
-        choices=["u1_10", "u1_100", "bimodal", "homogeneous"],
-    )
-    p.add_argument("--rate-seed", type=int, default=7)
     p.add_argument("--save", help="write the full result grid as JSON")
-    _add_run_args(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("simulate", help="run one policy at one load")
     p.add_argument("--policy", default="scd")
     p.add_argument("--rho", type=float, default=0.9)
     p.add_argument("--save", help="write the result as JSON")
-    p.add_argument(
-        "--backend",
-        default="reference",
-        metavar="BACKEND",
-        help="engine round kernel, e.g. reference, fast or sharded:4 "
-        "(see `repro backends`)",
-    )
-    p.add_argument(
-        "--metrics",
-        nargs="*",
-        default=[],
-        metavar="PROBE",
-        help="extra observability probes (see `repro probes`); summaries "
-        "print after the run and persist with --save",
-    )
+    _add_engine_args(p)
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="mean response over a load grid")
@@ -1161,14 +1104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
     p.add_argument("--save", help="write the sweep's records as experiment JSON")
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tails", help="tail quantiles at one load")
     p.add_argument("--policies", nargs="+", default=["scd", "sed", "hlsq"])
     p.add_argument("--rho", type=float, default=0.99)
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_tails)
 
     p = sub.add_parser("runtime", help="decision-time CDFs (Figures 5/8)")
@@ -1189,20 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="scd")
     p.add_argument("--rho", type=float, default=0.9)
     _add_workload_args(p)
-    p.add_argument(
-        "--backend",
-        default="reference",
-        metavar="BACKEND",
-        help="engine round kernel, e.g. reference, fast or sharded:4 "
-        "(see `repro backends`)",
-    )
-    p.add_argument(
-        "--metrics",
-        nargs="*",
-        default=[],
-        metavar="PROBE",
-        help="extra observability probes (see `repro probes`)",
-    )
+    _add_engine_args(p)
     p.add_argument(
         "--checkpoint-dir",
         required=True,
@@ -1236,7 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pause after N checkpoints (resume with `repro resume`)",
     )
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -1319,15 +1246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "worker", help="serve cells for a coordinator until drained/stopped"
     )
-    p.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="coordinator worker-socket address",
-    )
-    p.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        help="discover the coordinator from DIR/service.json instead",
+    _add_locator_args(
+        p, "--connect", "HOST:PORT", "coordinator worker-socket address"
     )
     p.add_argument("--name", help="worker identity (default hostname-pid)")
     p.add_argument(
@@ -1355,12 +1275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "submit", help="submit an experiment grid to a running service"
     )
-    p.add_argument("--url", metavar="URL", help="job API base URL")
-    p.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        help="discover the API from DIR/service.json instead",
-    )
+    _add_locator_args(p, "--url", "URL", "job API base URL")
     p.add_argument(
         "--descriptor",
         metavar="FILE",
@@ -1380,11 +1295,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream the job's telemetry until it finishes",
     )
-    p.add_argument("--policies", nargs="+", default=["scd", "jsq", "sed"])
-    p.add_argument("--systems", nargs="+", default=["100x10"], metavar="NxM")
-    p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
-    p.add_argument("--replications", "-r", type=int, default=1)
-    _add_workload_args(p)
     p.add_argument(
         "--priority",
         type=int,
@@ -1393,45 +1303,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduling priority: higher-priority jobs' cells are leased "
         "first (default 0; ties run in submission order)",
     )
-    p.add_argument("--backend", default="reference", metavar="BACKEND")
-    p.add_argument("--metrics", nargs="*", default=[], metavar="PROBE")
-    p.add_argument(
-        "--profile",
-        default="u1_10",
-        choices=["u1_10", "u1_100", "bimodal", "homogeneous"],
-    )
-    p.add_argument("--rate-seed", type=int, default=7)
-    _add_run_args(p)
+    _add_grid_args(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
         "status", help="show a running service's workers, leases and jobs"
     )
     p.add_argument("job", nargs="?", help="a job id for per-job status")
-    p.add_argument("--url", metavar="URL", help="job API base URL")
-    p.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        help="discover the API from DIR/service.json instead",
-    )
+    _add_locator_args(p, "--url", "URL", "job API base URL")
     p.add_argument("--json", action="store_true", help="print raw JSON")
     p.set_defaults(func=cmd_status)
 
     p = sub.add_parser("cancel", help="stop a running job on a service")
     p.add_argument("job", help="the job id to cancel")
-    p.add_argument("--url", metavar="URL", help="job API base URL")
-    p.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        help="discover the API from DIR/service.json instead",
-    )
+    _add_locator_args(p, "--url", "URL", "job API base URL")
     p.set_defaults(func=cmd_cancel)
 
     p = sub.add_parser("stability", help="empirical verdict + Appendix D bound")
     p.add_argument("--policy", default="scd")
     p.add_argument("--rho", type=float, default=0.95)
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser(
@@ -1461,7 +1352,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     p.add_argument("--save", help="write the comparison table as JSON")
     _add_system_args(p)
-    _add_run_args(p)
     p.set_defaults(func=cmd_compare)
 
     return parser

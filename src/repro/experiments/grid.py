@@ -166,8 +166,12 @@ class Experiment:
         object.__setattr__(self, "loads", loads)
         object.__setattr__(self, "workloads", workloads)
         object.__setattr__(self, "metrics", metrics)
-        if len({s.label for s in metrics}) != len(metrics):
-            raise ValueError("probe labels must be unique")
+        labels = [s.label for s in metrics]
+        for index, label in enumerate(labels):
+            if label in labels[:index]:
+                raise ValueError(
+                    f"probe labels must be unique: duplicate probe {label!r}"
+                )
         defaults = {s.name for s in metrics} & set(DEFAULT_PROBE_LABELS)
         if defaults:
             raise ValueError(
@@ -177,7 +181,10 @@ class Experiment:
         # Fail fast on unknown probe / policy names, bad kwargs and bad
         # loads (the registry's own error) instead of mid-grid on a worker.
         for spec in metrics:
-            spec.build()
+            try:
+                spec.build()
+            except TypeError as error:
+                raise ValueError(f"probe {spec.label!r}: {error}") from None
         for policy in policies:
             try:
                 policy.build()
@@ -205,7 +212,10 @@ class Experiment:
         from repro.sim.backends import backend_capabilities, make_backend
         from repro.sim.sized import is_unit_size
 
-        make_backend(self.backend)
+        try:
+            make_backend(self.backend)
+        except ValueError as error:
+            raise ValueError(f"invalid backend: {error}") from None
         caps = backend_capabilities(self.backend)
         unsupported = [s.label for s in metrics if not caps.allows_probe(s.name)]
         if unsupported:

@@ -22,10 +22,15 @@ from pathlib import Path
 
 from .telemetry import iter_events
 
-__all__ = ["inspect_run", "scan_runs"]
+__all__ = ["inspect_run", "read_manifest", "scan_runs"]
 
 
-def _read_manifest(directory: Path) -> dict | None:
+def read_manifest(directory: Path) -> dict | None:
+    """``DIR/run.json`` as a dict; ``None`` when absent.
+
+    A manifest that is unreadable, not JSON or not a JSON object comes
+    back as ``{"kind": "damaged"}`` instead of raising.
+    """
     path = directory / "run.json"
     if not path.exists():
         return None
@@ -75,7 +80,7 @@ def inspect_run(directory: str | Path) -> dict | None:
     number, ``None`` when the log is empty or absent).
     """
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    manifest = read_manifest(directory)
     if manifest is None:
         return None
     kind = manifest.get("kind", "damaged")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC
 
-from repro.sim._registry import BackendRegistry
+from repro.sim._registry import BackendRegistry, parse_params
 
 __all__ = [
     "Scenario",
@@ -38,16 +38,6 @@ __all__ = [
     "scenario_descriptions",
     "apply_scenario",
 ]
-
-
-def _coerce(text: str):
-    """Best-effort int -> float -> str coercion for ``key=value`` params."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 class Scenario(ABC):
@@ -78,17 +68,10 @@ class Scenario(ABC):
 
         This is the :meth:`BackendRegistry.factory` seam: the registry
         splits ``"flash:spike=6,at=2048"`` at the first ``:`` and hands
-        the remainder here, so every scenario shares one grammar.
+        the remainder here, so every scenario shares one grammar
+        (:func:`~repro.sim._registry.parse_params`).
         """
-        for pair in param.split(","):
-            key, eq, value = pair.partition("=")
-            if not eq or not key:
-                raise ValueError(
-                    f"invalid scenario parameter {pair!r}; expected key=value"
-                )
-            if key in kwargs:
-                raise ValueError(f"duplicate scenario parameter {key!r}")
-            kwargs[key] = _coerce(value)
+        kwargs = parse_params(param, "scenario", kwargs)
         try:
             return cls(**kwargs)
         except TypeError as error:

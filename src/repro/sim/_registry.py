@@ -7,6 +7,11 @@ resolver accepting names or instances, and sorted name/description
 listings for the CLI.  Keeping that behavior in one place means the
 registries cannot drift (case handling, duplicate detection, error
 shapes) and another registry costs one instantiation.
+
+:func:`parse_params` is the one ``key=value[,key=value...]`` grammar of
+spec-string parameters: scenario suffixes (``"flash:spike=6,at=2048"``)
+and ``repro --metrics`` tokens (``"windowed_mean:window=50"``) both
+parse through it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,35 @@ from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["BackendCapabilities", "BackendRegistry"]
+__all__ = ["BackendCapabilities", "BackendRegistry", "parse_params"]
+
+
+def _coerce(text: str):
+    """Best-effort int -> float -> str coercion for ``key=value`` params."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
+
+
+def parse_params(text: str, kind: str, kwargs: dict | None = None) -> dict:
+    """``"key=value[,key=value...]"`` -> kwargs, values coerced int/float/str.
+
+    ``kind`` names the spec family in errors (``"scenario"``,
+    ``"probe"``).  A repeated key -- within ``text`` or against the
+    given ``kwargs`` -- is an error, never a silent last-one-wins.
+    """
+    params = dict(kwargs or {})
+    for pair in text.split(","):
+        key, eq, value = pair.partition("=")
+        if not eq or not key:
+            raise ValueError(f"invalid {kind} parameter {pair!r}; expected key=value")
+        if key in params:
+            raise ValueError(f"duplicate {kind} parameter {key!r}")
+        params[key] = _coerce(value)
+    return params
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -33,6 +34,238 @@ def run_cli_process(*argv):
         timeout=120,
         env=env,
     )
+
+
+# Every subcommand's flags as (option strings -> action, type, nargs,
+# choices, default, required).  Refactors of the parser must keep this
+# table exactly: no flag gained, lost or re-defaulted.
+PROFILE = "store choices=['u1_10', 'u1_100', 'bimodal', 'homogeneous'] default='u1_10'"
+PARSER_PIN = {
+    "policies": {},
+    "backends": {},
+    "probes": {},
+    "scenarios": {},
+    "experiment": {
+        "--policies": "store nargs='+' default=['scd', 'jsq', 'sed']",
+        "--systems": "store nargs='+' default=['100x10']",
+        "--loads": "store type=float nargs='+' default=[0.7, 0.9, 0.99]",
+        "--replications/-r": "store type=int default=1",
+        "--workload": "store default='paper'",
+        "--scenario": "store",
+        "--workers/-j": "store type=int default=1",
+        "--backend": "store default='reference'",
+        "--metrics": "store nargs='*' default=[]",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--save": "store",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "simulate": {
+        "--policy": "store default='scd'",
+        "--rho": "store type=float default=0.9",
+        "--save": "store",
+        "--backend": "store default='reference'",
+        "--metrics": "store nargs='*' default=[]",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "sweep": {
+        "--policies": "store nargs='+' default=['scd', 'jsq', 'sed']",
+        "--loads": "store type=float nargs='+' default=[0.7, 0.9, 0.99]",
+        "--save": "store",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "tails": {
+        "--policies": "store nargs='+' default=['scd', 'sed', 'hlsq']",
+        "--rho": "store type=float default=0.99",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "runtime": {
+        "--servers": "store type=int nargs='+' default=[100, 200, 300, 400]",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": "store choices=['u1_10', 'u1_100', 'bimodal'] default='u1_10'",
+        "--snapshots": "store type=int default=200",
+        "--sim-rounds": "store type=int default=100",
+        "--seed": "store type=int default=0",
+    },
+    "run": {
+        "--policy": "store default='scd'",
+        "--rho": "store type=float default=0.9",
+        "--workload": "store default='paper'",
+        "--scenario": "store",
+        "--backend": "store default='reference'",
+        "--metrics": "store nargs='*' default=[]",
+        "--checkpoint-dir": "store required",
+        "--checkpoint-every": "store type=int default=1",
+        "--telemetry": "store",
+        "--keep": "store type=int",
+        "--max-legs": "store type=int",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "resume": {
+        "directory": "store required",
+        "--max-legs": "store type=int",
+    },
+    "tail": {
+        "directory": "store required",
+        "--follow/-f": "store_true nargs=0",
+        "--raw": "store_true nargs=0",
+    },
+    "runs list": {
+        "directory": "store required",
+        "--json": "store_true nargs=0",
+    },
+    "serve": {
+        "--data-dir": "store required",
+        "--host": "store default='127.0.0.1'",
+        "--port": "store type=int default=0",
+        "--coordinator-port": "store type=int default=0",
+        "--heartbeat-interval": "store type=float default=2.0",
+        "--heartbeat-misses": "store type=int default=3",
+        "--token": "store",
+    },
+    "worker": {
+        "--connect": "store",
+        "--data-dir": "store",
+        "--name": "store",
+        "--workdir": "store",
+        "--max-cells": "store type=int",
+        "--exit-when-idle": "store_true nargs=0",
+        "--poll-interval": "store type=float default=0.5",
+        "--token": "store",
+    },
+    "submit": {
+        "--url": "store",
+        "--data-dir": "store",
+        "--descriptor": "store",
+        "--checkpoint-every": "store type=int default=1",
+        "--follow/-f": "store_true nargs=0",
+        "--policies": "store nargs='+' default=['scd', 'jsq', 'sed']",
+        "--systems": "store nargs='+' default=['100x10']",
+        "--loads": "store type=float nargs='+' default=[0.7, 0.9, 0.99]",
+        "--replications/-r": "store type=int default=1",
+        "--workload": "store default='paper'",
+        "--scenario": "store",
+        "--priority": "store type=int default=0",
+        "--backend": "store default='reference'",
+        "--metrics": "store nargs='*' default=[]",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "status": {
+        "job": "store nargs='?'",
+        "--url": "store",
+        "--data-dir": "store",
+        "--json": "store_true nargs=0",
+    },
+    "cancel": {
+        "job": "store required",
+        "--url": "store",
+        "--data-dir": "store",
+    },
+    "stability": {
+        "--policy": "store default='scd'",
+        "--rho": "store type=float default=0.95",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+    "compare": {
+        "--backends": "store nargs='+' default=['fast', 'meanfield']",
+        "--policy": "store default='jsq(2)'",
+        "--rho": "store type=float default=0.9",
+        "--replications/-r": "store type=int default=3",
+        "--workload": "store default='paper'",
+        "--scenario": "store",
+        "--save": "store",
+        "--servers/-n": "store type=int default=100",
+        "--dispatchers/-m": "store type=int default=10",
+        "--profile": PROFILE,
+        "--rate-seed": "store type=int default=7",
+        "--rounds": "store type=int default=5000",
+        "--warmup": "store type=int default=0",
+        "--seed": "store type=int default=0",
+    },
+}
+
+ACTION_KINDS = {
+    argparse._StoreAction: "store",
+    argparse._StoreTrueAction: "store_true",
+}
+
+
+def iter_subparsers(parser, prefix=()):
+    """Yield ``("runs list", subparser)`` pairs for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from iter_subparsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def flag_pin(action) -> str:
+    fields = [ACTION_KINDS[type(action)]]
+    if action.type is not None:
+        fields.append(f"type={action.type.__name__}")
+    for key in ("nargs", "choices", "default"):
+        value = getattr(action, key)
+        if value is not None and not (key == "default" and value is False):
+            fields.append(f"{key}={value!r}")
+    if action.required:
+        fields.append("required")
+    return " ".join(fields)
+
+
+class TestParserPin:
+    def test_every_flag_is_pinned(self):
+        actual = {
+            name: {
+                "/".join(action.option_strings) or action.dest: flag_pin(action)
+                for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, sub in iter_subparsers(build_parser())
+        }
+        assert actual == PARSER_PIN
+
+    def test_help_renders_for_every_subcommand(self):
+        """A stray % in a help string only fails when --help renders."""
+        for name, sub in iter_subparsers(build_parser()):
+            text = sub.format_help()
+            assert text.startswith("usage: repro"), name
 
 
 class TestParser:
@@ -365,3 +598,80 @@ class TestBadCoordinates:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", "--policy", "nope", *SMALL),
+            ("compare", "--rho", "-1", *SMALL),
+            ("submit", "--policies", "nope", *GRID),
+        ],
+    )
+    def test_invalid_experiment_prefix(self, argv):
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("invalid experiment: "), proc.stderr
+
+
+class TestCompareValidatesFirst:
+    def test_no_cell_runs_before_every_backend_is_valid(self, monkeypatch):
+        """meanfield refuses sized workloads; that must surface before
+        the fast backend spends its run."""
+        from repro.experiments import Experiment
+
+        ran = []
+        monkeypatch.setattr(Experiment, "run", lambda self, **kw: ran.append(self))
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "compare", "--backends", "fast,meanfield",
+                "--workload", "sized:geom:2", "--servers", "20",
+                "--dispatchers", "4", "--rounds", "100",
+            ])
+        message = str(excinfo.value)
+        assert message.startswith("invalid experiment: ")
+        assert "'meanfield' cannot run sized workloads" in message
+        assert ran == []
+
+
+class TestKeyValueGrammar:
+    def test_duplicate_probe_key_rejected(self):
+        with pytest.raises(SystemExit, match="duplicate probe parameter 'window'"):
+            main([
+                "simulate", "--servers", "4", "--dispatchers", "2",
+                "--rounds", "20", "--metrics", "windowed_mean:window=5,window=7",
+            ])
+
+    def test_probes_and_scenarios_share_one_grammar(self):
+        from repro.scenarios import make_scenario
+        from repro.sim._registry import parse_params
+
+        assert parse_params("a=1,b=2.5,c=x", "probe") == {"a": 1, "b": 2.5, "c": "x"}
+        with pytest.raises(ValueError, match="duplicate scenario parameter 'at'"):
+            make_scenario("flash:at=5,at=7")
+        with pytest.raises(ValueError, match="duplicate probe parameter 'a'"):
+            parse_params("a=1", "probe", {"a": 2})
+
+
+class TestDamagedManifests:
+    @pytest.mark.parametrize("command", ["resume", "tail"])
+    def test_damaged_run_manifest(self, command, tmp_path):
+        (tmp_path / "run.json").write_text("{not json")
+        with pytest.raises(SystemExit, match="damaged run manifest"):
+            main([command, str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("status",),
+            ("cancel", "job-0001"),
+            ("submit", "--policies", "jsq", "--systems", "6x2"),
+            ("worker",),
+        ],
+    )
+    @pytest.mark.parametrize("manifest", ['{"pid": 1}', "[1, 2]", "{"])
+    def test_damaged_service_manifest(self, argv, manifest, tmp_path):
+        (tmp_path / "service.json").write_text(manifest)
+        with pytest.raises(SystemExit, match="damaged service manifest"):
+            main([*argv, "--data-dir", str(tmp_path)])
