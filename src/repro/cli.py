@@ -174,8 +174,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="reference",
         metavar="BACKEND",
         help="engine round kernel: 'reference' (bit-exact default), "
-        "'fast' (vectorized; bit-identical for deterministic policies, "
-        "statistically equivalent for stochastic ones), "
+        "'fast' (vectorized; bit-identical to reference), "
         "'sharded[:N[:serial|process]]' (server-partitioned fast kernel), "
         "'compiled' or 'meanfield'; see `repro backends`",
     )

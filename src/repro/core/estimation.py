@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 __all__ = [
     "ArrivalEstimator",
     "ScaledOwnArrivals",
@@ -54,6 +56,19 @@ class ArrivalEstimator(ABC):
             ``m``, the number of dispatchers in the system.
         """
 
+    def estimate_many(self, own_arrivals: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        """Estimates for a round's non-empty batches, in dispatcher order.
+
+        Returns a float array equal, entry by entry, to :meth:`estimate`
+        called on each batch in turn.  This default makes exactly those
+        calls, so stateful estimators (EWMA) see the per-dispatcher call
+        sequence; stateless ones override it with one vector operation.
+        """
+        return np.array(
+            [self.estimate(k, num_dispatchers) for k in own_arrivals.tolist()],
+            dtype=np.float64,
+        )
+
     def observe_total(self, total_arrivals: int) -> None:
         """Feed the true round total (used only by the oracle).
 
@@ -71,6 +86,9 @@ class ScaledOwnArrivals(ArrivalEstimator):
     def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
         return float(max(1, num_dispatchers * own_arrivals))
 
+    def estimate_many(self, own_arrivals: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        return np.maximum(num_dispatchers * own_arrivals, 1).astype(np.float64)
+
 
 class OracleTotal(ArrivalEstimator):
     """Uses the true total arrivals of the round (unrealizable baseline)."""
@@ -83,6 +101,9 @@ class OracleTotal(ArrivalEstimator):
 
     def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
         return float(self._total)
+
+    def estimate_many(self, own_arrivals: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        return np.full(own_arrivals.size, float(self._total))
 
     def reset(self) -> None:
         self._total = 1
@@ -98,6 +119,9 @@ class ConstantEstimator(ArrivalEstimator):
 
     def estimate(self, own_arrivals: int, num_dispatchers: int) -> float:
         return self.value
+
+    def estimate_many(self, own_arrivals: np.ndarray, num_dispatchers: int) -> np.ndarray:
+        return np.full(own_arrivals.size, self.value)
 
 
 class EwmaEstimator(ArrivalEstimator):

@@ -19,6 +19,8 @@ Two implementations are provided:
   Algorithm 3 (iterative water filling, ``O(n)`` given the sort order).
 * :func:`compute_iwl` -- a vectorized prefix-sum formulation used by the
   simulator (identical output; property-tested against the reference).
+  It validates its inputs and solves on a :class:`LoadSnapshot`, the
+  kernel SCD's round snapshot shares.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "LoadSnapshot",
     "compute_iwl",
     "compute_iwl_reference",
     "compute_iba",
@@ -54,12 +57,61 @@ def _validate(
         )
     if queues.ndim != 1 or queues.size == 0:
         raise ValueError("queues must be a non-empty 1-D array")
-    if (rates <= 0).any():
-        raise ValueError("all service rates must be strictly positive")
+    _check_rates(rates)
     if (queues < 0).any():
         raise ValueError("queue lengths must be non-negative")
     if (np.asarray(arrivals) < 0).any():
         raise ValueError("arrivals must be non-negative")
+
+
+def _check_rates(rates: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every rate is finite and positive.
+
+    ``rates <= 0`` alone lets NaN through (every comparison with NaN is
+    false), so finiteness is checked explicitly.
+    """
+    if not (np.isfinite(rates).all() and (rates > 0).all()):
+        raise ValueError("service rates must be finite and strictly positive")
+
+
+class LoadSnapshot:
+    """A validated snapshot in load order: the water-fill kernel.
+
+    Built once per snapshot from float queues, rates and a stable
+    ``argsort`` of the loads ``q_s / mu_s`` (``O(n)`` given the order);
+    :meth:`levels` then solves any number of arrival values with one
+    ``searchsorted``.  Inputs are trusted: :func:`compute_iwl` validates
+    before building one, and :class:`repro.core.scd.SCDPolicy` checks its
+    rates once at bind and its queues once per round.
+    """
+
+    __slots__ = ("floor", "q_cum", "mu_cum", "need")
+
+    def __init__(
+        self, queues: np.ndarray, rates: np.ndarray, loads: np.ndarray, order: np.ndarray
+    ) -> None:
+        loads_sorted = loads[order]
+        #: The lowest load: the level of zero arrivals.
+        self.floor = loads_sorted[0]
+        # With the k+1 least-loaded servers active (k = 0..n-1), the work
+        # needed to raise them all to the load of server k+1 (the next
+        # level) is
+        #   need_k = M_{k+1} * loads_sorted[k+1] - Q_{k+1}
+        # where M, Q are prefix sums of mu and q.  need is non-decreasing,
+        # so the number of levels fully absorbed is found with searchsorted.
+        self.mu_cum = rates[order].cumsum()
+        self.q_cum = queues[order].cumsum()
+        self.need = self.mu_cum[:-1] * loads_sorted[1:] - self.q_cum[:-1]
+
+    def levels(self, arrivals: float | np.ndarray) -> float | np.ndarray:
+        """The IWL for positive ``arrivals`` (a scalar or a 1-D array).
+
+        Entry ``i`` of an array result is bit-identical to the scalar
+        call with ``arrivals[i]``.
+        """
+        k = self.need.searchsorted(arrivals, side="left")
+        # k servers-boundaries fully crossed => k + 1 active servers.
+        return (arrivals + self.q_cum[k]) / self.mu_cum[k]
 
 
 def compute_iwl_reference(
@@ -161,27 +213,11 @@ def compute_iwl(
     loads = queues / rates
     if order is None:
         order = np.argsort(loads, kind="stable")
-    loads_sorted = loads[order]
-    mu_sorted = rates[order]
-    q_sorted = queues[order]
-
-    if not many and arrivals == 0.0:
-        return float(loads_sorted[0])
-
-    # With the k+1 least-loaded servers active (k = 0..n-1), the work needed
-    # to raise them all to the load of server k+1 (the next level) is
-    #   need_k = M_{k+1} * loads_sorted[k+1] - Q_{k+1}
-    # where M, Q are prefix sums of mu and q.  need is non-decreasing, so
-    # the number of levels fully absorbed is found with searchsorted.
-    mu_cum = np.cumsum(mu_sorted)
-    q_cum = np.cumsum(q_sorted)
-    need = mu_cum[:-1] * loads_sorted[1:] - q_cum[:-1]
-    k = np.searchsorted(need, arrivals, side="left")
-    # k servers-boundaries fully crossed => k + 1 active servers.
-    level = (arrivals + q_cum[k]) / mu_cum[k]
+    snapshot = LoadSnapshot(queues, rates, loads, order)
     if not many:
-        return float(level)
-    level[arrivals == 0.0] = loads_sorted[0]
+        return float(snapshot.floor if arrivals == 0.0 else snapshot.levels(arrivals))
+    level = snapshot.levels(arrivals)
+    level[arrivals == 0.0] = snapshot.floor
     return level
 
 

@@ -22,6 +22,8 @@ sorted by ``(2q_s + 1) / mu_s``.  Three implementations are provided:
   Lemma 2 decomposition ``f(P) = v1*Lambda0^2 - v2``.
 * :func:`scd_probabilities`           -- a vectorized formulation of
   Algorithm 4 (cumulative sums + masked argmin); the simulator's hot path.
+  It validates its inputs and solves on a :class:`KeySnapshot`, the
+  kernel SCD's round snapshot shares.
 
 All three return identical vectors (property-tested), and agree with the
 exact brute-force / SLSQP reference solvers in
@@ -72,7 +74,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .iwl import _check_rates
+
 __all__ = [
+    "KeySnapshot",
     "scd_probabilities",
     "scd_probabilities_loop",
     "scd_probabilities_quadratic",
@@ -150,11 +155,86 @@ def _check_inputs(
     rates = np.asarray(rates, dtype=np.float64)
     if queues.shape != rates.shape or queues.ndim != 1 or queues.size == 0:
         raise ValueError("queues and rates must be equal-shape non-empty 1-D arrays")
-    if (rates <= 0).any():
-        raise ValueError("all service rates must be strictly positive")
+    _check_rates(rates)
     if (np.asarray(arrivals) < 1).any():
         raise ValueError(f"arrivals must be >= 1, got {arrivals}")
     return queues, rates
+
+
+class KeySnapshot:
+    """A validated snapshot in probable-set key order: the Algorithm 4 kernel.
+
+    Built once per snapshot from float queues, rates, the
+    :func:`priority_key` values with ``offset`` and their stable
+    ``argsort`` (``O(n)`` given the order).  :meth:`solve` then solves
+    any number of ``(a, iwl)`` pairs as one ``(k, n)`` problem.  Inputs
+    are trusted: :func:`scd_probabilities` validates before building
+    one, and :class:`repro.core.scd.SCDPolicy` checks its rates once at
+    bind and its queues once per round.
+    """
+
+    __slots__ = ("order", "mu", "q", "key", "mu_cum", "offset", "offsets")
+
+    def __init__(
+        self,
+        queues: np.ndarray,
+        rates: np.ndarray,
+        key: np.ndarray,
+        order: np.ndarray,
+        offset: float,
+    ) -> None:
+        self.order = order
+        self.mu = rates[order]
+        self.q = queues[order]
+        self.key = key[order]
+        # The Lambda0 denominator of every prefix (Eq. 16).
+        self.mu_cum = self.mu.cumsum()
+        self.offset = offset
+        self.offsets = offset * np.arange(1, key.size + 1)
+
+    def solve(
+        self, arrivals: np.ndarray, iwl: np.ndarray, mean_size: float
+    ) -> np.ndarray:
+        """Clipped probabilities for 1-D float arrays of ``(a, iwl)`` pairs.
+
+        Returns a ``(k, n)`` matrix in server order; row ``i`` depends on
+        ``(arrivals[i], iwl[i])`` and the snapshot only.  Rows with
+        ``a == 1`` are solved with a stand-in ``a = 2`` (the general
+        formula divides by ``a - 1``), then replaced by Eq. (9).
+        """
+        single = arrivals == 1
+        # One row per pair: a and iwl become columns, the servers run
+        # along the rows in key order.
+        a = np.where(single, 2.0, arrivals)[:, None]
+        iwl = iwl[:, None]
+        quad = mean_size * (a - 1.0)  # the quadratic weight (a - 1 for unit jobs)
+        two_quad = 2.0 * quad
+        gain = self.mu * iwl - self.q  # mu_s*iwl - q_s per server
+        lam0 = (2.0 * gain.cumsum(axis=1) - self.offsets - two_quad) / self.mu_cum
+
+        feasible = 2.0 * iwl - self.key >= lam0 - _FEAS_EPS
+
+        four_quad = 4.0 * quad
+        numer = -2.0 * gain + self.offset  # == 2(q_s - mu_s*iwl) + offset
+        v1 = self.mu_cum / four_quad
+        v2 = (numer * numer / self.mu).cumsum(axis=1) / four_quad
+        val = v1 * lam0 * lam0 - v2
+        val[~feasible] = np.inf
+        best = val.argmin(axis=1)
+        lam0_best = lam0[np.arange(best.size), best][:, None]
+
+        # Eq. (14) in key order: 2(mu_s*iwl - q_s) - offset is exactly
+        # -numer, because IEEE rounding is symmetric in sign.
+        p_key = (-numer - self.mu * lam0_best) / two_quad
+        np.maximum(p_key, 0.0, out=p_key)
+        if single.any():
+            # Eq. (9): uniform over the argmin of the key, which the
+            # sorted key holds first.
+            winners = self.key <= self.key[0] + _FEAS_EPS
+            p_key[single] = winners / winners.sum()
+        p = np.empty_like(p_key)
+        p[:, self.order] = p_key
+        return p
 
 
 def scd_probabilities_quadratic(
@@ -309,57 +389,15 @@ def scd_probabilities(
         raise ValueError(
             f"mean_size and offset must be positive, got {mean_size}, {offset}"
         )
-    many = np.ndim(arrivals) > 0
-    if many:
-        # One row per pair: a and iwl become columns, the servers run along
-        # the rows.  Rows with a == 1 are solved with a stand-in a = 2 (the
-        # general formula divides by a - 1), then replaced by Eq. (9).
-        single = np.asarray(arrivals) == 1
-        a = np.where(single, 2.0, arrivals)[:, None]
-        iwl = np.asarray(iwl, dtype=np.float64).reshape(-1, 1)
-    elif arrivals == 1:
-        return single_job_probabilities(queues, rates, offset=offset)
-    else:
-        a = float(arrivals)
-
     key = priority_key(queues, rates, offset=offset)
     if order is None:
         order = np.argsort(key, kind="stable")
-
-    mu_o = rates[order]
-    q_o = queues[order]
-    key_o = key[order]
-
-    quad = mean_size * (a - 1.0)  # the quadratic weight (a - 1 for unit jobs)
-    two_quad = 2.0 * quad
-    gain = mu_o * iwl - q_o  # mu_s*iwl - q_s per server, in key order
-    lam0_num = (
-        2.0 * np.cumsum(gain, axis=-1)
-        - offset * np.arange(1, key_o.size + 1)
-        - two_quad
+    rows = KeySnapshot(queues, rates, key, order, offset).solve(
+        np.atleast_1d(np.asarray(arrivals, dtype=np.float64)),
+        np.atleast_1d(np.asarray(iwl, dtype=np.float64)),
+        mean_size,
     )
-    lam0_den = np.cumsum(mu_o)
-    lam0 = lam0_num / lam0_den
-
-    feasible = 2.0 * iwl - key_o >= lam0 - _FEAS_EPS
-
-    four_quad = 4.0 * quad
-    numer = -2.0 * gain + offset  # == 2(q_s - mu_s*iwl) + offset
-    v1 = lam0_den / four_quad
-    v2 = np.cumsum(numer * numer / mu_o, axis=-1) / four_quad
-    val = v1 * lam0 * lam0 - v2
-    val[~feasible] = np.inf
-    best = np.argmin(val, axis=-1)
-    if many:
-        lam0_best = lam0[np.arange(best.size), best][:, None]
-    else:
-        lam0_best = lam0[best]
-
-    p = (2.0 * (rates * iwl - queues) - offset - rates * lam0_best) / two_quad
-    np.maximum(p, 0.0, out=p)
-    if many and single.any():
-        p[single] = single_job_probabilities(queues, rates, offset=offset)
-    return p
+    return rows if np.ndim(arrivals) > 0 else rows[0]
 
 
 def kkt_residuals(

@@ -8,16 +8,22 @@ Per round, a dispatcher that received ``a_d`` jobs:
 4. draws each job's destination i.i.d. from ``P``.
 
 Step 4 over a whole batch is a multinomial draw.  Steps 2-3 depend only on
-the shared snapshot and on ``a_est``; the two server orderings (by ``q/mu``
-and by ``(2q+1)/mu``) are computed once per round and shared.  The
-per-dispatcher :meth:`SCDPolicy.dispatch` caches the ``(iwl, P)`` pair per
-distinct ``a_est`` within a round (dispatchers with equal batch sizes
-produce identical estimates).  The batch protocol,
-:meth:`SCDPolicy.dispatch_round`, solves all of the round's distinct
-estimates in one broadcast IWL call and one broadcast probability call,
-and step 4 over the whole round is one multinomial draw with a row per
-dispatcher -- bit-identical, rows and RNG stream, to the per-dispatcher
-loop.
+the shared snapshot and on ``a_est``, so :meth:`SCDPolicy.begin_round`
+builds one validated round snapshot: it converts the queues to float
+and checks them non-negative once, computes ``q/mu``, the
+``(2q+offset)/mu`` key, both stable orders and the solvers' prefix sums
+(:class:`~repro.core.iwl.LoadSnapshot`,
+:class:`~repro.core.probabilities.KeySnapshot`).  Rates are fixed at
+bind and checked there.  The batch protocol,
+:meth:`SCDPolicy.dispatch_round`, then makes one IWL solve and one
+probability solve on the snapshot with one row per active dispatcher,
+and step 4 over the whole round is one multinomial draw over those rows
+-- bit-identical, rows and RNG stream, to the per-dispatcher loop.  The
+per-dispatcher :meth:`SCDPolicy.dispatch` solves its one row on the
+same snapshot with the same kernels, which the public
+:func:`~repro.core.iwl.compute_iwl` and
+:func:`~repro.core.probabilities.scd_probabilities` also call after
+validating their inputs.
 
 The module also exposes :func:`scd_decision`, the *from-scratch* single
 dispatcher computation (sorts included) used by the run-time figures, and
@@ -36,8 +42,8 @@ two job-size constants of :func:`~repro.core.probabilities.scd_probabilities`
   the job-size moments folded in -- the paper's Section 7 open problem
   (1), derived in :mod:`repro.core.probabilities`.
 
-All of them therefore share the per-estimate cache, the one-solve-per-
-round :meth:`SCDPolicy.dispatch_round` and its RNG contract.
+All of them therefore share the round snapshot, the one-solve-per-round
+:meth:`SCDPolicy.dispatch_round` and its RNG contract.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ import numpy as np
 from repro.policies.base import Policy, register_policy
 
 from .estimation import ArrivalEstimator, make_estimator
-from .iwl import compute_iwl
+from .iwl import LoadSnapshot, compute_iwl
 from .probabilities import (
+    KeySnapshot,
     scd_probabilities,
     scd_probabilities_loop,
     scd_probabilities_quadratic,
@@ -115,7 +122,8 @@ class SCDPolicy(Policy):
         when dispatcher ``d`` can reach server ``s``.  ``None`` (default)
         means full connectivity.  With a mask, each dispatcher solves the
         optimization restricted to its reachable servers (the Section 7
-        extension); per-round caching is disabled since views differ.
+        extension); views differ, so masked dispatchers solve on their
+        own views instead of the shared round snapshot.
 
     Subclasses change what the solves see, not how they run: the rate
     vector ``_rates`` (bound to ``ctx.rates``), and the job-size
@@ -161,21 +169,33 @@ class SCDPolicy(Policy):
             if not self.connectivity.any(axis=1).all():
                 raise ValueError("every dispatcher must reach at least one server")
         self.estimator.reset()
+        # Fixed for the whole run and already checked finite and positive
+        # by the SystemContext (TWF's unit rates need no check).
         self._rates = self.ctx.rates
         self._queues: np.ndarray | None = None
-        self._load_order: np.ndarray | None = None
-        self._key_order: np.ndarray | None = None
-        self._round_cache: dict[float, np.ndarray] = {}
+        self._loads: LoadSnapshot | None = None
+        self._keys: KeySnapshot | None = None
 
     def begin_round(self, round_index: int, queues: np.ndarray) -> None:
+        """Build the round's validated snapshot (Algorithm 2 lines 2-4).
+
+        The queues are converted to float and checked non-negative once;
+        ``q/mu``, the ``(2q + offset)/mu`` key, both stable orders and the
+        solvers' prefix sums follow, so every solve of the round runs on
+        trusted arrays.  A connectivity mask gives each dispatcher its own
+        view, so masked rounds keep only the float queues.
+        """
+        queues = np.asarray(queues, dtype=np.float64)
+        if (queues < 0).any():
+            raise ValueError("queue lengths must be non-negative")
         self._queues = queues
-        self._round_cache.clear()
         if self.connectivity is None:
-            # Algorithm 2 lines 2-4: the two sorted orders for the round.
             rates = self._rates
-            self._load_order = np.argsort(queues / rates, kind="stable")
-            self._key_order = np.argsort(
-                (2.0 * queues + self.offset) / rates, kind="stable"
+            loads = queues / rates
+            key = (2.0 * queues + self.offset) / rates
+            self._loads = LoadSnapshot(queues, rates, loads, loads.argsort(kind="stable"))
+            self._keys = KeySnapshot(
+                queues, rates, key, key.argsort(kind="stable"), self.offset
             )
 
     def observe_total_arrivals(self, total: int) -> None:
@@ -199,22 +219,27 @@ class SCDPolicy(Policy):
             mean_size=self.mean_size, offset=self.offset,
         )
 
-    def _probabilities(self, a_est: float) -> np.ndarray:
-        probs = self._round_cache.get(a_est)
-        if probs is None:
-            queues = self._queues
-            rates = self._rates
-            iwl = compute_iwl(
-                queues, rates, a_est * self.mean_size, order=self._load_order
-            )
-            probs = self._solve(queues, rates, a_est, iwl, order=self._key_order)
-            probs = probs / probs.sum()
-            self._round_cache[a_est] = probs
+    def _probabilities(self, a_est: np.ndarray) -> np.ndarray:
+        """Normalized rows on the round snapshot, one per estimate.
+
+        One IWL solve and one probability solve for the whole 1-D float
+        array ``a_est``; row ``i`` depends only on ``a_est[i]`` and the
+        snapshot, so any grouping of estimates gives the same rows.
+        """
+        iwl = self._loads.levels(a_est * self.mean_size)
+        if self.algorithm == "vectorized":
+            probs = self._keys.solve(a_est, iwl, self.mean_size)
+        else:
+            probs = np.array([
+                self._solve(self._queues, self._rates, a, level, order=self._keys.order)
+                for a, level in zip(a_est.tolist(), iwl.tolist())
+            ])
+        probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
     def _masked_probabilities(self, dispatcher: int, a_est: float) -> np.ndarray:
         mask = self.connectivity[dispatcher]
-        queues = np.asarray(self._queues, dtype=np.float64)[mask]
+        queues = self._queues[mask]
         rates = self._rates[mask]
         iwl = compute_iwl(queues, rates, a_est * self.mean_size)
         sub = self._solve(queues, rates, a_est, iwl)
@@ -225,7 +250,7 @@ class SCDPolicy(Policy):
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
         a_est = self.estimator.estimate(int(num_jobs), self.ctx.num_dispatchers)
         if self.connectivity is None:
-            probs = self._probabilities(a_est)
+            probs = self._probabilities(np.array([a_est], dtype=np.float64))[0]
         else:
             probs = self._masked_probabilities(dispatcher, a_est)
         return self.rng.multinomial(int(num_jobs), probs).astype(np.int64)
@@ -233,35 +258,26 @@ class SCDPolicy(Policy):
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
         """The whole round in one IWL solve, one probability solve and one draw.
 
-        Estimates are taken in dispatcher order over the non-empty
-        batches, exactly as the per-dispatcher loop takes them (stateful
-        estimators such as EWMA see the same call sequence).  A broadcast
-        multinomial over per-dispatcher rows consumes the stream like
-        sequential per-row draws, so the result and the RNG state after it
-        equal :meth:`Policy.dispatch_round`'s.  A connectivity mask or a
-        non-vectorized solver takes that base loop instead.
+        The solves run on :meth:`begin_round`'s snapshot with one row per
+        active dispatcher.  Estimates are taken in dispatcher order over
+        the non-empty batches, exactly as the per-dispatcher loop takes
+        them (stateful estimators such as EWMA see the same call
+        sequence).  A broadcast multinomial over per-dispatcher rows
+        consumes the stream like sequential per-row draws, so the result
+        and the RNG state after it equal :meth:`Policy.dispatch_round`'s.
+        A connectivity mask or a non-vectorized solver takes that base
+        loop instead.
         """
         if self.connectivity is not None or self.algorithm != "vectorized":
             return super().dispatch_round(batch, queues)
-        m = self.ctx.num_dispatchers
-        rows = np.zeros((m, self.ctx.num_servers), dtype=np.int64)
-        active = np.flatnonzero(batch)
+        rows = np.zeros((self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64)
+        batch = np.asarray(batch, dtype=np.int64)
+        active = batch.nonzero()[0]
         if active.size == 0:
             return rows
-        jobs = np.asarray(batch, dtype=np.int64)[active]
-        estimate = self.estimator.estimate
-        a_est = np.array([estimate(k, m) for k in jobs.tolist()], dtype=np.float64)
-        values, inverse = np.unique(a_est, return_inverse=True)
-        snapshot, rates = self._queues, self._rates
-        iwl = compute_iwl(
-            snapshot, rates, values * self.mean_size, order=self._load_order
-        )
-        probs = scd_probabilities(
-            snapshot, rates, values, iwl, order=self._key_order,
-            mean_size=self.mean_size, offset=self.offset,
-        )
-        probs /= probs.sum(axis=1, keepdims=True)
-        rows[active] = self.rng.multinomial(jobs, probs[inverse])
+        jobs = batch[active]
+        a_est = self.estimator.estimate_many(jobs, self.ctx.num_dispatchers)
+        rows[active] = self.rng.multinomial(jobs, self._probabilities(a_est))
         return rows
 
 

@@ -10,13 +10,14 @@ enough (Figures 3-4: TWF's tail degrades by an order of magnitude under
 high heterogeneity).
 
 Implementation: :class:`TWFPolicy` is :class:`~repro.core.scd.SCDPolicy`
-with an all-ones rate vector, so it shares SCD's solver, per-estimate
-cache and native one-solve-per-round batch path.  This is mathematically
-exactly [22]'s policy -- in the homogeneous case the probable set is the
-analytically known ``{s : q_s < water-level}``, which our prefix search
-returns -- and it exercises the same code paths, so TWF doubles as a
-regression check of the general algorithm against the known homogeneous
-closed form (see ``tests/test_scd_policy.py``).
+with an all-ones rate vector, so it shares SCD's solver, its validated
+round snapshot (built on the unit rates) and its native
+one-solve-per-round batch path.  This is mathematically exactly [22]'s
+policy -- in the homogeneous case the probable set is the analytically
+known ``{s : q_s < water-level}``, which our prefix search returns --
+and it exercises the same code paths, so TWF doubles as a regression
+check of the general algorithm against the known homogeneous closed
+form (see ``tests/test_scd_policy.py``).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class TWFPolicy(SCDPolicy):
     """TWF: stochastic coordination on job counts (rate-oblivious).
 
     :class:`~repro.core.scd.SCDPolicy` with its solves bound to unit
-    rates; everything else -- the per-estimate cache, the one-solve-per-
-    round batch path and the RNG stream -- is SCD's.
+    rates; everything else -- the round snapshot, the one-solve-per-round
+    batch path and the RNG stream -- is SCD's.
 
     Parameters
     ----------

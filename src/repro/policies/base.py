@@ -74,8 +74,8 @@ class SystemContext:
         self.rates = np.asarray(self.rates, dtype=np.float64)
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-D array")
-        if np.any(self.rates <= 0):
-            raise ValueError("service rates must be strictly positive")
+        if not (np.isfinite(self.rates).all() and (self.rates > 0).all()):
+            raise ValueError("service rates must be finite and strictly positive")
         if self.num_dispatchers < 1:
             raise ValueError("need at least one dispatcher")
         self.num_servers = int(self.rates.size)
@@ -159,12 +159,11 @@ class Policy(ABC):
         snapshot (and not on per-dispatcher sequential state fed by
         earlier rounds' RNG draws) override this with a native
         vectorized path.  Deterministic overrides must reproduce the
-        fallback exactly.  Stochastic overrides either draw the
-        identical stream -- SCD's one broadcast multinomial per round,
-        LSQ/LED's vectorized refreshes -- and are then bit-identical
-        too, or restructure their RNG consumption (statistically
-        equivalent, not bit-equal).  An override may call this base loop
-        for the configurations it has no native path for (SCD with a
+        fallback exactly, and so must stochastic ones: they draw the
+        identical stream -- SCD's and WR's one broadcast multinomial per
+        round, power-of-d's one pooled candidate draw, LSQ/LED's
+        vectorized refreshes.  An override may call this base loop for
+        the configurations it has no native path for (SCD with a
         connectivity mask or a non-vectorized solver).
         """
         assert self.ctx is not None, "policy used before bind()"
@@ -270,13 +269,10 @@ def available_policies() -> list[str]:
 def has_native_dispatch_round(policy: Policy) -> bool:
     """True when ``policy`` overrides the batch protocol with a native path.
 
-    Policies using the base-class fallback are bit-identical between the
-    reference and fast engine backends; native stochastic overrides are
-    bit-identical only when they draw the identical stream (SCD, LSQ,
-    LED, JIQ) and otherwise only statistically equivalent (they reshape
-    RNG consumption), which tests and benchmarks need to know.  An
-    override that defers some configurations to the base loop still
-    counts as native here.
+    Every registered policy is bit-identical between the reference and
+    fast engine backends, native path or not; tests use this to tell
+    which code the fast backend actually runs.  An override that defers some
+    configurations to the base loop still counts as native here.
     """
     return type(policy).dispatch_round is not Policy.dispatch_round
 

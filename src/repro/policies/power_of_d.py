@@ -96,8 +96,9 @@ class PowerOfDPolicy(Policy):
         sequential best-of-sample selection (with each dispatcher's own
         within-round increments) is unchanged, so the assignment law is
         identical while the per-dispatcher numpy overhead disappears.
-        Statistically (not bit-) equivalent to the reference loop: the
-        RNG stream is consumed in one gulp instead of ``m``.
+        One pooled draw consumes the RNG stream exactly like ``m``
+        sequential per-dispatcher draws, so this is bit-identical to the
+        reference loop.
         """
         n = self.ctx.num_servers
         m = self.ctx.num_dispatchers

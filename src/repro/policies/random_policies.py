@@ -11,9 +11,9 @@ the stability ablation.
 For a probability-vector policy, dispatching a batch of ``k`` jobs i.i.d.
 is exactly a multinomial draw, so these dispatch in one vectorized call --
 and a whole *round* (every dispatcher's batch) is one stacked multinomial
-draw, which is the native batch-protocol path below.  The batched draw
-consumes the policy RNG stream differently from per-dispatcher draws, so
-the fast engine backend is statistically (not bit-) equivalent to the
+draw, which is the native batch-protocol path below.  numpy's broadcast
+multinomial consumes the policy RNG stream exactly like the
+per-dispatcher draws, so the fast engine backend is bit-identical to the
 reference backend for these policies.
 """
 

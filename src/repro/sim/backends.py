@@ -20,10 +20,9 @@ units, which are jobs when jobs have unit size.
     recording.  Unit and sized jobs share one
     :class:`~repro.sim.batchstore.BatchQueueStore` of the reference
     queue's ``(round, size, count)`` runs.
-    Bit-identical to ``reference`` for deterministic policies and for
-    any policy using the base-class ``dispatch_round`` fallback;
-    statistically equivalent for policies with native batched sampling
-    (they consume their RNG stream in different-sized gulps).
+    Bit-identical to ``reference`` for every policy: native batched
+    sampling paths draw the identical RNG stream, and the rest use the
+    base-class ``dispatch_round`` fallback.
 
 ``sharded``
     The server-partitioned kernel (:mod:`repro.sim.sharding`): the fast

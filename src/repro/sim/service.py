@@ -22,6 +22,13 @@ __all__ = [
 ]
 
 
+def _check_rates(rates: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every rate is finite and positive
+    (``rates <= 0`` alone lets NaN through)."""
+    if not (np.isfinite(rates).all() and (rates > 0).all()):
+        raise ValueError("service rates must be finite and strictly positive")
+
+
 class ServiceProcess(ABC):
     """Produces the vector of per-server completion capacities each round."""
 
@@ -69,8 +76,7 @@ class GeometricService(ServiceProcess):
         self.rates = np.asarray(rates, dtype=np.float64)
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-D array")
-        if np.any(self.rates <= 0):
-            raise ValueError("service rates must be strictly positive")
+        _check_rates(self.rates)
         self._success_prob = 1.0 / (1.0 + self.rates)
 
     @property
@@ -101,8 +107,7 @@ class DeterministicService(ServiceProcess):
 
     def __init__(self, rates: np.ndarray) -> None:
         self.rates = np.asarray(rates, dtype=np.float64)
-        if np.any(self.rates <= 0):
-            raise ValueError("service rates must be strictly positive")
+        _check_rates(self.rates)
         self._credit = np.zeros_like(self.rates)
 
     @property

@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             compute_iwl([1, 2], [1.0, 0.0], 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        # NaN passed the old ``rates <= 0`` check and gave a level of 3.0.
+        with pytest.raises(ValueError, match="finite"):
+            compute_iwl([1, 2, 3], [1.0, bad, 2.0], 5)
+
     def test_rejects_negative_queues(self):
         with pytest.raises(ValueError):
             compute_iwl([1, -2], [1.0, 1.0], 3)

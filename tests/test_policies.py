@@ -80,6 +80,15 @@ class TestSystemContext:
                 rng=np.random.default_rng(),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SystemContext(
+                rates=np.array([1.0, bad]),
+                num_dispatchers=1,
+                rng=np.random.default_rng(),
+            )
+
     def test_rejects_zero_dispatchers(self):
         with pytest.raises(ValueError):
             SystemContext(

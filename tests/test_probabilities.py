@@ -235,6 +235,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             scd_probabilities([1, 2], [1.0, -1.0], 5, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scd_probabilities([1, 2, 3], [1.0, bad, 2.0], 5, 1.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             scd_probabilities([1, 2, 3], [1.0, 1.0], 5, 1.0)

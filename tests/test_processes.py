@@ -104,6 +104,12 @@ class TestGeometricService:
         with pytest.raises(ValueError):
             GeometricService(np.array([0.0]))
 
+    @pytest.mark.parametrize("service", [GeometricService, DeterministicService])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, service, bad):
+        with pytest.raises(ValueError, match="finite"):
+            service(np.array([1.0, bad]))
+
 
 class TestDeterministicService:
     def test_fractional_credit(self):

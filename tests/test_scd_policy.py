@@ -73,20 +73,30 @@ class TestSCDPolicy:
         freq = draws / (trials * batch)
         np.testing.assert_allclose(freq, expected, atol=0.01)
 
-    def test_round_cache_consistency(self):
-        """Two dispatchers with equal batches get the same distribution."""
+    def test_equal_estimates_get_equal_rows(self):
+        """Two dispatchers with equal batches get the same distribution,
+        whether their estimates are solved together or alone."""
         policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2, seed=1)
         policy.begin_round(0, np.array([3, 3]))
-        p_first = policy._probabilities(8.0)
-        p_again = policy._probabilities(8.0)
-        assert p_first is p_again  # cached object, not recomputed
+        both = policy._probabilities(np.array([8.0, 8.0]))
+        np.testing.assert_array_equal(both[0], both[1])
+        np.testing.assert_array_equal(both[0], policy._probabilities(np.array([8.0]))[0])
 
-    def test_cache_cleared_between_rounds(self):
+    def test_snapshot_replaced_between_rounds(self):
         policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2, seed=1)
         policy.begin_round(0, np.array([3, 3]))
-        policy._probabilities(8.0)
+        first = policy._probabilities(np.array([8.0]))
         policy.begin_round(1, np.array([0, 9]))
-        assert 8.0 not in policy._round_cache
+        fresh = bind(SCDPolicy(), rates=[1.0, 5.0], m=2, seed=1)
+        fresh.begin_round(0, np.array([0, 9]))
+        again = policy._probabilities(np.array([8.0]))
+        np.testing.assert_array_equal(again, fresh._probabilities(np.array([8.0])))
+        assert not np.array_equal(again, first)
+
+    def test_negative_queue_rejected_at_begin_round(self):
+        policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2)
+        with pytest.raises(ValueError, match="non-negative"):
+            policy.begin_round(0, np.array([3, -1]))
 
     def test_oracle_estimator_uses_true_total(self):
         oracle = OracleTotal()
@@ -137,25 +147,27 @@ class TestNativeDispatchRound:
         assert policy.rng.bit_generator.state == before
 
     def test_solves_once_per_round(self, monkeypatch):
-        """All distinct estimates share one IWL and one probability solve;
-        the per-dispatcher dispatch is never used."""
+        """All active dispatchers share one IWL and one probability solve
+        on the round snapshot, without np.unique; the per-dispatcher
+        dispatch is never used."""
         import repro.core.scd as scd_module
 
         calls = []
-        for name in ("compute_iwl", "scd_probabilities"):
-            solver = getattr(scd_module, name)
+        for cls, name in ((scd_module.LoadSnapshot, "levels"), (scd_module.KeySnapshot, "solve")):
+            solver = getattr(cls, name)
             monkeypatch.setattr(
-                scd_module,
+                cls,
                 name,
                 lambda *a, _name=name, _solver=solver, **k: calls.append(_name)
                 or _solver(*a, **k),
             )
+        monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique used"))
         policy = bind(SCDPolicy(), self.RATES, m=4, seed=1)
         monkeypatch.setattr(policy, "dispatch", lambda d, k: pytest.fail("fallback used"))
         policy.begin_round(0, np.arange(self.RATES.size))
         rows = policy.dispatch_round(np.array([3, 1, 3, 7]), None)
         np.testing.assert_array_equal(rows.sum(axis=1), [3, 1, 3, 7])
-        assert calls == ["compute_iwl", "scd_probabilities"]
+        assert calls == ["levels", "solve"]
 
     @pytest.mark.parametrize(
         "build",
@@ -221,7 +233,7 @@ class TestSCDConnectivity:
         p_masked = masked._masked_probabilities(0, 6.0)
         plain = bind(SCDPolicy(), rates=rates, m=2)
         plain.begin_round(0, queues)
-        p_plain = plain._probabilities(6.0)
+        p_plain = plain._probabilities(np.array([6.0]))[0]
         np.testing.assert_allclose(p_masked, p_plain, atol=1e-9)
 
 

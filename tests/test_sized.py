@@ -78,26 +78,27 @@ class TestSizedProbabilities:
         sized = _bound(SizedSCDPolicy(), rates, queues)
         plain = _bound(SCDPolicy(), rates, queues)
         np.testing.assert_array_equal(
-            sized._probabilities(12.0), plain._probabilities(12.0)
+            sized._probabilities(np.array([12.0])), plain._probabilities(np.array([12.0]))
         )
 
     def test_iwl_uses_total_work(self, monkeypatch):
-        import repro.core.scd as scd_module
+        from repro.core.iwl import LoadSnapshot
 
         levels = []
+        solve = LoadSnapshot.levels
 
-        def spy(queues, rates, arrivals, **kwargs):
-            level = compute_iwl(queues, rates, arrivals, **kwargs)
-            levels.append(level)
+        def spy(self, arrivals):
+            level = solve(self, arrivals)
+            levels.extend(level.tolist())
             return level
 
-        monkeypatch.setattr(scd_module, "compute_iwl", spy)
+        monkeypatch.setattr(LoadSnapshot, "levels", spy)
         policy = _bound(
             SizedSCDPolicy(mean_size=5.0, second_moment_size=25.0),
             [1.0, 1.0],
             [0, 0],
         )
-        policy._probabilities(4.0)
+        policy._probabilities(np.array([4.0]))
         assert levels == [pytest.approx(10.0)]  # 4 jobs x 5 units over 2 servers
 
     def test_size_dispersion_shifts_mass_to_fast_servers(self):

@@ -14,8 +14,8 @@ and ``BimodalSize``:
   every policy on the base-class ``dispatch_round`` fallback;
 * ``DeterministicSize(1)`` is the unit workload, field for field, on
   every kernel;
-* stochastic policies with native batch paths keep exact accounting and
-  see the identical workload realization;
+* stochastic policies with native batch paths, whose draws are pooled
+  across dispatchers, are bit-identical too and keep exact accounting;
 * ``wrr``'s native smooth-credit batch path is bit-identical to the
   per-dispatcher fallback loop (counts *and* carried credit state);
 * the one block store resolves sized blocks like the reference queues:
@@ -64,14 +64,15 @@ STATEFUL_POLICIES = ["scd", "twf", "scd-sized"]
 #: An SCD configuration whose batch path defers to the base
 #: per-dispatcher loop (the Algorithm 1 solver).
 FALLBACK_POLICIES = ["scd-alg1"]
+#: Stochastic native batch paths that pool their draws across a round's
+#: dispatchers (one broadcast ``multinomial`` or one pooled ``integers``
+#: draw, consumed exactly like the per-dispatcher calls).
+POOLED_DRAW_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
 #: Native batch paths that restructure no RNG consumption (LSQ/LED's
-#: vectorized sampled refreshes and JIQ's fused empty-idle fallback draw
-#: the identical stream): these must also stay bit-identical across
-#: backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"]
-#: Stochastic policies with native batch paths: exact accounting plus an
-#: identical workload realization only.
-NATIVE_STOCHASTIC_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
+#: vectorized sampled refreshes, JIQ's fused empty-idle fallback draw and
+#: the pooled draws above draw the identical stream): these must also
+#: stay bit-identical across backends.
+NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"] + POOLED_DRAW_POLICIES
 
 SIZE_DISTRIBUTIONS = {
     "unit": None,
@@ -321,16 +322,16 @@ class TestCompiledBitExactness:
 
 
 class TestStochasticNativePaths:
-    @pytest.mark.parametrize("policy", NATIVE_STOCHASTIC_POLICIES)
+    @pytest.mark.parametrize("policy", POOLED_DRAW_POLICIES)
     def test_native_override_present(self, policy):
         assert has_native_dispatch_round(make_policy(policy))
 
-    @pytest.mark.parametrize("policy", NATIVE_STOCHASTIC_POLICIES)
+    @pytest.mark.parametrize("policy", POOLED_DRAW_POLICIES)
     def test_exact_unit_accounting(self, policy):
         result = run_once(policy, GeometricSize(2.5), "fast", seed=7, rounds=500)
         assert_conserved(result)
 
-    @pytest.mark.parametrize("policy", NATIVE_STOCHASTIC_POLICIES)
+    @pytest.mark.parametrize("policy", POOLED_DRAW_POLICIES)
     def test_identical_workload_realization(self, policy):
         """Arrival and size streams are untouched by the policy's path."""
         a = run_once(policy, GeometricSize(2.5), "reference", seed=9)
