@@ -263,22 +263,20 @@ class SCDPolicy(Policy):
         the non-empty batches, exactly as the per-dispatcher loop takes
         them (stateful estimators such as EWMA see the same call
         sequence).  A broadcast multinomial over per-dispatcher rows
-        consumes the stream like sequential per-row draws, so the result
-        and the RNG state after it equal :meth:`Policy.dispatch_round`'s.
+        consumes the stream like sequential per-row draws, so the summed
+        rows and the RNG state after the draw equal
+        :meth:`Policy.dispatch_round`'s.
         A connectivity mask or a non-vectorized solver takes that base
         loop instead.
         """
         if self.connectivity is not None or self.algorithm != "vectorized":
             return super().dispatch_round(batch, queues)
-        rows = np.zeros((self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64)
-        batch = np.asarray(batch, dtype=np.int64)
-        active = batch.nonzero()[0]
-        if active.size == 0:
-            return rows
-        jobs = batch[active]
+        jobs = np.asarray(batch, dtype=np.int64)
+        jobs = jobs[jobs > 0]
+        if jobs.size == 0:
+            return np.zeros(self.ctx.num_servers, dtype=np.int64)
         a_est = self.estimator.estimate_many(jobs, self.ctx.num_dispatchers)
-        rows[active] = self.rng.multinomial(jobs, self._probabilities(a_est))
-        return rows
+        return self.rng.multinomial(jobs, self._probabilities(a_est)).sum(axis=0)
 
 
 @register_policy("scd-alg1")

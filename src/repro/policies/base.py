@@ -11,10 +11,12 @@ life-cycle:
    dispatcher the same `q_s(t)`).
 3. :meth:`Policy.dispatch` -- once per dispatcher with a non-empty batch;
    returns per-server job counts for that dispatcher's whole batch.  The
-   vectorized engine backend instead makes one :meth:`Policy.dispatch_round`
-   call per round (the *batch protocol*); its base implementation falls
-   back to looping ``dispatch``, and snapshot-only policies override it
-   with a native numpy path.
+   block-structured engine backends instead make one
+   :meth:`Policy.dispatch_round` call per round (the *batch protocol*),
+   which returns the round's per-server admissions: an ``(n,)`` vector,
+   the sum of the dispatchers' rows.  Its base implementation sums
+   ``dispatch`` rows in dispatcher order; most policies override it with
+   a native numpy path.
 4. :meth:`Policy.end_round` -- after departures, with the updated queues
    (used by policies with local state, e.g. LSQ's sampled refreshes).
 
@@ -149,31 +151,29 @@ class Policy(ABC):
         Returns
         -------
         numpy.ndarray
-            An ``(m, n)`` int64 matrix; row ``d`` is dispatcher ``d``'s
-            per-server job counts and sums to ``batch[d]``.
+            The round's per-server admissions: an int64 ``(n,)`` vector
+            summing to ``batch.sum()`` -- one round of what
+            :meth:`dispatch_rounds` returns per block.
 
-        The base implementation loops over the classic per-dispatcher
-        :meth:`dispatch` in dispatcher order, skipping empty batches --
-        *bit-identical* to what the reference engine backend does, for
-        any policy.  Policies whose decisions depend only on the shared
-        snapshot (and not on per-dispatcher sequential state fed by
-        earlier rounds' RNG draws) override this with a native
-        vectorized path.  Deterministic overrides must reproduce the
-        fallback exactly, and so must stochastic ones: they draw the
-        identical stream -- SCD's and WR's one broadcast multinomial per
-        round, power-of-d's one pooled candidate draw, LSQ/LED's
-        vectorized refreshes.  An override may call this base loop for
-        the configurations it has no native path for (SCD with a
-        connectivity mask or a non-vectorized solver).
+        The base implementation sums the classic per-dispatcher
+        :meth:`dispatch` rows in dispatcher order, skipping empty
+        batches -- *bit-identical* to what the reference engine backend
+        does, for any policy.  Overrides must return the same totals and
+        leave the same state: deterministic ones compute the totals
+        directly (JSQ/SED from one shared snapshot, with no per-dispatcher
+        rows at all), stochastic ones draw the identical stream -- SCD's
+        and WR's one broadcast multinomial per round, power-of-d's one
+        pooled candidate draw, LSQ/LED's vectorized refreshes.  An
+        override may call this base loop for the configurations it has
+        no native path for (SCD with a connectivity mask or a
+        non-vectorized solver).  Per-dispatcher rows stay observable
+        through :meth:`dispatch`.
         """
         assert self.ctx is not None, "policy used before bind()"
-        rows = np.zeros((self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64)
-        for d in range(self.ctx.num_dispatchers):
-            k = int(batch[d])
-            if k == 0:
-                continue
-            rows[d] = self.dispatch(d, k)
-        return rows
+        jobs = np.zeros(self.ctx.num_servers, dtype=np.int64)
+        for d in np.flatnonzero(batch).tolist():
+            jobs += self.dispatch(d, int(batch[d]))
+        return jobs
 
     def dispatch_rounds(self, batch_block: np.ndarray) -> np.ndarray | None:
         """Assign a whole *block* of rounds in one call (cross-round batching).

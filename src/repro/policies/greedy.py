@@ -9,33 +9,48 @@ minimizing the post-assignment criterion.  For SED the criterion for the
 Because the per-server marginal costs ``(q_s + j)/mu_s`` are increasing in
 ``j``, the sequential greedy is equivalent to taking the ``k`` smallest
 marginals in the order ``(marginal, server)``.  One sort of the marginals
-therefore answers every batch size of a round at once:
+therefore answers every batch size of a round at once.
 
-1. Water-fill (:func:`repro.core.iwl.compute_iwl`) to the levels of the
-   smallest and the largest batch size ``k_min`` and ``k_max``.  Every
-   marginal strictly below the ``k_min`` level is selected by every batch
-   size, giving per-server base counts.
+**Shared snapshot (JSQ/SED).**  :class:`GreedySnapshot` holds one trusted
+round snapshot: float queues, rates, the load order's water-fill prefix
+sums (:class:`~repro.core.iwl.LoadSnapshot`) and one step of the slowest
+server.  :meth:`GreedySnapshot.assign` answers all of a round's batch
+sizes against it and returns their per-server *totals*, the only thing
+the engine admits:
+
+1. One water fill gives the levels of the smallest and the largest batch
+   size ``k_min`` and ``k_max``.  Every marginal strictly below the
+   ``k_min`` level is selected by every batch size, giving per-server
+   base counts.
 2. The ``k_max`` smallest marginals all lie below the lower of one step of
    the slowest server above the ``k_max`` level and the level of
    ``k_max + n`` jobs, so each server contributes a *window* of its
    marginals past the base up to there.  The windows are built with the
    heap's own float expression ``((q_s + c) + 1.0) / mu_s`` and sorted
-   once, stably and server-major; prefix counts of the first ranks give
-   the row of every batch size ``k``.
+   once, stably and server-major.
+3. Batch ``k`` takes the base plus the first ``k - base.sum()`` ranked
+   picks, so the totals are ``base`` times the number of batches plus
+   every pick weighted by how many batches reach it.
 
-LSQ/LED dispatchers each rank against their own local view instead of a
-shared snapshot.  For them each view gets its own base and windows, and one
-stable sort by (view, marginal) answers every dispatcher of the round.
+No per-dispatcher row is ever formed.  :func:`greedy_batch_assign` is the
+validated public entry to the same kernel: one batch size gives that
+dispatcher's row, an array of them gives the totals.
 
-**Tie-break contract.**  Every row equals :func:`greedy_batch_assign_heap`
-exactly: equal marginals go to the lowest server index.  The bulk path
-certifies each answer -- every base marginal lies strictly below the first
-pick and every marginal outside the windows strictly above the last one --
-and the heap answers whatever it cannot certify (a water level off by
-floating-point error) or would make too large (over ``_MAX_CANDIDATES``
-candidates).  :func:`greedy_certificate_ok` is an independent optimality
-check (no selected marginal exceeds any unselected one); it accepts any
-tie-break.
+**Local views (LSQ/LED).**  Dispatchers that rank against their own local
+view need their own rows (each view absorbs its own assignments).
+:func:`greedy_rows_for_batches` gives each view its own base and windows,
+and one stable sort by (view, marginal) answers every dispatcher of the
+round.
+
+**Tie-break contract.**  Every row, and so every total, equals
+:func:`greedy_batch_assign_heap` exactly: equal marginals go to the
+lowest server index.  The bulk path certifies each answer -- every base
+marginal lies strictly below the first pick and every marginal outside
+the windows strictly above the last one -- and the heap answers whatever
+it cannot certify (a water level off by floating-point error) or would
+make too large (over ``_MAX_CANDIDATES`` candidates).
+:func:`greedy_certificate_ok` is an independent optimality check (no
+selected marginal exceeds any unselected one); it accepts any tie-break.
 """
 
 from __future__ import annotations
@@ -44,9 +59,10 @@ import heapq
 
 import numpy as np
 
-from repro.core.iwl import compute_iwl
+from repro.core.iwl import LoadSnapshot, _validate, compute_iwl
 
 __all__ = [
+    "GreedySnapshot",
     "greedy_batch_assign",
     "greedy_batch_assign_heap",
     "greedy_rows_for_batches",
@@ -86,14 +102,74 @@ def greedy_batch_assign_heap(
     return counts
 
 
+class GreedySnapshot:
+    """One trusted snapshot the shared greedy answers a round from.
+
+    Built from float queues, rates and ``step = 1 / rates.min()``; the
+    load order's water-fill prefix sums are computed once here.  Inputs
+    are trusted: :func:`greedy_batch_assign` validates before building
+    one, and the JSQ/SED policies check their rates once at bind and
+    their queues once per round.
+    """
+
+    __slots__ = ("queues", "rates", "step", "water")
+
+    def __init__(self, queues: np.ndarray, rates: np.ndarray, step: float) -> None:
+        self.queues = queues
+        self.rates = rates
+        self.step = step
+        loads = queues / rates
+        self.water = LoadSnapshot(queues, rates, loads, loads.argsort(kind="stable"))
+
+    def assign(self, sizes: np.ndarray) -> np.ndarray:
+        """Per-server totals of the positive int64 batch sizes ``sizes``.
+
+        Equal to the sum of ``greedy_batch_assign_heap(queues, rates, k)``
+        over ``k`` in ``sizes``; one size gives that batch's row.
+        """
+        queues, rates = self.queues, self.rates
+        n = queues.size
+        k_min = int(sizes.min())
+        k_max = int(sizes.max())
+        level_min, level_max, level_over = self.water.levels(
+            np.array([k_min, k_max, k_max + n], dtype=np.float64)
+        ).tolist()
+        base = _base(queues, rates, level_min)
+        taken = int(base.sum())
+        if taken >= k_min:
+            return _heap_totals(queues, rates, sizes)
+        width = k_max - taken
+        span = _span(queues, rates, base, min(level_max + self.step, level_over), width)
+        total = int(span.sum())
+        if total > _MAX_CANDIDATES:
+            return _heap_totals(queues, rates, sizes)
+        cell, window = _windows(queues, rates, base, span, total)
+        # Server-major and stable: equal marginals keep server order.
+        order = np.argsort(window, kind="stable")[:width]
+        if order.size < width or not _certified(
+            queues, rates, base, span, window[order[0]], window[order[-1]]
+        ):
+            return _heap_totals(queues, rates, sizes)
+
+        picked = cell[order]
+        if sizes.size == 1:  # one batch: the base plus every pick
+            return base + np.bincount(picked, minlength=n)
+        # Pick j (0-based, in rank order) is taken by every batch with
+        # more than j picks past the base.
+        reach = sizes.size - np.bincount(sizes - taken, minlength=width + 1).cumsum()
+        totals = np.bincount(picked, weights=reach[:width], minlength=n).astype(np.int64)
+        totals += base * sizes.size
+        return totals
+
+
 def greedy_batch_assign(
     queues: np.ndarray,
     rates: np.ndarray,
-    num_jobs: int,
+    num_jobs: int | np.ndarray,
 ) -> np.ndarray:
-    """Sequential-greedy batch assignment of one dispatcher.
+    """Sequential-greedy batch assignment against one snapshot.
 
-    The one-row case of :func:`greedy_rows_for_batches` (the same sort).
+    Validates its inputs, then runs :meth:`GreedySnapshot.assign`.
 
     Parameters
     ----------
@@ -102,86 +178,55 @@ def greedy_batch_assign(
     rates:
         Service rates; pass an all-ones array for plain JSQ ranking.
     num_jobs:
-        Batch size ``k``.
+        Batch size ``k``, or a 1-D array of non-negative batch sizes
+        (zeros allowed) that all rank against the same snapshot.
 
     Returns
     -------
     numpy.ndarray
-        Int64 counts per server summing to ``num_jobs``, equal to
-        :func:`greedy_batch_assign_heap`.
+        Int64 counts per server.  For one batch size they sum to it and
+        equal :func:`greedy_batch_assign_heap`; for an array they are the
+        totals over its batches, equal to the sum of those rows.
     """
     queues = np.asarray(queues, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    if num_jobs <= 0:
+    if np.ndim(num_jobs) == 0:
+        if num_jobs <= 0:
+            return np.zeros(queues.size, dtype=np.int64)
+        sizes = np.array([int(num_jobs)], dtype=np.int64)
+    else:
+        sizes = np.asarray(num_jobs, dtype=np.int64)
+        if sizes.ndim != 1:
+            raise ValueError("batch sizes must be a scalar or a 1-D array")
+    _validate(queues, rates, sizes)
+    sizes = sizes[sizes > 0]
+    if sizes.size == 0:
         return np.zeros(queues.size, dtype=np.int64)
-    return _shared_rows(queues, rates, np.array([int(num_jobs)]))[0]
+    return GreedySnapshot(queues, rates, 1.0 / rates.min()).assign(sizes)
 
 
 def greedy_rows_for_batches(
-    queues: np.ndarray,
+    views: np.ndarray,
     rates: np.ndarray,
     batch: np.ndarray,
 ) -> np.ndarray:
-    """Whole-round greedy assignment: one ``(m, n)`` matrix of counts.
+    """Per-view greedy rows: one ``(m, n)`` matrix of counts.
 
-    ``queues`` is either the snapshot every dispatcher shares, shape
-    ``(n,)`` -- JSQ/SED, where one water fill and one sort serve every
-    batch size of the round -- or one local view per dispatcher, shape
-    ``(m, n)`` -- LSQ/LED, where one sort covers every dispatcher's own
-    window (see the module docstring).  Row ``i`` equals
-    ``greedy_batch_assign_heap(view, rates, batch[i])``, where ``view`` is
-    the shared snapshot or row ``i`` of ``queues``.
+    ``views`` holds one local view per dispatcher, shape ``(m, n)`` --
+    LSQ/LED, where one sort covers every dispatcher's own window (see the
+    module docstring).  Row ``i`` equals
+    ``greedy_batch_assign_heap(views[i], rates, batch[i])``.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    queues = np.asarray(queues, dtype=np.float64)
+    views = np.asarray(views, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
+    if views.ndim != 2:
+        raise ValueError("views must be an (m, n) array, one local view per row")
     rows = np.zeros((batch.size, rates.size), dtype=np.int64)
     active = batch > 0
     if active.any():
-        if queues.ndim == 1:
-            rows[active] = _shared_rows(queues, rates, batch[active])
-        else:
-            rows[active] = _view_rows(queues[active], rates, batch[active])
+        rows[active] = _view_rows(views[active], rates, batch[active])
     return rows
-
-
-def _shared_rows(queues: np.ndarray, rates: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Rows for the positive batch sizes ``sizes`` against one snapshot."""
-    n = queues.size
-    k_min = int(sizes.min())
-    k_max = int(sizes.max())
-    level_min, level_max, level_over = compute_iwl(
-        queues, rates, np.array([k_min, k_max, k_max + n], dtype=np.float64)
-    ).tolist()
-    base = _base(queues, rates, level_min)
-    taken = int(base.sum())
-    if taken >= k_min:
-        return _heap_rows(queues, rates, sizes)
-    width = k_max - taken
-    span = _span(queues, rates, base, min(level_max + 1.0 / rates.min(), level_over), width)
-    total = int(span.sum())
-    if total > _MAX_CANDIDATES:
-        return _heap_rows(queues, rates, sizes)
-    cell, window = _windows(queues, rates, base, span, total)
-    # Server-major and stable: equal marginals keep server order.
-    order = np.argsort(window, kind="stable")[:width]
-    if order.size < width or not _certified(
-        queues, rates, base, span, window[order[0]], window[order[-1]]
-    ):
-        return _heap_rows(queues, rates, sizes)
-
-    picked = cell[order]
-    if sizes.size == 1:  # one row: the base plus every pick
-        return (base + np.bincount(picked, minlength=n))[None]
-    # Row i counts the first ``prefix[i]`` picks on top of the base: count
-    # the picks between consecutive distinct prefixes, then accumulate.
-    prefix = np.flatnonzero(np.bincount(sizes - taken))
-    block = np.searchsorted(prefix, np.arange(width), side="right")
-    counts = np.bincount(block * n + picked, minlength=prefix.size * n)
-    counts = counts.reshape(prefix.size, n)
-    np.add.accumulate(counts, axis=0, out=counts)
-    counts += base
-    return counts[np.searchsorted(prefix, sizes - taken)]
 
 
 def _view_rows(views: np.ndarray, rates: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -303,17 +348,17 @@ def _marginals(queues: np.ndarray, rates: np.ndarray, jobs: np.ndarray) -> np.nd
     return ((queues + jobs) + 1.0) / rates
 
 
-def _heap_rows(
+def _heap_totals(
     queues: np.ndarray,
     rates: np.ndarray,
     sizes: np.ndarray,
 ) -> np.ndarray:
-    """Greedy rows for ``sizes`` from the heap, once per distinct size."""
-    distinct, inverse = np.unique(sizes, return_inverse=True)
-    table = np.stack(
-        [greedy_batch_assign_heap(queues, rates, k) for k in distinct.tolist()]
-    )
-    return table[inverse]
+    """Greedy totals for ``sizes`` from the heap, once per distinct size."""
+    distinct, repeats = np.unique(sizes, return_counts=True)
+    totals = np.zeros(queues.size, dtype=np.int64)
+    for k, times in zip(distinct.tolist(), repeats.tolist()):
+        totals += times * greedy_batch_assign_heap(queues, rates, k)
+    return totals
 
 
 def greedy_certificate_ok(

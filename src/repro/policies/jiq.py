@@ -17,7 +17,8 @@ that high-load regime: in rounds whose idle set is *empty* -- the common
 case near saturation, where the fast kernels matter -- every job takes
 the random fallback, and one fused RNG draw covers all dispatchers
 (numpy fills random output element by element, so the realization and
-stream position match the per-dispatcher loop bit for bit).  Rounds with
+stream position match the per-dispatcher loop bit for bit); its
+destinations, counted, are the round's per-server totals.  Rounds with
 idle servers keep the sequential per-dispatcher draws, whose
 permutation/weighted-choice sampling cannot fuse.
 """
@@ -87,28 +88,20 @@ class JIQPolicy(Policy):
 
         With no idle servers this round, ``dispatch`` would draw only
         the random fallback for each dispatcher in index order; one
-        fused draw realizes exactly those element-by-element fills.
-        With idle servers present the per-dispatcher loop runs
-        unchanged (distinct-idle sampling is sequential by nature).
+        fused draw realizes exactly those element-by-element fills, and
+        one ``bincount`` of it is the round's totals.  With idle servers
+        present the base per-dispatcher loop runs unchanged
+        (distinct-idle sampling is sequential by nature).
         """
-        assert self.ctx is not None, "policy used before bind()"
-        rows = np.zeros(
-            (self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64
-        )
-        batch = np.asarray(batch, dtype=np.int64)
-        active = np.flatnonzero(batch)
-        if active.size == 0:
-            return rows
         if self._idle is not None and self._idle.size:
-            for d in active:
-                rows[d] = self.dispatch(int(d), int(batch[d]))
-            return rows
+            return super().dispatch_round(batch, queues)
         # Empty idle set: _pick_idle consumes no randomness, every job
-        # falls back.  Scatter the fused draw back to dispatcher rows.
-        sizes = batch[active]
-        fallback = self._pick_fallback(int(sizes.sum()))
-        np.add.at(rows, (np.repeat(active, sizes), fallback), 1)
-        return rows
+        # falls back, and the fused draw's destinations are the totals.
+        total = int(np.sum(batch))
+        n = self.ctx.num_servers
+        if total == 0:
+            return np.zeros(n, dtype=np.int64)
+        return np.bincount(self._pick_fallback(total), minlength=n)
 
 
 @register_policy("jiq")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Policy, register_policy
-from .greedy import greedy_batch_assign, greedy_rows_for_batches
+from .greedy import GreedySnapshot
 
 __all__ = ["JSQPolicy", "SEDPolicy"]
 
@@ -30,40 +30,50 @@ class JSQPolicy(Policy):
     A dispatcher assigns its batch one job at a time, each to the currently
     shortest queue *in its own local view* (snapshot plus its own
     assignments this round), ties to the lowest server index.  The batch
-    computation is the exact sequential greedy; one stable sort per round
-    gives every dispatcher's row (see :mod:`repro.policies.greedy`).
+    computation is the exact sequential greedy.  :meth:`begin_round`
+    builds the round's :class:`~repro.policies.greedy.GreedySnapshot`
+    once; :meth:`dispatch` answers one batch and :meth:`dispatch_round`
+    the whole round's totals from it, with one water fill and one sort
+    (see :mod:`repro.policies.greedy`).
     """
 
     name = "jsq"
 
+    def _rank_rates(self) -> np.ndarray:
+        """The rates the greedy ranks on: all ones, so loads are queues."""
+        return np.ones(self.ctx.num_servers, dtype=np.float64)
+
     def _on_bind(self) -> None:
-        self._ones = np.ones(self.ctx.num_servers, dtype=np.float64)
-        self._queues: np.ndarray | None = None
+        # Fixed for the whole run and already checked finite and positive
+        # by the SystemContext.
+        self._rates = self._rank_rates()
+        self._step = 1.0 / self._rates.min()
+        self._snapshot: GreedySnapshot | None = None
 
     def begin_round(self, round_index: int, queues: np.ndarray) -> None:
-        self._queues = queues
+        """Build the round's trusted snapshot; queues are checked here once."""
+        queues = np.asarray(queues, dtype=np.float64)
+        if (queues < 0).any():
+            raise ValueError("queue lengths must be non-negative")
+        self._snapshot = GreedySnapshot(queues, self._rates, self._step)
 
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        return greedy_batch_assign(self._queues, self._ones, num_jobs)
+        if num_jobs <= 0:
+            return np.zeros(self.ctx.num_servers, dtype=np.int64)
+        return self._snapshot.assign(np.array([num_jobs], dtype=np.int64))
 
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
-        return greedy_rows_for_batches(queues, self._ones, batch)
+        sizes = batch[batch > 0]
+        if sizes.size == 0:
+            return np.zeros(self.ctx.num_servers, dtype=np.int64)
+        return self._snapshot.assign(sizes.astype(np.int64, copy=False))
 
 
 @register_policy("sed")
-class SEDPolicy(Policy):
+class SEDPolicy(JSQPolicy):
     """Shortest-expected-delay: greedy on the normalized loads ``q_s/mu_s``."""
 
     name = "sed"
 
-    def _on_bind(self) -> None:
-        self._queues: np.ndarray | None = None
-
-    def begin_round(self, round_index: int, queues: np.ndarray) -> None:
-        self._queues = queues
-
-    def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        return greedy_batch_assign(self._queues, self.rates, num_jobs)
-
-    def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
-        return greedy_rows_for_batches(queues, self.rates, batch)
+    def _rank_rates(self) -> np.ndarray:
+        return self.ctx.rates

@@ -84,22 +84,20 @@ class LSQPolicy(Policy):
         Each dispatcher ranks against its *own* local estimate array, and
         only its own row changes, so one greedy call over the active
         dispatchers' arrays (one sort for all of them) gives every row the
-        per-dispatcher :meth:`dispatch` would; it pairs with the
-        vectorized :meth:`end_round` refresh.
+        per-dispatcher :meth:`dispatch` would.  The rows update the local
+        arrays and their sum is returned; this pairs with the vectorized
+        :meth:`end_round` refresh.
         """
-        assert self.ctx is not None, "policy used before bind()"
-        rows = np.zeros(
-            (self.ctx.num_dispatchers, self.ctx.num_servers), dtype=np.int64
-        )
         batch = np.asarray(batch, dtype=np.int64)
         active = np.flatnonzero(batch)
-        if active.size:
-            rows[active] = greedy_rows_for_batches(
-                self._local[active], self._rank_rates, batch[active]
-            )
-            self._local[active] += rows[active]
-            self._batch_sizes[active] = batch[active]
-        return rows
+        if active.size == 0:
+            return np.zeros(self.ctx.num_servers, dtype=np.int64)
+        rows = greedy_rows_for_batches(
+            self._local[active], self._rank_rates, batch[active]
+        )
+        self._local[active] += rows
+        self._batch_sizes[active] = batch[active]
+        return rows.sum(axis=0)
 
     def _sample_servers(self, count: int) -> np.ndarray:
         n = self.ctx.num_servers

@@ -98,23 +98,22 @@ class PowerOfDPolicy(Policy):
         identical while the per-dispatcher numpy overhead disappears.
         One pooled draw consumes the RNG stream exactly like ``m``
         sequential per-dispatcher draws, so this is bit-identical to the
-        reference loop.
+        reference loop.  Each dispatcher ranks on its own copy of the
+        snapshot ranks, but every placement lands in one shared totals
+        vector: the counts are never read back.
         """
-        n = self.ctx.num_servers
-        m = self.ctx.num_dispatchers
         batch = np.asarray(batch, dtype=np.int64)
-        rows = np.zeros((m, n), dtype=np.int64)
+        totals = np.zeros(self.ctx.num_servers, dtype=np.int64)
         total = int(batch.sum())
         if total == 0:
-            return rows
+            return totals
         samples = self._sample_servers(total).tolist()
         base_rank = (queues.astype(np.float64) * np.asarray(self._inv_rates)).tolist()
         offset = 0
-        for d in np.flatnonzero(batch):
-            k = int(batch[d])
-            self._assign(samples[offset : offset + k], list(base_rank), rows[d])
+        for k in batch[batch > 0].tolist():
+            self._assign(samples[offset : offset + k], list(base_rank), totals)
             offset += k
-        return rows
+        return totals
 
 
 @register_policy("jsq(d)")

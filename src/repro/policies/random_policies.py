@@ -11,10 +11,10 @@ the stability ablation.
 For a probability-vector policy, dispatching a batch of ``k`` jobs i.i.d.
 is exactly a multinomial draw, so these dispatch in one vectorized call --
 and a whole *round* (every dispatcher's batch) is one stacked multinomial
-draw, which is the native batch-protocol path below.  numpy's broadcast
-multinomial consumes the policy RNG stream exactly like the
-per-dispatcher draws, so the fast engine backend is bit-identical to the
-reference backend for these policies.
+draw whose rows are summed, which is the native batch-protocol path
+below.  numpy's broadcast multinomial consumes the policy RNG stream
+exactly like the per-dispatcher draws, so the fast engine backend is
+bit-identical to the reference backend for these policies.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class WeightedRandomPolicy(Policy):
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
         return self.rng.multinomial(
             np.asarray(batch, dtype=np.int64), self._probs
-        ).astype(np.int64)
+        ).sum(axis=0)
 
 
 @register_policy("random")
@@ -60,4 +60,4 @@ class UniformRandomPolicy(Policy):
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
         return self.rng.multinomial(
             np.asarray(batch, dtype=np.int64), self._probs
-        ).astype(np.int64)
+        ).sum(axis=0)

@@ -42,33 +42,8 @@ class RoundRobinPolicy(Policy):
         return counts.astype(np.int64)
 
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
-        """All rotations advanced at once (bit-identical to the loop).
-
-        Dispatcher ``d`` with batch ``k`` starting at ``p`` gives every
-        server ``k // n`` jobs plus one job to each of the ``k % n``
-        servers ``p, p+1, ... (mod n)``; the remainder arc is written as
-        a per-row difference array and prefix-summed, so the whole round
-        is O(m * n) numpy work with no per-job indexing.
-        """
-        n = self.ctx.num_servers
-        m = self.ctx.num_dispatchers
-        batch = np.asarray(batch, dtype=np.int64)
-        start = self._position
-        remainder = batch % n
-        end = start + remainder
-        diff = np.zeros((m, n + 1), dtype=np.int64)
-        rows_idx = np.arange(m)
-        plain = (remainder > 0) & (end <= n)
-        diff[rows_idx[plain], start[plain]] += 1
-        diff[rows_idx[plain], end[plain]] -= 1
-        wrapped = end > n
-        diff[rows_idx[wrapped], start[wrapped]] += 1
-        diff[rows_idx[wrapped], n] -= 1
-        diff[rows_idx[wrapped], 0] += 1
-        diff[rows_idx[wrapped], end[wrapped] - n] -= 1
-        rows = np.cumsum(diff[:, :n], axis=1) + (batch // n)[:, None]
-        self._position[:] = (start + batch) % n
-        return rows
+        """All rotations advanced at once: a one-round :meth:`dispatch_rounds`."""
+        return self.dispatch_rounds(np.asarray(batch, dtype=np.int64)[None, :])[0]
 
     def dispatch_rounds(self, batch_block: np.ndarray) -> np.ndarray:
         """A whole block's rotations advanced at once (bit-identical).
@@ -81,8 +56,10 @@ class RoundRobinPolicy(Policy):
         difference-array scatter (one ``np.add.at`` per boundary kind)
         and the full-cycle part as a per-round constant; a row-wise
         prefix sum then yields every round's per-server admissions in
-        one pass -- the same integer arithmetic as ``dispatch_round``,
-        so counts and carried positions match it exactly.
+        one pass.  Dispatcher ``d`` with batch ``k`` starting at ``p``
+        gives every server ``k // n`` jobs plus one job to each of the
+        ``k % n`` servers ``p, p+1, ... (mod n)``, so counts and carried
+        positions match the per-dispatcher loop exactly.
         """
         n = self.ctx.num_servers
         batch_block = np.asarray(batch_block, dtype=np.int64)
@@ -146,24 +123,23 @@ class WeightedRoundRobinPolicy(Policy):
         is involved), so the per-dispatcher job loops can be transposed:
         step ``j`` updates every dispatcher still holding a ``j``-th job
         at once.  Each step is the same float arithmetic and the same
-        first-of-the-maxima ``argmax`` as the scalar loop, so the counts
+        first-of-the-maxima ``argmax`` as the scalar loop, so the totals
         *and* the carried credit state match the fallback exactly; the
         round costs O(max batch) vectorized steps instead of O(total
         jobs) scalar ones.
         """
         n = self.ctx.num_servers
-        m = self.ctx.num_dispatchers
         batch = np.asarray(batch, dtype=np.int64)
-        counts = np.zeros((m, n), dtype=np.int64)
+        totals = np.zeros(n, dtype=np.int64)
         credits = self._credits
         rates = self.rates
         total = self._total_weight
-        dispatchers = np.arange(m)
+        dispatchers = np.arange(batch.size)
         for j in range(int(batch.max()) if batch.size else 0):
             active = dispatchers[batch > j]
             block = credits[active] + rates
             best = np.argmax(block, axis=1)
             block[np.arange(active.size), best] -= total
             credits[active] = block
-            counts[active, best] += 1
-        return counts
+            totals += np.bincount(best, minlength=n)
+        return totals

@@ -42,8 +42,9 @@ __all__ = ["CheckpointError", "CheckpointStore", "retained_rounds"]
 #: streams.  Version 3: unit and sized jobs share one batch store of
 #: ``(round, size, count)`` runs.  Version 4: bursty arrivals are a
 #: ``regime`` rate curve; the two-state modulated arrival class and the
-#: workload-factory classes are gone.
-_FORMAT_VERSION = 4
+#: workload-factory classes are gone.  Version 5: JSQ and SED keep their
+#: rank rates and a round snapshot instead of the raw queue view.
+_FORMAT_VERSION = 5
 
 
 def retained_rounds(

@@ -252,13 +252,15 @@ class ChurnPolicyAdapter(Policy):
         return row
 
     def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
-        rows = self.inner.dispatch_round(batch, self._masked)
+        # Every dispatcher's row redirects to the same target, so the
+        # totals redirect at once.
+        totals = self.inner.dispatch_round(batch, self._masked)
         off = ~self._mask
-        moved = rows[:, off].sum(axis=1)
-        if moved.any():
-            rows[:, off] = 0
-            rows[:, self._redirect_target()] += moved
-        return rows
+        moved = int(totals[off].sum())
+        if moved:
+            totals[off] = 0
+            totals[self._redirect_target()] += moved
+        return totals
 
 
 @register_scenario("churn")

@@ -12,10 +12,11 @@ units, which are jobs when jobs have unit size.
     obviously correct, and the bit-exact default.
 
 ``fast``
-    The vectorized kernel: a whole round's dispatching goes through the
-    batch protocol :meth:`repro.policies.base.Policy.dispatch_round`,
-    arrivals land in an array-backed batch store, and the departure
-    phase drains *all* busy servers in lock-step with
+    The vectorized kernel: a whole round's dispatching is one call of
+    the batch protocol :meth:`repro.policies.base.Policy.dispatch_round`,
+    which returns the round's per-server admissions; arrivals land in an
+    array-backed batch store, and the departure phase drains *all* busy
+    servers in lock-step with
     :meth:`~repro.sim.metrics.ResponseTimeHistogram.record_many` bulk
     recording.  Unit and sized jobs share one
     :class:`~repro.sim.batchstore.BatchQueueStore` of the reference
@@ -387,14 +388,14 @@ class FastBackend(EngineBackend):
     Workload randomness is pre-sampled in blocks of
     :data:`~repro.sim.blockdriver.BLOCK_ROUNDS` rounds (numpy block draws consume the RNG streams exactly like
     per-round draws, so the realization is the one the reference backend
-    sees).  Within a block, each round makes one ``dispatch_round`` call
-    -- which native policies answer with a single numpy operation -- and
-    updates only the per-server queue totals; the FIFO bookkeeping
-    (which job departed when) is deferred and resolved for the whole
-    block at once by the batch store's ``process_block``, including
-    bulk histogram recording.  Policies that do not override the batch
-    protocol are driven through the same per-dispatcher loop as the
-    reference backend (and still gain the block-resolved departures).
+    sees).  Within a block, each round makes one ``dispatch_round`` call,
+    which returns the round's per-server admissions -- native policies
+    compute them with a few numpy operations, and the base
+    implementation sums the same per-dispatcher ``dispatch`` rows the
+    reference backend computes -- and updates only the per-server queue
+    totals; the FIFO bookkeeping (which job departed when) is deferred
+    and resolved for the whole block at once by the batch store's
+    ``process_block``, including bulk histogram recording.
     """
 
     name = "fast"

@@ -20,6 +20,15 @@ owns the loop once and parameterizes the destination:
     driver invokes the :class:`~repro.sim.lifecycle.RunController` seam
     with it at every block boundary.
 
+**Dispatch.**  On the per-round path every round with arrivals makes
+exactly one :meth:`~repro.policies.base.Policy.dispatch_round` call,
+which returns the round's per-server admissions as an int64 ``(n,)``
+vector; the driver checks its shape and that it conserves the round's
+jobs, and raises ``ValueError`` otherwise.  The driver has no per-dispatcher loop
+of its own: a policy without a native batch path gets the base
+implementation, which sums the ``dispatch`` rows the reference kernel
+computes, in the same dispatcher order.
+
 **Job sizes.**  Policies never see realized sizes, so a sized run
 dispatches exactly like a unit run and every dispatch path below is
 shared.  The block's sizes are drawn from the ``sizes`` stream in one
@@ -62,11 +71,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.policies.base import (
-    Policy,
-    has_native_dispatch_round,
-    supports_round_batching,
-)
+from repro.policies.base import Policy, supports_round_batching
 
 from .lifecycle import RunController
 from .probes import ProbeBlock, ProbeSet
@@ -214,8 +219,6 @@ def drive_blocks(
     """
     queues = state.queues
     n = queues.size
-    m = arrivals.num_dispatchers
-    native = has_native_dispatch_round(policy)
     batching = supports_round_batching(policy)
     fields = block_probes.fields
     need_queues = "queues" in fields
@@ -296,21 +299,13 @@ def drive_blocks(
                     policy.begin_round(t, queues)
                     if round_total:
                         policy.observe_total_arrivals(round_total)
-                        if native:
-                            rows = policy.dispatch_round(batch, queues)
-                            if rows.shape != (m, n):
-                                raise ValueError(
-                                    f"{policy.name}.dispatch_round returned shape "
-                                    f"{rows.shape}, expected ({m}, {n})"
-                                )
-                            jobs = rows.sum(axis=0)
-                        else:
-                            jobs = np.zeros(n, dtype=np.int64)
-                            for d in range(m):
-                                k = int(batch[d])
-                                if k == 0:
-                                    continue
-                                jobs += policy.dispatch(d, k)
+                        jobs = policy.dispatch_round(batch, queues)
+                        if jobs.shape != (n,):
+                            raise ValueError(
+                                f"{policy.name}.dispatch_round returned shape "
+                                f"{jobs.shape}; the batch protocol returns the "
+                                f"round's per-server admissions, shape ({n},)"
+                            )
                         if int(jobs.sum()) != round_total:
                             raise ValueError(
                                 f"{policy.name} assigned {int(jobs.sum())} "

@@ -20,6 +20,8 @@ named tier scaled from its budget:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 
@@ -37,6 +39,7 @@ __all__ = [
     "assert_store_matches_reference",
     "ensemble_tolerance",
     "assert_ensemble_close",
+    "fingerprint",
 ]
 
 settings.register_profile("ci", max_examples=200, deadline=None)
@@ -89,6 +92,24 @@ def assert_ensemble_close(
         f"{label}: observed {observed!r} vs predicted {predicted!r} -> "
         f"relative error {error:.4f} > tolerance {tolerance:.4f} (n={n})"
     )
+
+
+def fingerprint(record) -> str:
+    """Hash of a record's metrics and its result's integer arrays.
+
+    The golden result pins compare these, so that "no result changed"
+    stays checked across refactors of the dispatch paths.
+    """
+    result = record.result
+    digest = hashlib.sha256(json.dumps(sorted(record.metrics.items())).encode())
+    for array in (
+        result.final_queues,
+        result.server_received,
+        result.server_departed,
+        result.histogram.counts,
+    ):
+        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
 
 
 @st.composite

@@ -125,39 +125,60 @@ def drained_estimates(draw):
     return np.maximum(queues - rounds * rates, 0.0), rates
 
 
-def assert_rows_equal_heap(queues, rates, batch):
-    rows = greedy_rows_for_batches(queues, rates, np.array(batch))
-    assert rows.shape == (len(batch), np.size(queues))
-    for row, k in zip(rows, batch):
-        np.testing.assert_array_equal(row, greedy_batch_assign_heap(queues, rates, k))
+def heap_totals(queues, rates, batch):
+    """The heap's rows for ``batch``, summed."""
+    totals = np.zeros(np.size(queues), dtype=np.int64)
+    for k in batch:
+        totals += greedy_batch_assign_heap(queues, rates, k)
+    return totals
+
+
+def assert_totals_equal_heap(queues, rates, batch):
+    """One snapshot's totals over ``batch`` equal the heap's summed rows."""
+    totals = greedy_batch_assign(queues, rates, np.array(batch))
+    assert totals.shape == (np.size(queues),)
+    np.testing.assert_array_equal(totals, heap_totals(queues, rates, batch))
+
+
+def assert_rows_and_totals_equal_heap(queues, rates, batch):
+    """Every one-batch row, and the batches' totals, equal the heap's."""
+    for k in batch:
+        np.testing.assert_array_equal(
+            greedy_batch_assign(queues, rates, k), greedy_batch_assign_heap(queues, rates, k)
+        )
+    assert_totals_equal_heap(queues, rates, batch)
 
 
 class TestTieBreakContract:
-    """Every row equals the heap exactly: ties go to the lowest server index."""
+    """Every row, and so every total, equals the heap exactly: ties go to
+    the lowest server index."""
 
     @given(edge_case_snapshots(), batch_lists)
     @DETERMINISM_SETTINGS
     def test_integer_queues(self, snapshot, batch):
-        assert_rows_equal_heap(*snapshot, batch)
+        assert_rows_and_totals_equal_heap(*snapshot, batch)
 
     @given(drained_estimates(), batch_lists)
     @DETERMINISM_SETTINGS
     def test_float_estimates(self, snapshot, batch):
-        assert_rows_equal_heap(*snapshot, batch)
+        assert_rows_and_totals_equal_heap(*snapshot, batch)
 
     def test_tied_servers_fill_lowest_index_first(self):
-        rows = greedy_rows_for_batches(np.zeros(4), np.ones(4), np.array([1, 2, 3, 5]))
+        queues, rates = np.zeros(4), np.ones(4)
+        rows = [greedy_batch_assign(queues, rates, k) for k in (1, 2, 3, 5)]
         np.testing.assert_array_equal(
             rows, [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [2, 1, 1, 1]]
         )
+        totals = greedy_batch_assign(queues, rates, np.array([1, 2, 3, 5]))
+        np.testing.assert_array_equal(totals, [5, 3, 2, 1])
 
     def test_candidates_use_the_heap_float_expression(self):
         # Server 0's 25th marginal (q_0 + 24) + 1.0 rounds to exactly
         # server 1's first, so the tie goes to server 0; q_0 + 25 would
         # round one ulp higher and hand the job to server 1.
         queues = np.array([7.980617758728532, 31.980617758728528])
-        rows = greedy_rows_for_batches(queues, np.ones(2), np.array([25]))
-        np.testing.assert_array_equal(rows, [[25, 0]])
+        row = greedy_batch_assign(queues, np.ones(2), 25)
+        np.testing.assert_array_equal(row, [25, 0])
         heap = greedy_batch_assign_heap(queues, np.ones(2), 25)
         np.testing.assert_array_equal(heap, [25, 0])
 
@@ -177,7 +198,7 @@ class TestTieBreakContract:
             monkeypatch.setattr(np, name, counting(getattr(np, name)))
         rng = np.random.default_rng(5)
         queues, rates = rng.integers(0, 20, size=30), rng.uniform(1, 10, size=30)
-        greedy_rows_for_batches(queues, rates, np.arange(41))
+        greedy_batch_assign(queues, rates, np.arange(41))
         assert calls == ["argsort"]
         views = queues + rng.integers(0, 5, size=(12, 30))
         greedy_rows_for_batches(views, rates, rng.integers(0, 40, size=12))
@@ -190,50 +211,51 @@ class TestFallbacks:
     @pytest.fixture
     def heap_calls(self, monkeypatch):
         calls = []
-        heap_rows = greedy._heap_rows
+        heap_totals = greedy._heap_totals
 
         def spy(queues, rates, sizes):
             calls.append(sizes.tolist())
-            return heap_rows(queues, rates, sizes)
+            return heap_totals(queues, rates, sizes)
 
-        monkeypatch.setattr(greedy, "_heap_rows", spy)
+        monkeypatch.setattr(greedy, "_heap_totals", spy)
         return calls
 
     @staticmethod
     def fixed_levels(monkeypatch, levels):
-        """Replace the water fill by ``levels``, as if it had float error.
+        """Replace the snapshot's water fill by ``levels``, as if it had
+        float error.
 
         The bulk path asks for the levels of k_min, k_max and k_max + n.
         """
         monkeypatch.setattr(
-            greedy, "compute_iwl", lambda queues, rates, arrivals: np.array(levels)
+            greedy.LoadSnapshot, "levels", lambda self, arrivals: np.array(levels)
         )
 
     def test_candidate_cap(self, monkeypatch, heap_calls):
         monkeypatch.setattr(greedy, "_MAX_CANDIDATES", 1)
-        assert_rows_equal_heap(np.array([3, 0, 1]), np.array([1.0, 2.0, 4.0]), [4, 9, 0, 4])
+        assert_totals_equal_heap(np.array([3, 0, 1]), np.array([1.0, 2.0, 4.0]), [4, 9, 0, 4])
         assert heap_calls == [[4, 9, 4]]
 
     def test_wide_spread_of_batch_sizes(self, heap_calls):
         rng = np.random.default_rng(2)
         queues = rng.integers(0, 30, size=100)
         rates = rng.uniform(1.0, 10.0, size=100)
-        assert_rows_equal_heap(queues, rates, [1, 60_000, 0, 7])
+        assert_totals_equal_heap(queues, rates, [1, 60_000, 0, 7])
         assert heap_calls == []
 
     def test_base_above_smallest_batch(self, monkeypatch, heap_calls):
         queues, rates = np.array([0, 5]), np.ones(2)
         self.fixed_levels(monkeypatch, [6.5, 6.5, 6.5])  # true: 2.0, 5.5, 6.5
-        rows = greedy_rows_for_batches(queues, rates, np.array([2, 6]))
-        np.testing.assert_array_equal(rows, [[2, 0], [6, 0]])
+        totals = greedy_batch_assign(queues, rates, np.array([2, 6]))
+        np.testing.assert_array_equal(totals, [8, 0])
         assert heap_calls == [[2, 6]]
 
     def test_base_fills_the_batch(self, monkeypatch, heap_calls):
         # Below the true level the base holds strictly fewer than k_min
         # jobs; a level with float error can make it hold all of them.
         self.fixed_levels(monkeypatch, [3.5, 3.5, 5.5])  # true: 3.0, 3.0, 5.0
-        rows = greedy_rows_for_batches(np.array([0, 5]), np.ones(2), np.array([3]))
-        np.testing.assert_array_equal(rows, [[3, 0]])
+        row = greedy_batch_assign(np.array([0, 5]), np.ones(2), 3)
+        np.testing.assert_array_equal(row, [3, 0])
         assert heap_calls == [[3]]
 
     def test_base_not_a_prefix(self, monkeypatch, heap_calls):
@@ -242,8 +264,8 @@ class TestFallbacks:
         # (also 1.0).  The heap gives those ties to servers 0, 1 and 2.
         queues, rates = np.zeros(4), np.array([1.0, 1.0, 1000.0, 1000.0])
         self.fixed_levels(monkeypatch, [1.0 + 5e-10, 1.1, 1.1])
-        rows = greedy_rows_for_batches(queues, rates, np.array([2001]))
-        np.testing.assert_array_equal(rows, [[1, 1, 1000, 999]])
+        row = greedy_batch_assign(queues, rates, 2001)
+        np.testing.assert_array_equal(row, [1, 1, 1000, 999])
         assert heap_calls == [[2001]]
 
     def test_window_short_of_picks(self, monkeypatch, heap_calls):
@@ -251,8 +273,8 @@ class TestFallbacks:
         # of k_max + n's level and one step above k_max's) short of the
         # three picks.
         self.fixed_levels(monkeypatch, [0.0, 0.0, 0.0])
-        rows = greedy_rows_for_batches(np.array([0, 1]), np.ones(2), np.array([1, 3]))
-        np.testing.assert_array_equal(rows, [[1, 0], [2, 1]])
+        totals = greedy_batch_assign(np.array([0, 1]), np.ones(2), np.array([1, 3]))
+        np.testing.assert_array_equal(totals, [3, 1])  # rows [1, 0] and [2, 1]
         assert heap_calls == [[1, 3]]
 
     def test_window_edge_on_a_tie(self, monkeypatch, heap_calls):
@@ -262,14 +284,15 @@ class TestFallbacks:
         queues, rates = np.zeros(2), np.array([0.7, 3.5])
         edge = 3.0 / 0.7
         self.fixed_levels(monkeypatch, [0.0, edge - 1.0 / 0.7, np.inf])
-        rows = greedy_rows_for_batches(queues, rates, np.array([17]))
-        np.testing.assert_array_equal(rows, [[3, 14]])
+        row = greedy_batch_assign(queues, rates, 17)
+        np.testing.assert_array_equal(row, [3, 14])
         assert heap_calls == [[17]]
 
 
 class TestRowsForBatches:
     """The whole-round path shares one water fill and one sort across batch
-    sizes; each row must be exactly the per-dispatcher assignment."""
+    sizes; its totals must be exactly the per-dispatcher assignments'
+    sum."""
 
     @given(
         edge_case_snapshots(),
@@ -278,18 +301,29 @@ class TestRowsForBatches:
     @DETERMINISM_SETTINGS
     def test_equals_per_dispatcher_assign(self, snapshot, batch):
         queues, rates = snapshot
-        rows = greedy_rows_for_batches(queues, rates, np.array(batch))
-        assert rows.shape == (len(batch), queues.size)
-        for row, k in zip(rows, batch):
-            np.testing.assert_array_equal(row, greedy_batch_assign(queues, rates, k))
+        totals = greedy_batch_assign(queues, rates, np.array(batch))
+        assert totals.shape == (queues.size,)
+        expected = np.zeros(queues.size, dtype=np.int64)
+        for k in batch:
+            expected += greedy_batch_assign(queues, rates, k)
+        np.testing.assert_array_equal(totals, expected)
 
     def test_all_zero_batches(self):
         batch = np.zeros(3, dtype=np.int64)
-        rows = greedy_rows_for_batches(np.array([2, 0]), np.ones(2), batch)
-        np.testing.assert_array_equal(rows, np.zeros((3, 2), dtype=np.int64))
+        totals = greedy_batch_assign(np.array([2, 0]), np.ones(2), batch)
+        np.testing.assert_array_equal(totals, np.zeros(2, dtype=np.int64))
         views = np.array([[2, 0], [0, 1], [5, 5]])
         rows = greedy_rows_for_batches(views, np.ones(2), batch)
         np.testing.assert_array_equal(rows, np.zeros((3, 2), dtype=np.int64))
+
+    def test_shapes_are_checked(self):
+        # A shared snapshot has no rows: only local views do.
+        with pytest.raises(ValueError, match="one local view per row"):
+            greedy_rows_for_batches(np.array([2, 0]), np.ones(2), np.array([1, 2]))
+        with pytest.raises(ValueError, match="1-D"):
+            greedy_batch_assign(np.array([2, 0]), np.ones(2), np.ones((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_batch_assign(np.array([2, 0]), np.ones(2), np.array([1, -1]))
 
 
 @st.composite

@@ -11,9 +11,10 @@ reads the registry):
   dispatchers and corrupt accounting);
 * zero-job dispatches return all-zero vectors;
 * repeated rounds never raise, whatever the queue state;
-* the batch protocol ``dispatch_round`` returns an (m, n) matrix whose
-  rows sum to the dispatcher batches, and the native overrides of
-  deterministic policies reproduce the per-dispatcher loop exactly.
+* the batch protocol ``dispatch_round`` returns the round's per-server
+  admissions, an ``(n,)`` vector summing to the round's jobs, and the
+  native overrides of deterministic policies reproduce the
+  per-dispatcher loop's totals exactly.
 """
 
 import numpy as np
@@ -105,11 +106,11 @@ class TestBatchProtocolContracts:
         queues = np.array([7, 0, 3, 1, 12], dtype=np.int64)
         policy.begin_round(0, queues)
         batch = np.array([13, 0, 1, 6], dtype=np.int64)
-        rows = policy.dispatch_round(batch, queues)
-        assert rows.shape == (4, 5)
-        assert rows.dtype.kind == "i"
-        np.testing.assert_array_equal(rows.sum(axis=1), batch)
-        assert np.all(rows >= 0)
+        totals = policy.dispatch_round(batch, queues)
+        assert totals.shape == (5,)
+        assert totals.dtype.kind == "i"
+        assert totals.sum() == batch.sum()
+        assert np.all(totals >= 0)
         policy.end_round(0, queues)
 
     def test_snapshot_never_mutated(self, name):
@@ -126,8 +127,8 @@ class TestBatchProtocolContracts:
         policy = bind(name, rates, m=2)
         queues = np.zeros(3, dtype=np.int64)
         policy.begin_round(0, queues)
-        rows = policy.dispatch_round(np.zeros(2, dtype=np.int64), queues)
-        np.testing.assert_array_equal(rows, np.zeros((2, 3), dtype=np.int64))
+        totals = policy.dispatch_round(np.zeros(2, dtype=np.int64), queues)
+        np.testing.assert_array_equal(totals, np.zeros(3, dtype=np.int64))
 
 
 #: Policies whose dispatch uses no randomness: a native dispatch_round
@@ -152,9 +153,9 @@ def test_native_batch_path_matches_fallback(name):
         batch = rng.integers(0, 12, size=4)
         native.begin_round(t, queues)
         looped.begin_round(t, queues)
-        rows_native = native.dispatch_round(batch, queues)
-        rows_looped = Policy.dispatch_round(looped, batch, queues)
-        np.testing.assert_array_equal(rows_native, rows_looped)
+        totals_native = native.dispatch_round(batch, queues)
+        totals_looped = Policy.dispatch_round(looped, batch, queues)
+        np.testing.assert_array_equal(totals_native, totals_looped)
         queues = rng.integers(0, 30, size=5)
 
 

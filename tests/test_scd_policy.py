@@ -134,16 +134,16 @@ class TestNativeDispatchRound:
             for policy in (native, looped):
                 policy.begin_round(t, queues)
                 policy.observe_total_arrivals(int(batch.sum()))
-            rows = native.dispatch_round(batch, queues)
-            np.testing.assert_array_equal(rows, Policy.dispatch_round(looped, batch, queues))
+            totals = native.dispatch_round(batch, queues)
+            np.testing.assert_array_equal(totals, Policy.dispatch_round(looped, batch, queues))
             assert native.rng.bit_generator.state == looped.rng.bit_generator.state
 
     def test_all_zero_round_draws_nothing(self):
         policy = bind(SCDPolicy(), self.RATES, m=3, seed=1)
         before = policy.rng.bit_generator.state
         policy.begin_round(0, np.zeros(self.RATES.size, dtype=np.int64))
-        rows = policy.dispatch_round(np.zeros(3, dtype=np.int64), None)
-        np.testing.assert_array_equal(rows, np.zeros((3, self.RATES.size)))
+        totals = policy.dispatch_round(np.zeros(3, dtype=np.int64), None)
+        np.testing.assert_array_equal(totals, np.zeros(self.RATES.size))
         assert policy.rng.bit_generator.state == before
 
     def test_solves_once_per_round(self, monkeypatch):
@@ -165,8 +165,9 @@ class TestNativeDispatchRound:
         policy = bind(SCDPolicy(), self.RATES, m=4, seed=1)
         monkeypatch.setattr(policy, "dispatch", lambda d, k: pytest.fail("fallback used"))
         policy.begin_round(0, np.arange(self.RATES.size))
-        rows = policy.dispatch_round(np.array([3, 1, 3, 7]), None)
-        np.testing.assert_array_equal(rows.sum(axis=1), [3, 1, 3, 7])
+        totals = policy.dispatch_round(np.array([3, 1, 3, 7]), None)
+        assert totals.shape == (self.RATES.size,)
+        assert totals.sum() == 14
         assert calls == ["levels", "solve"]
 
     @pytest.mark.parametrize(
@@ -190,9 +191,9 @@ class TestNativeDispatchRound:
         batch = np.array([4, 0, 9])
         policy.begin_round(0, queues)
         twin.begin_round(0, queues)
-        rows = policy.dispatch_round(batch, queues)
+        totals = policy.dispatch_round(batch, queues)
         assert calls == [0, 2]
-        np.testing.assert_array_equal(rows, Policy.dispatch_round(twin, batch, queues))
+        np.testing.assert_array_equal(totals, Policy.dispatch_round(twin, batch, queues))
 
 
 class TestSCDConnectivity:

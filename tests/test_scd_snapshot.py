@@ -7,7 +7,7 @@ problem.  These tests pin that this changes no number:
 
 * every snapshot row equals the scalar public ``compute_iwl`` /
   ``scd_probabilities`` call, bit for bit;
-* ``dispatch_round``'s rows and the RNG state after it equal the base
+* ``dispatch_round``'s totals and the RNG state after it equal the base
   per-dispatcher loop's, for ``scd``, ``twf`` and ``scd-sized`` under
   every estimator;
 * a small grid of ``scd``/``twf``/``scd-sized``/``scd``+``ewma`` cells
@@ -16,12 +16,10 @@ problem.  These tests pin that this changes no number:
 """
 
 import copy
-import hashlib
-import json
 
 import numpy as np
 import pytest
-from _helpers import DETERMINISM_SETTINGS
+from _helpers import DETERMINISM_SETTINGS, fingerprint
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -162,19 +160,6 @@ GOLDEN = {
     ("sized", "n12_m3_u1_10", EWMA): "78f793a5e1274da4",
 }
 
-
-def fingerprint(record) -> str:
-    """Hash of a record's metrics and its result's integer arrays."""
-    result = record.result
-    digest = hashlib.sha256(json.dumps(sorted(record.metrics.items())).encode())
-    for array in (
-        result.final_queues,
-        result.server_received,
-        result.server_departed,
-        result.histogram.counts,
-    ):
-        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
-    return digest.hexdigest()[:16]
 
 
 class TestGoldenResults:

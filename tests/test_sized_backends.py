@@ -400,16 +400,16 @@ class TestWRRNativeBatchPath:
         for _ in range(4):
             batch = rng.integers(0, 9, size=m)
             queues = rng.integers(0, 30, size=n)
-            rows_native = native.dispatch_round(batch, queues)
-            rows_fallback = Policy.dispatch_round(fallback, batch, queues)
-            np.testing.assert_array_equal(rows_native, rows_fallback)
+            totals_native = native.dispatch_round(batch, queues)
+            totals_fallback = Policy.dispatch_round(fallback, batch, queues)
+            np.testing.assert_array_equal(totals_native, totals_fallback)
             np.testing.assert_array_equal(native._credits, fallback._credits)
 
     def test_empty_round_leaves_credits_untouched(self):
         native, _ = self._bound_pair(4, 3, seed=0)
         before = native._credits.copy()
-        rows = native.dispatch_round(np.zeros(3, dtype=np.int64), np.zeros(4))
-        assert rows.sum() == 0
+        totals = native.dispatch_round(np.zeros(3, dtype=np.int64), np.zeros(4))
+        np.testing.assert_array_equal(totals, np.zeros(4, dtype=np.int64))
         np.testing.assert_array_equal(native._credits, before)
 
 
