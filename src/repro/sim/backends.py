@@ -276,9 +276,35 @@ def _start(sim: "Simulation", controller: RunController | None) -> tuple[int, di
     return start_round, controller.initial_state()
 
 
+def _checked_row(
+    policy, row: np.ndarray, num_jobs: int, n: int, round_index: int
+) -> np.ndarray:
+    """One ``dispatch`` row, refused unless it is ``(n,)``, sums to
+    ``num_jobs`` and admits no negative count."""
+    if row.shape != (n,):
+        raise ValueError(
+            f"{policy.name}.dispatch returned shape {row.shape}, expected ({n},)"
+        )
+    if int(row.sum()) != num_jobs:
+        raise ValueError(
+            f"{policy.name} assigned {int(row.sum())} jobs for a batch of {num_jobs}"
+        )
+    if row.min() < 0:
+        s = int(np.argmax(row < 0))
+        raise ValueError(
+            f"{policy.name} admitted {int(row[s])} jobs to server {s} "
+            f"in round {round_index}; admissions must be non-negative"
+        )
+    return row
+
+
 @register_backend("reference")
 class ReferenceBackend(EngineBackend):
-    """The original per-dispatcher / per-server Python loop (bit-exact default)."""
+    """The original per-dispatcher / per-server Python loop (bit-exact default).
+
+    Every ``dispatch`` row is checked before it is admitted: shape
+    ``(n,)``, summing to the dispatcher's batch, no negative count.
+    """
 
     name = "reference"
     description = (
@@ -331,7 +357,7 @@ class ReferenceBackend(EngineBackend):
                     k = int(batch[d])
                     if k == 0:
                         continue
-                    jobs += policy.dispatch(d, k)
+                    jobs += _checked_row(policy, policy.dispatch(d, k), k, n, t)
                 # Sizes are workload randomness, drawn after placement
                 # from their own stream server by server, so the
                 # realized sizes do not depend on the policy.
@@ -392,10 +418,15 @@ class FastBackend(EngineBackend):
     which returns the round's per-server admissions -- native policies
     compute them with a few numpy operations, and the base
     implementation sums the same per-dispatcher ``dispatch`` rows the
-    reference backend computes -- and updates only the per-server queue
-    totals; the FIFO bookkeeping (which job departed when) is deferred
-    and resolved for the whole block at once by the batch store's
-    ``process_block``, including bulk histogram recording.
+    reference backend computes -- and steps only the per-server queue
+    totals; queue-oblivious policies answer the whole block with one
+    ``dispatch_rounds`` call and their queue totals come from the
+    closed-form recurrence instead.  Either way the block ends in the
+    driver's block tail, which derives completions, the queue series and
+    the probes' queues from the block's queue trajectory.  The FIFO
+    bookkeeping (which job departed when) is deferred and resolved for
+    the whole block at once by the batch store's ``process_block``,
+    including bulk histogram recording.
     """
 
     name = "fast"

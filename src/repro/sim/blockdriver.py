@@ -46,17 +46,34 @@ share:
 * **Cross-round dispatch batching.**  When the policy passes
   :func:`repro.policies.base.supports_round_batching` (queue-oblivious,
   no round hooks), the whole block's admissions come from one
-  :meth:`~repro.policies.base.Policy.dispatch_rounds` call and the loop
-  degenerates to the pure queue/departure recurrence -- bit-identical
-  by that method's contract, with none of the per-round Python
-  overhead.
+  :meth:`~repro.policies.base.Policy.dispatch_rounds` call --
+  bit-identical by that method's contract, with no per-round Python
+  loop at all.
 * **A compiled round-kernel seam.**  Unit-job runs accept an optional
   ``round_kernel`` object (see :mod:`repro.sim.compiled`) that runs the
   *entire* block -- dispatch state, queue recurrence and completion
-  matrix -- in one native call; the driver reconstructs the queue
-  trajectory and series totals from the admission/completion matrices
-  afterwards (integer prefix sums, so the values are the ones the
-  per-round loop would have recorded).
+  matrix -- in one native call.
+
+**The block tail.**  Each of the three paths -- per-round dispatch,
+batched dispatch, round kernel -- yields the block's *trajectory*, the
+``(length, n)`` post-round queues, and one shared tail derives the
+rest from it once per block: completions ``done_t = q_{t-1} + r_t - q_t``
+(the first row from the block's start queues), the queue-length series
+(row sums) and the probes' ``queues`` field (the trajectory itself).
+The per-round path steps ``q_t = max(q_{t-1} + r_t - c_t, 0)`` because
+its policy reads every round's queues; the round kernel's trajectory
+is the prefix sum of its ``received - done``.  The batched path never
+needs an intermediate queue, so it solves the recurrence -- a Lindley
+recursion -- in closed form: with ``S_t`` the prefix sum of
+``r - c`` over the block and ``q_0`` the start queues,
+
+    ``q_t = S_t - min(min_{j <= t} S_j, -q_0)``.
+
+Unrolling the recursion gives ``q_t = max(q_0 + S_t, max_{j <= t}
+(S_t - S_j))``, since the queue last emptied at some round ``j`` or
+never did in the block; the ``j = t`` term is the ``0`` floor.  Every
+quantity is an int64 sum, so the closed form is exact, not an
+approximation: it reproduces the stepped values bit for bit.
 
 Bit-identity is the invariant throughout: for a given policy and seed,
 every path through this driver produces the same admission matrix,
@@ -82,6 +99,8 @@ __all__ = [
     "RunState",
     "RoundKernel",
     "drive_blocks",
+    "queue_trajectory",
+    "trajectory_done",
 ]
 
 #: Rounds pre-sampled per block (bounds the memory of the ``(chunk, m)``
@@ -100,7 +119,7 @@ class Block:
     batch: np.ndarray  # (length, m) per-dispatcher job arrivals
     received: np.ndarray  # (length, n) per-server admitted work units
     done: np.ndarray  # (length, n) per-server completed work units
-    queues: np.ndarray | None  # (length, n) post-round queues, if requested
+    queues: np.ndarray  # (length, n) post-round queues: the trajectory
     #: ``(length, n)`` per-server admitted jobs; ``received`` itself for
     #: unit jobs.
     jobs_block: np.ndarray
@@ -139,8 +158,8 @@ class RoundKernel(Protocol):
     ``run_block`` owns dispatch state, the queue recurrence and the
     completion matrix for one block: it fills ``received`` and ``done``
     and advances ``queues`` in place, leaving the policy's carried state
-    exactly as the per-round loop would.  The driver reconstructs the
-    queue trajectory and accumulators from the matrices afterwards.
+    exactly as the per-round loop would.  The driver rebuilds the queue
+    trajectory from the matrices and runs the shared block tail on it.
     """
 
     def run_block(
@@ -170,6 +189,42 @@ def _check_received_block(
             f"{policy.name} assigned {int(got[bad])} jobs for a round "
             f"of {int(round_totals[bad])}"
         )
+
+
+def _check_admissions(policy: Policy, job_block: np.ndarray, start_round: int) -> None:
+    """Refuse a block in which the policy admitted negative jobs anywhere."""
+    if job_block.min() < 0:
+        i, s = (int(x) for x in np.argwhere(job_block < 0)[0])
+        raise ValueError(
+            f"{policy.name} admitted {int(job_block[i, s])} jobs to server {s} "
+            f"in round {start_round + i}; admissions must be non-negative"
+        )
+
+
+def queue_trajectory(
+    start: np.ndarray, received: np.ndarray, capacity: np.ndarray
+) -> np.ndarray:
+    """A block's ``(length, n)`` post-round queues, in closed form.
+
+    Row ``t`` equals ``max(q_{t-1} + received[t] - capacity[t], 0)``
+    stepped from ``q_{-1} = start``: the Lindley identity of the module
+    docstring, exact in integer arithmetic.
+    """
+    trajectory = np.cumsum(received - capacity, axis=0)
+    floor = np.minimum.accumulate(trajectory, axis=0)
+    np.minimum(floor, -start, out=floor)
+    trajectory -= floor
+    return trajectory
+
+
+def trajectory_done(
+    start: np.ndarray, received: np.ndarray, trajectory: np.ndarray
+) -> np.ndarray:
+    """A block's per-round completions, ``q_{t-1} + received[t] - q_t``."""
+    done = received - trajectory
+    done[0] += start
+    done[1:] += trajectory[:-1]
+    return done
 
 
 def _server_major_sizes(job_block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -213,17 +268,21 @@ def drive_blocks(
     unit jobs) and ``streams`` its :class:`~repro.sim.seeding.SimulationStreams`.
     ``block_probes`` is the probe set fed whole blocks (the fast
     kernel's full set; the sharded coordinator's non-partitionable
-    subset); ``series`` is the queue-length series recorded per round,
-    or ``None`` when the consumer's side owns it (shard workers record
-    their own slices).  ``round_kernel`` is honored for unit jobs only.
+    subset); ``series`` is the queue-length series, which the block tail
+    extends by one total per round (the row sums of the block's
+    trajectory) once per block, or ``None`` when the consumer's side
+    owns it (shard workers record their own slices).  ``round_kernel``
+    is honored for unit jobs only.
+
+    Every block's admitted jobs must be non-negative; a block that
+    admits a negative count anywhere raises ``ValueError`` before it
+    reaches ``consume``.
     """
     queues = state.queues
     n = queues.size
     batching = supports_round_batching(policy)
     fields = block_probes.fields
-    need_queues = "queues" in fields
     wants_blocks = block_probes.wants_blocks
-    track = need_queues or series is not None
     sized = sizes is not None
     if sized:
         round_kernel = None
@@ -233,8 +292,7 @@ def drive_blocks(
         arrival_block = arrivals.sample_many(streams.arrivals, chunk_start, chunk)
         capacity_block = service.sample_many(streams.departures, chunk_start, chunk)
         received_block = np.zeros((chunk, n), dtype=np.int64)
-        done_block = np.zeros((chunk, n), dtype=np.int64)
-        queue_block = np.zeros((chunk, n), dtype=np.int64) if need_queues else None
+        start_queues = queues.copy()
         block_jobs = int(arrival_block.sum())
         state.total_jobs += block_jobs
         if sized:
@@ -251,19 +309,12 @@ def drive_blocks(
             job_block = received_block
 
         if round_kernel is not None:
-            start_total = int(queues.sum()) if track else 0
-            start_queues = queues.copy() if need_queues else None
+            kernel_done = np.zeros((chunk, n), dtype=np.int64)
             round_kernel.run_block(
-                arrival_block, capacity_block, queues, received_block, done_block
+                arrival_block, capacity_block, queues, received_block, kernel_done
             )
-            if queue_block is not None:
-                np.cumsum(received_block - done_block, axis=0, out=queue_block)
-                queue_block += start_queues
-            if series is not None:
-                totals = (received_block - done_block).sum(axis=1)
-                np.cumsum(totals, out=totals)
-                totals += start_total
-                series.record_many(totals)
+            trajectory = np.cumsum(received_block - kernel_done, axis=0)
+            trajectory += start_queues
         else:
             batched = None
             if batching:
@@ -276,18 +327,14 @@ def drive_blocks(
                     received_block[:] = (
                         work[ends] - work[ends - batched.ravel()]
                     ).reshape(chunk, n)
-                # The policy is out of the loop; only the queue /
-                # departure recurrence remains, round by round.
-                for i in range(chunk):
-                    queues += received_block[i]
-                    done = np.minimum(queues, capacity_block[i])
-                    done_block[i] = done
-                    queues -= done
-                    if series is not None:
-                        series.record(int(queues.sum()))
-                    if queue_block is not None:
-                        queue_block[i] = queues
+                # The policy is out of the loop, so no round needs its
+                # queues: the whole block's recurrence in closed form.
+                trajectory = queue_trajectory(
+                    start_queues, received_block, capacity_block
+                )
+                queues[:] = trajectory[-1]
             else:
+                trajectory = np.empty((chunk, n), dtype=np.int64)
                 for i in range(chunk):
                     t = chunk_start + i
 
@@ -320,18 +367,20 @@ def drive_blocks(
                         received_block[i] = received
                         queues += received
 
-                    # Phase 3: departures -- totals now, FIFO resolution
-                    # at block end.
-                    done = np.minimum(queues, capacity_block[i])
-                    done_block[i] = done
-                    queues -= done
+                    # Phase 3: departures -- the queue recurrence now,
+                    # completions in the block tail, FIFO resolution at
+                    # block end.
+                    queues -= capacity_block[i]
+                    np.maximum(queues, 0, out=queues)
+                    trajectory[i] = queues
 
                     policy.end_round(t, queues)
-                    if series is not None:
-                        series.record(int(queues.sum()))
-                    if queue_block is not None:
-                        queue_block[i] = queues
 
+        # The block tail: everything else follows from the trajectory.
+        _check_admissions(policy, job_block, chunk_start)
+        done_block = trajectory_done(start_queues, received_block, trajectory)
+        if series is not None:
+            series.record_many(trajectory.sum(axis=1))
         block_received = received_block.sum(axis=0)
         state.server_received += block_received
         state.total_arrived += int(block_received.sum())
@@ -343,7 +392,7 @@ def drive_blocks(
                 batch=arrival_block,
                 received=received_block,
                 done=done_block,
-                queues=queue_block,
+                queues=trajectory,
                 jobs_block=job_block,
                 sizes=_server_major_sizes(job_block, block_sizes) if sized else None,
             )
@@ -356,7 +405,7 @@ def drive_blocks(
                     batch=arrival_block if "batch" in fields else None,
                     received=received_block if "received" in fields else None,
                     done=done_block if "done" in fields else None,
-                    queues=queue_block,
+                    queues=trajectory if "queues" in fields else None,
                 )
             )
         if controller is not None:

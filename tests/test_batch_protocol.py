@@ -12,10 +12,19 @@ tests pin that this changes no number:
 * JSQ/SED make one water fill per round on their round snapshot;
 * ``drive_blocks`` refuses a policy that still returns the old
   ``(m, n)`` matrix, loudly, even when ``m == n``;
+* every kernel refuses a policy that admits a negative job count, on
+  the per-round and the ``dispatch_rounds`` path alike;
 * a grid of baseline cells keeps the result fingerprints it had while
   ``dispatch_round`` still returned ``(m, n)`` matrices, on both ``fast``
-  and ``reference``.
+  and ``reference``;
+* ``rr``/``wrr``/``jsq``/``scd`` cells keep the queue series and the
+  summaries of the probes that read the queue trajectory
+  (``server_stats``, ``windowed_stability``) they had while the
+  queue-oblivious block path stepped the recurrence round by round.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,11 +40,13 @@ from repro.policies.base import (
     available_policies,
     has_native_dispatch_round,
     make_policy,
+    supports_round_batching,
 )
 from repro.scenarios import UNAVAILABLE_QUEUE
 from repro.scenarios.churn import ChurnPolicyAdapter, ChurnSchedule
 from repro.sim import GeometricService, PoissonArrivals, Simulation, SimulationConfig
 from repro.sim.blockdriver import BLOCK_ROUNDS
+from repro.sim.probes import ProbeSpec
 from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec
 
@@ -207,6 +218,56 @@ class TestOldShapeFailsLoudly:
         with pytest.raises(ValueError, match=rf"per-server admissions, shape \({n},\)"):
             sim.run()
 
+class NegativeRowPolicy(Policy):
+    """Admits ``-1`` job to server 0 and ``k + 1`` to server 1: every row
+    still sums to its batch, but one count is negative."""
+
+    name = "negative-row"
+
+    def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
+        counts = np.zeros(self.ctx.num_servers, dtype=np.int64)
+        counts[0], counts[1] = -1, num_jobs + 1
+        return counts
+
+
+class NegativeBlockPolicy(NegativeRowPolicy):
+    """The same rows, on the queue-oblivious ``dispatch_rounds`` path."""
+
+    name = "negative-block"
+
+    def dispatch_rounds(self, batch_block: np.ndarray) -> np.ndarray:
+        totals = batch_block.sum(axis=1)
+        admitted = np.zeros((totals.size, self.ctx.num_servers), dtype=np.int64)
+        busy = totals > 0
+        admitted[busy, 0] = -1
+        admitted[busy, 1] = totals[busy] + 1
+        return admitted
+
+
+class TestNegativeAdmissionsFailLoudly:
+    """A row that conserves the batch but admits a negative count is
+    refused on every kernel, instead of driving a queue negative
+    (``reference``) or being clamped into different results (``fast``)."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("policy", [NegativeRowPolicy, NegativeBlockPolicy])
+    @pytest.mark.parametrize("sized", [False, True], ids=["unit", "sized"])
+    def test_negative_admission_is_refused(self, backend, policy, sized):
+        if policy is NegativeBlockPolicy:
+            assert supports_round_batching(policy())
+        rates = np.array([2.0, 3.0, 1.0])
+        sim = Simulation(
+            rates=rates,
+            policy=policy(),
+            arrivals=PoissonArrivals(np.full(2, 0.4 * rates.sum() / 2)),
+            service=GeometricService(rates),
+            config=SimulationConfig(rounds=600, seed=3, backend=backend),
+            sizes=GeometricSize(2.0) if sized else None,
+        )
+        with pytest.raises(ValueError, match=r"admitted -\d+ jobs to server 0 in round \d+"):
+            sim.run()
+
+
 GOLDEN_POLICIES = (
     "jsq",
     "sed",
@@ -318,3 +379,49 @@ class TestGoldenResults:
             for r in experiment.run().records
         }
         assert got == GOLDEN
+
+
+#: ``(workload, policy) -> trajectory fingerprint`` on 12x3 u1_10, recorded
+#: while the queue-oblivious block path still stepped the queue recurrence
+#: one round at a time; equal on every bit-identical backend.  300 rounds
+#: leave the second block partial, and the warmup is non-zero.
+TRAJECTORY_GOLDEN = {
+    ("paper", "jsq"): "73a6d8c093fc45b8",
+    ("paper", "rr"): "d59a90df2291c052",
+    ("paper", "scd"): "2e227ce8c611a3f0",
+    ("paper", "wrr"): "43bc5131a5d10380",
+    ("sized", "jsq"): "d818f763cbdd4328",
+    ("sized", "rr"): "234ce0faa5676bbb",
+    ("sized", "scd"): "3380b579f64ade0b",
+    ("sized", "wrr"): "2d1a97145e49215f",
+}
+
+
+def trajectory_fingerprint(record) -> str:
+    """Hash of a record's metrics -- probe summaries included -- and its
+    per-round queue series: everything derived from the queue trajectory."""
+    digest = hashlib.sha256(json.dumps(sorted(record.metrics.items())).encode())
+    values = record.result.queue_series.values
+    digest.update(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_trajectory_outputs_unchanged(self, backend):
+        experiment = Experiment(
+            ("rr", "wrr", "jsq", "scd"),
+            SystemSpec(12, 3),
+            0.9,
+            workloads=(WorkloadSpec(), WorkloadSpec.sized(GeometricSize(3.0))),
+            rounds=300,
+            warmup=40,
+            base_seed=23,
+            backend=backend,
+            metrics=("server_stats", ProbeSpec.of("windowed_stability", window=64)),
+        )
+        got = {
+            (r.workload, r.policy): trajectory_fingerprint(r)
+            for r in experiment.run().records
+        }
+        assert got == TRAJECTORY_GOLDEN
