@@ -1252,7 +1252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workdir",
         metavar="DIR",
-        help="scratch directory for cell runs (default: a temp dir)",
+        help="accepted for compatibility; cells run in memory and write "
+        "nothing here",
     )
     p.add_argument(
         "--max-cells", type=int, metavar="N", help="exit after N cells"

@@ -32,7 +32,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-__all__ = ["CheckpointError", "CheckpointStore", "retained_rounds"]
+__all__ = [
+    "CheckpointError",
+    "CheckpointStore",
+    "payload_rejection",
+    "retained_rounds",
+]
 
 #: Version of the pickled payload layout.  Bumped whenever the classes a
 #: payload pickles change shape, so older snapshots are refused by
@@ -86,6 +91,21 @@ def retained_rounds(
 
 class CheckpointError(RuntimeError):
     """No usable checkpoint: every manifest present failed validation."""
+
+
+def payload_rejection(manifest: dict, blob: bytes) -> str | None:
+    """Why ``blob`` must not be unpickled under ``manifest``, or ``None``.
+
+    The trust check every checkpoint passes before it is unpickled,
+    whether it was read from a store or received over the wire: the
+    manifest must carry this code's payload format version and the
+    SHA-256 of exactly these bytes.
+    """
+    if manifest.get("format_version") != _FORMAT_VERSION:
+        return f"unsupported format version {manifest.get('format_version')!r}"
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        return "payload hash mismatch (truncated or corrupted)"
+    return None
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -192,22 +212,15 @@ class CheckpointStore:
             if not isinstance(manifest, dict) or "payload" not in manifest:
                 reject(path, "malformed manifest")
                 continue
-            if manifest.get("format_version") != _FORMAT_VERSION:
-                reject(
-                    path,
-                    f"unsupported format version "
-                    f"{manifest.get('format_version')!r}",
-                )
-                continue
             payload_path = self.directory / str(manifest["payload"])
             try:
                 blob = payload_path.read_bytes()
             except OSError as error:
                 reject(path, f"missing payload: {error}")
                 continue
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != manifest.get("sha256"):
-                reject(path, "payload hash mismatch (truncated or corrupted)")
+            reason = payload_rejection(manifest, blob)
+            if reason is not None:
+                reject(path, reason)
                 continue
             return manifest, blob
         return None

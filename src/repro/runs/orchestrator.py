@@ -10,20 +10,27 @@ checkpointing backend) in an on-disk run directory::
     <dir>/result.json         final result, written once on completion
 
 ``execute()`` drives the simulation under a :class:`CheckpointController`
-riding the kernel lifecycle seam (:mod:`repro.sim.lifecycle`): every
-``checkpoint_every`` 256-round blocks the *whole* simulation object and
-the kernel's exported state are pickled together into one blob --
-pickling them as a unit preserves every internal alias, most importantly
-that the policy's RNG *is* the simulation's policy stream -- and
-committed atomically.  Killing the process at any instant and calling
-``execute()`` again resumes from the newest valid checkpoint and
-produces bit-identical results to an uninterrupted run.
+riding the kernel lifecycle seam (:mod:`repro.sim.lifecycle`).  The
+controller is the one definition of *when* a checkpoint is taken (every
+``checkpoint_every`` 256-round blocks) and *what* it is: the whole
+simulation object and the kernel's exported state pickled together into
+one blob -- pickling them as a unit preserves every internal alias, most
+importantly that the policy's RNG *is* the simulation's policy stream.
+It hands each blob to an injected *commit* callable: ``Run.execute``
+commits atomically to its :class:`CheckpointStore` and narrates, while a
+federation worker (:mod:`repro.service.worker`) ships the blob to its
+coordinator.  Both resume through :func:`restore_checkpoint`.  Killing
+the process at any instant and calling ``execute()`` again resumes from
+the newest valid checkpoint and produces bit-identical results to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import pickle
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.analysis.persistence import result_from_dict, result_to_dict
@@ -41,6 +48,7 @@ __all__ = [
     "Run",
     "CheckpointController",
     "probe_summaries_from_state",
+    "restore_checkpoint",
 ]
 
 
@@ -91,14 +99,15 @@ def _describe_sim(sim: Simulation) -> dict:
 
 
 def probe_summaries_from_state(kernel_state: dict) -> dict[str, dict]:
-    """Live probe summaries from an exported kernel state dict.
+    """Probe summaries from an exported kernel state dict.
 
-    Works on *throwaway* copies only (unpickle the checkpoint blob
-    first): folding sharded probe maps mutates the shard-0 probes in
-    place.  Single-kernel states carry a ``probes`` ProbeSet directly;
-    sharded states are folded across their shard snapshots exactly as
-    the kernel does at end of run, then overlaid with the
-    coordinator-side probes.
+    Safe on the *live* state a kernel exports mid-run: nothing the
+    kernel keeps using is mutated.  Single-kernel states carry a
+    ``probes`` ProbeSet whose probes are summarized in place (a
+    summary only reads).  Sharded states are folded across their shard
+    snapshots exactly as the kernel does at end of run -- on copies of
+    the shard probe maps, because folding mutates the probes it merges
+    -- then overlaid with the coordinator-side probes.
     """
     if "probes" in kernel_state:
         probe_map = kernel_state["probes"].as_dict()
@@ -106,56 +115,65 @@ def probe_summaries_from_state(kernel_state: dict) -> dict[str, dict]:
         from repro.sim.sharding import _fold_shards
 
         probe_map = _fold_shards(
-            [shard["probes"].as_dict() for shard in kernel_state["shards"]]
+            copy.deepcopy(
+                [shard["probes"].as_dict() for shard in kernel_state["shards"]]
+            )
         )
         probe_map = {**probe_map, **kernel_state["coordinator_probes"].as_dict()}
     return {label: probe.summary() for label, probe in probe_map.items()}
 
 
-class CheckpointController(RunController):
-    """Lifecycle controller that checkpoints every N blocks and narrates.
+def restore_checkpoint(payload: dict) -> tuple[Simulation, int, dict]:
+    """Where an unpickled checkpoint blob resumes: ``(sim, round, state)``.
 
-    Emits ``leg-completed`` at each checkpoint boundary, then
-    ``probe-snapshot`` (summaries computed from a throwaway unpickled
-    copy of the blob, never the live kernel state) and
-    ``checkpoint-written`` once the snapshot is committed.  With
-    ``max_legs`` set, raises :class:`LegLimitReached` after that many
-    checkpoints.  ``keep`` applies the retention policy of
-    :func:`repro.runs.checkpoint.retained_rounds` after every commit
-    (newest ``keep`` plus power-of-two anchors; emits
-    ``checkpoints-pruned`` when snapshots are collected), and
-    ``on_checkpoint(manifest, blob)`` is called after each commit --
-    the federation worker's seam for shipping snapshots to its
-    coordinator.
+    The one restore step for blobs built by :class:`CheckpointController`,
+    shared by ``Run.execute`` resuming from its store and a federation
+    worker adopting its coordinator's snapshot.  Pass the three values
+    to a new controller (``sim``, ``start_round``, ``state``) and run
+    ``sim`` under it.
+    """
+    return payload["sim"], int(payload["round"]), payload["kernel"]
+
+
+#: ``commit(manifest, blob, kernel_state)`` -- what a checkpoint is
+#: handed to.  ``manifest`` is ``{"round", "engine"}``, ``blob`` the
+#: pickled payload and ``kernel_state`` the live exported state it was
+#: pickled from (read it, never keep or mutate it).
+CommitCheckpoint = Callable[[dict, bytes, dict], None]
+
+
+class CheckpointController(RunController):
+    """Lifecycle controller that checkpoints every N blocks.
+
+    At every ``checkpoint_every``-th block boundary before the last,
+    pickles ``{"round", "engine", "sim", "kernel"}`` -- the simulation
+    and the kernel's exported state, together -- and hands the blob to
+    ``commit`` (see :data:`CommitCheckpoint`), which persists or ships
+    it before the kernel moves on.  With ``max_legs`` set, raises
+    :class:`LegLimitReached` after that many commits.  ``start_round``
+    and ``state`` resume a run (see :func:`restore_checkpoint`).
     """
 
     def __init__(
         self,
         sim,
-        store: CheckpointStore,
-        telemetry: TelemetryWriter,
+        commit: CommitCheckpoint,
         checkpoint_every: int = 1,
         start_round: int = 0,
         state: dict | None = None,
         max_legs: int | None = None,
-        keep: int | None = None,
-        on_checkpoint: "callable | None" = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if keep is not None and keep < 1:
-            raise ValueError("keep must be >= 1")
+        described = _describe_sim(sim)
         self._sim = sim
-        self._store = store
-        self._telemetry = telemetry
-        self._engine = _describe_sim(sim)["engine"]
-        self._rounds = _describe_sim(sim)["rounds"]
+        self._commit = commit
+        self._engine = described["engine"]
+        self._rounds = described["rounds"]
         self._stride = int(checkpoint_every) * BLOCK_ROUNDS
         self.start_round = int(start_round)
         self._state = state
         self._max_legs = max_legs
-        self._keep = keep
-        self._on_checkpoint = on_checkpoint
         self._legs = 0
 
     def initial_state(self) -> dict | None:
@@ -166,41 +184,17 @@ class CheckpointController(RunController):
             return  # final block: the kernel's own result is the artifact
         if next_round % self._stride:
             return
+        kernel = export()
         blob = pickle.dumps(
             {
                 "round": next_round,
                 "engine": self._engine,
                 "sim": self._sim,
-                "kernel": export(),
+                "kernel": kernel,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self._telemetry.emit(
-            "leg-completed", round=next_round, rounds=self._rounds
-        )
-        self._telemetry.emit(
-            "probe-snapshot",
-            round=next_round,
-            summaries=probe_summaries_from_state(pickle.loads(blob)["kernel"]),
-        )
-        manifest = self._store.write(
-            next_round, blob, meta={"engine": self._engine}
-        )
-        self._telemetry.emit(
-            "checkpoint-written",
-            round=next_round,
-            payload=manifest["payload"],
-            bytes=manifest["bytes"],
-            sha256=manifest["sha256"],
-        )
-        if self._keep is not None:
-            removed = self._store.prune(self._keep, stride=self._stride)
-            if removed:
-                self._telemetry.emit(
-                    "checkpoints-pruned", round=next_round, removed=removed
-                )
-        if self._on_checkpoint is not None:
-            self._on_checkpoint(manifest, blob)
+        self._commit({"round": next_round, "engine": self._engine}, blob, kernel)
         self._legs += 1
         if self._max_legs is not None and self._legs >= self._max_legs:
             raise LegLimitReached
@@ -311,20 +305,14 @@ class Run:
 
     # -- execution --------------------------------------------------------
 
-    def execute(
-        self,
-        max_legs: int | None = None,
-        on_checkpoint: "callable | None" = None,
-    ) -> SimulationResult | None:
+    def execute(self, max_legs: int | None = None) -> SimulationResult | None:
         """Run to completion (or ``max_legs`` checkpoints), resumably.
 
         Picks up from the newest valid checkpoint when one exists,
         otherwise starts fresh from ``spec.pkl``.  Returns the final
         result -- loaded from ``result.json`` if the run already
         finished (idempotent) -- or ``None`` when paused by
-        ``max_legs``.  ``on_checkpoint(manifest, blob)`` fires after
-        every committed snapshot (the federation worker ships each blob
-        to its coordinator through this hook).
+        ``max_legs``.
         """
         finished = self.result()
         if finished is not None:
@@ -334,38 +322,60 @@ class Run:
 
         latest = self.store.load_latest()
         if latest is not None:
-            ckpt_manifest, payload = latest
-            sim = payload["sim"]
-            start_round = int(payload["round"])
-            state = payload["kernel"]
-            resumed = True
+            sim, start_round, state = restore_checkpoint(latest[1])
         else:
             sim = pickle.loads(self.spec_path.read_bytes())
-            start_round = 0
-            state = None
-            resumed = False
+            start_round, state = 0, None
+        checkpoint_every = int(manifest.get("checkpoint_every", 1))
+        keep = manifest.get("keep")
 
         with TelemetryWriter(self.telemetry_path) as telemetry:
+
+            def commit(header: dict, blob: bytes, kernel: dict) -> None:
+                round_index = header["round"]
+                telemetry.emit(
+                    "leg-completed", round=round_index, rounds=manifest["rounds"]
+                )
+                telemetry.emit(
+                    "probe-snapshot",
+                    round=round_index,
+                    summaries=probe_summaries_from_state(kernel),
+                )
+                written = self.store.write(
+                    round_index, blob, meta={"engine": header["engine"]}
+                )
+                telemetry.emit(
+                    "checkpoint-written",
+                    round=round_index,
+                    payload=written["payload"],
+                    bytes=written["bytes"],
+                    sha256=written["sha256"],
+                )
+                if keep is not None:
+                    removed = self.store.prune(
+                        int(keep), stride=checkpoint_every * BLOCK_ROUNDS
+                    )
+                    if removed:
+                        telemetry.emit(
+                            "checkpoints-pruned", round=round_index, removed=removed
+                        )
+
             telemetry.emit(
                 "run-started",
                 round=start_round,
                 rounds=manifest["rounds"],
-                resumed=resumed,
+                resumed=latest is not None,
                 engine=manifest["engine"],
                 backend=manifest["backend"],
                 policy=manifest["policy"],
             )
-            keep = manifest.get("keep")
             controller = CheckpointController(
                 sim,
-                self.store,
-                telemetry,
-                checkpoint_every=int(manifest.get("checkpoint_every", 1)),
+                commit,
+                checkpoint_every=checkpoint_every,
                 start_round=start_round,
                 state=state,
                 max_legs=max_legs,
-                keep=int(keep) if keep is not None else None,
-                on_checkpoint=on_checkpoint,
             )
             try:
                 result = sim.run(controller=controller)

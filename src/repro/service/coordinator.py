@@ -3,7 +3,8 @@
 Workers dial in over the framed-pickle transport
 (:mod:`repro.service.wire`), register, and then *pull*: each asks for a
 cell when it has nothing to do, runs it to completion under the
-checkpointed run orchestrator, and ships the record back.  The
+run orchestrator's checkpoint controller (uploading each checkpoint),
+and ships the record back.  The
 coordinator owns nothing but bookkeeping -- which worker holds which
 lease, when each was last heard from -- and delegates all job state to
 the :class:`~repro.service.jobs.JobManager`.

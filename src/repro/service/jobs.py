@@ -156,8 +156,9 @@ class JobManager:
         """Register a grid for execution; returns its job id.
 
         ``checkpoint_every`` is forwarded to every cell's worker-side
-        :class:`~repro.runs.orchestrator.Run` (checkpoints every that
-        many 256-round blocks -- the failover/adoption grain).
+        :class:`~repro.runs.orchestrator.CheckpointController`
+        (checkpoints every that many 256-round blocks -- the
+        failover/adoption grain).
         ``priority`` orders the cell queue: all cells of
         higher-priority jobs are handed out before any lower-priority
         cell; ties dispatch in submission order (the default 0 keeps

@@ -2,40 +2,38 @@
 
 One :class:`FederationWorker` is one OS process's worth of capacity.
 It registers with a coordinator (:mod:`repro.service.coordinator`),
-keeps a heartbeat thread alive, and loops: request a cell, execute it
-under the ordinary run orchestrator (:class:`repro.runs.orchestrator.Run`
-in a scratch directory -- the same code path as ``repro run``), ship
-every committed checkpoint to the coordinator through the
-``on_checkpoint`` seam, and deliver the finished
-:class:`~repro.experiments.results.CellRecord`.
+keeps a heartbeat thread alive, and loops: request a cell, run it in
+memory under the same :class:`~repro.runs.orchestrator.CheckpointController`
+that ``repro run`` uses, and deliver the finished
+:class:`~repro.experiments.results.CellRecord`.  The controller hands
+each checkpoint blob straight to the coordinator as it is pickled: the
+worker writes no files, no telemetry and no fsync, because the
+coordinator keeps the only durable copy (one per cell, for adoption).
 
 Adoption: a lease may arrive with the newest checkpoint a previous
-(dead) worker uploaded for the cell.  The blob is written into the
-fresh local store before ``execute()``, whose resume path then treats
-it exactly like a checkpoint this process wrote itself -- the cell
-continues from the dead worker's last committed round, bit-identically
-(and when no checkpoint exists, restarting from round 0 is *also*
-bit-identical, because cell seeds live in the cell).
-
-Scratch directories are token-suffixed, so a reassigned cell never
-collides with a half-written directory from a previous attempt on the
-same machine, and are removed once the coordinator acknowledges the
-record.
+(dead) worker uploaded for the cell.  Its manifest's format version and
+SHA-256 are checked exactly as the coordinator's store checks them
+before shipping, and only then is the blob unpickled and restored
+through :func:`~repro.runs.orchestrator.restore_checkpoint` -- the
+resume step of ``Run.execute`` -- so the cell continues from the dead
+worker's last committed round, bit-identically (and when no checkpoint
+exists, restarting from round 0 is *also* bit-identical, because cell
+seeds live in the cell).  A blob that fails the check fails the cell.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
+import pickle
 import socket as socketlib
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro.experiments.executor import build_cell_simulation
 from repro.experiments.results import CellRecord
-from repro.runs.orchestrator import Run
+from repro.runs.checkpoint import CheckpointError, payload_rejection
+from repro.runs.orchestrator import CheckpointController, restore_checkpoint
 
 from .wire import ChannelClosed, MessageChannel, connect_channel
 
@@ -43,7 +41,11 @@ __all__ = ["FederationWorker", "run_worker"]
 
 
 class FederationWorker:
-    """One registered worker process's pull-execute-report loop."""
+    """One registered worker process's pull-execute-report loop.
+
+    ``workdir`` is accepted for compatibility and ignored: cells run in
+    memory and write nothing there.
+    """
 
     def __init__(
         self,
@@ -60,7 +62,6 @@ class FederationWorker:
         self.address = (str(address[0]), int(address[1]))
         self.name = name or f"{socketlib.gethostname()}-{os.getpid()}"
         self.token = token
-        self._explicit_workdir = workdir
         self.max_cells = max_cells
         self.exit_when_idle = exit_when_idle
         self.poll_interval = float(poll_interval)
@@ -71,13 +72,6 @@ class FederationWorker:
 
     def run(self) -> int:
         """Serve until drained/stopped; returns the number of cells run."""
-        if self._explicit_workdir is not None:
-            workdir = Path(self._explicit_workdir)
-            workdir.mkdir(parents=True, exist_ok=True)
-            cleanup_workdir = False
-        else:
-            workdir = Path(tempfile.mkdtemp(prefix="repro-worker-"))
-            cleanup_workdir = True
         channel = connect_channel(self.address)
         try:
             payload = {"name": self.name, "pid": os.getpid()}
@@ -96,7 +90,7 @@ class FederationWorker:
                 daemon=True,
             )
             heartbeat.start()
-            self._serve(channel, workdir)
+            self._serve(channel)
             try:
                 channel.send(("goodbye",))
             except BrokenPipeError:
@@ -106,8 +100,6 @@ class FederationWorker:
         finally:
             self._stop.set()
             channel.close()
-            if cleanup_workdir:
-                shutil.rmtree(workdir, ignore_errors=True)
         return self.cells_done
 
     def stop(self) -> None:
@@ -123,14 +115,14 @@ class FederationWorker:
 
     # -- the pull loop ----------------------------------------------------
 
-    def _serve(self, channel: MessageChannel, workdir: Path) -> None:
+    def _serve(self, channel: MessageChannel) -> None:
         while not self._stop.is_set():
             if self.max_cells is not None and self.cells_done >= self.max_cells:
                 return
             channel.send(("request-cell",))
             kind, payload = channel.recv()
             if kind == "lease":
-                self._run_cell(channel, workdir, payload)
+                self._run_cell(channel, payload)
                 self.cells_done += 1
             elif kind == "idle":
                 if self.exit_when_idle and payload.get("drained"):
@@ -139,39 +131,42 @@ class FederationWorker:
             else:
                 raise RuntimeError(f"unexpected coordinator reply {kind!r}")
 
-    def _run_cell(self, channel: MessageChannel, workdir: Path, payload: dict) -> None:
+    def _run_cell(self, channel: MessageChannel, payload: dict) -> None:
         cell = payload["cell"]
         token = payload["token"]
-        cell_dir = workdir / f"{payload['job']}-cell-{cell.index:04d}-{token[:8]}"
 
-        def ship_checkpoint(manifest: dict, blob: bytes) -> None:
+        def ship_checkpoint(manifest: dict, blob: bytes, kernel: dict) -> None:
             channel.send(("checkpoint", token, manifest, blob))
 
         try:
-            sim = build_cell_simulation(
-                cell.policy,
-                cell.system,
-                cell.rho,
-                cell.workload,
-                cell.seed,
-                cell.rounds,
-                cell.warmup,
-                cell.backend,
-                cell.metrics,
-            )
-            run = Run.create(
-                sim, cell_dir, checkpoint_every=payload["checkpoint_every"]
-            )
             adoption = payload.get("checkpoint")
             if adoption is not None:
                 manifest, blob = adoption
-                run.store.write(
-                    int(manifest["round"]),
-                    blob,
-                    meta={"engine": manifest.get("engine")},
+                reason = payload_rejection(manifest, blob)
+                if reason is not None:
+                    raise CheckpointError(f"adopted checkpoint rejected: {reason}")
+                sim, start_round, state = restore_checkpoint(pickle.loads(blob))
+            else:
+                sim = build_cell_simulation(
+                    cell.policy,
+                    cell.system,
+                    cell.rho,
+                    cell.workload,
+                    cell.seed,
+                    cell.rounds,
+                    cell.warmup,
+                    cell.backend,
+                    cell.metrics,
                 )
-            result = run.execute(on_checkpoint=ship_checkpoint)
-            record = CellRecord.of(cell, result)
+                start_round, state = 0, None
+            controller = CheckpointController(
+                sim,
+                ship_checkpoint,
+                checkpoint_every=payload["checkpoint_every"],
+                start_round=start_round,
+                state=state,
+            )
+            record = CellRecord.of(cell, sim.run(controller=controller))
             channel.send(("cell-done", token, record))
             channel.recv()  # ack; accepted either way, nothing to do locally
         except (ChannelClosed, BrokenPipeError):
@@ -181,8 +176,6 @@ class FederationWorker:
                 ("cell-failed", token, f"{type(error).__name__}: {error}")
             )
             channel.recv()
-        finally:
-            shutil.rmtree(cell_dir, ignore_errors=True)
 
 
 def run_worker(

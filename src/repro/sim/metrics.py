@@ -11,7 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ResponseTimeHistogram", "QueueLengthSeries"]
+__all__ = ["ResponseTimeHistogram", "QueueLengthSeries", "restored_int64"]
+
+
+def restored_int64(array: np.ndarray | None) -> np.ndarray | None:
+    """An unpickled int64 array, re-based on numpy's own int64 dtype.
+
+    Unpickling rebuilds an array's dtype as a new, equal instance, and
+    copies (``.copy()``, ``zeros_like``) keep it; numpy's ``ufunc.at``
+    fast path misses arrays carrying such an instance, so a resumed
+    run's ``np.add.at`` into them is over ten times slower.  Every
+    ``__setstate__`` of an object holding ``ufunc.at`` targets passes
+    them through here.
+    """
+    return None if array is None else array.astype(np.int64)
 
 
 class ResponseTimeHistogram:
@@ -26,6 +39,10 @@ class ResponseTimeHistogram:
             raise ValueError("initial_capacity must be >= 2")
         self._counts = np.zeros(initial_capacity, dtype=np.int64)
         self._max_seen = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._counts = restored_int64(self._counts)
 
     # -- recording ---------------------------------------------------------
 

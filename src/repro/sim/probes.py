@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._registry import BackendRegistry
-from .metrics import QueueLengthSeries, ResponseTimeHistogram
+from .metrics import QueueLengthSeries, ResponseTimeHistogram, restored_int64
 
 __all__ = [
     "PROBE_FIELDS",
@@ -164,9 +164,18 @@ class Probe(ABC):
     #: global block stream by the shard coordinator, which keeps naive
     #: custom probes (the ``False`` default) correct under sharding.
     partitionable: bool = False
+    #: Attributes holding int64 ``ufunc.at`` targets, re-based on
+    #: numpy's own dtype when a pickled probe is restored (see
+    #: :func:`~repro.sim.metrics.restored_int64`).
+    _at_targets: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.ctx: ProbeContext | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in self._at_targets:
+            setattr(self, name, restored_int64(getattr(self, name)))
 
     def bind(self, ctx: ProbeContext) -> None:
         """Attach run coordinates; subclasses allocate state here."""
@@ -938,6 +947,7 @@ class ServerResponseStatsProbe(Probe):
     #: in exactly one shard, so ``merge_partition`` concatenates the
     #: shards' arrays back into the global per-server vectors.
     partitionable = True
+    _at_targets = ("_count", "_time_sum", "_time_max")
 
     def __init__(self) -> None:
         super().__init__()
@@ -1154,6 +1164,7 @@ class WindowedMeanProbe(Probe):
     #: Window sums pool disjoint response sets, so the additive merge is
     #: also the correct shard fold.
     partitionable = True
+    _at_targets = ("_sums", "_counts")
 
     def __init__(self, window: int = 1000) -> None:
         super().__init__()
@@ -1261,6 +1272,7 @@ class WindowedStabilityProbe(Probe):
     #: round tallies every shard sees in full, hence the max-fold in
     #: :meth:`merge_partition`.
     partitionable = True
+    _at_targets = ("_sums", "_counts")
 
     def __init__(self, window: int = 1000) -> None:
         super().__init__()
@@ -1401,7 +1413,7 @@ class HerdingSignalProbe(Probe):
         super().__init__()
         self._rates: np.ndarray | None = None
         # Per-round component series, as per-block arrays concatenated
-        # lazily (each list collapses to one array on demand).
+        # on demand.
         self._totals: list[np.ndarray] = []  # int64: sum_s r_s
         self._spikes: list[np.ndarray] = []  # int64: max_s r_s
         self._sq: list[np.ndarray] = []  # int64: sum_s r_s^2
@@ -1426,12 +1438,11 @@ class HerdingSignalProbe(Probe):
         self._rate_w.append(received @ self._rates)
 
     def _series(self, which: list[np.ndarray], dtype) -> np.ndarray:
-        """Collapse a per-block list into its single concatenated array."""
+        """A per-block list's concatenated series (the list is left as is,
+        so summarizing a live probe never changes its state)."""
         if not which:
             return np.zeros(0, dtype=dtype)
-        if len(which) > 1:
-            which[:] = [np.concatenate(which)]
-        return np.asarray(which[0], dtype=dtype)
+        return np.asarray(np.concatenate(which), dtype=dtype)
 
     def summary(self) -> dict[str, float]:
         totals = self._series(self._totals, np.int64)

@@ -19,6 +19,7 @@ The contract under test:
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -321,6 +322,44 @@ class TestStateRoundTrip:
             round_tripped = json.loads(json.dumps(probe.state_dict()))
             restored = probe_from_state(round_tripped)
             assert restored.summary().keys() == probe.summary().keys(), label
+
+    def test_summary_leaves_pickled_state_unchanged(self):
+        """``repro run`` summarizes the live probes at every checkpoint,
+        so a summary may only read: the probe pickles to the same bytes
+        before and after."""
+        probes = {
+            **self._probe_dicts(),
+            "windowed_stability": run_unsized(
+                "jsq", "fast", probes=("windowed_stability",)
+            ).probes["windowed_stability"],
+        }
+        assert {probe.name for probe in probes.values()} == set(available_probes())
+        for label, probe in probes.items():
+            before = pickle.dumps(probe)
+            probe.summary()
+            assert pickle.dumps(probe) == before, label
+
+    def test_ufunc_at_targets_unpickle_with_numpy_int64(self):
+        """Unpickling rebuilds a dtype as an equal but distinct instance
+        that misses numpy's ``ufunc.at`` fast path; every array a probe
+        ``np.add.at``/``np.maximum.at``-s into comes back on numpy's own
+        int64, so resumed runs record responses at full speed."""
+        probes = run_unsized(
+            "jsq", "fast", probes=ALL_EXTRAS + ("windowed_stability",)
+        ).probes
+        restored = pickle.loads(pickle.dumps(probes))
+        per_server = restored["server_response_stats"]
+        targets = {
+            "histogram": restored["responses"].histogram._counts,
+            "count": per_server._count,
+            "time_sum": per_server._time_sum,
+            "time_max": per_server._time_max,
+        }
+        for label in ("windowed_mean[window=100]", "windowed_stability"):
+            targets[f"{label} sums"] = restored[label]._sums
+            targets[f"{label} counts"] = restored[label]._counts
+        for name, array in targets.items():
+            assert array.dtype is np.dtype(np.int64), name
 
     def test_merge_accumulates_two_runs(self):
         a = run_unsized("jsq", "fast", seed=1).probes

@@ -35,6 +35,7 @@ from repro.runs import (
     follow_events,
     inspect_run,
     iter_events,
+    probe_summaries_from_state,
     retained_rounds,
     scan_runs,
 )
@@ -276,6 +277,30 @@ class TestRun:
         )
         assert "herding" in snapshot["summaries"]
         assert snapshot["summaries"]["herding"]["rounds"] == BLOCK_ROUNDS
+
+    @pytest.mark.parametrize("backend", ["fast", "sharded:2:serial"])
+    def test_probe_snapshots_match_the_committed_blobs(self, tmp_path, backend):
+        """``probe-snapshot`` is computed from the live kernel state, not
+        an unpickled copy of the blob, and must read exactly what the
+        committed checkpoint holds (NaN-aware: compared as JSON)."""
+        sim = build_cell_simulation(
+            "scd", SYSTEM, 0.85, WorkloadSpec.paper(), seed=7, rounds=ROUNDS,
+            warmup=WARMUP, backend=backend,
+            probes=("herding", "server_stats", "server_response_stats",
+                    "windowed_mean", "windowed_stability", "dispatcher_stats"),
+        )
+        run = Run.create(sim, tmp_path / "r")
+        run.execute()
+        snapshots = [
+            e for e in iter_events(run.telemetry_path) if e["event"] == "probe-snapshot"
+        ]
+        assert [e["round"] for e in snapshots] == run.store.rounds() == [256, 512, 768]
+        for event in snapshots:
+            blob = (run.store.directory / f"ckpt-{event['round']:010d}.pkl").read_bytes()
+            expected = probe_summaries_from_state(pickle.loads(blob)["kernel"])
+            assert json.dumps(event["summaries"], sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
 
     def test_telemetry_override_path(self, tmp_path):
         run = Run.create(

@@ -11,6 +11,7 @@ endpoint.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -36,6 +37,7 @@ from repro.experiments.grid import Experiment
 from repro.experiments.workload import WorkloadSpec
 from repro.runs import iter_events
 from repro.runs.checkpoint import _FORMAT_VERSION as CHECKPOINT_FORMAT_VERSION
+from repro.runs.checkpoint import CheckpointStore
 from repro.service import (
     ChannelClosed,
     FederationCoordinator,
@@ -425,6 +427,112 @@ class TestFederation:
         kinds = [e["event"] for e in iter_events(manager.telemetry_path(job))]
         assert "cell-failed" in kinds
         assert "job-failed" in kinds
+
+
+#: Set by unpickling a :class:`_Tripwire`; adoption must never get there.
+_TRIPPED = threading.Event()
+
+
+def _trip() -> None:
+    _TRIPPED.set()
+
+
+class _Tripwire:
+    """A pickle payload whose unpickling sets :data:`_TRIPPED`."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+class TestWorkerCheckpointPath:
+    """A worker runs its cells in memory: it ships every checkpoint to
+    the coordinator and writes nothing itself, and it unpickles an
+    adopted checkpoint only after the same checks the coordinator's
+    store applies."""
+
+    def test_explicit_workdir_stays_empty(self, service, tmp_path):
+        manager, coordinator, _api = service
+        workdir = tmp_path / "worker"
+        workdir.mkdir()
+        job = manager.submit(small_experiment(rounds=600, loads=(0.8,)))
+        start_worker_thread(coordinator, name="solo", workdir=workdir).join(
+            timeout=120
+        )
+        assert manager.job_state(job) == "finished"
+        assert list(workdir.iterdir()) == []
+
+    def test_worker_thread_never_writes_or_fsyncs(self, service, monkeypatch):
+        """Per thread, because the in-process coordinator writes and
+        fsyncs its own copy of every uploaded checkpoint."""
+        manager, coordinator, _api = service
+        writes: list[str] = []
+        fsyncs: list[str] = []
+        store_write, fsync = CheckpointStore.write, os.fsync
+
+        def counting_write(self, *args, **kwargs):
+            writes.append(threading.current_thread().name)
+            return store_write(self, *args, **kwargs)
+
+        def counting_fsync(fd):
+            fsyncs.append(threading.current_thread().name)
+            return fsync(fd)
+
+        monkeypatch.setattr(CheckpointStore, "write", counting_write)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        experiment = small_experiment(rounds=600, loads=(0.8,))
+        baseline = SerialExecutor().run(experiment)
+        job = manager.submit(experiment)
+        worker = threading.Thread(
+            target=run_worker,
+            args=(coordinator.address,),
+            kwargs={"name": "solo", "exit_when_idle": True, "poll_interval": 0.05},
+            name="worker-under-test",
+        )
+        worker.start()
+        worker.join(timeout=120)
+        assert manager.job_state(job) == "finished"
+        stored = load_experiment(manager.result_path(job))
+        assert tuple(stored.records) == tuple(baseline)
+        # Two cells x two interior block boundaries reached the coordinator.
+        assert len(writes) == 4 and len(fsyncs) >= 8
+        assert "worker-under-test" not in writes + fsyncs
+
+    @pytest.mark.parametrize("damage", ["format_version", "sha256"])
+    def test_unverifiable_adoption_fails_the_cell_unpickled(self, service, damage):
+        """The coordinator's own store never ships such a blob; a lease
+        that carries one anyway (foreign format, or bytes that do not
+        match their hash) fails the cell without unpickling it."""
+        manager, coordinator, _api = service
+        blob = pickle.dumps(_Tripwire())
+        manifest = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "round": 256,
+            "engine": "unsized",
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+        manifest[damage] = 1 if damage == "format_version" else "0" * 64
+        job = manager.submit(small_experiment(rounds=600, loads=(0.8,)))
+        next_cell = manager.next_cell
+
+        def poisoned_next_cell():
+            pulled = next_cell()
+            if pulled is None:
+                return None
+            job_id, cell, checkpoint_every, _ = pulled
+            return job_id, cell, checkpoint_every, (manifest, blob)
+
+        manager.next_cell = poisoned_next_cell
+        _TRIPPED.clear()
+        start_worker_thread(coordinator, name="adopter").join(timeout=120)
+        wait_until(lambda: manager.job_state(job) == "failed")
+        assert not _TRIPPED.is_set()
+        failures = [
+            e
+            for e in iter_events(manager.telemetry_path(job))
+            if e["event"] == "cell-failed"
+        ]
+        assert failures
+        assert all("adopted checkpoint rejected" in e["error"] for e in failures)
 
 
 class TestFailover:
