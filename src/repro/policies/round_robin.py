@@ -52,14 +52,15 @@ class RoundRobinPolicy(Policy):
         positions follow from the cumulative batch counts alone:
         dispatcher ``d`` opens round ``i`` at
         ``(p_d + sum_{j<i} batch[j, d]) mod n``.  Each non-empty
-        ``(round, dispatcher)`` cell contributes its remainder arc as a
-        difference-array scatter (one ``np.add.at`` per boundary kind)
-        and the full-cycle part as a per-round constant; a row-wise
-        prefix sum then yields every round's per-server admissions in
-        one pass.  Dispatcher ``d`` with batch ``k`` starting at ``p``
-        gives every server ``k // n`` jobs plus one job to each of the
-        ``k % n`` servers ``p, p+1, ... (mod n)``, so counts and carried
-        positions match the per-dispatcher loop exactly.
+        ``(round, dispatcher)`` cell contributes its remainder arc to a
+        difference array (one ``np.bincount`` of the arcs' opening cells
+        minus one of their closing cells) and the full-cycle part as a
+        per-round constant; a row-wise prefix sum then yields every
+        round's per-server admissions in one pass.  Dispatcher ``d``
+        with batch ``k`` starting at ``p`` gives every server ``k // n``
+        jobs plus one job to each of the ``k % n`` servers ``p, p+1, ...
+        (mod n)``, so counts and carried positions match the
+        per-dispatcher loop exactly.
         """
         n = self.ctx.num_servers
         batch_block = np.asarray(batch_block, dtype=np.int64)
@@ -70,16 +71,20 @@ class RoundRobinPolicy(Policy):
         row_i, col_d = np.nonzero(remainder)
         arc_start = starts[row_i, col_d]
         arc_end = arc_start + remainder[row_i, col_d]
-        diff = np.zeros((length, n + 1), dtype=np.int64)
-        plain = arc_end <= n
-        np.add.at(diff, (row_i[plain], arc_start[plain]), 1)
-        np.add.at(diff, (row_i[plain], arc_end[plain]), -1)
-        wrapped = ~plain
-        np.add.at(diff, (row_i[wrapped], arc_start[wrapped]), 1)
-        np.add.at(diff, (row_i[wrapped], np.full(int(wrapped.sum()), n)), -1)
-        np.add.at(diff, (row_i[wrapped], np.zeros(int(wrapped.sum()), dtype=np.int64)), 1)
-        np.add.at(diff, (row_i[wrapped], arc_end[wrapped] - n), -1)
-        received = np.cumsum(diff[:, :n], axis=1)
+        # Flat (row, server) cells of the (L, n+1) difference array.  An
+        # arc opens at its start and closes at min(end, n); a wrapped arc
+        # also reopens at 0 and closes at end - n.
+        row_base = row_i * (n + 1)
+        wrapped = arc_end > n
+        wrapped_base = row_base[wrapped]
+        plus = np.concatenate((row_base + arc_start, wrapped_base))
+        minus = np.concatenate(
+            (row_base + np.minimum(arc_end, n), wrapped_base + arc_end[wrapped] - n)
+        )
+        size = length * (n + 1)
+        diff = np.bincount(plus, minlength=size)
+        diff -= np.bincount(minus, minlength=size)
+        received = np.cumsum(diff.reshape(length, n + 1)[:, :n], axis=1)
         received += (batch_block // n).sum(axis=1)[:, None]
         self._position[:] = (self._position + batch_block.sum(axis=0)) % n
         return received

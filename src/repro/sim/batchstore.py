@@ -40,9 +40,36 @@ Total work per block is a handful of numpy operations of size O(runs +
 records).  The result is bit-identical to draining the reference
 queues: both produce the same multiset of (response time, count)
 records and the same leftover work.
+
+**Workspace.**  A store's *state* is its attributes: the pending runs,
+the per-server run counts and queued units, and the capacity mask.
+Checkpoints pickle exactly these.  Everything a block computes on the
+way -- the block's runs, the merged runs, the boundaries, the pieces and
+the records -- is *scratch*, written into the int64 and bool buffers of
+a workspace that grow to the largest block seen and are reused block
+after block.  A long cell therefore does not hand several megabytes of
+temporaries back to the allocator at the end of every block, only to
+fault them in again at the next one.  :meth:`BatchQueueStore.process_block`
+borrows a workspace from a small module-level free list when it starts
+and puts it back before it returns, after the histogram and the
+response sink have consumed the records (which live in the workspace).
+So one workspace serves every store a process runs, cell after cell,
+and resolves that run at the same time in different threads each
+borrow their own.  No store ever holds a workspace.  What a block
+still allocates is ``(n,)`` vectors, the carry, and the arrays numpy
+cannot write into a given buffer: the ``searchsorted`` results (and
+the multi-job runs' first-job ends they search), the ``np.repeat``
+expansions (each carried run's server, each piece's run and, for sized
+jobs, each job's server and arrival round) and the records' index from
+``np.flatnonzero``.  Their buffer-writing equivalents, markers and a
+running sum, cost up to five times the CPU, and these allocations are
+small enough for the allocator to reuse without returning them to the
+system.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,30 +79,77 @@ __all__ = ["BatchQueueStore"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-
-def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of ``values`` with the given lengths."""
-    ends = np.cumsum(lengths)
-    totals = np.concatenate(([0], np.cumsum(values)))
-    return totals[ends] - totals[ends - lengths]
+#: Workspaces not lent out.  The list holds one for each resolve that
+#: ever ran at the same time as others, up to this cap.
+_MAX_IDLE_WORKSPACES = 4
+_IDLE_WORKSPACES: list["_Workspace"] = []
 
 
-def _merge_slots(old_lengths: np.ndarray, new_lengths: np.ndarray):
-    """Destination slots that put each server's old runs before its new ones.
+class _Workspace:
+    """Scratch buffers one block resolution writes its intermediates into.
 
-    Returns ``(old_slots, new_slots)`` into the server-major merged
-    sequence of ``old_lengths + new_lengths`` runs per server.
+    ``ints(slot, size)`` and ``flags(slot, size)`` return the first
+    ``size`` entries of the slot's int64 or bool buffer, which grows to
+    exactly ``size`` when a block needs more; ``arange(size)`` is
+    ``np.arange(size)``.  Contents never outlive one
+    :meth:`BatchQueueStore.process_block` call.
     """
-    total_lengths = old_lengths + new_lengths
-    dest_base = np.cumsum(total_lengths) - total_lengths
-    slots = []
-    for lengths, offset in (
-        (old_lengths, dest_base),
-        (new_lengths, dest_base + old_lengths),
-    ):
-        base = np.cumsum(lengths) - lengths
-        slots.append(np.repeat(offset - base, lengths) + np.arange(lengths.sum()))
-    return slots
+
+    __slots__ = ("_ints", "_flags", "_arange")
+
+    def __init__(self) -> None:
+        self._ints: dict[int, np.ndarray] = {}
+        self._flags: dict[int, np.ndarray] = {}
+        self._arange = _EMPTY
+
+    def ints(self, slot: int, size: int) -> np.ndarray:
+        return _grown(self._ints, slot, size, np.int64)
+
+    def flags(self, slot: int, size: int) -> np.ndarray:
+        return _grown(self._flags, slot, size, np.bool_)
+
+    def arange(self, size: int) -> np.ndarray:
+        if self._arange.size < size:
+            self._arange = np.arange(size, dtype=np.int64)
+        return self._arange[:size]
+
+
+def _grown(buffers: dict, slot: int, size: int, dtype) -> np.ndarray:
+    buffer = buffers.get(slot)
+    if buffer is None or buffer.size < size:
+        buffer = buffers[slot] = np.empty(size, dtype=dtype)
+    return buffer[:size]
+
+
+@contextmanager
+def _borrowed_workspace():
+    """A workspace for the length of one call, then back to the free list."""
+    try:
+        workspace = _IDLE_WORKSPACES.pop()
+    except IndexError:
+        workspace = _Workspace()
+    try:
+        yield workspace
+    finally:
+        # A soft cap: returns racing past the check overshoot it, which
+        # costs memory only.
+        if len(_IDLE_WORKSPACES) < _MAX_IDLE_WORKSPACES:
+            _IDLE_WORKSPACES.append(workspace)
+
+
+def _segment_sums(
+    values: np.ndarray, lengths: np.ndarray, totals: np.ndarray | None = None
+) -> np.ndarray:
+    """Sums of consecutive segments of ``values`` with the given lengths.
+
+    ``totals`` is optional scratch of ``values.size + 1`` entries.
+    """
+    if totals is None:
+        totals = np.empty(values.size + 1, dtype=np.int64)
+    totals[0] = 0
+    np.cumsum(values, out=totals[1:])
+    ends = np.cumsum(lengths)
+    return totals[ends] - totals[ends - lengths]
 
 
 class BatchQueueStore:
@@ -182,6 +256,11 @@ class BatchQueueStore:
             servers)`` receiving the same post-warmup records the
             histogram gets, stamped with the serving server of each
             record (the probe feed; see :mod:`repro.sim.probes`).
+
+        The record arrays passed to ``histogram`` and ``response_sink``
+        are borrowed for the call: they live in the store's workspace and
+        are overwritten by the next block, so a sink that keeps records
+        must copy them.  Every sink in this package consumes them at once.
         """
         new_jobs = jobs_block.sum(axis=0)
         mask = self._capacity_mask
@@ -190,45 +269,49 @@ class BatchQueueStore:
                 "batch store admitted jobs to churn-masked servers; "
                 "the churn adapter failed to redirect them"
             )
-        if sizes is None:
-            new_units = new_jobs
-        else:
-            sizes = np.asarray(sizes, dtype=np.int64)
-            if sizes.shape != (int(new_jobs.sum()),):
-                raise ValueError(
-                    f"sizes has shape {sizes.shape}, expected one size per "
-                    f"admitted job ({int(new_jobs.sum())},)"
+        with _borrowed_workspace() as workspace:
+            if sizes is None:
+                new_units = new_jobs
+            else:
+                sizes = np.asarray(sizes, dtype=np.int64)
+                if sizes.shape != (int(new_jobs.sum()),):
+                    raise ValueError(
+                        f"sizes has shape {sizes.shape}, expected one size per "
+                        f"admitted job ({int(new_jobs.sum())},)"
+                    )
+                if sizes.size and int(sizes.min()) < 1:
+                    raise ValueError("job sizes must be >= 1")
+                new_units = _segment_sums(
+                    sizes, new_jobs, workspace.ints(0, sizes.size + 1)
                 )
-            if sizes.size and int(sizes.min()) < 1:
-                raise ValueError("job sizes must be >= 1")
-            new_units = _segment_sums(sizes, new_jobs)
-        server_units = self._units + new_units
-        dep_totals = done_block.sum(axis=0)
-        if np.any(dep_totals > server_units):
-            raise RuntimeError(
-                "batch store drained past its contents; "
-                "engine accounting is corrupt"
+            server_units = self._units + new_units
+            dep_totals = done_block.sum(axis=0)
+            if np.any(dep_totals > server_units):
+                raise RuntimeError(
+                    "batch store drained past its contents; "
+                    "engine accounting is corrupt"
+                )
+            if not server_units.any():
+                return
+            leftover_units = server_units - dep_totals
+            records = self._resolve(
+                start_round,
+                jobs_block,
+                sizes,
+                done_block,
+                leftover_units,
+                warmup,
+                histogram is not None or response_sink is not None,
+                workspace,
             )
-        if not server_units.any():
-            return
-        leftover_units = server_units - dep_totals
-        records = self._resolve(
-            start_round,
-            jobs_block,
-            sizes,
-            done_block,
-            leftover_units,
-            warmup,
-            histogram is not None or response_sink is not None,
-        )
-        self._units = leftover_units
-        if records is None:
-            return
-        dep_rounds, times, counts, servers = records
-        if histogram is not None:
-            histogram.record_many(times, counts)
-        if response_sink is not None:
-            response_sink(dep_rounds, times, counts, servers)
+            self._units = leftover_units
+            if records is None:
+                return
+            dep_rounds, times, counts, servers = records
+            if histogram is not None:
+                histogram.record_many(times, counts)
+            if response_sink is not None:
+                response_sink(dep_rounds, times, counts, servers)
 
     def _resolve(
         self,
@@ -239,50 +322,107 @@ class BatchQueueStore:
         leftover_units: np.ndarray,
         warmup: int,
         want_records: bool,
+        workspace: _Workspace,
     ):
         """Drain one validated block; returns its records (or ``None``).
 
         Updates the pending runs; the caller updates the unit totals.
-        Subclasses swap in another resolver with the same contract.
+        Intermediates and the returned records live in ``workspace``,
+        whose numbered int slots are reused as their contents die: 0-5
+        hold the block's cells and the merge scratch, then the pieces'
+        scratch, then columns and servers, and last the records; 6-8 the
+        merged runs, 9-10 their starts and ends, and 11 the boundaries.
+        The pieces of multi-job runs are gathered into slots 6-10 as
+        their sources die.  Subclasses swap in another resolver with the
+        same contract.
         """
         n = self._n
         length = done_block.shape[0]
+        if not length:
+            return None  # nothing arrives or departs: every run stays
+        width = length + 1
+        num_cells = n * length
+        ints, flags = workspace.ints, workspace.flags
 
-        # The block's runs, server-major: one (round, 1, count) run per
-        # nonzero admission cell, or one (round, size, 1) run per job.
-        per_cell = jobs_block.T.ravel()
+        # The block's runs, server-major (cell s * length + c is server
+        # s's column c): one (round, 1, count) run per nonzero cell, or
+        # one (round, size, 1) run per job.  ``server_ends`` counts the
+        # new runs of servers up to and including each server.
+        per_cell = ints(0, num_cells)
+        per_cell.reshape(n, length)[:] = jobs_block.T
         if sizes is None:
-            cells = np.flatnonzero(per_cell)
-            new_srv = cells // length
-            new_col = cells - new_srv * length
-            new_sizes, new_counts = 1, per_cell[cells]
-            new_lengths = np.bincount(new_srv, minlength=n)
+            occupied = ints(3, num_cells)
+            np.copyto(occupied, np.not_equal(per_cell, 0, out=flags(0, num_cells)))
+            cell_ends = np.cumsum(occupied, out=ints(1, num_cells))
+            server_ends = cell_ends[length - 1 :: length]
+            new_lengths = server_ends.copy()
+            new_lengths[1:] -= server_ends[:-1]
         else:
-            new_col = np.repeat(np.tile(np.arange(length), n), per_cell)
-            new_sizes, new_counts = sizes, 1
-            new_lengths = jobs_block.sum(axis=0)
-        old_slots, new_slots = _merge_slots(self._lengths, new_lengths)
-        num_runs = old_slots.size + new_slots.size
-        merged = []
-        for old, new in (
-            (self._rounds, start_round + new_col),
-            (self._sizes, new_sizes),
-            (self._counts, new_counts),
-        ):
-            values = np.empty(num_runs, dtype=np.int64)
-            values[old_slots] = old
-            values[new_slots] = new
-            merged.append(values)
-        run_rounds, run_sizes, run_counts = merged
+            new_lengths = per_cell.reshape(n, length).sum(axis=1)
+            server_ends = np.cumsum(new_lengths)
+        new_before = server_ends - new_lengths
+        old_upto = np.cumsum(self._lengths)
+        num_new = int(server_ends[-1])
+        num_old = self._rounds.size
+        num_runs = num_old + num_new
+        cell_rounds = ints(2, num_cells)
+        np.add(
+            workspace.arange(length), start_round, out=cell_rounds.reshape(n, length)
+        )
+
+        # Merge into server-major FIFO order, each server's carried runs
+        # before its new ones, by scattering to 1-based slots of buffers
+        # whose slot 0 is a dump for the empty cells.  Carried run i of
+        # server s goes to slot i + 1 + (new runs of servers < s), new
+        # run j of server s to slot j + 1 + (carried runs of servers <= s).
+        rounds_at, sizes_at, counts_at = (
+            ints(slot, num_runs + 1) for slot in (6, 7, 8)
+        )
+        if sizes is None:
+            slots = cell_ends
+            np.add(
+                slots.reshape(n, length),
+                old_upto[:, None],
+                out=slots.reshape(n, length),
+            )
+            slots *= occupied
+            rounds_at[slots] = cell_rounds
+            counts_at[slots] = per_cell
+            sizes_at.fill(1)
+        else:
+            slots = np.take(
+                old_upto,
+                np.repeat(workspace.arange(n), new_lengths),
+                out=ints(5, num_new),
+                mode="clip",
+            )
+            slots += workspace.arange(num_new + 1)[1:]
+            rounds_at[slots] = np.repeat(cell_rounds, per_cell)
+            sizes_at[slots] = sizes
+            counts_at.fill(1)
+        old_slots = np.take(
+            new_before,
+            np.repeat(workspace.arange(n), self._lengths),
+            out=ints(4, num_old),
+            mode="clip",
+        )
+        old_slots += workspace.arange(num_old + 1)[1:]
+        rounds_at[old_slots] = self._rounds
+        sizes_at[old_slots] = self._sizes
+        counts_at[old_slots] = self._counts
+        run_rounds, run_sizes, run_counts = rounds_at[1:], sizes_at[1:], counts_at[1:]
 
         # Global unit-position axis: server s occupies the half-open
         # interval (base_s, base_s + units_s] and runs follow each other
         # in server-major FIFO order.
-        multi = np.flatnonzero(run_counts > 1)
-        run_units = run_sizes * run_counts if multi.size else run_sizes
-        run_ends = np.cumsum(run_units)
-        run_starts = run_ends - run_units
-        run_server = np.repeat(np.arange(n), self._lengths + new_lengths)
+        multi = np.greater(run_counts, 1, out=flags(1, num_runs))
+        if multi.any():
+            run_units = np.multiply(run_sizes, run_counts, out=ints(9, num_runs))
+        else:
+            multi = None
+            run_units = run_sizes
+        run_ends = np.cumsum(run_units, out=ints(10, num_runs))
+        run_starts = np.subtract(run_ends, run_units, out=ints(9, num_runs))
 
         # Departure boundaries, flattened from the (n, L+1) matrix of
         # cumulative completions with a sentinel column per server, after
@@ -290,10 +430,10 @@ class BatchQueueStore:
         # bounds[k]] of column k - 1 - s * (L + 1) of server s's row, and
         # the last column is the sentinel, "still queued".  A round without
         # completions repeats the previous boundary, so it is never the
-        # first one at or past a position.
-        width = length + 1
-        bounds = np.empty(n * width + 1, dtype=np.int64)
-        bounds[0] = 0
+        # first one at or past a position.  ``below[k]`` is bounds[k-1].
+        padded = ints(11, n * width + 2)
+        padded[:2] = 0
+        bounds, below = padded[1:], padded[:-1]
         matrix = bounds[1:].reshape(n, width)
         matrix[:, :length] = done_block.T
         matrix[:, length] = leftover_units
@@ -307,39 +447,64 @@ class BatchQueueStore:
         # two ends differ by the run's units inside the interval.  In a
         # block mixing both, a single-job run's one piece completes 1.
         last = np.searchsorted(bounds, run_ends, side="left")
-        if multi.size:
-            first = last.copy()
+        if multi is not None:
+            first = ints(0, num_runs)
+            first[:] = last
+            first_job_ends = np.add(run_starts, run_sizes, out=ints(1, num_runs))
             first[multi] = np.searchsorted(
-                bounds, run_starts[multi] + run_sizes[multi], side="left"
+                bounds, first_job_ends[multi], side="left"
             )
-            span = last - first + 1
-            piece_run = np.repeat(np.arange(span.size), span)
-            piece = np.arange(piece_run.size) + np.repeat(
-                first - (np.cumsum(span) - span), span
+            # Run r's pieces are pieces piece_ends[r-1] .. piece_ends[r]-1,
+            # and its p-th piece is interval first[r] + p, so piece q of
+            # the block is interval q + last[r] + 1 - piece_ends[r].
+            span = np.subtract(last, first, out=ints(1, num_runs))
+            span += 1
+            piece_ends = np.cumsum(span, out=ints(2, num_runs))
+            num_pieces = int(piece_ends[-1])
+            piece_run = np.repeat(workspace.arange(num_runs), span)
+            offsets = np.subtract(last, piece_ends, out=piece_ends)
+            offsets += 1
+            piece = np.take(offsets, piece_run, out=ints(3, num_pieces), mode="clip")
+            piece += workspace.arange(num_pieces)
+
+            # Each gather lands in the slot the previous one's source
+            # (or the dead counts) vacated.
+            def gather(source, slot):
+                return np.take(
+                    source, piece_run, out=ints(slot, num_pieces), mode="clip"
+                )
+
+            starts = gather(run_starts, 8)
+            ends = gather(run_ends, 9)
+            piece_rounds = gather(run_rounds, 10)
+            piece_sizes = gather(run_sizes, 6)
+            # starts becomes max(bounds[piece - 1], start).
+            bound = np.take(below, piece, out=ints(7, num_pieces), mode="clip")
+            np.maximum(bound, starts, out=starts)
+            piece_counts = np.take(bounds, piece, out=bound, mode="clip")
+            np.minimum(piece_counts, ends, out=piece_counts)
+            piece_counts -= starts
+            np.copyto(
+                piece_counts,
+                1,
+                where=np.greater(piece_sizes, 1, out=flags(2, num_pieces)),
             )
-            starts = run_starts[piece_run]
-            ends = run_ends[piece_run]
-            piece_rounds = run_rounds[piece_run]
-            piece_sizes = run_sizes[piece_run]
-            piece_server = run_server[piece_run]
-            piece_counts = np.minimum(bounds[piece], ends) - np.maximum(
-                bounds[piece - 1], starts
-            )
-            piece_counts[piece_sizes > 1] = 1
-            nonempty = piece_counts > 0
+            nonempty = np.greater(piece_counts, 0, out=flags(3, num_pieces))
         else:
+            num_pieces = num_runs
             piece, starts, ends = last, run_starts, run_ends
             piece_rounds, piece_sizes = run_rounds, run_sizes
-            piece_server, piece_counts = run_server, run_counts
-            nonempty = True
-        column = piece - 1 - piece_server * width
-        completed = column < length
+            piece_counts, nonempty = run_counts, None
+        column = np.subtract(piece, 1, out=ints(4, num_pieces))
+        piece_server = np.floor_divide(column, width, out=ints(5, num_pieces))
+        column -= np.multiply(piece_server, width, out=ints(0, num_pieces))
 
         # Sentinel pieces are the carry, still server-major FIFO: the
         # jobs left of the run, the first of them possibly partly served.
-        carry = np.flatnonzero(~completed)
+        pending = np.equal(column, length, out=flags(2, num_pieces))
+        carry = np.flatnonzero(pending)
         carried = piece_counts[carry]
-        remaining = ends[carry] - np.maximum(bounds[piece[carry] - 1], starts[carry])
+        remaining = ends[carry] - np.maximum(below[piece[carry]], starts[carry])
         self._rounds = piece_rounds[carry]
         self._counts = carried
         self._sizes = remaining - (carried - 1) * piece_sizes[carry]
@@ -347,12 +512,27 @@ class BatchQueueStore:
 
         if not want_records:
             return None
-        dep_round = start_round + column
-        record = np.flatnonzero(completed & (dep_round >= warmup) & nonempty)
-        dep_round = dep_round[record]
-        times = dep_round - piece_rounds[record]
+        keep = np.logical_not(pending, out=pending)
+        if nonempty is not None:
+            keep &= nonempty
+        if warmup > start_round:
+            keep &= np.greater_equal(
+                column, warmup - start_round, out=flags(4, num_pieces)
+            )
+        record_at = np.flatnonzero(keep)
+        num_records = record_at.size
+
+        def pick(source, slot):
+            return np.take(
+                source, record_at, out=ints(slot, num_records), mode="clip"
+            )
+
+        dep_round = pick(column, 2)
+        dep_round += start_round
+        times = pick(piece_rounds, 3)
+        np.subtract(dep_round, times, out=times)
         times += 1
-        return dep_round, times, piece_counts[record], piece_server[record]
+        return dep_round, times, pick(piece_counts, 0), pick(piece_server, 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -259,6 +259,7 @@ class CompiledBatchQueueStore(BatchQueueStore):
         leftover_units,
         warmup,
         want_records,
+        workspace,
     ):
         if not (self.force or numba_enabled()):
             return super()._resolve(
@@ -269,6 +270,7 @@ class CompiledBatchQueueStore(BatchQueueStore):
                 leftover_units,
                 warmup,
                 want_records,
+                workspace,
             )
         (
             rec_dep,

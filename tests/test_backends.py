@@ -14,6 +14,10 @@ The contract under test (ISSUE 2 acceptance):
   :class:`SizedServerQueue` drain of unit and sized jobs exactly, record
   by record and in FIFO order, including partly served head jobs carried
   across blocks;
+* the store resolves each block in a borrowed scratch workspace: a
+  block's transient allocations stay small, a pickled store holds only
+  its state, and concurrent or resumed resolves record exactly what
+  serial ones do;
 * ``ResponseTimeHistogram.record_many`` equals the equivalent sequence
   of ``record`` calls.
 """
@@ -326,6 +330,53 @@ class TestBackendPropertyBased:
         assert_identical(*results)
 
 
+def captured_store_blocks(monkeypatch, workload, rho, rounds=3 * 256):
+    """The ``(start, jobs, sizes, done)`` blocks a fast ``rr`` cell on
+    100 homogeneous servers x 50 dispatchers hands its batch store."""
+    from repro.experiments.executor import build_cell_simulation
+    from repro.workloads.scenarios import SystemSpec
+
+    blocks = []
+    process_block = BatchQueueStore.process_block
+
+    def spy(self, start, jobs, sizes, done, *args, **kwargs):
+        blocks.append(
+            (start, jobs.copy(), None if sizes is None else sizes.copy(), done.copy())
+        )
+        return process_block(self, start, jobs, sizes, done, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchQueueStore, "process_block", spy)
+        build_cell_simulation(
+            "rr", SystemSpec(100, 50, "homogeneous"), rho, workload,
+            seed=17, rounds=rounds, warmup=0, backend="fast",
+        ).run()
+    return blocks
+
+
+def transient_peak_of_third_block(blocks) -> int:
+    """Bytes allocated at peak by a store's third ``process_block`` call,
+    beyond what was live before it (tracemalloc sees numpy's buffers)."""
+    import tracemalloc
+
+    def replay(count):
+        store = BatchQueueStore(100)
+        for block in blocks[:count]:
+            store.process_block(*block, ResponseTimeHistogram(), 0)
+        return store
+
+    replay(3)  # size the workspace for the measured block
+    store = replay(2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        store.process_block(*blocks[2], ResponseTimeHistogram(), 0)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestBatchQueueStore:
     """The one block resolver against the reference per-server deques."""
 
@@ -417,6 +468,142 @@ class TestBatchQueueStore:
             store.process_block(0, jobs, np.array([1, 2, 3]), done, None)
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             store.process_block(0, jobs, np.array([1, 0]), done, None)
+
+    def test_unit_block_transient_peak_under_1_mib(self, monkeypatch):
+        """A federated-rr-shaped block (rr 100x50, rho 0.9, unit jobs)
+        peaked at 4.76 MiB of fresh temporaries before the workspace."""
+        from repro.experiments.workload import WorkloadSpec
+
+        blocks = captured_store_blocks(monkeypatch, WorkloadSpec.paper(), 0.9)
+        assert transient_peak_of_third_block(blocks) <= 1 << 20
+
+    def test_sized_block_transient_peak_under_0_7_mib(self, monkeypatch):
+        """GeometricSize(3) jobs at 0.9 of the work capacity: 1.38 MiB
+        before the workspace."""
+        from repro.experiments.workload import WorkloadSpec
+        from repro.sim.sized import GeometricSize
+
+        blocks = captured_store_blocks(
+            monkeypatch, WorkloadSpec.sized(GeometricSize(3.0)), 0.3
+        )
+        assert transient_peak_of_third_block(blocks) <= int(0.7 * (1 << 20))
+
+
+class TestBlockWorkspace:
+    """The store resolves blocks in a reused workspace: scratch, not state."""
+
+    STATE_KEYS = {
+        "_n", "_rounds", "_sizes", "_counts", "_lengths", "_units", "_capacity_mask",
+    }
+
+    def test_pickled_store_holds_exactly_its_state(self):
+        import pickle
+
+        store = BatchQueueStore(3)
+        jobs = np.array([[2, 0, 1], [1, 3, 0]], dtype=np.int64)
+        done = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int64)
+        store.process_block(0, jobs, None, done, ResponseTimeHistogram())
+        restored = pickle.loads(pickle.dumps(store))
+        assert set(restored.__dict__) == self.STATE_KEYS
+        np.testing.assert_array_equal(restored.queued_jobs(), store.queued_jobs())
+
+    def test_concurrent_resolves_borrow_separate_workspaces(self):
+        """More threads than cores (and than the free list keeps), all
+        inside ``process_block`` at once -- a barrier in the sinks holds
+        every call open -- record what they record serially."""
+        import sys
+        import threading
+
+        threads_count = 6
+        streams = [
+            random_store_blocks(np.random.default_rng(seed), 5, 12, [None, 3] * 3)
+            for seed in range(threads_count)
+        ]
+
+        def drain(blocks, barrier=None):
+            store = BatchQueueStore(5)
+            records = []
+
+            def sink(rounds, times, counts, servers):
+                if barrier is not None:
+                    barrier.wait(timeout=30)
+                records.append(np.stack([rounds, times, counts, servers]).copy())
+
+            for start, jobs, sizes, done in blocks:
+                store.process_block(start, jobs, sizes, done, None, 0, sink)
+            return records
+
+        serial = [drain(blocks) for blocks in streams]
+        assert len({len(records) for records in serial}) == 1
+        barrier = threading.Barrier(threads_count)
+        concurrent = [None] * threads_count
+
+        def worker(index):
+            concurrent[index] = drain(streams[index], barrier)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(concurrent, serial):
+            assert got is not None and len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+
+    def test_concurrent_rr_cells_equal_serial_runs(self):
+        import threading
+
+        def cell(seed, backend="fast"):
+            return run_once("rr", backend, seed=seed, n=20, m=5, rounds=700)
+
+        serial = [cell(seed) for seed in (3, 4)]
+        concurrent = [None, None]
+
+        def worker(index):
+            concurrent[index] = cell(3 + index)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(concurrent, serial):
+            assert_identical(got, expected)
+        assert_identical(cell(3, "sharded:2:serial"), serial[0])
+
+    def test_killed_fast_run_resumes_with_a_fresh_workspace(self, tmp_path):
+        from repro.experiments.executor import build_cell_simulation
+        from repro.experiments.workload import WorkloadSpec
+        from repro.runs import Run
+        from repro.sim import batchstore
+        from repro.workloads.scenarios import SystemSpec
+
+        def sim():
+            return build_cell_simulation(
+                "rr", SystemSpec(20, 5), 0.9, WorkloadSpec.paper(),
+                seed=7, rounds=800, warmup=256, backend="fast",
+            )
+
+        baseline = sim().run()
+        run = Run.create(sim(), tmp_path / "run")
+        assert run.execute(max_legs=1) is None
+        batchstore._IDLE_WORKSPACES.clear()  # as in a new process
+        resumed = Run.open(tmp_path / "run").execute()
+        assert resumed.histogram.state_dict() == baseline.histogram.state_dict()
+        np.testing.assert_array_equal(
+            resumed.queue_series.values, baseline.queue_series.values
+        )
+        assert resumed.total_departed == baseline.total_departed
 
 
 class TestRecordMany:
