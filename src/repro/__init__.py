@@ -132,7 +132,6 @@ from .sim.probes import (
     register_probe,
 )
 from .sim.seeding import derive_seed, spawn_streams
-from .sim.sharding import ShardedBackend, ShardPlan
 from .sim.sized import (
     BimodalSize,
     DeterministicSize,
@@ -217,8 +216,6 @@ __all__ = [
     "make_backend",
     "available_backends",
     "backend_descriptions",
-    "ShardPlan",
-    "ShardedBackend",
     "BatchQueueStore",
     # observability probes
     "Probe",

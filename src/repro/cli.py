@@ -66,7 +66,6 @@ Examples
     repro experiment --policies scd sed --workload skew:3 --loads 0.9
     repro experiment --policies jsq rr wr --backend fast --rounds 100000
     repro experiment --policies jsq sed --workload sized:geom:4 --backend fast
-    repro experiment --policies jsq sed --backend sharded:4 --rounds 100000
     repro experiment --policies scd jsq --metrics herding server_stats \
         windowed_mean:window=500
     repro experiment --policies jsq sed --backend fast \
@@ -175,8 +174,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         metavar="BACKEND",
         help="engine round kernel: 'reference' (bit-exact default), "
         "'fast' (vectorized; bit-identical to reference), "
-        "'sharded[:N[:serial|process]]' (server-partitioned fast kernel), "
-        "'compiled' or 'meanfield'; see `repro backends`",
+        "'compiled' (numba-jitted fast kernel) or "
+        "'meanfield' (fluid limit); see `repro backends`",
     )
     parser.add_argument(
         "--metrics",

@@ -142,8 +142,8 @@ class Experiment:
     base_seed: int = 0
     #: Engine-backend registry name every cell runs on (see
     #: :mod:`repro.sim.backends`): ``"reference"`` is the bit-exact
-    #: default, ``"fast"`` the vectorized kernel and ``"sharded:N"``
-    #: the server-partitioned kernel.
+    #: default, ``"fast"`` the vectorized kernel and ``"meanfield"``
+    #: the fluid limit.
     backend: str = "reference"
     #: Extra observability probes run in every cell (registry names or
     #: :class:`~repro.sim.probes.ProbeSpec`); their summaries land in

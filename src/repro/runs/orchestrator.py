@@ -27,7 +27,6 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import copy
 import json
 import pickle
 from collections.abc import Callable
@@ -75,8 +74,7 @@ class LegLimitReached(Exception):
     """Internal control flow: the controller hit its ``max_legs`` budget.
 
     Raised out of ``after_block`` right after a checkpoint commits, so
-    the kernel unwinds (sharded strategies close their workers via
-    ``finally``) and ``Run.execute`` returns ``None`` with the run
+    the kernel unwinds and ``Run.execute`` returns ``None`` with the run
     paused on disk.
     """
 
@@ -101,25 +99,11 @@ def _describe_sim(sim: Simulation) -> dict:
 def probe_summaries_from_state(kernel_state: dict) -> dict[str, dict]:
     """Probe summaries from an exported kernel state dict.
 
-    Safe on the *live* state a kernel exports mid-run: nothing the
-    kernel keeps using is mutated.  Single-kernel states carry a
-    ``probes`` ProbeSet whose probes are summarized in place (a
-    summary only reads).  Sharded states are folded across their shard
-    snapshots exactly as the kernel does at end of run -- on copies of
-    the shard probe maps, because folding mutates the probes it merges
-    -- then overlaid with the coordinator-side probes.
+    Safe on the *live* state a kernel exports mid-run: every kernel
+    state carries a ``probes`` ProbeSet whose probes are summarized in
+    place, and a summary only reads.
     """
-    if "probes" in kernel_state:
-        probe_map = kernel_state["probes"].as_dict()
-    else:
-        from repro.sim.sharding import _fold_shards
-
-        probe_map = _fold_shards(
-            copy.deepcopy(
-                [shard["probes"].as_dict() for shard in kernel_state["shards"]]
-            )
-        )
-        probe_map = {**probe_map, **kernel_state["coordinator_probes"].as_dict()}
+    probe_map = kernel_state["probes"].as_dict()
     return {label: probe.summary() for label, probe in probe_map.items()}
 
 
@@ -319,6 +303,9 @@ class Run:
             return finished
         manifest = self.manifest()
         _check_run_format(manifest, self.manifest_path)
+        # run.json is outside input: refuse an unknown backend here, not
+        # as a missing class halfway through unpickling.
+        backend_capabilities(manifest["backend"])
 
         latest = self.store.load_latest()
         if latest is not None:

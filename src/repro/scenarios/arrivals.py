@@ -8,8 +8,8 @@ Each scenario here wraps the run's stationary
 (no internal counters), the block pre-sampler can draw a whole
 ``(256, m)`` rate matrix at once -- numpy fills Poisson output arrays in
 C order, element by element, so the block consumes the arrival stream
-exactly like 256 sequential per-round draws and every kernel family
-(reference, fast, compiled, sharded) sees the identical realization.
+exactly like 256 sequential per-round draws and every kernel
+(reference, fast, compiled) sees the identical realization.
 
 Built-ins:
 

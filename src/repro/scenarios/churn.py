@@ -18,10 +18,9 @@ by :func:`repro.scenarios.base.apply_scenario`:
 
 Because the adapter transforms the policy's *inputs and outputs* and
 holds no engine hooks, it is bit-identical wherever the policy life
-cycle runs -- the reference loop, the shared block driver, and the
-sharded coordinator all drive it the same way -- and the existing
-engine guards do the right thing automatically: overriding
-``begin_round`` disables cross-round batching
+cycle runs -- the reference loop and the block driver both drive it
+the same way -- and the existing engine guards do the right thing
+automatically: overriding ``begin_round`` disables cross-round batching
 (:func:`~repro.policies.base.supports_round_batching`) and the exact
 type checks in :func:`repro.sim.compiled.compiled_round_kernel_for`
 disable the whole-block compiled dispatch, both falling back to the

@@ -56,7 +56,7 @@ def parse_params(text: str, kind: str, kwargs: dict | None = None) -> dict:
 class BackendCapabilities:
     """What one engine backend can honestly promise.
 
-    The simulation kernels (reference/fast/compiled/sharded) checkpoint
+    The simulation kernels (reference/fast/compiled) checkpoint
     at block boundaries, feed every registered probe and run sized
     workloads, so the default flags are all-True and nothing changes
     for them.  Analytical backends (the mean-field fluid engine) have no
@@ -154,7 +154,7 @@ class BackendRegistry(Generic[T]):
         """The factory registered under ``name`` (same error as ``make``).
 
         Names may carry a ``:``-separated parameter suffix
-        (``"sharded:4"``): the head resolves the registered class and
+        (``"meanfield:rk4:dt=0.1"``): the head resolves the registered class and
         the remainder goes to its ``from_param`` classmethod, so
         parameterized backends stay plain strings everywhere names
         travel (configs, persistence, the CLI).  Heads without a

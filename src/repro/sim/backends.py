@@ -25,13 +25,6 @@ units, which are jobs when jobs have unit size.
     sampling paths draw the identical RNG stream, and the rest use the
     base-class ``dispatch_round`` fallback.
 
-``sharded``
-    The server-partitioned kernel (:mod:`repro.sim.sharding`): the fast
-    round loop with departures resolved by per-shard batch stores and
-    partitionable probes folded at end of run.  Parameterized through
-    the name (``sharded:4``, ``sharded:4:process``); bit-identical to
-    ``fast`` for deterministic policies at every shard count.
-
 ``compiled`` / ``meanfield``
     The numba-jitted kernel (:mod:`repro.sim.compiled`) and the
     analytical fluid-limit engine (:mod:`repro.meanfield`).
@@ -51,7 +44,7 @@ import numpy as np
 
 from ._registry import BackendCapabilities, BackendRegistry
 from .batchstore import BatchQueueStore
-from .blockdriver import BLOCK_ROUNDS, Block, RunState, drive_blocks
+from .blockdriver import BLOCK_ROUNDS, RunState, drive_blocks
 from .lifecycle import RunController, validate_start_round
 from .metrics import ResponseTimeHistogram
 from .probes import (
@@ -446,7 +439,6 @@ class FastBackend(EngineBackend):
     def run(
         self, sim: "Simulation", controller: RunController | None = None
     ) -> "SimulationResult":
-        config = sim.config
         start_round, state = _start(sim, controller)
         if state is not None:
             store = state["store"]
@@ -456,51 +448,20 @@ class FastBackend(EngineBackend):
             store = self._make_store(sim.rates.size)
             probes = _probe_set_for(sim)
             run = RunState(sim.rates.size)
-        histogram = probes.histogram
-        response_sink = (
-            probes.observe_responses if probes.wants_responses else None
-        )
-        # Churn scenarios wrap the policy in an adapter exposing the
-        # block's capacity mask; stamping it onto the store arms the
-        # no-admissions-while-masked corruption guard (and checkpoints
-        # then carry the mask with the store).
-        mask_source = getattr(sim.policy, "capacity_mask", None)
-
-        def consume(block: Block) -> None:
-            if mask_source is not None:
-                store.set_capacity_mask(mask_source())
-            store.process_block(
-                block.start_round,
-                block.jobs_block,
-                block.sizes,
-                block.done,
-                histogram,
-                config.warmup,
-                response_sink,
-            )
-
         drive_blocks(
-            policy=sim.policy,
-            arrivals=sim.arrivals,
-            service=sim.service,
-            sizes=sim.sizes,
-            streams=sim._streams,
-            rounds=config.rounds,
+            sim,
             start_round=start_round,
             state=run,
-            block_probes=probes,
-            series=probes.queue_series,
-            consume=consume,
+            store=store,
+            probes=probes,
             controller=controller,
-            export_state=lambda: {"store": store, "probes": probes, "run": run},
             round_kernel=self._round_kernel(sim),
         )
         return _make_result(sim, run, probes.as_dict())
 
 
-# The sharded, compiled and meanfield kernels register themselves on
-# import; keep this at the bottom so the registry machinery above exists
-# when they do.
-from . import sharding  # noqa: E402,F401  (registration side effect)
+# The compiled and meanfield kernels register themselves on import;
+# keep this at the bottom so the registry machinery above exists when
+# they do.
 from . import compiled  # noqa: E402,F401  (registration side effect)
 from ..meanfield import backend as _meanfield  # noqa: E402,F401  (registration side effect)

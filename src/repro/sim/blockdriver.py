@@ -1,24 +1,13 @@
-"""The shared 256-round block driver behind every engine kernel.
+"""The 256-round block driver behind the ``fast`` and ``compiled`` kernels.
 
-All block-structured kernels -- ``fast``, ``sharded`` and ``compiled``
--- execute the *same* round loop: pre-sample a block of workload
-randomness, run each round's dispatch against the live queue totals,
-defer FIFO departure resolution to block end, feed the block to the
-probe set, and hand the lifecycle controller an exportable state at the
-block boundary.  What differs between kernels is only **where a
-finished block goes** (a local batch store, per-shard workers over
-pipes) and **which store implementation resolves it** -- so this module
-owns the loop once and parameterizes the destination:
-
-``consume``
-    A callable receiving the finished :class:`Block`.  The fast kernels
-    resolve it against a local batch store; the sharded kernel slices it
-    across shard workers.
-
-``export_state``
-    A zero-argument callable building the kernel's checkpoint dict; the
-    driver invokes the :class:`~repro.sim.lifecycle.RunController` seam
-    with it at every block boundary.
+Both kernels run their rounds in blocks: pre-sample a block of
+workload randomness, run each round's dispatch against the live queue
+totals, resolve the block's FIFO departures in the batch store at block
+end, feed the block to the probe set, and hand the lifecycle controller
+the kernel's checkpoint state (``store``, ``probes``, ``run``) at the
+block boundary.  The kernel supplies the run's state objects, fresh or
+restored from a checkpoint, and which store implementation resolves the
+blocks; this module owns the loop.
 
 **Dispatch.**  On the per-round path every round with arrivals makes
 exactly one :meth:`~repro.policies.base.Policy.dispatch_round` call,
@@ -40,8 +29,7 @@ per-server job counts into admitted work units; that segment sum is the
 only extra work a sized round does.  At block end the sizes are permuted
 into server-major order, the order the one batch store admits them in.
 
-The driver also owns the two cross-round accelerations the kernels
-share:
+The driver also owns the two cross-round accelerations:
 
 * **Cross-round dispatch batching.**  When the policy passes
   :func:`repro.policies.base.supports_round_batching` (queue-oblivious,
@@ -55,17 +43,17 @@ share:
   matrix -- in one native call.
 
 **The block tail.**  Each of the three paths -- per-round dispatch,
-batched dispatch, round kernel -- yields the block's *trajectory*, the
-``(length, n)`` post-round queues, and one shared tail derives the
-rest from it once per block: completions ``done_t = q_{t-1} + r_t - q_t``
-(the first row from the block's start queues), the queue-length series
-(row sums) and the probes' ``queues`` field (the trajectory itself).
-The per-round path steps ``q_t = max(q_{t-1} + r_t - c_t, 0)`` because
-its policy reads every round's queues; the round kernel's trajectory
-is the prefix sum of its ``received - done``.  The batched path never
-needs an intermediate queue, so it solves the recurrence -- a Lindley
-recursion -- in closed form: with ``S_t`` the prefix sum of
-``r - c`` over the block and ``q_0`` the start queues,
+batched dispatch, round kernel -- yields the block's *trajectory*, the ``(length, n)`` post-round queues,
+and one shared tail derives the rest from it once per block:
+completions ``done_t = q_{t-1} + r_t - q_t`` (the first row from the
+block's start queues), the queue-length series (row sums) and the
+probes' ``queues`` field (the trajectory itself).  The per-round path
+steps ``q_t = max(q_{t-1} + r_t - c_t, 0)`` because its policy reads
+every round's queues; the round kernel's trajectory is the prefix sum
+of its ``received - done``.  The batched path never needs an intermediate
+queue, so it solves the recurrence -- a Lindley recursion -- in closed
+form: with ``S_t`` the prefix sum of ``r - c`` over the block and
+``q_0`` the start queues,
 
     ``q_t = S_t - min(min_{j <= t} S_j, -q_0)``.
 
@@ -83,19 +71,21 @@ per-round reference loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
 from repro.policies.base import Policy, supports_round_batching
 
+from .batchstore import BatchQueueStore
 from .lifecycle import RunController
 from .probes import ProbeBlock, ProbeSet
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .engine import Simulation
+
 __all__ = [
     "BLOCK_ROUNDS",
-    "Block",
     "RunState",
     "RoundKernel",
     "drive_blocks",
@@ -108,24 +98,6 @@ __all__ = [
 BLOCK_ROUNDS = 256
 
 _NO_SIZES = np.empty(0, dtype=np.int64)
-
-
-@dataclass
-class Block:
-    """One finished block of the round loop, ready to resolve."""
-
-    start_round: int
-    length: int
-    batch: np.ndarray  # (length, m) per-dispatcher job arrivals
-    received: np.ndarray  # (length, n) per-server admitted work units
-    done: np.ndarray  # (length, n) per-server completed work units
-    queues: np.ndarray  # (length, n) post-round queues: the trajectory
-    #: ``(length, n)`` per-server admitted jobs; ``received`` itself for
-    #: unit jobs.
-    jobs_block: np.ndarray
-    #: Sized runs only: the block's job sizes, server-major and in
-    #: admission order within a server.  ``None`` for unit jobs.
-    sizes: np.ndarray | None = None
 
 
 class RunState:
@@ -246,43 +218,53 @@ def _server_major_sizes(job_block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def drive_blocks(
+    sim: "Simulation",
     *,
-    policy: Policy,
-    arrivals,
-    service,
-    sizes,
-    streams,
-    rounds: int,
     start_round: int,
     state: RunState,
-    block_probes: ProbeSet,
-    series,
-    consume: Callable[[Block], None],
+    store: BatchQueueStore,
+    probes: ProbeSet,
     controller: RunController | None = None,
-    export_state: Callable[[], dict] | None = None,
     round_kernel: RoundKernel | None = None,
 ) -> None:
-    """Run the round loop from ``start_round`` to ``rounds``.
+    """Run ``sim``'s rounds from ``start_round`` to the end.
 
-    ``sizes`` is the simulation's job-size distribution (``None`` for
-    unit jobs) and ``streams`` its :class:`~repro.sim.seeding.SimulationStreams`.
-    ``block_probes`` is the probe set fed whole blocks (the fast
-    kernel's full set; the sharded coordinator's non-partitionable
-    subset); ``series`` is the queue-length series, which the block tail
-    extends by one total per round (the row sums of the block's
-    trajectory) once per block, or ``None`` when the consumer's side
-    owns it (shard workers record their own slices).  ``round_kernel``
+    ``state``, ``store`` and ``probes`` are the run's accumulators, its
+    batch store and its probe set.  The store resolves each block's
+    departures and records their response times into the probe set's
+    histogram (and response feed, when a probe wants it); the block
+    tail extends the probe set's queue-length series (when it tracks
+    one) by the row sums of each block's trajectory.  ``round_kernel``
     is honored for unit jobs only.
 
     Every block's admitted jobs must be non-negative; a block that
     admits a negative count anywhere raises ``ValueError`` before it
-    reaches ``consume``.
+    reaches the store.
     """
+    policy: Policy = sim.policy
+    arrivals = sim.arrivals
+    service = sim.service
+    sizes = sim.sizes
+    streams = sim._streams
+    rounds = sim.config.rounds
+    warmup = sim.config.warmup
+    histogram = probes.histogram
+    response_sink = probes.observe_responses if probes.wants_responses else None
+    # Churn scenarios wrap the policy in an adapter exposing the block's
+    # capacity mask; stamping it onto the store arms the
+    # no-admissions-while-masked corruption guard (and checkpoints then
+    # carry the mask with the store).
+    mask_source = getattr(policy, "capacity_mask", None)
+
+    def export_state() -> dict:
+        return {"store": store, "probes": probes, "run": state}
+
     queues = state.queues
     n = queues.size
     batching = supports_round_batching(policy)
-    fields = block_probes.fields
-    wants_blocks = block_probes.wants_blocks
+    fields = probes.fields
+    wants_blocks = probes.wants_blocks
+    series = probes.queue_series
     sized = sizes is not None
     if sized:
         round_kernel = None
@@ -308,6 +290,9 @@ def drive_blocks(
         else:
             job_block = received_block
 
+        batched = None
+        if batching and round_kernel is None:
+            batched = policy.dispatch_rounds(arrival_block)
         if round_kernel is not None:
             kernel_done = np.zeros((chunk, n), dtype=np.int64)
             round_kernel.run_block(
@@ -315,66 +300,62 @@ def drive_blocks(
             )
             trajectory = np.cumsum(received_block - kernel_done, axis=0)
             trajectory += start_queues
+        elif batched is not None:
+            _check_received_block(policy, batched, arrival_block, n)
+            job_block[:] = batched
+            if sized:
+                ends = np.cumsum(batched.ravel())
+                received_block[:] = (
+                    work[ends] - work[ends - batched.ravel()]
+                ).reshape(chunk, n)
+            # The policy is out of the loop, so no round needs its
+            # queues: the whole block's recurrence in closed form.
+            trajectory = queue_trajectory(
+                start_queues, received_block, capacity_block
+            )
+            queues[:] = trajectory[-1]
         else:
-            batched = None
-            if batching:
-                batched = policy.dispatch_rounds(arrival_block)
-            if batched is not None:
-                _check_received_block(policy, batched, arrival_block, n)
-                job_block[:] = batched
-                if sized:
-                    ends = np.cumsum(batched.ravel())
-                    received_block[:] = (
-                        work[ends] - work[ends - batched.ravel()]
-                    ).reshape(chunk, n)
-                # The policy is out of the loop, so no round needs its
-                # queues: the whole block's recurrence in closed form.
-                trajectory = queue_trajectory(
-                    start_queues, received_block, capacity_block
-                )
-                queues[:] = trajectory[-1]
-            else:
-                trajectory = np.empty((chunk, n), dtype=np.int64)
-                for i in range(chunk):
-                    t = chunk_start + i
+            trajectory = np.empty((chunk, n), dtype=np.int64)
+            for i in range(chunk):
+                t = chunk_start + i
 
-                    # Phase 1: arrivals (pre-sampled).
-                    batch = arrival_block[i]
-                    round_total = int(batch.sum())
+                # Phase 1: arrivals (pre-sampled).
+                batch = arrival_block[i]
+                round_total = int(batch.sum())
 
-                    # Phase 2: one batched dispatch for the whole round.
-                    policy.begin_round(t, queues)
-                    if round_total:
-                        policy.observe_total_arrivals(round_total)
-                        jobs = policy.dispatch_round(batch, queues)
-                        if jobs.shape != (n,):
-                            raise ValueError(
-                                f"{policy.name}.dispatch_round returned shape "
-                                f"{jobs.shape}; the batch protocol returns the "
-                                f"round's per-server admissions, shape ({n},)"
-                            )
-                        if int(jobs.sum()) != round_total:
-                            raise ValueError(
-                                f"{policy.name} assigned {int(jobs.sum())} "
-                                f"jobs for a round of {round_total}"
-                            )
-                        if sized:
-                            job_block[i] = jobs
-                            ends = round_offsets[i] + np.cumsum(jobs)
-                            received = work[ends] - work[ends - jobs]
-                        else:
-                            received = jobs
-                        received_block[i] = received
-                        queues += received
+                # Phase 2: one batched dispatch for the whole round.
+                policy.begin_round(t, queues)
+                if round_total:
+                    policy.observe_total_arrivals(round_total)
+                    jobs = policy.dispatch_round(batch, queues)
+                    if jobs.shape != (n,):
+                        raise ValueError(
+                            f"{policy.name}.dispatch_round returned shape "
+                            f"{jobs.shape}; the batch protocol returns the "
+                            f"round's per-server admissions, shape ({n},)"
+                        )
+                    if int(jobs.sum()) != round_total:
+                        raise ValueError(
+                            f"{policy.name} assigned {int(jobs.sum())} "
+                            f"jobs for a round of {round_total}"
+                        )
+                    if sized:
+                        job_block[i] = jobs
+                        ends = round_offsets[i] + np.cumsum(jobs)
+                        received = work[ends] - work[ends - jobs]
+                    else:
+                        received = jobs
+                    received_block[i] = received
+                    queues += received
 
-                    # Phase 3: departures -- the queue recurrence now,
-                    # completions in the block tail, FIFO resolution at
-                    # block end.
-                    queues -= capacity_block[i]
-                    np.maximum(queues, 0, out=queues)
-                    trajectory[i] = queues
+                # Phase 3: departures -- the queue recurrence now,
+                # completions in the block tail, FIFO resolution at
+                # block end.
+                queues -= capacity_block[i]
+                np.maximum(queues, 0, out=queues)
+                trajectory[i] = queues
 
-                    policy.end_round(t, queues)
+                policy.end_round(t, queues)
 
         # The block tail: everything else follows from the trajectory.
         _check_admissions(policy, job_block, chunk_start)
@@ -385,20 +366,19 @@ def drive_blocks(
         state.server_received += block_received
         state.total_arrived += int(block_received.sum())
         state.server_departed += done_block.sum(axis=0)
-        consume(
-            Block(
-                start_round=chunk_start,
-                length=chunk,
-                batch=arrival_block,
-                received=received_block,
-                done=done_block,
-                queues=trajectory,
-                jobs_block=job_block,
-                sizes=_server_major_sizes(job_block, block_sizes) if sized else None,
-            )
+        if mask_source is not None:
+            store.set_capacity_mask(mask_source())
+        store.process_block(
+            chunk_start,
+            job_block,
+            _server_major_sizes(job_block, block_sizes) if sized else None,
+            done_block,
+            histogram,
+            warmup,
+            response_sink,
         )
         if wants_blocks:
-            block_probes.observe_block(
+            probes.observe_block(
                 ProbeBlock(
                     start_round=chunk_start,
                     length=chunk,
@@ -409,5 +389,4 @@ def drive_blocks(
                 )
             )
         if controller is not None:
-            assert export_state is not None
             controller.after_block(chunk_start + chunk, export_state)

@@ -32,11 +32,8 @@ plain-Python bodies are themselves numba-compatible, so the test suite
 exercises the exact compiled control flow even on hosts without numba
 (via the stores' ``force`` flag).
 
-The backend registers as ``"compiled"``; the sharded kernel reuses the
-pieces through the ``sharded:N[:strategy][:compiled]`` resolver
-parameter (compiled shard-side stores plus a compiled coordinator round
-kernel where the policy permits).  The round kernels serve unit jobs
-only; sized runs get the compiled store and the shared driver.
+The backend registers as ``"compiled"``.  The round kernels serve unit
+jobs only; sized runs get the compiled store and the shared driver.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "numba_enabled",
     "CompiledBatchQueueStore",
     "compiled_round_kernel_for",
-    "make_shard_store",
     "CompiledBackend",
 ]
 
@@ -66,12 +62,6 @@ except ImportError:  # pragma: no cover
 #: Test hook: pretend numba is absent (fallback behavior on hosts that
 #: have it installed).  Checked at call time, never cached.
 _FORCE_DISABLED = False
-
-#: Test hook: make ``sharded:N[:strategy]:compiled`` shard stores and the
-#: coordinator round kernel run their compiled control flow un-jitted
-#: when numba is absent (serial strategy / in-process workers only).
-_FORCE_STORES = False
-
 
 def numba_enabled() -> bool:
     """True when the jitted paths are live (numba present, not forced off)."""
@@ -229,7 +219,7 @@ def _resolve_runs(
 
 
 def _as_block(array: np.ndarray) -> np.ndarray:
-    """Contiguous int64 view/copy (shard slices arrive non-contiguous)."""
+    """Contiguous int64 view/copy of a block array."""
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
@@ -294,18 +284,6 @@ class CompiledBatchQueueStore(BatchQueueStore):
             warmup,
         )
         return rec_dep, rec_time, rec_count, rec_server
-
-
-def make_shard_store(num_servers: int):
-    """The store a ``:compiled``-resolver shard worker should use.
-
-    The compiled store when the jitted paths are live (or tests force
-    the compiled control flow), the plain numpy store otherwise -- the
-    graceful-fallback rule, applied per worker at construction.
-    """
-    if numba_enabled() or _FORCE_STORES:
-        return CompiledBatchQueueStore(num_servers, force=_FORCE_STORES)
-    return BatchQueueStore(num_servers)
 
 
 # ---------------------------------------------------------------------------

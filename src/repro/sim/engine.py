@@ -68,10 +68,11 @@ class SimulationConfig:
     backend:
         Engine-backend registry name (see :mod:`repro.sim.backends`).
         ``"reference"`` is the original bit-exact loop; ``"fast"`` is
-        the vectorized round kernel; ``"sharded:N"`` is the
-        server-partitioned kernel (:mod:`repro.sim.sharding`).
-        Resolved when :meth:`Simulation.run` is called, so unknown
-        names fail with the list of known backends.
+        the vectorized round kernel; ``"compiled"`` is its numba-jitted
+        variant (:mod:`repro.sim.compiled`); ``"meanfield"`` is the
+        fluid limit (:mod:`repro.meanfield`).  Resolved when
+        :meth:`Simulation.run` is called, so unknown names fail with
+        the list of known backends.
     probes:
         Extra observability probes for this run, as registry names or
         :class:`~repro.sim.probes.ProbeSpec` objects (see

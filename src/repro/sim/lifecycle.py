@@ -22,8 +22,7 @@ optional ``controller`` argument of ``EngineBackend.run``:
   or ``None`` for a fresh start.
 * ``after_block(next_round, export)`` is called synchronously at every
   completed block boundary; ``export()`` materializes the *live* kernel
-  state on demand (the sharded kernels serialize worker state across
-  process pipes only when it is actually called).  Controllers that
+  state on demand.  Controllers that
   persist the state must call ``export()`` and serialize its result
   before returning -- the kernel keeps mutating those objects
   afterwards.

@@ -220,23 +220,6 @@ class QueueLengthSeries:
         self._values[self._count : needed] = totals
         self._count = needed
 
-    def merge(self, other: "QueueLengthSeries") -> None:
-        """Fold in a parallel series by element-wise addition.
-
-        The shard-merge operation: two series recorded over the *same
-        rounds* (e.g. by server shards of one simulation) combine into
-        the pool-wide series by adding per-round totals.  Series of
-        different lengths cover different rounds and cannot be aligned,
-        so a length mismatch raises.
-        """
-        if other._count != self._count:
-            raise ValueError(
-                f"cannot merge a {other._count}-round series into a "
-                f"{self._count}-round series; shard series must cover the "
-                f"same rounds"
-            )
-        self._values[: self._count] += other._values[: other._count]
-
     @property
     def values(self) -> np.ndarray:
         """The recorded series as a read-only array."""

@@ -7,16 +7,14 @@ meant engine surgery.  This module makes observability a first-class,
 registry-backed axis instead:
 
 * A :class:`Probe` accumulates one family of statistics.  Every round
-  kernel -- reference/fast/sharded/compiled, unit or sized jobs -- feeds
+  kernel -- reference/fast/compiled, unit or sized jobs -- feeds
   probes through the same *block-shaped* interface: a :class:`ProbeBlock` of per-round
   arrival counts, per-server admissions, completions and end-of-round
   queue snapshots, plus (for probes that ask) the recorded response
   times stamped with their departure rounds.  Probes are mergeable
-  (:meth:`Probe.merge` across replications/time shards,
-  :meth:`Probe.merge_partition` across the server shards of one
-  simulation) and serializable (:meth:`Probe.state_dict` /
-  :meth:`Probe.from_state`), which is what the sharded kernels
-  (:mod:`repro.sim.sharding`) and JSON persistence need.
+  across replications (:meth:`Probe.merge`) and serializable
+  (:meth:`Probe.state_dict` / :meth:`Probe.from_state`), which is what
+  JSON persistence needs.
 * A registry (:func:`register_probe` / :func:`make_probe`) mirrors the
   policy and backend registries, so experiments and the CLI select
   probes as plain strings; :class:`ProbeSpec` freezes a name plus
@@ -135,7 +133,7 @@ class Probe(ABC):
     :meth:`observe_block` (and :meth:`observe_responses` when
     :attr:`wants_responses`); afterwards :meth:`summary` reports flat
     floats, and :meth:`state_dict` / :meth:`from_state` / :meth:`merge`
-    move state across processes, files and shards.
+    move state across processes and files.
 
     Subclasses declare :attr:`fields` -- the block arrays they read --
     so kernels skip materializing everything else.  The default is all
@@ -154,16 +152,6 @@ class Probe(ABC):
     fields: frozenset[str] = PROBE_FIELDS
     #: True to receive recorded response times via ``observe_responses``.
     wants_responses: bool = False
-    #: True when this probe's state may be accumulated *per server
-    #: shard* -- each copy seeing only its own servers' columns of the
-    #: block arrays (and only its servers' response events) -- and
-    #: folded back into the global statistics with
-    #: :meth:`merge_partition`.  The sharded kernels
-    #: (:mod:`repro.sim.sharding`) replicate partitionable probes into
-    #: every shard; non-partitionable probes are instead fed the full
-    #: global block stream by the shard coordinator, which keeps naive
-    #: custom probes (the ``False`` default) correct under sharding.
-    partitionable: bool = False
     #: Attributes holding int64 ``ufunc.at`` targets, re-based on
     #: numpy's own dtype when a pickled probe is restored (see
     #: :func:`~repro.sim.metrics.restored_int64`).
@@ -218,9 +206,7 @@ class Probe(ABC):
     ) -> None:
         """Recorded response times: ``counts[i]`` jobs took ``times[i]``
         rounds, departed in round ``rounds[i]`` and were served by
-        server ``servers[i]`` (post-warmup only).  Under the sharded
-        kernels a partitionable probe sees shard-local server indices
-        (its slice's columns), matching the block arrays it receives."""
+        server ``servers[i]`` (post-warmup only)."""
 
     # -- reporting / state -------------------------------------------------
 
@@ -234,27 +220,10 @@ class Probe(ABC):
 
         Merge semantics are element-wise/additive and probe-specific:
         pooled-count probes (``responses``, ``windowed_mean``,
-        ``server_stats``, ...) combine replications or time shards,
-        while per-round series (``queue_series``) combine only
-        *server shards of one simulation* -- each probe's ``merge``
-        docstring states which, and incompatible shapes raise.
+        ``server_stats``, ...) combine replications or time shards;
+        ``queue_series`` describes one run and refuses to merge.
+        Incompatible shapes raise.
         """
-
-    def merge_partition(self, other: "Probe") -> None:
-        """Fold in a *server shard* of the same simulation.
-
-        The shard-fold operation of the sharded kernels: ``other``
-        observed a disjoint, contiguous slice of the server pool over
-        the *same rounds* as ``self``.  It differs from :meth:`merge`
-        only for probes whose state carries a per-server axis -- there
-        the shards' arrays concatenate (in shard = server order, so
-        fold shards left to right) instead of adding.  The default
-        falls back to :meth:`merge`, which is correct whenever merging
-        pools disjoint event multisets (``responses``,
-        ``windowed_mean``) or adds parallel per-round series
-        (``queue_series``).
-        """
-        self.merge(other)
 
     def probe_kwargs(self) -> dict:
         """Constructor kwargs needed to rebuild this probe (JSON-able)."""
@@ -642,9 +611,6 @@ class ResponseTimeProbe(Probe):
         "always on"
     )
     fields = frozenset()
-    #: Response records partition by the server that served the job, so
-    #: the additive merge is also the correct shard fold.
-    partitionable = True
 
     def __init__(self, histogram: ResponseTimeHistogram | None = None) -> None:
         super().__init__()
@@ -693,8 +659,6 @@ class QueueSeriesProbe(Probe):
         "on unless track_queue_series=False"
     )
     fields = frozenset()
-    #: ``merge`` already is the element-wise server-shard addition.
-    partitionable = True
 
     def __init__(self, series: QueueLengthSeries | None = None) -> None:
         super().__init__()
@@ -715,13 +679,9 @@ class QueueSeriesProbe(Probe):
         }
 
     def merge(self, other: "Probe") -> None:
-        """Server-shard merge: add per-round totals of one simulation's
-        shards (NOT a replication pool -- two independent runs' series
-        describe different simulations and must not be summed)."""
-        self._check_merge(other)
-        if self.series is None or other.series is None:
-            raise ValueError("cannot merge unbound queue_series probes")
-        self.series.merge(other.series)
+        """Refused: a per-round series describes one run, and two
+        runs' series do not pool."""
+        raise TypeError("queue_series probes describe one run and do not merge")
 
     def get_state(self) -> dict:
         values = self.series.values if self.series is not None else ()
@@ -751,10 +711,6 @@ class ServerStatsProbe(Probe):
         "(heterogeneity diagnostics)"
     )
     fields = frozenset({"received", "done", "queues"})
-    #: All state is server-indexed (plus a pooled histogram), so shards
-    #: accumulate their own slices and :meth:`merge_partition`
-    #: concatenates them back into the global per-server arrays.
-    partitionable = True
 
     #: Queue lengths at or above this land in the histogram's overflow
     #: bucket (the last entry).  Bounds memory and JSON size on
@@ -852,7 +808,7 @@ class ServerStatsProbe(Probe):
         if self._received.size != other._received.size:
             raise ValueError(
                 "server_stats merge needs matching server counts (merge is "
-                "additive across replications/time, not server partitions)"
+                "additive across replications/time)"
             )
         if not np.array_equal(self._rates, other._rates):
             raise ValueError(
@@ -865,27 +821,6 @@ class ServerStatsProbe(Probe):
         self._queue_sum += other._queue_sum
         np.maximum(self._max_queue, other._max_queue, out=self._max_queue)
         self._idle += other._idle
-        self._merge_queue_hist(other)
-
-    def merge_partition(self, other: "Probe") -> None:
-        """Fold in the next *server shard*: the per-server arrays
-        concatenate (shards fold left to right, so shard order is
-        server order), the pooled (server, round) queue histogram adds,
-        and the round count -- identical across shards -- is kept."""
-        self._check_merge(other)
-        if self._received is None or other._received is None:
-            raise ValueError("cannot merge unbound server_stats probes")
-        if self._rounds != other._rounds:
-            raise ValueError(
-                "server shards of one simulation must cover the same rounds; "
-                f"got {self._rounds} vs {other._rounds}"
-            )
-        self._rates = np.concatenate([self._rates, other._rates])
-        self._received = np.concatenate([self._received, other._received])
-        self._done = np.concatenate([self._done, other._done])
-        self._queue_sum = np.concatenate([self._queue_sum, other._queue_sum])
-        self._max_queue = np.concatenate([self._max_queue, other._max_queue])
-        self._idle = np.concatenate([self._idle, other._idle])
         self._merge_queue_hist(other)
 
     def _merge_queue_hist(self, other: "ServerStatsProbe") -> None:
@@ -931,9 +866,7 @@ class ServerResponseStatsProbe(Probe):
     actually *paid* for it, exposing per-server latency asymmetry (slow
     servers with short queues versus fast servers with long ones) that
     the pooled histogram averages away.  Rides the server-attributed
-    response feed, so it works identically on every kernel and
-    partitions into shards (each shard sees exactly its own servers'
-    departures).
+    response feed, so it works identically on every kernel.
     """
 
     description = (
@@ -943,10 +876,6 @@ class ServerResponseStatsProbe(Probe):
     #: Response events only -- no block arrays needed.
     fields = frozenset()
     wants_responses = True
-    #: All state is server-indexed and each server's departures happen
-    #: in exactly one shard, so ``merge_partition`` concatenates the
-    #: shards' arrays back into the global per-server vectors.
-    partitionable = True
     _at_targets = ("_count", "_time_sum", "_time_max")
 
     def __init__(self) -> None:
@@ -1019,22 +948,11 @@ class ServerResponseStatsProbe(Probe):
         if self._count.size != other._count.size:
             raise ValueError(
                 "server_response_stats merge needs matching server counts "
-                "(merge is additive across replications/time, not server "
-                "partitions)"
+                "(merge is additive across replications/time)"
             )
         self._count += other._count
         self._time_sum += other._time_sum
         np.maximum(self._time_max, other._time_max, out=self._time_max)
-
-    def merge_partition(self, other: "Probe") -> None:
-        """Fold in the next *server shard*: arrays concatenate (shards
-        fold left to right, so shard order is server order)."""
-        self._check_merge(other)
-        if self._count is None or other._count is None:
-            raise ValueError("cannot merge unbound server_response_stats probes")
-        self._count = np.concatenate([self._count, other._count])
-        self._time_sum = np.concatenate([self._time_sum, other._time_sum])
-        self._time_max = np.concatenate([self._time_max, other._time_max])
 
     def get_state(self) -> dict:
         if self._count is None:
@@ -1161,9 +1079,6 @@ class WindowedMeanProbe(Probe):
     )
     fields = frozenset()
     wants_responses = True
-    #: Window sums pool disjoint response sets, so the additive merge is
-    #: also the correct shard fold.
-    partitionable = True
     _at_targets = ("_sums", "_counts")
 
     def __init__(self, window: int = 1000) -> None:
@@ -1267,11 +1182,6 @@ class WindowedStabilityProbe(Probe):
         "queue-growth indicator for nonstationary scenarios)"
     )
     fields = frozenset({"queues"})
-    #: Each shard's column-sums add up to the global total queue length
-    #: round by round, so the shard fold is additive on sums; counts are
-    #: round tallies every shard sees in full, hence the max-fold in
-    #: :meth:`merge_partition`.
-    partitionable = True
     _at_targets = ("_sums", "_counts")
 
     def __init__(self, window: int = 1000) -> None:
@@ -1347,21 +1257,6 @@ class WindowedStabilityProbe(Probe):
         self._sums[: other._sums.size] += other._sums
         self._counts[: other._counts.size] += other._counts
 
-    def merge_partition(self, other: "Probe") -> None:
-        """Fold a server shard: add its column-sums, keep round tallies."""
-        self._check_merge(other)
-        self._align(other)
-        if other._sums is None:
-            return
-        self._sums[: other._sums.size] += other._sums
-        # Every shard observed every round; adding tallies would divide
-        # the pooled sums by the shard count.
-        np.maximum(
-            self._counts[: other._counts.size],
-            other._counts,
-            out=self._counts[: other._counts.size],
-        )
-
     def get_state(self) -> dict:
         if self._sums is None:
             return {"sums": [], "counts": []}
@@ -1384,14 +1279,10 @@ class HerdingSignalProbe(Probe):
     averaged over rounds with arrivals).  Every kernel feeds it.  With
     sized jobs the pile-up is measured in admitted work units.
 
-    The probe is *partitionable*: instead of needing the global
-    ``received`` matrix, it keeps per-round sufficient statistics that
-    each server shard can accumulate over its own columns -- the round
-    totals, the per-round spike, ``sum(r_s^2)``, and the
-    rate-weighted sum ``sum(rates_s * r_s)`` plus the shard's rate sum
-    and ``sum(rates_s^2)``.  :meth:`merge_partition` folds shards
-    element-wise (totals/squares add, spikes max) and :meth:`summary`
-    recovers the global deviation algebraically::
+    It keeps per-round sufficient statistics -- the round totals, the
+    per-round spike, ``sum(r_s^2)``, and the rate-weighted sum
+    ``sum(rates_s * r_s)`` plus the rate sum and ``sum(rates_s^2)`` --
+    and :meth:`summary` recovers the deviation algebraically::
 
         sum_s (r_s - T*mu_s)^2
             = sum(r^2) - 2*(T/R)*sum(rates*r) + (T/R)^2 * sum(rates^2)
@@ -1405,9 +1296,6 @@ class HerdingSignalProbe(Probe):
         "(the herding mechanism)"
     )
     fields = frozenset({"received"})
-    #: Per-round sufficient statistics accumulate per server shard and
-    #: fold element-wise (see class docstring).
-    partitionable = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -1482,37 +1370,6 @@ class HerdingSignalProbe(Probe):
         self._sq.append(other._series(other._sq, np.int64))
         self._rate_w.append(other._series(other._rate_w, np.float64))
 
-    def merge_partition(self, other: "Probe") -> None:
-        """Fold in a *server shard* over the same rounds: totals,
-        squares and rate-weighted sums add element-wise, spikes max,
-        and the rate scalars accumulate toward the global values."""
-        self._check_merge(other)
-        totals = self._series(self._totals, np.int64)
-        other_totals = other._series(other._totals, np.int64)
-        if totals.size != other_totals.size:
-            raise ValueError(
-                "server shards of one simulation must cover the same "
-                f"rounds; got {totals.size} vs {other_totals.size}"
-            )
-        self._totals = [totals + other_totals]
-        self._spikes = [
-            np.maximum(
-                self._series(self._spikes, np.int64),
-                other._series(other._spikes, np.int64),
-            )
-        ]
-        self._sq = [
-            self._series(self._sq, np.int64)
-            + other._series(other._sq, np.int64)
-        ]
-        self._rate_w = [
-            self._series(self._rate_w, np.float64)
-            + other._series(other._rate_w, np.float64)
-        ]
-        self._rate_sum += other._rate_sum
-        self._rate_sq += other._rate_sq
-        self._num_servers += other._num_servers
-
     def _check_same_system(self, other: "HerdingSignalProbe") -> None:
         if (
             self._num_servers != other._num_servers
@@ -1521,7 +1378,7 @@ class HerdingSignalProbe(Probe):
         ):
             raise ValueError(
                 "herding merge pools runs of the same system; rate "
-                "scalars differ (use merge_partition for server shards)"
+                "scalars differ"
             )
 
     def get_state(self) -> dict:

@@ -1,7 +1,7 @@
 """Tests for the compiled kernel module itself (ISSUE 7 acceptance).
 
-The backend-level bit-identity lives in the three parity suites
-(``test_backends``, ``test_sized_backends``, ``test_sharding``); this
+The backend-level bit-identity lives in the two parity suites
+(``test_backends``, ``test_sized_backends``); this
 file covers the pieces those run through indirectly:
 
 * the jitted walk against the numpy store directly, over randomized
@@ -13,7 +13,7 @@ file covers the pieces those run through indirectly:
   state is interchangeable, so kill/resume may switch kernels);
 * the store-level error contract (overdrain, size validation) is
   preserved verbatim on the compiled path;
-* ``make_shard_store`` / ``compiled_round_kernel_for`` selection rules.
+* ``compiled_round_kernel_for`` selection rules.
 
 Everything runs with ``force=True`` where the compiled control flow is
 under test, so numba-less hosts execute the exact plain-Python twins of
@@ -36,7 +36,6 @@ from repro.sim.compiled import (
     CompiledBackend,
     CompiledBatchQueueStore,
     compiled_round_kernel_for,
-    make_shard_store,
 )
 from repro.sim.metrics import ResponseTimeHistogram
 
@@ -207,18 +206,6 @@ class TestRoundKernelSelection:
             assert backend._round_kernel(_FakeSim(policy)) is None
         backend.force = True
         assert backend._round_kernel(_FakeSim(policy)) is not None
-
-
-class TestShardStoreSelection:
-    def test_fallback_uses_numpy_stores(self, monkeypatch):
-        monkeypatch.setattr(compiled, "_FORCE_DISABLED", True)
-        monkeypatch.setattr(compiled, "_FORCE_STORES", False)
-        assert type(make_shard_store(3)) is BatchQueueStore
-
-    def test_forced_uses_compiled_stores(self, monkeypatch):
-        monkeypatch.setattr(compiled, "_FORCE_STORES", True)
-        store = make_shard_store(3)
-        assert isinstance(store, CompiledBatchQueueStore) and store.force
 
 
 class TestCheckpointInterchange:

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.analysis.persistence import (
+    experiment_from_descriptor,
     experiment_result_from_dict,
     experiment_result_to_dict,
 )
@@ -101,6 +102,19 @@ class TestGrid:
         grid is declared, not after the valid cells have run."""
         with pytest.raises(ValueError):
             Experiment(policies=policies, systems=SMALL, loads=loads, rounds=3000)
+
+    @pytest.mark.parametrize("backend", ["sharded:2", "sharded:2:process"])
+    def test_removed_backends_rejected_by_name(self, backend):
+        """Backends this code no longer has fail when the grid is
+        declared or rebuilt from a saved descriptor, naming the backend."""
+        message = f"unknown engine backend '{backend}'"
+        with pytest.raises(ValueError, match=message):
+            Experiment(policies="jsq", systems=SMALL, loads=0.8, backend=backend)
+        descriptor = Experiment(
+            policies="jsq", systems=SMALL, loads=0.8, backend="fast"
+        ).describe()
+        with pytest.raises(ValueError, match=message):
+            experiment_from_descriptor({**descriptor, "backend": backend})
 
     def test_policy_kwargs_label_and_build(self):
         spec = PolicySpec.of("jsq(d)", d=3)
@@ -249,7 +263,7 @@ class TestWorkloads:
             ).run(keep_results=False).records
 
         reference = records("reference")
-        for backend in ("fast", "compiled", "sharded:2"):
+        for backend in ("fast", "compiled"):
             assert records(backend) == reference, backend
 
     def test_mild_bursty_cell_runs_on_meanfield(self):

@@ -20,8 +20,6 @@ The contract under test (ISSUE 10 acceptance):
 import numpy as np
 import pytest
 from _helpers import assert_ensemble_close, ensemble_tolerance
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.experiments import Experiment, WorkloadSpec
 from repro.meanfield import (
@@ -550,22 +548,45 @@ def assert_parity(policy, rates, rho, *, m=10, seed=0, rounds=1500, base=1.0):
 
 
 class TestParity:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**20),
-        policy=st.sampled_from(["random", "jsq(2)"]),
-        system=st.sampled_from(sorted(HET_SYSTEMS)),
+    #: Fixed seeds of the ``fast`` ensemble the fluid limit is compared with.
+    PARITY_SEEDS = range(8)
+
+    @pytest.mark.parametrize(
+        "policy, system",
+        [("random", "het2"), ("random", "het4"), ("jsq(2)", "het2"), ("jsq(2)", "het4")],
     )
-    def test_matches_fast_kernel_on_heterogeneous_systems(
-        self, seed, policy, system
-    ):
+    def test_matches_fast_kernel_on_heterogeneous_systems(self, policy, system):
+        # The mean of 8 seeded runs, not one run: a single 1500-round run
+        # spreads too wide for the tolerance.  Over 48 other seeds the
+        # per-run relative error measured bias -0.029 and sd 0.019 on
+        # random/het4, bias -0.001 and sd 0.028 on jsq(2)/het4 (tolerance
+        # 0.0845), less on het2.  The 8-run mean's false-failure rate is
+        # then about 4e-17, and below 1e-9 even with every sd 35% larger
+        # (CHANGES.md lists each combination).
         rates = HET_SYSTEMS[system]
         # Uniform split over a heterogeneous pool is stable only below
         # rho ~ mu_min / mean(mu); power-of-d balances the load away
         # (but keeps an O(1/n) finite-n gap that inflates with load, so
         # the choice cell stays at moderate rho for n ~ 200).
         rho = 0.35 if policy == "random" else 0.75
-        assert_parity(policy, rates, rho, seed=seed)
+        rounds, warmup = 1500, 375
+        fast = np.mean([
+            run_once(
+                policy, rates, rho, rounds, m=10, seed=seed, warmup=warmup,
+                backend="fast",
+            ).mean_response_time
+            for seed in self.PARITY_SEEDS
+        ])
+        fluid = run_once(
+            policy, rates, rho, rounds, m=10, warmup=warmup, backend="meanfield"
+        )
+        assert_ensemble_close(
+            fast,
+            fluid.mean_response_time,
+            n=rates.size,
+            floor=0.02,
+            label=f"{policy} on {system}, mean of {len(self.PARITY_SEEDS)} runs",
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_jsq_matches_single_dispatcher(self, seed):

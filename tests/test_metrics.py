@@ -166,20 +166,6 @@ class TestQueueSeries:
         with pytest.raises(ValueError):
             QueueLengthSeries().record_many(np.zeros((2, 2), dtype=np.int64))
 
-    def test_merge_adds_elementwise(self):
-        a, b = QueueLengthSeries(), QueueLengthSeries()
-        a.record_many(np.array([1, 2, 3]))
-        b.record_many(np.array([10, 20, 30]))
-        a.merge(b)
-        assert a.values.tolist() == [11, 22, 33]
-
-    def test_merge_rejects_length_mismatch(self):
-        a, b = QueueLengthSeries(), QueueLengthSeries()
-        a.record_many(np.array([1, 2, 3]))
-        b.record_many(np.array([1, 2]))
-        with pytest.raises(ValueError, match="same rounds"):
-            a.merge(b)
-
     def test_empty_mean_is_nan(self):
         assert np.isnan(QueueLengthSeries().mean())
 

@@ -234,9 +234,7 @@ class TestUnitSizeProperty:
     """``DeterministicSize(1)`` equals the unit workload field for field."""
 
     @given(
-        backend=st.sampled_from(
-            ["reference", "fast", "compiled", "sharded:2", "sharded:2:process"]
-        ),
+        backend=st.sampled_from(["reference", "fast", "compiled"]),
         policy=st.sampled_from(DETERMINISTIC_POLICIES + ["scd", "jsq(2)"]),
         seed=st.integers(0, 2**20),
         n=st.integers(2, 7),
