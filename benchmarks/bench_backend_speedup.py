@@ -23,14 +23,6 @@ with the default probe set against every built-in probe attached
 Every cell also records the process peak RSS (``ru_maxrss``, a monotone high-water mark
 over the run) so the perf record tracks memory alongside throughput.
 
-A compiled cell (``--compiled-sizes``, default 200x100) times the
-``compiled`` kernel against both ``reference`` and ``fast`` on ``rr``
-(the policy with a jitted whole-block round loop).  ``--check`` bars the
-compiled/reference speedup at 10x at 200x100 **only when numba is
-importable**; without numba the cell still runs (recording the
-fallback's numbers plus ``numba_active: false``) but the gate
-auto-skips -- the fallback *is* the fast kernel, which has its own bar.
-
 A scenario cell (``--scenario-sizes``, default 100x50) times the fast
 kernel under the nonstationary built-ins -- a diurnal rate curve and a
 server-churn schedule -- against the identical stationary cell;
@@ -55,10 +47,9 @@ on the streaming endpoint, recording the overhead beyond the cell's own
 simulation time; ``--check`` bars that overhead at a generous 2s (a
 regression guard on polling/buffering, not a noise-sensitive timing).
 
-Under ``pytest benchmarks`` a single smoke cell per engine (compiled
-included) runs and validates the record's shape
-without asserting timings (CI boxes are too noisy for a gating speedup
-threshold).
+Under ``pytest benchmarks`` a single smoke cell per engine runs and
+validates the record's shape without asserting timings (CI boxes are
+too noisy for a gating speedup threshold).
 """
 
 from __future__ import annotations
@@ -87,7 +78,6 @@ DEFAULT_POLICIES = ("jsq", "rr", "wr", "scd", "sed", "jsq(2)")
 DEFAULT_SIZED_SIZES = ("20x10", "100x50")
 DEFAULT_SIZED_POLICIES = ("jsq", "rr", "wrr")
 DEFAULT_PROBE_SIZES = ("100x50",)
-DEFAULT_COMPILED_SIZES = ("200x100",)
 DEFAULT_CHECKPOINT_SIZES = ("100x50",)
 DEFAULT_SCENARIO_SIZES = ("100x50",)
 DEFAULT_SERVICE_SIZES = ("50x20",)
@@ -130,13 +120,6 @@ SCENARIO_BENCH = (
 #: the cell's own simulation time.  Generous: the bound protects
 #: against pathological polling/buffering regressions, not noise.
 SERVICE_FIRST_METRIC_TARGET = 2.0
-#: Acceptance bar: compiled/reference rounds-per-second at the 200x100
-#: grid point -- gated by ``--check`` only when numba is importable.
-COMPILED_TARGET_SPEEDUP = 10.0
-COMPILED_TARGET_SIZE = "200x100"
-#: The policy the compiled cell times: deterministic (bit-exact across
-#: all three backends) and owner of a jitted whole-block round loop.
-COMPILED_POLICY = "rr"
 #: Acceptance bar: meanfield/fast rounds-per-second at the
 #: 10^4-server grid point.  The analytic backend's cost is independent
 #: of n, so the bar is deliberately aggressive -- at 10^4 servers the
@@ -275,58 +258,6 @@ def time_cell(
     # paths are statistically equivalent, so record both means.
     cell["reference_mean_response"] = means["reference"]
     cell["fast_mean_response"] = means["fast"]
-    cell["peak_rss_kb"] = _peak_rss_kb()
-    return cell
-
-
-def time_compiled_cell(
-    policy: str,
-    n: int,
-    m: int,
-    rho: float,
-    rounds: int,
-    seed: int,
-    repeats: int,
-) -> dict:
-    """The ``compiled`` kernel against reference AND fast.
-
-    Records whether the jitted paths were actually live
-    (``numba_active``): without numba the compiled backend falls back to
-    the fast kernel's numpy paths, so the cell then documents fallback
-    parity rather than a jit win -- and the ``--check`` gate skips.
-    """
-    from repro.sim.compiled import numba_enabled
-
-    cell: dict = {
-        "engine": "compiled",
-        "policy": policy,
-        "num_servers": n,
-        "num_dispatchers": m,
-        "rho": rho,
-        "rounds": rounds,
-        "seed": seed,
-        "numba_active": numba_enabled(),
-    }
-    means = {}
-    for backend in ("reference", "fast", "compiled"):
-        best = float("inf")
-        for _ in range(repeats):
-            sim = _build_sim(policy, n, m, rho, rounds, seed, backend)
-            start = time.perf_counter()
-            result = sim.run()
-            best = min(best, time.perf_counter() - start)
-        means[backend] = result.mean_response_time
-        cell[f"{backend}_seconds"] = best
-        cell[f"{backend}_rounds_per_sec"] = rounds / best
-    cell["speedup"] = (
-        cell["compiled_rounds_per_sec"] / cell["reference_rounds_per_sec"]
-    )
-    cell["speedup_vs_fast"] = (
-        cell["compiled_rounds_per_sec"] / cell["fast_rounds_per_sec"]
-    )
-    cell["reference_mean_response"] = means["reference"]
-    cell["fast_mean_response"] = means["fast"]
-    cell["compiled_mean_response"] = means["compiled"]
     cell["peak_rss_kb"] = _peak_rss_kb()
     return cell
 
@@ -631,7 +562,6 @@ def run_grid(
     mean_size: float = 3.0,
     probe_sizes: tuple[str, ...] = (),
     checkpoint_sizes: tuple[str, ...] = (),
-    compiled_sizes: tuple[str, ...] = (),
     scenario_sizes: tuple[str, ...] = (),
     service_sizes: tuple[str, ...] = (),
     meanfield_sizes: tuple[str, ...] = (),
@@ -655,21 +585,6 @@ def run_grid(
                     f"fast={cell['fast_rounds_per_sec']:9.0f} r/s  "
                     f"speedup={cell['speedup']:.2f}x"
                 )
-    compiled_cells = []
-    for token in compiled_sizes:
-        n, m = _parse_size(token)
-        cell = time_compiled_cell(
-            COMPILED_POLICY, n, m, rho, rounds, seed, repeats
-        )
-        cells.append(cell)
-        compiled_cells.append(cell)
-        jit = "jit" if cell["numba_active"] else "fallback"
-        print(
-            f"compiled n={n:4d} m={m:3d} {COMPILED_POLICY:6s} "
-            f"ref={cell['reference_rounds_per_sec']:9.0f} r/s  "
-            f"compiled={cell['compiled_rounds_per_sec']:9.0f} r/s ({jit})  "
-            f"speedup={cell['speedup']:.2f}x"
-        )
     probe_overheads = []
     for token in probe_sizes:
         n, m = _parse_size(token)
@@ -748,7 +663,6 @@ def run_grid(
             "sized_sizes": list(sized_sizes),
             "sized_policies": list(sized_policies),
             "probe_sizes": list(probe_sizes),
-            "compiled_sizes": list(compiled_sizes),
             "checkpoint_sizes": list(checkpoint_sizes),
             "checkpoint_every": CHECKPOINT_EVERY,
             "scenario_sizes": list(scenario_sizes),
@@ -784,20 +698,6 @@ def run_grid(
             "service_first_metric_target": SERVICE_FIRST_METRIC_TARGET,
             "service_overhead_seconds": (
                 max(service_overheads) if service_overheads else None
-            ),
-            "compiled_target_size": COMPILED_TARGET_SIZE,
-            "compiled_target_speedup": COMPILED_TARGET_SPEEDUP,
-            "compiled_best_speedup": max(
-                (
-                    c["speedup"]
-                    for c in compiled_cells
-                    if f"{c['num_servers']}x{c['num_dispatchers']}"
-                    == COMPILED_TARGET_SIZE
-                ),
-                default=None,
-            ),
-            "numba_available": (
-                compiled_cells[0]["numba_active"] if compiled_cells else None
             ),
             "meanfield_target_size": MEANFIELD_TARGET_SIZE,
             "meanfield_target_speedup": MEANFIELD_TARGET_SPEEDUP,
@@ -846,14 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NxM",
         help="grid points for the probe-overhead cell (default probe set "
         "vs all built-in probes on the fast kernel; empty list skips it)",
-    )
-    parser.add_argument(
-        "--compiled-sizes",
-        nargs="*",
-        default=list(DEFAULT_COMPILED_SIZES),
-        metavar="NxM",
-        help="grid points for the compiled-kernel cell (compiled vs "
-        "reference and fast on rr; empty list skips it)",
     )
     parser.add_argument(
         "--checkpoint-sizes",
@@ -914,9 +806,7 @@ def main(argv: list[str] | None = None) -> int:
         f"overhead stays under {CHECKPOINT_OVERHEAD_TARGET:.0%}, and the "
         f"nonstationary-scenario overhead stays under "
         f"{SCENARIO_OVERHEAD_TARGET:.0%}; also bars "
-        f"the compiled kernel at {COMPILED_TARGET_SPEEDUP:.0f}x over "
-        f"reference at {COMPILED_TARGET_SIZE} when numba is importable "
-        f"(auto-skipped where it is not), bars the service submit-to-first-metric "
+        f"the service submit-to-first-metric "
         f"overhead at {SERVICE_FIRST_METRIC_TARGET:.0f}s, and bars the "
         f"mean-field backend at {MEANFIELD_TARGET_SPEEDUP:.0f}x over "
         f"fast at {MEANFIELD_TARGET_SIZE} with a trajectory error under "
@@ -936,7 +826,6 @@ def main(argv: list[str] | None = None) -> int:
         mean_size=args.mean_size,
         probe_sizes=tuple(args.probe_sizes),
         checkpoint_sizes=tuple(args.checkpoint_sizes),
-        compiled_sizes=tuple(args.compiled_sizes),
         scenario_sizes=tuple(args.scenario_sizes),
         service_sizes=tuple(args.service_sizes),
         meanfield_sizes=tuple(args.meanfield_sizes),
@@ -996,34 +885,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"OK ({label}): {100 * overhead:.1f}% <= "
                     f"{100 * target:.0f}%"
                 )
-    compiled_best = record["headline"]["compiled_best_speedup"]
-    if compiled_best is not None:
-        jit = "jit" if record["headline"]["numba_available"] else "fallback"
-        print(
-            f"headline (compiled {COMPILED_TARGET_SIZE}): "
-            f"{compiled_best:.2f}x over reference ({jit})"
-        )
-    if args.check and args.compiled_sizes:
-        if not record["headline"]["numba_available"]:
-            print(
-                "SKIP (compiled): numba is not importable here, so the "
-                f"{COMPILED_TARGET_SPEEDUP:.0f}x bar does not apply "
-                "(fallback parity only)"
-            )
-        elif compiled_best is None:
-            print(f"--check requires a compiled {COMPILED_TARGET_SIZE} cell")
-            misconfigured = True
-        elif compiled_best < COMPILED_TARGET_SPEEDUP:
-            print(
-                f"FAIL (compiled): {compiled_best:.2f}x < "
-                f"{COMPILED_TARGET_SPEEDUP:.0f}x"
-            )
-            failures += 1
-        else:
-            print(
-                f"OK (compiled): {compiled_best:.2f}x >= "
-                f"{COMPILED_TARGET_SPEEDUP:.0f}x"
-            )
     service_overhead = record["headline"]["service_overhead_seconds"]
     if service_overhead is not None:
         print(
@@ -1096,7 +957,6 @@ def test_backend_speedup_record(tmp_path):
         sized_sizes=("10x4",), sized_policies=("jsq",),
         probe_sizes=("10x4",),
         checkpoint_sizes=("10x4",),
-        compiled_sizes=("10x4",),
         scenario_sizes=("10x4",),
         service_sizes=("10x4",),
         meanfield_sizes=("10x4",), meanfield_rounds=600,
@@ -1106,8 +966,7 @@ def test_backend_speedup_record(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["benchmark"] == "backend_speedup"
     (
-        unsized, sized, compiled, probes, scenario, checkpoint, service,
-        meanfield,
+        unsized, sized, probes, scenario, checkpoint, service, meanfield,
     ) = loaded["cells"]
     assert unsized["engine"] == "unsized" and sized["engine"] == "sized"
     for cell in (unsized, sized):
@@ -1115,12 +974,6 @@ def test_backend_speedup_record(tmp_path):
         assert cell["fast_rounds_per_sec"] > 0
         # jsq is deterministic: both backends simulate the identical run.
         assert cell["reference_mean_response"] == cell["fast_mean_response"]
-    assert compiled["engine"] == "compiled"
-    assert isinstance(compiled["numba_active"], bool)
-    assert compiled["compiled_rounds_per_sec"] > 0
-    # rr is deterministic: all three backends simulate the identical run.
-    assert compiled["reference_mean_response"] == compiled["compiled_mean_response"]
-    assert compiled["fast_mean_response"] == compiled["compiled_mean_response"]
     assert probes["engine"] == "probe_overhead"
     assert probes["probes"] == list(ALL_EXTRA_PROBES)
     assert probes["default_rounds_per_sec"] > 0
@@ -1168,7 +1021,7 @@ def test_backend_speedup_record(tmp_path):
         "trajectory_error"
     ]
     # The tiny smoke grid has no MEANFIELD_TARGET_SIZE point, so the
-    # headline speedup bar stays unset (same shape as compiled below).
+    # headline speedup bar stays unset.
     assert loaded["headline"]["meanfield_best_speedup"] is None
     assert (
         loaded["headline"]["meanfield_target_speedup"]
@@ -1181,11 +1034,6 @@ def test_backend_speedup_record(tmp_path):
     assert (
         loaded["headline"]["scenario_overhead_target"] == SCENARIO_OVERHEAD_TARGET
     )
-    assert isinstance(loaded["headline"]["numba_available"], bool)
-    # The tiny smoke grid has no COMPILED_TARGET_SIZE point, so the
-    # headline bar stays unset; the 200x100 default grid populates it.
-    assert loaded["headline"]["compiled_best_speedup"] is None
-    assert loaded["headline"]["compiled_target_speedup"] == COMPILED_TARGET_SPEEDUP
     peaks = [cell["peak_rss_kb"] for cell in loaded["cells"]]
     if loaded["headline"]["peak_rss_kb"] is not None:  # no ru_maxrss on Windows
         assert all(peak > 0 for peak in peaks)

@@ -14,8 +14,8 @@ queue length per window of rounds:
 * ``growth``      -- last window over first: ~1 means fully drained,
   large means the spike pushed the policy past its stable point.
 
-Every scenario runs bit-identically on the reference, fast and
-compiled kernels; this script uses the fast kernel.
+Every scenario runs bit-identically on the reference and fast
+kernels; this script uses the fast kernel.
 
 Run:
     python examples/flash_crowd.py [--rounds N] [--spike X] [--rho R]

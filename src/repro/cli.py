@@ -173,8 +173,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="reference",
         metavar="BACKEND",
         help="engine round kernel: 'reference' (bit-exact default), "
-        "'fast' (vectorized; bit-identical to reference), "
-        "'compiled' (numba-jitted fast kernel) or "
+        "'fast' (vectorized; bit-identical to reference) or "
         "'meanfield' (fluid limit); see `repro backends`",
     )
     parser.add_argument(

@@ -9,7 +9,7 @@ Each scenario here wraps the run's stationary
 ``(256, m)`` rate matrix at once -- numpy fills Poisson output arrays in
 C order, element by element, so the block consumes the arrival stream
 exactly like 256 sequential per-round draws and every kernel
-(reference, fast, compiled) sees the identical realization.
+(reference, fast) sees the identical realization.
 
 Built-ins:
 

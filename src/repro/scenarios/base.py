@@ -19,9 +19,9 @@ feed ``repro scenarios``.
 
 Application happens in one place -- the engine constructors call
 :func:`apply_scenario` on their policy/arrivals pair before binding --
-so every kernel (reference, fast, compiled, both engines) sees the
-identical reshaped objects and bit-identity across kernels is inherited
-rather than re-proved per scenario.
+so every kernel (reference and fast) sees the identical reshaped
+objects and bit-identity across kernels is inherited rather than
+re-proved per scenario.
 """
 
 from __future__ import annotations

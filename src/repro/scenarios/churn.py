@@ -21,13 +21,11 @@ holds no engine hooks, it is bit-identical wherever the policy life
 cycle runs -- the reference loop and the block driver both drive it
 the same way -- and the existing engine guards do the right thing
 automatically: overriding ``begin_round`` disables cross-round batching
-(:func:`~repro.policies.base.supports_round_batching`) and the exact
-type checks in :func:`repro.sim.compiled.compiled_round_kernel_for`
-disable the whole-block compiled dispatch, both falling back to the
-per-round path the adapter needs.  The adapter pickles with the
+(:func:`~repro.policies.base.supports_round_batching`), falling back to
+the per-round path the adapter needs.  The adapter pickles with the
 simulation, so checkpoints and federation adoption carry the mask state
 for free, and it exposes :meth:`ChurnPolicyAdapter.capacity_mask` so
-the fast kernels can stamp the block's mask onto the batch stores
+the fast kernel can stamp the block's mask onto the batch store
 (:meth:`repro.sim.batchstore.BatchQueueStore.set_capacity_mask`) as an
 admission guard.
 """

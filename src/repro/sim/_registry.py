@@ -56,10 +56,9 @@ def parse_params(text: str, kind: str, kwargs: dict | None = None) -> dict:
 class BackendCapabilities:
     """What one engine backend can honestly promise.
 
-    The simulation kernels (reference/fast/compiled) checkpoint
-    at block boundaries, feed every registered probe and run sized
-    workloads, so the default flags are all-True and nothing changes
-    for them.  Analytical backends (the mean-field fluid engine) have no
+    The simulation kernels (reference/fast) checkpoint at block
+    boundaries, feed every registered probe and run sized workloads, so
+    the default flags are all-True and nothing changes for them.  Analytical backends (the mean-field fluid engine) have no
     RNG streams, no block-aligned kernel state, no discrete events and
     no work units, so they declare themselves out of the checkpoint
     path and the sized workloads and restrict probes to the summaries

@@ -25,9 +25,8 @@ units, which are jobs when jobs have unit size.
     sampling paths draw the identical RNG stream, and the rest use the
     base-class ``dispatch_round`` fallback.
 
-``compiled`` / ``meanfield``
-    The numba-jitted kernel (:mod:`repro.sim.compiled`) and the
-    analytical fluid-limit engine (:mod:`repro.meanfield`).
+``meanfield``
+    The analytical fluid-limit engine (:mod:`repro.meanfield`).
 
 Backends are registered by name (mirroring the policy registry) so
 experiments and the CLI can select them as plain strings;
@@ -428,14 +427,6 @@ class FastBackend(EngineBackend):
         "block-resolved departures (bit-exact for deterministic policies)"
     )
 
-    def _make_store(self, num_servers: int):
-        """Subclass seam: which departure resolver backs a fresh run."""
-        return BatchQueueStore(num_servers)
-
-    def _round_kernel(self, sim: "Simulation"):
-        """Subclass seam: an optional whole-block native round loop."""
-        return None
-
     def run(
         self, sim: "Simulation", controller: RunController | None = None
     ) -> "SimulationResult":
@@ -445,7 +436,7 @@ class FastBackend(EngineBackend):
             probes = state["probes"]
             run = state["run"]
         else:
-            store = self._make_store(sim.rates.size)
+            store = BatchQueueStore(sim.rates.size)
             probes = _probe_set_for(sim)
             run = RunState(sim.rates.size)
         drive_blocks(
@@ -455,13 +446,10 @@ class FastBackend(EngineBackend):
             store=store,
             probes=probes,
             controller=controller,
-            round_kernel=self._round_kernel(sim),
         )
         return _make_result(sim, run, probes.as_dict())
 
 
-# The compiled and meanfield kernels register themselves on import;
-# keep this at the bottom so the registry machinery above exists when
-# they do.
-from . import compiled  # noqa: E402,F401  (registration side effect)
+# The meanfield kernel registers itself on import; keep this at the
+# bottom so the registry machinery above exists when it does.
 from ..meanfield import backend as _meanfield  # noqa: E402,F401  (registration side effect)

@@ -1,13 +1,12 @@
-"""The 256-round block driver behind the ``fast`` and ``compiled`` kernels.
+"""The 256-round block driver behind the ``fast`` kernel.
 
-Both kernels run their rounds in blocks: pre-sample a block of
-workload randomness, run each round's dispatch against the live queue
-totals, resolve the block's FIFO departures in the batch store at block
-end, feed the block to the probe set, and hand the lifecycle controller
-the kernel's checkpoint state (``store``, ``probes``, ``run``) at the
-block boundary.  The kernel supplies the run's state objects, fresh or
-restored from a checkpoint, and which store implementation resolves the
-blocks; this module owns the loop.
+The kernel runs its rounds in blocks: pre-sample a block of workload
+randomness, run each round's dispatch against the live queue totals,
+resolve the block's FIFO departures in the batch store at block end,
+feed the block to the probe set, and hand the lifecycle controller the
+kernel's checkpoint state (``store``, ``probes``, ``run``) at the block
+boundary.  The kernel supplies the run's state objects, fresh or
+restored from a checkpoint; this module owns the loop.
 
 **Dispatch.**  On the per-round path every round with arrivals makes
 exactly one :meth:`~repro.policies.base.Policy.dispatch_round` call,
@@ -29,28 +28,21 @@ per-server job counts into admitted work units; that segment sum is the
 only extra work a sized round does.  At block end the sizes are permuted
 into server-major order, the order the one batch store admits them in.
 
-The driver also owns the two cross-round accelerations:
+**Cross-round dispatch batching.**  When the policy passes
+:func:`repro.policies.base.supports_round_batching` (queue-oblivious,
+no round hooks), the whole block's admissions come from one
+:meth:`~repro.policies.base.Policy.dispatch_rounds` call --
+bit-identical by that method's contract, with no per-round Python loop
+at all.
 
-* **Cross-round dispatch batching.**  When the policy passes
-  :func:`repro.policies.base.supports_round_batching` (queue-oblivious,
-  no round hooks), the whole block's admissions come from one
-  :meth:`~repro.policies.base.Policy.dispatch_rounds` call --
-  bit-identical by that method's contract, with no per-round Python
-  loop at all.
-* **A compiled round-kernel seam.**  Unit-job runs accept an optional
-  ``round_kernel`` object (see :mod:`repro.sim.compiled`) that runs the
-  *entire* block -- dispatch state, queue recurrence and completion
-  matrix -- in one native call.
-
-**The block tail.**  Each of the three paths -- per-round dispatch,
-batched dispatch, round kernel -- yields the block's *trajectory*, the ``(length, n)`` post-round queues,
-and one shared tail derives the rest from it once per block:
-completions ``done_t = q_{t-1} + r_t - q_t`` (the first row from the
-block's start queues), the queue-length series (row sums) and the
-probes' ``queues`` field (the trajectory itself).  The per-round path
+**The block tail.**  Both paths -- per-round dispatch and batched
+dispatch -- yield the block's *trajectory*, the ``(length, n)``
+post-round queues, and one shared tail derives the rest from it once
+per block: completions ``done_t = q_{t-1} + r_t - q_t`` (the first row
+from the block's start queues), the queue-length series (row sums) and
+the probes' ``queues`` field (the trajectory itself).  The per-round path
 steps ``q_t = max(q_{t-1} + r_t - c_t, 0)`` because its policy reads
-every round's queues; the round kernel's trajectory is the prefix sum
-of its ``received - done``.  The batched path never needs an intermediate
+every round's queues.  The batched path never needs an intermediate
 queue, so it solves the recurrence -- a Lindley recursion -- in closed
 form: with ``S_t`` the prefix sum of ``r - c`` over the block and
 ``q_0`` the start queues,
@@ -64,14 +56,14 @@ quantity is an int64 sum, so the closed form is exact, not an
 approximation: it reproduces the stepped values bit for bit.
 
 Bit-identity is the invariant throughout: for a given policy and seed,
-every path through this driver produces the same admission matrix,
+both paths through this driver produce the same admission matrix,
 completion matrix, queue trajectory and checkpoint state as the
 per-round reference loop.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -87,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BLOCK_ROUNDS",
     "RunState",
-    "RoundKernel",
     "drive_blocks",
     "queue_trajectory",
     "trajectory_done",
@@ -122,26 +113,6 @@ class RunState:
         self.total_jobs = 0
         self.server_received = np.zeros(num_servers, dtype=np.int64)
         self.server_departed = np.zeros(num_servers, dtype=np.int64)
-
-
-class RoundKernel(Protocol):
-    """A native whole-block round loop (the compiled kernel's seam).
-
-    ``run_block`` owns dispatch state, the queue recurrence and the
-    completion matrix for one block: it fills ``received`` and ``done``
-    and advances ``queues`` in place, leaving the policy's carried state
-    exactly as the per-round loop would.  The driver rebuilds the queue
-    trajectory from the matrices and runs the shared block tail on it.
-    """
-
-    def run_block(
-        self,
-        batch: np.ndarray,  # (length, m) arrivals, read-only
-        capacity: np.ndarray,  # (length, n) capacities, read-only
-        queues: np.ndarray,  # (n,) live queue totals, advanced in place
-        received: np.ndarray,  # (length, n) zeros on entry, filled
-        done: np.ndarray,  # (length, n) zeros on entry, filled
-    ) -> None: ...
 
 
 def _check_received_block(
@@ -225,7 +196,6 @@ def drive_blocks(
     store: BatchQueueStore,
     probes: ProbeSet,
     controller: RunController | None = None,
-    round_kernel: RoundKernel | None = None,
 ) -> None:
     """Run ``sim``'s rounds from ``start_round`` to the end.
 
@@ -234,8 +204,7 @@ def drive_blocks(
     departures and records their response times into the probe set's
     histogram (and response feed, when a probe wants it); the block
     tail extends the probe set's queue-length series (when it tracks
-    one) by the row sums of each block's trajectory.  ``round_kernel``
-    is honored for unit jobs only.
+    one) by the row sums of each block's trajectory.
 
     Every block's admitted jobs must be non-negative; a block that
     admits a negative count anywhere raises ``ValueError`` before it
@@ -266,8 +235,6 @@ def drive_blocks(
     wants_blocks = probes.wants_blocks
     series = probes.queue_series
     sized = sizes is not None
-    if sized:
-        round_kernel = None
 
     for chunk_start in range(start_round, rounds, BLOCK_ROUNDS):
         chunk = min(BLOCK_ROUNDS, rounds - chunk_start)
@@ -290,17 +257,8 @@ def drive_blocks(
         else:
             job_block = received_block
 
-        batched = None
-        if batching and round_kernel is None:
-            batched = policy.dispatch_rounds(arrival_block)
-        if round_kernel is not None:
-            kernel_done = np.zeros((chunk, n), dtype=np.int64)
-            round_kernel.run_block(
-                arrival_block, capacity_block, queues, received_block, kernel_done
-            )
-            trajectory = np.cumsum(received_block - kernel_done, axis=0)
-            trajectory += start_queues
-        elif batched is not None:
+        batched = policy.dispatch_rounds(arrival_block) if batching else None
+        if batched is not None:
             _check_received_block(policy, batched, arrival_block, n)
             job_block[:] = batched
             if sized:

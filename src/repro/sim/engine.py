@@ -68,9 +68,8 @@ class SimulationConfig:
     backend:
         Engine-backend registry name (see :mod:`repro.sim.backends`).
         ``"reference"`` is the original bit-exact loop; ``"fast"`` is
-        the vectorized round kernel; ``"compiled"`` is its numba-jitted
-        variant (:mod:`repro.sim.compiled`); ``"meanfield"`` is the
-        fluid limit (:mod:`repro.meanfield`).  Resolved when
+        the vectorized round kernel; ``"meanfield"`` is the fluid limit
+        (:mod:`repro.meanfield`).  Resolved when
         :meth:`Simulation.run` is called, so unknown names fail with
         the list of known backends.
     probes:

@@ -7,7 +7,7 @@ meant engine surgery.  This module makes observability a first-class,
 registry-backed axis instead:
 
 * A :class:`Probe` accumulates one family of statistics.  Every round
-  kernel -- reference/fast/compiled, unit or sized jobs -- feeds
+  kernel -- reference or fast, unit or sized jobs -- feeds
   probes through the same *block-shaped* interface: a :class:`ProbeBlock` of per-round
   arrival counts, per-server admissions, completions and end-of-round
   queue snapshots, plus (for probes that ask) the recorded response

@@ -84,14 +84,6 @@ def run_once(policy, backend, seed=0, n=8, m=3, rho=0.85, rounds=400, warmup=0):
     ).run()
 
 
-def forced_compiled():
-    """A ``compiled`` backend running the compiled control flow even
-    without numba (the plain-Python twins of the jitted functions)."""
-    backend = make_backend("compiled")
-    backend.force = True
-    return backend
-
-
 def assert_identical(a, b):
     """Both SimulationResults describe the exact same run."""
     assert a.total_arrived == b.total_arrived
@@ -205,68 +197,6 @@ class TestBitExactness:
         a = run_once("sed", "reference", seed=3, rounds=259)
         b = run_once("sed", "fast", seed=3, rounds=259)
         assert_identical(a, b)
-
-
-class TestCompiledBitExactness:
-    """The ``compiled`` kernel against ``fast``, compiled control flow
-    forced on so numba-less hosts cover the jitted functions' exact
-    (plain-Python) bodies."""
-
-    def test_registered_with_description(self):
-        assert "compiled" in available_backends()
-        assert backend_descriptions()["compiled"]
-
-    @pytest.mark.parametrize(
-        "policy",
-        DETERMINISTIC_POLICIES
-        + FALLBACK_POLICIES
-        + NATIVE_BIT_IDENTICAL_POLICIES,
-    )
-    def test_bit_identical_to_fast(self, policy):
-        a = run_once(policy, "fast", seed=5)
-        b = run_once(policy, forced_compiled(), seed=5)
-        assert_identical(a, b)
-
-    def test_warmup_boundary_identical(self):
-        """The warmup cut falls mid-block; the compiled resolver gates
-        record emission per departure round exactly like the store."""
-        a = run_once("rr", "fast", seed=2, rounds=600, warmup=300)
-        b = run_once("rr", forced_compiled(), seed=2, rounds=600, warmup=300)
-        assert_identical(a, b)
-
-    def test_non_chunk_aligned_rounds(self):
-        a = run_once("wrr", "fast", seed=3, rounds=259)
-        b = run_once("wrr", forced_compiled(), seed=3, rounds=259)
-        assert_identical(a, b)
-
-    @given(
-        policy=st.sampled_from(DETERMINISTIC_POLICIES),
-        seed=st.integers(0, 2**20),
-        n=st.integers(2, 7),
-        m=st.integers(1, 4),
-        rho=st.floats(0.3, 1.05),
-        rounds=st.integers(1, 120),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_compiled_agrees_with_fast(self, policy, seed, n, m, rho, rounds):
-        rng = np.random.default_rng(seed % 1000)
-        rates = rng.uniform(0.5, 6.0, size=n)
-        lambdas = np.full(m, rho * rates.sum() / m)
-        results = []
-        for backend in ("fast", forced_compiled()):
-            result = Simulation(
-                rates=rates,
-                policy=make_policy(policy),
-                arrivals=PoissonArrivals(lambdas),
-                service=GeometricService(rates),
-                config=SimulationConfig(rounds=rounds, seed=seed, backend=backend),
-            ).run()
-            assert (
-                result.total_arrived
-                == result.total_departed + result.final_queued
-            )
-            results.append(result)
-        assert_identical(*results)
 
 
 class TestStochasticNativePaths:

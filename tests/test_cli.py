@@ -294,7 +294,7 @@ class TestBackends:
         assert "sized engine backends" not in out
         # One table: every backend once, with its capability column.
         rows = {line.split()[0]: line for line in out.splitlines()[1:]}
-        assert set(rows) == {"reference", "fast", "compiled", "meanfield"}
+        assert set(rows) == {"reference", "fast", "meanfield"}
         assert "checkpoint,probes,sized" in rows["fast"]
         assert "unit-only" in rows["meanfield"]
 
@@ -599,11 +599,12 @@ class TestBadCoordinates:
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert not (tmp_path / "run").exists()
 
-    def test_removed_backend_named_in_the_error(self):
-        proc = run_cli_process("simulate", "--backend", "sharded:2", *self.SMALL)
+    @pytest.mark.parametrize("backend", ["sharded:2", "compiled"])
+    def test_removed_backend_named_in_the_error(self, backend):
+        proc = run_cli_process("simulate", "--backend", backend, *self.SMALL)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "unknown engine backend 'sharded:2'" in proc.stderr, proc.stderr
+        assert f"unknown engine backend '{backend}'" in proc.stderr, proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -325,7 +325,9 @@ class TestRun:
             result = Run.open(tmp_path / "r").execute()
         assert fingerprint(result) == baseline("fast", False)
 
-    @pytest.mark.parametrize("backend", ["sharded:2", "sharded:2:process"])
+    @pytest.mark.parametrize(
+        "backend", ["sharded:2", "sharded:2:process", "compiled"]
+    )
     def test_removed_backend_refused_before_unpickling(
         self, tmp_path, monkeypatch, backend
     ):
@@ -361,7 +363,7 @@ class TestRun:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    backend=st.sampled_from(["reference", "fast", "compiled"]),
+    backend=st.sampled_from(["reference", "fast"]),
     sized=st.booleans(),
     legs_before_kill=st.integers(min_value=1, max_value=3),
 )

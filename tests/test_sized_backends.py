@@ -7,7 +7,7 @@ and ``BimodalSize``:
 
 * the one backend registry carries every kernel, names its errors, and
   marks which backends run sized workloads;
-* ``"fast"`` and ``"compiled"`` are *bit-identical* to ``"reference"``
+* ``"fast"`` is *bit-identical* to ``"reference"``
   -- same seeds give the same :class:`SimulationResult`, including
   histograms, queue series, per-server arrays and unit accounting --
   for deterministic policies (native batch paths included) and for
@@ -101,14 +101,6 @@ def run_once(policy, sizes, backend, seed=0, rates=None, m=3, rho=0.85, rounds=4
         sizes=sizes,
     )
     return sim.run() if isinstance(backend, str) else backend.run(sim)
-
-
-def forced_compiled():
-    """A ``compiled`` backend running the compiled control flow even
-    without numba (the plain-Python twins of the jitted code)."""
-    backend = make_backend("compiled")
-    backend.force = True
-    return backend
 
 
 def summaries(result) -> str:
@@ -234,7 +226,7 @@ class TestUnitSizeProperty:
     """``DeterministicSize(1)`` equals the unit workload field for field."""
 
     @given(
-        backend=st.sampled_from(["reference", "fast", "compiled"]),
+        backend=st.sampled_from(["reference", "fast"]),
         policy=st.sampled_from(DETERMINISTIC_POLICIES + ["scd", "jsq(2)"]),
         seed=st.integers(0, 2**20),
         n=st.integers(2, 7),
@@ -265,58 +257,6 @@ class TestUnitSizeProperty:
             else:
                 assert a == b, field.name
         assert summaries(results[0]) == summaries(results[1])
-
-
-class TestCompiledBitExactness:
-    """The ``compiled`` kernel against ``fast``, compiled control flow
-    forced on so numba-less hosts cover the jitted resolvers' exact
-    (plain-Python) bodies."""
-
-    def test_registered_with_description(self):
-        assert "compiled" in available_backends()
-        assert backend_descriptions()["compiled"]
-
-    @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
-    @pytest.mark.parametrize(
-        "policy",
-        DETERMINISTIC_POLICIES + STATEFUL_POLICIES + NATIVE_BIT_IDENTICAL_POLICIES,
-    )
-    def test_bit_identical_to_fast(self, policy, dist):
-        sizes = SIZE_DISTRIBUTIONS[dist]
-        a = run_once(policy, sizes, "fast", seed=5, rounds=300)
-        b = run_once(policy, sizes, forced_compiled(), seed=5, rounds=300)
-        assert_identical(a, b)
-
-    def test_multi_block_partial_head_carry(self):
-        """Large jobs partially served across block boundaries must carry
-        their remaining units identically."""
-        sizes = BimodalSize(small=2, large=40, large_prob=0.1)
-        a = run_once("jsq", sizes, "fast", seed=17, rounds=600, rho=1.02)
-        b = run_once("jsq", sizes, forced_compiled(), seed=17, rounds=600, rho=1.02)
-        assert_identical(a, b)
-
-    @given(
-        policy=st.sampled_from(DETERMINISTIC_POLICIES + ["scd"]),
-        dist=st.sampled_from(sorted(SIZE_DISTRIBUTIONS)),
-        seed=st.integers(0, 2**20),
-        n=st.integers(2, 7),
-        m=st.integers(1, 4),
-        rho=st.floats(0.3, 1.05),
-        rounds=st.integers(1, 120),
-    )
-    @DETERMINISM_SETTINGS
-    def test_compiled_agrees_with_fast(
-        self, policy, dist, seed, n, m, rho, rounds
-    ):
-        sizes = SIZE_DISTRIBUTIONS[dist]
-        rates = np.random.default_rng(seed % 1000).uniform(0.5, 12.0, size=n)
-        results = []
-        for backend in ("fast", forced_compiled()):
-            result = run_once(policy, sizes, backend, seed=seed, rates=rates,
-                              m=m, rho=rho, rounds=rounds)
-            assert_conserved(result)
-            results.append(result)
-        assert_identical(*results)
 
 
 class TestStochasticNativePaths:
