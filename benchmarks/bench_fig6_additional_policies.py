@@ -10,7 +10,6 @@ import pytest
 
 import repro
 from _common import (
-    BENCH_LOADS,
     EXTRA_POLICIES,
     grid_experiment,
     mean_response_rows,

@@ -183,7 +183,7 @@ def main() -> None:
         + ("passed (within tolerance)" if anchors_ok else "FAILED")
     )
 
-    print(f"\nfluid stability frontier (finite-horizon, biased low near 1):")
+    print("\nfluid stability frontier (finite-horizon, biased low near 1):")
     print("  d    rho*(d)")
     curve = []
     for d in args.choices:

@@ -578,7 +578,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     print(f"{args.policy} on {system.name} at rho={args.rho}: {verdict}")
     if args.rho < 1.0:
         bound = strong_stability_bound(system.lambdas(args.rho), rates)
-        print(f"Appendix D guarantee (any admissible policy need not meet it;")
+        print("Appendix D guarantee (any admissible policy need not meet it;")
         print(f"SCD provably does): time-averaged total queue <= {bound.bound:.1f}")
         measured = result.queue_series.mean()
         print(f"measured time-averaged total queue: {measured:.1f}")

@@ -21,7 +21,6 @@ from repro.analysis.persistence import (
     experiment_result_to_dict,
 )
 from repro.experiments import (
-    Cell,
     Experiment,
     PolicySpec,
     ProcessPoolExecutor,

@@ -5,7 +5,6 @@ are the batch-compression semantics; sized jobs are covered in
 ``test_sized``.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
