@@ -114,9 +114,6 @@ class SCDPolicy(Policy):
     estimator:
         Total-arrival estimator; the paper's ``"scaled"`` (Eq. 18) by
         default.  See :mod:`repro.core.estimation`.
-    algorithm:
-        Probability solver: ``"vectorized"`` (default), ``"loop"``
-        (faithful Algorithm 4), or ``"quadratic"`` (Algorithm 1).
     connectivity:
         Optional ``(m, n)`` boolean array; ``connectivity[d, s]`` is True
         when dispatcher ``d`` can reach server ``s``.  ``None`` (default)
@@ -128,7 +125,10 @@ class SCDPolicy(Policy):
     Subclasses change what the solves see, not how they run: the rate
     vector ``_rates`` (bound to ``ctx.rates``), and the job-size
     constants :attr:`mean_size` and :attr:`offset` (the IWL is solved
-    for the estimated work ``a_est * mean_size``).
+    for the estimated work ``a_est * mean_size``).  Every solve runs the
+    vectorized Algorithm 4 (:func:`~repro.core.probabilities.scd_probabilities`);
+    the slower solvers of :data:`PROBABILITY_ALGORITHMS` serve only
+    :func:`scd_decision`, the run-time figures' unit of work.
     """
 
     name = "scd"
@@ -140,22 +140,25 @@ class SCDPolicy(Policy):
     def __init__(
         self,
         estimator: ArrivalEstimator | str | float = "scaled",
-        algorithm: str = "vectorized",
         connectivity: np.ndarray | None = None,
     ) -> None:
         super().__init__()
-        if algorithm not in PROBABILITY_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; "
-                f"choose from {sorted(PROBABILITY_ALGORITHMS)}"
-            )
         self.estimator = make_estimator(estimator)
-        self.algorithm = algorithm
         self.connectivity = (
             None if connectivity is None else np.asarray(connectivity, dtype=bool)
         )
-        if algorithm == "quadratic":
-            self.name = "scd-alg1"
+
+    def __setstate__(self, state: dict) -> None:
+        # Older checkpoints carry the solver the run chose.  The other
+        # solvers agree with the vectorized one only to rounding, so a run
+        # that chose one of them cannot resume bit-identically: refuse it.
+        algorithm = state.pop("algorithm", "vectorized")
+        if algorithm != "vectorized":
+            raise ValueError(
+                f"cannot restore an SCD policy that solved with the removed "
+                f"{algorithm!r} algorithm; only the vectorized solver remains"
+            )
+        self.__dict__.update(state)
 
     def _on_bind(self) -> None:
         n = self.ctx.num_servers
@@ -201,24 +204,6 @@ class SCDPolicy(Policy):
     def observe_total_arrivals(self, total: int) -> None:
         self.estimator.observe_total(total)
 
-    def _solve(
-        self,
-        queues: np.ndarray,
-        rates: np.ndarray,
-        a_est: float,
-        iwl: float,
-        order: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The selected probability solver for one estimate."""
-        if self.algorithm == "quadratic":
-            return scd_probabilities_quadratic(queues, rates, a_est, iwl)
-        if self.algorithm == "loop":
-            return scd_probabilities_loop(queues, rates, a_est, iwl, order=order)
-        return scd_probabilities(
-            queues, rates, a_est, iwl, order=order,
-            mean_size=self.mean_size, offset=self.offset,
-        )
-
     def _probabilities(self, a_est: np.ndarray) -> np.ndarray:
         """Normalized rows on the round snapshot, one per estimate.
 
@@ -227,13 +212,7 @@ class SCDPolicy(Policy):
         snapshot, so any grouping of estimates gives the same rows.
         """
         iwl = self._loads.levels(a_est * self.mean_size)
-        if self.algorithm == "vectorized":
-            probs = self._keys.solve(a_est, iwl, self.mean_size)
-        else:
-            probs = np.array([
-                self._solve(self._queues, self._rates, a, level, order=self._keys.order)
-                for a, level in zip(a_est.tolist(), iwl.tolist())
-            ])
+        probs = self._keys.solve(a_est, iwl, self.mean_size)
         probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
@@ -242,7 +221,9 @@ class SCDPolicy(Policy):
         queues = self._queues[mask]
         rates = self._rates[mask]
         iwl = compute_iwl(queues, rates, a_est * self.mean_size)
-        sub = self._solve(queues, rates, a_est, iwl)
+        sub = scd_probabilities(
+            queues, rates, a_est, iwl, mean_size=self.mean_size, offset=self.offset
+        )
         probs = np.zeros(self.ctx.num_servers, dtype=np.float64)
         probs[mask] = sub / sub.sum()
         return probs
@@ -266,10 +247,9 @@ class SCDPolicy(Policy):
         consumes the stream like sequential per-row draws, so the summed
         rows and the RNG state after the draw equal
         :meth:`Policy.dispatch_round`'s.
-        A connectivity mask or a non-vectorized solver takes that base
-        loop instead.
+        A connectivity mask takes that base loop instead.
         """
-        if self.connectivity is not None or self.algorithm != "vectorized":
+        if self.connectivity is not None:
             return super().dispatch_round(batch, queues)
         jobs = np.asarray(batch, dtype=np.int64)
         jobs = jobs[jobs > 0]
@@ -277,13 +257,6 @@ class SCDPolicy(Policy):
             return np.zeros(self.ctx.num_servers, dtype=np.int64)
         a_est = self.estimator.estimate_many(jobs, self.ctx.num_dispatchers)
         return self.rng.multinomial(jobs, self._probabilities(a_est)).sum(axis=0)
-
-
-@register_policy("scd-alg1")
-def _make_scd_alg1(**kwargs) -> SCDPolicy:
-    """SCD with the O(n^2) Algorithm 1 solver (run-time comparator)."""
-    kwargs.setdefault("algorithm", "quadratic")
-    return SCDPolicy(**kwargs)
 
 
 @register_policy("scd-sized")

@@ -140,18 +140,6 @@ class WorkloadSpec:
 
     # -- identity ----------------------------------------------------------
 
-    @property
-    def is_paper_default(self) -> bool:
-        """True when every component is the paper's evaluation default."""
-        return (
-            self.arrivals is None
-            and self.service is None
-            and (self.skew is None or self.skew == 1.0)
-            and self.dispatcher_weights is None
-            and self.job_sizes is None
-            and self.scenario is None
-        )
-
     def seed_components(self) -> tuple[str, ...]:
         """Extra coordinates this workload contributes to seed derivation.
 

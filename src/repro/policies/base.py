@@ -47,6 +47,7 @@ __all__ = [
     "available_policies",
     "has_native_dispatch_round",
     "supports_round_batching",
+    "sample_servers",
 ]
 
 
@@ -165,9 +166,9 @@ class Policy(ABC):
         and WR's one broadcast multinomial per round, power-of-d's one
         pooled candidate draw, LSQ/LED's vectorized refreshes.  An
         override may call this base loop for the configurations it has
-        no native path for (SCD with a connectivity mask or a
-        non-vectorized solver).  Per-dispatcher rows stay observable
-        through :meth:`dispatch`.
+        no native path for (SCD with a connectivity mask, JIQ in rounds
+        with idle servers).  Per-dispatcher rows stay observable through
+        :meth:`dispatch`.
         """
         assert self.ctx is not None, "policy used before bind()"
         jobs = np.zeros(self.ctx.num_servers, dtype=np.int64)
@@ -224,6 +225,27 @@ class Policy(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def sample_servers(
+    rng: np.random.Generator,
+    n: int,
+    cdf: np.ndarray | None,
+    size: int | tuple[int, ...],
+) -> np.ndarray:
+    """Draw server indices of shape ``size``, i.i.d. across entries.
+
+    ``cdf is None`` samples uniformly over the ``n`` servers; otherwise
+    server ``s`` is drawn with the probability ``cdf`` steps by at ``s``
+    (the heterogeneity-aware baselines pass the cumulative sum of
+    ``mu / sum(mu)``, so server ``s`` is picked with probability
+    ``mu_s / sum(mu)``).  numpy fills either draw element by element, so
+    one call of size ``k1 + k2`` realizes two calls of sizes ``k1`` and
+    ``k2`` -- the fused draws of the batch protocol rely on it.
+    """
+    if cdf is None:
+        return rng.integers(0, n, size=size)
+    return np.searchsorted(cdf, rng.random(size))
 
 
 _REGISTRY: dict[str, Callable[..., Policy]] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Policy, register_policy
+from .base import Policy, register_policy, sample_servers
 
 __all__ = ["JIQPolicy"]
 
@@ -62,13 +62,6 @@ class JIQPolicy(Policy):
         weights = self.rates[idle]
         return self.rng.choice(idle, size=take, replace=False, p=weights / weights.sum())
 
-    def _pick_fallback(self, count: int) -> np.ndarray:
-        """Random destinations once no idle servers remain."""
-        n = self.ctx.num_servers
-        if self._fallback_cdf is None:
-            return self.rng.integers(0, n, size=count)
-        return np.searchsorted(self._fallback_cdf, self.rng.random(count))
-
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
         n = self.ctx.num_servers
         counts = np.zeros(n, dtype=np.int64)
@@ -79,7 +72,7 @@ class JIQPolicy(Policy):
         counts[chosen_idle] += 1
         rest = k - chosen_idle.size
         if rest > 0:
-            fallback = self._pick_fallback(rest)
+            fallback = sample_servers(self.rng, n, self._fallback_cdf, rest)
             np.add.at(counts, fallback, 1)
         return counts
 
@@ -101,7 +94,9 @@ class JIQPolicy(Policy):
         n = self.ctx.num_servers
         if total == 0:
             return np.zeros(n, dtype=np.int64)
-        return np.bincount(self._pick_fallback(total), minlength=n)
+        return np.bincount(
+            sample_servers(self.rng, n, self._fallback_cdf, total), minlength=n
+        )
 
 
 @register_policy("jiq")

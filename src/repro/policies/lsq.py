@@ -25,14 +25,15 @@ element, so the realization -- and the stream position -- is exactly the
 per-dispatcher loop's), and one fancy assignment applies all refreshes.
 Together with the native :meth:`LSQPolicy.dispatch_round` this is the
 batch-protocol path on the fast kernels, bit-identical to the
-per-dispatcher fallback it replaces.
+per-dispatcher fallback it replaces.  LED (:mod:`repro.policies.led`)
+is this class plus one drain step at the end of each round.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Policy, register_policy
+from .base import Policy, register_policy, sample_servers
 from .greedy import greedy_batch_assign, greedy_rows_for_batches
 
 __all__ = ["LSQPolicy"]
@@ -99,12 +100,6 @@ class LSQPolicy(Policy):
         self._batch_sizes[active] = batch[active]
         return rows.sum(axis=0)
 
-    def _sample_servers(self, count: int) -> np.ndarray:
-        n = self.ctx.num_servers
-        if self._sampling_cdf is None:
-            return self.rng.integers(0, n, size=count)
-        return np.searchsorted(self._sampling_cdf, self.rng.random(count))
-
     def end_round(self, round_index: int, queues: np.ndarray) -> None:
         # One draw covers every active dispatcher's sampling budget.
         # numpy fills random output element by element, so the single
@@ -119,7 +114,9 @@ class LSQPolicy(Policy):
                 np.int64
             ),
         )
-        sampled = self._sample_servers(int(budgets.sum()))
+        sampled = sample_servers(
+            self.rng, self.ctx.num_servers, self._sampling_cdf, int(budgets.sum())
+        )
         rows = np.repeat(active, budgets)
         # Duplicate (dispatcher, server) pairs all write queues[server]:
         # order inside the fancy assignment cannot matter.

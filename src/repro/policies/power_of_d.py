@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Policy, register_policy
+from .base import Policy, register_policy, sample_servers
 
 __all__ = ["PowerOfDPolicy"]
 
@@ -55,20 +55,14 @@ class PowerOfDPolicy(Policy):
     def begin_round(self, round_index: int, queues: np.ndarray) -> None:
         self._queues = queues
 
-    def _sample_servers(self, count: int) -> np.ndarray:
-        """Draw a (count, d) array of candidate server indices."""
-        n = self.ctx.num_servers
-        if self._sampling_cdf is None:
-            return self.rng.integers(0, n, size=(count, self.d))
-        u = self.rng.random((count, self.d))
-        return np.searchsorted(self._sampling_cdf, u)
-
     def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
         n = self.ctx.num_servers
         counts = np.zeros(n, dtype=np.int64)
         if num_jobs <= 0:
             return counts
-        samples = self._sample_servers(int(num_jobs)).tolist()
+        samples = sample_servers(
+            self.rng, n, self._sampling_cdf, (int(num_jobs), self.d)
+        ).tolist()
         # Local view: snapshot ranks plus this dispatcher's own assignments.
         rank = (self._queues.astype(np.float64) * np.asarray(self._inv_rates)).tolist()
         self._assign(samples, rank, counts)
@@ -107,7 +101,9 @@ class PowerOfDPolicy(Policy):
         total = int(batch.sum())
         if total == 0:
             return totals
-        samples = self._sample_servers(total).tolist()
+        samples = sample_servers(
+            self.rng, self.ctx.num_servers, self._sampling_cdf, (total, self.d)
+        ).tolist()
         base_rank = (queues.astype(np.float64) * np.asarray(self._inv_rates)).tolist()
         offset = 0
         for k in batch[batch > 0].tolist():

@@ -45,19 +45,11 @@ class WeightedRandomPolicy(Policy):
 
 
 @register_policy("random")
-class UniformRandomPolicy(Policy):
-    """Uniform random dispatching (ignores both queues and rates)."""
+class UniformRandomPolicy(WeightedRandomPolicy):
+    """Uniform random dispatching: WR on unit weights (ignores rates)."""
 
     name = "random"
 
     def _on_bind(self) -> None:
         n = self.ctx.num_servers
         self._probs = np.full(n, 1.0 / n)
-
-    def dispatch(self, dispatcher: int, num_jobs: int) -> np.ndarray:
-        return self.rng.multinomial(int(num_jobs), self._probs).astype(np.int64)
-
-    def dispatch_round(self, batch: np.ndarray, queues: np.ndarray) -> np.ndarray:
-        return self.rng.multinomial(
-            np.asarray(batch, dtype=np.int64), self._probs
-        ).sum(axis=0)

@@ -112,18 +112,6 @@ class ResponseTimeHistogram:
             np.asarray(state.get("counts", ()), dtype=np.int64),
         )
 
-    def merge(self, other: "ResponseTimeHistogram") -> None:
-        """Fold another histogram's counts into this one."""
-        hi = other._max_seen
-        if hi == 0:
-            return
-        if hi >= self._counts.size:
-            grown = np.zeros(hi + 1, dtype=np.int64)
-            grown[: self._counts.size] = self._counts
-            self._counts = grown
-        self._counts[: hi + 1] += other._counts[: hi + 1]
-        self._max_seen = max(self._max_seen, hi)
-
     # -- queries -----------------------------------------------------------
 
     @property

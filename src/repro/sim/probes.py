@@ -11,8 +11,7 @@ registry-backed axis instead:
   probes through the same *block-shaped* interface: a :class:`ProbeBlock` of per-round
   arrival counts, per-server admissions, completions and end-of-round
   queue snapshots, plus (for probes that ask) the recorded response
-  times stamped with their departure rounds.  Probes are mergeable
-  across replications (:meth:`Probe.merge`) and serializable
+  times stamped with their departure rounds.  Probes are serializable
   (:meth:`Probe.state_dict` / :meth:`Probe.from_state`), which is what
   JSON persistence needs.
 * A registry (:func:`register_probe` / :func:`make_probe`) mirrors the
@@ -132,8 +131,8 @@ class Probe(ABC):
     :meth:`bind`-ed once with the :class:`ProbeContext`, then fed via
     :meth:`observe_block` (and :meth:`observe_responses` when
     :attr:`wants_responses`); afterwards :meth:`summary` reports flat
-    floats, and :meth:`state_dict` / :meth:`from_state` / :meth:`merge`
-    move state across processes and files.
+    floats, and :meth:`state_dict` / :meth:`from_state` move state
+    across processes and files.
 
     Subclasses declare :attr:`fields` -- the block arrays they read --
     so kernels skip materializing everything else.  The default is all
@@ -214,17 +213,6 @@ class Probe(ABC):
     def summary(self) -> dict[str, float]:
         """Flat headline statistics (floats; NaN where undefined)."""
 
-    @abstractmethod
-    def merge(self, other: "Probe") -> None:
-        """Fold another probe's accumulated state into this one.
-
-        Merge semantics are element-wise/additive and probe-specific:
-        pooled-count probes (``responses``, ``windowed_mean``,
-        ``server_stats``, ...) combine replications or time shards;
-        ``queue_series`` describes one run and refuses to merge.
-        Incompatible shapes raise.
-        """
-
     def probe_kwargs(self) -> dict:
         """Constructor kwargs needed to rebuild this probe (JSON-able)."""
         return {}
@@ -248,16 +236,10 @@ class Probe(ABC):
     @classmethod
     def from_state(cls, payload: dict) -> "Probe":
         """Rebuild a probe from :meth:`state_dict` output (unbound;
-        ready for :meth:`summary` and :meth:`merge`)."""
+        ready for :meth:`summary`)."""
         probe = cls(**(payload.get("kwargs") or {}))
         probe.set_state(payload.get("state") or {})
         return probe
-
-    def _check_merge(self, other: "Probe") -> None:
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -602,8 +584,7 @@ class ResponseTimeProbe(Probe):
     Default probe.  The engines feed its :attr:`histogram` in-line
     during FIFO resolution (the zero-overhead fast path), so it needs
     no block fields; it exists as a probe so response-time state is
-    mergeable, serializable and summary-addressable like everything
-    else.
+    serializable and summary-addressable like everything else.
     """
 
     description = (
@@ -631,10 +612,6 @@ class ResponseTimeProbe(Probe):
             "p999": float(hist.percentile(0.999)),
             "max": float(hist.max_response_time),
         }
-
-    def merge(self, other: "Probe") -> None:
-        self._check_merge(other)
-        self.histogram.merge(other.histogram)
 
     def get_state(self) -> dict:
         return self.histogram.state_dict()
@@ -677,11 +654,6 @@ class QueueSeriesProbe(Probe):
             "growth_slope": series.growth_slope(),
             "tail_head": series.tail_to_head_ratio(),
         }
-
-    def merge(self, other: "Probe") -> None:
-        """Refused: a per-round series describes one run, and two
-        runs' series do not pool."""
-        raise TypeError("queue_series probes describe one run and do not merge")
 
     def get_state(self) -> dict:
         values = self.series.values if self.series is not None else ()
@@ -801,35 +773,6 @@ class ServerStatsProbe(Probe):
             "utilization_max": float(utilization.max()),
         }
 
-    def merge(self, other: "Probe") -> None:
-        self._check_merge(other)
-        if self._received is None or other._received is None:
-            raise ValueError("cannot merge unbound server_stats probes")
-        if self._received.size != other._received.size:
-            raise ValueError(
-                "server_stats merge needs matching server counts (merge is "
-                "additive across replications/time)"
-            )
-        if not np.array_equal(self._rates, other._rates):
-            raise ValueError(
-                "server_stats merge needs identical server rates; runs on "
-                "different systems cannot pool utilization"
-            )
-        self._rounds += other._rounds
-        self._received += other._received
-        self._done += other._done
-        self._queue_sum += other._queue_sum
-        np.maximum(self._max_queue, other._max_queue, out=self._max_queue)
-        self._idle += other._idle
-        self._merge_queue_hist(other)
-
-    def _merge_queue_hist(self, other: "ServerStatsProbe") -> None:
-        if other._queue_hist.size > self._queue_hist.size:
-            grown = np.zeros(other._queue_hist.size, dtype=np.int64)
-            grown[: self._queue_hist.size] = self._queue_hist
-            self._queue_hist = grown
-        self._queue_hist[: other._queue_hist.size] += other._queue_hist
-
     def get_state(self) -> dict:
         if self._received is None:
             return {"rounds": 0}
@@ -940,20 +883,6 @@ class ServerResponseStatsProbe(Probe):
             "server_mean_max": float(served.max()),
         }
 
-    def merge(self, other: "Probe") -> None:
-        """Pool replications / time shards of the same server set."""
-        self._check_merge(other)
-        if self._count is None or other._count is None:
-            raise ValueError("cannot merge unbound server_response_stats probes")
-        if self._count.size != other._count.size:
-            raise ValueError(
-                "server_response_stats merge needs matching server counts "
-                "(merge is additive across replications/time)"
-            )
-        self._count += other._count
-        self._time_sum += other._time_sum
-        np.maximum(self._time_max, other._time_max, out=self._time_max)
-
     def get_state(self) -> dict:
         if self._count is None:
             return {}
@@ -1032,17 +961,6 @@ class DispatcherStatsProbe(Probe):
                 float(self._jobs.std() / mean_total) if mean_total else float("nan")
             ),
         }
-
-    def merge(self, other: "Probe") -> None:
-        self._check_merge(other)
-        if self._jobs is None or other._jobs is None:
-            raise ValueError("cannot merge unbound dispatcher_stats probes")
-        if self._jobs.size != other._jobs.size:
-            raise ValueError("dispatcher_stats merge needs matching dispatcher counts")
-        self._rounds += other._rounds
-        self._jobs += other._jobs
-        np.maximum(self._max_batch, other._max_batch, out=self._max_batch)
-        self._active += other._active
 
     def get_state(self) -> dict:
         if self._jobs is None:
@@ -1135,25 +1053,6 @@ class WindowedMeanProbe(Probe):
     def probe_kwargs(self) -> dict:
         return {"window": self.window}
 
-    def merge(self, other: "Probe") -> None:
-        self._check_merge(other)
-        if other.window != self.window:
-            raise ValueError(
-                f"cannot merge window={other.window} into window={self.window}"
-            )
-        if self._sums is None:
-            self._sums = np.zeros(0, dtype=np.int64)
-            self._counts = np.zeros(0, dtype=np.int64)
-        if other._sums is None:
-            return
-        if other._sums.size > self._sums.size:
-            self._sums = np.pad(self._sums, (0, other._sums.size - self._sums.size))
-            self._counts = np.pad(
-                self._counts, (0, other._counts.size - self._counts.size)
-            )
-        self._sums[: other._sums.size] += other._sums
-        self._counts[: other._counts.size] += other._counts
-
     def get_state(self) -> dict:
         if self._sums is None:
             return {"sums": [], "counts": []}
@@ -1233,29 +1132,6 @@ class WindowedStabilityProbe(Probe):
 
     def probe_kwargs(self) -> dict:
         return {"window": self.window}
-
-    def _align(self, other: "WindowedStabilityProbe") -> None:
-        if other.window != self.window:
-            raise ValueError(
-                f"cannot merge window={other.window} into window={self.window}"
-            )
-        if self._sums is None:
-            self._sums = np.zeros(0, dtype=np.int64)
-            self._counts = np.zeros(0, dtype=np.int64)
-        if other._sums is not None and other._sums.size > self._sums.size:
-            self._sums = np.pad(self._sums, (0, other._sums.size - self._sums.size))
-            self._counts = np.pad(
-                self._counts, (0, other._counts.size - self._counts.size)
-            )
-
-    def merge(self, other: "Probe") -> None:
-        """Pool replications / time shards (disjoint round multisets)."""
-        self._check_merge(other)
-        self._align(other)
-        if other._sums is None:
-            return
-        self._sums[: other._sums.size] += other._sums
-        self._counts[: other._counts.size] += other._counts
 
     def get_state(self) -> dict:
         if self._sums is None:
@@ -1358,28 +1234,6 @@ class HerdingSignalProbe(Probe):
             "mean_spike": float(int(spikes.sum()) / rounds),
             "mean_imbalance": float((deviation / t).sum() / rounds),
         }
-
-    def merge(self, other: "Probe") -> None:
-        """Pool replications / consecutive time shards of the *same
-        system*: the per-round series concatenate along the round axis
-        (rate scalars must match -- different systems cannot pool)."""
-        self._check_merge(other)
-        self._check_same_system(other)
-        self._totals.append(other._series(other._totals, np.int64))
-        self._spikes.append(other._series(other._spikes, np.int64))
-        self._sq.append(other._series(other._sq, np.int64))
-        self._rate_w.append(other._series(other._rate_w, np.float64))
-
-    def _check_same_system(self, other: "HerdingSignalProbe") -> None:
-        if (
-            self._num_servers != other._num_servers
-            or self._rate_sum != other._rate_sum
-            or self._rate_sq != other._rate_sq
-        ):
-            raise ValueError(
-                "herding merge pools runs of the same system; rate "
-                "scalars differ"
-            )
 
     def get_state(self) -> dict:
         return {

@@ -32,6 +32,7 @@ from _helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scd import SCDPolicy
 from repro.policies.base import Policy, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (
@@ -50,9 +51,12 @@ from repro.sim.service import GeometricService
 #: backends are required bit-for-bit.
 DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: Stochastic configurations whose batch path defers to the base
-#: per-dispatcher loop (SCD with the Algorithm 1 solver): they run through
-#: the fallback, so they must also be bit-identical.
-FALLBACK_POLICIES = ["scd-alg1"]
+#: per-dispatcher loop (SCD with a connectivity mask, here a full one for
+#: ``run_once``'s 3 x 8 system): they run through the fallback, so they
+#: must also be bit-identical.  Each entry builds a fresh policy per run.
+FALLBACK_POLICIES = {
+    "scd-connectivity": lambda: SCDPolicy(connectivity=np.ones((3, 8), dtype=bool)),
+}
 #: Stochastic native batch paths that pool their draws across a round's
 #: dispatchers: numpy's broadcast ``multinomial`` and one pooled
 #: ``integers`` draw consume the stream exactly like the per-dispatcher
@@ -65,7 +69,7 @@ POOLED_DRAW_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
 #: the identical stream): these must also stay bit-identical across
 #: backends.
 NATIVE_BIT_IDENTICAL_POLICIES = [
-    "scd", "twf", "scd-sized", "lsq", "hlsq", "led", "jiq",
+    "scd", "twf", "scd-sized", "lsq", "hlsq", "led", "hled", "jiq", "hjiq",
 ] + POOLED_DRAW_POLICIES
 
 
@@ -162,7 +166,7 @@ class TestBitExactness:
         b = run_once(policy, "fast", seed=5)
         assert_identical(a, b)
 
-    @pytest.mark.parametrize("policy", FALLBACK_POLICIES)
+    @pytest.mark.parametrize("policy", list(FALLBACK_POLICIES))
     def test_fallback_policies_identical(self, policy, monkeypatch):
         calls = []
         base_loop = Policy.dispatch_round
@@ -172,8 +176,9 @@ class TestBitExactness:
             return base_loop(self, batch, queues)
 
         monkeypatch.setattr(Policy, "dispatch_round", spy)
-        a = run_once(policy, "reference", seed=11)
-        b = run_once(policy, "fast", seed=11)
+        build = FALLBACK_POLICIES[policy]
+        a = run_once(build(), "reference", seed=11)
+        b = run_once(build(), "fast", seed=11)
         assert calls, "the fast run never took the base per-dispatcher loop"
         assert_identical(a, b)
 

@@ -274,7 +274,9 @@ GOLDEN_POLICIES = (
     "lsq",
     "hlsq",
     "led",
+    "hled",
     "jiq",
+    "hjiq",
     "jsq(2)",
     "hjsq(2)",
     "wr",
@@ -291,7 +293,9 @@ GOLDEN = {
     ("paper", "n12_m3_u1_10", "lsq"): "3c60adcfa124e23e",
     ("paper", "n12_m3_u1_10", "hlsq"): "f08133063c607b29",
     ("paper", "n12_m3_u1_10", "led"): "22c045f1b9bcbf59",
+    ("paper", "n12_m3_u1_10", "hled"): "7d68d7b0fb58fef1",
     ("paper", "n12_m3_u1_10", "jiq"): "5ba2077ddbb1078d",
+    ("paper", "n12_m3_u1_10", "hjiq"): "69fd813e237b094c",
     ("paper", "n12_m3_u1_10", "jsq(2)"): "6056587b3ecd4c42",
     ("paper", "n12_m3_u1_10", "hjsq(2)"): "9212ed719d9521d1",
     ("paper", "n12_m3_u1_10", "wr"): "0cb965b4e62950e2",
@@ -303,7 +307,9 @@ GOLDEN = {
     ("paper", "n10_m4_u1_100", "lsq"): "cc1b92cee24ee088",
     ("paper", "n10_m4_u1_100", "hlsq"): "701686711747e96c",
     ("paper", "n10_m4_u1_100", "led"): "cc1b92cee24ee088",
+    ("paper", "n10_m4_u1_100", "hled"): "eebcc79f4d59bd63",
     ("paper", "n10_m4_u1_100", "jiq"): "686f24b50a4706ab",
+    ("paper", "n10_m4_u1_100", "hjiq"): "0775dc18dc446d89",
     ("paper", "n10_m4_u1_100", "jsq(2)"): "bc39df9ef164badd",
     ("paper", "n10_m4_u1_100", "hjsq(2)"): "3a982e1d325960ce",
     ("paper", "n10_m4_u1_100", "wr"): "f5d636c8ba4edf7c",
@@ -315,7 +321,9 @@ GOLDEN = {
     ("churn", "n12_m3_u1_10", "lsq"): "df73e0de88ed350a",
     ("churn", "n12_m3_u1_10", "hlsq"): "d6c0c3327e25a599",
     ("churn", "n12_m3_u1_10", "led"): "758c8ccd98907e89",
+    ("churn", "n12_m3_u1_10", "hled"): "e3140448efe62289",
     ("churn", "n12_m3_u1_10", "jiq"): "d3cb3d7fd177c559",
+    ("churn", "n12_m3_u1_10", "hjiq"): "0cad1e3eee699573",
     ("churn", "n12_m3_u1_10", "jsq(2)"): "b53d92a56c26bf4d",
     ("churn", "n12_m3_u1_10", "hjsq(2)"): "d232336fc1d7be91",
     ("churn", "n12_m3_u1_10", "wr"): "3420d97f966d2b09",
@@ -327,7 +335,9 @@ GOLDEN = {
     ("churn", "n10_m4_u1_100", "lsq"): "7ee0dd49e9f67c9c",
     ("churn", "n10_m4_u1_100", "hlsq"): "0bced27d2195218e",
     ("churn", "n10_m4_u1_100", "led"): "1327409352446992",
+    ("churn", "n10_m4_u1_100", "hled"): "74d960dd0d35fdce",
     ("churn", "n10_m4_u1_100", "jiq"): "bf488f3c57a248dd",
+    ("churn", "n10_m4_u1_100", "hjiq"): "822073c56048054b",
     ("churn", "n10_m4_u1_100", "jsq(2)"): "ad09de66ef68cfa5",
     ("churn", "n10_m4_u1_100", "hjsq(2)"): "4117791f71176355",
     ("churn", "n10_m4_u1_100", "wr"): "8dda2f073980c36f",
@@ -339,7 +349,9 @@ GOLDEN = {
     ("sized", "n12_m3_u1_10", "lsq"): "63f3e646d0bcceb8",
     ("sized", "n12_m3_u1_10", "hlsq"): "fb758e02491fb1e6",
     ("sized", "n12_m3_u1_10", "led"): "41246c13e3d25969",
+    ("sized", "n12_m3_u1_10", "hled"): "19a40b8db4914b1e",
     ("sized", "n12_m3_u1_10", "jiq"): "7a90c909cb2a03e4",
+    ("sized", "n12_m3_u1_10", "hjiq"): "fcc7598aa93df269",
     ("sized", "n12_m3_u1_10", "jsq(2)"): "1c98b6095920fbd5",
     ("sized", "n12_m3_u1_10", "hjsq(2)"): "6a01bf1d2f0f806a",
     ("sized", "n12_m3_u1_10", "wr"): "bcf71208f4be69b0",

@@ -49,18 +49,20 @@ class TestHistogramBasics:
         assert hist.max_response_time == 1000
         assert hist.total == 1
 
-    def test_merge(self):
+    def test_load_state_adds_counts(self):
+        """Pooling two histograms is one ``load_state`` of the other's
+        ``state_dict``: counts add and the max grows."""
         a = fill([1, 2, 3])
-        b = fill([3, 4])
-        a.merge(b)
+        a.load_state(fill([3, 4]).state_dict())
         assert a.total == 5
         assert a.counts[3] == 2
         assert a.max_response_time == 4
 
-    def test_merge_empty_is_noop(self):
+    def test_load_state_empty_is_noop(self):
         a = fill([1, 2])
-        a.merge(ResponseTimeHistogram())
+        a.load_state(ResponseTimeHistogram().state_dict())
         assert a.total == 2
+        assert a.max_response_time == 2
 
 
 class TestHistogramStatistics:

@@ -26,7 +26,6 @@ def bind(policy, rates, m=2, seed=0):
 class TestRegistry:
     EXPECTED = {
         "scd",
-        "scd-alg1",
         "twf",
         "jsq",
         "sed",

@@ -11,7 +11,7 @@ The contract under test:
 * every built-in probe produces *identical* summaries on the reference
   and fast kernels of both engines for deterministic policies
   (parametrized + a Hypothesis sweep);
-* ``state_dict`` / ``from_state`` / ``merge`` round-trip;
+* ``state_dict`` / ``from_state`` round-trip;
 * probes flow end-to-end: ``SimulationConfig(probes=...)``,
   ``Experiment(metrics=...)`` records with namespaced metric keys, JSON
   persistence (legacy payloads load as the default set), and the sized
@@ -361,60 +361,6 @@ class TestStateRoundTrip:
         for name, array in targets.items():
             assert array.dtype is np.dtype(np.int64), name
 
-    def test_merge_accumulates_two_runs(self):
-        a = run_unsized("jsq", "fast", seed=1).probes
-        b = run_unsized("jsq", "fast", seed=2).probes
-        for label in a:
-            merged = probe_from_state(a[label].state_dict())
-            other = probe_from_state(b[label].state_dict())
-            if label == "queue_series":
-                # One run's per-round series; two runs' series do not pool.
-                with pytest.raises(TypeError, match="do not merge"):
-                    merged.merge(other)
-                continue
-            merged.merge(other)
-            if label == "responses":
-                assert (
-                    merged.histogram.total
-                    == a[label].histogram.total + b[label].histogram.total
-                )
-            else:
-                expected = (
-                    a[label].summary()["rounds"] + b[label].summary()["rounds"]
-                    if "rounds" in a[label].summary()
-                    else None
-                )
-                if expected is not None:
-                    assert merged.summary()["rounds"] == expected
-
-    def test_merge_rejects_type_mismatch(self):
-        probes = run_unsized("jsq", "fast").probes
-        with pytest.raises(TypeError):
-            probes["responses"].merge(probes["queue_series"])
-
-    def test_windowed_merge_rejects_window_mismatch(self):
-        a = make_probe("windowed_mean", window=10)
-        b = make_probe("windowed_mean", window=20)
-        with pytest.raises(ValueError, match="window"):
-            a.merge(b)
-
-    def test_server_stats_merge_rejects_rate_mismatch(self):
-        def bound(rates):
-            probe = make_probe("server_stats")
-            probe.bind(
-                ProbeContext(
-                    num_servers=len(rates), num_dispatchers=1,
-                    rates=np.asarray(rates, dtype=np.float64), rounds=10,
-                )
-            )
-            return probe
-
-        a, b = bound([1.0, 8.0]), bound([4.0, 4.0])
-        with pytest.raises(ValueError, match="identical server rates"):
-            a.merge(b)
-        with pytest.raises(ValueError, match="matching server counts"):
-            a.merge(bound([1.0, 8.0, 2.0]))
-
 
 class TestBuiltinSemantics:
     def test_server_stats_matches_result_accounting(self):
@@ -448,17 +394,6 @@ class TestBuiltinSemantics:
         means = probe.mean_response_times()
         pooled = np.nansum(means * counts) / counts.sum()
         assert pooled == pytest.approx(result.mean_response_time)
-
-    def test_server_response_stats_merge_rejects_size_mismatch(self):
-        from repro.sim.probes import ProbeContext, ServerResponseStatsProbe
-
-        a, b = ServerResponseStatsProbe(), ServerResponseStatsProbe()
-        for probe, n in ((a, 2), (b, 3)):
-            probe.bind(ProbeContext(
-                num_servers=n, num_dispatchers=1, rates=np.ones(n),
-                rounds=10, warmup=0, sized=False))
-        with pytest.raises(ValueError, match="matching server counts"):
-            a.merge(b)
 
     def test_dispatcher_stats_totals_match_arrivals(self):
         result = run_unsized("rr", "fast")
@@ -497,9 +432,6 @@ class TestBuiltinSemantics:
 
             def summary(self):
                 return {"rounds": float(self.rounds)}
-
-            def merge(self, other):
-                self.rounds += other.rounds
 
             def get_state(self):
                 return {"rounds": self.rounds}
@@ -568,9 +500,6 @@ class TestBuiltinSemantics:
 
             def summary(self):
                 return {"active_rounds": float(self.active_rounds)}
-
-            def merge(self, other):
-                self.active_rounds += other.active_rounds
 
             def get_state(self):
                 return {"active_rounds": self.active_rounds}

@@ -1,5 +1,7 @@
 """Tests for the SCD policy (Algorithm 2) and its TWF baseline."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,6 @@ class TestSCDDecision:
 
 
 class TestSCDPolicy:
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            SCDPolicy(algorithm="magic")
-
     def test_dispatch_totals_and_distribution(self):
         policy = bind(SCDPolicy(), rates=[1.0, 2.0, 4.0], m=2)
         policy.begin_round(0, np.array([5, 1, 0]))
@@ -105,10 +103,37 @@ class TestSCDPolicy:
         policy.observe_total_arrivals(17)
         assert oracle.estimate(5, 3) == 17.0
 
-    def test_alg1_variant_registered(self):
-        policy = make_policy("scd-alg1")
-        assert policy.algorithm == "quadratic"
-        assert policy.name == "scd-alg1"
+
+
+class TestOneSolvePath:
+    """The policy always solves with the vectorized Algorithm 4; the
+    slower solvers are reachable only through :func:`scd_decision`."""
+
+    def test_alg1_variant_not_registered(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            make_policy("scd-alg1")
+
+    def test_algorithm_knob_removed(self):
+        with pytest.raises(TypeError):
+            SCDPolicy(algorithm="loop")
+
+    @staticmethod
+    def pickled(algorithm):
+        """A bound policy pickled with the ``algorithm`` entry that
+        policies carried while the solver was selectable."""
+        policy = bind(SCDPolicy(), rates=[1.0, 5.0], m=2)
+        policy.__dict__["algorithm"] = algorithm
+        return pickle.dumps(policy)
+
+    def test_checkpoint_with_other_solver_refused(self):
+        with pytest.raises(ValueError, match="'loop' algorithm"):
+            pickle.loads(self.pickled("loop"))
+
+    def test_checkpoint_with_vectorized_solver_restores(self):
+        policy = pickle.loads(self.pickled("vectorized"))
+        assert "algorithm" not in policy.__dict__
+        policy.begin_round(0, np.array([3, 3]))
+        assert policy.dispatch(0, 5).sum() == 5
 
 
 class TestNativeDispatchRound:
@@ -172,12 +197,8 @@ class TestNativeDispatchRound:
 
     @pytest.mark.parametrize(
         "build",
-        [
-            lambda: make_policy("scd-alg1"),
-            lambda: SCDPolicy(algorithm="loop"),
-            lambda: SCDPolicy(connectivity=np.ones((3, 7), dtype=bool)),
-        ],
-        ids=["scd-alg1", "loop", "connectivity"],
+        [lambda: SCDPolicy(connectivity=np.ones((3, 7), dtype=bool))],
+        ids=["connectivity"],
     )
     def test_other_configurations_take_base_loop(self, build, monkeypatch):
         policy = bind(build(), self.RATES, m=3, seed=2)

@@ -416,20 +416,6 @@ class TestWindowedStabilityProbe:
         assert summary["growth"] == pytest.approx(5.0)
         assert summary["peak_window"] == 2.0
 
-    def test_merge_pools_disjoint_rounds(self):
-        a = bound_probe(window=2, rounds=4)
-        b = bound_probe(window=2, rounds=4)
-        a.observe_block(make_block(0, [[2, 0], [4, 0]]))
-        b.observe_block(make_block(2, [[6, 0], [8, 0]]))
-        a.merge(b)
-        np.testing.assert_allclose(a.means(), [3.0, 7.0])
-
-    def test_window_mismatch_rejected(self):
-        a = bound_probe(window=2)
-        b = bound_probe(window=4)
-        with pytest.raises(ValueError, match="window"):
-            a.merge(b)
-
     def test_state_round_trip(self):
         probe = bound_probe(window=2, rounds=4)
         probe.observe_block(make_block(0, [[1, 1], [3, 3]]))

@@ -37,6 +37,7 @@ from _helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.scd import SCDPolicy
 from repro.policies.base import Policy, SystemContext, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (
@@ -62,8 +63,11 @@ DETERMINISTIC_POLICIES = ["jsq", "sed", "rr", "wrr"]
 #: the identical stream.
 STATEFUL_POLICIES = ["scd", "twf", "scd-sized"]
 #: An SCD configuration whose batch path defers to the base
-#: per-dispatcher loop (the Algorithm 1 solver).
-FALLBACK_POLICIES = ["scd-alg1"]
+#: per-dispatcher loop (a connectivity mask, here a full one for
+#: ``run_once``'s 3 x 8 system); each entry builds a fresh policy per run.
+FALLBACK_POLICIES = {
+    "scd-connectivity": lambda: SCDPolicy(connectivity=np.ones((3, 8), dtype=bool)),
+}
 #: Stochastic native batch paths that pool their draws across a round's
 #: dispatchers (one broadcast ``multinomial`` or one pooled ``integers``
 #: draw, consumed exactly like the per-dispatcher calls).
@@ -72,7 +76,9 @@ POOLED_DRAW_POLICIES = ["wr", "random", "jsq(2)", "hjsq(2)"]
 #: vectorized sampled refreshes, JIQ's fused empty-idle fallback draw and
 #: the pooled draws above draw the identical stream): these must also
 #: stay bit-identical across backends.
-NATIVE_BIT_IDENTICAL_POLICIES = ["lsq", "hlsq", "led", "jiq"] + POOLED_DRAW_POLICIES
+NATIVE_BIT_IDENTICAL_POLICIES = [
+    "lsq", "hlsq", "led", "hled", "jiq", "hjiq",
+] + POOLED_DRAW_POLICIES
 
 SIZE_DISTRIBUTIONS = {
     "unit": None,
@@ -179,14 +185,15 @@ class TestBitExactness:
         assert_identical(a, b)
 
     @pytest.mark.parametrize("dist", sorted(SIZE_DISTRIBUTIONS))
-    @pytest.mark.parametrize("policy", STATEFUL_POLICIES + FALLBACK_POLICIES)
+    @pytest.mark.parametrize("policy", STATEFUL_POLICIES + list(FALLBACK_POLICIES))
     def test_fallback_policies_identical(self, policy, dist):
-        # Every SCD variant overrides the batch protocol; scd-alg1's
-        # override takes the base loop.
-        assert has_native_dispatch_round(make_policy(policy))
+        # Every SCD variant overrides the batch protocol; a connectivity
+        # mask makes the override take the base loop.
+        build = FALLBACK_POLICIES.get(policy, lambda: policy)
+        assert has_native_dispatch_round(make_policy(build()))
         sizes = SIZE_DISTRIBUTIONS[dist]
-        a = run_once(policy, sizes, "reference", seed=11, rounds=300)
-        b = run_once(policy, sizes, "fast", seed=11, rounds=300)
+        a = run_once(build(), sizes, "reference", seed=11, rounds=300)
+        b = run_once(build(), sizes, "fast", seed=11, rounds=300)
         assert_identical(a, b)
 
     @pytest.mark.parametrize("policy", NATIVE_BIT_IDENTICAL_POLICIES)
