@@ -736,25 +736,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _adopted_round(run) -> int | None:
+    """The round this session's ``run-started`` event resumed from, if any."""
+    from repro.runs import iter_events
+
+    started = None
+    for record in iter_events(run.telemetry_path):
+        if record.get("event") == "run-started":
+            started = record
+    if started is None or not started.get("resumed"):
+        return None
+    return int(started["round"])
+
+
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.runs import ExperimentRun, Run
+    from repro.runs import CheckpointError, ExperimentRun, Run
 
     directory = Path(args.directory)
     kind = _run_manifest(directory)["kind"]
-    if kind == "experiment_run":
-        result = ExperimentRun.open(directory).execute(max_legs=args.max_legs)
-        if result is None:
-            print(f"paused; continue with `repro resume {directory}`")
-            return 0
-        print(f"experiment finished: {len(result.records)} cells")
-        return 0
-    if kind != "simulation_run":
+    if kind not in ("experiment_run", "simulation_run"):
         raise SystemExit(f"unrecognized run kind {kind!r} in {directory / 'run.json'}")
-    run = Run.open(directory)
-    resumable = run.store.rounds()
-    if resumable and not run.result_path.exists():
-        print(f"resuming from round {max(resumable)}")
-    result = run.execute(max_legs=args.max_legs)
+    try:
+        if kind == "experiment_run":
+            result = ExperimentRun.open(directory).execute(max_legs=args.max_legs)
+            if result is None:
+                print(f"paused; continue with `repro resume {directory}`")
+                return 0
+            print(f"experiment finished: {len(result.records)} cells")
+            return 0
+        run = Run.open(directory)
+        already_finished = run.result_path.exists()
+        result = run.execute(max_legs=args.max_legs)
+    except CheckpointError as error:
+        raise SystemExit(f"repro resume: {error}") from None
+    adopted = None if already_finished else _adopted_round(run)
+    if adopted is not None:
+        print(f"resumed from round {adopted}")
     if result is None:
         print(
             f"paused at rounds {run.store.rounds()}; "

@@ -8,7 +8,9 @@ deterministic order and assigns each cell a seed derived *only* from its
 workload coordinates -- policies compared at the same coordinates see
 identical arrival/departure realizations (the paper's common-seed
 methodology), and the seed of a cell never depends on which executor
-runs it or in what order (seed-stable scheduling).
+runs it or in what order (seed-stable scheduling).  Enumeration is lazy
+and holds no per-replication state, so a grid of a million replications
+streams its cells in constant memory.
 
 Seed scheme (a fixed contract; every published result depends on it):
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -199,6 +202,14 @@ class Experiment:
             raise ValueError("policy labels must be unique")
         if len({w.name for w in workloads}) != len(workloads):
             raise ValueError("workload names must be unique")
+        for name in ("replications", "rounds", "warmup"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.rounds < 1:
@@ -256,28 +267,36 @@ class Experiment:
         )
 
     def cells(self) -> Iterator[Cell]:
-        """Enumerate the grid in deterministic order (policy innermost)."""
-        coords = itertools.product(
-            self.workloads, self.systems, self.loads, range(self.replications)
-        )
+        """Enumerate the grid in deterministic order (policy innermost).
+
+        Enumeration is lazy in every axis and holds no per-replication
+        state: ``itertools.product`` (which materializes each argument
+        as a tuple) covers only the small workload, system and load
+        axes, and replications are counted off ``range`` inside it, so
+        the first cell of a ``replications=10**6`` grid costs no more
+        memory than that of a one-replication grid.
+        """
         index = 0
-        for workload, system, rho, rep in coords:
-            seed = self.cell_seed(workload, system, rho, rep)
-            for policy in self.policies:
-                yield Cell(
-                    index=index,
-                    policy=policy,
-                    system=system,
-                    rho=rho,
-                    replication=rep,
-                    workload=workload,
-                    seed=seed,
-                    rounds=self.rounds,
-                    warmup=self.warmup,
-                    backend=self.backend,
-                    metrics=self.metrics,
-                )
-                index += 1
+        for workload, system, rho in itertools.product(
+            self.workloads, self.systems, self.loads
+        ):
+            for rep in range(self.replications):
+                seed = self.cell_seed(workload, system, rho, rep)
+                for policy in self.policies:
+                    yield Cell(
+                        index=index,
+                        policy=policy,
+                        system=system,
+                        rho=rho,
+                        replication=rep,
+                        workload=workload,
+                        seed=seed,
+                        rounds=self.rounds,
+                        warmup=self.warmup,
+                        backend=self.backend,
+                        metrics=self.metrics,
+                    )
+                    index += 1
 
     # -- execution ---------------------------------------------------------
 

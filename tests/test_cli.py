@@ -661,6 +661,28 @@ class TestKeyValueGrammar:
             parse_params("a=1", "probe", {"a": 2})
 
 
+class TestResumeRejectedCheckpoints:
+    def test_every_payload_corrupt_fails_in_one_line(self, tmp_path):
+        directory = tmp_path / "r"
+        proc = run_cli_process(
+            "run", "--policy", "jsq", "--backend", "fast", "--servers", "6",
+            "--dispatchers", "2", "--rounds", "1500", "--seed", "7",
+            "--max-legs", "2", "--checkpoint-dir", str(directory),
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads = sorted((directory / "checkpoints").glob("ckpt-*.pkl"))
+        assert len(payloads) == 2
+        for payload in payloads:
+            payload.write_bytes(b"corrupt")
+        proc = run_cli_process("resume", str(directory))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("repro resume: no usable checkpoint"), proc.stderr
+        assert "resum" not in proc.stdout
+        assert not (directory / "result.json").exists()
+
+
 class TestDamagedManifests:
     @pytest.mark.parametrize("command", ["resume", "tail"])
     def test_damaged_run_manifest(self, command, tmp_path):

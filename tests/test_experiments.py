@@ -11,6 +11,9 @@ The two load-bearing guarantees:
    identical to the serial executor (seed-stable scheduling).
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,19 +50,52 @@ class TestGrid:
         assert exp.size == 1
 
     def test_size_and_cell_order(self):
+        workloads = (WorkloadSpec(), WorkloadSpec.skewed(3.0))
         exp = Experiment(
             policies=["scd", "jsq"],
             systems=[SMALL, OTHER],
             loads=[0.7, 0.9],
-            replications=2,
+            replications=3,
+            workloads=workloads,
             rounds=100,
         )
         cells = list(exp.cells())
-        assert exp.size == len(cells) == 16
-        assert [c.index for c in cells] == list(range(16))
-        # Policy is the innermost axis: consecutive cells share the seed.
-        assert cells[0].seed == cells[1].seed
-        assert cells[0].policy.label == "scd" and cells[1].policy.label == "jsq"
+        assert exp.size == len(cells) == 48
+        assert exp.size == sum(1 for _ in exp.cells())
+        # Workload, system, load, replication, then policy innermost:
+        # consecutive cells share the seed.
+        expected = []
+        for workload, system, rho, rep in itertools.product(
+            workloads, [SMALL, OTHER], [0.7, 0.9], range(3)
+        ):
+            seed = exp.cell_seed(workload, system, rho, rep)
+            for label in ("scd", "jsq"):
+                expected.append(
+                    (len(expected), label, system.name, rho, rep, workload.name, seed)
+                )
+        assert [
+            (
+                c.index, c.policy.label, c.system.name, c.rho, c.replication,
+                c.workload.name, c.seed,
+            )
+            for c in cells
+        ] == expected
+
+    def test_first_cell_memory_independent_of_replications(self):
+        """Enumeration holds no per-replication state: the first cell of
+        a million-replication grid allocates no more than a small one."""
+        small = Experiment(policies="scd", systems=SMALL, loads=0.8, rounds=100)
+        next(small.cells())  # warm-up: lazy imports and first-call caches
+        huge = Experiment(
+            policies="scd", systems=SMALL, loads=0.8, rounds=100, replications=10**6
+        )
+        tracemalloc.start()
+        try:
+            next(huge.cells())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"first cell allocated {peak} bytes"
 
     def test_seeds_policy_independent_and_coordinate_distinct(self):
         exp = Experiment(
@@ -84,6 +120,19 @@ class TestGrid:
             )
         with pytest.raises(ValueError):
             Experiment(policies=["scd", "scd"], systems=SMALL, loads=0.8)
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            Experiment(policies="scd", systems=SMALL, loads=0.8, replications=2.0)
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            Experiment(policies="scd", systems=SMALL, loads=0.8, rounds=100.5)
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        exp = Experiment(
+            policies="scd", systems=SMALL, loads=0.8,
+            replications=np.int64(2), rounds=np.int32(100), warmup=np.int64(10),
+        )
+        for name in ("replications", "rounds", "warmup"):
+            assert type(getattr(exp, name)) is int
+        assert exp.size == 2
 
     @pytest.mark.parametrize(
         "policies, loads",

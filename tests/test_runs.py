@@ -109,7 +109,7 @@ class TestCheckpointStore:
             path.write_text(json.dumps(manifest))
         message = f"unsupported format version {version}"
         with pytest.warns(RuntimeWarning, match=message):
-            with pytest.raises(CheckpointError, match=message):
+            with pytest.raises(SystemExit, match=f"^repro resume: .*{message}"):
                 main(["resume", str(directory)])
 
     @pytest.mark.parametrize("kind", ["simulation", "experiment"])
@@ -129,7 +129,9 @@ class TestCheckpointStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+        with pytest.raises(
+            SystemExit, match="^repro resume: .*unsupported format version 1"
+        ):
             main(["resume", str(directory)])
 
     def test_newest_wins(self, tmp_path):
@@ -587,7 +589,7 @@ class TestCli:
         assert code == 0 and "paused after 1 checkpoint leg(s)" in out
         code, out = self.run_cli(capsys, "resume", str(directory))
         assert code == 0
-        assert "resuming from round 256" in out
+        assert "resumed from round 256" in out
         assert "mean_response_time" in out and "probe herding" in out
         code, out = self.run_cli(capsys, "tail", str(directory))
         assert code == 0
