@@ -38,11 +38,6 @@ BENCH_LOADS = tuple(
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
-#: Policies in the main-body figures (3 and 4).
-MAIN_POLICIES = ("scd", "twf", "jsq", "sed", "hjsq(2)", "hjiq", "hlsq")
-#: Policies in the appendix figures (6 and 7).
-EXTRA_POLICIES = ("scd", "jsq(2)", "jiq", "lsq", "wr")
-
 
 def grid_experiment(
     policies, system: repro.SystemSpec, loads=None

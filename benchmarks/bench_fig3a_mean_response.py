@@ -9,9 +9,9 @@ widens with load.
 import pytest
 
 import repro
+from repro import MAIN_POLICIES
 from _common import (
     BENCH_LOADS,
-    MAIN_POLICIES,
     mean_response_rows,
     run_policy_over_loads,
 )

@@ -9,7 +9,8 @@ at rho=0.99 SCD beats the runner-up by over 2x at the 1e-4 level.
 import pytest
 
 import repro
-from _common import MAIN_POLICIES, grid_experiment
+from repro import MAIN_POLICIES
+from _common import grid_experiment
 
 TABLE_SPEC = (
     "fig3b_tail_ccdf",

@@ -8,9 +8,9 @@ policies (TWF, JSQ) degrade much further.
 import pytest
 
 import repro
+from repro import MAIN_POLICIES
 from _common import (
     BENCH_LOADS,
-    MAIN_POLICIES,
     grid_experiment,
     mean_response_rows,
     run_policy_over_loads,

@@ -9,7 +9,8 @@ even at rho=0.7.
 import pytest
 
 import repro
-from _common import MAIN_POLICIES, grid_experiment
+from repro import MAIN_POLICIES
+from _common import grid_experiment
 
 TABLE_SPEC = (
     "fig4b_tail_ccdf",

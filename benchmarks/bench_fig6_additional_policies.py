@@ -9,8 +9,8 @@ JSQ(2)/JIQ/LSQ ignore heterogeneity, WR ignores queue state.
 import pytest
 
 import repro
+from repro import EXTRA_POLICIES
 from _common import (
-    EXTRA_POLICIES,
     grid_experiment,
     mean_response_rows,
     run_policy_over_loads,

@@ -8,8 +8,8 @@ because uniform sampling starves the fast servers.
 import pytest
 
 import repro
+from repro import EXTRA_POLICIES
 from _common import (
-    EXTRA_POLICIES,
     grid_experiment,
     mean_response_rows,
     run_policy_over_loads,

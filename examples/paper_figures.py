@@ -19,6 +19,7 @@ import argparse
 import numpy as np
 
 import repro
+from repro import EXTRA_POLICIES, MAIN_POLICIES
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
     collect_snapshots,
@@ -26,11 +27,8 @@ from repro.analysis.runtime import (
     runtime_cdf_summary,
 )
 
-MAIN_POLICIES = ["scd", "twf", "jsq", "sed", "hjsq(2)", "hjiq", "hlsq"]
-EXTRA_POLICIES = ["scd", "jsq(2)", "jiq", "lsq", "wr"]
 
-
-def mean_response_figure(profile: str, policies: list[str], args) -> None:
+def mean_response_figure(profile: str, policies: tuple[str, ...], args) -> None:
     """Figures 3a / 4a / 6a / 7a: mean response vs offered load, 4 systems."""
     for system in repro.PAPER_SYSTEMS[profile]:
         sweep = repro.Experiment(
@@ -52,7 +50,7 @@ def mean_response_figure(profile: str, policies: list[str], args) -> None:
         )
 
 
-def tail_figure(profile: str, policies: list[str], args) -> None:
+def tail_figure(profile: str, policies: tuple[str, ...], args) -> None:
     """Figures 3b / 4b / 6b / 7b: response-time CCDF at three loads."""
     system = repro.paper_system(100, 10, profile)
     for rho in repro.TAIL_LOADS:

@@ -42,241 +42,152 @@ The core math is importable directly:
 >>> q, mu = np.array([2, 1, 3, 1]), np.array([5.0, 2.0, 1.0, 1.0])
 >>> repro.compute_iwl(q, mu, arrivals=7)   # Figure 1's ideal workload
 1.375
+
+Importing the package loads none of its submodules: each public name
+below is imported from its submodule on first access (PEP 562), so a
+process pays only for the layers it uses.  The packages form one stack,
+each importing only from those before it::
+
+    workloads < core < policies < sim < meanfield < analysis
+              < experiments < runs < service < cli
 """
 
-from .analysis.ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
-from .analysis.replication import ReplicatedResult, paired_comparison
-from .analysis.persistence import (
-    load_experiment,
-    load_result,
-    save_experiment,
-    save_result,
-)
-from .analysis.stability import StabilityVerdict, assess_stability
-from .analysis.tables import format_series_table, format_table
-from .experiments import (
-    Cell,
-    CellRecord,
-    Executor,
-    Experiment,
-    ExperimentResult,
-    PolicySpec,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    WorkloadSpec,
-    simulate_cell,
-)
-from .core.estimation import (
-    ArrivalEstimator,
-    ConstantEstimator,
-    EwmaEstimator,
-    OracleTotal,
-    ScaledOwnArrivals,
-    make_estimator,
-)
-from .core.iwl import compute_iba, compute_iwl, compute_iwl_reference
-from .core.probabilities import (
-    kkt_residuals,
-    scd_objective,
-    scd_probabilities,
-    scd_probabilities_loop,
-    scd_probabilities_quadratic,
-    single_job_probabilities,
-)
-from .core.scd import SCDPolicy, SizedSCDPolicy, scd_decision
-from .core.theory import (
-    StabilityBound,
-    geometric_second_moment,
-    poisson_second_moment,
-    strong_stability_bound,
-)
-from .core.twf import TWFPolicy, twf_probabilities
-from .policies.base import Policy, SystemContext, available_policies, make_policy
-from .policies.greedy import greedy_batch_assign, greedy_batch_assign_heap
-from .sim.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-)
-from .sim.backends import (
-    EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    SizedServerQueue,
-    available_backends,
-    backend_descriptions,
-    make_backend,
-    register_backend,
-)
-from .sim.batchstore import BatchQueueStore
-from .sim.engine import Simulation, SimulationConfig, SimulationResult, simulate
-from .sim.metrics import QueueLengthSeries, ResponseTimeHistogram
-from .sim.probes import (
-    DEFAULT_PROBE_LABELS,
-    DispatcherStatsProbe,
-    HerdingSignalProbe,
-    Probe,
-    ProbeBlock,
-    ProbeContext,
-    ProbeSet,
-    ProbeSpec,
-    QueueSeriesProbe,
-    ResponseTimeProbe,
-    ServerStatsProbe,
-    WindowedMeanProbe,
-    available_probes,
-    make_probe,
-    probe_descriptions,
-    probe_from_state,
-    register_probe,
-)
-from .sim.seeding import derive_seed, spawn_streams
-from .sim.sized import (
-    BimodalSize,
-    DeterministicSize,
-    GeometricSize,
-    JobSizeDistribution,
-)
-from .sim.service import (
-    DeterministicService,
-    GeometricService,
-    ServiceProcess,
-    TraceService,
-)
-from .workloads.heterogeneity import (
-    bimodal_rates,
-    constant_rates,
-    make_rates,
-    uniform_rates,
-)
-from .workloads.scenarios import (
-    PAPER_LOADS,
-    PAPER_SYSTEMS,
-    TAIL_LOADS,
-    SystemSpec,
-    lambdas_for_load,
-    paper_system,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
+#: Submodule -> the public names it provides; the one list of the
+#: package's top-level API.
+_EXPORTS = {
     # declarative experiments
-    "Experiment",
-    "ExperimentResult",
-    "WorkloadSpec",
-    "PolicySpec",
-    "Cell",
-    "CellRecord",
-    "Executor",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "simulate_cell",
-    "save_experiment",
-    "load_experiment",
+    "experiments": (
+        "Experiment",
+        "ExperimentResult",
+        "WorkloadSpec",
+        "PolicySpec",
+        "Cell",
+        "CellRecord",
+        "Executor",
+        "SerialExecutor",
+        "ProcessPoolExecutor",
+        "simulate_cell",
+    ),
+    "experiments.persistence": (
+        "save_experiment",
+        "load_experiment",
+        "save_result",
+        "load_result",
+    ),
     # core math
-    "compute_iwl",
-    "compute_iwl_reference",
-    "compute_iba",
-    "scd_probabilities",
-    "scd_probabilities_loop",
-    "scd_probabilities_quadratic",
-    "single_job_probabilities",
-    "scd_objective",
-    "kkt_residuals",
-    "scd_decision",
-    "twf_probabilities",
-    "SizedSCDPolicy",
-    # estimators
-    "ArrivalEstimator",
-    "ScaledOwnArrivals",
-    "OracleTotal",
-    "ConstantEstimator",
-    "EwmaEstimator",
-    "make_estimator",
+    "core.iwl": ("compute_iwl", "compute_iwl_reference", "compute_iba"),
+    "core.probabilities": (
+        "scd_probabilities",
+        "scd_probabilities_loop",
+        "scd_probabilities_quadratic",
+        "single_job_probabilities",
+        "scd_objective",
+        "kkt_residuals",
+    ),
+    "core.scd": ("scd_decision",),
+    "core.twf": ("twf_probabilities",),
+    "core.theory": (
+        "StabilityBound",
+        "strong_stability_bound",
+        "poisson_second_moment",
+        "geometric_second_moment",
+    ),
+    "core.estimation": (
+        "ArrivalEstimator",
+        "ScaledOwnArrivals",
+        "OracleTotal",
+        "ConstantEstimator",
+        "EwmaEstimator",
+        "make_estimator",
+    ),
     # policies
-    "Policy",
-    "SystemContext",
-    "SCDPolicy",
-    "TWFPolicy",
-    "make_policy",
-    "available_policies",
-    "greedy_batch_assign",
-    "greedy_batch_assign_heap",
+    "policies.base": ("Policy", "SystemContext", "make_policy", "available_policies"),
+    "policies.scd": ("SCDPolicy", "SizedSCDPolicy"),
+    "policies.twf": ("TWFPolicy",),
+    "policies.greedy": ("greedy_batch_assign", "greedy_batch_assign_heap"),
     # simulation
-    "Simulation",
-    "SimulationConfig",
-    "SimulationResult",
-    "simulate",
-    "EngineBackend",
-    "ReferenceBackend",
-    "FastBackend",
-    "register_backend",
-    "make_backend",
-    "available_backends",
-    "backend_descriptions",
-    "BatchQueueStore",
+    "sim.engine": ("Simulation", "SimulationConfig", "SimulationResult", "simulate"),
+    "sim.backends": (
+        "EngineBackend",
+        "ReferenceBackend",
+        "FastBackend",
+        "register_backend",
+        "make_backend",
+        "available_backends",
+        "backend_descriptions",
+        "SizedServerQueue",
+    ),
+    "sim.batchstore": ("BatchQueueStore",),
     # observability probes
-    "Probe",
-    "ProbeSpec",
-    "ProbeSet",
-    "ProbeContext",
-    "ProbeBlock",
-    "ResponseTimeProbe",
-    "QueueSeriesProbe",
-    "ServerStatsProbe",
-    "DispatcherStatsProbe",
-    "WindowedMeanProbe",
-    "HerdingSignalProbe",
-    "register_probe",
-    "make_probe",
-    "available_probes",
-    "probe_descriptions",
-    "probe_from_state",
-    "DEFAULT_PROBE_LABELS",
-    "ResponseTimeHistogram",
-    "JobSizeDistribution",
-    "DeterministicSize",
-    "GeometricSize",
-    "BimodalSize",
-    "SizedServerQueue",
-    "QueueLengthSeries",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "TraceArrivals",
-    "ServiceProcess",
-    "GeometricService",
-    "DeterministicService",
-    "TraceService",
-    "spawn_streams",
-    "derive_seed",
+    "sim.probes": (
+        "Probe",
+        "ProbeSpec",
+        "ProbeSet",
+        "ProbeContext",
+        "ProbeBlock",
+        "ResponseTimeProbe",
+        "QueueSeriesProbe",
+        "ServerStatsProbe",
+        "DispatcherStatsProbe",
+        "WindowedMeanProbe",
+        "HerdingSignalProbe",
+        "register_probe",
+        "make_probe",
+        "available_probes",
+        "probe_descriptions",
+        "probe_from_state",
+        "DEFAULT_PROBE_LABELS",
+    ),
+    "sim.metrics": ("ResponseTimeHistogram", "QueueLengthSeries"),
+    "sim.sized": ("JobSizeDistribution", "DeterministicSize", "GeometricSize", "BimodalSize"),
+    "sim.arrivals": (
+        "ArrivalProcess",
+        "PoissonArrivals",
+        "DeterministicArrivals",
+        "TraceArrivals",
+    ),
+    "sim.service": (
+        "ServiceProcess",
+        "GeometricService",
+        "DeterministicService",
+        "TraceService",
+    ),
+    "sim.seeding": ("spawn_streams", "derive_seed"),
     # workloads
-    "SystemSpec",
-    "paper_system",
-    "PAPER_SYSTEMS",
-    "PAPER_LOADS",
-    "TAIL_LOADS",
-    "lambdas_for_load",
-    "uniform_rates",
-    "bimodal_rates",
-    "constant_rates",
-    "make_rates",
+    "workloads.scenarios": (
+        "SystemSpec",
+        "paper_system",
+        "PAPER_SYSTEMS",
+        "PAPER_LOADS",
+        "TAIL_LOADS",
+        "MAIN_POLICIES",
+        "EXTRA_POLICIES",
+        "lambdas_for_load",
+    ),
+    "workloads.heterogeneity": ("uniform_rates", "bimodal_rates", "constant_rates", "make_rates"),
     # analysis
-    "ReplicatedResult",
-    "paired_comparison",
-    "ccdf_series",
-    "tail_quantiles",
-    "tail_improvement_factor",
-    "assess_stability",
-    "StabilityVerdict",
-    "save_result",
-    "load_result",
-    "StabilityBound",
-    "strong_stability_bound",
-    "poisson_second_moment",
-    "geometric_second_moment",
-    "format_table",
-    "format_series_table",
-]
+    "analysis.replication": ("ReplicatedResult", "paired_comparison"),
+    "analysis.ccdf": ("ccdf_series", "tail_quantiles", "tail_improvement_factor"),
+    "analysis.stability": ("assess_stability", "StabilityVerdict"),
+    "analysis.tables": ("format_table", "format_series_table"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

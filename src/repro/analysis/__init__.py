@@ -1,7 +1,6 @@
 """Evaluation analysis: tails, replication statistics, run-time and stability."""
 
 from .ccdf import ccdf_series, tail_improvement_factor, tail_quantiles
-from .persistence import load_experiment, load_result, save_experiment, save_result
 from .replication import ReplicatedResult, paired_comparison
 from .runtime import (
     RUNTIME_TECHNIQUES,
@@ -22,10 +21,6 @@ __all__ = [
     "measure_decision_times",
     "runtime_cdf_summary",
     "RUNTIME_TECHNIQUES",
-    "save_result",
-    "load_result",
-    "save_experiment",
-    "load_experiment",
     "ReplicatedResult",
     "paired_comparison",
     "assess_stability",

@@ -99,7 +99,6 @@ import time
 from pathlib import Path
 
 from repro.analysis.ccdf import tail_quantiles
-from repro.analysis.persistence import save_experiment, save_result
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
     collect_snapshots,
@@ -110,6 +109,7 @@ from repro.analysis.stability import assess_stability
 from repro.analysis.tables import format_series_table, format_table
 from repro.core.theory import strong_stability_bound
 from repro.experiments import Experiment, WorkloadSpec
+from repro.experiments.persistence import save_experiment, save_result
 from repro.policies.base import available_policies
 from repro.sim._registry import parse_params
 from repro.sim.backends import backend_capabilities, backend_descriptions
@@ -408,7 +408,7 @@ def cmd_probes(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.scenarios import scenario_descriptions
+    from repro.sim.scenarios import scenario_descriptions
 
     _print_listing(
         "workload scenarios (pass one via --scenario NAME[:key=value,...]):",

@@ -1,4 +1,11 @@
-"""The paper's primary contribution: IWL, optimal probabilities, SCD, TWF."""
+"""SCD's math: the ideal workload, the optimal probabilities, the decision.
+
+Pure functions and solvers with no dependency on any other ``repro``
+package: the ideal workload (Algorithm 3), the optimal probabilities
+(Algorithm 4), SCD's from-scratch per-dispatcher decision, TWF's
+homogeneous solve, arrival estimators and the stability theory.  The
+dispatching policies built on them live in :mod:`repro.policies`.
+"""
 
 from .estimation import (
     ArrivalEstimator,
@@ -18,14 +25,14 @@ from .probabilities import (
     scd_probabilities_quadratic,
     single_job_probabilities,
 )
-from .scd import PROBABILITY_ALGORITHMS, SCDPolicy, SizedSCDPolicy, scd_decision
+from .scd import PROBABILITY_ALGORITHMS, scd_decision
 from .theory import (
     StabilityBound,
     geometric_second_moment,
     poisson_second_moment,
     strong_stability_bound,
 )
-from .twf import TWFPolicy, twf_probabilities
+from .twf import twf_probabilities
 
 __all__ = [
     "compute_iwl",
@@ -39,11 +46,8 @@ __all__ = [
     "scd_objective",
     "kkt_residuals",
     "priority_key",
-    "SCDPolicy",
     "scd_decision",
     "PROBABILITY_ALGORITHMS",
-    "SizedSCDPolicy",
-    "TWFPolicy",
     "twf_probabilities",
     "StabilityBound",
     "strong_stability_bound",

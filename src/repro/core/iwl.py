@@ -81,7 +81,7 @@ class LoadSnapshot:
     ``argsort`` of the loads ``q_s / mu_s`` (``O(n)`` given the order);
     :meth:`levels` then solves any number of arrival values with one
     ``searchsorted``.  Inputs are trusted: :func:`compute_iwl` validates
-    before building one, and :class:`repro.core.scd.SCDPolicy` checks its
+    before building one, and :class:`repro.policies.scd.SCDPolicy` checks its
     rates once at bind and its queues once per round.
     """
 

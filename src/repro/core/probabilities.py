@@ -61,7 +61,7 @@ therefore takes the two size constants as keyword-only ``mean_size``
 :func:`single_job_probabilities` and :func:`scd_objective`; the defaults
 ``1.0`` reproduce Eq. (10) bit for bit.  The IWL is then computed on the
 estimated total *work* ``a * wbar``
-(:class:`repro.core.scd.SizedSCDPolicy`).
+(:class:`repro.policies.scd.SizedSCDPolicy`).
 
 Intuition for the constants: a heavier mean size raises the variance
 penalty of piling probability on one server (the quadratic weight
@@ -169,7 +169,7 @@ class KeySnapshot:
     ``argsort`` (``O(n)`` given the order).  :meth:`solve` then solves
     any number of ``(a, iwl)`` pairs as one ``(k, n)`` problem.  Inputs
     are trusted: :func:`scd_probabilities` validates before building
-    one, and :class:`repro.core.scd.SCDPolicy` checks its rates once at
+    one, and :class:`repro.policies.scd.SCDPolicy` checks its rates once at
     bind and its queues once per round.
     """
 

@@ -15,9 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.grid import Experiment, PolicySpec
-from repro.experiments.results import CellRecord, ExperimentResult
-from repro.experiments.workload import UnreconstructedFactory, WorkloadSpec
 from repro.sim.engine import SimulationConfig, SimulationResult
 from repro.sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from repro.sim.probes import (
@@ -28,6 +25,10 @@ from repro.sim.probes import (
     probe_from_state,
 )
 from repro.workloads.scenarios import SystemSpec
+
+from .grid import Experiment, PolicySpec
+from .results import CellRecord, ExperimentResult
+from .workload import UnreconstructedFactory, WorkloadSpec
 
 __all__ = [
     "result_to_dict",

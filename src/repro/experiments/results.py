@@ -9,7 +9,7 @@ directly assertable property.
 
 :class:`ExperimentResult` is the container: filter by any coordinate,
 aggregate over replications, or round-trip through JSON via
-:mod:`repro.analysis.persistence`.  Records carry the seed their cell
+:mod:`repro.experiments.persistence`.  Records carry the seed their cell
 ran under (see :mod:`repro.experiments.grid` for the seed scheme), so a
 saved result names the exact realization behind every number.
 """
@@ -228,14 +228,14 @@ class ExperimentResult:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: "str | Path") -> "Path":
-        """Write this result as JSON (see ``analysis.persistence``)."""
-        from repro.analysis.persistence import save_experiment
+        """Write this result as JSON (see ``experiments.persistence``)."""
+        from .persistence import save_experiment
 
         return save_experiment(self, path)
 
     @classmethod
     def load(cls, path: "str | Path") -> "ExperimentResult":
         """Read a result written by :meth:`save`."""
-        from repro.analysis.persistence import load_experiment
+        from .persistence import load_experiment
 
         return load_experiment(path)

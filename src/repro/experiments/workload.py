@@ -105,7 +105,7 @@ class WorkloadSpec:
         count work units; ``None`` (the default) means unit jobs.
     scenario:
         Optional scenario spec string ``NAME[:k=v,...]`` (see
-        :mod:`repro.scenarios`): nonstationary arrival modulation
+        :mod:`repro.sim.scenarios`): nonstationary arrival modulation
         and/or server churn, applied by the engine at simulation
         construction.  Survives JSON round-trips verbatim, so scenario
         experiments can be re-run from saved descriptors.
@@ -124,7 +124,7 @@ class WorkloadSpec:
             raise ValueError("workload name must be non-empty")
         if self.scenario is not None:
             # Fail at grid-definition time, not inside a worker process.
-            from repro.scenarios import make_scenario
+            from repro.sim.scenarios import make_scenario
 
             make_scenario(self.scenario)
         if self.skew is not None and self.dispatcher_weights is not None:

@@ -18,7 +18,10 @@ map that the stochastic system converges to as ``n -> infinity``
 * :mod:`repro.meanfield.backend` -- :class:`MeanFieldBackend`, the
   ``"meanfield"`` registration in :mod:`repro.sim.backends`, consuming
   the same ``SimulationConfig`` seam as every simulation kernel and
-  synthesizing results through the probe/metrics interface.
+  synthesizing results through the probe/metrics interface.  This
+  package sits above ``sim``: the backend registry names
+  ``repro.meanfield.backend`` in a table and imports it on the first
+  lookup of ``"meanfield"``, so ``sim`` never imports it.
 """
 
 from .backend import MeanFieldBackend

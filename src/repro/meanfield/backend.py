@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..scenarios.arrivals import ModulatedRateArrivals
-from ..scenarios.churn import ChurnPolicyAdapter
 from ..sim.arrivals import PoissonArrivals
 from ..sim.backends import (
     BackendCapabilities,
@@ -55,6 +53,8 @@ from ..sim.probes import (
     QueueSeriesProbe,
     ResponseTimeProbe,
 )
+from ..sim.scenarios.arrivals import ModulatedRateArrivals
+from ..sim.scenarios.churn import ChurnPolicyAdapter
 from ..sim.service import GeometricService
 from .integrator import METHODS, FixedStepIntegrator, InvariantError
 from .odes import FluidModel, ServerClasses, arrival_choices_for_policy

@@ -1,7 +1,10 @@
-"""Dispatching policies: SCD's baselines and the policy framework.
+"""Dispatching policies: SCD, TWF, the baselines and the policy framework.
 
-Importing this package registers every policy with the name registry, so
-``make_policy("hlsq")`` etc. work after ``import repro.policies``.
+The SCD family (``scd``, ``scd-sized``, ``twf``) is built on the math of
+:mod:`repro.core`; the baselines need only the greedy solver.  Importing
+this package registers every policy with the name registry, so
+``make_policy("scd")``, ``make_policy("hlsq")`` etc. work after
+``import repro.policies`` (importing any submodule imports it).
 """
 
 from .base import Policy, SystemContext, available_policies, make_policy, register_policy
@@ -13,6 +16,8 @@ from .lsq import LSQPolicy
 from .power_of_d import PowerOfDPolicy
 from .random_policies import UniformRandomPolicy, WeightedRandomPolicy
 from .round_robin import RoundRobinPolicy, WeightedRoundRobinPolicy
+from .scd import SCDPolicy, SizedSCDPolicy
+from .twf import TWFPolicy
 
 __all__ = [
     "Policy",
@@ -23,6 +28,9 @@ __all__ = [
     "greedy_batch_assign",
     "greedy_batch_assign_heap",
     "greedy_certificate_ok",
+    "SCDPolicy",
+    "SizedSCDPolicy",
+    "TWFPolicy",
     "JSQPolicy",
     "SEDPolicy",
     "PowerOfDPolicy",

@@ -49,7 +49,9 @@ __all__ = [
 #: ``regime`` rate curve; the two-state modulated arrival class and the
 #: workload-factory classes are gone.  Version 5: JSQ and SED keep their
 #: rank rates and a round snapshot instead of the raw queue view.
-_FORMAT_VERSION = 5
+#: Version 6: the SCD-family policies and the scenario classes moved to
+#: ``repro.policies`` and ``repro.sim.scenarios``.
+_FORMAT_VERSION = 6
 
 
 def retained_rounds(

@@ -25,9 +25,9 @@ import json
 import pickle
 from pathlib import Path
 
-from repro.analysis.persistence import save_experiment
 from repro.experiments.executor import build_cell_simulation
 from repro.experiments.grid import Experiment
+from repro.experiments.persistence import save_experiment
 from repro.experiments.results import CellRecord, ExperimentResult
 
 from .orchestrator import _RUN_FORMAT_VERSION, Run, _check_run_format

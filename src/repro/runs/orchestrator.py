@@ -32,7 +32,7 @@ import pickle
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.analysis.persistence import result_from_dict, result_to_dict
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.sim.backends import backend_capabilities
 from repro.sim.blockdriver import BLOCK_ROUNDS
 from repro.sim.engine import Simulation, SimulationResult
@@ -56,8 +56,10 @@ __all__ = [
 #: classes those pickles reference change, so an older directory is
 #: refused by :func:`_check_run_format` before anything is unpickled.
 #: Version 2: bursty workloads are ``regime`` scenarios and the
-#: workload-factory classes are gone.
-_RUN_FORMAT_VERSION = 2
+#: workload-factory classes are gone.  Version 3: the SCD-family policies
+#: and the scenario classes moved to ``repro.policies`` and
+#: ``repro.sim.scenarios``.
+_RUN_FORMAT_VERSION = 3
 
 
 def _check_run_format(manifest: dict, manifest_path: Path) -> None:

@@ -3,7 +3,7 @@
 A thin, JSON-only front door over the :class:`~repro.service.jobs.JobManager`
 and :class:`~repro.service.coordinator.FederationCoordinator` --
 deliberately the *lossy* boundary: bodies are the same experiment
-descriptors :func:`repro.analysis.persistence.experiment_from_descriptor`
+descriptors :func:`repro.experiments.persistence.experiment_from_descriptor`
 round-trips, so anything a descriptor cannot carry (custom workload
 factories) is rejected at submission with a 400 instead of failing
 mid-grid on a worker.  Trusted pickle stays on the worker socket.
@@ -38,7 +38,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.analysis.persistence import experiment_from_descriptor
+from repro.experiments.persistence import experiment_from_descriptor
 from repro.runs.telemetry import follow_events, iter_events
 
 from .coordinator import FederationCoordinator

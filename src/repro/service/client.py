@@ -14,7 +14,7 @@ import urllib.error
 import urllib.request
 from typing import Iterator
 
-from repro.analysis.persistence import experiment_result_from_dict
+from repro.experiments.persistence import experiment_result_from_dict
 from repro.experiments.results import ExperimentResult
 
 __all__ = [

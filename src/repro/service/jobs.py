@@ -37,9 +37,9 @@ import time
 from pathlib import Path
 
 from repro.experiments.grid import Cell, Experiment
+from repro.experiments.persistence import save_experiment
 from repro.experiments.results import CellRecord, ExperimentResult
 from repro.experiments.workload import UnreconstructedFactory
-from repro.analysis.persistence import save_experiment
 from repro.runs.checkpoint import CheckpointStore
 from repro.runs.telemetry import TelemetryWriter
 

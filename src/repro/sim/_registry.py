@@ -16,6 +16,7 @@ parse through it.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Generic, TypeVar
 
@@ -116,13 +117,27 @@ class BackendRegistry(Generic[T]):
     base:
         The family's abstract base class; ``make`` passes instances of
         it through untouched.
+    deferred:
+        Name -> module for entries registered by a module this package
+        must not import; the module is imported on the first lookup of
+        the name (listings of names need no import).
     """
 
-    def __init__(self, kind: str, plural: str, base: type) -> None:
+    def __init__(
+        self, kind: str, plural: str, base: type, deferred: dict[str, str] | None = None
+    ) -> None:
         self._kind = kind
         self._plural = plural
         self._base = base
         self._factories: dict[str, Callable[[], T]] = {}
+        self._deferred = dict(deferred or {})
+
+    def _load(self, key: str) -> None:
+        """Import the module registering ``key``'s head, if it is deferred."""
+        head = key.partition(":")[0]
+        if head in self._deferred:
+            importlib.import_module(self._deferred[head])
+            del self._deferred[head]
 
     def register(self, name: str) -> Callable[[type], type]:
         """Class decorator registering a backend factory under ``name``."""
@@ -160,6 +175,7 @@ class BackendRegistry(Generic[T]):
         ``from_param`` reject parameters.
         """
         key = name.lower()
+        self._load(key)
         if key in self._factories:
             return self._factories[key]
         head, sep, param = key.partition(":")
@@ -171,17 +187,19 @@ class BackendRegistry(Generic[T]):
                     f"{self._kind} {head!r} takes no ':' parameters (got {name!r})"
                 )
             return lambda **kwargs: from_param(param, **kwargs)
-        known = ", ".join(sorted(self._factories))
+        known = ", ".join(self.available())
         raise ValueError(
             f"unknown {self._kind} {name!r}; known {self._plural}: {known}"
         )
 
     def available(self) -> list[str]:
         """Names accepted by :meth:`make`, sorted."""
-        return sorted(self._factories)
+        return sorted({*self._factories, *self._deferred})
 
     def descriptions(self) -> dict[str, str]:
         """Name -> one-line ``description`` attribute, for CLI listings."""
+        for name in list(self._deferred):
+            self._load(name)
         return {
             name: self._factories[name].description
             for name in sorted(self._factories)
@@ -197,6 +215,7 @@ class BackendRegistry(Generic[T]):
         if isinstance(spec, self._base):
             return spec.capabilities()
         key = spec.lower()
+        self._load(key)
         head = key if key in self._factories else key.partition(":")[0]
         if head not in self._factories:
             self.factory(spec)  # raise the canonical unknown-name error

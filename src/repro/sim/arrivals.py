@@ -6,7 +6,7 @@ only requires stochastic, independent, unknown processes (Section 2).  The
 extra processes here support tests (deterministic, trace).  Time-varying
 rates -- diurnal cycles, flash crowds, correlated calm/surge bursts --
 are rate curves over the Poisson base, applied by the scenarios in
-:mod:`repro.scenarios.arrivals`.
+:mod:`repro.sim.scenarios.arrivals`.
 """
 
 from __future__ import annotations

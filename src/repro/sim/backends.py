@@ -26,7 +26,9 @@ units, which are jobs when jobs have unit size.
     base-class ``dispatch_round`` fallback.
 
 ``meanfield``
-    The analytical fluid-limit engine (:mod:`repro.meanfield`).
+    The analytical fluid-limit engine (:mod:`repro.meanfield`).  It
+    sits above ``sim`` in the package's layer order, so the registry
+    names its module in a table and loads it on the first lookup.
 
 Backends are registered by name (mirroring the policy registry) so
 experiments and the CLI can select them as plain strings;
@@ -106,8 +108,12 @@ class EngineBackend(ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
+#: Backends defined above ``sim`` in the package's layer order, by the
+#: module that registers each; the registry imports it on first lookup.
+_DEFERRED_BACKENDS = {"meanfield": "repro.meanfield.backend"}
+
 _REGISTRY: BackendRegistry[EngineBackend] = BackendRegistry(
-    "engine backend", "backends", EngineBackend
+    "engine backend", "backends", EngineBackend, deferred=_DEFERRED_BACKENDS
 )
 
 #: Class decorator registering an engine backend under a name.
@@ -448,8 +454,3 @@ class FastBackend(EngineBackend):
             controller=controller,
         )
         return _make_result(sim, run, probes.as_dict())
-
-
-# The meanfield kernel registers itself on import; keep this at the
-# bottom so the registry machinery above exists when it does.
-from ..meanfield import backend as _meanfield  # noqa: E402,F401  (registration side effect)

@@ -81,7 +81,7 @@ class SimulationConfig:
         under ``<label>.<key>`` metric keys and ``result.probes``.
     scenario:
         Optional scenario spec string ``NAME[:k=v,...]`` (see
-        :mod:`repro.scenarios`; ``repro scenarios`` lists them).
+        :mod:`repro.sim.scenarios`; ``repro scenarios`` lists them).
         Applied once at :class:`Simulation` construction: the scenario
         may wrap the arrival process (nonstationary rates) and/or the
         policy (server churn).  ``None`` -- the default -- leaves the
@@ -199,7 +199,7 @@ class Simulation:
             # Applied before bind and before the objects are stored, so
             # run manifests pickle the wrapped policy/arrivals and every
             # kernel (and resume) sees the identical reshaped pair.
-            from repro.scenarios import apply_scenario
+            from .scenarios import apply_scenario
 
             policy, arrivals = apply_scenario(
                 self.config.scenario, policy, arrivals, self.rates.size

@@ -1,4 +1,4 @@
-"""Scenario subsystem: nonstationary arrivals and server churn.
+"""Scenarios, part of the simulation model: nonstationary arrivals and churn.
 
 Scenarios reshape a stationary run -- fixed Poisson rates over a fixed
 fleet -- into the regimes production systems actually face: diurnal

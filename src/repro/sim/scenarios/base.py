@@ -3,7 +3,7 @@
 A *scenario* reshapes a stationary simulation into a nonstationary one
 without touching the round loop: it may wrap the arrival process (rate
 curves -- diurnal cycles, flash crowds, regime switching) and/or supply
-a :class:`~repro.scenarios.churn.ChurnSchedule` (servers leaving and
+a :class:`~repro.sim.scenarios.churn.ChurnSchedule` (servers leaving and
 rejoining the fleet at block boundaries).  Scenarios travel as plain
 strings -- ``"diurnal"``, ``"flash:spike=6,at=2048"`` -- through
 :class:`~repro.experiments.workload.WorkloadSpec`,

@@ -7,7 +7,7 @@ process and the FIFO stores, untouched here -- but receive no new
 dispatches; policies see their queues as unavailable.
 
 The mechanism is :class:`ChurnPolicyAdapter`, a policy wrapper installed
-by :func:`repro.scenarios.base.apply_scenario`:
+by :func:`repro.sim.scenarios.base.apply_scenario`:
 
 * ``begin_round`` builds a masked queue view (unavailable servers show a
   huge sentinel length) and feeds *that* to the wrapped policy, so

@@ -2,6 +2,8 @@
 
 from .heterogeneity import bimodal_rates, constant_rates, make_rates, uniform_rates
 from .scenarios import (
+    EXTRA_POLICIES,
+    MAIN_POLICIES,
     PAPER_LOADS,
     PAPER_SYSTEMS,
     TAIL_LOADS,
@@ -20,5 +22,7 @@ __all__ = [
     "PAPER_SYSTEMS",
     "PAPER_LOADS",
     "TAIL_LOADS",
+    "MAIN_POLICIES",
+    "EXTRA_POLICIES",
     "lambdas_for_load",
 ]

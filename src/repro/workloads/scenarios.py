@@ -7,7 +7,8 @@ load ``rho`` then determines the symmetric per-dispatcher Poisson rates via
     lambda_d = rho * sum(mu) / m          (Section 6.1's definition of rho)
 
 so that ``rho = E[total arrivals] / E[total capacity]``.  The four systems
-of Figures 3/4/6/7 and the standard load grid are exported as constants.
+of Figures 3/4/6/7, the standard load grid and the policy set of each
+figure are exported as constants.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "PAPER_SYSTEMS",
     "PAPER_LOADS",
     "TAIL_LOADS",
+    "MAIN_POLICIES",
+    "EXTRA_POLICIES",
 ]
 
 
@@ -129,3 +132,9 @@ PAPER_LOADS: tuple[float, ...] = (0.60, 0.70, 0.80, 0.90, 0.95, 0.99)
 
 #: Loads at which the paper reports response-time tails (Figures 3b/4b).
 TAIL_LOADS: tuple[float, ...] = (0.70, 0.90, 0.99)
+
+#: Policies in the main-body figures (3 and 4).
+MAIN_POLICIES = ("scd", "twf", "jsq", "sed", "hjsq(2)", "hjiq", "hlsq")
+
+#: Policies in the appendix figures (6 and 7).
+EXTRA_POLICIES = ("scd", "jsq(2)", "jiq", "lsq", "wr")

@@ -74,6 +74,8 @@ class TestSubmodules:
             "repro.policies.led",
             "repro.policies.round_robin",
             "repro.policies.random_policies",
+            "repro.policies.scd",
+            "repro.policies.twf",
             "repro.sim",
             "repro.sim.engine",
             "repro.sim.arrivals",
@@ -82,6 +84,7 @@ class TestSubmodules:
             "repro.sim.metrics",
             "repro.sim.seeding",
             "repro.sim.sized",
+            "repro.sim.scenarios",
             "repro.workloads",
             "repro.workloads.heterogeneity",
             "repro.workloads.scenarios",
@@ -90,7 +93,7 @@ class TestSubmodules:
             "repro.analysis.tables",
             "repro.analysis.runtime",
             "repro.analysis.stability",
-            "repro.analysis.persistence",
+            "repro.experiments.persistence",
             "repro.analysis.replication",
             "repro.cli",
         ],

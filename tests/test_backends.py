@@ -32,7 +32,7 @@ from _helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scd import SCDPolicy
+from repro.policies.scd import SCDPolicy
 from repro.policies.base import Policy, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (

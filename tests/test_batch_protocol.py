@@ -42,8 +42,8 @@ from repro.policies.base import (
     make_policy,
     supports_round_batching,
 )
-from repro.scenarios import UNAVAILABLE_QUEUE
-from repro.scenarios.churn import ChurnPolicyAdapter, ChurnSchedule
+from repro.sim.scenarios import UNAVAILABLE_QUEUE
+from repro.sim.scenarios.churn import ChurnPolicyAdapter, ChurnSchedule
 from repro.sim import GeometricService, PoissonArrivals, Simulation, SimulationConfig
 from repro.sim.blockdriver import BLOCK_ROUNDS
 from repro.sim.probes import ProbeSpec

@@ -651,7 +651,7 @@ class TestKeyValueGrammar:
             ])
 
     def test_probes_and_scenarios_share_one_grammar(self):
-        from repro.scenarios import make_scenario
+        from repro.sim.scenarios import make_scenario
         from repro.sim._registry import parse_params
 
         assert parse_params("a=1,b=2.5,c=x", "probe") == {"a": 1, "b": 2.5, "c": "x"}

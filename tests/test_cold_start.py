@@ -1,10 +1,14 @@
 """Cold start: importing the package and running a cell load numpy only.
 
-scipy is imported inside the two statistics helpers that use it
+``import repro`` loads no submodule: the top level resolves its public
+names on first access.  Building and running a ``fast`` cell through
+:mod:`repro.experiments` loads only the layers a cell uses, none of
+``analysis``, ``meanfield``, ``runs``, ``service`` or ``cli``.  scipy is
+imported inside the two statistics helpers that use it
 (:meth:`ReplicatedResult.confidence_interval` and
 :func:`paired_comparison`); ``scipy.stats`` alone costs about a second of
-interpreter start-up.  The check runs in a fresh interpreter, since the
-test process itself has long since imported scipy.
+interpreter start-up.  The checks run in a fresh interpreter, since the
+test process itself has long since imported all of these.
 """
 
 import json
@@ -18,9 +22,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD = """
 import json, sys
 
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
 import repro
-import repro.cli
-import repro.service
+
+assert loaded("repro") == ["repro"], loaded("repro")
+
 from repro.experiments import Experiment
 from repro.workloads.scenarios import SystemSpec
 
@@ -29,6 +37,12 @@ result = Experiment(
     policies="scd", systems=system, loads=0.9, rounds=300, backend="fast"
 ).run()
 assert result.records[0].metrics["mean"] > 0
+for layer in ("analysis", "meanfield", "runs", "service", "cli"):
+    assert not loaded(f"repro.{layer}"), loaded(f"repro.{layer}")
+
+import repro.cli
+import repro.service
+
 assert "scipy" not in sys.modules, "scipy was imported before any statistics helper ran"
 
 from repro.analysis.replication import ReplicatedResult, paired_comparison

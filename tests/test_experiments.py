@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.persistence import (
+from repro.experiments.persistence import (
     experiment_from_descriptor,
     experiment_result_from_dict,
     experiment_result_to_dict,
@@ -31,7 +31,7 @@ from repro.experiments import (
     WorkloadSpec,
     resolve_executor,
 )
-from repro.scenarios import make_scenario
+from repro.sim.scenarios import make_scenario
 from repro.sim.seeding import derive_seed
 from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec

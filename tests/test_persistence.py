@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.persistence import (
+from repro.experiments.persistence import (
     load_result,
     result_from_dict,
     result_to_dict,

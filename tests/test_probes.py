@@ -650,7 +650,7 @@ class TestPersistence:
         )
 
     def test_default_result_payload_has_no_probe_keys(self):
-        from repro.analysis.persistence import result_to_dict
+        from repro.experiments.persistence import result_to_dict
 
         result = run_unsized("jsq", "reference", rounds=60, probes=())
         payload = result_to_dict(result)
@@ -661,7 +661,7 @@ class TestPersistence:
         """A pre-probe JSON payload (no probe keys) still loads."""
         import json
 
-        from repro.analysis.persistence import result_from_dict, result_to_dict
+        from repro.experiments.persistence import result_from_dict, result_to_dict
 
         result = run_unsized("jsq", "reference", rounds=60, probes=())
         payload = json.loads(json.dumps(result_to_dict(result)))

@@ -94,10 +94,11 @@ class TestCheckpointStore:
     def test_empty_store_is_fresh_start(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() is None
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_resume_refuses_retired_format_run_dir(self, tmp_path, version):
-        """Snapshots of versions 1-3 pickle classes and layouts that no
-        longer exist; the resume refuses them loudly instead of
+        """Snapshots of versions 1-5 pickle classes and layouts that no
+        longer exist (version 5 names the SCD and scenario classes by
+        their old module paths); the resume refuses them loudly instead of
         unpickling."""
         directory = tmp_path / "run"
         Run.create(build_sim("fast", sized=True), directory).execute(max_legs=1)
@@ -112,10 +113,12 @@ class TestCheckpointStore:
             with pytest.raises(SystemExit, match=f"^repro resume: .*{message}"):
                 main(["resume", str(directory)])
 
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("kind", ["simulation", "experiment"])
-    def test_resume_refuses_retired_run_format(self, tmp_path, kind):
-        """A version-1 run directory's pickle may reference deleted
-        classes; the resume reads run.json first and never unpickles."""
+    def test_resume_refuses_retired_run_format(self, tmp_path, kind, version):
+        """A version-1 or -2 run directory's pickle may reference deleted or
+        moved classes; the resume reads run.json first and never
+        unpickles."""
         directory = tmp_path / "run"
         if kind == "simulation":
             Run.create(build_sim("fast", sized=False), directory)
@@ -127,10 +130,10 @@ class TestCheckpointStore:
         pickled.write_bytes(b"garbage, not a pickle")
         manifest_path = directory / "run.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
-            SystemExit, match="^repro resume: .*unsupported format version 1"
+            SystemExit, match=f"^repro resume: .*unsupported format version {version}"
         ):
             main(["resume", str(directory)])
 

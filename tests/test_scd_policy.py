@@ -8,10 +8,12 @@ import pytest
 from repro.core.estimation import OracleTotal
 from repro.core.iwl import compute_iwl
 from repro.core.probabilities import scd_probabilities
-from repro.core.scd import SCDPolicy, scd_decision
-from repro.core.twf import TWFPolicy, twf_probabilities
+from repro.core.scd import scd_decision
+from repro.core.twf import twf_probabilities
 from repro.policies.base import Policy, SystemContext, make_policy
-from repro.scenarios import UNAVAILABLE_QUEUE
+from repro.policies.scd import SCDPolicy
+from repro.policies.twf import TWFPolicy
+from repro.sim.scenarios import UNAVAILABLE_QUEUE
 
 
 def bind(policy, rates, m=4, seed=0):
@@ -175,7 +177,7 @@ class TestNativeDispatchRound:
         """All active dispatchers share one IWL and one probability solve
         on the round snapshot, without np.unique; the per-dispatcher
         dispatch is never used."""
-        import repro.core.scd as scd_module
+        import repro.policies.scd as scd_module
 
         calls = []
         for cls, name in ((scd_module.LoadSnapshot, "levels"), (scd_module.KeySnapshot, "solve")):

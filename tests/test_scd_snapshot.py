@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 
 from repro.core.iwl import compute_iwl
 from repro.core.probabilities import scd_probabilities
-from repro.core.scd import SCDPolicy, SizedSCDPolicy
-from repro.core.twf import TWFPolicy
+from repro.policies.scd import SCDPolicy, SizedSCDPolicy
+from repro.policies.twf import TWFPolicy
 from repro.experiments.grid import Experiment, PolicySpec
 from repro.experiments.workload import WorkloadSpec
 from repro.policies.base import Policy, SystemContext
-from repro.scenarios import UNAVAILABLE_QUEUE
+from repro.sim.scenarios import UNAVAILABLE_QUEUE
 from repro.sim.sized import GeometricSize
 from repro.workloads.scenarios import SystemSpec
 

@@ -1,4 +1,4 @@
-"""Tests for the scenario subsystem (repro.scenarios).
+"""Tests for the scenario subsystem (repro.sim.scenarios).
 
 The load-bearing property (ISSUE 9 acceptance): every built-in scenario
 -- nonstationary arrival curves and server-churn capacity masks -- runs
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.persistence import (
+from repro.experiments.persistence import (
     experiment_from_descriptor,
     result_from_dict,
     result_to_dict,
@@ -28,7 +28,7 @@ from repro.experiments.grid import Experiment
 from repro.experiments.workload import WorkloadSpec
 from repro.policies.base import make_policy
 from repro.runs import Run
-from repro.scenarios import (
+from repro.sim.scenarios import (
     UNAVAILABLE_QUEUE,
     ChurnPolicyAdapter,
     ModulatedRateArrivals,

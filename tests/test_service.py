@@ -28,7 +28,7 @@ from _helpers import QUICK_SETTINGS
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.persistence import (
+from repro.experiments.persistence import (
     experiment_from_descriptor,
     load_experiment,
 )

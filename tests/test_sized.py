@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _helpers import dispatch_instances
 from repro.core.iwl import compute_iwl
 from repro.core.probabilities import scd_objective, scd_probabilities
-from repro.core.scd import SCDPolicy, SizedSCDPolicy
+from repro.policies.scd import SCDPolicy, SizedSCDPolicy
 from repro.policies.base import SystemContext, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import SizedServerQueue

@@ -37,7 +37,7 @@ from _helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.scd import SCDPolicy
+from repro.policies.scd import SCDPolicy
 from repro.policies.base import Policy, SystemContext, has_native_dispatch_round, make_policy
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.backends import (
@@ -475,7 +475,7 @@ class TestEndToEndPlumbing:
         assert {"jobs", "arrived"} <= set(fast.records[0].metrics)
 
     def test_sized_fast_experiment_json_round_trip(self, tmp_path):
-        from repro.analysis.persistence import load_experiment, save_experiment
+        from repro.experiments.persistence import load_experiment, save_experiment
         from repro.experiments import Experiment, WorkloadSpec
         from repro.workloads.scenarios import SystemSpec
 
