@@ -26,6 +26,12 @@ __all__ = [
 class ArrivalProcess(ABC):
     """Produces the vector of per-dispatcher batch sizes each round."""
 
+    #: True when :meth:`sample` and :meth:`sample_many` read and write no
+    #: state of the instance, so a block may be drawn ahead of time (see
+    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
+    #: class's own namespace, never inherited.
+    stateless = False
+
     @property
     @abstractmethod
     def num_dispatchers(self) -> int:
@@ -62,6 +68,8 @@ class ArrivalProcess(ABC):
 class PoissonArrivals(ArrivalProcess):
     """Independent Poisson batches: ``a_d(t) ~ Pois(lambda_d)``."""
 
+    stateless = True
+
     def __init__(self, lambdas: np.ndarray) -> None:
         self.lambdas = np.asarray(lambdas, dtype=np.float64)
         if self.lambdas.ndim != 1 or self.lambdas.size == 0:
@@ -78,14 +86,14 @@ class PoissonArrivals(ArrivalProcess):
         return float(self.lambdas.sum())
 
     def sample(self, rng: np.random.Generator, round_index: int) -> np.ndarray:
-        return rng.poisson(self.lambdas).astype(np.int64)
+        return rng.poisson(self.lambdas).astype(np.int64, copy=False)
 
     def sample_many(
         self, rng: np.random.Generator, start_round: int, count: int
     ) -> np.ndarray:
         return rng.poisson(
             self.lambdas, size=(count, self.lambdas.size)
-        ).astype(np.int64)
+        ).astype(np.int64, copy=False)
 
 
 class DeterministicArrivals(ArrivalProcess):
@@ -121,6 +129,8 @@ class DeterministicArrivals(ArrivalProcess):
 
 class TraceArrivals(ArrivalProcess):
     """Replay a ``(T, m)`` matrix of batch sizes, cycling past the end."""
+
+    stateless = True
 
     def __init__(self, trace: np.ndarray) -> None:
         self.trace = np.asarray(trace, dtype=np.int64)

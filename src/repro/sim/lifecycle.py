@@ -8,7 +8,10 @@ buffers exactly that many rounds.  Block boundaries are therefore the
 one place where *all* kernel state is at rest: the recorder buffer is
 empty, every batch store has resolved its FIFO bookkeeping, and the RNG
 streams sit at a position that depends only on the number of completed
-rounds.  That makes them natural checkpoint points.
+rounds.  That makes them natural checkpoint points.  The streams at
+those positions are the simulation's own generators, never the copies
+the ``fast`` kernel's helper thread draws the next block from (see
+"Drawing ahead" in :mod:`repro.sim.blockdriver`).
 
 A :class:`RunController` rides along a kernel invocation through the
 optional ``controller`` argument of ``EngineBackend.run``:

@@ -188,14 +188,14 @@ class ModulatedRateArrivals(ArrivalProcess):
 
     def sample(self, rng: np.random.Generator, round_index: int) -> np.ndarray:
         factor = self.curve.factors(round_index, 1)[0]
-        return rng.poisson(self.lambdas * factor).astype(np.int64)
+        return rng.poisson(self.lambdas * factor).astype(np.int64, copy=False)
 
     def sample_many(
         self, rng: np.random.Generator, start_round: int, count: int
     ) -> np.ndarray:
         factors = self.curve.factors(start_round, count)
         return rng.poisson(self.lambdas[None, :] * factors[:, None]).astype(
-            np.int64
+            np.int64, copy=False
         )
 
 

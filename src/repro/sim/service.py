@@ -32,6 +32,12 @@ def _check_rates(rates: np.ndarray) -> None:
 class ServiceProcess(ABC):
     """Produces the vector of per-server completion capacities each round."""
 
+    #: True when :meth:`sample` and :meth:`sample_many` read and write no
+    #: state of the instance, so a block may be drawn ahead of time (see
+    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
+    #: class's own namespace, never inherited.
+    stateless = False
+
     @property
     @abstractmethod
     def num_servers(self) -> int:
@@ -72,6 +78,8 @@ class GeometricService(ServiceProcess):
     support ``{0, 1, ...}`` and mean ``(1-p)/p = mu_s``.
     """
 
+    stateless = True
+
     def __init__(self, rates: np.ndarray) -> None:
         self.rates = np.asarray(rates, dtype=np.float64)
         if self.rates.ndim != 1 or self.rates.size == 0:
@@ -88,15 +96,18 @@ class GeometricService(ServiceProcess):
         return self.rates
 
     def sample(self, rng: np.random.Generator, round_index: int) -> np.ndarray:
-        return (rng.geometric(self._success_prob) - 1).astype(np.int64)
+        draws = rng.geometric(self._success_prob).astype(np.int64, copy=False)
+        draws -= 1
+        return draws
 
     def sample_many(
         self, rng: np.random.Generator, start_round: int, count: int
     ) -> np.ndarray:
         draws = rng.geometric(
             self._success_prob, size=(count, self.rates.size)
-        )
-        return (draws - 1).astype(np.int64)
+        ).astype(np.int64, copy=False)
+        draws -= 1
+        return draws
 
 
 class DeterministicService(ServiceProcess):
@@ -130,6 +141,8 @@ class DeterministicService(ServiceProcess):
 
 class TraceService(ServiceProcess):
     """Replay a ``(T, n)`` capacity matrix, cycling past the end."""
+
+    stateless = True
 
     def __init__(self, trace: np.ndarray) -> None:
         self.trace = np.asarray(trace, dtype=np.int64)

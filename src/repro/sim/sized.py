@@ -26,6 +26,12 @@ __all__ = [
 class JobSizeDistribution(ABC):
     """Distribution of per-job work sizes (positive integers)."""
 
+    #: True when :meth:`sample` reads and writes no state of the
+    #: instance, so a block's sizes may be drawn ahead of time (see
+    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
+    #: class's own namespace, never inherited.
+    stateless = False
+
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` i.i.d. job sizes (int64, all >= 1)."""
@@ -43,6 +49,8 @@ class JobSizeDistribution(ABC):
 
 class DeterministicSize(JobSizeDistribution):
     """Every job needs exactly ``size`` units; size 1 recovers the base model."""
+
+    stateless = True
 
     def __init__(self, size: int = 1) -> None:
         if size < 1:
@@ -64,6 +72,8 @@ class DeterministicSize(JobSizeDistribution):
 class GeometricSize(JobSizeDistribution):
     """Sizes ``1 + Geom``: support {1, 2, ...} with the given mean."""
 
+    stateless = True
+
     def __init__(self, mean_size: float = 2.0) -> None:
         if mean_size <= 1.0:
             raise ValueError("mean size must exceed 1 (sizes start at 1)")
@@ -72,7 +82,7 @@ class GeometricSize(JobSizeDistribution):
         self._p = 1.0 / self._mean  # success prob of numpy's 1-based geometric
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.geometric(self._p, size=count).astype(np.int64)
+        return rng.geometric(self._p, size=count).astype(np.int64, copy=False)
 
     @property
     def mean(self) -> float:
@@ -88,6 +98,8 @@ class GeometricSize(JobSizeDistribution):
 class BimodalSize(JobSizeDistribution):
     """Mostly small jobs with a heavy minority (the elephant/mice mix)."""
 
+    stateless = True
+
     def __init__(self, small: int = 1, large: int = 20, large_prob: float = 0.05):
         if small < 1 or large < small:
             raise ValueError("need 1 <= small <= large")
@@ -99,7 +111,7 @@ class BimodalSize(JobSizeDistribution):
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         big = rng.random(count) < self.large_prob
-        return np.where(big, self.large, self.small).astype(np.int64)
+        return np.where(big, self.large, self.small).astype(np.int64, copy=False)
 
     @property
     def mean(self) -> float:
