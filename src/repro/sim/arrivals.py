@@ -26,12 +26,6 @@ __all__ = [
 class ArrivalProcess(ABC):
     """Produces the vector of per-dispatcher batch sizes each round."""
 
-    #: True when :meth:`sample` and :meth:`sample_many` read and write no
-    #: state of the instance, so a block may be drawn ahead of time (see
-    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
-    #: class's own namespace, never inherited.
-    stateless = False
-
     @property
     @abstractmethod
     def num_dispatchers(self) -> int:

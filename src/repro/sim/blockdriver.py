@@ -72,14 +72,21 @@ at its own block boundary.  Only processes whose own class declares
 state of the instance -- and only when the arrival and service
 processes and the size distribution all do (see
 :func:`declares_stateless`); any other run, and any subclass that does
-not repeat the declaration, draws inline at block start.  The draw is
-submitted at the start of block ``b``'s tail, not at block start: the
-helper's Python glue competes with the round loop for the GIL.  On a
-100 x 50 ``jsq`` cell (2 CPUs) a submission at block start made runs
-about 12% slower than one at the tail; at the tail the draw overlaps
-the batch store's numpy work, and the main thread waited about 0.04 ms
-per block for it on a sized ``rr`` cell.  numpy's distribution fills
-release the GIL while they run.
+not repeat the declaration, draws inline at block start.  So does a run
+without a CPU to spare (:func:`_has_spare_cpu`): a process limited to
+one CPU, or a worker of a multiprocessing pool.  The gain comes from a
+second CPU that would otherwise sit idle; in a grid on a process pool
+(one worker per CPU by default) every CPU already runs a cell, and a
+helper there only competes with them.  Sixteen 16,384-round sized
+``rr`` cells on two workers (2 CPUs) took about 4% longer with a helper
+in each worker than drawn inline (inline won 8 of 10 alternating
+pairs).  The draw is submitted at the start of block ``b``'s tail, not
+at block start: the helper's Python glue competes with the round loop
+for the GIL.  On a 100 x 50 ``jsq`` cell (2 CPUs) a submission at
+block start made runs about 12% slower than one at the tail; at the
+tail the draw overlaps the batch store's numpy work, and the main
+thread waited about 0.04 ms per block for it on a sized ``rr`` cell.
+numpy's distribution fills release the GIL while they run.
 
 Bit-identity is the invariant throughout: for a given policy and seed,
 both paths through this driver produce the same admission matrix,
@@ -90,6 +97,8 @@ per-round reference loop, whether a block was drawn inline or ahead.
 from __future__ import annotations
 
 import copy
+import os
+import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -147,11 +156,32 @@ class RunState:
 def declares_stateless(process) -> bool:
     """True when ``process``'s own class declares ``stateless = True``.
 
-    The declaration is read from the class itself, never inherited: a
-    subclass may add state to its draw, so it draws inline until it
+    An arrival process, service process or job-size distribution makes
+    that declaration when its ``sample``/``sample_many`` read and write no
+    state of the instance, so a block may be drawn ahead of time.  The
+    declaration is read from the class's own namespace, never inherited:
+    a subclass may add state to its draw, so it draws inline until it
     declares itself stateless too.
     """
     return vars(type(process)).get("stateless", False) is True
+
+
+def _has_spare_cpu() -> bool:
+    """True when a helper thread can count on a CPU the run leaves idle.
+
+    That needs two usable CPUs and a process that is not a worker of a
+    multiprocessing pool, whose sibling workers keep the other CPUs busy.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    # A multiprocessing worker has the package imported before its first
+    # task; a process without it is no worker, and need not import it.
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is None or multiprocessing.parent_process() is None
 
 
 class _BlockDraw(NamedTuple):
@@ -355,10 +385,14 @@ def drive_blocks(
     wants_blocks = probes.wants_blocks
     series = probes.queue_series
     sized = sizes is not None
-    ahead = start_round + BLOCK_ROUNDS < rounds and all(
-        declares_stateless(process)
-        for process in (sim.arrivals, sim.service, sizes)
-        if process is not None
+    ahead = (
+        start_round + BLOCK_ROUNDS < rounds
+        and all(
+            declares_stateless(process)
+            for process in (sim.arrivals, sim.service, sizes)
+            if process is not None
+        )
+        and _has_spare_cpu()
     )
 
     with _BlockDraws(sim, ahead) as draws:

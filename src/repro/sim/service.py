@@ -32,12 +32,6 @@ def _check_rates(rates: np.ndarray) -> None:
 class ServiceProcess(ABC):
     """Produces the vector of per-server completion capacities each round."""
 
-    #: True when :meth:`sample` and :meth:`sample_many` read and write no
-    #: state of the instance, so a block may be drawn ahead of time (see
-    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
-    #: class's own namespace, never inherited.
-    stateless = False
-
     @property
     @abstractmethod
     def num_servers(self) -> int:

@@ -26,12 +26,6 @@ __all__ = [
 class JobSizeDistribution(ABC):
     """Distribution of per-job work sizes (positive integers)."""
 
-    #: True when :meth:`sample` reads and writes no state of the
-    #: instance, so a block's sizes may be drawn ahead of time (see
-    #: :func:`repro.sim.blockdriver.declares_stateless`).  Read from each
-    #: class's own namespace, never inherited.
-    stateless = False
-
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` i.i.d. job sizes (int64, all >= 1)."""

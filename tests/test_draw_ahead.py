@@ -13,17 +13,25 @@ the simulation's own generator when block ``b + 1`` starts.  Under test:
   uninterrupted run;
 * the helper thread lives only as long as the ``drive_blocks`` call,
   and a one-block run starts none;
+* only a process with a CPU to spare draws ahead: not one limited to a
+  single CPU, nor a worker of a process pool;
 * exactly the processes whose block draw keeps no state declare
   themselves stateless, and a subclass does not inherit it.
 
 The inline side of each comparison runs processes from subclasses that
 do not repeat the declaration, so they draw at block start as before.
+The draw-ahead tests count the test process as having a CPU to spare,
+whatever the machine it runs on.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import pickle
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +40,7 @@ from repro.policies.base import make_policy
 from repro.policies.jsq import JSQPolicy
 from repro.runs import CheckpointController, LegLimitReached, Run
 from repro.runs.orchestrator import restore_checkpoint
+from repro.sim import blockdriver
 from repro.sim.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
@@ -86,6 +95,12 @@ def build(policy="rr", sizes=None, rounds=ROUNDS, inline=False, backend="fast"):
         SimulationConfig(rounds=rounds, seed=11, warmup=100, backend=backend),
         sizes,
     )
+
+
+@pytest.fixture
+def spare_cpu(monkeypatch) -> None:
+    """Draw ahead on any machine, a one-CPU one included."""
+    monkeypatch.setattr(blockdriver, "_has_spare_cpu", lambda: True)
 
 
 def stream_states(sim) -> dict:
@@ -183,6 +198,7 @@ CELLS = {
 }
 
 
+@pytest.mark.usefixtures("spare_cpu")
 class TestDrawAheadEqualsInline:
     @pytest.mark.parametrize("cell", sorted(CELLS))
     def test_results_and_stream_states(self, cell, arrival_draws):
@@ -211,6 +227,7 @@ class TestDrawAheadEqualsInline:
         assert_same_result(build("rr", GeometricSize(3.0)).run(), reference)
 
 
+@pytest.mark.usefixtures("spare_cpu")
 class TestCheckpoints:
     @pytest.mark.parametrize("cell", ["rr", "rr-geometric"])
     def test_checkpoint_after_block_one(self, cell, arrival_draws):
@@ -256,19 +273,33 @@ class FailsInBlockTwo(JSQPolicy):
 
 
 @pytest.fixture
-def started_threads(monkeypatch) -> list[threading.Thread]:
-    """Every thread started while the test runs."""
-    started = []
+def started_threads(monkeypatch):
+    """Every thread started while the test runs.
+
+    The block driver's executors stay referenced until the test ends, so
+    a helper that was never shut down is still alive when the test looks,
+    rather than exiting once its executor is collected.
+    """
+    started, executors = [], []
     start = threading.Thread.start
 
     def recorded(thread):
         started.append(thread)
         start(thread)
 
+    class KeptExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            executors.append(self)
+
     monkeypatch.setattr(threading.Thread, "start", recorded)
-    return started
+    monkeypatch.setattr(blockdriver, "ThreadPoolExecutor", KeptExecutor)
+    yield started
+    for executor in executors:
+        executor.shutdown(wait=True)
 
 
+@pytest.mark.usefixtures("spare_cpu")
 class TestHelperThread:
     @staticmethod
     def assert_helper_joined(started, before: int) -> None:
@@ -298,6 +329,40 @@ class TestHelperThread:
     def test_one_block_run_starts_no_thread(self, rounds, started_threads):
         build("rr", GeometricSize(3.0), rounds=rounds).run()
         assert started_threads == []
+
+
+#: The usable CPUs :func:`_has_spare_cpu` sees in these tests.
+TWO_CPUS = mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
+ONE_CPU = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+
+
+def pool_worker_has_spare_cpu() -> bool:
+    """Run in a process-pool worker: the gate, with two CPUs usable."""
+    with TWO_CPUS:
+        return blockdriver._has_spare_cpu()
+
+
+class TestSpareCpu:
+    def test_two_cpus_in_a_plain_process(self):
+        with TWO_CPUS:
+            assert blockdriver._has_spare_cpu()
+
+    def test_one_cpu(self):
+        with ONE_CPU:
+            assert not blockdriver._has_spare_cpu()
+
+    def test_a_pool_worker_has_none(self):
+        # Its sibling workers are taken to keep the other CPUs busy.
+        with concurrent.futures.ProcessPoolExecutor(1) as pool:
+            assert pool.submit(pool_worker_has_spare_cpu).result() is False
+
+    def test_without_one_a_run_draws_inline(self, started_threads, arrival_draws):
+        with ONE_CPU:
+            got = build("rr", GeometricSize(3.0)).run()
+        assert started_threads == []
+        assert set(arrival_draws.threads.values()) == {"MainThread"}
+        expected = build("rr", GeometricSize(3.0), inline=True).run()
+        assert_same_result(got, expected)
 
 
 #: Every class that declares its draw stateless, with an instance.
