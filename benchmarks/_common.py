@@ -1,9 +1,10 @@
 """Shared infrastructure for the benchmark suite.
 
-Every evaluation figure of the paper has a ``bench_*`` module here.  Each
-benchmark cell runs one (policy, system, load-grid) simulation exactly once
-(``benchmark.pedantic(rounds=1)``) -- a simulation *is* the workload being
-timed -- and deposits the measured response-time numbers both in
+``bench_figures.py`` holds the paper's evaluation figures, declared in
+:mod:`repro.experiments.figures`; the other ``bench_*`` modules are
+ablations and extensions.  Each benchmark cell runs one simulation grid
+exactly once (``benchmark.pedantic(rounds=1)``) -- a simulation *is* the
+workload being timed -- and deposits its numbers both in
 ``benchmark.extra_info`` and into a per-figure text table written under
 ``benchmarks/results/``.
 
@@ -12,11 +13,11 @@ Scaling knobs (environment variables):
 ``REPRO_BENCH_ROUNDS``
     Simulation rounds per cell (default 1200).  The paper uses 1e5; the
     qualitative shape -- who wins, roughly by how much -- is stable far
-    below that, and EXPERIMENTS.md records the horizon used.
+    below that (ROADMAP item 9 plans the paper's horizon).
 ``REPRO_BENCH_LOADS``
     Comma-separated offered loads (default ``0.7,0.9,0.99``).
 ``REPRO_BENCH_WORKERS``
-    Process-pool workers for the per-policy load grids (default 1 =
+    Process-pool workers for the mean figures' load grids (default 1 =
     serial, so a benchmark cell times the simulation itself; raising it
     speeds up full-suite runs without changing any results -- cell seeds
     are scheduling-independent).
@@ -28,6 +29,7 @@ import os
 from pathlib import Path
 
 import repro
+from repro.experiments.figures import table_text
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -56,19 +58,6 @@ def grid_experiment(
     )
 
 
-def run_policy_over_loads(policy: str, system: repro.SystemSpec) -> dict[float, dict]:
-    """Simulate one policy over the load grid; returns per-load summaries."""
-    result = grid_experiment(policy, system).run(workers=BENCH_WORKERS)
-    out: dict[float, dict] = {}
-    for record in result.records:
-        summary = record.result.summary()
-        summary["p_1e-3"] = float(
-            repro.tail_quantiles(record.result.histogram, (1e-3,))[1e-3]
-        )
-        out[record.rho] = summary
-    return out
-
-
 class FigureTable:
     """Accumulates one figure's rows and writes them to results/ on close."""
 
@@ -83,28 +72,15 @@ class FigureTable:
 
     def write(self) -> Path:
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        text = repro.format_table(
+        text = table_text(
+            self.title,
             self.headers,
             self.rows,
-            title=f"{self.title}\n(rounds/cell: {BENCH_ROUNDS}, "
-            f"loads: {BENCH_LOADS}, seed: {BENCH_SEED})",
+            rounds=BENCH_ROUNDS,
+            loads=BENCH_LOADS,
+            seed=BENCH_SEED,
         )
         path = RESULTS_DIR / f"{self.name}.txt"
         path.write_text(text + "\n")
         print(f"\n{text}\n[written to {path}]")
         return path
-
-
-def mean_response_rows(
-    table: FigureTable, system: repro.SystemSpec, policy: str, summaries
-) -> None:
-    """Standard row layout for the mean-response figures."""
-    for rho, summary in summaries.items():
-        table.add(
-            f"n{system.num_servers}/m{system.num_dispatchers}",
-            policy,
-            rho,
-            summary["mean"],
-            summary["p99"],
-            summary["p_1e-3"],
-        )

@@ -1,130 +1,102 @@
 #!/usr/bin/env python
 """Regenerate the data behind any of the paper's evaluation figures.
 
-Every figure of Section 6 / Appendix E maps to a subcommand of this script;
-output is the figure's data as aligned text tables (policies as columns).
-The paper runs 1e5 rounds per cell on C++; pass ``--rounds 100000`` for a
-full-fidelity (slow) run, or keep the default for a laptop-scale pass that
-preserves the qualitative shape.
+Every figure of Section 6 / Appendix E is declared once in
+``repro.experiments.figures``; this script prints, for each requested
+figure, the table the figure benchmarks write to
+``benchmarks/results/`` (the same rows for the same rounds, loads and
+seed).  Under each tail table (3b, 4b) it prints how much shorter SCD's
+1e-4 tail is than the runner-up's at each load.  The paper runs 1e5
+rounds per cell on C++; pass ``--rounds 100000`` for a full-fidelity
+(slow) run, or keep the default for a laptop-scale pass that preserves
+the qualitative shape.  20,000 rounds give about 11M jobs per tail cell at
+rho=0.99, enough to resolve the 1e-4 level the paper quotes.
 
 Run:
     python examples/paper_figures.py --figure 3a --rounds 2000
-    python examples/paper_figures.py --figure 3b
+    python examples/paper_figures.py --figure 3b --rounds 20000
     python examples/paper_figures.py --figure 5
     python examples/paper_figures.py --figure all --rounds 1000
 """
 
 import argparse
 
-import numpy as np
-
-import repro
-from repro import EXTRA_POLICIES, MAIN_POLICIES
-from repro.analysis.runtime import (
-    RUNTIME_TECHNIQUES,
-    collect_snapshots,
-    measure_decision_times,
-    runtime_cdf_summary,
+from repro.analysis.ccdf import tail_improvement_factor
+from repro.experiments.figures import (
+    FIGURES_BY_ID,
+    MEAN,
+    RUNTIME_SERVER_COUNTS,
+    RUNTIME_SNAPSHOT_ROUNDS,
+    RUNTIME_SNAPSHOTS,
+    TAIL,
+    mean_rows,
+    panel_rows,
+    policy_metrics,
+    runtime_row,
+    runtime_snapshots,
+    table_text,
+    tail_histogram,
+    tail_row,
 )
+from repro.workloads.scenarios import TAIL_LOADS
 
 
-def mean_response_figure(profile: str, policies: tuple[str, ...], args) -> None:
-    """Figures 3a / 4a / 6a / 7a: mean response vs offered load, 4 systems."""
-    for system in repro.PAPER_SYSTEMS[profile]:
-        sweep = repro.Experiment(
-            policies, system, args.loads, rounds=args.rounds, base_seed=args.seed
-        ).run(keep_results=False)
-        print(
-            repro.format_series_table(
-                "rho",
-                args.loads,
-                {
-                    p: [sweep.metric(policy=p, rho=rho) for rho in args.loads]
-                    for p in policies
-                },
-                title=(
-                    f"\nn={system.num_servers}, m={system.num_dispatchers}, "
-                    f"mu ~ {profile}: mean response time"
-                ),
+def print_figure(figure, args) -> None:
+    grid = {"rounds": args.rounds, "seed": args.seed}
+    notes = []
+    if figure.kind == MEAN:
+        rows = [
+            row
+            for policy, system in figure.cells()
+            for row in mean_rows(policy, system, loads=args.loads, **grid)
+        ]
+        if figure.panel:
+            for rho in TAIL_LOADS:
+                values = policy_metrics(
+                    figure.policies, figure.tail_system, rho, figure.panel, **grid
+                )
+                rows += panel_rows(figure, rho, values)
+    elif figure.kind == TAIL:
+        hists = {
+            (policy, rho): tail_histogram(figure, policy, rho, **grid)
+            for policy, rho in figure.cells()
+        }
+        rows = [tail_row(policy, rho, hist) for (policy, rho), hist in hists.items()]
+        for rho in TAIL_LOADS:
+            others = {p: hists[p, rho] for p in figure.policies if p != "scd"}
+            factor, runner_up = tail_improvement_factor(
+                hists["scd", rho], others, level=1e-4
             )
-        )
-
-
-def tail_figure(profile: str, policies: tuple[str, ...], args) -> None:
-    """Figures 3b / 4b / 6b / 7b: response-time CCDF at three loads."""
-    system = repro.paper_system(100, 10, profile)
-    for rho in repro.TAIL_LOADS:
-        experiment = repro.Experiment(
-            policies, system, rho, rounds=args.rounds, base_seed=args.seed
-        )
-        results = {r.policy: r.result for r in experiment.run()}
-        max_tau = max(r.histogram.max_response_time for r in results.values())
-        taus = np.unique(np.linspace(1, max(2, max_tau), 12).astype(int))
-        series = {p: r.histogram.ccdf(taus) for p, r in results.items()}
-        print(
-            repro.format_series_table(
-                "tau",
-                taus.tolist(),
-                series,
-                title=f"\nn=100, m=10, rho={rho}, mu ~ {profile}: CCDF P(T > tau)",
-                float_format="{:.2e}",
+            notes.append(
+                f"rho={rho}: SCD 1e-4 tail improvement over runner-up "
+                f"({runner_up}): {factor:.2f}x"
             )
-        )
-
-
-def runtime_figure(profile: str, args) -> None:
-    """Figures 5 / 8: per-decision computation time CDF landmarks."""
+    else:
+        snapshots = {
+            n: runtime_snapshots(
+                figure, n, seed=args.seed, snapshots=args.snapshots,
+                rounds=args.runtime_rounds,
+            )
+            for n in args.servers
+        }
+        rows = [
+            runtime_row(n, technique, *snapshots[n])
+            for technique, n in figure.cells(args.servers)
+        ]
     print(
-        f"\nDecision run-times at rho=0.99, mu ~ {profile} "
-        f"(microseconds; Python/numpy substrate -- compare shapes, not\n"
-        f"absolute values against the paper's C++)"
+        table_text(
+            figure.title, figure.headers, rows,
+            rounds=args.rounds, loads=args.loads, seed=args.seed,
+        )
     )
-    for n in args.servers:
-        system = repro.SystemSpec(n, 10, profile)
-        snapshots = collect_snapshots(
-            system, rho=0.99, rounds=args.runtime_rounds, seed=args.seed,
-            max_snapshots=args.snapshots,
-        )
-        rates = system.rates()
-        rows = []
-        for technique in RUNTIME_TECHNIQUES:
-            times = measure_decision_times(technique, snapshots, rates, 10)
-            s = runtime_cdf_summary(times)
-            rows.append(
-                [technique, s["p10_us"], s["p50_us"], s["p90_us"], s["p99_us"]]
-            )
-        print(
-            repro.format_table(
-                ["technique", "p10", "p50", "p90", "p99"],
-                rows,
-                title=f"\nn={n} servers:",
-                float_format="{:.1f}",
-            )
-        )
-
-
-FIGURES = {
-    "3a": lambda args: mean_response_figure("u1_10", MAIN_POLICIES, args),
-    "3b": lambda args: tail_figure("u1_10", MAIN_POLICIES, args),
-    "4a": lambda args: mean_response_figure("u1_100", MAIN_POLICIES, args),
-    "4b": lambda args: tail_figure("u1_100", MAIN_POLICIES, args),
-    "5": lambda args: runtime_figure("u1_10", args),
-    "6": lambda args: (
-        mean_response_figure("u1_10", EXTRA_POLICIES, args),
-        tail_figure("u1_10", EXTRA_POLICIES, args),
-    ),
-    "7": lambda args: (
-        mean_response_figure("u1_100", EXTRA_POLICIES, args),
-        tail_figure("u1_100", EXTRA_POLICIES, args),
-    ),
-    "8": lambda args: runtime_figure("u1_100", args),
-}
+    for note in notes:
+        print(note)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--figure", choices=[*FIGURES, "all"], default="3a",
+        "--figure", choices=[*FIGURES_BY_ID, "all"], default="3a",
         help="which paper figure to regenerate",
     )
     parser.add_argument("--rounds", type=int, default=2000)
@@ -132,18 +104,18 @@ def main() -> None:
         "--loads", type=float, nargs="+", default=[0.6, 0.7, 0.8, 0.9, 0.99]
     )
     parser.add_argument(
-        "--servers", type=int, nargs="+", default=[100, 200, 300, 400],
+        "--servers", type=int, nargs="+", default=list(RUNTIME_SERVER_COUNTS),
         help="server counts for the run-time figures",
     )
-    parser.add_argument("--snapshots", type=int, default=200)
-    parser.add_argument("--runtime-rounds", type=int, default=100)
+    parser.add_argument("--snapshots", type=int, default=RUNTIME_SNAPSHOTS)
+    parser.add_argument("--runtime-rounds", type=int, default=RUNTIME_SNAPSHOT_ROUNDS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    targets = list(FIGURES) if args.figure == "all" else [args.figure]
+    targets = list(FIGURES_BY_ID) if args.figure == "all" else [args.figure]
     for figure in targets:
         print(f"\n{'#' * 66}\n# Figure {figure}\n{'#' * 66}")
-        FIGURES[figure](args)
+        print_figure(FIGURES_BY_ID[figure], args)
 
 
 if __name__ == "__main__":

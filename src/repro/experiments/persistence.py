@@ -4,8 +4,9 @@ Long sweeps are expensive; these helpers serialize
 :class:`repro.sim.engine.SimulationResult` (including the full
 response-time histogram, losslessly -- it is just integer counts) and
 the declarative :class:`repro.experiments.ExperimentResult` so that
-figure regeneration, EXPERIMENTS.md tables and notebook analysis can
-reuse completed runs.
+figure regeneration (:mod:`repro.experiments.figures`; ROADMAP item 9
+plans tables at the paper's horizon) and notebook analysis can reuse
+completed runs.
 """
 
 from __future__ import annotations

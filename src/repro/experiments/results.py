@@ -30,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CellRecord", "ExperimentResult", "metrics_from_result"]
 
-#: Tail levels reported in every record's metrics.
-_PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
-
-
 def metrics_from_result(result: SimulationResult) -> dict[str, float]:
     """Flat metrics mapping for a simulation result.
 
@@ -44,12 +40,7 @@ def metrics_from_result(result: SimulationResult) -> dict[str, float]:
     namespaced ``<label>.<key>`` keys, which is what makes record
     metrics an open dict.
     """
-    hist = result.histogram
-    metrics = {"mean": hist.mean()}
-    metrics.update(
-        {label: float(hist.percentile(q)) for label, q in _PERCENTILES}
-    )
-    metrics["max"] = float(hist.max_response_time)
+    metrics = result.histogram.summary()
     if result.total_jobs is not None:
         metrics["jobs"] = float(result.total_jobs)
     metrics["arrived"] = float(result.total_arrived)

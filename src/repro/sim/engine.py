@@ -154,16 +154,8 @@ class SimulationResult:
         return self.server_departed / (rates * self.config.rounds)
 
     def summary(self) -> dict[str, float]:
-        """Headline numbers for tables: mean, p95/p99/p999, max."""
-        hist = self.histogram
-        return {
-            "mean": hist.mean(),
-            "p50": float(hist.percentile(0.50)),
-            "p95": float(hist.percentile(0.95)),
-            "p99": float(hist.percentile(0.99)),
-            "p999": float(hist.percentile(0.999)),
-            "max": float(hist.max_response_time),
-        }
+        """Headline numbers for tables: mean, p50/p95/p99/p999, max."""
+        return self.histogram.summary()
 
     def probe_summaries(self) -> dict[str, dict[str, float]]:
         """Label -> summary for every probe carried by this run."""

@@ -27,6 +27,10 @@ def restored_int64(array: np.ndarray | None) -> np.ndarray | None:
     return None if array is None else array.astype(np.int64)
 
 
+#: Percentile levels of :meth:`ResponseTimeHistogram.summary`, by key.
+_SUMMARY_PERCENTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99, "p999": 0.999}
+
+
 class ResponseTimeHistogram:
     """Exact histogram of integer response times.
 
@@ -148,6 +152,22 @@ class ResponseTimeHistogram:
             raise ValueError("empty histogram has no percentiles")
         cumulative = np.cumsum(self._counts[: self._max_seen + 1])
         return int(np.searchsorted(cumulative, q * total, side="left"))
+
+    def summary(self) -> dict[str, float]:
+        """Headline numbers: mean, p50/p95/p99/p999 and max.
+
+        The one response-time summary of results, records and the
+        ``responses`` probe.  An empty histogram reports NaN for the mean
+        and the percentiles and 0 for the max.
+        """
+        if self.total == 0:
+            percentiles = dict.fromkeys(_SUMMARY_PERCENTILES, float("nan"))
+        else:
+            percentiles = {
+                label: float(self.percentile(q))
+                for label, q in _SUMMARY_PERCENTILES.items()
+            }
+        return {"mean": self.mean(), **percentiles, "max": float(self._max_seen)}
 
     def ccdf(self, taus: np.ndarray | list[int]) -> np.ndarray:
         """``P(T > tau)`` for each tau (the paper's Figures 3b/4b y-axis)."""

@@ -598,20 +598,7 @@ class ResponseTimeProbe(Probe):
         self.histogram = histogram if histogram is not None else ResponseTimeHistogram()
 
     def summary(self) -> dict[str, float]:
-        hist = self.histogram
-        total = hist.total
-        if total == 0:
-            quantiles = {q: float("nan") for q in ("p50", "p95", "p99", "p999")}
-            return {"total": 0.0, "mean": float("nan"), "max": 0.0, **quantiles}
-        return {
-            "total": float(total),
-            "mean": hist.mean(),
-            "p50": float(hist.percentile(0.50)),
-            "p95": float(hist.percentile(0.95)),
-            "p99": float(hist.percentile(0.99)),
-            "p999": float(hist.percentile(0.999)),
-            "max": float(hist.max_response_time),
-        }
+        return {"total": float(self.histogram.total), **self.histogram.summary()}
 
     def get_state(self) -> dict:
         return self.histogram.state_dict()
@@ -981,22 +968,14 @@ class DispatcherStatsProbe(Probe):
         self._active = np.asarray(state["active"], dtype=np.int64)
 
 
-@register_probe("windowed_mean")
-class WindowedMeanProbe(Probe):
-    """Mean response time per window of rounds (a time series, not one
-    number -- the drift between early and late windows is a convergence
-    / instability signal the whole-run mean hides).
+class _WindowedProbe(Probe):
+    """Integer sums and counts per window of rounds (the windowed probes'
+    shared state).  Subclasses decide what a round adds.
 
     Sums are integer-exact, so reference and fast kernels agree bitwise
-    however differently they batch their response recording.
+    however differently they batch what they feed.
     """
 
-    description = (
-        "mean response time per window of rounds (windowed time series "
-        "+ first-to-last drift)"
-    )
-    fields = frozenset()
-    wants_responses = True
     _at_targets = ("_sums", "_counts")
 
     def __init__(self, window: int = 1000) -> None:
@@ -1013,6 +992,50 @@ class WindowedMeanProbe(Probe):
         windows = -(-ctx.rounds // self.window)  # ceil
         self._sums = np.zeros(windows, dtype=np.int64)
         self._counts = np.zeros(windows, dtype=np.int64)
+
+    def means(self) -> np.ndarray:
+        """Per-window means (NaN for empty windows)."""
+        if self._sums is None:
+            return np.zeros(0, dtype=np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(
+                self._counts > 0, self._sums / self._counts, float("nan")
+            )
+
+    def _ends(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The means, the filled windows, and the first and last filled mean."""
+        means = self.means()
+        filled = np.flatnonzero(~np.isnan(means)) if means.size else np.zeros(0, int)
+        first = float(means[filled[0]]) if filled.size else float("nan")
+        last = float(means[filled[-1]]) if filled.size else float("nan")
+        return means, filled, first, last
+
+    def probe_kwargs(self) -> dict:
+        return {"window": self.window}
+
+    def get_state(self) -> dict:
+        if self._sums is None:
+            return {"sums": [], "counts": []}
+        return {"sums": self._sums.tolist(), "counts": self._counts.tolist()}
+
+    def set_state(self, state: dict) -> None:
+        self._sums = np.asarray(state.get("sums", ()), dtype=np.int64)
+        self._counts = np.asarray(state.get("counts", ()), dtype=np.int64)
+
+
+@register_probe("windowed_mean")
+class WindowedMeanProbe(_WindowedProbe):
+    """Mean response time per window of rounds (a time series, not one
+    number -- the drift between early and late windows is a convergence
+    / instability signal the whole-run mean hides).
+    """
+
+    description = (
+        "mean response time per window of rounds (windowed time series "
+        "+ first-to-last drift)"
+    )
+    fields = frozenset()
+    wants_responses = True
 
     def observe_responses(
         self,
@@ -1027,20 +1050,8 @@ class WindowedMeanProbe(Probe):
         np.add.at(self._sums, index, times * counts)
         np.add.at(self._counts, index, counts)
 
-    def means(self) -> np.ndarray:
-        """Per-window mean response time (NaN for empty windows)."""
-        if self._sums is None:
-            return np.zeros(0, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(
-                self._counts > 0, self._sums / self._counts, float("nan")
-            )
-
     def summary(self) -> dict[str, float]:
-        means = self.means()
-        filled = np.flatnonzero(~np.isnan(means)) if means.size else np.zeros(0, int)
-        first = float(means[filled[0]]) if filled.size else float("nan")
-        last = float(means[filled[-1]]) if filled.size else float("nan")
+        means, filled, first, last = self._ends()
         return {
             "window": float(self.window),
             "windows": float(means.size),
@@ -1050,21 +1061,9 @@ class WindowedMeanProbe(Probe):
             "drift": last / first if filled.size and first else float("nan"),
         }
 
-    def probe_kwargs(self) -> dict:
-        return {"window": self.window}
-
-    def get_state(self) -> dict:
-        if self._sums is None:
-            return {"sums": [], "counts": []}
-        return {"sums": self._sums.tolist(), "counts": self._counts.tolist()}
-
-    def set_state(self, state: dict) -> None:
-        self._sums = np.asarray(state.get("sums", ()), dtype=np.int64)
-        self._counts = np.asarray(state.get("counts", ()), dtype=np.int64)
-
 
 @register_probe("windowed_stability")
-class WindowedStabilityProbe(Probe):
+class WindowedStabilityProbe(_WindowedProbe):
     """Mean total queue length per window of rounds -- the time-windowed
     stability indicator for nonstationary scenarios.
 
@@ -1072,8 +1071,6 @@ class WindowedStabilityProbe(Probe):
     a hump that drains back down; an inadmissible (or churn-starved)
     configuration shows monotone growth.  ``growth`` -- the last window's
     mean over the first's -- is the headline drift number.
-
-    Sums are integer-exact, so all kernels agree bitwise.
     """
 
     description = (
@@ -1081,22 +1078,6 @@ class WindowedStabilityProbe(Probe):
         "queue-growth indicator for nonstationary scenarios)"
     )
     fields = frozenset({"queues"})
-    _at_targets = ("_sums", "_counts")
-
-    def __init__(self, window: int = 1000) -> None:
-        super().__init__()
-        window = int(window)
-        if window < 1:
-            raise ValueError("window must be >= 1 round")
-        self.window = window
-        self._sums: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-
-    def bind(self, ctx: ProbeContext) -> None:
-        super().bind(ctx)
-        windows = -(-ctx.rounds // self.window)  # ceil
-        self._sums = np.zeros(windows, dtype=np.int64)
-        self._counts = np.zeros(windows, dtype=np.int64)
 
     def observe_block(self, block: ProbeBlock) -> None:
         index = (
@@ -1105,20 +1086,8 @@ class WindowedStabilityProbe(Probe):
         np.add.at(self._sums, index, block.queues.sum(axis=1))
         np.add.at(self._counts, index, 1)
 
-    def means(self) -> np.ndarray:
-        """Per-window mean total queue length (NaN for empty windows)."""
-        if self._sums is None:
-            return np.zeros(0, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(
-                self._counts > 0, self._sums / self._counts, float("nan")
-            )
-
     def summary(self) -> dict[str, float]:
-        means = self.means()
-        filled = np.flatnonzero(~np.isnan(means)) if means.size else np.zeros(0, int)
-        first = float(means[filled[0]]) if filled.size else float("nan")
-        last = float(means[filled[-1]]) if filled.size else float("nan")
+        means, filled, first, last = self._ends()
         peak = int(filled[np.argmax(means[filled])]) if filled.size else -1
         return {
             "window": float(self.window),
@@ -1129,18 +1098,6 @@ class WindowedStabilityProbe(Probe):
             "peak_window": float(peak),
             "growth": last / first if filled.size and first else float("nan"),
         }
-
-    def probe_kwargs(self) -> dict:
-        return {"window": self.window}
-
-    def get_state(self) -> dict:
-        if self._sums is None:
-            return {"sums": [], "counts": []}
-        return {"sums": self._sums.tolist(), "counts": self._counts.tolist()}
-
-    def set_state(self, state: dict) -> None:
-        self._sums = np.asarray(state.get("sums", ()), dtype=np.int64)
-        self._counts = np.asarray(state.get("counts", ()), dtype=np.int64)
 
 
 @register_probe("herding")

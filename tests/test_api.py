@@ -94,6 +94,7 @@ class TestSubmodules:
             "repro.analysis.runtime",
             "repro.analysis.stability",
             "repro.experiments.persistence",
+            "repro.experiments.figures",
             "repro.analysis.replication",
             "repro.cli",
         ],

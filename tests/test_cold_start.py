@@ -3,7 +3,8 @@
 ``import repro`` loads no submodule: the top level resolves its public
 names on first access.  Building and running a ``fast`` cell through
 :mod:`repro.experiments` loads only the layers a cell uses, none of
-``analysis``, ``meanfield``, ``runs``, ``service`` or ``cli``.  scipy is
+``analysis``, ``meanfield``, ``runs``, ``service`` or ``cli``, and not
+the figure declarations of :mod:`repro.experiments.figures`.  scipy is
 imported inside the two statistics helpers that use it
 (:meth:`ReplicatedResult.confidence_interval` and
 :func:`paired_comparison`); ``scipy.stats`` alone costs about a second of
@@ -37,7 +38,7 @@ result = Experiment(
     policies="scd", systems=system, loads=0.9, rounds=300, backend="fast"
 ).run()
 assert result.records[0].metrics["mean"] > 0
-for layer in ("analysis", "meanfield", "runs", "service", "cli"):
+for layer in ("analysis", "meanfield", "runs", "service", "cli", "experiments.figures"):
     assert not loaded(f"repro.{layer}"), loaded(f"repro.{layer}")
 
 import repro.cli

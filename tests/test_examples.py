@@ -67,6 +67,8 @@ def test_paper_figures(figure):
         "--runtime-rounds", "20",
     )
     assert f"Figure {figure}" in out
+    if figure == "3b":
+        assert out.count("SCD 1e-4 tail improvement over runner-up") == 3
 
 
 def test_bursty_arrivals():

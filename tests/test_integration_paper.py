@@ -2,8 +2,9 @@
 
 These run scaled-down versions of the paper's experiments (smaller systems,
 fewer rounds, fixed seeds) and assert the *qualitative* results: who wins,
-who degrades, and the direction of the gaps.  The full-scale numbers live
-in the benchmark suite and EXPERIMENTS.md.
+who degrades, and the direction of the gaps.  The figures themselves are
+declared in :mod:`repro.experiments.figures` and tabulated by the
+benchmark suite; ROADMAP item 9 plans the paper-horizon numbers.
 """
 
 import numpy as np

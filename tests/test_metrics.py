@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import Experiment, metrics_from_result
 from repro.sim.metrics import QueueLengthSeries, ResponseTimeHistogram
+from repro.workloads.scenarios import SystemSpec
 
 
 def fill(samples):
@@ -121,6 +123,49 @@ class TestHistogramStatistics:
             hist.percentile(0.0)
         with pytest.raises(ValueError):
             hist.percentile(1.5)
+
+
+SUMMARY_KEYS = ["mean", "p50", "p95", "p99", "p999", "max"]
+
+
+class TestSummary:
+    """One summary serves results, record metrics and the responses probe."""
+
+    def test_filled_histogram(self):
+        hist = fill([1, 2, 2, 3, 7, 40] * 200 + [90])
+        assert list(hist.summary().items()) == [
+            ("mean", hist.mean()),
+            ("p50", 3.0),
+            ("p95", 40.0),
+            ("p99", 40.0),
+            ("p999", 40.0),
+            ("max", 90.0),
+        ]
+
+    def test_empty_histogram(self):
+        summary = ResponseTimeHistogram().summary()
+        assert list(summary) == SUMMARY_KEYS
+        assert all(np.isnan(summary[key]) for key in SUMMARY_KEYS[:-1])
+        assert summary["max"] == 0.0
+
+    def test_grid_cell_without_jobs(self):
+        """A load so low that no job arrives gives NaN metrics, not a crash."""
+        record = Experiment(
+            "jsq", SystemSpec(10, 2), 0.001, rounds=20, backend="fast"
+        ).run().only()
+        assert record.metrics["arrived"] == 0.0
+        assert list(record.metrics)[:6] == SUMMARY_KEYS
+        assert np.isnan(record.metrics["p99"])
+        probe = record.result.probes["responses"].summary()
+        assert list(probe) == ["total", *SUMMARY_KEYS]
+
+    def test_three_summaries_agree(self):
+        result = Experiment("jsq", SystemSpec(10, 2), 0.8, rounds=200).run().only().result
+        summary = result.summary()
+        assert list(summary) == SUMMARY_KEYS
+        assert {k: metrics_from_result(result)[k] for k in SUMMARY_KEYS} == summary
+        probe = result.probes["responses"].summary()
+        assert probe == {"total": float(result.histogram.total), **summary}
 
 
 class TestQueueSeries:

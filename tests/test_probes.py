@@ -361,6 +361,23 @@ class TestStateRoundTrip:
         for name, array in targets.items():
             assert array.dtype is np.dtype(np.int64), name
 
+    def test_windowed_probes_keep_their_saved_form(self):
+        """Saved results and checkpoints hold the windowed probes as these
+        pickled attributes and this ``state_dict``; both must load."""
+        import json
+
+        probes = run_unsized(
+            "jsq", "fast", probes=("windowed_mean", "windowed_stability")
+        ).probes
+        for label in ("windowed_mean", "windowed_stability"):
+            probe = probes[label]
+            assert set(vars(probe)) == {"ctx", "window", "_sums", "_counts"}
+            state = probe.state_dict()
+            assert set(state["state"]) == {"sums", "counts"}, state
+            restored = probe_from_state(json.loads(json.dumps(state)))
+            assert type(restored) is type(probe)
+            np.testing.assert_equal(restored.summary(), probe.summary())
+
 
 class TestBuiltinSemantics:
     def test_server_stats_matches_result_accounting(self):
