@@ -165,7 +165,7 @@ FIGURES: tuple[Figure, ...] = (
     Figure(
         "7", MEAN, "u1_100", EXTRA_POLICIES, "fig7_additional_policies",
         "Figure 7: SCD vs JSQ(2)/JIQ/LSQ/WR (mu ~ U[1,100])",
-        panel="mean",
+        panel="p999",
     ),
     Figure(
         "8", RUNTIME, "u1_100", _TECHNIQUES, "fig8_runtime_hetero",

@@ -42,13 +42,13 @@ from ..sim.arrivals import PoissonArrivals
 from ..sim.backends import (
     BackendCapabilities,
     EngineBackend,
+    _probe_context,
     register_backend,
 )
 from ..sim.engine import SimulationResult
 from ..sim.lifecycle import RunController
 from ..sim.metrics import QueueLengthSeries, ResponseTimeHistogram
 from ..sim.probes import (
-    ProbeContext,
     ProbeSpec,
     QueueSeriesProbe,
     ResponseTimeProbe,
@@ -355,14 +355,7 @@ class MeanFieldBackend(EngineBackend):
         if series is not None:
             probes["queue_series"] = QueueSeriesProbe(series)
 
-        ctx = ProbeContext(
-            num_servers=n,
-            num_dispatchers=sim.arrivals.num_dispatchers,
-            rates=sim.rates,
-            rounds=rounds,
-            warmup=config.warmup,
-            sized=False,
-        )
+        ctx = _probe_context(sim)
         for spec in config.probes:
             spec = ProbeSpec.of(spec)
             probe = spec.build()

@@ -38,6 +38,7 @@ experiments and the CLI can select them as plain strings;
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -48,13 +49,7 @@ from .batchstore import BatchQueueStore
 from .blockdriver import BLOCK_ROUNDS, RunState, drive_blocks
 from .lifecycle import RunController, validate_start_round
 from .metrics import ResponseTimeHistogram
-from .probes import (
-    BlockRecorder,
-    ProbeContext,
-    ProbeSet,
-    ResponseTee,
-    build_probe_set,
-)
+from .probes import ProbeBlock, ProbeContext, ProbeSet, build_probe_set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine resolves us)
     from .engine import Simulation, SimulationResult
@@ -181,6 +176,7 @@ class SizedServerQueue:
         capacity: int,
         now: int,
         histogram: ResponseTimeHistogram | None,
+        departures: list | None = None,
     ) -> int:
         """Serve up to ``capacity`` work units FIFO; returns units served.
 
@@ -189,6 +185,8 @@ class SizedServerQueue:
         spent ``now - t + 1`` rounds in the system (the minimum is one
         round: arrive, get dispatched, get served).  ``histogram`` may
         be ``None`` to discard the samples (used during warm-up).
+        ``departures``, when given, also receives every recorded
+        ``(response_time, count)`` pair, in the order they were recorded.
         """
         if capacity <= 0 or self.units == 0:
             return 0
@@ -208,6 +206,8 @@ class SizedServerQueue:
             self._head_done = 0
             if histogram is not None:
                 histogram.record(now - arrived + 1, finished)
+                if departures is not None:
+                    departures.append((now - arrived + 1, finished))
             if finished == count:
                 cells.popleft()
             else:
@@ -250,8 +250,6 @@ def _probe_context(sim: "Simulation") -> ProbeContext:
         num_dispatchers=sim.arrivals.num_dispatchers,
         rates=sim.rates,
         rounds=sim.config.rounds,
-        warmup=sim.config.warmup,
-        sized=sim.sizes is not None,
     )
 
 
@@ -302,6 +300,14 @@ class ReferenceBackend(EngineBackend):
 
     Every ``dispatch`` row is checked before it is admitted: shape
     ``(n,)``, summing to the dispatcher's batch, no negative count.
+
+    The loop writes one row per round into its own block arrays and
+    stamps each recorded response with its round and server as the
+    server's queue drains.  At every 256-round boundary, and at the
+    final partial block, it hands the probes the block and its response
+    feed, then the controller the block boundary -- so a checkpoint
+    never holds buffered rows.  It shares none of the ``fast`` kernel's
+    block machinery: no batch store, no closed-form trajectory.
     """
 
     name = "reference"
@@ -334,20 +340,29 @@ class ReferenceBackend(EngineBackend):
         queues = run.queues
         histogram = probes.histogram
         series = probes.queue_series
-        # A fresh recorder is correct on resume: its buffer is empty at
-        # every block boundary (it auto-flushes exactly there).
-        recorder = BlockRecorder(probes, BLOCK_ROUNDS)
-        tee = ResponseTee(probes, histogram) if probes.wants_responses else None
+        # The block's rows and -- when a probe reads the response feed --
+        # its recorded responses as flat ``(round, time, count, server)``
+        # quadruples.  Both are empty at every block boundary, so a
+        # resumed run starts them fresh.
+        batch_rows = np.zeros((BLOCK_ROUNDS, m), dtype=np.int64)
+        received_rows, done_rows, queue_rows = (
+            np.zeros((BLOCK_ROUNDS, n), dtype=np.int64) for _ in range(3)
+        )
+        feed = array("q") if probes.wants_responses else None
+        departed = [] if probes.wants_responses else None
 
         for t in range(start_round, config.rounds):
+            i = t % BLOCK_ROUNDS  # runs start and resume at block boundaries
             # Phase 1: arrivals.
             batch = arrivals.sample(streams.arrivals, t)
+            batch_rows[i] = batch
             round_total = int(batch.sum())
             run.total_jobs += round_total
 
             # Phase 2: dispatching (independent decisions, shared snapshot).
             policy.begin_round(t, queues)
-            received = None
+            received = received_rows[i]
+            received[:] = 0
             if round_total:
                 policy.observe_total_arrivals(round_total)
                 jobs = np.zeros(n, dtype=np.int64)
@@ -359,15 +374,11 @@ class ReferenceBackend(EngineBackend):
                 # Sizes are workload randomness, drawn after placement
                 # from their own stream server by server, so the
                 # realized sizes do not depend on the policy.
-                received = jobs if sizes is None else np.zeros(n, dtype=np.int64)
                 for s in np.flatnonzero(jobs):
                     k = int(jobs[s])
-                    if sizes is None:
-                        servers[s].admit(t, k)
-                    else:
-                        drawn = sizes.sample(streams.sizes, k)
-                        servers[s].admit(t, k, drawn)
-                        received[s] = int(drawn.sum())
+                    drawn = None if sizes is None else sizes.sample(streams.sizes, k)
+                    servers[s].admit(t, k, drawn)
+                    received[s] = k if drawn is None else int(drawn.sum())
                 queues += received
                 run.server_received += received
                 run.total_arrived += int(received.sum())
@@ -375,33 +386,46 @@ class ReferenceBackend(EngineBackend):
             # Phase 3: departures.
             capacities = service.sample(streams.departures, t)
             sink = histogram if t >= config.warmup else None
-            if tee is not None and sink is not None:
-                sink = tee
-            done_row = (
-                np.zeros(n, dtype=np.int64) if recorder.needs_done else None
-            )
+            done_row = done_rows[i]
+            done_row[:] = 0
             busy = np.flatnonzero((queues > 0) & (capacities > 0))
             for s in busy:
-                if tee is not None and sink is tee:
-                    tee.server = int(s)
-                done = servers[s].complete(int(capacities[s]), t, sink)
+                done = servers[s].complete(int(capacities[s]), t, sink, departed)
                 queues[s] -= done
                 run.server_departed[s] += done
-                if done_row is not None:
-                    done_row[s] = done
+                done_row[s] = done
+                if departed:
+                    for time, count in departed:
+                        feed.extend((t, time, count, s))
+                    departed.clear()
 
             policy.end_round(t, queues)
             if series is not None:
                 series.record(int(queues.sum()))
-            recorder.record(t, batch, received, done_row, queues)
-            if tee is not None and sink is tee:
-                tee.flush(t)
-            if controller is not None and (t + 1) % BLOCK_ROUNDS == 0:
+            queue_rows[i] = queues
+            length = i + 1
+            if length < BLOCK_ROUNDS and t + 1 < config.rounds:
+                continue
+            probes.observe_block(
+                ProbeBlock(
+                    start_round=t - i,
+                    length=length,
+                    batch=batch_rows[:length],
+                    received=received_rows[:length],
+                    done=done_rows[:length],
+                    queues=queue_rows[:length],
+                )
+            )
+            if feed:
+                probes.observe_responses(
+                    *np.array(feed, dtype=np.int64).reshape(-1, 4).T
+                )
+                del feed[:]
+            if controller is not None and length == BLOCK_ROUNDS:
                 controller.after_block(
                     t + 1,
                     lambda: {"servers": servers, "probes": probes, "run": run},
                 )
-        recorder.flush()
         return _make_result(sim, run, probes.as_dict())
 
 

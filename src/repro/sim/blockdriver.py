@@ -40,7 +40,7 @@ dispatch -- yield the block's *trajectory*, the ``(length, n)``
 post-round queues, and one shared tail derives the rest from it once
 per block: completions ``done_t = q_{t-1} + r_t - q_t`` (the first row
 from the block's start queues), the queue-length series (row sums) and
-the probes' ``queues`` field (the trajectory itself).  The per-round path
+the probes' ``queues`` array (the trajectory itself).  The per-round path
 steps ``q_t = max(q_{t-1} + r_t - c_t, 0)`` because its policy reads
 every round's queues.  The batched path never needs an intermediate
 queue, so it solves the recurrence -- a Lindley recursion -- in closed
@@ -381,8 +381,6 @@ def drive_blocks(
     queues = state.queues
     n = queues.size
     batching = supports_round_batching(policy)
-    fields = probes.fields
-    wants_blocks = probes.wants_blocks
     series = probes.queue_series
     sized = sizes is not None
     ahead = (
@@ -492,16 +490,15 @@ def drive_blocks(
                 warmup,
                 response_sink,
             )
-            if wants_blocks:
-                probes.observe_block(
-                    ProbeBlock(
-                        start_round=chunk_start,
-                        length=chunk,
-                        batch=arrival_block if "batch" in fields else None,
-                        received=received_block if "received" in fields else None,
-                        done=done_block if "done" in fields else None,
-                        queues=trajectory if "queues" in fields else None,
-                    )
+            probes.observe_block(
+                ProbeBlock(
+                    start_round=chunk_start,
+                    length=chunk,
+                    batch=arrival_block,
+                    received=received_block,
+                    done=done_block,
+                    queues=trajectory,
                 )
+            )
             if controller is not None:
                 controller.after_block(next_start, export_state)

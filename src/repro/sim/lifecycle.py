@@ -2,11 +2,11 @@
 
 Every simulation kernel advances the simulation in
 blocks of :data:`~repro.sim.blockdriver.BLOCK_ROUNDS` (256) rounds -- the
-fast kernels because they pre-sample workload randomness per block, the
-reference kernels because the probe :class:`~repro.sim.probes.BlockRecorder`
-buffers exactly that many rounds.  Block boundaries are therefore the
-one place where *all* kernel state is at rest: the recorder buffer is
-empty, every batch store has resolved its FIFO bookkeeping, and the RNG
+``fast`` kernel because it pre-samples workload randomness per block,
+the ``reference`` kernel because it hands the probes that many rounds'
+rows at a time.  Block boundaries are therefore the one place where
+*all* kernel state is at rest: the probes have seen every round, the
+batch store has resolved its FIFO bookkeeping, and the RNG
 streams sit at a position that depends only on the number of completed
 rounds.  That makes them natural checkpoint points.  The streams at
 those positions are the simulation's own generators, never the copies

@@ -6,12 +6,14 @@ question about a run (per-server utilization, herding, windowed trends)
 meant engine surgery.  This module makes observability a first-class,
 registry-backed axis instead:
 
-* A :class:`Probe` accumulates one family of statistics.  Every round
-  kernel -- reference or fast, unit or sized jobs -- feeds
-  probes through the same *block-shaped* interface: a :class:`ProbeBlock` of per-round
-  arrival counts, per-server admissions, completions and end-of-round
-  queue snapshots, plus (for probes that ask) the recorded response
-  times stamped with their departure rounds.  Probes are serializable
+* A :class:`Probe` accumulates one family of statistics.  Both round
+  kernels -- reference and fast, unit or sized jobs -- feed every probe
+  the same complete :class:`ProbeBlock` at each 256-round block
+  boundary (and at the final partial block): per-round arrival counts,
+  per-server admissions, completions and end-of-round queue snapshots.
+  Probes that set :attr:`Probe.wants_responses` also get the block's
+  recorded response times, each stamped by the kernel with its
+  departure round and serving server.  Probes are serializable
   (:meth:`Probe.state_dict` / :meth:`Probe.from_state`), which is what
   JSON persistence needs.
 * A registry (:func:`register_probe` / :func:`make_probe`) mirrors the
@@ -31,8 +33,8 @@ over round windows, the drift signal for nonstationary scenarios) and
 ``herding`` (per-round co-targeting spikes, the paper's
 coordination-failure mechanism).
 
-Custom probes subclass :class:`Probe`, override :meth:`Probe.on_round`
-(simple, per-round) or :meth:`Probe.observe_block` (vectorized), and
+Custom probes subclass :class:`Probe`, override
+:meth:`Probe.observe_block` (and :meth:`Probe.observe_responses`), and
 register under a name; ``SimulationConfig(probes=[...])`` and
 ``Experiment(metrics=[...])`` then accept them like any built-in.
 """
@@ -49,15 +51,12 @@ from ._registry import BackendRegistry
 from .metrics import QueueLengthSeries, ResponseTimeHistogram, restored_int64
 
 __all__ = [
-    "PROBE_FIELDS",
     "DEFAULT_PROBE_LABELS",
     "ProbeContext",
     "ProbeBlock",
     "Probe",
     "ProbeSpec",
     "ProbeSet",
-    "BlockRecorder",
-    "ResponseTee",
     "register_probe",
     "make_probe",
     "available_probes",
@@ -74,10 +73,6 @@ __all__ = [
     "HerdingSignalProbe",
 ]
 
-#: Block arrays a probe may request via :attr:`Probe.fields`.  Kernels
-#: materialize only the union of the active probes' fields.
-PROBE_FIELDS = frozenset({"batch", "received", "done", "queues"})
-
 #: Labels of the probes every simulation carries (the legacy collectors
 #: re-homed).  Their statistics surface through the result's dedicated
 #: ``histogram`` / ``queue_series`` fields and the legacy metric keys,
@@ -89,27 +84,26 @@ DEFAULT_PROBE_LABELS = ("responses", "queue_series")
 class ProbeContext:
     """Immutable run coordinates handed to every probe at bind time.
 
-    ``sized`` flags a run whose jobs carry sizes: there ``received``,
-    ``done`` and ``queues`` count work units while ``batch`` still
-    counts jobs, and ``rates`` are unit capacities -- so utilization
-    and queue statistics keep their meaning unchanged.
+    ``rates`` are capacities in work units per round; with sized jobs the
+    block's ``received``, ``done`` and ``queues`` count work units too
+    (``batch`` still counts jobs), so utilization and queue statistics
+    keep their meaning.
     """
 
     num_servers: int
     num_dispatchers: int
     rates: np.ndarray
     rounds: int
-    warmup: int = 0
-    sized: bool = False
 
 
 @dataclass(frozen=True)
 class ProbeBlock:
     """One block of rounds, as parallel per-round arrays.
 
-    Arrays not requested by any active probe are ``None``; the rest are
-    only valid for the duration of the :meth:`Probe.observe_block` call
-    (kernels reuse the buffers), so probes must reduce, not retain.
+    The kernels always set all four arrays.  They are only valid for the
+    duration of the :meth:`Probe.observe_block` call (kernels reuse the
+    buffers), so probes must reduce, not retain.  A block built by hand
+    to test one probe may leave out the arrays that probe does not read.
     """
 
     start_round: int
@@ -132,23 +126,13 @@ class Probe(ABC):
     :meth:`observe_block` (and :meth:`observe_responses` when
     :attr:`wants_responses`); afterwards :meth:`summary` reports flat
     floats, and :meth:`state_dict` / :meth:`from_state` move state
-    across processes and files.
-
-    Subclasses declare :attr:`fields` -- the block arrays they read --
-    so kernels skip materializing everything else.  The default is all
-    fields, which keeps naive custom probes correct; built-ins narrow
-    it.  Override :meth:`on_round` for a simple per-round probe or
-    :meth:`observe_block` for a vectorized one.
+    across processes and files.  Both hooks default to no-ops.
     """
 
     #: Registry name (set by :func:`register_probe`).
     name: str = "abstract"
     #: One-line description shown by ``repro probes``.
     description: str = ""
-    #: Which :class:`ProbeBlock` arrays this probe reads.  An
-    #: empty-fields probe that overrides a block hook still receives
-    #: blocks (with all arrays ``None``) -- only round indices/lengths.
-    fields: frozenset[str] = PROBE_FIELDS
     #: True to receive recorded response times via ``observe_responses``.
     wants_responses: bool = False
     #: Attributes holding int64 ``ufunc.at`` targets, re-based on
@@ -176,25 +160,7 @@ class Probe(ABC):
     # -- feeding -----------------------------------------------------------
 
     def observe_block(self, block: ProbeBlock) -> None:
-        """Fold in one block of rounds (default: loop :meth:`on_round`)."""
-        for i in range(block.length):
-            self.on_round(
-                block.start_round + i,
-                None if block.batch is None else block.batch[i],
-                None if block.received is None else block.received[i],
-                None if block.done is None else block.done[i],
-                None if block.queues is None else block.queues[i],
-            )
-
-    def on_round(
-        self,
-        round_index: int,
-        batch: np.ndarray | None,
-        received: np.ndarray | None,
-        done: np.ndarray | None,
-        queues: np.ndarray | None,
-    ) -> None:
-        """Per-round hook for simple probes (rows of the block arrays)."""
+        """Fold in one block of rounds."""
 
     def observe_responses(
         self,
@@ -354,11 +320,10 @@ class ProbeSpec:
 class ProbeSet:
     """All probes of one run, bound and indexed for the kernels.
 
-    Exposes the union of the probes' needs (:attr:`fields`,
-    :attr:`wants_responses`) so kernels materialize exactly the arrays
-    someone is listening to, plus the default collectors' underlying
-    objects (:attr:`histogram`, :attr:`queue_series`) for the engines'
-    in-line recording fast path.
+    Exposes :attr:`wants_responses` (some probe reads the response
+    feed) plus the default collectors' underlying objects
+    (:attr:`histogram`, :attr:`queue_series`) for the engines' in-line
+    recording fast path.
     """
 
     def __init__(
@@ -371,26 +336,9 @@ class ProbeSet:
         self.ctx = ctx
         for _, probe in self._probes:
             probe.bind(ctx)
-        # A probe joins the block feed when it declares fields OR
-        # overrides a block hook (an empty-fields probe may still want
-        # round indices/lengths -- it then receives all-None arrays).
-        self._block_probes = tuple(
-            p
-            for _, p in self._probes
-            if p.fields
-            or type(p).observe_block is not Probe.observe_block
-            or type(p).on_round is not Probe.on_round
-        )
         self._response_probes = tuple(
             p for _, p in self._probes if p.wants_responses
         )
-        self.fields: frozenset[str] = frozenset().union(
-            *(p.fields for p in self._block_probes)
-        ) if self._block_probes else frozenset()
-        unknown = self.fields - PROBE_FIELDS
-        if unknown:
-            raise ValueError(f"probes request unknown block fields: {sorted(unknown)}")
-        self.wants_blocks = bool(self._block_probes)
         self.wants_responses = bool(self._response_probes)
         self.histogram: ResponseTimeHistogram | None = None
         self.queue_series: QueueLengthSeries | None = None
@@ -401,8 +349,8 @@ class ProbeSet:
                 self.queue_series = probe.series
 
     def observe_block(self, block: ProbeBlock) -> None:
-        """Fan one block out to every block-observing probe."""
-        for probe in self._block_probes:
+        """Fan one block out to every probe."""
+        for _, probe in self._probes:
             probe.observe_block(block)
 
     def observe_responses(
@@ -444,134 +392,6 @@ def build_probe_set(
     return ProbeSet(pairs, ctx)
 
 
-class BlockRecorder:
-    """Accumulates a reference loop's per-round rows into probe blocks.
-
-    The reference kernels produce one row per round; this buffer stores
-    only the fields the active probes request and flushes a
-    :class:`ProbeBlock` every ``block_rounds`` rounds (matching the fast
-    kernels' chunking, so block boundaries -- and thus any block-order
-    floating-point accumulation -- are identical across backends).
-    """
-
-    def __init__(self, probe_set: ProbeSet, block_rounds: int = 256) -> None:
-        if block_rounds < 1:
-            raise ValueError("block_rounds must be >= 1")
-        ctx = probe_set.ctx
-        fields = probe_set.fields
-        self._probes = probe_set
-        self.active = probe_set.wants_blocks
-        self._capacity = block_rounds
-        self._start = 0
-        self._count = 0
-        n, m = ctx.num_servers, ctx.num_dispatchers
-        make = lambda cols: np.zeros((block_rounds, cols), dtype=np.int64)
-        self._batch = make(m) if "batch" in fields else None
-        self._received = make(n) if "received" in fields else None
-        self._done = make(n) if "done" in fields else None
-        self._queues = make(n) if "queues" in fields else None
-        #: The one row the reference loops must assemble specially (a
-        #: per-round done vector does not otherwise exist there).
-        self.needs_done = self._done is not None
-
-    def record(
-        self,
-        round_index: int,
-        batch: np.ndarray | None,
-        received: np.ndarray | None,
-        done: np.ndarray | None,
-        queues: np.ndarray | None,
-    ) -> None:
-        """Append one round's rows (``None`` rows mean all-zero)."""
-        if not self.active:
-            return
-        i = self._count
-        if i == 0:
-            self._start = round_index
-        for buffer, row in (
-            (self._batch, batch),
-            (self._received, received),
-            (self._done, done),
-            (self._queues, queues),
-        ):
-            if buffer is None:
-                continue
-            if row is None:
-                buffer[i] = 0
-            else:
-                buffer[i] = row
-        self._count = i + 1
-        if self._count == self._capacity:
-            self.flush()
-
-    def flush(self) -> None:
-        """Emit the buffered rounds as one block (no-op when empty)."""
-        length = self._count
-        if not length:
-            return
-        view = lambda buffer: None if buffer is None else buffer[:length]
-        self._probes.observe_block(
-            ProbeBlock(
-                start_round=self._start,
-                length=length,
-                batch=view(self._batch),
-                received=view(self._received),
-                done=view(self._done),
-                queues=view(self._queues),
-            )
-        )
-        self._count = 0
-
-
-class ResponseTee:
-    """Round-scoped response sink for the reference kernels.
-
-    Drop-in for the histogram in ``SizedServerQueue.complete``: records into
-    the real histogram *and* buffers ``(time, count)`` pairs, which
-    :meth:`flush` stamps with the departure round and forwards to the
-    probes.  The reference loops set :attr:`server` to the server being
-    drained before each ``complete`` call, so every buffered record is
-    attributed to its serving server (matching the batch stores' native
-    server stamping).  Only instantiated when some probe wants response
-    events, so the default path keeps its direct histogram writes.
-    """
-
-    def __init__(
-        self, probe_set: ProbeSet, histogram: ResponseTimeHistogram
-    ) -> None:
-        self._probes = probe_set
-        self._histogram = histogram
-        #: Index of the server currently draining (set by the kernel).
-        self.server = 0
-        self._times: list[int] = []
-        self._counts: list[int] = []
-        self._servers: list[int] = []
-
-    def record(self, response_time: int, count: int = 1) -> None:
-        """Mirror ``ResponseTimeHistogram.record`` while buffering."""
-        self._histogram.record(response_time, count)
-        self._times.append(response_time)
-        self._counts.append(count)
-        self._servers.append(self.server)
-
-    def flush(self, round_index: int) -> None:
-        """Emit the buffered records as this round's departures."""
-        if not self._times:
-            return
-        times = np.asarray(self._times, dtype=np.int64)
-        counts = np.asarray(self._counts, dtype=np.int64)
-        servers = np.asarray(self._servers, dtype=np.int64)
-        self._probes.observe_responses(
-            np.full(times.size, round_index, dtype=np.int64),
-            times,
-            counts,
-            servers,
-        )
-        self._times.clear()
-        self._counts.clear()
-        self._servers.clear()
-
-
 # ---------------------------------------------------------------------------
 # Built-in probes.
 # ---------------------------------------------------------------------------
@@ -582,8 +402,8 @@ class ResponseTimeProbe(Probe):
     """The exact response-time histogram (the paper's primary metric).
 
     Default probe.  The engines feed its :attr:`histogram` in-line
-    during FIFO resolution (the zero-overhead fast path), so it needs
-    no block fields; it exists as a probe so response-time state is
+    during FIFO resolution (the zero-overhead fast path), so it ignores
+    the blocks; it exists as a probe so response-time state is
     serializable and summary-addressable like everything else.
     """
 
@@ -591,7 +411,6 @@ class ResponseTimeProbe(Probe):
         "exact integer response-time histogram (mean/percentiles/max); "
         "always on"
     )
-    fields = frozenset()
 
     def __init__(self, histogram: ResponseTimeHistogram | None = None) -> None:
         super().__init__()
@@ -613,16 +432,13 @@ class QueueSeriesProbe(Probe):
 
     Default probe (gated by ``track_queue_series``).  Like the
     ``responses`` probe, the engines feed its :attr:`series` in-line
-    (one scalar total per round -- the zero-overhead fast path), so it
-    requests no block fields and default runs never materialize queue
-    snapshots just for this collector.
+    (one scalar total per round), so it ignores the blocks.
     """
 
     description = (
         "per-round total queue length series (stability diagnostics); "
         "on unless track_queue_series=False"
     )
-    fields = frozenset()
 
     def __init__(self, series: QueueLengthSeries | None = None) -> None:
         super().__init__()
@@ -669,7 +485,6 @@ class ServerStatsProbe(Probe):
         "per-server queue distribution, utilization and idle fraction "
         "(heterogeneity diagnostics)"
     )
-    fields = frozenset({"received", "done", "queues"})
 
     #: Queue lengths at or above this land in the histogram's overflow
     #: bucket (the last entry).  Bounds memory and JSON size on
@@ -803,8 +618,6 @@ class ServerResponseStatsProbe(Probe):
         "per-server response-time count/mean/max (latency heterogeneity "
         "diagnostics)"
     )
-    #: Response events only -- no block arrays needed.
-    fields = frozenset()
     wants_responses = True
     _at_targets = ("_count", "_time_sum", "_time_max")
 
@@ -900,7 +713,6 @@ class DispatcherStatsProbe(Probe):
         "per-dispatcher batch statistics: totals, max batch, "
         "traffic-split imbalance"
     )
-    fields = frozenset({"batch"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -1034,7 +846,6 @@ class WindowedMeanProbe(_WindowedProbe):
         "mean response time per window of rounds (windowed time series "
         "+ first-to-last drift)"
     )
-    fields = frozenset()
     wants_responses = True
 
     def observe_responses(
@@ -1077,7 +888,6 @@ class WindowedStabilityProbe(_WindowedProbe):
         "mean total queue length per window of rounds (time-windowed "
         "queue-growth indicator for nonstationary scenarios)"
     )
-    fields = frozenset({"queues"})
 
     def observe_block(self, block: ProbeBlock) -> None:
         index = (
@@ -1128,7 +938,6 @@ class HerdingSignalProbe(Probe):
         "per-round co-targeting spikes and placement imbalance "
         "(the herding mechanism)"
     )
-    fields = frozenset({"received"})
 
     def __init__(self) -> None:
         super().__init__()

@@ -16,6 +16,11 @@ def test_each_figure_is_declared_once():
     assert len({figure.table for figure in FIGURES}) == len(FIGURES)
 
 
+def test_fig6_fig7_panels_plot_the_tail():
+    """The paper's Figures 6 and 7 both plot tails at n=100, m=10."""
+    assert FIGURES_BY_ID["6"].panel == FIGURES_BY_ID["7"].panel == "p999"
+
+
 def test_each_table_is_committed():
     for figure in FIGURES:
         lines = (RESULTS / f"{figure.table}.txt").read_text().splitlines()

@@ -433,39 +433,6 @@ class TestBuiltinSemantics:
             result.histogram.mean()
         )
 
-    def test_empty_fields_probe_with_hook_still_gets_blocks(self):
-        @register_probe("test_round_total")
-        class RoundTotal(Probe):
-            description = "counts observed rounds without any fields (test)"
-            fields = frozenset()
-
-            def __init__(self):
-                super().__init__()
-                self.rounds = 0
-
-            def observe_block(self, block):
-                assert block.batch is None and block.queues is None
-                self.rounds += block.length
-
-            def summary(self):
-                return {"rounds": float(self.rounds)}
-
-            def get_state(self):
-                return {"rounds": self.rounds}
-
-            def set_state(self, state):
-                self.rounds = int(state.get("rounds", 0))
-
-        try:
-            result = run_unsized(
-                "jsq", "fast", rounds=300, probes=("test_round_total",)
-            )
-            assert result.probes["test_round_total"].summary() == {"rounds": 300.0}
-        finally:
-            from repro.sim import probes as probes_module
-
-            probes_module._REGISTRY._factories.pop("test_round_total", None)
-
     def test_server_stats_queue_histogram_caps_overflow(self):
         probe = make_probe("server_stats")
         probe.bind(
@@ -502,40 +469,70 @@ class TestBuiltinSemantics:
         assert summaries["responses"]["total"] == result.histogram.total
         assert summaries["herding"]["rounds"] == 400.0
 
-    def test_custom_probe_via_on_round(self):
-        @register_probe("test_round_counter")
-        class RoundCounter(Probe):
-            description = "counts rounds with any arrival (test only)"
+    @pytest.mark.parametrize("sized", [False, True], ids=["unit", "geom3"])
+    def test_custom_probe_gets_every_block_whole(self, sized):
+        """A probe overriding only the two hooks sees every block with all
+        four arrays, and the stamped response feed, alike on both kernels."""
+        n, m, rounds = 8, 3, 600
+
+        @register_probe("test_block_feed")
+        class BlockFeed(Probe):
+            description = "sums every block array and the response feed (test)"
+            wants_responses = True
 
             def __init__(self):
                 super().__init__()
-                self.active_rounds = 0
+                self.blocks = []
+                self.sums = {}
 
-            def on_round(self, t, batch, received, done, queues):
-                if batch.sum() > 0:
-                    self.active_rounds += 1
+            def _add(self, key, value):
+                self.sums[key] = self.sums.get(key, 0) + int(value)
+
+            def observe_block(self, block):
+                assert block.batch.shape == (block.length, m)
+                for name in ("received", "done", "queues"):
+                    assert getattr(block, name).shape == (block.length, n)
+                    self._add(name, getattr(block, name).sum())
+                self._add("batch", block.batch.sum())
+                self.blocks.append((block.start_round, block.length))
+
+            def observe_responses(self, rounds, times, counts, servers):
+                self._add("responses", counts.sum())
+                self._add("time_sum", (times * counts).sum())
+                self._add("round_sum", (rounds * counts).sum())
+                self._add("server_sum", (servers * counts).sum())
 
             def summary(self):
-                return {"active_rounds": float(self.active_rounds)}
+                return {key: float(value) for key, value in self.sums.items()}
 
             def get_state(self):
-                return {"active_rounds": self.active_rounds}
+                return {"blocks": self.blocks, "sums": self.sums}
 
             def set_state(self, state):
-                self.active_rounds = int(state.get("active_rounds", 0))
+                self.blocks = list(state.get("blocks", ()))
+                self.sums = dict(state.get("sums", {}))
 
+        run = run_sized if sized else run_unsized
         try:
-            ref = run_unsized("jsq", "reference", probes=("test_round_counter",))
-            fast = run_unsized("jsq", "fast", probes=("test_round_counter",))
-            counted = ref.probes["test_round_counter"].summary()["active_rounds"]
-            assert 0 < counted <= 400
-            assert fast.probes["test_round_counter"].summary() == {
-                "active_rounds": counted
+            results = {
+                backend: run(
+                    "jsq", backend, n=n, m=m, rounds=rounds,
+                    probes=("test_block_feed",),
+                )
+                for backend in ("reference", "fast")
             }
         finally:
             from repro.sim import probes as probes_module
 
-            probes_module._REGISTRY._factories.pop("test_round_counter", None)
+            probes_module._REGISTRY._factories.pop("test_block_feed", None)
+        for result in results.values():
+            probe = result.probes["test_block_feed"]
+            assert probe.blocks == [(0, 256), (256, 256), (512, 88)]
+            assert probe.sums["responses"] == result.histogram.total > 0
+            assert probe.sums["done"] == result.total_departed
+        assert_summaries_equal(
+            results["reference"].probes, results["fast"].probes
+        )
 
 
 class TestSizedWarmup:
