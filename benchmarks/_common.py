@@ -6,7 +6,8 @@ ablations and extensions.  Each benchmark cell runs one simulation grid
 exactly once (``benchmark.pedantic(rounds=1)``) -- a simulation *is* the
 workload being timed -- and deposits its numbers both in
 ``benchmark.extra_info`` and into a per-figure text table written under
-``benchmarks/results/``.
+``benchmarks/results/``.  That directory holds run output; it is
+gitignored, not committed.
 
 Scaling knobs (environment variables):
 

@@ -13,7 +13,8 @@ evaluate SCD in eight figures of three kinds:
 
 A :class:`Figure` holds the kind, the rate profile, the policies (the
 run-time techniques for ``runtime``) and the table: its
-``benchmarks/results/<table>.txt`` name, title and headers.
+``benchmarks/results/<table>.txt`` name, title and headers.  That
+directory holds benchmark run output; it is gitignored, not committed.
 :meth:`Figure.cells` lists the cells in table-row order, and one row
 builder per kind turns a cell into table rows.  Rounds, loads and seed
 are the caller's.  The figure benchmarks (``benchmarks/bench_figures.py``)

@@ -1,12 +1,29 @@
-"""The paper's figures are declared once, and their tables come from the grid."""
+"""The paper's figures are declared once, and their tables come from the grid.
 
+Each figure's table is checked as ``FigureTable.write`` (the figure
+benchmarks' writer, ``benchmarks/_common.py``) produces it, plus any table
+that a ``pytest benchmarks`` run left in the gitignored ``benchmarks/results/``.
+"""
+
+import importlib.util
 from pathlib import Path
 
 from repro.analysis.ccdf import tail_quantiles
 from repro.experiments import Experiment
 from repro.experiments.figures import FIGURES, FIGURES_BY_ID, mean_rows
 
-RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+RESULTS = BENCHMARKS / "results"
+
+
+def _bench_common():
+    """``benchmarks/_common.py``, loaded by path under a private name."""
+    spec = importlib.util.spec_from_file_location(
+        "_figures_bench_common", BENCHMARKS / "_common.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_each_figure_is_declared_once():
@@ -21,11 +38,22 @@ def test_fig6_fig7_panels_plot_the_tail():
     assert FIGURES_BY_ID["6"].panel == FIGURES_BY_ID["7"].panel == "p999"
 
 
-def test_each_table_is_committed():
+def test_each_table_is_committed(tmp_path, monkeypatch):
+    """Each table opens with its figure's title, a run line and its headers,
+    as written and as left in ``benchmarks/results/`` by a benchmark run."""
+    common = _bench_common()
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
     for figure in FIGURES:
-        lines = (RESULTS / f"{figure.table}.txt").read_text().splitlines()
-        assert lines[0] == figure.title, figure.id
-        assert lines[2].split() == list(figure.headers), figure.id
+        table = common.FigureTable(figure.table, figure.title, list(figure.headers))
+        table.add(*range(len(figure.headers)))
+        table.write()
+        paths = [tmp_path / f"{figure.table}.txt"]
+        if (RESULTS / f"{figure.table}.txt").exists():
+            paths.append(RESULTS / f"{figure.table}.txt")
+        for path in paths:
+            lines = path.read_text().splitlines()
+            assert lines[0] == figure.title, (figure.id, path)
+            assert lines[2].split() == list(figure.headers), (figure.id, path)
 
 
 def test_mean_table_equals_the_grid_records():
