@@ -1,12 +1,14 @@
 """Shared infrastructure for the benchmark suite.
 
 ``bench_figures.py`` holds the paper's evaluation figures, declared in
-:mod:`repro.experiments.figures`; the other ``bench_*`` modules are
-ablations and extensions.  Each benchmark cell runs one simulation grid
-exactly once (``benchmark.pedantic(rounds=1)``) -- a simulation *is* the
-workload being timed -- and deposits its numbers both in
-``benchmark.extra_info`` and into a per-figure text table written under
-``benchmarks/results/``.  That directory holds run output; it is
+:mod:`repro.experiments.figures`: each figure is one benchmark, and a
+mean or tail figure runs its whole grid as one ``fast`` experiment.  The
+other ``bench_*`` modules are ablations and extensions, whose cells each
+run one simulation grid and deposit its numbers in
+``benchmark.extra_info``.  Every benchmark runs its simulation exactly
+once (``benchmark.pedantic(rounds=1)``) -- a simulation *is* the
+workload being timed -- and every module writes a text table per figure
+under ``benchmarks/results/``.  That directory holds run output; it is
 gitignored, not committed.
 
 Scaling knobs (environment variables):
@@ -18,10 +20,10 @@ Scaling knobs (environment variables):
 ``REPRO_BENCH_LOADS``
     Comma-separated offered loads (default ``0.7,0.9,0.99``).
 ``REPRO_BENCH_WORKERS``
-    Process-pool workers for the mean figures' load grids (default 1 =
-    serial, so a benchmark cell times the simulation itself; raising it
-    speeds up full-suite runs without changing any results -- cell seeds
-    are scheduling-independent).
+    Process-pool workers for each figure's grid (default 1 = serial, so
+    a benchmark times the simulation itself; raising it speeds up
+    full-suite runs without changing any results -- cell seeds are
+    scheduling-independent).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """The paper's eight evaluation figures (Section 6, Appendix E).
 
-Each figure is declared once in :mod:`repro.experiments.figures`.  Every
-cell of every figure is one benchmark: a mean cell runs one policy on one
-system over the load grid, a tail cell one policy at one load on n=100,
-m=10, and a run-time cell times one technique on one server count.  The
-rows land in ``results/<figure.table>.txt``.  The claims below check the
-shape the paper reports, each on its figure's policies and systems.
+Each figure is declared once in :mod:`repro.experiments.figures`, and
+each figure is one benchmark, which writes its table to
+``results/<figure.table>.txt``.  A mean or tail figure is one simulation
+grid, run once per module (:func:`figure_result`); the claims below read
+the same result and check the shape the paper reports, each on its
+figure's policies and systems.  A run-time figure times one technique's
+decisions per server count.
 
 Run-time figures (5, 8): the paper times C++, we time Python/numpy, so
 compare shapes: SCD via Algorithm 4 scales like JSQ and SED, and
@@ -16,177 +17,129 @@ Algorithms 1 and 4.
 
 import functools
 
-import numpy as np
 import pytest
 
-from repro.analysis.runtime import RUNTIME_TECHNIQUES, measure_decision_times
 from repro.experiments.figures import (
     FIGURES,
     FIGURES_BY_ID as FIG,
-    MEAN,
+    PANEL_METRIC,
     RUNTIME,
-    RUNTIME_DISPATCHERS,
     RUNTIME_SERVER_COUNTS,
     TAIL,
-    mean_rows,
-    panel_rows,
-    policy_metrics,
     runtime_row,
     runtime_snapshots,
-    tail_histogram,
-    tail_row,
 )
 from repro.workloads.scenarios import TAIL_LOADS
 
 from _common import BENCH_LOADS, BENCH_ROUNDS, BENCH_SEED, BENCH_WORKERS, FigureTable
 
-GRID = {"rounds": BENCH_ROUNDS, "seed": BENCH_SEED}
 
-
-@pytest.fixture(scope="module")
-def tables():
-    """Figure id -> its table; every filled table is written at module end."""
-    tables = {f.id: FigureTable(f.table, f.title, list(f.headers)) for f in FIGURES}
-    yield tables
-    for table in tables.values():
-        if table.rows:
-            table.write()
-
-
-def cells(kind):
-    return [
-        pytest.param(f, a, b, id=f"{f.id}-{a}-{getattr(b, 'name', b)}")
-        for f in FIGURES
-        if f.kind == kind
-        for a, b in f.cells()
-    ]
-
-
-def once(benchmark, fn, *args, **kwargs):
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+@functools.cache
+def figure_result(figure):
+    """A mean or tail figure's result, run once per module."""
+    return figure.run(
+        rounds=BENCH_ROUNDS, loads=BENCH_LOADS, seed=BENCH_SEED, workers=BENCH_WORKERS
+    )
 
 
 @functools.cache
-def snapshots(figure, n):
-    return runtime_snapshots(figure, n, seed=BENCH_SEED)
+def runtime_rows(figure):
+    """A run-time figure's rows, keyed by ``(technique, n)``."""
+    snapshots = {
+        n: runtime_snapshots(figure, n, seed=BENCH_SEED) for n in RUNTIME_SERVER_COUNTS
+    }
+    return {
+        (technique, n): runtime_row(n, technique, *snapshots[n])
+        for technique, n in figure.cells()
+    }
 
 
-def decision_median(technique, figure, n):
-    snaps, rates = snapshots(figure, n)
-    times = measure_decision_times(technique, snaps, rates, RUNTIME_DISPATCHERS)
-    return float(np.median(times))
+# -- the figures ---------------------------------------------------------------
 
 
-# -- the figures' cells ------------------------------------------------------
-
-
-@pytest.mark.parametrize("figure, policy, system", cells(MEAN))
-def test_mean_cell(benchmark, tables, figure, policy, system):
-    rows = once(
-        benchmark, mean_rows, policy, system,
-        loads=BENCH_LOADS, workers=BENCH_WORKERS, **GRID,
-    )
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.id)
+def test_figure(benchmark, figure):
+    table = FigureTable(figure.table, figure.title, list(figure.headers))
+    if figure.kind == RUNTIME:
+        rows = list(benchmark.pedantic(runtime_rows, args=(figure,), rounds=1).values())
+    else:
+        result = benchmark.pedantic(figure_result, args=(figure,), rounds=1)
+        rows = figure.rows(result, BENCH_LOADS)
+        # Sanity: response times are at least one round, and every tail
+        # cell kept its histogram.
+        assert all(r.metrics["mean"] >= 1.0 for r in result), figure.id
+        if figure.kind == TAIL:
+            assert all(r.result.histogram.total > 0 for r in result), figure.id
     for row in rows:
-        benchmark.extra_info[f"mean@{row[2]}"] = round(row[3], 3)
-        tables[figure.id].add(*row)
-    # Sanity: response times are at least one round and finite.
-    assert all(row[3] >= 1.0 for row in rows)
-
-
-@pytest.mark.parametrize("figure, policy, rho", cells(TAIL))
-def test_tail_cell(benchmark, tables, figure, policy, rho):
-    hist = once(benchmark, tail_histogram, figure, policy, rho, **GRID)
-    row = tail_row(policy, rho, hist)
-    tables[figure.id].add(*row)
-    benchmark.extra_info["p99.9"] = row[4]
-    assert hist.total > 0
-
-
-@pytest.mark.parametrize("figure, technique, n", cells(RUNTIME))
-def test_runtime_cell(benchmark, tables, figure, technique, n):
-    snaps, rates = snapshots(figure, n)
-    snap = snaps[len(snaps) // 2]
-    # pytest-benchmark timing on one representative high-load snapshot.
-    benchmark(
-        RUNTIME_TECHNIQUES[technique], snap.queues, rates, snap.batch_size,
-        RUNTIME_DISPATCHERS,
-    )
-    # The CDF over all snapshots (the figure's protocol).
-    row = runtime_row(n, technique, snaps, rates)
-    tables[figure.id].add(*row)
-    benchmark.extra_info["median_us_over_snapshots"] = round(row[3], 1)
+        table.add(*row)
+    table.write()
 
 
 # -- the figures' claims ----------------------------------------------------
 
 
-def claim(benchmark, policies, system, rho, metric):
-    values = once(benchmark, policy_metrics, policies, system, rho, metric, **GRID)
-    benchmark.extra_info.update(values)
-    return values
+def claim(figure, policies, system, rho, metric):
+    """Policy -> ``metric`` of the figure's cells of ``policies`` on ``system``."""
+    records = figure_result(figure).filter(policy=policies, system=system.name, rho=rho)
+    return {r.policy: r.metrics[metric] for r in records}
 
 
 @pytest.mark.parametrize("system", FIG["3a"].systems, ids=lambda s: s.name)
-def test_fig3a_scd_wins_at_high_load(benchmark, system):
+def test_fig3a_scd_wins_at_high_load(system):
     """The headline claim, checked head-to-head at the top of the grid."""
     policies = ("scd", "twf", "sed", "hjsq(2)")
-    means = claim(benchmark, policies, system, max(BENCH_LOADS), "mean")
+    means = claim(FIG["3a"], policies, system, max(BENCH_LOADS), "mean")
     assert means["scd"] == min(means.values()), means
 
 
-def test_fig3b_scd_tail_dominates_at_099(benchmark):
+def test_fig3b_scd_tail_dominates_at_099():
     """SCD's deep tail beats the field at rho = 0.99 (paper: >2.1x)."""
+    figure = FIG["3b"]
     policies = ("scd", "sed", "hlsq", "twf")
-    tails = claim(benchmark, policies, FIG["3b"].tail_system, 0.99, "p999")
+    tails = claim(figure, policies, figure.tail_system, 0.99, "p999")
     assert tails["scd"] == min(tails.values()), tails
 
 
 @pytest.mark.parametrize("system", FIG["4a"].systems, ids=lambda s: s.name)
-def test_fig4a_heterogeneity_obliviousness_punished(benchmark, system):
+def test_fig4a_heterogeneity_obliviousness_punished(system):
     """TWF (rate-blind) trails SCD clearly in this regime at high load."""
-    means = claim(benchmark, ("scd", "twf"), system, max(BENCH_LOADS), "mean")
+    means = claim(FIG["4a"], ("scd", "twf"), system, max(BENCH_LOADS), "mean")
     assert means["scd"] < means["twf"], means
 
 
-def test_fig4b_twf_tail_collapses(benchmark):
+def test_fig4b_twf_tail_collapses():
     """The heterogeneity-oblivious tail is far worse than SCD's here."""
-    tails = claim(benchmark, ("scd", "twf"), FIG["4b"].tail_system, 0.9, "p999")
+    figure = FIG["4b"]
+    tails = claim(figure, ("scd", "twf"), figure.tail_system, 0.9, "p999")
     assert tails["twf"] >= 2 * tails["scd"], tails
 
 
 @pytest.mark.parametrize("figure", [FIG["6"], FIG["7"]], ids=lambda f: f.id)
 @pytest.mark.parametrize("rho", TAIL_LOADS)
-def test_fig6_fig7_scd_wins_panel(benchmark, tables, figure, rho):
+def test_fig6_fig7_scd_wins_panel(figure, rho):
     """SCD beats JSQ(2), JIQ, LSQ and WR on the n=100, m=10 panel."""
-    values = claim(benchmark, figure.policies, figure.tail_system, rho, figure.panel)
-    for row in panel_rows(figure, rho, values):
-        tables[figure.id].add(*row)
+    values = claim(figure, figure.policies, figure.tail_system, rho, PANEL_METRIC)
     assert values["scd"] == min(values.values()), values
 
 
+def decision_median_us(figure, technique, n):
+    """``technique``'s median decision time on ``n`` servers (the p50_us column)."""
+    return runtime_rows(figure)[technique, n][3]
+
+
 @pytest.mark.parametrize("n", RUNTIME_SERVER_COUNTS)
-def test_fig5_alg1_slower_than_alg4(benchmark, n):
+def test_fig5_alg1_slower_than_alg4(n):
     """The asymptotic gap the figure demonstrates, per server count."""
-
-    def medians():
-        return {t: decision_median(t, FIG["5"], n) for t in ("scd-alg1", "scd-alg4")}
-
-    result = once(benchmark, medians)
-    benchmark.extra_info.update({k: round(v * 1e6, 1) for k, v in result.items()})
-    assert result["scd-alg1"] > result["scd-alg4"], result
+    medians = {t: decision_median_us(FIG["5"], t, n) for t in ("scd-alg1", "scd-alg4")}
+    assert medians["scd-alg1"] > medians["scd-alg4"], medians
 
 
-def test_fig8_scaling_shape(benchmark):
+def test_fig8_scaling_shape():
     """Alg4's median grows roughly linearly in n; Alg1's superlinearly."""
     small, big = RUNTIME_SERVER_COUNTS[0], RUNTIME_SERVER_COUNTS[-1]
-
-    def growth():
-        return {
-            t: decision_median(t, FIG["8"], big) / decision_median(t, FIG["8"], small)
-            for t in ("scd-alg4", "scd-alg1")
-        }
-
-    ratios = once(benchmark, growth)
-    benchmark.extra_info.update({k: round(v, 2) for k, v in ratios.items()})
+    ratios = {
+        t: decision_median_us(FIG["8"], t, big) / decision_median_us(FIG["8"], t, small)
+        for t in ("scd-alg4", "scd-alg1")
+    }
     # 4x the servers: Alg1's growth factor must exceed Alg4's.
     assert ratios["scd-alg1"] > ratios["scd-alg4"], ratios

@@ -24,9 +24,10 @@ Subcommands
                 probes (``--metrics herding server_stats``) and a
                 nonstationary scenario (``--scenario flash:spike=5``)
 ``simulate``    one (policy, system, load) run; optional JSON output
-``sweep``       mean response times over a load grid, several policies
-``tails``       tail quantiles at one load, several policies
-``runtime``     per-decision computation-time CDF landmarks (Figures 5/8)
+``figure``      the table behind one of the paper's evaluation figures
+                (``3a 3b 4a 4b 5 6 7 8`` or ``all``): a mean or tail
+                figure is one ``fast`` experiment (``--save DIR`` keeps
+                its result), a run-time figure (5, 8) times decisions
 ``stability``   empirical stability verdict + the Appendix D bound
 ``run``         checkpointed simulation run: block-aligned snapshots,
                 streaming JSONL telemetry, crash-safe resume
@@ -48,7 +49,8 @@ Layout
 This module only parses flags and prints results.  Flags shared by
 several subcommands are defined once, in the ``_add_*_args`` groups.
 Every run subcommand turns its coordinate flags into one
-:class:`~repro.experiments.Experiment` through ``_experiment_from``, and
+:class:`~repro.experiments.Experiment` through ``_experiment_from`` (a
+figure through :meth:`~repro.experiments.figures.Figure.experiment`), and
 ``Experiment`` is the only validator: a bad policy, load, backend or
 probe ends the command with one ``invalid experiment: ...`` line before
 any cell runs.  ``--metrics`` tokens use the ``key=value`` grammar of
@@ -73,8 +75,9 @@ Examples
     repro simulate --policy scd --servers 100 --dispatchers 10 --rho 0.9
     repro compare --backends fast,meanfield --policy jsq(2) --rho 0.9 \
         --servers 1000 --replications 3
-    repro sweep --policies scd jsq sed --loads 0.7 0.9 0.99 --rounds 5000
-    repro runtime --servers 100 200 400
+    repro figure 3a --rounds 5000 --loads 0.7 0.9 0.99
+    repro figure 3b --rounds 20000 --save figures/
+    repro figure 5 --servers 100 200 400
     repro stability --policy jsq(2) --rho 0.95
     repro run --policy scd --rho 0.9 --backend fast --rounds 100000 \
         --checkpoint-dir runs/scd-09 --checkpoint-every 4
@@ -98,17 +101,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.ccdf import tail_quantiles
-from repro.analysis.runtime import (
-    RUNTIME_TECHNIQUES,
-    collect_snapshots,
-    measure_decision_times,
-    runtime_cdf_summary,
-)
 from repro.analysis.stability import assess_stability
-from repro.analysis.tables import format_series_table, format_table
+from repro.analysis.tables import format_table
 from repro.core.theory import strong_stability_bound
-from repro.experiments import Experiment, WorkloadSpec
+from repro.experiments import Experiment, WorkloadSpec, figures
 from repro.experiments.persistence import save_experiment, save_result
 from repro.policies.base import available_policies
 from repro.sim._registry import parse_params
@@ -497,75 +493,47 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    experiment = _experiment_from(args)
-    result = experiment.run(keep_results=False)
-    print(
-        format_series_table(
-            "rho",
-            list(experiment.loads),
-            {
-                policy.label: [
-                    result.metric(policy=policy.label, rho=rho)
-                    for rho in experiment.loads
-                ]
-                for policy in experiment.policies
-            },
-            title=f"Mean response time on {experiment.systems[0].name} "
-            f"({args.rounds} rounds/cell)",
+def cmd_figure(args: argparse.Namespace) -> int:
+    if args.figure == "all":
+        targets = figures.FIGURES
+    elif args.figure in figures.FIGURES_BY_ID:
+        targets = (figures.FIGURES_BY_ID[args.figure],)
+    else:
+        raise SystemExit(
+            f"unknown figure {args.figure!r}; expected one of "
+            f"{', '.join(figures.FIGURES_BY_ID)} or all"
         )
-    )
-    for rho in experiment.loads:
-        print(f"  best at rho={rho}: {result.best_policy_at(rho)}")
-    if args.save:
-        path = save_experiment(result, args.save)
-        print(f"sweep written to {path}")
-    return 0
-
-
-def cmd_tails(args: argparse.Namespace) -> int:
-    experiment = _experiment_from(args)
-    levels = (1e-1, 1e-2, 1e-3, 1e-4)
-    rows = []
-    for record in experiment.run():
-        quantiles = tail_quantiles(record.result.histogram, levels)
-        rows.append(
-            [record.policy, record.result.mean_response_time]
-            + [quantiles[level] for level in levels]
-        )
-    print(
-        format_table(
-            ["policy", "mean", "p90", "p99", "p99.9", "p99.99"],
-            rows,
-            title=f"Tails on {experiment.systems[0].name} at rho={args.rho}",
-        )
-    )
-    return 0
-
-
-def cmd_runtime(args: argparse.Namespace) -> int:
-    for n in args.servers:
-        system = SystemSpec(n, args.dispatchers, args.profile)
-        snapshots = collect_snapshots(
-            system, rho=0.99, rounds=args.sim_rounds, seed=args.seed,
-            max_snapshots=args.snapshots,
-        )
-        rates = system.rates()
-        rows = []
-        for technique in sorted(RUNTIME_TECHNIQUES):
-            times = measure_decision_times(
-                technique, snapshots, rates, args.dispatchers
-            )
-            s = runtime_cdf_summary(times)
-            rows.append([technique, s["p50_us"], s["p90_us"], s["p99_us"]])
-        print(
-            format_table(
-                ["technique", "p50_us", "p90_us", "p99_us"],
-                rows,
-                title=f"\nDecision run-times, n={n} (rho=0.99, {args.profile})",
-                float_format="{:.1f}",
-            )
-        )
+    grid = {"rounds": args.rounds, "loads": args.loads, "seed": args.seed}
+    simulated = [f for f in targets if f.kind != figures.RUNTIME]
+    try:  # every figure's grid is checked before any cell runs
+        for figure in simulated:
+            figure.experiment(**grid)
+    except ValueError as error:
+        raise SystemExit(f"invalid experiment: {error}")
+    for figure in targets:
+        notes = []
+        if figure in simulated:
+            result = figure.run(**grid)
+            rows, notes = figure.rows(result, args.loads), figure.notes(result)
+        else:
+            snapshots = {
+                n: figures.runtime_snapshots(
+                    figure, n, seed=args.seed, snapshots=args.snapshots,
+                    rounds=args.runtime_rounds,
+                )
+                for n in args.servers
+            }
+            rows = [
+                figures.runtime_row(n, technique, *snapshots[n])
+                for technique, n in figure.cells(args.servers)
+            ]
+        print(f"\n{'#' * 66}\n# Figure {figure.id}\n{'#' * 66}")
+        print(figures.table_text(figure.title, figure.headers, rows, **grid))
+        for note in notes:
+            print(note)
+        if args.save and figure in simulated:
+            path = save_experiment(result, Path(args.save) / f"{figure.table}.json")
+            print(f"figure {figure.id} written to {path}")
     return 0
 
 
@@ -954,7 +922,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         done = run_worker(
             address,
             name=args.name,
-            workdir=args.workdir,
             max_cells=args.max_cells,
             exit_when_idle=args.exit_when_idle,
             poll_interval=args.poll_interval,
@@ -1113,29 +1080,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="mean response over a load grid")
-    p.add_argument("--policies", nargs="+", default=["scd", "jsq", "sed"])
-    p.add_argument("--loads", type=float, nargs="+", default=[0.7, 0.9, 0.99])
-    p.add_argument("--save", help="write the sweep's records as experiment JSON")
-    _add_system_args(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("tails", help="tail quantiles at one load")
-    p.add_argument("--policies", nargs="+", default=["scd", "sed", "hlsq"])
-    p.add_argument("--rho", type=float, default=0.99)
-    _add_system_args(p)
-    p.set_defaults(func=cmd_tails)
-
-    p = sub.add_parser("runtime", help="decision-time CDFs (Figures 5/8)")
-    p.add_argument("--servers", type=int, nargs="+", default=[100, 200, 300, 400])
-    p.add_argument("--dispatchers", "-m", type=int, default=10)
-    p.add_argument(
-        "--profile", default="u1_10", choices=["u1_10", "u1_100", "bimodal"]
+    p = sub.add_parser(
+        "figure",
+        help="print the table behind a paper figure (3a 3b 4a 4b 5 6 7 8, or all)",
     )
-    p.add_argument("--snapshots", type=int, default=200)
-    p.add_argument("--sim-rounds", type=int, default=100)
+    p.add_argument("figure", metavar="ID", help="a figure id, or all")
+    p.add_argument("--rounds", type=int, default=2000)
+    p.add_argument(
+        "--loads", type=float, nargs="+", default=[0.6, 0.7, 0.8, 0.9, 0.99]
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_runtime)
+    p.add_argument(
+        "--servers", type=int, nargs="+",
+        default=list(figures.RUNTIME_SERVER_COUNTS),
+        help="server counts of the run-time figures (5, 8)",
+    )
+    p.add_argument("--snapshots", type=int, default=figures.RUNTIME_SNAPSHOTS)
+    p.add_argument(
+        "--runtime-rounds", type=int, default=figures.RUNTIME_SNAPSHOT_ROUNDS
+    )
+    p.add_argument(
+        "--save",
+        metavar="DIR",
+        help="write each simulated figure's result as DIR/<table>.json",
+    )
+    p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser(
         "run",
@@ -1264,12 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--connect", "HOST:PORT", "coordinator worker-socket address"
     )
     p.add_argument("--name", help="worker identity (default hostname-pid)")
-    p.add_argument(
-        "--workdir",
-        metavar="DIR",
-        help="accepted for compatibility; cells run in memory and write "
-        "nothing here",
-    )
     p.add_argument(
         "--max-cells", type=int, metavar="N", help="exit after N cells"
     )

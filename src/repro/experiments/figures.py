@@ -5,7 +5,7 @@ evaluate SCD in eight figures of three kinds:
 
 * ``mean``: mean response time against offered load on the four paper
   systems (3a, 4a, 6, 7).  Figures 6 and 7 add a panel at n=100, m=10
-  over :data:`TAIL_LOADS`, whose one metric column is :attr:`Figure.panel`;
+  over :data:`TAIL_LOADS` whose one column is :data:`PANEL_METRIC`;
 * ``tail``: response-time tail quantiles at n=100, m=10 over
   :data:`TAIL_LOADS` (3b, 4b);
 * ``runtime``: per-decision run-time CDF landmarks at rho=0.99 for growing
@@ -15,11 +15,17 @@ A :class:`Figure` holds the kind, the rate profile, the policies (the
 run-time techniques for ``runtime``) and the table: its
 ``benchmarks/results/<table>.txt`` name, title and headers.  That
 directory holds benchmark run output; it is gitignored, not committed.
-:meth:`Figure.cells` lists the cells in table-row order, and one row
-builder per kind turns a cell into table rows.  Rounds, loads and seed
+
+A mean or tail figure is one simulation grid, :meth:`Figure.experiment`,
+on the ``fast`` backend (bit-identical to ``reference``).
+:meth:`Figure.rows` and :meth:`Figure.notes` are pure functions of its
+:class:`~repro.experiments.ExperimentResult`, so a result saved with
+:func:`~repro.experiments.persistence.save_experiment` renders the same
+table when loaded.  A run-time figure times decisions on the wall clock
+(:func:`runtime_snapshots`, :func:`runtime_row`).  Rounds, loads and seed
 are the caller's.  The figure benchmarks (``benchmarks/bench_figures.py``)
-and ``examples/paper_figures.py`` both build their tables here, so the
-two print the same table for the same rounds, loads and seed.
+and ``repro figure`` both build their tables here, so the two print the
+same table for the same rounds, loads and seed.
 
 This module is not imported by :mod:`repro.experiments`: it reads
 :mod:`repro.analysis`, which a simulation cell does not load.
@@ -28,11 +34,12 @@ This module is not imported by :mod:`repro.experiments`: it reads
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.ccdf import tail_quantiles
+from repro.analysis.ccdf import tail_improvement_factor, tail_quantiles
 from repro.analysis.runtime import (
     RUNTIME_TECHNIQUES,
     DecisionSnapshot,
@@ -52,6 +59,7 @@ from repro.workloads.scenarios import (
 )
 
 from .grid import Experiment
+from .results import ExperimentResult
 
 __all__ = [
     "FIGURES",
@@ -60,17 +68,14 @@ __all__ = [
     "MEAN",
     "TAIL",
     "RUNTIME",
+    "PANEL_METRIC",
     "RUNTIME_DISPATCHERS",
     "RUNTIME_SERVER_COUNTS",
     "RUNTIME_SNAPSHOTS",
     "RUNTIME_SNAPSHOT_ROUNDS",
-    "mean_rows",
-    "panel_rows",
-    "policy_metrics",
     "runtime_row",
     "runtime_snapshots",
     "table_text",
-    "tail_histogram",
     "tail_row",
 ]
 
@@ -84,6 +89,9 @@ HEADERS = {
 
 #: Record metrics behind a mean table's last three columns.
 MEAN_METRICS = ("mean", "p99", "p999")
+
+#: The record metric of the Figure 6/7 panel: both plot the p99.9 tail.
+PANEL_METRIC = "p999"
 
 #: CCDF levels of a tail table's p99, p99.9 and p99.99 columns.
 TAIL_LEVELS = (1e-2, 1e-3, 1e-4)
@@ -106,9 +114,9 @@ class Figure:
     policies: tuple[str, ...]
     table: str
     title: str
-    #: Figures 6/7: the record metric (``"mean"`` or ``"p999"``) of the
-    #: n=100, m=10 panel that follows the mean rows.
-    panel: str | None = None
+    #: Figures 6/7: an n=100, m=10 panel of :data:`PANEL_METRIC` over
+    #: :data:`TAIL_LOADS` follows the mean rows.
+    panel: bool = False
 
     @property
     def headers(self) -> tuple[str, ...]:
@@ -132,6 +140,93 @@ class Figure:
         """
         inner = {MEAN: self.systems, TAIL: TAIL_LOADS, RUNTIME: servers}[self.kind]
         return list(itertools.product(self.policies, inner))
+
+    def experiment(self, *, rounds, loads, seed) -> Experiment:
+        """The figure's one simulation grid, on the ``fast`` backend.
+
+        ``policies x systems x loads`` for a mean figure, with
+        :data:`TAIL_LOADS` added for a panel; ``policies x tail_system x
+        TAIL_LOADS`` for a tail figure.  A run-time figure is timed, not
+        simulated.
+        """
+        if self.kind == MEAN:
+            grid = (self.systems, sorted({*loads, *(TAIL_LOADS if self.panel else ())}))
+        elif self.kind == TAIL:
+            grid = (self.tail_system, TAIL_LOADS)
+        else:
+            raise ValueError(f"Figure {self.id} is timed, not simulated")
+        return Experiment(
+            self.policies, *grid, rounds=rounds, base_seed=seed, backend="fast"
+        )
+
+    def run(self, *, rounds, loads, seed, workers=1) -> ExperimentResult:
+        """Run :meth:`experiment`; a tail figure keeps each cell's histogram."""
+        return self.experiment(rounds=rounds, loads=loads, seed=seed).run(
+            workers=workers, keep_results=self.kind == TAIL
+        )
+
+    def rows(self, result: ExperimentResult, loads) -> list[list]:
+        """The table's rows, read from the result of :meth:`experiment`.
+
+        Mean rows cover ``loads`` in ``(policy, system, rho)`` order; a
+        tail figure's rows do not depend on ``loads``.
+        """
+        records = _records(result)
+        if self.kind == TAIL:
+            system = self.tail_system.name
+            return [
+                tail_row(policy, rho, records[policy, system, rho].result.histogram)
+                for policy, rho in self.cells()
+            ]
+        rows = []
+        for policy, system in self.cells():
+            label = f"n{system.num_servers}/m{system.num_dispatchers}"
+            for rho in map(float, loads):
+                metrics = records[policy, system.name, rho].metrics
+                rows.append([label, policy, rho, *(metrics[key] for key in MEAN_METRICS)])
+        if self.panel:
+            # Only the p99.9 column is filled, in whole rounds as in the
+            # tail tables.
+            system = self.tail_system.name
+            rows += [
+                [
+                    "n100/m10-tail", policy, rho, math.nan, math.nan,
+                    int(records[policy, system, rho].metrics[PANEL_METRIC]),
+                ]
+                for rho in TAIL_LOADS
+                for policy in self.policies
+            ]
+        return rows
+
+    def notes(self, result: ExperimentResult) -> list[str]:
+        """The lines printed under the table.
+
+        For a tail figure, how much shorter SCD's 1e-4 tail is than the
+        runner-up's at each load; no lines for the other kinds.
+        """
+        if self.kind != TAIL:
+            return []
+        records = _records(result)
+        system = self.tail_system.name
+        lines = []
+        for rho in TAIL_LOADS:
+            histograms = {
+                policy: records[policy, system, rho].result.histogram
+                for policy in self.policies
+            }
+            factor, runner_up = tail_improvement_factor(
+                histograms.pop("scd"), histograms, level=1e-4
+            )
+            lines.append(
+                f"rho={rho}: SCD 1e-4 tail improvement over runner-up "
+                f"({runner_up}): {factor:.2f}x"
+            )
+        return lines
+
+
+def _records(result: ExperimentResult) -> dict:
+    """``(policy, system name, rho) -> record`` of a figure's result."""
+    return {(r.policy, r.system, r.rho): r for r in result}
 
 
 _TECHNIQUES = tuple(sorted(RUNTIME_TECHNIQUES))
@@ -161,12 +256,12 @@ FIGURES: tuple[Figure, ...] = (
     Figure(
         "6", MEAN, "u1_10", EXTRA_POLICIES, "fig6_additional_policies",
         "Figure 6: SCD vs JSQ(2)/JIQ/LSQ/WR (mu ~ U[1,10])",
-        panel="p999",
+        panel=True,
     ),
     Figure(
         "7", MEAN, "u1_100", EXTRA_POLICIES, "fig7_additional_policies",
         "Figure 7: SCD vs JSQ(2)/JIQ/LSQ/WR (mu ~ U[1,100])",
-        panel="p999",
+        panel=True,
     ),
     Figure(
         "8", RUNTIME, "u1_100", _TECHNIQUES, "fig8_runtime_hetero",
@@ -185,48 +280,6 @@ def table_text(title, headers, rows, *, rounds, loads, seed) -> str:
         rows,
         title=f"{title}\n(rounds/cell: {rounds}, loads: {tuple(loads)}, seed: {seed})",
     )
-
-
-def mean_rows(policy, system, *, rounds, loads, seed, workers=1) -> list[list]:
-    """A mean-figure cell: one row per load for ``policy`` on ``system``."""
-    records = Experiment(policy, system, loads, rounds=rounds, base_seed=seed).run(
-        workers=workers, keep_results=False
-    )
-    label = f"n{system.num_servers}/m{system.num_dispatchers}"
-    return [
-        [label, policy, r.rho, *(r.metrics[key] for key in MEAN_METRICS)]
-        for r in records
-    ]
-
-
-def policy_metrics(policies, system, rho, metric, *, rounds, seed) -> dict[str, float]:
-    """Policy -> record metric ``metric`` of its cell on ``system`` at ``rho``."""
-    records = Experiment(policies, system, rho, rounds=rounds, base_seed=seed).run(
-        keep_results=False
-    )
-    return {r.policy: r.metrics[metric] for r in records}
-
-
-def panel_rows(figure: Figure, rho: float, values: dict[str, float]) -> list[list]:
-    """The rows of a Figure 6/7 panel at ``rho`` from :func:`policy_metrics`.
-
-    Only the panel's metric column is filled.  A quantile is written in
-    whole rounds, as in the tail tables.
-    """
-    rows = []
-    for policy, value in values.items():
-        cells = [float("nan")] * len(MEAN_METRICS)
-        cells[MEAN_METRICS.index(figure.panel)] = (
-            value if figure.panel == "mean" else int(value)
-        )
-        rows.append(["n100/m10-tail", policy, rho, *cells])
-    return rows
-
-
-def tail_histogram(figure: Figure, policy, rho, *, rounds, seed) -> ResponseTimeHistogram:
-    """A tail-figure cell: the response-time histogram of ``policy`` at ``rho``."""
-    experiment = Experiment(policy, figure.tail_system, rho, rounds=rounds, base_seed=seed)
-    return experiment.run().only().result.histogram
 
 
 def tail_row(policy, rho, histogram: ResponseTimeHistogram) -> list:

@@ -100,22 +100,21 @@ class ProbeContext:
 class ProbeBlock:
     """One block of rounds, as parallel per-round arrays.
 
-    The kernels always set all four arrays.  They are only valid for the
-    duration of the :meth:`Probe.observe_block` call (kernels reuse the
-    buffers), so probes must reduce, not retain.  A block built by hand
-    to test one probe may leave out the arrays that probe does not read.
+    The arrays are only valid for the duration of the
+    :meth:`Probe.observe_block` call (kernels reuse the buffers), so
+    probes must reduce, not retain.
     """
 
     start_round: int
     length: int
     #: ``(length, num_dispatchers)`` jobs each dispatcher received.
-    batch: np.ndarray | None = None
+    batch: np.ndarray
     #: ``(length, num_servers)`` jobs/units admitted per server.
-    received: np.ndarray | None = None
+    received: np.ndarray
     #: ``(length, num_servers)`` jobs/units completed per server.
-    done: np.ndarray | None = None
+    done: np.ndarray
     #: ``(length, num_servers)`` end-of-round queue lengths.
-    queues: np.ndarray | None = None
+    queues: np.ndarray
 
 
 class Probe(ABC):

@@ -76,36 +76,15 @@ PARSER_PIN = {
         "--warmup": "store type=int default=0",
         "--seed": "store type=int default=0",
     },
-    "sweep": {
-        "--policies": "store nargs='+' default=['scd', 'jsq', 'sed']",
-        "--loads": "store type=float nargs='+' default=[0.7, 0.9, 0.99]",
-        "--save": "store",
-        "--servers/-n": "store type=int default=100",
-        "--dispatchers/-m": "store type=int default=10",
-        "--profile": PROFILE,
-        "--rate-seed": "store type=int default=7",
-        "--rounds": "store type=int default=5000",
-        "--warmup": "store type=int default=0",
+    "figure": {
+        "figure": "store required",
+        "--rounds": "store type=int default=2000",
+        "--loads": "store type=float nargs='+' default=[0.6, 0.7, 0.8, 0.9, 0.99]",
         "--seed": "store type=int default=0",
-    },
-    "tails": {
-        "--policies": "store nargs='+' default=['scd', 'sed', 'hlsq']",
-        "--rho": "store type=float default=0.99",
-        "--servers/-n": "store type=int default=100",
-        "--dispatchers/-m": "store type=int default=10",
-        "--profile": PROFILE,
-        "--rate-seed": "store type=int default=7",
-        "--rounds": "store type=int default=5000",
-        "--warmup": "store type=int default=0",
-        "--seed": "store type=int default=0",
-    },
-    "runtime": {
         "--servers": "store type=int nargs='+' default=[100, 200, 300, 400]",
-        "--dispatchers/-m": "store type=int default=10",
-        "--profile": "store choices=['u1_10', 'u1_100', 'bimodal'] default='u1_10'",
-        "--snapshots": "store type=int default=200",
-        "--sim-rounds": "store type=int default=100",
-        "--seed": "store type=int default=0",
+        "--snapshots": "store type=int default=120",
+        "--runtime-rounds": "store type=int default=60",
+        "--save": "store",
     },
     "run": {
         "--policy": "store default='scd'",
@@ -153,7 +132,6 @@ PARSER_PIN = {
         "--connect": "store",
         "--data-dir": "store",
         "--name": "store",
-        "--workdir": "store",
         "--max-cells": "store type=int",
         "--exit-when-idle": "store_true nargs=0",
         "--poll-interval": "store type=float default=0.5",
@@ -509,38 +487,58 @@ class TestSimulate:
         assert payload["policy_name"] == "jsq"
 
 
-class TestSweep:
-    def test_table_and_best(self, capsys):
+class TestFigure:
+    """``repro figure ID`` prints the table the figure benchmarks write."""
+
+    GRID = ("--rounds", "200", "--loads", "0.7", "0.9")
+
+    def test_mean_figure(self, capsys):
+        code, out = run_cli(capsys, "figure", "3a", *self.GRID)
+        assert code == 0
+        assert "Figure 3a: mean response time vs offered load" in out
+        assert "(rounds/cell: 200, loads: (0.7, 0.9), seed: 0)" in out
+        rows = [line.split() for line in out.splitlines() if line.lstrip().startswith("n")]
+        # 7 policies x 4 systems x 2 loads.
+        assert [row[2] for row in rows] == ["0.700", "0.900"] * 28
+
+    def test_tail_figure_prints_three_improvement_lines(self, capsys):
+        code, out = run_cli(capsys, "figure", "3b", *self.GRID)
+        assert code == 0
+        assert "Figure 3b" in out
+        assert out.count("SCD 1e-4 tail improvement over runner-up") == 3
+
+    def test_runtime_figure(self, capsys):
         code, out = run_cli(
             capsys,
-            "sweep", "--policies", "scd", "random", "--loads", "0.8",
-            "--servers", "12", "--dispatchers", "2", "--rounds", "200",
+            "figure", "5", "--servers", "30", "--snapshots", "10",
+            "--runtime-rounds", "15",
         )
         assert code == 0
-        assert "best at rho=0.8: scd" in out
+        assert "Figure 5" in out
+        assert "scd-alg4" in out and "p50_us" in out
 
+    def test_save_writes_a_result_that_renders_the_same_table(self, capsys, tmp_path):
+        from repro.experiments.figures import FIGURES_BY_ID, table_text
+        from repro.experiments.persistence import load_experiment
 
-class TestTails:
-    def test_quantile_table(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "tails", "--policies", "scd", "sed", "--rho", "0.9",
-            "--servers", "12", "--dispatchers", "2", "--rounds", "300",
-        )
+        grid = ("--rounds", "60", "--loads", "0.9")
+        code, out = run_cli(capsys, "figure", "4b", *grid, "--save", str(tmp_path))
         assert code == 0
-        assert "p99.9" in out
-
-
-class TestRuntime:
-    def test_landmarks(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "runtime", "--servers", "30", "--snapshots", "10",
-            "--sim-rounds", "15",
+        figure = FIGURES_BY_ID["4b"]
+        path = tmp_path / f"{figure.table}.json"
+        assert f"figure 4b written to {path}" in out
+        loaded = load_experiment(path)
+        table = table_text(
+            figure.title, figure.headers, figure.rows(loaded, [0.9]),
+            rounds=60, loads=[0.9], seed=0,
         )
-        assert code == 0
-        assert "scd-alg4" in out
-        assert "p50_us" in out
+        assert table in out
+        for note in figure.notes(loaded):
+            assert note in out
+
+    def test_unknown_figure_names_the_ids(self):
+        with pytest.raises(SystemExit, match="unknown figure '9z'; expected one of 3a, "):
+            main(["figure", "9z"])
 
 
 class TestStability:
@@ -571,8 +569,8 @@ class TestCompare:
 
 
 class TestBadCoordinates:
-    """Unknown policies and bad loads end every run subcommand with a
-    one-line error, before any cell runs."""
+    """Unknown policies or figures and bad loads or rounds end every run
+    subcommand with a one-line error, before any cell runs."""
 
     SMALL = ("--servers", "6", "--dispatchers", "2", "--rounds", "100")
     GRID = ("--systems", "6x2", "--rounds", "100")
@@ -582,8 +580,8 @@ class TestBadCoordinates:
         [
             ("simulate", "--policy", "nope", *SMALL),
             ("simulate", "--rho", "-1", *SMALL),
-            ("sweep", "--policies", "scd", "nope", *SMALL),
-            ("tails", "--policies", "nope", *SMALL),
+            ("figure", "9z"),
+            ("figure", "3a", "--rounds", "0"),
             ("stability", "--policy", "nope", *SMALL),
             ("experiment", "--policies", "scd", "nope", *GRID),
             ("experiment", "--loads", "nan", *GRID),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.ccdf import ccdf_series
-from repro.experiments import Experiment, ExperimentResult, PolicySpec
+from repro.experiments import Experiment, PolicySpec
 from repro.policies.base import SystemContext, make_policy
 from repro.sim.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.sim.engine import Simulation, SimulationConfig
@@ -165,21 +165,6 @@ class TestMetricsEdges:
 
 
 class TestCLIEdges:
-    def test_sweep_save(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "sweep.json"
-        code = main(
-            [
-                "sweep", "--policies", "wr", "--loads", "0.5",
-                "--servers", "8", "--dispatchers", "2",
-                "--rounds", "100", "--save", str(path),
-            ]
-        )
-        assert code == 0
-        loaded = ExperimentResult.load(path)
-        assert loaded.only(policy="wr", rho=0.5).mean_response_time >= 1.0
-
     def test_stability_overload_skips_bound(self, capsys):
         from repro.cli import main
 

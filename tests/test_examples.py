@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,22 +51,6 @@ def test_herding_demo():
 def test_custom_policy():
     out = run_example("custom_policy.py", "--rounds", "400")
     assert "memsed(3)" in out
-
-
-@pytest.mark.parametrize("figure", ["3a", "3b", "5"])
-def test_paper_figures(figure):
-    out = run_example(
-        "paper_figures.py",
-        "--figure", figure,
-        "--rounds", "200",
-        "--loads", "0.7", "0.9",
-        "--servers", "50",
-        "--snapshots", "20",
-        "--runtime-rounds", "20",
-    )
-    assert f"Figure {figure}" in out
-    if figure == "3b":
-        assert out.count("SCD 1e-4 tail improvement over runner-up") == 3
 
 
 def test_bursty_arrivals():

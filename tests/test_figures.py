@@ -3,17 +3,34 @@
 Each figure's table is checked as ``FigureTable.write`` (the figure
 benchmarks' writer, ``benchmarks/_common.py``) produces it, plus any table
 that a ``pytest benchmarks`` run left in the gitignored ``benchmarks/results/``.
+A mean or tail figure is one ``fast`` experiment; its rows equal those of
+the same grid on ``reference``, and a saved result renders the same rows.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.ccdf import tail_quantiles
-from repro.experiments import Experiment
-from repro.experiments.figures import FIGURES, FIGURES_BY_ID, mean_rows
+from repro.experiments.figures import (
+    FIGURES,
+    FIGURES_BY_ID,
+    PANEL_METRIC,
+    RUNTIME,
+    TAIL,
+)
+from repro.experiments.persistence import load_experiment, save_experiment
+from repro.workloads.scenarios import TAIL_LOADS
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 RESULTS = BENCHMARKS / "results"
+
+SIMULATED = [figure for figure in FIGURES if figure.kind != RUNTIME]
+
+#: A tiny grid: every cell of every simulated figure at one load.
+TINY = {"rounds": 20, "loads": (0.9,), "seed": 0}
 
 
 def _bench_common():
@@ -35,7 +52,8 @@ def test_each_figure_is_declared_once():
 
 def test_fig6_fig7_panels_plot_the_tail():
     """The paper's Figures 6 and 7 both plot tails at n=100, m=10."""
-    assert FIGURES_BY_ID["6"].panel == FIGURES_BY_ID["7"].panel == "p999"
+    assert PANEL_METRIC == "p999"
+    assert [f.id for f in FIGURES if f.panel] == ["6", "7"]
 
 
 def test_each_table_is_committed(tmp_path, monkeypatch):
@@ -56,21 +74,65 @@ def test_each_table_is_committed(tmp_path, monkeypatch):
             assert lines[2].split() == list(figure.headers), (figure.id, path)
 
 
+def test_a_figure_is_one_fast_experiment():
+    experiment = FIGURES_BY_ID["3a"].experiment(**TINY)
+    assert experiment.backend == "fast"
+    assert experiment.size == 7 * 4
+    assert FIGURES_BY_ID["3b"].experiment(**TINY).loads == TAIL_LOADS
+    with pytest.raises(ValueError, match="Figure 5 is timed"):
+        FIGURES_BY_ID["5"].experiment(**TINY)
+
+
+@pytest.mark.parametrize("figure", SIMULATED, ids=lambda f: f.id)
+def test_fast_rows_equal_the_reference_rows(figure):
+    """The figure's rows on ``fast`` are bit-equal to the same grid's rows
+    on ``reference``; so are the tail figures' improvement lines."""
+    fast = figure.run(**TINY)
+    reference_grid = dataclasses.replace(figure.experiment(**TINY), backend="reference")
+    reference = reference_grid.run(keep_results=True)
+    assert figure.rows(fast, TINY["loads"]) == figure.rows(reference, TINY["loads"])
+    assert figure.notes(fast) == figure.notes(reference)
+    if figure.kind == TAIL:
+        assert len(figure.notes(fast)) == len(TAIL_LOADS)
+
+
 def test_mean_table_equals_the_grid_records():
     """A 3a table on one system at one load holds the records' metrics; its
     p99.9 column is the 1e-3 CCDF level of the response histogram."""
     figure = FIGURES_BY_ID["3a"]
-    system = figure.systems[0]
-    rows = [
-        row
-        for policy, cell_system in figure.cells()
-        if cell_system == system
-        for row in mean_rows(policy, system, rounds=30, loads=(0.9,), seed=0)
-    ]
-    records = Experiment(figure.policies, system, 0.9, rounds=30, base_seed=0).run()
+    result = figure.experiment(**TINY).run(keep_results=True)
+    rows = [row for row in figure.rows(result, TINY["loads"]) if row[0] == "n100/m5"]
+    records = result.filter(system=figure.systems[0].name)
     assert rows == [
         ["n100/m5", r.policy, 0.9, r.metrics["mean"], r.metrics["p99"], r.metrics["p999"]]
         for r in records
     ]
     for row, record in zip(rows, records):
         assert row[5] == tail_quantiles(record.result.histogram, (1e-3,))[1e-3]
+
+
+@pytest.mark.parametrize("figure_id", ["3b", "6"])
+def test_a_saved_result_renders_the_same_rows(figure_id, tmp_path):
+    figure = FIGURES_BY_ID[figure_id]
+    result = figure.run(**TINY)
+    loaded = load_experiment(save_experiment(result, tmp_path / "figure.json"))
+    assert figure.rows(loaded, TINY["loads"]) == figure.rows(result, TINY["loads"])
+    assert figure.notes(loaded) == figure.notes(result)
+
+
+@pytest.mark.parametrize("figure_id", ["6", "7"])
+def test_panel_survives_loads_without_the_tail_loads(figure_id):
+    """The n=100, m=10 panel covers :data:`TAIL_LOADS` whatever the loads."""
+    figure = FIGURES_BY_ID[figure_id]
+    grid = {**TINY, "loads": (0.5,)}
+    experiment = figure.experiment(**grid)
+    assert experiment.loads == (0.5, *TAIL_LOADS)
+    rows = figure.rows(figure.run(**grid), grid["loads"])
+    load_rows = [row for row in rows if row[0] != "n100/m10-tail"]
+    panel = [row for row in rows if row[0] == "n100/m10-tail"]
+    assert {row[2] for row in load_rows} == {0.5}
+    assert len(load_rows) == len(figure.policies) * len(figure.systems)
+    assert [(row[1], row[2]) for row in panel] == [
+        (policy, rho) for rho in TAIL_LOADS for policy in figure.policies
+    ]
+    assert all(isinstance(row[5], int) for row in panel)

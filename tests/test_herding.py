@@ -24,8 +24,13 @@ def observed(rates, *rounds):
     )
     if rounds:
         received = np.asarray(rounds, dtype=np.int64)
+        zeros = np.zeros_like(received)
         probe.observe_block(
-            ProbeBlock(start_round=0, length=len(rounds), received=received)
+            ProbeBlock(
+                start_round=0, length=len(rounds),
+                batch=np.zeros((len(rounds), 1), dtype=np.int64),
+                received=received, done=zeros, queues=zeros,
+            )
         )
     return probe.summary()
 

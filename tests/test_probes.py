@@ -446,6 +446,7 @@ class TestBuiltinSemantics:
         probe.observe_block(
             ProbeBlock(
                 start_round=0, length=2,
+                batch=np.zeros((2, 1), dtype=np.int64),
                 received=np.zeros((2, 2), dtype=np.int64),
                 done=np.zeros((2, 2), dtype=np.int64),
                 queues=queues,

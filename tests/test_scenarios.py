@@ -388,7 +388,12 @@ def make_block(start, queues):
     from repro.sim.probes import ProbeBlock
 
     queues = np.asarray(queues, dtype=np.int64)
-    return ProbeBlock(start_round=start, length=queues.shape[0], queues=queues)
+    zeros = np.zeros_like(queues)
+    return ProbeBlock(
+        start_round=start, length=queues.shape[0],
+        batch=np.zeros((queues.shape[0], 1), dtype=np.int64),
+        received=zeros, done=zeros, queues=queues,
+    )
 
 
 def bound_probe(window, rounds=8, servers=2):

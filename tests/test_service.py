@@ -750,7 +750,7 @@ class TestServiceAPI:
 
 
 class TestServiceCLI:
-    def test_submit_status_and_worker_verbs(self, service, capsys, tmp_path):
+    def test_submit_status_and_worker_verbs(self, service, capsys):
         from repro.cli import main
 
         manager, coordinator, api = service
@@ -790,8 +790,6 @@ class TestServiceCLI:
                     "--exit-when-idle",
                     "--poll-interval",
                     "0.05",
-                    "--workdir",
-                    str(tmp_path / "scratch"),
                 ],
             ),
         )
